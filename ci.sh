@@ -25,10 +25,15 @@ cargo clippy -q -p smo-lp -p smo-core --lib -- \
 echo "==> cargo test"
 cargo test -q
 
-echo "==> stress harness (pathological circuits, both simplex variants)"
+echo "==> e2e benchmark crate tests"
+# The end-to-end benchmark is a workspace of its own (e2e/Cargo.toml):
+# its oracle and statistics unit tests only run when asked for by path.
+cargo test -q --manifest-path e2e/Cargo.toml
+
+echo "==> stress harness (pathological circuits, sparse-LU vs the dense oracle)"
 cargo test -q --test stress
 
-echo "==> scale-differential suite (dense vs revised vs sparse-LU, release)"
+echo "==> scale-differential suite (sparse-LU vs the dense oracle, release)"
 # The non-ignored tests (shipped netlists, stress suite, proptest-random
 # circuits) also run under plain `cargo test` above; release mode adds the
 # ignored 1k/5k-row generated-datapath tests, which are deadline-bounded
@@ -47,9 +52,8 @@ cargo test -q --release --test pricing_equivalence
 
 echo "==> smo lint + smo analyze + certified smo solve over circuits/*.ckt"
 # `lint` exits non-zero on error-severity findings; `analyze` exits 2 when
-# the combinatorial bracket, the presolved solve, the plain solve or the
-# graph backend disagree (an internal soundness bug). Either failure
-# fails CI.
+# the combinatorial bracket, the certified LP solve or the graph backend
+# disagree (an internal soundness bug). Either failure fails CI.
 cargo build -q --release --bin smo
 for ckt in circuits/*.ckt; do
   echo "--- $ckt"
@@ -75,8 +79,8 @@ for ckt in circuits/*.ckt; do
     echo "BACKEND DISAGREEMENT on $ckt: graph '$graph_tc' vs lp '$lp_tc'" >&2
     exit 1
   fi
-  # Short certified Monte-Carlo sweep: exercises the warm-start repair and
-  # the worker pool end to end on every shipped netlist (~2 s total).
+  # Short certified Monte-Carlo sweep: exercises the graph re-solves, their
+  # certificates and the worker pool end to end on every shipped netlist.
   ./target/release/smo sweep "$ckt" --runs 4 --jobs 2 --certify > /dev/null
 done
 
@@ -186,23 +190,23 @@ cargo run -q --release -p smo-bench --bin bench_fastpath
 
 echo "==> 5k-row generated circuit: certified sparse-LU solve under a deadline"
 # End-to-end through the CLI: `smo gen` emits a 5k-constraint-row
-# pipelined datapath, and the sparse-LU variant must return a certified
+# pipelined datapath, and the simplex backend must return a certified
 # optimum inside an explicit wall-clock budget.
 gen_ckt=$(mktemp --suffix=.ckt)
 ./target/release/smo gen --latches 1667 --seed 7 --out "$gen_ckt"
-./target/release/smo solve "$gen_ckt" --backend lp --variant sparse --time-limit 300 \
+./target/release/smo solve "$gen_ckt" --backend lp --time-limit 300 \
   | grep "certified: true" > /dev/null
 rm -f "$gen_ckt"
 
-echo "==> bench_scale (dense vs revised vs sparse-LU scaling gate)"
+echo "==> bench_scale (dense vs sparse-LU scaling gate)"
 # Quick mode enforces the speedup convention at CI-friendly sizes, then
 # re-measures sparse pivots/sec at the 10k-row anchor and fails if it
 # drops below half the checked-in sparse_pivots_per_sec_10k — the
 # throughput regression gate for the hypersparse kernels — all without
 # touching the checked-in curve. The full BENCH_scale.json regeneration
-# (6 sizes to ~50k rows; dense/revised are deadline-bounded, the jumbo
-# sparse solves get up to 1800 s each) runs with SCALE_FULL=1 ./ci.sh
-# and enforces the >= 10x gate at the largest three-way size.
+# (6 sizes to ~50k rows; dense is deadline-bounded, the jumbo sparse
+# solves get up to 1800 s each) runs with SCALE_FULL=1 ./ci.sh and
+# enforces the >= 10x gate at the 10k-row anchor.
 if [ "${SCALE_FULL:-0}" = "1" ]; then
   cargo run -q --release -p smo-bench --bin bench_scale
 else

@@ -38,7 +38,8 @@ pub struct CheckOptions {
     /// Per-rule suppressions and severity overrides, applied to lint
     /// findings *and* to the race findings layered on top.
     pub config: PassConfig,
-    /// Solver backend for the cycle-time solve feeding the race analysis.
+    /// Solver backend for the cycle-time solve feeding the race analysis;
+    /// [`Backend::default`] ([`Backend::Auto`]) unless set.
     pub backend: Backend,
     /// Analyse at this pinned cycle time instead of the solved optimum.
     pub cycle_time: Option<f64>,

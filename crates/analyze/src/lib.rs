@@ -24,10 +24,10 @@
 //!   paper's constraint names (C1–C3 clock rows, L1 setup, L2R
 //!   propagation) with the latches and phases involved.
 //! * **Constraint analysis** ([`analyze`]) — cross-check the combinatorial
-//!   cycle-time bracket `lower ≤ Tc* ≤ upper` against the LP optimum solved
-//!   both through the presolve pipeline and plain, and report which
-//!   constraint families presolve removed. Any disagreement is a hard
-//!   [`AnalyzeError`], not a finding.
+//!   cycle-time bracket `lower ≤ Tc* ≤ upper` against the certified LP
+//!   optimum and the graph backend's exact optimum, and classify each
+//!   constraint family into the difference fragment. Any disagreement is a
+//!   hard [`AnalyzeError`], not a finding.
 //!
 //! The passes back the `smo lint`, `smo diagnose` and `smo analyze` CLI
 //! subcommands.

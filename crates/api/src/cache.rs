@@ -232,9 +232,7 @@ impl ApiCache {
 
     /// Caches the optimal basis from a finished solve of `fp`.
     pub fn store_basis(&mut self, fp: u64, basis: Basis) {
-        // `size()` counts basic columns; a warm basis may also carry a
-        // dense size×size B⁻¹, which dominates — budget for it.
-        let cost = 64 + basis.size() * basis.size() * std::mem::size_of::<f64>();
+        let cost = basis.approx_bytes();
         self.bases.insert(fp, basis, cost);
     }
 
@@ -294,6 +292,26 @@ mod tests {
         assert!(cache.circuit(fp).is_none());
         assert!(cache.result(fp, "solve").is_none());
         assert_eq!(cache.stats().quarantined, 1);
+    }
+
+    #[test]
+    fn basis_entries_cost_their_real_size() {
+        let model = smo_core::TimingModel::build(&paper::example2()).unwrap();
+        let basis = model.solve_lp().unwrap().basis().cloned().unwrap();
+        let cost = basis.approx_bytes();
+        // A snapshot is one entry per basic column, not a dense B⁻¹.
+        assert!(cost < basis.size() * basis.size() * std::mem::size_of::<f64>());
+        // A budget of exactly one snapshot holds one snapshot: the entry is
+        // charged its real size, and the next one evicts it.
+        let mut cache = ApiCache::new(&CacheConfig {
+            basis_bytes: cost,
+            ..CacheConfig::default()
+        });
+        cache.store_basis(1, basis.clone());
+        assert_eq!(cache.basis(1).as_ref(), Some(&basis));
+        cache.store_basis(2, basis.clone());
+        assert!(cache.basis(1).is_none());
+        assert_eq!(cache.basis(2).as_ref(), Some(&basis));
     }
 
     #[test]

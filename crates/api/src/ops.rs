@@ -37,14 +37,7 @@ pub fn solve_json(sol: &TimingSolution) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"cycle_time\": {:.6},\n", sol.cycle_time()));
     out.push_str(&format!("  \"certified\": {},\n", sol.certified()));
-    out.push_str(&format!(
-        "  \"backend\": \"{}\",\n",
-        if sol.graph_certificate().is_some() {
-            "graph"
-        } else {
-            "lp"
-        }
-    ));
+    out.push_str(&format!("  \"backend\": \"{}\",\n", sol.backend()));
     if let Some(gc) = sol.graph_certificate() {
         out.push_str(&format!(
             "  \"graph_certificate\": {{\"valid\": {}, \"implied_lower\": {:.6}, \
@@ -251,7 +244,6 @@ pub fn run_sweep(
         jobs: 1,
         certify,
         pricing,
-        ..Default::default()
     };
     let reports = sweep_cycle_time(std::slice::from_ref(circuit), &options)?;
     Ok(sweep_json(&reports[0], &options))

@@ -54,7 +54,7 @@ pub enum Command {
         /// ladder may clear this under load.
         certify: bool,
         /// Simplex pricing strategy (`"devex"`, `"partial"`, `"bland"`);
-        /// honored by the sparse-LU variant, ignored by the others.
+        /// honored by every simplex solve of the request.
         pricing: smo_lp::Pricing,
     },
     /// Check a concrete schedule (the daemon twin of `smo verify`).
@@ -101,9 +101,9 @@ pub enum Command {
         spread: f64,
         /// RNG seed (for `param = "delay"`).
         seed: u64,
-        /// KKT-certify every re-solve.
+        /// Independently check every re-solve.
         certify: bool,
-        /// Simplex pricing strategy for every re-solve (sparse-LU only).
+        /// Simplex pricing strategy for every simplex re-solve.
         pricing: smo_lp::Pricing,
     },
 }
@@ -327,7 +327,7 @@ fn opt_pricing(value: &Json) -> Result<smo_lp::Pricing, ApiError> {
 
 fn opt_backend(value: &Json) -> Result<Backend, ApiError> {
     match value.get("backend") {
-        None | Some(Json::Null) => Ok(Backend::Auto),
+        None | Some(Json::Null) => Ok(Backend::default()),
         Some(v) => {
             let s = v
                 .as_str()

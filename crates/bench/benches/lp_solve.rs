@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smo_core::TimingModel;
 use smo_gen::random::{random_circuit, GenConfig};
-use smo_lp::SimplexVariant;
+use smo_lp::SolveBudget;
 
 fn bench_lp_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_solve");
@@ -21,21 +21,18 @@ fn bench_lp_solve(c: &mut Criterion) {
         };
         let circuit = random_circuit(&cfg, 7);
         let model = TimingModel::build(&circuit).expect("model");
-        // DESIGN.md ablation: dense tableau vs sparse revised simplex on
-        // the same 0/±1 timing matrices.
+        // DESIGN.md ablation: the dense reference tableau vs the sparse-LU
+        // simplex on the same 0/±1 timing matrices.
         group.bench_with_input(BenchmarkId::new("dense", l), &model, |b, m| {
             b.iter(|| {
-                m.solve_lp_with(SimplexVariant::Dense)
-                    .expect("optimal")
+                m.problem()
+                    .solve_reference(SolveBudget::UNLIMITED)
+                    .expect("solves")
                     .objective()
             })
         });
-        group.bench_with_input(BenchmarkId::new("revised", l), &model, |b, m| {
-            b.iter(|| {
-                m.solve_lp_with(SimplexVariant::Revised)
-                    .expect("optimal")
-                    .objective()
-            })
+        group.bench_with_input(BenchmarkId::new("sparse", l), &model, |b, m| {
+            b.iter(|| m.solve_lp().expect("optimal").objective())
         });
     }
     group.finish();

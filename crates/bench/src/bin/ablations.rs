@@ -1,7 +1,8 @@
 //! Ablation studies for the design choices called out in DESIGN.md.
 //!
-//! 1. **LP solver**: dense tableau vs sparse revised simplex (§VI's "more
-//!    efficient algorithms" direction) — same optima, different scaling.
+//! 1. **LP solver**: the paper's dense tableau vs the sparse-LU simplex
+//!    (§VI's "more efficient algorithms" direction) — same optima,
+//!    different scaling.
 //! 2. **Canonicalization**: the cost and effect of the second LP pass that
 //!    picks a deterministic compact schedule among the non-unique optima.
 //! 3. **Nonoverlap scope**: the paper's strict C3 vs the latch-destination
@@ -9,16 +10,15 @@
 //! 4. **Update mode**: Jacobi vs Gauss-Seidel vs event-driven departure
 //!    sliding (§IV's proposed enhancements).
 //! 5. **Bus lumping**: the §IV "32-bit data bus" reduction.
-//! 6. **LP presolve**: singleton/duplicate/redundancy elimination before
-//!    the simplex, on vs off, for both simplex variants.
+//! 6. **Certification**: the cost of the KKT check and recovery ladder.
 
 use smo_circuit::{lump_equivalent_latches, CircuitBuilder, PhaseId};
 use smo_core::{
-    min_cycle_time, min_cycle_time_with, solve_model_with, ConstraintOptions, MlpOptions,
+    min_cycle_time, min_cycle_time_with, solve_model, Backend, ConstraintOptions, MlpOptions,
     NonoverlapScope, TimingModel, UpdateMode,
 };
 use smo_gen::random::{random_circuit, GenConfig};
-use smo_lp::{PresolveOptions, SimplexVariant};
+use smo_lp::SolveBudget;
 use std::time::Instant;
 
 fn ms(f: impl FnOnce()) -> f64 {
@@ -28,11 +28,11 @@ fn ms(f: impl FnOnce()) -> f64 {
 }
 
 fn main() {
-    smo_bench::header("Ablation 1 — dense tableau vs sparse revised simplex");
+    smo_bench::header("Ablation 1 — dense tableau vs sparse-LU simplex");
     println!(
         "{}",
         smo_bench::row(
-            &["latches", "rows", "dense (ms)", "revised (ms)", "speedup"],
+            &["latches", "rows", "dense (ms)", "sparse (ms)", "speedup"],
             &[8, 6, 11, 13, 8]
         )
     );
@@ -46,20 +46,17 @@ fn main() {
         let circuit = random_circuit(&cfg, 7);
         let model = TimingModel::build(&circuit).expect("model");
         let mut tc_d = 0.0;
-        let mut tc_r = 0.0;
+        let mut tc_s = 0.0;
         let td = ms(|| {
             tc_d = model
-                .solve_lp_with(SimplexVariant::Dense)
-                .expect("optimal")
-                .objective();
+                .problem()
+                .solve_reference(SolveBudget::UNLIMITED)
+                .expect("solves")
+                .objective()
+                .expect("optimal");
         });
-        let tr = ms(|| {
-            tc_r = model
-                .solve_lp_with(SimplexVariant::Revised)
-                .expect("optimal")
-                .objective();
-        });
-        assert!((tc_d - tc_r).abs() < 1e-6, "variants disagree");
+        let ts = ms(|| tc_s = model.solve_lp().expect("optimal").objective());
+        assert!((tc_d - tc_s).abs() < 1e-6, "engines disagree");
         println!(
             "{}",
             smo_bench::row(
@@ -67,8 +64,8 @@ fn main() {
                     &format!("{l}"),
                     &format!("{}", model.num_constraints()),
                     &format!("{td:.2}"),
-                    &format!("{tr:.2}"),
-                    &format!("{:.2}×", td / tr.max(1e-9)),
+                    &format!("{ts:.2}"),
+                    &format!("{:.2}×", td / ts.max(1e-9)),
                 ],
                 &[8, 6, 11, 13, 8],
             )
@@ -76,16 +73,21 @@ fn main() {
     }
 
     smo_bench::header("Ablation 2 — schedule canonicalization (second LP pass)");
+    // Canonicalization is an LP pass, so both runs pin the LP backend.
     let circuit = smo_gen::paper::example1(80.0);
+    let lp = MlpOptions {
+        backend: Backend::Lp,
+        ..Default::default()
+    };
     let raw = min_cycle_time_with(
         &circuit,
         &MlpOptions {
             canonicalize: false,
-            ..Default::default()
+            ..lp.clone()
         },
     )
     .expect("solves");
-    let compact = min_cycle_time(&circuit).expect("solves");
+    let compact = min_cycle_time_with(&circuit, &lp).expect("solves");
     println!(
         "raw vertex:  Tc = {:.1}, {}",
         raw.cycle_time(),
@@ -157,8 +159,7 @@ fn main() {
     ] {
         let mut iters = 0;
         let t = ms(|| {
-            let sol =
-                solve_model_with(&big, &model, mode, SimplexVariant::Revised).expect("solves");
+            let sol = solve_model(&big, &model, mode).expect("solves");
             iters = sol.update_iterations();
         });
         println!("{mode:?}: {iters} update iterations, {t:.2} ms end-to-end");
@@ -196,119 +197,53 @@ fn main() {
         );
     }
 
-    smo_bench::header("Ablation 6 — LP presolve on vs off (650-row scale)");
     let cfg = GenConfig {
         latches: 256,
         edges: 384,
         phases: 3,
         ..Default::default()
     };
-    let big = random_circuit(&cfg, 11);
-    let model = TimingModel::build(&big).expect("model");
-    let stats = model.problem().presolve(&PresolveOptions::default());
-    println!(
-        "{} constraints; presolve: {}",
-        model.num_constraints(),
-        stats.stats()
-    );
+    let model = TimingModel::build(&random_circuit(&cfg, 11)).expect("model");
+
+    smo_bench::header("Ablation 6 — certification + recovery-ladder overhead (650-row scale)");
     println!(
         "{}",
         smo_bench::row(
-            &["variant", "presolve", "Tc", "solve (ms)"],
-            &[8, 9, 11, 11]
+            &["plain (ms)", "certified (ms)", "overhead", "rungs"],
+            &[11, 15, 9, 6]
         )
     );
-    let mut reference = None;
-    for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
-        for (label, opts) in [
-            ("off", PresolveOptions::off()),
-            ("on", PresolveOptions::default()),
-        ] {
-            let mut tc = 0.0;
-            let t = ms(|| {
-                tc = model
-                    .problem()
-                    .solve_with_presolve(variant, &opts)
-                    .expect("solves")
-                    .objective()
-                    .expect("optimal");
-            });
-            let reference = *reference.get_or_insert(tc);
-            assert!(
-                (tc - reference).abs() < 1e-9,
-                "presolve changed the optimum: {tc} vs {reference}"
-            );
-            println!(
-                "{}",
-                smo_bench::row(
-                    &[
-                        &format!("{variant:?}"),
-                        label,
-                        &format!("{tc:.4}"),
-                        &format!("{t:.2}"),
-                    ],
-                    &[8, 9, 11, 11],
-                )
-            );
-        }
-    }
-
-    smo_bench::header("Ablation 7 — certification + recovery-ladder overhead (650-row scale)");
+    let mut tc_plain = 0.0;
+    let t_plain = ms(|| tc_plain = model.solve_lp().expect("optimal").objective());
+    let mut tc_cert = 0.0;
+    let mut rungs = 0usize;
+    let t_cert = ms(|| {
+        let certified = model
+            .problem()
+            .solve_certified(&smo_lp::RecoveryPolicy::default())
+            .expect("certifies");
+        tc_cert = certified
+            .solution()
+            .objective()
+            .expect("certified optimum has an objective");
+        rungs = certified.steps().len();
+    });
+    assert!(
+        (tc_plain - tc_cert).abs() < 1e-9 * (1.0 + tc_plain.abs()),
+        "certification changed the optimum: {tc_plain} vs {tc_cert}"
+    );
     println!(
         "{}",
         smo_bench::row(
             &[
-                "variant",
-                "plain (ms)",
-                "certified (ms)",
-                "overhead",
-                "rungs"
+                &format!("{t_plain:.2}"),
+                &format!("{t_cert:.2}"),
+                &format!("{:+.1}%", (t_cert / t_plain - 1.0) * 100.0),
+                &format!("{rungs}"),
             ],
-            &[8, 11, 15, 9, 6]
+            &[11, 15, 9, 6],
         )
     );
-    for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
-        let mut tc_plain = 0.0;
-        let t_plain = ms(|| {
-            tc_plain = model
-                .problem()
-                .solve_with(variant)
-                .expect("solves")
-                .objective()
-                .expect("optimal");
-        });
-        let policy = smo_lp::RecoveryPolicy {
-            variant,
-            ..Default::default()
-        };
-        let mut tc_cert = 0.0;
-        let mut rungs = 0usize;
-        let t_cert = ms(|| {
-            let certified = model.problem().solve_certified(&policy).expect("certifies");
-            tc_cert = certified
-                .solution()
-                .objective()
-                .expect("certified optimum has an objective");
-            rungs = certified.steps().len();
-        });
-        assert!(
-            (tc_plain - tc_cert).abs() < 1e-9 * (1.0 + tc_plain.abs()),
-            "certification changed the optimum: {tc_plain} vs {tc_cert}"
-        );
-        println!(
-            "{}",
-            smo_bench::row(
-                &[
-                    &format!("{variant:?}"),
-                    &format!("{t_plain:.2}"),
-                    &format!("{t_cert:.2}"),
-                    &format!("{:+.1}%", (t_cert / t_plain - 1.0) * 100.0),
-                    &format!("{rungs}"),
-                ],
-                &[8, 11, 15, 9, 6],
-            )
-        );
-    }
 }
 
 fn summary(s: &smo_circuit::ClockSchedule) -> String {

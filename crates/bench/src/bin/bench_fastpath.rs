@@ -1,6 +1,6 @@
 //! Fast-path benchmark: the difference-constraint graph backend (exact
 //! Bellman–Ford + min-cycle-ratio, zero simplex pivots) against the
-//! certified-simplex baseline on a ~650-row random-circuit model.
+//! certified sparse-LU simplex baseline on a ~650-row random-circuit model.
 //!
 //! Writes `BENCH_fastpath.json` at the repository root (checked in as the
 //! reference measurement; regenerated by `ci.sh`). The run aborts unless
@@ -111,7 +111,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"_schema\": \"median of {RUNS} end-to-end min_cycle_time_with() solves of one \
-         ~650-row pure difference model per backend; lp = certified revised simplex, graph = \
+         ~650-row pure difference model per backend; lp = certified sparse-LU simplex, graph = \
          Bellman-Ford + exact min-cycle-ratio (0 pivots); speedup = lp_median_ms / \
          graph_median_ms and must stay >= 10; both backends must agree on tc\",\n  \
          \"rows\": {rows},\n  \"runs\": {RUNS},\n  \"tc\": {:.6},\n  \

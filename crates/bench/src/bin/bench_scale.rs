@@ -1,23 +1,25 @@
-//! Scaling benchmark: dense vs revised vs sparse-LU certified solve time
-//! as the timing model grows from the paper's scale (~650 rows) past
-//! 10 000 constraint rows, with jumbo sparse-only sizes to 50k+ rows.
+//! Scaling benchmark: certified sparse-LU solve time against the dense
+//! reference tableau as the timing model grows from the paper's scale
+//! (~650 rows) past 10 000 constraint rows, with jumbo sizes to 50k+ rows.
 //!
 //! Circuits come from the seeded pipelined-datapath generator (`smo gen`),
-//! so every run measures byte-identical models. Each variant runs one
-//! certified cycle-time LP per size under a wall-clock deadline; a solve
-//! that hits the deadline is recorded with its elapsed time at abort and
+//! so every run measures byte-identical models. Per size, the sparse-LU
+//! simplex runs one certified cycle-time LP and the dense tableau
+//! ([`Problem::solve_reference`](smo_lp::Problem::solve_reference)) one
+//! plain solve, each under a wall-clock deadline; a solve that hits the
+//! deadline is recorded with its elapsed time at abort and
 //! `timed_out = true` — an honest lower bound, never an extrapolation. At
-//! the jumbo sizes the dense/revised deadline is capped (they are known
-//! to be orders of magnitude off the pace; burning an hour to prove it
-//! again adds nothing), so their rows there are lower bounds by design.
+//! the jumbo sizes the dense deadline is capped (it is known to be orders
+//! of magnitude off the pace; burning an hour to prove it again adds
+//! nothing), so its rows there are lower bounds by design.
 //!
 //! Writes `BENCH_scale.json` at the repository root (checked in as the
 //! reference curve; regenerated on demand). The run aborts if the
-//! sparse-LU variant is not at least 10× faster than the dense tableau at
-//! the anchor (10k-row) size, or if any two variants that both finished
-//! disagree on the verdict or the optimum.
+//! sparse-LU simplex is not at least 10× faster than the dense tableau at
+//! the anchor (10k-row) size, or if the two disagree on the verdict or the
+//! optimum when both finish.
 //!
-//! `--quick` (the CI smoke mode) runs the two small sizes three-way, then
+//! `--quick` (the CI smoke mode) runs the two small sizes both ways, then
 //! one sparse-only solve at the anchor size and gates its `pivots_per_sec`
 //! against the checked-in `sparse_pivots_per_sec_10k` (≥ half, to absorb
 //! shared-runner noise) — a cheap tripwire against kernel regressions.
@@ -26,26 +28,26 @@ use std::time::{Duration, Instant};
 
 use smo_core::TimingModel;
 use smo_gen::datapath::{pipelined_datapath, DatapathConfig};
-use smo_lp::{LpError, Pricing, RecoveryPolicy, SimplexVariant, SolveBudget, Tol};
+use smo_lp::{LpError, Pricing, RecoveryPolicy, SolveBudget, Tol};
 
 /// Latch targets chosen so the models land near 650 / 2k / 5k / 10k /
 /// 25k / 50k rows (rows ≈ 3 × latches + a little).
 const SIZES: [usize; 6] = [216, 667, 1_667, 3_333, 8_333, 16_667];
 /// Index into [`SIZES`] of the anchor size (~10k rows): the largest size
-/// every variant runs with full deadline headroom, where the 10× gate and
+/// both engines run with full deadline headroom, where the 10× gate and
 /// the `sparse_pivots_per_sec_10k` reference are evaluated.
 const ANCHOR: usize = 3;
-/// `--quick` keeps only the first `QUICK_SIZES` sizes for the three-way
+/// `--quick` keeps only the first `QUICK_SIZES` sizes for the two-way
 /// comparison (the full curve is the checked-in artifact).
 const QUICK_SIZES: usize = 2;
-/// Floor for the dense/revised deadline so tiny models never time out.
+/// Floor for the dense deadline so tiny models never time out.
 const MIN_DEADLINE: Duration = Duration::from_secs(10);
-/// Dense/revised deadline = `DEADLINE_FACTOR × sparse seconds` (min
+/// Dense deadline = `DEADLINE_FACTOR × sparse seconds` (min
 /// clamped): enough headroom that the 10× gate is decided by measurement,
 /// not by the deadline itself. Applied through the anchor size only.
 const DEADLINE_FACTOR: f64 = 12.0;
-/// Dense/revised deadline cap at the jumbo (post-anchor) sizes: their
-/// rows become capped lower bounds rather than hour-long reruns of a
+/// Dense deadline cap at the jumbo (post-anchor) sizes: its rows become
+/// capped lower bounds rather than hour-long reruns of a
 /// foregone conclusion.
 const JUMBO_DEADLINE: Duration = Duration::from_secs(60);
 /// Sparse-LU deadline at the jumbo sizes. The bench *fails* if sparse
@@ -63,8 +65,8 @@ struct Measurement {
     iterations: usize,
     timed_out: bool,
     objective: Option<f64>,
-    /// Sparse-LU kernel counters (`None` for dense/revised and for
-    /// timed-out solves).
+    /// Sparse-LU kernel counters (`None` for dense and for timed-out
+    /// solves).
     stats: Option<smo_lp::SolveStats>,
 }
 
@@ -78,20 +80,18 @@ impl Measurement {
     }
 }
 
-fn certified_solve(
-    model: &TimingModel,
-    variant: SimplexVariant,
-    name: &'static str,
-    deadline: Option<Duration>,
-    pricing: Pricing,
-) -> Measurement {
-    let budget = match deadline {
+/// Budget for an optional wall-clock deadline.
+fn budget(deadline: Option<Duration>) -> SolveBudget {
+    match deadline {
         Some(d) => SolveBudget::with_time_limit(d),
         None => SolveBudget::UNLIMITED,
-    };
+    }
+}
+
+/// One certified sparse-LU solve of `model`'s cycle-time LP.
+fn sparse_solve(model: &TimingModel, deadline: Option<Duration>, pricing: Pricing) -> Measurement {
     let policy = RecoveryPolicy {
-        variant,
-        budget,
+        budget: budget(deadline),
         pricing,
     };
     let start = Instant::now();
@@ -99,11 +99,11 @@ fn certified_solve(
         Ok(certified) => {
             assert!(
                 certified.status() == smo_lp::Status::Optimal,
-                "{name}: expected an optimal verdict, got {:?}",
+                "sparse-lu: expected an optimal verdict, got {:?}",
                 certified.status()
             );
             Measurement {
-                variant: name,
+                variant: "sparse-lu",
                 seconds: start.elapsed().as_secs_f64(),
                 iterations: certified.iterations(),
                 timed_out: false,
@@ -111,7 +111,40 @@ fn certified_solve(
                 stats: certified.solution().stats().copied(),
             }
         }
-        Err(LpError::Budget { iterations, .. }) => Measurement {
+        Err(e) => timed_out("sparse-lu", start, e),
+    }
+}
+
+/// One dense reference-tableau solve of `model`'s cycle-time LP, its
+/// optimum checked against the KKT certificate.
+fn dense_solve(model: &TimingModel, deadline: Duration) -> Measurement {
+    let start = Instant::now();
+    match model.problem().solve_reference(budget(Some(deadline))) {
+        Ok(sol) => {
+            let cert = sol.certify(model.problem());
+            assert!(
+                sol.status() == smo_lp::Status::Optimal && cert.is_valid(),
+                "dense: expected a certified optimum, got {:?} ({cert})",
+                sol.status()
+            );
+            Measurement {
+                variant: "dense",
+                seconds: start.elapsed().as_secs_f64(),
+                iterations: sol.iterations(),
+                timed_out: false,
+                objective: sol.objective(),
+                stats: None,
+            }
+        }
+        Err(e) => timed_out("dense", start, e),
+    }
+}
+
+/// The measurement of a solve that hit its deadline; any other failure
+/// aborts the run.
+fn timed_out(name: &'static str, start: Instant, e: LpError) -> Measurement {
+    match e {
+        LpError::Budget { iterations, .. } => Measurement {
             variant: name,
             seconds: start.elapsed().as_secs_f64(),
             iterations,
@@ -119,7 +152,7 @@ fn certified_solve(
             objective: None,
             stats: None,
         },
-        Err(e) => panic!("{name}: certified solve failed: {e}"),
+        e => panic!("{name}: solve failed: {e}"),
     }
 }
 
@@ -154,9 +187,9 @@ fn main() {
         .map(|s| s.parse::<Pricing>().expect("valid --pricing"))
         .unwrap_or_default();
     smo_bench::header(if quick {
-        "Solver scaling, dense vs revised vs sparse-LU (quick: small sizes + 10k-row throughput gate)"
+        "Solver scaling, dense vs sparse-LU (quick: small sizes + 10k-row throughput gate)"
     } else {
-        "Solver scaling, dense vs revised vs sparse-LU (to 50k+ rows)"
+        "Solver scaling, dense vs sparse-LU (to 50k+ rows)"
     });
 
     let sizes = if quick {
@@ -218,13 +251,7 @@ fn main() {
 
         // Sparse first: it sets the honest deadline for the others.
         let sparse_deadline = jumbo.then_some(SPARSE_JUMBO_DEADLINE);
-        let sparse = certified_solve(
-            &model,
-            SimplexVariant::SparseLu,
-            "sparse-lu",
-            sparse_deadline,
-            pricing,
-        );
+        let sparse = sparse_solve(&model, sparse_deadline, pricing);
         assert!(
             !sparse.timed_out,
             "sparse-lu timed out at {rows} rows ({latches} latches): the hypersparse \
@@ -235,50 +262,27 @@ fn main() {
         if jumbo {
             deadline = deadline.min(JUMBO_DEADLINE);
         }
-        let revised = certified_solve(
-            &model,
-            SimplexVariant::Revised,
-            "revised",
-            Some(deadline),
-            pricing,
-        );
-        let dense = certified_solve(
-            &model,
-            SimplexVariant::Dense,
-            "dense",
-            Some(deadline),
-            pricing,
-        );
-
-        let all = vec![sparse, revised, dense];
-        for m in &all {
+        let dense = dense_solve(&model, deadline);
+        for m in [&sparse, &dense] {
             print_row(rows, latches, m);
         }
 
-        // Any two variants that both finished must agree exactly (the
-        // certificates already vouch for each one individually).
-        let finished: Vec<&Measurement> = all.iter().filter(|m| !m.timed_out).collect();
-        for pair in finished.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            let (oa, ob) = (
-                a.objective.unwrap_or(f64::NAN),
-                b.objective.unwrap_or(f64::NAN),
-            );
+        // When both finished they must agree exactly (the certificates
+        // already vouch for each one individually).
+        if let (Some(a), Some(b)) = (sparse.objective, dense.objective) {
             assert!(
-                Tol::TIGHT.is_zero(oa - ob, oa.abs().max(1.0)),
-                "objective mismatch at {rows} rows: {}={oa} vs {}={ob}",
-                a.variant,
-                b.variant
+                Tol::TIGHT.is_zero(a - b, a.abs().max(1.0)),
+                "objective mismatch at {rows} rows: sparse-lu={a} vs dense={b}"
             );
         }
-        curve.push((latches, rows, all));
+        curve.push((latches, rows, vec![sparse, dense]));
     }
 
     if quick {
         // Sparse-only anchor-size solve: the pivots_per_sec tripwire.
         let model = build_model(SIZES[ANCHOR]);
         let rows = model.num_constraints();
-        let sparse = certified_solve(&model, SimplexVariant::SparseLu, "sparse-lu", None, pricing);
+        let sparse = sparse_solve(&model, None, pricing);
         print_row(rows, SIZES[ANCHOR], &sparse);
         let measured = sparse.pivots_per_sec();
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
@@ -308,13 +312,13 @@ fn main() {
 
     let (_, anchor_rows, anchor) = &curve[ANCHOR];
     let sparse_s = anchor[0].seconds;
-    let dense_s = anchor[2].seconds;
+    let dense_s = anchor[1].seconds;
     let speedup = dense_s / sparse_s;
     let sparse_pps_10k = anchor[0].pivots_per_sec();
     println!();
     println!(
         "anchor size ({anchor_rows} rows): sparse {sparse_s:.3}s vs dense {dense_s:.3}s{} -> {speedup:.1}x",
-        if anchor[2].timed_out {
+        if anchor[1].timed_out {
             " (deadline lower bound)"
         } else {
             ""
@@ -354,11 +358,12 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"_schema\": \"rows-vs-seconds scaling curve on seeded pipelined datapaths \
-         (smo gen, seed 7); per size and variant one certified cycle-time LP solve; \
-         timed_out=true means the solve hit its deadline (max(10s, 12 x sparse seconds), \
-         capped at 60s past the 10k-row anchor where dense/revised are pure lower bounds) \
+         (smo gen, seed 7); per size one certified sparse-LU cycle-time LP solve and one \
+         dense reference-tableau solve (KKT-checked); \
+         timed_out=true means the solve hit its deadline (dense: max(10s, 12 x sparse \
+         seconds), capped at 60s past the 10k-row anchor where dense is a pure lower bound) \
          and seconds is the elapsed lower bound at abort, never an extrapolation; \
-         variants that finish must agree on verdict and objective to Tol::TIGHT; \
+         solves that finish must agree on verdict and objective to Tol::TIGHT; \
          eta_fill is the peak eta-file nonzero count between refactorizations; \
          gate (single source of truth, like the speedup >= 2 gate in BENCH_sweep.json): \
          at the anchor (10k-row) size dense_seconds / sparse_seconds must stay >= \

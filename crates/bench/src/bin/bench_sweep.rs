@@ -1,6 +1,8 @@
-//! Warm-start benchmark: cold phase-1 solves versus basis-repaired
-//! re-solves, and sweep-engine throughput at 1/2/8 threads, on a ~650-row
-//! random-circuit model (the scale of the paper's GaAs MIPS example, ×10).
+//! Warm-start benchmark: cold sparse-LU phase-1 solves versus
+//! basis-repaired re-solves, and sweep-engine throughput at 1/2/8 threads
+//! (graph min-ratio re-solves on this pure difference model), on a
+//! ~650-row random-circuit model (the scale of the paper's GaAs MIPS
+//! example, ×10).
 //!
 //! Writes `BENCH_sweep.json` at the repository root (checked in as the
 //! reference measurement; regenerated by `ci.sh`). The run aborts if the
@@ -11,7 +13,6 @@ use std::time::Instant;
 
 use smo_core::{sweep_cycle_time, SweepOptions, SweepParam, TimingModel};
 use smo_gen::random::{perturbed_delays, random_circuit, GenConfig};
-use smo_lp::SimplexVariant;
 
 /// Delay jitter for the perturbed re-solves.
 const SPREAD: f64 = 0.05;
@@ -23,7 +24,7 @@ const SWEEP_RUNS: usize = 256;
 /// The warm-over-cold throughput gate. This constant is the single source
 /// of truth: it is interpolated into the `_schema` string of
 /// `BENCH_sweep.json` and enforced by the assert at the end of the run.
-/// It is deliberately far below the measured speedup (~98× on the
+/// It is deliberately far below the measured speedup (~26× on the
 /// reference machine; see the checked-in JSON) so the gate flags a broken
 /// warm-start path, not machine-to-machine noise. `bench_scale` follows
 /// the same convention for its dense-over-sparse gate.
@@ -70,25 +71,20 @@ fn main() {
     let cold_start = Instant::now();
     let mut cold_iters = 0usize;
     for m in &perturbed {
-        let sol = m.solve_lp_with(SimplexVariant::Revised).expect("solves");
+        let sol = m.solve_lp().expect("solves");
         cold_iters += sol.iterations();
     }
     let cold_secs = cold_start.elapsed().as_secs_f64();
     let cold_rate = RUNS as f64 / cold_secs;
 
     // Warm: one base solve captures the basis; every re-solve repairs it.
-    let base = model
-        .solve_lp_with(SimplexVariant::Revised)
-        .expect("base solves");
+    let base = model.solve_lp().expect("base solves");
     let basis = base.basis().cloned().expect("optimal solve has a basis");
     let warm_start = Instant::now();
     let mut warm_iters = 0usize;
-    for (m, cold) in perturbed.iter().zip(0..RUNS) {
-        let sol = m
-            .solve_lp_from_basis(SimplexVariant::Revised, &basis)
-            .expect("warm solves");
+    for m in &perturbed {
+        let sol = m.solve_lp_from_basis(&basis).expect("warm solves");
         warm_iters += sol.iterations();
-        let _ = cold;
     }
     let warm_secs = warm_start.elapsed().as_secs_f64();
     let warm_rate = RUNS as f64 / warm_secs;
@@ -134,8 +130,6 @@ fn main() {
             runs: SWEEP_RUNS,
             seed: 0,
             jobs,
-            variant: SimplexVariant::Revised,
-            certify: false,
             ..SweepOptions::default()
         };
         let t = Instant::now();
@@ -144,7 +138,7 @@ fn main() {
         let secs = t.elapsed().as_secs_f64();
         let rate = SWEEP_RUNS as f64 / secs;
         println!(
-            "sweep --jobs {jobs}: {SWEEP_RUNS} runs in {:.3} s ({rate:.2} solves/sec, {} repair pivots)",
+            "sweep --jobs {jobs}: {SWEEP_RUNS} runs in {:.3} s ({rate:.2} solves/sec, {} pivots)",
             secs, reports[0].warm_iterations
         );
         thread_rates.push((jobs, rate));
@@ -155,10 +149,10 @@ fn main() {
         .unwrap_or(1);
     let json = format!(
         "{{\n  \"_schema\": \"cold/warm: {RUNS} RHS-perturbed re-solves of one ~650-row model \
-         (revised simplex); iterations_per_solve is mean simplex pivots; solves_per_sec is \
+         (sparse-LU simplex); iterations_per_solve is mean simplex pivots; solves_per_sec is \
          wall-clock throughput; sweep_solves_per_sec measures sweep_cycle_time() end to end \
-         at N worker threads ({SWEEP_RUNS} runs incl. base solve; interpret against \
-         available_cores); gate (single source of truth, mirrored by BENCH_scale.json): \
+         at N worker threads ({SWEEP_RUNS} runs incl. base solve, graph min-ratio re-solves \
+         on this pure difference model; interpret against available_cores); gate (single source of truth, mirrored by BENCH_scale.json): \
          speedup = warm/cold solves_per_sec and must stay >= {MIN_SPEEDUP}\",\n  \
          \"rows\": {rows},\n  \"runs\": {RUNS},\n  \"sweep_runs\": {SWEEP_RUNS},\n  \
          \"spread\": {SPREAD},\n  \"available_cores\": {cores},\n  \

@@ -40,19 +40,23 @@ use smo_lp::{
 };
 
 /// Which solver backs [`min_cycle_time_with`](crate::min_cycle_time_with).
+///
+/// [`Backend::Auto`] is the default of every options struct, the `smo`
+/// CLI and the daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Route difference-only models to the graph solver, warm-start the
     /// simplex from the graph schedule on mixed models, and fall back to
     /// the certified LP path on any numerical doubt.
+    #[default]
     Auto,
     /// Graph solver only; models with rows outside the difference
     /// fragment are rejected with
     /// [`TimingError::InvalidOptions`](crate::TimingError).
     Graph,
-    /// The simplex path of PRs 1–5, unchanged. The library default, so
-    /// existing callers see bit-identical behavior.
-    #[default]
+    /// The sparse-LU simplex on every model. Pick it when the caller
+    /// needs LP duals (critical segments) or the canonical compact
+    /// schedule of [`MlpOptions::canonicalize`](crate::MlpOptions).
     Lp,
 }
 
@@ -235,7 +239,8 @@ pub(crate) enum FastPathOutcome {
     WarmStart(Option<smo_lp::Basis>),
 }
 
-/// Runs the fast path on a freshly built model.
+/// Runs the fast path on a freshly built model. With `certify` off, a
+/// pure-model solve skips the [`GraphCertificate`] re-check.
 ///
 /// # Errors
 ///
@@ -250,13 +255,11 @@ pub(crate) fn attempt(
     model: &TimingModel,
     update: UpdateMode,
     budget: &SolveBudget,
+    certify: bool,
 ) -> Result<FastPathOutcome, TimingError> {
     let p = model.problem();
-    let images = variable_images(circuit, model);
-    let cls = classify(p, &images)?;
-    let sys = DifferenceSystem::build(p, &images, &cls)?;
-    let pure = cls.is_pure();
-    match sys.minimize_param(budget)? {
+    let (sys, pure, outcome) = min_ratio(circuit, model, budget)?;
+    match outcome {
         MinParamOutcome::Infeasible(cert) => {
             if cert.check(p) {
                 Err(infeasibility_error(circuit, model, &cert))
@@ -282,11 +285,73 @@ pub(crate) fn attempt(
                 // means a cold start.
                 return Ok(FastPathOutcome::WarmStart(p.basis_from_point(&x).ok()));
             }
-            let solution =
-                build_solution(circuit, model, update, lambda, &x, witness.as_ref(), &sys)?;
+            let mut solution = build_solution(circuit, model, update, lambda, &x)?;
+            if certify {
+                let lower = sys.param_range().0;
+                solution.graph_certificate =
+                    Some(certify_graph(model, lambda, &x, witness.as_ref(), lower));
+            }
             Ok(FastPathOutcome::Solved(Box::new(solution)))
         }
     }
+}
+
+/// The exact minimum cycle time of a pure difference model by the
+/// min-ratio solve of [`attempt`], without the departure slide — all a
+/// sweep run needs. With `certify`, the optimum must also pass the
+/// [`GraphCertificate`] re-check.
+///
+/// Returns `Ok(None)` on a miss that `auto` would hand to the simplex: a
+/// row outside the difference fragment, numerical trouble in the graph
+/// solver, or a failed certificate.
+///
+/// # Errors
+///
+/// [`TimingError::Infeasible`] with a machine-checked negative-cycle
+/// certificate.
+pub(crate) fn min_cycle_ratio(
+    circuit: &Circuit,
+    model: &TimingModel,
+    certify: bool,
+) -> Result<Option<f64>, TimingError> {
+    let Ok((sys, true, outcome)) = min_ratio(circuit, model, &SolveBudget::UNLIMITED) else {
+        return Ok(None);
+    };
+    match outcome {
+        MinParamOutcome::Infeasible(cert) if cert.check(model.problem()) => {
+            Err(infeasibility_error(circuit, model, &cert))
+        }
+        MinParamOutcome::Optimal {
+            lambda,
+            potentials,
+            witness,
+        } => {
+            if certify {
+                let x = reconstruct_point(circuit, model, lambda, &potentials);
+                let lower = sys.param_range().0;
+                if !certify_graph(model, lambda, &x, witness.as_ref(), lower).is_valid() {
+                    return Ok(None);
+                }
+            }
+            Ok(Some(lambda))
+        }
+        MinParamOutcome::Infeasible(_) => Ok(None),
+    }
+}
+
+/// The min-ratio solve on the model's difference rows: the difference
+/// system, whether it covers every row (a pure model), and the outcome.
+fn min_ratio(
+    circuit: &Circuit,
+    model: &TimingModel,
+    budget: &SolveBudget,
+) -> Result<(DifferenceSystem, bool, MinParamOutcome), TimingError> {
+    let p = model.problem();
+    let images = variable_images(circuit, model);
+    let cls = classify(p, &images)?;
+    let sys = DifferenceSystem::build(p, &images, &cls)?;
+    let outcome = sys.minimize_param(budget)?;
+    Ok((sys, cls.is_pure(), outcome))
 }
 
 /// Reconstructs the canonical graph schedule at a *fixed* cycle time:
@@ -389,18 +454,15 @@ fn reconstruct_point(
     x
 }
 
-/// Assembles the [`TimingSolution`] for a pure-difference optimum:
-/// schedule from the potentials, departures slid to the nonlinear
-/// fixpoint (MLP step 2, same as the LP path), and the independently
-/// re-checked [`GraphCertificate`].
+/// Assembles the uncertified [`TimingSolution`] for a pure-difference
+/// optimum: schedule from the potentials, departures slid to the
+/// nonlinear fixpoint (MLP step 2, same as the LP path).
 fn build_solution(
     circuit: &Circuit,
     model: &TimingModel,
     update: UpdateMode,
     lambda: f64,
     x: &[f64],
-    witness: Option<&ParamLowerWitness>,
-    sys: &DifferenceSystem,
 ) -> Result<TimingSolution, TimingError> {
     let vars = model.vars();
     let k = vars.num_phases();
@@ -416,7 +478,6 @@ fn build_solution(
         .collect();
     let (departures, arrivals, update_iterations) =
         crate::mlp::slide_departures(circuit, &schedule, &d0, update)?;
-    let certificate = certify(model, lambda, x, witness, sys.param_range().0);
     Ok(TimingSolution {
         schedule,
         departures,
@@ -425,13 +486,14 @@ fn build_solution(
         lp_iterations: 0,
         num_constraints: model.num_constraints(),
         certificates: Vec::new(),
-        graph_certificate: Some(certificate),
+        graph_certificate: None,
+        backend: Backend::Graph,
     })
 }
 
 /// Re-derives achievability and minimality from the raw LP rows (see
 /// [`GraphCertificate`]).
-fn certify(
+fn certify_graph(
     model: &TimingModel,
     lambda: f64,
     x: &[f64],
@@ -651,15 +713,19 @@ mod tests {
         };
         let expr = smo_lp::LinExpr::from(w1) + w2 - tc - tc;
         model.problem_mut().constrain(expr, smo_lp::Sense::Le, 0.0);
-        let outcome =
-            attempt(&c, &model, UpdateMode::GaussSeidel, &SolveBudget::UNLIMITED).unwrap();
+        let outcome = attempt(
+            &c,
+            &model,
+            UpdateMode::GaussSeidel,
+            &SolveBudget::UNLIMITED,
+            true,
+        )
+        .unwrap();
         let FastPathOutcome::WarmStart(basis) = outcome else {
             panic!("general row must not solve on the graph");
         };
         let basis = basis.expect("subset relaxation should cross over");
-        let warm = model
-            .solve_lp_from_basis(smo_lp::SimplexVariant::Dense, &basis)
-            .unwrap();
+        let warm = model.solve_lp_from_basis(&basis).unwrap();
         let cold = model.solve_lp().unwrap();
         assert!((warm.objective() - cold.objective()).abs() < 1e-9);
     }

@@ -112,7 +112,7 @@ pub use fastpath::{
 };
 pub use mlp::{
     min_cycle_time, min_cycle_time_warm, min_cycle_time_with, solve_model, solve_model_canonical,
-    solve_model_canonical_with, solve_model_with, MlpOptions, UpdateMode,
+    MlpOptions, UpdateMode,
 };
 pub use model::{
     shift_expr, ConstraintInfo, ConstraintKind, ConstraintOptions, DeparturePinning,

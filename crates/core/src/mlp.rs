@@ -45,17 +45,19 @@ pub struct MlpOptions {
     /// pass fixes `T_c` at its optimum and minimizes `Σ(s_i + T_i)`,
     /// selecting a canonical "compact" schedule deterministically: phases
     /// start as early and are as narrow as the constraints allow.
+    /// Only the LP path canonicalizes; the graph path of
+    /// [`Backend::Auto`] returns its shortest-path schedule.
     pub canonicalize: bool,
-    /// Which simplex implementation solves the LPs (dense tableau or
-    /// sparse revised; identical results, different scaling).
-    pub simplex: smo_lp::SimplexVariant,
-    /// When `true` (the default), every LP verdict is independently
-    /// machine-checked via [`smo_lp::Problem::solve_certified`]: an
-    /// `Optimal` answer carries a KKT [`Certificate`](smo_lp::Certificate)
-    /// (see [`TimingSolution::certificates`](crate::TimingSolution)), a
-    /// failed check walks the numerical recovery ladder, and exhaustion
-    /// surfaces as a structured error instead of a silently-wrong cycle
-    /// time.
+    /// When `true` (the default), every verdict is independently
+    /// machine-checked. On the LP path each LP runs through
+    /// [`smo_lp::Problem::solve_certified`]: an `Optimal` answer carries a
+    /// KKT [`Certificate`](smo_lp::Certificate) (see
+    /// [`TimingSolution::certificates`](crate::TimingSolution)), a failed
+    /// check walks the numerical recovery ladder, and exhaustion surfaces
+    /// as a structured error instead of a silently-wrong cycle time. On the
+    /// graph path the critical cycle is re-checked into a
+    /// [`GraphCertificate`](crate::GraphCertificate). With `false` neither
+    /// check runs and the solution reports itself uncertified.
     pub certify: bool,
     /// Wall-clock budget for the whole solve (`None` = unlimited). The
     /// deadline is absolute: it is fixed once at entry and shared by the
@@ -64,16 +66,13 @@ pub struct MlpOptions {
     /// model returns [`smo_lp::LpError::Budget`] promptly on *every*
     /// backend and certification mode.
     pub time_limit: Option<std::time::Duration>,
-    /// Which solver backs the cycle-time computation (see [`Backend`]).
-    /// Defaults to [`Backend::Lp`] so library callers see the exact
-    /// behavior of earlier releases; the `smo` CLI passes
-    /// [`Backend::Auto`].
+    /// Which solver backs the cycle-time computation (see [`Backend`]);
+    /// [`Backend::default`] ([`Backend::Auto`]) unless set.
     pub backend: Backend,
-    /// Simplex pricing strategy, honored by the sparse-LU variant on
-    /// every LP this solve runs (certified rungs included); the dense and
-    /// revised variants ignore it. All strategies give identical verdicts
-    /// and objectives — this only trades pivot-selection cost against
-    /// pivot count.
+    /// Simplex pricing strategy for every LP this solve runs (certified
+    /// rungs included). All strategies give identical verdicts and
+    /// objectives — this only trades pivot-selection cost against pivot
+    /// count.
     pub pricing: smo_lp::Pricing,
 }
 
@@ -83,10 +82,9 @@ impl Default for MlpOptions {
             constraints: ConstraintOptions::default(),
             update: UpdateMode::default(),
             canonicalize: true,
-            simplex: smo_lp::SimplexVariant::default(),
             certify: true,
             time_limit: None,
-            backend: Backend::Lp,
+            backend: Backend::default(),
             pricing: smo_lp::Pricing::default(),
         }
     }
@@ -107,7 +105,6 @@ impl MlpOptions {
     /// or `None` when certification is off.
     fn policy(&self, budget: smo_lp::SolveBudget) -> Option<smo_lp::RecoveryPolicy> {
         self.certify.then_some(smo_lp::RecoveryPolicy {
-            variant: self.simplex,
             budget,
             pricing: self.pricing,
         })
@@ -204,7 +201,7 @@ fn run_mlp(
     // on offer.
     let mut warm: Option<smo_lp::Basis> = warm_in.cloned();
     if options.backend != Backend::Lp {
-        match fastpath::attempt(circuit, &model, options.update, &budget) {
+        match fastpath::attempt(circuit, &model, options.update, &budget, options.certify) {
             Ok(FastPathOutcome::Solved(solution)) => return Ok(*solution),
             Ok(FastPathOutcome::WarmStart(basis)) => {
                 if options.backend == Backend::Graph {
@@ -234,30 +231,57 @@ fn run_mlp(
             }
         }
     }
+    let lp = LpStage {
+        update: options.update,
+        policy: policy.as_ref(),
+        budget,
+        pricing: options.pricing,
+    };
     if options.canonicalize {
-        canonical_inner(
-            circuit,
-            &model,
-            options.update,
-            options.simplex,
-            policy.as_ref(),
-            warm.as_ref(),
-            budget,
-            options.pricing,
-            captured,
-        )
+        canonical_inner(circuit, &model, &lp, warm.as_ref(), captured)
     } else {
-        model_inner(
-            circuit,
-            &model,
-            options.update,
-            options.simplex,
-            policy.as_ref(),
-            warm.as_ref(),
-            budget,
-            options.pricing,
-            captured,
-        )
+        model_inner(circuit, &model, &lp, warm.as_ref(), captured)
+    }
+}
+
+/// How the LP stages of one solve run: the update mode of the slide, the
+/// certified policy (`None` = plain solves), and the budget and pricing
+/// of the plain solves.
+struct LpStage<'a> {
+    update: UpdateMode,
+    policy: Option<&'a smo_lp::RecoveryPolicy>,
+    budget: smo_lp::SolveBudget,
+    pricing: smo_lp::Pricing,
+}
+
+impl LpStage<'_> {
+    /// Plain, unbudgeted, uncertified solves with the default pricing.
+    fn plain(update: UpdateMode) -> LpStage<'static> {
+        LpStage {
+            update,
+            policy: None,
+            budget: smo_lp::SolveBudget::UNLIMITED,
+            pricing: smo_lp::Pricing::default(),
+        }
+    }
+
+    /// Solves `model`'s LP (warm-started from `warm` when given), with the
+    /// certificate when the stage certifies.
+    fn solve(
+        &self,
+        model: &TimingModel,
+        warm: Option<&smo_lp::Basis>,
+    ) -> Result<(smo_lp::OptimalSolution, Vec<smo_lp::Certificate>), TimingError> {
+        match self.policy {
+            Some(pol) => {
+                let (sol, cert) = model.solve_lp_certified_from_basis(pol, warm)?;
+                Ok((sol, vec![cert]))
+            }
+            None => Ok((
+                model.solve_lp_budgeted(warm, self.budget, self.pricing)?,
+                Vec::new(),
+            )),
+        }
     }
 }
 
@@ -274,31 +298,7 @@ pub fn solve_model_canonical(
     model: &TimingModel,
     update: UpdateMode,
 ) -> Result<TimingSolution, TimingError> {
-    solve_model_canonical_with(circuit, model, update, smo_lp::SimplexVariant::Dense)
-}
-
-/// [`solve_model_canonical`] with an explicit simplex implementation.
-///
-/// # Errors
-///
-/// See [`min_cycle_time`].
-pub fn solve_model_canonical_with(
-    circuit: &Circuit,
-    model: &TimingModel,
-    update: UpdateMode,
-    variant: smo_lp::SimplexVariant,
-) -> Result<TimingSolution, TimingError> {
-    canonical_inner(
-        circuit,
-        model,
-        update,
-        variant,
-        None,
-        None,
-        smo_lp::SolveBudget::UNLIMITED,
-        smo_lp::Pricing::default(),
-        None,
-    )
+    canonical_inner(circuit, model, &LpStage::plain(update), None, None)
 }
 
 /// Canonicalizing pipeline shared by the certified and plain paths. A warm
@@ -306,28 +306,14 @@ pub fn solve_model_canonical_with(
 /// the refined model has an extra row, so the snapshot no longer fits it.
 /// For the same reason `captured` snapshots the *first* (cycle-time) solve:
 /// that is the basis a later solve of this model can be seeded with.
-#[allow(clippy::too_many_arguments)]
 fn canonical_inner(
     circuit: &Circuit,
     model: &TimingModel,
-    update: UpdateMode,
-    variant: smo_lp::SimplexVariant,
-    policy: Option<&smo_lp::RecoveryPolicy>,
+    lp: &LpStage<'_>,
     warm: Option<&smo_lp::Basis>,
-    budget: smo_lp::SolveBudget,
-    pricing: smo_lp::Pricing,
     captured: Option<&mut Option<smo_lp::Basis>>,
 ) -> Result<TimingSolution, TimingError> {
-    let (first, mut certificates) = match policy {
-        Some(pol) => {
-            let (sol, cert) = model.solve_lp_certified_from_basis(pol, warm)?;
-            (sol, vec![cert])
-        }
-        None => (
-            model.solve_lp_budgeted(variant, warm, budget, pricing)?,
-            Vec::new(),
-        ),
-    };
+    let (first, mut certificates) = lp.solve(model, warm)?;
     if let Some(slot) = captured {
         *slot = first.basis().cloned();
     }
@@ -345,9 +331,7 @@ fn canonical_inner(
         }
         p.minimize(secondary);
     }
-    match model_inner(
-        circuit, &refined, update, variant, policy, None, budget, pricing, None,
-    ) {
+    match model_inner(circuit, &refined, lp, None, None) {
         Ok(mut solution) => {
             solution.num_constraints = model.num_constraints();
             solution.lp_iterations += first.iterations();
@@ -364,9 +348,9 @@ fn canonical_inner(
         // Farkas check rightly refuses to confirm a round-off
         // infeasibility), so that exhaustion gets the same fallback.
         Err(TimingError::Infeasible { .. })
-        | Err(TimingError::Lp(smo_lp::LpError::CertificationFailed { .. })) => model_inner(
-            circuit, model, update, variant, policy, warm, budget, pricing, None,
-        ),
+        | Err(TimingError::Lp(smo_lp::LpError::CertificationFailed { .. })) => {
+            model_inner(circuit, model, lp, warm, None)
+        }
         Err(e) => Err(e),
     }
 }
@@ -383,39 +367,23 @@ pub fn solve_model(
     model: &TimingModel,
     update: UpdateMode,
 ) -> Result<TimingSolution, TimingError> {
-    solve_model_with(circuit, model, update, smo_lp::SimplexVariant::Dense)
-}
-
-/// [`solve_model`] with an explicit simplex implementation.
-///
-/// # Errors
-///
-/// See [`min_cycle_time`].
-pub fn solve_model_with(
-    circuit: &Circuit,
-    model: &TimingModel,
-    update: UpdateMode,
-    variant: smo_lp::SimplexVariant,
-) -> Result<TimingSolution, TimingError> {
-    model_inner(
-        circuit,
-        model,
-        update,
-        variant,
-        None,
-        None,
-        smo_lp::SolveBudget::UNLIMITED,
-        smo_lp::Pricing::default(),
-        None,
-    )
+    model_inner(circuit, model, &LpStage::plain(update), None, None)
 }
 
 /// Step 2 of Algorithm MLP: slide the departures from `d0` to the
-/// nonlinear fixpoint under a fixed schedule. The slide is geometric when
-/// a loop's gain is a tiny negative number, so the cap is generous;
-/// hitting it is reported as `NotConverged` rather than silently accepted.
-/// Returns `(departures, arrivals, iterations)`. Shared with the graph
-/// fast path, whose schedule also satisfies L2R at its start point.
+/// nonlinear fixpoint under a fixed schedule. Returns
+/// `(departures, arrivals, iterations)`. Shared with the graph fast path,
+/// whose schedule also satisfies L2R at its start point.
+///
+/// The slide descends by the gain of the loop it slides down, once per
+/// sweep: a loop of small negative gain `g` moves `|g|` per sweep, so the
+/// sweep count grows with `(D⁰ − D*)/|g|` — linear, with no bound in `L`
+/// alone. The slide therefore runs for at most `1000 + 100·L` sweeps
+/// (`1000 + 100·L²` events in event-driven mode), within which the
+/// shipped netlists settle in a handful; if it has not settled by then,
+/// its limit is computed directly ([`PropagationSystem::slide_limit`], at
+/// most `L + 1` sweeps). Only a start point violating L2R or a
+/// positive-gain loop (no fixpoint at all) is reported as `NotConverged`.
 pub(crate) fn slide_departures(
     circuit: &Circuit,
     schedule: &ClockSchedule,
@@ -423,19 +391,27 @@ pub(crate) fn slide_departures(
     update: UpdateMode,
 ) -> Result<(Vec<f64>, Vec<f64>, usize), TimingError> {
     let system = PropagationSystem::new(circuit, schedule);
-    let cap = 1000 + 100 * circuit.num_syncs();
-    let result = match update {
+    let l = circuit.num_syncs();
+    let cap = 1000 + 100 * l;
+    let mut result = match update {
         UpdateMode::Jacobi => system.jacobi(d0, cap),
         UpdateMode::GaussSeidel => system.gauss_seidel(d0, cap),
-        UpdateMode::EventDriven => {
-            system.event_driven(d0, 1000 + 100 * circuit.num_syncs() * circuit.num_syncs())
-        }
+        UpdateMode::EventDriven => system.event_driven(d0, 1000 + 100 * l * l),
     };
     if !result.converged {
-        return Err(TimingError::NotConverged {
-            iterations: result.iterations,
-            residuals: result.residuals,
-        });
+        let slid = result.iterations;
+        match system.slide_limit(d0) {
+            Ok(limit) => {
+                result = limit;
+                result.iterations += slid;
+            }
+            Err(_) => {
+                return Err(TimingError::NotConverged {
+                    iterations: result.iterations,
+                    residuals: result.residuals,
+                })
+            }
+        }
     }
     let arrivals = system.arrivals(&result.departures);
     Ok((result.departures, arrivals, result.iterations))
@@ -444,47 +420,34 @@ pub(crate) fn slide_departures(
 /// Steps 1–2 of Algorithm MLP, optionally on the certified LP path,
 /// optionally warm-started from a crossover basis, with the LP's basis
 /// snapshot handed back through `captured` for resident callers' caches.
-#[allow(clippy::too_many_arguments)]
 fn model_inner(
     circuit: &Circuit,
     model: &TimingModel,
-    update: UpdateMode,
-    variant: smo_lp::SimplexVariant,
-    policy: Option<&smo_lp::RecoveryPolicy>,
+    lp: &LpStage<'_>,
     warm: Option<&smo_lp::Basis>,
-    budget: smo_lp::SolveBudget,
-    pricing: smo_lp::Pricing,
     captured: Option<&mut Option<smo_lp::Basis>>,
 ) -> Result<TimingSolution, TimingError> {
     // Step 1: LP.
-    let (lp, certificates) = match policy {
-        Some(pol) => {
-            let (sol, cert) = model.solve_lp_certified_from_basis(pol, warm)?;
-            (sol, vec![cert])
-        }
-        None => (
-            model.solve_lp_budgeted(variant, warm, budget, pricing)?,
-            Vec::new(),
-        ),
-    };
+    let (sol, certificates) = lp.solve(model, warm)?;
     if let Some(slot) = captured {
-        *slot = lp.basis().cloned();
+        *slot = sol.basis().cloned();
     }
-    let schedule = model.extract_schedule(&lp)?;
-    let d0 = model.extract_departures(&lp);
+    let schedule = model.extract_schedule(&sol)?;
+    let d0 = model.extract_departures(&sol);
 
     // Step 2: slide the departures to the nonlinear fixpoint.
     let (departures, arrivals, update_iterations) =
-        slide_departures(circuit, &schedule, &d0, update)?;
+        slide_departures(circuit, &schedule, &d0, lp.update)?;
     Ok(TimingSolution {
         schedule,
         departures,
         arrivals,
         update_iterations,
-        lp_iterations: lp.iterations(),
+        lp_iterations: sol.iterations(),
         num_constraints: model.num_constraints(),
         certificates,
         graph_certificate: None,
+        backend: Backend::Lp,
     })
 }
 
@@ -594,6 +557,28 @@ mod tests {
                 "Δ41 = {d41}: {} sweeps",
                 sol.update_iterations()
             );
+        }
+    }
+
+    #[test]
+    fn slide_limit_matches_an_uncapped_slow_slide() {
+        // `smo gen --latches 216 --seed 424457`: a loop of tiny negative
+        // gain needs tens of thousands of sweeps to slide down, next to
+        // zero-gain loops whose departures never move.
+        use smo_gen::datapath::{pipelined_datapath, DatapathConfig};
+        let c = pipelined_datapath(&DatapathConfig::with_latches(216), 424_457);
+        let model = TimingModel::build(&c).unwrap();
+        let lp = model.solve_lp().unwrap();
+        let schedule = model.extract_schedule(&lp).unwrap();
+        let d0 = model.extract_departures(&lp);
+        let sys = PropagationSystem::new(&c, &schedule);
+        let slow = sys.gauss_seidel(&d0, 1_000_000);
+        assert!(slow.converged);
+        assert!(slow.iterations > 10_000, "{}", slow.iterations);
+        let direct = sys.slide_limit(&d0).unwrap();
+        assert!(direct.iterations <= c.num_syncs() + 1);
+        for (i, (a, b)) in slow.departures.iter().zip(&direct.departures).enumerate() {
+            assert!((a - b).abs() < 1e-6, "latch {i}: slide {a} vs direct {b}");
         }
     }
 

@@ -663,38 +663,16 @@ impl TimingModel {
     /// [`TimingError::Infeasible`] / [`TimingError::Unbounded`] for those
     /// statuses, [`TimingError::Lp`] for solver failures.
     pub fn solve_lp(&self) -> Result<OptimalSolution, TimingError> {
-        self.solve_lp_with(smo_lp::SimplexVariant::Dense)
+        optimal(self.problem.solve()?)
     }
 
-    /// Like [`TimingModel::solve_lp`] with an explicit simplex
-    /// implementation (the dense/revised ablation of DESIGN.md).
-    ///
-    /// # Errors
-    ///
-    /// See [`TimingModel::solve_lp`].
-    pub fn solve_lp_with(
-        &self,
-        variant: smo_lp::SimplexVariant,
-    ) -> Result<OptimalSolution, TimingError> {
-        let sol = self.problem.solve_with(variant)?;
-        match sol.status() {
-            smo_lp::Status::Optimal => Ok(sol.into_optimal()?),
-            smo_lp::Status::Infeasible => Err(TimingError::Infeasible {
-                reason: "the clock and latch constraints admit no schedule \
-                         (check fixed/max cycle time and minimum width options)"
-                    .into(),
-            }),
-            smo_lp::Status::Unbounded => Err(TimingError::Unbounded),
-        }
-    }
-
-    /// Like [`TimingModel::solve_lp_with`], but the verdict is
-    /// independently machine-checked: the solve walks the numerical
-    /// recovery ladder of
+    /// Like [`TimingModel::solve_lp`], but the verdict is independently
+    /// machine-checked: the solve walks the numerical recovery ladder of
     /// [`Problem::solve_certified`](smo_lp::Problem::solve_certified)
-    /// (alternate simplex variant, geometric-mean equilibration, one round
-    /// of iterative refinement) until a certificate of optimality —
-    /// evaluated against the original, unscaled constraint rows — passes.
+    /// (geometric-mean equilibration, Bland pricing on a fresh
+    /// factorization, one round of iterative refinement) until a
+    /// certificate of optimality — evaluated against the original,
+    /// unscaled constraint rows — passes.
     ///
     /// # Errors
     ///
@@ -706,30 +684,13 @@ impl TimingModel {
         &self,
         policy: &smo_lp::RecoveryPolicy,
     ) -> Result<(OptimalSolution, smo_lp::Certificate), TimingError> {
-        let certified = self.problem.solve_certified(policy)?;
-        match certified.status() {
-            smo_lp::Status::Optimal => {
-                let Some(cert) = certified.certificate().cloned() else {
-                    return Err(TimingError::Lp(smo_lp::LpError::Numerical {
-                        context: "certified solve returned optimal without a certificate".into(),
-                    }));
-                };
-                Ok((certified.into_solution().into_optimal()?, cert))
-            }
-            smo_lp::Status::Infeasible => Err(TimingError::Infeasible {
-                reason: "the clock and latch constraints admit no schedule \
-                         (check fixed/max cycle time and minimum width options); \
-                         infeasibility confirmed by a Farkas certificate"
-                    .into(),
-            }),
-            smo_lp::Status::Unbounded => Err(TimingError::Unbounded),
-        }
+        self.solve_lp_certified_from_basis(policy, None)
     }
 
-    /// Like [`TimingModel::solve_lp_with`], warm-starting from a basis
-    /// snapshot captured by an earlier optimal solve of this model or of a
+    /// Like [`TimingModel::solve_lp`], warm-starting from a basis snapshot
+    /// captured by an earlier optimal solve of this model or of a
     /// delay-perturbed copy (see
-    /// [`Problem::solve_from_basis_with`](smo_lp::Problem::solve_from_basis_with)).
+    /// [`Problem::solve_from_basis`](smo_lp::Problem::solve_from_basis)).
     ///
     /// Delay edits via [`TimingModel::set_edge_delay`] change only
     /// right-hand sides, so the snapshot stays structurally valid and the
@@ -742,19 +703,9 @@ impl TimingModel {
     /// See [`TimingModel::solve_lp`].
     pub fn solve_lp_from_basis(
         &self,
-        variant: smo_lp::SimplexVariant,
         basis: &smo_lp::Basis,
     ) -> Result<OptimalSolution, TimingError> {
-        let sol = self.problem.solve_from_basis_with(variant, basis)?;
-        match sol.status() {
-            smo_lp::Status::Optimal => Ok(sol.into_optimal()?),
-            smo_lp::Status::Infeasible => Err(TimingError::Infeasible {
-                reason: "the clock and latch constraints admit no schedule \
-                         (check fixed/max cycle time and minimum width options)"
-                    .into(),
-            }),
-            smo_lp::Status::Unbounded => Err(TimingError::Unbounded),
-        }
+        optimal(self.problem.solve_from_basis(basis)?)
     }
 
     /// The uncertified analogue of
@@ -768,26 +719,16 @@ impl TimingModel {
     /// (wrapped in [`TimingError::Lp`]) when the budget runs out.
     pub fn solve_lp_budgeted(
         &self,
-        variant: smo_lp::SimplexVariant,
         warm: Option<&smo_lp::Basis>,
         budget: smo_lp::SolveBudget,
         pricing: smo_lp::Pricing,
     ) -> Result<OptimalSolution, TimingError> {
-        let sol = match warm {
+        optimal(match warm {
             Some(b) => self
                 .problem
-                .solve_from_basis_with_options(variant, b, budget, pricing)?,
-            None => self.problem.solve_with_options(variant, budget, pricing)?,
-        };
-        match sol.status() {
-            smo_lp::Status::Optimal => Ok(sol.into_optimal()?),
-            smo_lp::Status::Infeasible => Err(TimingError::Infeasible {
-                reason: "the clock and latch constraints admit no schedule \
-                         (check fixed/max cycle time and minimum width options)"
-                    .into(),
-            }),
-            smo_lp::Status::Unbounded => Err(TimingError::Unbounded),
-        }
+                .solve_from_basis_with_options(b, budget, pricing)?,
+            None => self.problem.solve_with_options(budget, pricing)?,
+        })
     }
 
     /// Like [`TimingModel::solve_lp_certified`], with an optional basis
@@ -853,6 +794,19 @@ impl TimingModel {
         (0..self.vars.num_latches())
             .map(|i| sol.value(self.vars.departure(LatchId::new(i))).max(0.0))
             .collect()
+    }
+}
+
+/// Maps a plain LP solve's status onto the timing errors.
+fn optimal(sol: smo_lp::Solution) -> Result<OptimalSolution, TimingError> {
+    match sol.status() {
+        smo_lp::Status::Optimal => Ok(sol.into_optimal()?),
+        smo_lp::Status::Infeasible => Err(TimingError::Infeasible {
+            reason: "the clock and latch constraints admit no schedule \
+                     (check fixed/max cycle time and minimum width options)"
+                .into(),
+        }),
+        smo_lp::Status::Unbounded => Err(TimingError::Unbounded),
     }
 }
 

@@ -354,8 +354,75 @@ impl PropagationSystem {
     /// positive-gain loop. On divergence the offending loop (as synchronizer
     /// ids) is returned.
     pub fn least_fixpoint(&self) -> Result<FixpointResult, Vec<LatchId>> {
+        self.least_fixpoint_above(&vec![0.0; self.len()])
+    }
+
+    /// The limit of the downward slide from `start` — what
+    /// [`PropagationSystem::gauss_seidel`] converges to — computed
+    /// directly in at most `l + 1` sweeps, however slowly the slide
+    /// itself would descend.
+    ///
+    /// `start` must satisfy the relaxed constraints L2R (`F(start) ≤
+    /// start`), as Algorithm MLP's LP point does. Summing L2R around a
+    /// loop of gain zero shows every arc of that loop is tight at `start`,
+    /// so the departures on such a loop — and on every tight chain it
+    /// feeds — never move; every other loop has negative gain and slides
+    /// away. The limit is therefore the least fixpoint above `start`
+    /// restricted to the latches reached by an endless backward chain of
+    /// tight arcs. `Err` carries a positive-gain loop, or is empty when
+    /// `start` violates L2R and the result is no fixpoint.
+    pub(crate) fn slide_limit(&self, start: &[f64]) -> Result<FixpointResult, Vec<LatchId>> {
         let l = self.len();
-        let mut d = vec![0.0; l];
+        let tight =
+            |i: usize, a: &Arc| (start[a.source] + a.weight - start[i]).abs() <= FIXPOINT_TOL;
+        // Peel the latches whose tight predecessors are all peeled: what
+        // remains has an endless backward tight chain, i.e. sits on or
+        // behind a zero-gain loop.
+        let mut live: Vec<usize> = (0..l)
+            .map(|i| {
+                if self.is_ff[i] {
+                    0
+                } else {
+                    self.incoming[i].iter().filter(|a| tight(i, a)).count()
+                }
+            })
+            .collect();
+        let mut queue: Vec<usize> = (0..l).filter(|&i| live[i] == 0).collect();
+        let mut peeled = vec![false; l];
+        while let Some(j) = queue.pop() {
+            peeled[j] = true;
+            for &i in &self.outgoing[j] {
+                if self.is_ff[i] || live[i] == 0 {
+                    continue;
+                }
+                live[i] -= self.incoming[i]
+                    .iter()
+                    .filter(|a| a.source == j && tight(i, a))
+                    .count();
+                if live[i] == 0 {
+                    queue.push(i);
+                }
+            }
+        }
+        let floor: Vec<f64> = (0..l)
+            .map(|i| if peeled[i] { 0.0 } else { start[i] })
+            .collect();
+        let limit = self.least_fixpoint_above(&floor)?;
+        let settled = (0..l).all(|i| {
+            (self.update(&limit.departures, i) - limit.departures[i]).abs() <= FIXPOINT_TOL
+        });
+        if settled {
+            Ok(limit)
+        } else {
+            Err(Vec::new())
+        }
+    }
+
+    /// The least fixpoint of `D = max(floor, F(D))`, iterating upward from
+    /// `floor` (see [`PropagationSystem::least_fixpoint`]).
+    fn least_fixpoint_above(&self, floor: &[f64]) -> Result<FixpointResult, Vec<LatchId>> {
+        let l = self.len();
+        let mut d = floor.to_vec();
         let mut next = vec![0.0; l];
         let mut pred: Vec<Option<usize>> = vec![None; l];
         let sweeps = l + 1;
@@ -367,7 +434,7 @@ impl PropagationSystem {
                 if self.is_ff[i] {
                     continue; // pinned at 0
                 }
-                let mut best = 0.0_f64;
+                let mut best = floor[i];
                 let mut best_pred = None;
                 for a in &self.incoming[i] {
                     let v = d[a.source] + a.weight;

@@ -1,5 +1,6 @@
 //! The result of an optimal cycle-time calculation.
 
+use crate::fastpath::Backend;
 use smo_circuit::{ClockSchedule, LatchId};
 use std::fmt;
 
@@ -27,6 +28,9 @@ pub struct TimingSolution {
     /// graph solver, when the fast path produced this solution (`None` on
     /// the simplex path).
     pub(crate) graph_certificate: Option<crate::fastpath::GraphCertificate>,
+    /// The solver that produced this solution: [`Backend::Graph`] or
+    /// [`Backend::Lp`].
+    pub(crate) backend: Backend,
 }
 
 impl TimingSolution {
@@ -104,6 +108,13 @@ impl TimingSolution {
         self.graph_certificate.as_ref()
     }
 
+    /// The solver that produced this solution: [`Backend::Graph`] for the
+    /// difference-constraint fast path, [`Backend::Lp`] for the simplex
+    /// (never [`Backend::Auto`], which only routes between the two).
+    pub fn backend(&self) -> Backend {
+        self.backend
+    }
+
     /// `true` when every solver verdict behind this solution was
     /// independently machine-checked: at least one certificate present
     /// (KKT certificates on the simplex path, a
@@ -159,6 +170,7 @@ mod tests {
             num_constraints: 15,
             certificates: Vec::new(),
             graph_certificate: None,
+            backend: Backend::Lp,
         }
     }
 

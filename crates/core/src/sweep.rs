@@ -1,4 +1,5 @@
-//! Parallel parameter sweeps with warm-started re-solves.
+//! Parallel parameter sweeps: graph re-solves on difference models,
+//! warm-started simplex re-solves on the rest.
 //!
 //! §VI of the paper motivates "parametric programming techniques … to
 //! study the effects on the optimal cycle time of varying the circuit
@@ -20,21 +21,28 @@
 //! * **Many-circuit batches** — pass several circuits; work items are
 //!   interleaved across the pool and reduced back per circuit.
 //!
-//! ## Why warm starts pay here
+//! ## How a run is solved
 //!
-//! Delay edits touch only constraint right-hand sides
-//! ([`TimingModel::set_edge_delay`]), never the matrix. A basis that was
-//! optimal for the base delays therefore stays *dual feasible* after any
-//! perturbation, and each re-solve is a short dual-simplex repair instead
-//! of a from-scratch phase 1 — with the revised variant additionally
-//! reusing the factorized `B⁻¹` across the whole sweep (the snapshot's
-//! matrix fingerprint certifies the reuse is sound).
+//! Each circuit is classified once. When every row of its model is a
+//! difference constraint — true of every default SMO model — each run is
+//! an exact min-cycle-ratio solve on the difference graph, the same code
+//! the `auto` backend solves with ([`Backend::Auto`](crate::Backend)),
+//! and `certify` re-checks each optimum into a
+//! [`GraphCertificate`](crate::GraphCertificate). Such runs report zero
+//! pivots. A run the graph cannot settle (numerical doubt, a failed
+//! certificate) falls back to a cold simplex solve, as `auto` does.
+//!
+//! Models with other rows take the simplex route. Delay edits touch only
+//! constraint right-hand sides ([`TimingModel::set_edge_delay`]), never
+//! the matrix. A basis that was optimal for the base delays therefore
+//! stays *dual feasible* after any perturbation, and each re-solve is a
+//! short sparse-LU dual-simplex repair instead of a from-scratch phase 1.
 //!
 //! ## Determinism contract
 //!
 //! Results are identical for any `jobs` value: run `i` of a circuit is
 //! seeded with `seed + i` (the `smo-sim` Monte-Carlo convention), every
-//! run warm-starts from the same deterministic base basis, and the
+//! simplex run warm-starts from the same deterministic base basis, and the
 //! reduction is ordered by `(circuit, run)` index — worker scheduling
 //! affects wall-clock only. `smo sweep --json` is byte-identical across
 //! `--jobs 1/2/8` because of this contract; `tests/warm_start.rs` locks
@@ -44,11 +52,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::TimingError;
+use crate::fastpath;
 use crate::model::TimingModel;
 use crate::sensitivity::cycle_time_curve;
 use smo_circuit::{Circuit, EdgeId};
 use smo_gen::random::perturbed_delays;
-use smo_lp::{Basis, ConstraintId, RecoveryPolicy, SimplexVariant};
+use smo_lp::{Basis, ConstraintId, RecoveryPolicy};
 
 /// Which parameter a sweep varies.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,18 +94,14 @@ pub struct SweepOptions {
     /// the work-item count and to [`std::thread::available_parallelism`],
     /// so over-subscribing a small container no longer costs throughput.
     pub jobs: usize,
-    /// Simplex implementation for the base and warm solves. The revised
-    /// variant reuses its factorization across RHS-only re-solves and is
-    /// the right default for sweeps.
-    pub variant: SimplexVariant,
-    /// Route every re-solve through the certified ladder
-    /// ([`TimingModel::solve_lp_certified_from_basis`]) instead of the
-    /// plain warm solve. Slower; every reported optimum is then
-    /// independently KKT-checked against raw problem data.
+    /// Check every re-solve independently: graph runs re-derive a
+    /// [`GraphCertificate`](crate::GraphCertificate), simplex runs go
+    /// through the certified ladder
+    /// ([`TimingModel::solve_lp_certified_from_basis`]) and are KKT-checked
+    /// against raw problem data.
     pub certify: bool,
-    /// Simplex pricing strategy for every solve in the sweep, honored by
-    /// the sparse-LU variant only (the default revised variant ignores
-    /// it). Identical verdicts and optima under every strategy.
+    /// Simplex pricing strategy for every simplex solve in the sweep.
+    /// Identical verdicts and optima under every strategy.
     pub pricing: smo_lp::Pricing,
 }
 
@@ -107,7 +112,6 @@ impl Default for SweepOptions {
             runs: 16,
             seed: 0,
             jobs: 1,
-            variant: SimplexVariant::Revised,
             certify: false,
             pricing: smo_lp::Pricing::default(),
         }
@@ -125,9 +129,9 @@ pub struct SweepRun {
     pub value: f64,
     /// Optimal cycle time `T_c*` at this parameter value.
     pub cycle_time: f64,
-    /// Simplex pivots this re-solve needed. After a successful warm
-    /// repair this counts only the repair pivots; compare with
-    /// [`SweepReport::base_iterations`] for the cold baseline.
+    /// Simplex pivots this re-solve needed: zero on the graph route;
+    /// after a successful warm repair only the repair pivots. Compare
+    /// with [`SweepReport::base_iterations`] for the cold baseline.
     pub iterations: usize,
 }
 
@@ -138,7 +142,8 @@ pub struct SweepReport {
     pub circuit: usize,
     /// Optimal cycle time of the unperturbed model.
     pub base_cycle_time: f64,
-    /// Pivots of the cold base solve (the per-run warm baseline).
+    /// Pivots of the cold base solve (the per-run warm baseline; zero on
+    /// the graph route).
     pub base_iterations: usize,
     /// All runs, ordered by index.
     pub runs: Vec<SweepRun>,
@@ -158,11 +163,42 @@ pub struct SweepReport {
 /// The base solve of one circuit, shared read-only with the workers.
 struct BaseSolve {
     model: TimingModel,
-    /// Standard-form matrix fingerprint — the worker-side basis-cache key.
-    fingerprint: u64,
-    basis: Basis,
+    /// The simplex route's warm-start seed: the standard-form matrix
+    /// fingerprint (the worker-side basis-cache key) and the base basis.
+    /// `None` on the graph route.
+    seed: Option<(u64, Basis)>,
     cycle_time: f64,
     iterations: usize,
+}
+
+impl BaseSolve {
+    /// Classifies `circuit` and solves its unperturbed model: on the graph
+    /// when the model is a pure difference system, else by a cold
+    /// sparse-LU solve whose basis seeds the warm runs.
+    fn new(circuit: &Circuit, options: &SweepOptions) -> Result<Self, TimingError> {
+        let model = TimingModel::build(circuit)?;
+        if let Some(cycle_time) = fastpath::min_cycle_ratio(circuit, &model, options.certify)? {
+            return Ok(BaseSolve {
+                model,
+                seed: None,
+                cycle_time,
+                iterations: 0,
+            });
+        }
+        let fingerprint = model.problem().matrix_fingerprint()?;
+        let sol = model.solve_lp()?;
+        let basis = sol.basis().cloned().ok_or_else(|| {
+            TimingError::Lp(smo_lp::LpError::Numerical {
+                context: "optimal base solve returned no basis snapshot".into(),
+            })
+        })?;
+        Ok(BaseSolve {
+            cycle_time: sol.value(model.vars().tc()),
+            iterations: sol.iterations(),
+            model,
+            seed: Some((fingerprint, basis)),
+        })
+    }
 }
 
 /// Sweeps the optimal cycle time of every circuit in `circuits` over the
@@ -171,10 +207,9 @@ struct BaseSolve {
 ///
 /// All `circuits.len() × runs` re-solves are interleaved over
 /// `options.jobs` threads that claim work from a shared atomic counter.
-/// Each worker keeps a private basis cache keyed by the circuit's
-/// standard-form matrix fingerprint, so structurally identical circuits
-/// share one warm-start basis per worker — and, through the snapshot's
-/// factor cache, one `B⁻¹` factorization.
+/// On the simplex route each worker keeps a private basis cache keyed by
+/// the circuit's standard-form matrix fingerprint, so structurally
+/// identical circuits share one warm-start basis per worker.
 ///
 /// # Errors
 ///
@@ -192,39 +227,13 @@ pub fn sweep_cycle_time(
         return Ok(Vec::new());
     }
 
-    // Base solves: one deterministic cold solve per circuit, on this
-    // thread. Their bases seed the workers' caches; their iteration counts
-    // are the honest cold baseline each warm run is compared against.
+    // Base solves: one deterministic solve per circuit, on this thread.
+    // On the simplex route their bases seed the workers' caches and their
+    // iteration counts are the honest cold baseline each warm run is
+    // compared against.
     let bases: Vec<BaseSolve> = circuits
         .iter()
-        .map(|c| {
-            let model = TimingModel::build(c)?;
-            let fingerprint = model.problem().matrix_fingerprint()?;
-            let sol = model.solve_lp_with(options.variant)?;
-            let basis = sol.basis().cloned().ok_or_else(|| {
-                TimingError::Lp(smo_lp::LpError::Numerical {
-                    context: "optimal base solve returned no basis snapshot".into(),
-                })
-            })?;
-            let cycle_time = sol.value(model.vars().tc());
-            let iterations = sol.iterations();
-            // Prime the snapshot's factor cache with one warm re-solve of
-            // the unperturbed model: the revised path stores B⁻¹ in the
-            // snapshot on first warm use, so every worker's clone of this
-            // basis shares one factorization instead of re-deriving it.
-            if matches!(options.variant, SimplexVariant::Revised) && !basis.has_cached_factor() {
-                let _ = model
-                    .problem()
-                    .solve_from_basis_with(options.variant, &basis);
-            }
-            Ok(BaseSolve {
-                model,
-                fingerprint,
-                basis,
-                cycle_time,
-                iterations,
-            })
-        })
+        .map(|c| BaseSolve::new(c, options))
         .collect::<Result<_, TimingError>>()?;
 
     let total = circuits.len() * options.runs;
@@ -241,10 +250,9 @@ pub fn sweep_cycle_time(
 
     let work = |_worker: usize| -> Result<Vec<(usize, SweepRun)>, (usize, TimingError)> {
         let mut out = Vec::new();
-        // The per-worker basis cache. Keyed by matrix fingerprint, so two
-        // structurally identical circuits in the batch share an entry; the
-        // cached snapshot also owns this worker's factorization cache (or
-        // shares the base solve's, when the revised solver seeded it).
+        // The per-worker basis cache of the simplex route. Keyed by matrix
+        // fingerprint, so two structurally identical circuits in the batch
+        // share an entry.
         let mut cache: HashMap<u64, Basis> = HashMap::new();
         // The per-worker model cache: one clone of each circuit's base
         // model, perturbed in place (RHS only) and restored after every
@@ -259,9 +267,9 @@ pub fn sweep_cycle_time(
             let c = w / options.runs;
             let i = w % options.runs;
             let base = &bases[c];
-            let basis = cache
-                .entry(base.fingerprint)
-                .or_insert_with(|| base.basis.clone());
+            let basis = base.seed.as_ref().map(|(fingerprint, basis)| {
+                &*cache.entry(*fingerprint).or_insert_with(|| basis.clone())
+            });
             let model = models.entry(c).or_insert_with(|| base.model.clone());
             match run_one(&circuits[c], model, basis, i, options) {
                 Ok(run) => out.push((w, run)),
@@ -371,12 +379,13 @@ fn record_and_set(
 }
 
 /// One re-solve: perturb the worker's cached model in place (RHS edits
-/// only), warm-start it from the worker's cached basis, then restore the
-/// recorded right-hand sides so the model is pristine for the next run.
+/// only), solve it — on the graph, or warm-started from the worker's
+/// cached `basis` on the simplex route — then restore the recorded
+/// right-hand sides so the model is pristine for the next run.
 fn run_one(
     circuit: &Circuit,
     model: &mut TimingModel,
-    basis: &Basis,
+    basis: Option<&Basis>,
     i: usize,
     options: &SweepOptions,
 ) -> Result<SweepRun, TimingError> {
@@ -412,37 +421,46 @@ fn run_one(
             worst
         }
     };
-    let solved = if options.certify {
-        let policy = RecoveryPolicy {
-            variant: options.variant,
-            pricing: options.pricing,
-            ..RecoveryPolicy::default()
-        };
-        model
-            .solve_lp_certified_from_basis(&policy, Some(basis))
-            .map(|(sol, _cert)| sol)
-    } else if options.pricing == smo_lp::Pricing::default() {
-        model.solve_lp_from_basis(options.variant, basis)
-    } else {
-        model.solve_lp_budgeted(
-            options.variant,
-            Some(basis),
-            smo_lp::SolveBudget::UNLIMITED,
-            options.pricing,
-        )
-    };
+    let solved = solve_run(circuit, model, basis, options);
     // Restore before propagating any error: the cached model must hold the
     // exact base RHS whenever run_one returns.
     for &(row, rhs) in touched.iter().rev() {
         model.problem_mut().set_rhs(row, rhs);
     }
-    let sol = solved?;
+    let (cycle_time, iterations) = solved?;
     Ok(SweepRun {
         index: i,
         value,
-        cycle_time: sol.value(model.vars().tc()),
-        iterations: sol.iterations(),
+        cycle_time,
+        iterations,
     })
+}
+
+/// The cycle time and pivot count of one perturbed model: the graph
+/// min-ratio solve when there is no simplex `basis` to start from (and the
+/// graph settles the run), else a sparse-LU solve warm-started from
+/// `basis` when given.
+fn solve_run(
+    circuit: &Circuit,
+    model: &TimingModel,
+    basis: Option<&Basis>,
+    options: &SweepOptions,
+) -> Result<(f64, usize), TimingError> {
+    if basis.is_none() {
+        if let Some(tc) = fastpath::min_cycle_ratio(circuit, model, options.certify)? {
+            return Ok((tc, 0));
+        }
+    }
+    let sol = if options.certify {
+        let policy = RecoveryPolicy {
+            pricing: options.pricing,
+            ..RecoveryPolicy::default()
+        };
+        model.solve_lp_certified_from_basis(&policy, basis)?.0
+    } else {
+        model.solve_lp_budgeted(basis, smo_lp::SolveBudget::UNLIMITED, options.pricing)?
+    };
+    Ok((sol.value(model.vars().tc()), sol.iterations()))
 }
 
 fn validate(circuits: &[Circuit], options: &SweepOptions) -> Result<(), TimingError> {
@@ -569,8 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_runs_use_fewer_pivots_than_the_cold_base() {
-        // A model big enough that the repair-vs-phase-1 gap is visible.
+    fn pure_models_sweep_on_the_graph_and_match_cold_lp_solves() {
         let c = random_circuit(
             &GenConfig {
                 latches: 40,
@@ -579,22 +596,65 @@ mod tests {
             },
             7,
         );
-        let reports = sweep_cycle_time(
-            &[c],
-            &SweepOptions {
-                param: SweepParam::Delay { spread: 0.05 },
-                runs: 12,
-                seed: 3,
+        let opts = SweepOptions {
+            param: SweepParam::Delay { spread: 0.05 },
+            runs: 6,
+            seed: 3,
+            ..Default::default()
+        };
+        let reports = sweep_cycle_time(std::slice::from_ref(&c), &opts).unwrap();
+        let r = &reports[0];
+        // Default models are pure difference systems: no simplex runs.
+        assert_eq!((r.base_iterations, r.warm_iterations), (0, 0));
+        for run in &r.runs {
+            let mut model = TimingModel::build(&c).unwrap();
+            let delays = perturbed_delays(&c, 0.05, 3 + run.index as u64);
+            for (e, (edge, &d)) in c.edges().iter().zip(&delays).enumerate() {
+                if d != edge.max_delay && model.edge_constraint(EdgeId::new(e)).is_some() {
+                    model.set_edge_delay(EdgeId::new(e), edge.max_delay, d);
+                }
+            }
+            let lp = model.solve_lp().unwrap().objective();
+            assert!(
+                (run.cycle_time - lp).abs() < 1e-6 * (1.0 + lp),
+                "run {}: graph {} vs LP {lp}",
+                run.index,
+                run.cycle_time
+            );
+        }
+    }
+
+    #[test]
+    fn simplex_route_warm_runs_use_fewer_pivots_than_the_cold_base() {
+        // A model big enough that the repair-vs-phase-1 gap is visible,
+        // forced onto the simplex route by seeding the run with a basis.
+        let c = random_circuit(
+            &GenConfig {
+                latches: 40,
+                edges: 70,
                 ..Default::default()
             },
-        )
-        .unwrap();
-        let r = &reports[0];
-        let mean_warm = r.warm_iterations as f64 / r.runs.len() as f64;
+            7,
+        );
+        let options = SweepOptions {
+            param: SweepParam::Delay { spread: 0.05 },
+            runs: 12,
+            seed: 3,
+            ..Default::default()
+        };
+        let mut model = TimingModel::build(&c).unwrap();
+        let base = model.solve_lp().unwrap();
+        let basis = base.basis().cloned().unwrap();
+        let mut warm = 0;
+        for i in 0..options.runs {
+            let run = run_one(&c, &mut model, Some(&basis), i, &options).unwrap();
+            warm += run.iterations;
+        }
+        let mean_warm = warm as f64 / options.runs as f64;
         assert!(
-            mean_warm < r.base_iterations as f64 / 2.0,
+            mean_warm < base.iterations() as f64 / 2.0,
             "warm mean {mean_warm} vs cold base {}",
-            r.base_iterations
+            base.iterations()
         );
     }
 

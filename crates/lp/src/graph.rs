@@ -645,7 +645,7 @@ impl DifferenceSystem {
     /// every arc), so an expired deadline surfaces as
     /// [`LpError::Budget`](crate::LpError) within one `O(E)` sweep rather
     /// than after the full `O(V·E)` relaxation — the graph backend honors
-    /// `--time-limit` exactly like the simplex variants do.
+    /// `--time-limit` exactly like the simplex does.
     ///
     /// # Errors
     ///

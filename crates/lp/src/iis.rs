@@ -203,7 +203,7 @@ pub fn certifies_infeasibility(p: &Problem, y: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LinExpr, Problem, Sense, SimplexVariant};
+    use crate::{LinExpr, Problem, Sense, SolveBudget};
 
     /// x ≤ 1 vs x ≥ 2, plus an unrelated satisfiable row.
     fn tiny_conflict() -> (Problem, Vec<ConstraintId>) {
@@ -220,15 +220,18 @@ mod tests {
     #[test]
     fn farkas_certificate_is_produced_and_verifies() {
         let (p, _) = tiny_conflict();
-        for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
-            let sol = p.solve_with(variant).unwrap();
+        for (engine, sol) in [
+            ("sparse", p.solve()),
+            ("dense", p.solve_reference(SolveBudget::UNLIMITED)),
+        ] {
+            let sol = sol.unwrap();
             assert_eq!(sol.status(), Status::Infeasible);
             let y = sol
                 .farkas()
                 .expect("infeasible solutions carry a certificate");
             assert!(
                 certifies_infeasibility(&p, y),
-                "{variant:?} certificate {y:?} does not verify"
+                "{engine} certificate {y:?} does not verify"
             );
         }
     }

@@ -1,36 +1,37 @@
-//! # smo-lp — a dense simplex linear-programming solver
+//! # smo-lp — a sparse-LU simplex linear-programming solver
 //!
 //! This crate is the linear-programming substrate of the SMO latch-timing
 //! reproduction. The paper's initial implementation used "a dense-matrix LP
-//! solver which implements the standard simplex algorithm" (§V); this crate is
-//! exactly that, built from scratch:
+//! solver which implements the standard simplex algorithm" (§V); this crate
+//! keeps that dense tableau as its reference oracle and solves with a
+//! sparse-LU revised simplex that scales to the 50k-row models of §VI,
+//! all built from scratch:
 //!
 //! * a [`Problem`] builder with named variables, bounds, and linear
 //!   constraints in `≤` / `≥` / `=` form ([`Sense`]),
-//! * a two-phase primal simplex with Dantzig pricing and Bland anti-cycling
-//!   fallback ([`Problem::solve`]),
+//! * a two-phase primal simplex over a sparse LU factorization of the
+//!   basis ([`LuFactors`]) with devex, partial or Bland pricing
+//!   ([`Pricing`]) and a Bland anti-cycling fallback ([`Problem::solve`]),
 //! * dual values, reduced costs, and slacks on the returned [`Solution`]
 //!   (used by the timing engine for critical-segment analysis),
-//! * parametric right-hand-side analysis ([`parametric_rhs`])
-//!   implementing the paper's §VI "parametric programming" direction — it
-//!   returns the exact breakpoints of the optimal objective as a piecewise
-//!   linear function of a scalar parameter (this regenerates Fig. 7's
-//!   breakpoints without sweeping),
+//! * parametric right-hand-side analysis ([`parametric_rhs`]) on the
+//!   dense tableau, implementing the paper's §VI "parametric programming"
+//!   direction — it returns the exact breakpoints of the optimal objective
+//!   as a piecewise linear function of a scalar parameter (this
+//!   regenerates Fig. 7's breakpoints without sweeping),
+//! * the dense tableau itself as a differential-test oracle
+//!   ([`Problem::solve_reference`]),
 //! * infeasibility diagnosis: infeasible solves carry a Farkas certificate
 //!   ([`Solution::farkas`]) and [`extract_iis`] reduces the conflict to an
 //!   irreducible infeasible subsystem of named rows,
-//! * a presolve layer ([`Problem::presolve`] /
-//!   [`Problem::solve_with_presolve`]) that folds singleton rows into bounds,
-//!   fixes pinned variables and removes redundant or dominated rows before
-//!   the simplex runs, returning a [`Presolved`] bundle whose postsolve map
-//!   reconstructs the full primal/dual solution on the original rows,
 //! * independent optimality checking ([`Solution::certify`] returning a
 //!   [`Certificate`] of KKT residuals) and certified solving with a
-//!   numerical recovery ladder ([`Problem::solve_certified`]): alternate
-//!   simplex variant, geometric-mean equilibration, and one round of
-//!   iterative refinement, all verified against the *original* problem,
+//!   numerical recovery ladder ([`Problem::solve_certified`]):
+//!   geometric-mean equilibration, Bland pricing on a fresh factorization,
+//!   and one round of iterative refinement, all verified against the
+//!   *original* problem,
 //! * solve budgets ([`SolveBudget`]): wall-clock deadlines and iteration
-//!   allowances enforced inside both simplex pivot loops,
+//!   allowances enforced inside the pivot loops,
 //! * basis warm-starting ([`Basis`], [`Problem::solve_from_basis`]): every
 //!   optimal solve snapshots its basis, and sweep-style workloads re-enter
 //!   it with a bounded dual/primal repair instead of a fresh phase 1 —
@@ -43,8 +44,8 @@
 //!   Farkas vector, and a crossover ([`Problem::basis_from_point`]) that
 //!   turns a graph schedule into a warm-start basis for mixed systems.
 //!
-//! The SMO constraint matrices contain only `0, ±1` entries (§VI), so a dense
-//! f64 tableau with modest tolerances ([`EPS`]) is numerically comfortable.
+//! The SMO constraint matrices contain only `0, ±1` entries (§VI), so f64
+//! arithmetic with modest tolerances ([`EPS`]) is numerically comfortable.
 //!
 //! ## Example
 //!
@@ -79,11 +80,9 @@ mod graph;
 mod hypersparse;
 mod iis;
 mod parametric;
-mod presolve;
 mod pricing;
 mod problem;
 mod recover;
-mod revised;
 mod scale;
 mod simplex;
 mod solution;
@@ -102,9 +101,8 @@ pub use graph::{
 pub use hypersparse::{LuWorkspace, ScatterVec};
 pub use iis::{certifies_infeasibility, extract_iis, Iis};
 pub use parametric::{parametric_objective, parametric_rhs, ParametricCurve, ParametricSegment};
-pub use presolve::{PresolveOptions, PresolveStats, Presolved, RowFate, VarFate};
 pub use pricing::Pricing;
-pub use problem::{ConstraintId, Objective, Problem, Sense, SimplexVariant};
+pub use problem::{ConstraintId, Objective, Problem, Sense};
 pub use recover::{CertifiedSolution, RecoveryPolicy, RecoveryStep, SolveBudget};
 pub use solution::{OptimalSolution, Solution, SolveStats, Status};
 pub use sparse::LuFactors;

@@ -135,7 +135,8 @@ pub fn parametric_rhs(
         d[c.index()] += coeff;
     }
 
-    let (solution, tableau) = simplex::solve_with_tableau(p, Some(&d))?;
+    let (solution, tableau) =
+        simplex::solve_with_tableau(p, Some(&d), crate::SolveBudget::UNLIMITED)?;
     let mut t = tableau.ok_or(LpError::NotOptimal {
         status: solution.status(),
     })?;
@@ -435,7 +436,7 @@ pub fn parametric_objective(
         d_user[v.index()] += coeff;
     }
 
-    let (solution, tableau) = simplex::solve_with_tableau(p, None)?;
+    let (solution, tableau) = simplex::solve_with_tableau(p, None, crate::SolveBudget::UNLIMITED)?;
     let mut t = tableau.ok_or(LpError::NotOptimal {
         status: solution.status(),
     })?;

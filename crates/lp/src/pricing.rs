@@ -6,8 +6,7 @@
 //! the strategy selectable:
 //!
 //! * [`Pricing::Devex`] — the full devex scan, exactly PR 9's loop.
-//! * [`Pricing::Partial`] — candidate-list devex (the default for the
-//!   sparse variant): keep a short list of attractive columns, re-price
+//! * [`Pricing::Partial`] — candidate-list devex (the default): keep a short list of attractive columns, re-price
 //!   only the list plus a rotating slice of the column range each
 //!   iteration, and *always* fall back to one full scan before declaring
 //!   optimality, so verdicts are identical to full pricing by
@@ -19,16 +18,16 @@
 //!   modes still switch to Bland automatically after the shared
 //!   anti-cycling iteration threshold, exactly as before.
 //!
-//! The dense and revised variants price their whole tableau rows by
-//! construction and ignore the setting (documented on
-//! [`Pricing`]).
+//! The dense reference tableau
+//! ([`solve_reference`](crate::Problem::solve_reference)) prices its whole
+//! tableau rows by construction and ignores the setting.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::EPS;
 
-/// Simplex pricing strategy (honored by the sparse-LU variant; the dense
-/// and revised variants always price the full column set and ignore it).
+/// Simplex pricing strategy for the sparse-LU simplex (the dense
+/// reference tableau always prices the full column set).
 /// All strategies produce the same verdict and optimum — they differ only
 /// in which eligible column enters first, i.e. in the path taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

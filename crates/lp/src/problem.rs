@@ -2,32 +2,10 @@
 
 use crate::error::LpError;
 use crate::expr::{LinExpr, VarId};
-use crate::revised;
 use crate::simplex;
 use crate::solution::Solution;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Which simplex implementation [`Problem::solve_with`] runs.
-///
-/// All variants produce the same statuses and optima; see the
-/// [`revised`-module docs](crate) for the performance trade-off (the
-/// revised variant exploits the 0/±1 sparsity of SMO constraint matrices)
-/// and the [`sparse`-module docs](crate) for the large-model variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum SimplexVariant {
-    /// Classical dense tableau (default; required for parametric analysis).
-    #[default]
-    Dense,
-    /// Revised simplex with a dense product-form inverse.
-    Revised,
-    /// Sparse-LU revised simplex: Markowitz-ordered basis factorization,
-    /// bounded-eta updates, devex pricing. The only variant whose
-    /// per-solve memory and refactorization cost scale with the matrix
-    /// *nonzeros* rather than `rows²`/`rows³` — use it beyond a few
-    /// thousand rows.
-    SparseLu,
-}
 
 /// Direction of optimization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -271,7 +249,8 @@ impl Problem {
         Ok(())
     }
 
-    /// Solves the model with the two-phase primal simplex.
+    /// Solves the model with the sparse-LU two-phase primal simplex (see
+    /// the [`sparse`-module docs](crate)) under the default pricing rule.
     ///
     /// Infeasible and unbounded models are reported through
     /// [`Status`](crate::Status) on the returned [`Solution`], not as errors.
@@ -281,53 +260,48 @@ impl Problem {
     /// Returns an error for invalid models (see [`Problem::validate`]) or if
     /// the internal iteration safeguard trips.
     pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_with(SimplexVariant::Dense)
+        self.solve_with_options(
+            crate::recover::SolveBudget::UNLIMITED,
+            crate::Pricing::default(),
+        )
     }
 
-    /// Solves the model with an explicit simplex implementation.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::solve`].
-    pub fn solve_with(&self, variant: SimplexVariant) -> Result<Solution, LpError> {
-        self.solve_with_budget(variant, crate::recover::SolveBudget::UNLIMITED)
-    }
-
-    /// Solves the model under a wall-clock / iteration budget, checked
-    /// inside both simplex pivot loops.
+    /// [`Problem::solve`] under a wall-clock / iteration budget, checked
+    /// inside the pivot loop, with an explicit pricing strategy. Every
+    /// strategy yields the same verdict and optimum.
     ///
     /// # Errors
     ///
     /// Same as [`Problem::solve`], plus [`LpError::Budget`] when the
     /// budget is exhausted before the solve terminates.
-    pub fn solve_with_budget(
-        &self,
-        variant: SimplexVariant,
-        budget: crate::recover::SolveBudget,
-    ) -> Result<Solution, LpError> {
-        self.solve_with_options(variant, budget, crate::Pricing::default())
-    }
-
-    /// [`Problem::solve_with_budget`] with an explicit pricing strategy.
-    /// Pricing is honored by the sparse-LU variant; the dense and revised
-    /// variants price their full tableau rows by construction and ignore
-    /// it. Every strategy yields the same verdict and optimum.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::solve_with_budget`].
     pub fn solve_with_options(
         &self,
-        variant: SimplexVariant,
         budget: crate::recover::SolveBudget,
         pricing: crate::Pricing,
     ) -> Result<Solution, LpError> {
         self.validate()?;
-        match variant {
-            SimplexVariant::Dense => simplex::solve_budgeted(self, budget),
-            SimplexVariant::Revised => revised::solve_budgeted(self, budget),
-            SimplexVariant::SparseLu => crate::sparse::solve_budgeted(self, budget, pricing),
-        }
+        crate::sparse::solve_budgeted(self, budget, pricing)
+    }
+
+    /// Solves the model with the dense-tableau simplex — the paper's §V
+    /// solver, kept as the **reference oracle** of the differential test
+    /// suites and as the engine of [`parametric_rhs`](crate::parametric_rhs).
+    ///
+    /// It shares the standard form of [`Problem::solve`] but nothing of
+    /// its factorization or pricing, so agreement between the two is an
+    /// independent check. Its tableau needs `O(rows × columns)` memory:
+    /// production paths never call it. The `budget` bounds the reference
+    /// solve on the large models the differential suites feed it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Problem::solve_with_options`].
+    pub fn solve_reference(
+        &self,
+        budget: crate::recover::SolveBudget,
+    ) -> Result<Solution, LpError> {
+        self.validate()?;
+        simplex::solve_with_tableau(self, None, budget).map(|(s, _)| s)
     }
 
     /// Solves warm-starting from a basis snapshot captured by an earlier
@@ -346,59 +320,28 @@ impl Problem {
     ///
     /// Same as [`Problem::solve`].
     pub fn solve_from_basis(&self, basis: &crate::Basis) -> Result<Solution, LpError> {
-        self.solve_from_basis_with(SimplexVariant::Dense, basis)
+        self.solve_from_basis_with_options(
+            basis,
+            crate::recover::SolveBudget::UNLIMITED,
+            crate::Pricing::default(),
+        )
     }
 
-    /// [`Problem::solve_from_basis`] with an explicit simplex
-    /// implementation.
+    /// [`Problem::solve_from_basis`] under a wall-clock / iteration budget
+    /// (shared by the warm attempt and any cold fallback) with an explicit
+    /// pricing strategy.
     ///
     /// # Errors
     ///
-    /// Same as [`Problem::solve`].
-    pub fn solve_from_basis_with(
-        &self,
-        variant: SimplexVariant,
-        basis: &crate::Basis,
-    ) -> Result<Solution, LpError> {
-        self.solve_from_basis_with_budget(variant, basis, crate::recover::SolveBudget::UNLIMITED)
-    }
-
-    /// [`Problem::solve_from_basis_with`] under a wall-clock / iteration
-    /// budget (shared by the warm attempt and any cold fallback).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::solve_with_budget`].
-    pub fn solve_from_basis_with_budget(
-        &self,
-        variant: SimplexVariant,
-        basis: &crate::Basis,
-        budget: crate::recover::SolveBudget,
-    ) -> Result<Solution, LpError> {
-        self.solve_from_basis_with_options(variant, basis, budget, crate::Pricing::default())
-    }
-
-    /// [`Problem::solve_from_basis_with_budget`] with an explicit pricing
-    /// strategy (see [`Problem::solve_with_options`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::solve_with_budget`].
+    /// Same as [`Problem::solve_with_options`].
     pub fn solve_from_basis_with_options(
         &self,
-        variant: SimplexVariant,
         basis: &crate::Basis,
         budget: crate::recover::SolveBudget,
         pricing: crate::Pricing,
     ) -> Result<Solution, LpError> {
         self.validate()?;
-        match variant {
-            SimplexVariant::Dense => simplex::solve_from_basis_budgeted(self, basis, budget),
-            SimplexVariant::Revised => revised::solve_from_basis_budgeted(self, basis, budget),
-            SimplexVariant::SparseLu => {
-                crate::sparse::solve_from_basis_budgeted(self, basis, budget, pricing)
-            }
-        }
+        crate::sparse::solve_from_basis_budgeted(self, basis, budget, pricing)
     }
 
     /// Crossover: builds a warm-start [`Basis`](crate::Basis) from a bare
@@ -419,7 +362,7 @@ impl Problem {
     /// standard-form construction (no objective, malformed bounds, …).
     pub fn basis_from_point(&self, x: &[f64]) -> Result<crate::Basis, LpError> {
         self.validate()?;
-        simplex::Tableau::basis_from_point(self, x)
+        crate::sparse::StdForm::build(self, None)?.basis_from_point(self, x)
     }
 
     /// Fingerprint of the standard-form constraint *matrix* — the same
@@ -437,8 +380,6 @@ impl Problem {
     /// construction (no objective, malformed bounds, …).
     pub fn matrix_fingerprint(&self) -> Result<u64, LpError> {
         self.validate()?;
-        // The CSC standard form carries the same hash as the dense tableau
-        // (the tableau is densified from it) at O(nnz) cost, not O(m·n).
         Ok(crate::sparse::StdForm::build(self, None)?.matrix_hash)
     }
 }

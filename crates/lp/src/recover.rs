@@ -10,26 +10,32 @@
 //! with an iteration limit or numerical breakdown — a **recovery ladder**
 //! is walked, cheapest rung first:
 //!
-//! 1. **Initial solve** with the requested [`SimplexVariant`].
-//! 2. **Alternate variant** — the dense tableau and the revised simplex
-//!    have independent failure modes (accumulated pivot error vs eta-file
-//!    drift), so the other implementation often succeeds where one fails.
-//! 3. **Geometric-mean equilibration** ([`crate::scale`]) — re-solve the
+//! 1. **Initial solve** with the policy's pricing rule.
+//! 2. **Geometric-mean equilibration** ([`crate::scale`]) — re-solve the
 //!    rescaled model; cures the badly-scaled instances that defeat the
-//!    solvers' absolute phase-1 threshold. The certificate is still
+//!    solver's absolute phase-1 threshold. The certificate is still
 //!    checked in *unscaled* space against the original problem.
+//! 3. **Alternate pricing** — the equilibrated model again, under Bland's
+//!    rule: a fresh factorization along a different pivot path, which
+//!    sidesteps the degenerate stalls and ill-conditioned bases one path
+//!    can run into. (Skipped when the policy already prices by Bland.)
 //! 4. **Iterative refinement** — one round: the best candidate point is
 //!    shifted to the origin and the residual problem re-solved at a
 //!    power-of-two zoom factor, recovering digits the first solve lost.
 //!
+//! Every rung runs the sparse-LU simplex: a dense engine as a fallback
+//! would need `O(rows × columns)` memory, which rules it out at the
+//! 50k-row sizes the sparse path exists for.
+//!
 //! Exhaustion never fabricates an answer: it returns
 //! [`LpError::CertificationFailed`] carrying the worst residual of the
 //! best attempt. All rungs honor a shared [`SolveBudget`] (wall-clock
-//! deadline + iteration allowance) checked inside both pivot loops.
+//! deadline + iteration allowance) checked inside the pivot loop.
 
 use crate::error::LpError;
 use crate::iis::certifies_infeasibility;
-use crate::problem::{Problem, SimplexVariant};
+use crate::pricing::Pricing;
+use crate::problem::Problem;
 use crate::scale::equilibrate;
 use crate::solution::{Solution, Status};
 use crate::verify::Certificate;
@@ -43,10 +49,10 @@ pub(crate) const BUDGET_CHECK_EVERY: usize = 64;
 /// A wall-clock and iteration allowance for one or more solves.
 ///
 /// Both limits are optional; [`SolveBudget::UNLIMITED`] (the `Default`)
-/// imposes neither. The pivot loops of both simplex variants check the
-/// budget every [`BUDGET_CHECK_EVERY`] iterations and abort with
-/// [`LpError::Budget`] when it is exhausted, so a pathological model
-/// degrades into a structured error instead of a hung process.
+/// imposes neither. The simplex pivot loops check the budget every
+/// [`BUDGET_CHECK_EVERY`] iterations and abort with [`LpError::Budget`]
+/// when it is exhausted, so a pathological model degrades into a
+/// structured error instead of a hung process.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolveBudget {
     /// Maximum total simplex iterations across the solve (`None` = no
@@ -109,52 +115,48 @@ pub enum RecoveryStep {
     /// Warm-started solve from a caller-supplied basis snapshot (only when
     /// [`Problem::solve_certified_from_basis`] was given one). Falls back
     /// to a cold solve internally if the snapshot does not fit.
-    WarmStart(SimplexVariant),
-    /// Plain solve with the requested variant.
-    Initial(SimplexVariant),
-    /// Re-solve with the other simplex implementation.
-    AlternateVariant(SimplexVariant),
+    WarmStart,
+    /// Plain solve with the policy's pricing rule.
+    Initial,
     /// Re-solve after geometric-mean row/column equilibration.
-    Equilibrated(SimplexVariant),
+    Equilibrated,
+    /// Re-solve of the equilibrated model under Bland pricing.
+    AlternatePricing,
     /// One round of iterative refinement on the best candidate point.
-    Refined(SimplexVariant),
+    Refined,
 }
 
 impl RecoveryStep {
     /// Short human-readable name (for logs and reports).
     pub fn name(&self) -> &'static str {
         match self {
-            RecoveryStep::WarmStart(_) => "warm-start",
-            RecoveryStep::Initial(_) => "initial",
-            RecoveryStep::AlternateVariant(_) => "alternate-variant",
-            RecoveryStep::Equilibrated(_) => "equilibrated",
-            RecoveryStep::Refined(_) => "refined",
+            RecoveryStep::WarmStart => "warm-start",
+            RecoveryStep::Initial => "initial",
+            RecoveryStep::Equilibrated => "equilibrated",
+            RecoveryStep::AlternatePricing => "alternate-pricing",
+            RecoveryStep::Refined => "refined",
         }
     }
 }
 
-/// Policy for [`Problem::solve_certified`]: which variant leads, and the
+/// Policy for [`Problem::solve_certified`]: the pricing rule and the
 /// shared budget every rung draws from.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecoveryPolicy {
-    /// The variant for the initial solve (the ladder tries the other one
-    /// on failure).
-    pub variant: SimplexVariant,
     /// Budget shared across all rungs. A `deadline` bounds the whole
     /// ladder; `max_iterations` bounds each individual solve.
     pub budget: SolveBudget,
-    /// Pricing strategy, honored by the sparse-LU variant on every rung
-    /// (the dense/revised variants ignore it).
-    pub pricing: crate::Pricing,
+    /// Pricing strategy for every rung except
+    /// [`RecoveryStep::AlternatePricing`].
+    pub pricing: Pricing,
 }
 
 impl RecoveryPolicy {
     /// Default policy with an explicit wall-clock limit for the ladder.
     pub fn with_time_limit(limit: Duration) -> Self {
         RecoveryPolicy {
-            variant: SimplexVariant::default(),
             budget: SolveBudget::with_time_limit(limit),
-            pricing: crate::Pricing::default(),
+            pricing: Pricing::default(),
         }
     }
 }
@@ -210,19 +212,6 @@ impl CertifiedSolution {
     }
 }
 
-/// The alternate simplex implementation tried by the
-/// [`RecoveryStep::AlternateVariant`] rung. Dense and revised cross-check
-/// each other; the sparse-LU variant falls back to the revised simplex
-/// (a genuinely different factorization and pricing scheme, but one that
-/// is still tractable on models the sparse path was chosen for).
-fn other(v: SimplexVariant) -> SimplexVariant {
-    match v {
-        SimplexVariant::Dense => SimplexVariant::Revised,
-        SimplexVariant::Revised => SimplexVariant::Dense,
-        SimplexVariant::SparseLu => SimplexVariant::Revised,
-    }
-}
-
 /// One round of iterative refinement: re-solve the residual problem
 /// around `candidate` at a power-of-two zoom `alpha` and combine.
 ///
@@ -234,9 +223,8 @@ fn other(v: SimplexVariant) -> SimplexVariant {
 fn refine(
     p: &Problem,
     candidate: &Solution,
-    variant: SimplexVariant,
     budget: SolveBudget,
-    pricing: crate::Pricing,
+    pricing: Pricing,
 ) -> Result<Solution, LpError> {
     let xh = &candidate.values;
     if xh.len() != p.vars.len() || xh.iter().any(|v| !v.is_finite()) {
@@ -271,7 +259,7 @@ fn refine(
         r.rhs = alpha * (r.rhs - r.expr.eval(xh));
     }
 
-    let delta = shifted.solve_with_options(variant, budget, pricing)?;
+    let delta = shifted.solve_with_options(budget, pricing)?;
     if delta.status() != Status::Optimal {
         // The original was (claimed) optimal; a non-optimal correction
         // means the candidate was far off. Report rather than guess.
@@ -327,7 +315,7 @@ impl Problem {
     /// [`Problem::solve_certified`] with an optional warm-start basis: when
     /// `basis` is `Some`, the ladder gets a leading
     /// [`RecoveryStep::WarmStart`] rung that re-enters the snapshot via
-    /// [`Problem::solve_from_basis_with_budget`]. Certification is
+    /// [`Problem::solve_from_basis_with_options`]. Certification is
     /// unchanged — the warm solve's verdict is machine-checked against the
     /// raw problem data exactly like a cold one, and every later rung is
     /// cold, so a stale or corrupted snapshot can cost time but never
@@ -351,36 +339,37 @@ impl Problem {
         let mut best_cert: Option<Certificate> = None;
         let mut candidate: Option<Solution> = None;
 
-        let alt = other(policy.variant);
         let mut rungs: Vec<RecoveryStep> = Vec::with_capacity(5);
         if basis.is_some() {
-            rungs.push(RecoveryStep::WarmStart(policy.variant));
+            rungs.push(RecoveryStep::WarmStart);
         }
-        rungs.extend([
-            RecoveryStep::Initial(policy.variant),
-            RecoveryStep::AlternateVariant(alt),
-            RecoveryStep::Equilibrated(policy.variant),
-            RecoveryStep::Refined(policy.variant),
-        ]);
+        rungs.extend([RecoveryStep::Initial, RecoveryStep::Equilibrated]);
+        if pricing != Pricing::Bland {
+            rungs.push(RecoveryStep::AlternatePricing);
+        }
+        rungs.push(RecoveryStep::Refined);
 
         for rung in rungs {
             steps.push(rung);
             let attempt: RungResult = match rung {
-                RecoveryStep::WarmStart(v) => {
+                RecoveryStep::WarmStart => {
                     let b = basis.expect("warm rung only scheduled with a basis");
-                    self.solve_from_basis_with_options(v, b, budget, pricing)
+                    self.solve_from_basis_with_options(b, budget, pricing)
                 }
-                RecoveryStep::Initial(v) | RecoveryStep::AlternateVariant(v) => {
-                    self.solve_with_options(v, budget, pricing)
-                }
-                RecoveryStep::Equilibrated(v) => {
+                RecoveryStep::Initial => self.solve_with_options(budget, pricing),
+                RecoveryStep::Equilibrated | RecoveryStep::AlternatePricing => {
+                    let rung_pricing = if rung == RecoveryStep::AlternatePricing {
+                        Pricing::Bland
+                    } else {
+                        pricing
+                    };
                     let (scaled, eq) = equilibrate(self);
                     scaled
-                        .solve_with_options(v, budget, pricing)
+                        .solve_with_options(budget, rung_pricing)
                         .map(|s| eq.unscale(self, &s))
                 }
-                RecoveryStep::Refined(v) => match candidate.as_ref() {
-                    Some(c) => refine(self, c, v, budget, pricing),
+                RecoveryStep::Refined => match candidate.as_ref() {
+                    Some(c) => refine(self, c, budget, pricing),
                     None => Err(LpError::Numerical {
                         context: "refinement: no optimal candidate to refine".into(),
                     }),
@@ -445,7 +434,7 @@ impl Problem {
                 Status::Unbounded => {
                     // Unboundedness has no compact certificate here; it is
                     // a structural property (a cost ray), not a numerical
-                    // one, and both variants agree on it in practice.
+                    // one, which every pricing rule agrees on in practice.
                     // Accept, recording the provenance.
                     return Ok(CertifiedSolution {
                         solution: sol,
@@ -497,7 +486,7 @@ mod tests {
             .expect("certifies");
         assert_eq!(cs.status(), Status::Optimal);
         assert_eq!(cs.steps().len(), 1);
-        assert!(matches!(cs.steps()[0], RecoveryStep::Initial(_)));
+        assert_eq!(cs.steps(), [RecoveryStep::Initial]);
         assert!(cs
             .certificate()
             .expect("optimal has certificate")
@@ -543,7 +532,6 @@ mod tests {
     fn iteration_budget_surfaces_as_budget_error() {
         let p = sample();
         let policy = RecoveryPolicy {
-            variant: SimplexVariant::Dense,
             budget: SolveBudget::with_max_iterations(0),
             ..Default::default()
         };
@@ -557,7 +545,6 @@ mod tests {
     fn expired_deadline_surfaces_as_timeout() {
         let p = sample();
         let policy = RecoveryPolicy {
-            variant: SimplexVariant::Dense,
             budget: SolveBudget {
                 max_iterations: None,
                 deadline: Some(Instant::now()),
@@ -578,14 +565,8 @@ mod tests {
         // would; refinement must land back on a certified optimum.
         candidate.values[0] += 1e-4;
         candidate.values[1] -= 1e-4;
-        let refined = refine(
-            &p,
-            &candidate,
-            SimplexVariant::Dense,
-            SolveBudget::UNLIMITED,
-            crate::Pricing::default(),
-        )
-        .expect("refines");
+        let refined =
+            refine(&p, &candidate, SolveBudget::UNLIMITED, Pricing::default()).expect("refines");
         assert!(refined.certify(&p).is_valid(), "{}", refined.certify(&p));
     }
 }

@@ -1,5 +1,10 @@
 //! Dense two-phase primal simplex with Bland anti-cycling fallback.
 //!
+//! This is the paper's §V solver. It no longer serves production solves
+//! (those run the sparse-LU simplex of [`crate::sparse`]); it remains the
+//! engine of [`crate::parametric`] and the differential-test oracle behind
+//! [`Problem::solve_reference`](crate::Problem::solve_reference).
+//!
 //! The implementation works on a classical dense tableau. Models are brought
 //! to standard form as follows:
 //!
@@ -20,12 +25,10 @@
 //! is transformed by every pivot and is used by [`crate::parametric`] to run
 //! the Gass–Saaty parametric-RHS procedure on the optimal tableau.
 
-use crate::basis::{Basis, BasisEntry};
 use crate::error::LpError;
 use crate::problem::{Problem, Sense};
 use crate::solution::{Solution, Status};
 use crate::EPS;
-use std::sync::OnceLock;
 
 /// What a standard-form column represents.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,10 +71,6 @@ pub(crate) struct Tableau {
     dual_col: Vec<usize>,
     /// Number of leading standard rows that correspond 1:1 to user rows.
     pub(crate) user_rows: usize,
-    /// FNV-1a hash of the standard-form matrix (coefficients only, no
-    /// RHS), computed at build time before any pivot. Two builds with the
-    /// same hash share every column, so a basis factorization carries over.
-    pub(crate) matrix_hash: u64,
     var_cols: Vec<VarCols>,
     pub(crate) iterations: usize,
     /// Caller-supplied wall-clock / iteration budget, consulted inside
@@ -110,8 +109,8 @@ impl Tableau {
     /// layout: one row of width `ncols + 2` per constraint (columns, then
     /// RHS, then the parametric Δ). Every standard-form convention —
     /// column order, RHS normalization, the matrix hash — is inherited
-    /// from [`StdForm`](crate::sparse::StdForm), so the dense, revised,
-    /// and sparse-LU variants agree on them by construction.
+    /// from [`StdForm`](crate::sparse::StdForm), so the dense and
+    /// sparse-LU engines agree on them by construction.
     pub(crate) fn from_std_form(sf: crate::sparse::StdForm) -> Tableau {
         let m = sf.m;
         let ncols = sf.ncols;
@@ -137,158 +136,10 @@ impl Tableau {
             row_flip: sf.row_flip,
             dual_col: sf.dual_col,
             user_rows: sf.user_rows,
-            matrix_hash: sf.matrix_hash,
             var_cols: sf.var_cols,
             iterations: 0,
             budget: crate::recover::SolveBudget::UNLIMITED,
         }
-    }
-
-    /// Snapshots an arbitrary basic-column list as a [`Basis`] in
-    /// problem-structure terms (used by both simplex variants).
-    pub(crate) fn capture_basis_from(&self, basic: &[usize]) -> Basis {
-        let entries = basic
-            .iter()
-            .map(|&b| match self.col_kinds[b] {
-                ColKind::Structural { var, sign } => BasisEntry::Structural {
-                    var,
-                    negative: sign < 0.0,
-                },
-                ColKind::Slack { row } => BasisEntry::Slack { row },
-                ColKind::Surplus { row } => BasisEntry::Surplus { row },
-                ColKind::Artificial { row } => BasisEntry::Artificial { row },
-            })
-            .collect();
-        Basis {
-            entries,
-            num_vars: self.var_cols.len(),
-            user_rows: self.user_rows,
-            ncols: self.ncols,
-            matrix_hash: self.matrix_hash,
-            factor: OnceLock::new(),
-        }
-    }
-
-    /// Snapshots the tableau's current basis.
-    pub(crate) fn capture_basis(&self) -> Basis {
-        self.capture_basis_from(&self.basis)
-    }
-
-    /// Crossover: guesses a basis that supports the primal point `x`
-    /// (user-variable space), for warm-starting a simplex solve from a
-    /// solution obtained outside the simplex — e.g. the graph fast path's
-    /// schedule on the difference subset of a mixed system.
-    ///
-    /// Per standard-form row, the slack/surplus is made basic when the row
-    /// has strict slack at `x`; tight rows take an unused structural
-    /// column that is positive at `x` (largest pivot coefficient first),
-    /// or park a logical column at zero when none remains. The result is
-    /// not guaranteed nonsingular or feasible — the warm-start entry path
-    /// validates and silently falls back to a cold solve, so a poor guess
-    /// costs nothing but the attempt.
-    pub(crate) fn basis_from_point(p: &Problem, x: &[f64]) -> Result<Basis, LpError> {
-        if x.len() != p.vars.len() {
-            return Err(LpError::Numerical {
-                context: format!(
-                    "basis_from_point: {} values for {} variables",
-                    x.len(),
-                    p.vars.len()
-                ),
-            });
-        }
-        let t = Tableau::build(p, None)?;
-        // Standard-form values of the structural columns at `x`.
-        let mut xstd = vec![0.0; t.ncols];
-        for (v, vc) in t.var_cols.iter().enumerate() {
-            match *vc {
-                VarCols::Shifted { col, shift } => xstd[col] = x[v] - shift,
-                VarCols::Split { pos, neg } => {
-                    xstd[pos] = x[v].max(0.0);
-                    xstd[neg] = (-x[v]).max(0.0);
-                }
-            }
-        }
-        let m = t.rows();
-        let mut slack_of = vec![usize::MAX; m];
-        let mut surplus_of = vec![usize::MAX; m];
-        let mut art_of = vec![usize::MAX; m];
-        let mut nstruct = 0usize;
-        for (c, k) in t.col_kinds.iter().enumerate() {
-            match *k {
-                ColKind::Structural { .. } => nstruct += 1,
-                ColKind::Slack { row } => slack_of[row] = c,
-                ColKind::Surplus { row } => surplus_of[row] = c,
-                ColKind::Artificial { row } => art_of[row] = c,
-            }
-        }
-        let mut used = vec![false; t.ncols];
-        let mut basic = vec![usize::MAX; m];
-        let mut tight: Vec<usize> = Vec::new();
-        for (r, slot) in basic.iter_mut().enumerate() {
-            let activity: f64 = (0..nstruct).map(|c| t.tab[r][c] * xstd[c]).sum();
-            let resid = t.rhs(r) - activity;
-            if slack_of[r] != usize::MAX && resid > crate::EPS {
-                *slot = slack_of[r];
-                used[slack_of[r]] = true;
-            } else if surplus_of[r] != usize::MAX && resid < -crate::EPS {
-                *slot = surplus_of[r];
-                used[surplus_of[r]] = true;
-            } else {
-                tight.push(r);
-            }
-        }
-        for &r in &tight {
-            let mut best: Option<(usize, f64)> = None;
-            for c in 0..nstruct {
-                if used[c] || xstd[c] <= crate::EPS {
-                    continue;
-                }
-                let a = t.tab[r][c].abs();
-                if a > crate::EPS && best.is_none_or(|(_, ba)| a > ba) {
-                    best = Some((c, a));
-                }
-            }
-            let col = match best {
-                Some((c, _)) => c,
-                // Degenerate row: park a logical column at value zero.
-                None if art_of[r] != usize::MAX => art_of[r],
-                None if slack_of[r] != usize::MAX => slack_of[r],
-                None => surplus_of[r],
-            };
-            basic[r] = col;
-            used[col] = true;
-        }
-        Ok(t.capture_basis_from(&basic))
-    }
-
-    /// Resolves a snapshot's entries to column indices of *this* tableau,
-    /// or `None` when the snapshot is incompatible (different dimensions,
-    /// or an entry with no matching column — e.g. a row whose RHS
-    /// normalization flipped, swapping its slack for a surplus).
-    pub(crate) fn basis_columns(&self, basis: &Basis) -> Option<Vec<usize>> {
-        if basis.num_vars != self.var_cols.len()
-            || basis.user_rows != self.user_rows
-            || basis.ncols != self.ncols
-            || basis.entries.len() != self.rows()
-        {
-            return None;
-        }
-        basis
-            .entries
-            .iter()
-            .map(|e| {
-                let want = match *e {
-                    BasisEntry::Structural { var, negative } => ColKind::Structural {
-                        var,
-                        sign: if negative { -1.0 } else { 1.0 },
-                    },
-                    BasisEntry::Slack { row } => ColKind::Slack { row },
-                    BasisEntry::Surplus { row } => ColKind::Surplus { row },
-                    BasisEntry::Artificial { row } => ColKind::Artificial { row },
-                };
-                self.col_kinds.iter().position(|k| *k == want)
-            })
-            .collect()
     }
 
     /// Recomputes the reduced-cost row `z = c − c_B·B⁻¹A` for cost vector `c`.
@@ -529,17 +380,6 @@ impl Tableau {
         out
     }
 
-    /// Maps a standard-row dual vector `y = c_B·B⁻¹` to user-constraint
-    /// duals (undoing row normalization flips and the minimize orientation).
-    pub(crate) fn map_duals(&self, y: &[f64]) -> Vec<f64> {
-        (0..self.user_rows)
-            .map(|r| {
-                let v = if self.row_flip[r] { -y[r] } else { y[r] };
-                self.sense_factor * v
-            })
-            .collect()
-    }
-
     /// Maps a standard-row dual vector back to user rows undoing only the
     /// normalization flips — **not** the objective orientation.
     ///
@@ -575,20 +415,6 @@ impl Tableau {
                         unreachable!("dual col is a slack or artificial")
                     }
                 }
-            })
-            .collect()
-    }
-
-    /// Maps standard-column reduced costs to user-variable reduced costs.
-    pub(crate) fn map_reduced_costs(&self, z: &[f64]) -> Vec<f64> {
-        self.var_cols
-            .iter()
-            .map(|vc| {
-                let col = match *vc {
-                    VarCols::Shifted { col, .. } => col,
-                    VarCols::Split { pos, .. } => pos,
-                };
-                self.sense_factor * z[col]
             })
             .collect()
     }
@@ -636,47 +462,15 @@ impl Tableau {
     }
 }
 
-/// Solves `p`, returning both the packaged [`Solution`] and (when optimal)
-/// the final tableau for parametric post-processing.
+/// Solves `p` under `budget`, returning both the packaged [`Solution`]
+/// and (when optimal) the final tableau for parametric post-processing.
 pub(crate) fn solve_with_tableau(
     p: &Problem,
     param: Option<&[f64]>,
+    budget: crate::recover::SolveBudget,
 ) -> Result<(Solution, Option<Tableau>), LpError> {
-    let t = Tableau::build(p, param)?;
-    finish_solve(p, t)
-}
-
-/// Packages an optimal tableau (reduced costs in `t.z`) as a [`Solution`],
-/// including the basis snapshot for warm restarts.
-fn package_optimal(p: &Problem, t: &Tableau) -> Solution {
-    let values = t.user_values();
-    let slacks = p
-        .rows
-        .iter()
-        .map(|r| {
-            let lhs = r.expr.eval(&values);
-            match r.sense {
-                Sense::Le | Sense::Eq => r.rhs - lhs,
-                Sense::Ge => lhs - r.rhs,
-            }
-        })
-        .collect();
-    Solution {
-        status: Status::Optimal,
-        objective: Some(t.user_objective(p)),
-        duals: t.user_duals(),
-        reduced_costs: t.user_reduced_costs(),
-        values,
-        slacks,
-        iterations: t.iterations,
-        farkas: None,
-        basis: Some(t.capture_basis()),
-        stats: None,
-    }
-}
-
-/// Runs the already-built tableau to termination and packages the result.
-fn finish_solve(p: &Problem, mut t: Tableau) -> Result<(Solution, Option<Tableau>), LpError> {
+    let mut t = Tableau::build(p, param)?;
+    t.budget = budget;
     let status = t.optimize()?;
     let solution = match status {
         Status::Optimal => package_optimal(p, &t),
@@ -700,223 +494,44 @@ fn finish_solve(p: &Problem, mut t: Tableau) -> Result<(Solution, Option<Tableau
     Ok((solution, keep.then_some(t)))
 }
 
-/// Entry point used by [`Problem::solve_with_budget`].
-pub(crate) fn solve_budgeted(
-    p: &Problem,
-    budget: crate::recover::SolveBudget,
-) -> Result<Solution, LpError> {
-    solve_with_tableau_budgeted(p, None, budget).map(|(s, _)| s)
-}
-
-/// [`solve_with_tableau`] under a caller-supplied budget.
-pub(crate) fn solve_with_tableau_budgeted(
-    p: &Problem,
-    param: Option<&[f64]>,
-    budget: crate::recover::SolveBudget,
-) -> Result<(Solution, Option<Tableau>), LpError> {
-    let mut t = Tableau::build(p, param)?;
-    t.budget = budget;
-    finish_solve(p, t)
-}
-
-/// Outcome of a warm-start attempt: a repaired optimal tableau, or a
-/// signal to fall back to the cold two-phase path.
-enum Warm {
-    Solved,
-    Fallback,
-}
-
-/// Feasibility tolerance for warm-start repair decisions; matches the
-/// solvers' absolute phase-1 threshold rather than the pivot `EPS`.
-const WARM_FEAS: f64 = 1e-7;
-
-/// Dense dual simplex on the current basis: restores `rhs ≥ 0` while
-/// preserving dual feasibility of `t.z` (which must already hold). Pivots
-/// are bounded by `max_pivots`.
-///
-/// Returns `Ok(true)` when primal feasibility is reached, `Ok(false)` when
-/// the repair gives up (primal infeasibility detected, pivot budget spent,
-/// or a numerically hopeless row) — the caller falls back to a cold solve
-/// either way, so a `false` is never wrong, only slower.
-fn dual_simplex(t: &mut Tableau, max_pivots: usize) -> Result<bool, LpError> {
-    let mut pivots = 0usize;
-    loop {
-        // Leaving row: most negative basic value.
-        let mut leave = None;
-        let mut most = -WARM_FEAS;
-        for r in 0..t.rows() {
-            if t.rhs(r) < most {
-                most = t.rhs(r);
-                leave = Some(r);
+/// Packages an optimal tableau (reduced costs in `t.z`) as a [`Solution`].
+/// Dense solves carry no basis snapshot: warm starts are the sparse-LU
+/// simplex's job.
+fn package_optimal(p: &Problem, t: &Tableau) -> Solution {
+    let values = t.user_values();
+    let slacks = p
+        .rows
+        .iter()
+        .map(|r| {
+            let lhs = r.expr.eval(&values);
+            match r.sense {
+                Sense::Le | Sense::Eq => r.rhs - lhs,
+                Sense::Ge => lhs - r.rhs,
             }
-        }
-        let Some(r) = leave else {
-            return Ok(true);
-        };
-        if pivots >= max_pivots {
-            return Ok(false);
-        }
-        if pivots.is_multiple_of(crate::recover::BUDGET_CHECK_EVERY) {
-            t.budget.check(t.iterations)?;
-        }
-        // Entering column: dual ratio test over the negative entries of the
-        // leaving row. Artificials are barred (they never re-enter); basic
-        // columns have a unit/zero entry in this row and are excluded by
-        // the `< -EPS` screen. First-come tie-breaking keeps the lowest
-        // index, Bland-style.
-        let mut enter = None;
-        let mut best = f64::INFINITY;
-        for j in 0..t.ncols {
-            if matches!(t.col_kinds[j], ColKind::Artificial { .. }) {
-                continue;
-            }
-            let a = t.tab[r][j];
-            if a < -EPS {
-                let ratio = t.z[j].max(0.0) / -a;
-                if ratio < best {
-                    best = ratio;
-                    enter = Some(j);
-                }
-            }
-        }
-        let Some(j) = enter else {
-            // Row r reads `(≥0 coeffs)·x = rhs < 0`: primal infeasible.
-            // Fall back so the Farkas certificate comes from phase 1.
-            return Ok(false);
-        };
-        t.pivot(r, j);
-        pivots += 1;
-    }
-}
-
-/// Attempts to install `basis` into the freshly built tableau `t` and
-/// repair it to optimality without a phase 1.
-///
-/// Install = bounded Gauss–Jordan pivots onto the snapshot's columns;
-/// repair = dual simplex when the start is primal-infeasible but
-/// dual-feasible (the RHS-perturbation case), then a primal phase-2
-/// cleanup. Every failure mode returns [`Warm::Fallback`]; only
-/// [`LpError::Budget`] propagates as an error.
-fn warm_optimize(t: &mut Tableau, basis: &Basis) -> Result<Warm, LpError> {
-    let Some(targets) = t.basis_columns(basis) else {
-        return Ok(Warm::Fallback);
-    };
-    let m = t.rows();
-
-    // --- install ------------------------------------------------------
-    // First claim the targets that are basic already (the initial basis is
-    // slacks + artificials, so snapshot slacks usually are), then pivot
-    // the rest in, choosing the largest available pivot each time.
-    let mut placed = vec![false; m];
-    for &jc in &targets {
-        if let Some(r) = t.basis.iter().position(|&b| b == jc) {
-            placed[r] = true;
-        }
-    }
-    for &jc in &targets {
-        if t.basis.contains(&jc) {
-            continue;
-        }
-        let mut best_r = None;
-        let mut best_a = 1e-9;
-        for (r, &done) in placed.iter().enumerate() {
-            if done {
-                continue;
-            }
-            let a = t.tab[r][jc].abs();
-            if a > best_a {
-                best_a = a;
-                best_r = Some(r);
-            }
-        }
-        let Some(r) = best_r else {
-            return Ok(Warm::Fallback); // snapshot basis singular here
-        };
-        t.pivot(r, jc);
-        placed[r] = true;
-    }
-    // Install pivots are bookkeeping, not simplex work: report only the
-    // repair pivots so warm-vs-cold iteration counts compare honestly.
-    t.iterations = 0;
-
-    // --- classify the starting point ----------------------------------
-    let costs = t.costs.clone();
-    t.z = t.reduced_costs_for(&costs);
-    let primal_ok = (0..m).all(|r| t.rhs(r) >= -WARM_FEAS);
-    if !primal_ok {
-        let in_basis = {
-            let mut flags = vec![false; t.ncols];
-            for &b in &t.basis {
-                flags[b] = true;
-            }
-            flags
-        };
-        let dual_ok = (0..t.ncols).all(|j| {
-            in_basis[j]
-                || matches!(t.col_kinds[j], ColKind::Artificial { .. })
-                || t.z[j] >= -WARM_FEAS
-        });
-        if !dual_ok {
-            return Ok(Warm::Fallback);
-        }
-        let repair_budget = 2 * (m + t.ncols);
-        if !dual_simplex(t, repair_budget)? {
-            return Ok(Warm::Fallback);
-        }
-    }
-    // Snap residual tolerance-level negatives so the primal ratio test
-    // starts from a clean feasible point.
-    for r in 0..m {
-        let v = t.rhs(r);
-        if (-WARM_FEAS..0.0).contains(&v) {
-            let c = t.ncols;
-            t.tab[r][c] = 0.0;
-        }
-    }
-    // A warm path must never claim infeasibility: positive artificial mass
-    // means the snapshot dragged in an artificial the repair cannot judge.
-    if t.artificial_infeasibility() > WARM_FEAS {
-        return Ok(Warm::Fallback);
-    }
-
-    // --- primal cleanup (phase 2 from the repaired basis) --------------
-    let limit = 50_000 + 200 * (m + t.ncols);
-    match t.primal_loop(&costs, false, limit) {
-        Ok(true) => {}
-        Ok(false) => return Ok(Warm::Fallback), // suspicious: verify cold
-        Err(e @ LpError::Budget { .. }) => return Err(e),
-        Err(_) => return Ok(Warm::Fallback),
-    }
-    if t.artificial_infeasibility() > WARM_FEAS {
-        return Ok(Warm::Fallback);
-    }
-    Ok(Warm::Solved)
-}
-
-/// Entry point used by [`Problem::solve_from_basis_with_budget`]: solve
-/// warm from `basis`, falling back to the cold two-phase path whenever the
-/// snapshot cannot be installed and repaired cleanly.
-pub(crate) fn solve_from_basis_budgeted(
-    p: &Problem,
-    basis: &Basis,
-    budget: crate::recover::SolveBudget,
-) -> Result<Solution, LpError> {
-    let mut t = Tableau::build(p, None)?;
-    t.budget = budget;
-    match warm_optimize(&mut t, basis)? {
-        Warm::Solved => Ok(package_optimal(p, &t)),
-        Warm::Fallback => {
-            let mut cold = Tableau::build(p, None)?;
-            cold.budget = budget;
-            finish_solve(p, cold).map(|(s, _)| s)
-        }
+        })
+        .collect();
+    Solution {
+        status: Status::Optimal,
+        objective: Some(t.user_objective(p)),
+        duals: t.user_duals(),
+        reduced_costs: t.user_reduced_costs(),
+        values,
+        slacks,
+        iterations: t.iterations,
+        farkas: None,
+        basis: None,
+        stats: None,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::Tableau;
     use crate::{LinExpr, Problem, Sense, Status, VarId};
+
+    /// The unit tests below exercise the dense tableau itself.
+    fn reference(p: &Problem) -> Result<crate::Solution, crate::LpError> {
+        p.solve_reference(crate::SolveBudget::UNLIMITED)
+    }
 
     fn near(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-7
@@ -932,7 +547,7 @@ mod tests {
         p.constrain(2.0 * y, Sense::Le, 12.0);
         p.constrain(3.0 * x + 2.0 * y, Sense::Le, 18.0);
         p.maximize(3.0 * x + 5.0 * y);
-        let s = p.solve().unwrap().into_optimal().unwrap();
+        let s = reference(&p).unwrap().into_optimal().unwrap();
         assert!(near(s.objective(), 36.0));
         assert!(near(s.value(x), 2.0));
         assert!(near(s.value(y), 6.0));
@@ -948,7 +563,7 @@ mod tests {
         p.constrain(x + y, Sense::Ge, 4.0);
         p.constrain(x.into(), Sense::Ge, 1.0);
         p.minimize(2.0 * x + 3.0 * y);
-        let s = p.solve().unwrap().into_optimal().unwrap();
+        let s = reference(&p).unwrap().into_optimal().unwrap();
         assert!(near(s.objective(), 8.0));
         assert!(near(s.value(x), 4.0));
         assert!(near(s.value(y), 0.0));
@@ -961,32 +576,7 @@ mod tests {
         p.constrain(x.into(), Sense::Le, 1.0);
         p.constrain(x.into(), Sense::Ge, 2.0);
         p.minimize(x.into());
-        assert_eq!(p.solve().unwrap().status(), Status::Infeasible);
-    }
-
-    #[test]
-    fn basis_from_point_warm_starts() {
-        // Crossover from the known optimum of the textbook model: the
-        // warm solve must reach the same optimum, typically in fewer
-        // pivots than the cold two-phase run.
-        let mut p = Problem::new();
-        let x = p.add_var("x");
-        let y = p.add_var("y");
-        p.constrain(x.into(), Sense::Le, 4.0);
-        p.constrain(2.0 * y, Sense::Le, 12.0);
-        p.constrain(3.0 * x + 2.0 * y, Sense::Le, 18.0);
-        p.maximize(3.0 * x + 5.0 * y);
-        let basis = p.basis_from_point(&[2.0, 6.0]).unwrap();
-        let warm = p.solve_from_basis(&basis).unwrap().into_optimal().unwrap();
-        assert!(near(warm.objective(), 36.0));
-        assert!(near(warm.value(x), 2.0));
-        assert!(near(warm.value(y), 6.0));
-        // An interior (suboptimal) point still yields a usable basis.
-        let rough = p.basis_from_point(&[1.0, 1.0]).unwrap();
-        let s = p.solve_from_basis(&rough).unwrap().into_optimal().unwrap();
-        assert!(near(s.objective(), 36.0));
-        // And a wrong-length point is rejected.
-        assert!(p.basis_from_point(&[1.0]).is_err());
+        assert_eq!(reference(&p).unwrap().status(), Status::Infeasible);
     }
 
     #[test]
@@ -995,7 +585,7 @@ mod tests {
         let x = p.add_var("x");
         p.constrain(x.into(), Sense::Ge, 1.0);
         p.maximize(x.into());
-        assert_eq!(p.solve().unwrap().status(), Status::Unbounded);
+        assert_eq!(reference(&p).unwrap().status(), Status::Unbounded);
     }
 
     #[test]
@@ -1007,7 +597,7 @@ mod tests {
         p.constrain(x + 2.0 * y, Sense::Eq, 6.0);
         p.constrain(x - y, Sense::Eq, 0.0);
         p.minimize(x + y);
-        let s = p.solve().unwrap().into_optimal().unwrap();
+        let s = reference(&p).unwrap().into_optimal().unwrap();
         assert!(near(s.value(x), 2.0));
         assert!(near(s.value(y), 2.0));
         assert!(near(s.objective(), 4.0));
@@ -1024,7 +614,7 @@ mod tests {
         p.constrain(LinExpr::from(t) + x, Sense::Ge, 3.0);
         p.constrain(x.into(), Sense::Eq, 5.0);
         p.minimize(t.into());
-        let s = p.solve().unwrap().into_optimal().unwrap();
+        let s = reference(&p).unwrap().into_optimal().unwrap();
         assert!(near(s.value(x), 5.0));
         assert!(near(s.value(t), 2.0));
     }
@@ -1036,7 +626,7 @@ mod tests {
         let x = p.add_var_bounded("x", -10.0, f64::INFINITY);
         p.constrain(x.into(), Sense::Ge, -5.0);
         p.minimize(x.into());
-        let s = p.solve().unwrap().into_optimal().unwrap();
+        let s = reference(&p).unwrap().into_optimal().unwrap();
         assert!(near(s.value(x), -5.0));
         assert!(near(s.objective(), -5.0));
     }
@@ -1046,7 +636,7 @@ mod tests {
         let mut p = Problem::new();
         let x = p.add_var_bounded("x", 0.0, 3.5);
         p.maximize(x.into());
-        let s = p.solve().unwrap().into_optimal().unwrap();
+        let s = reference(&p).unwrap().into_optimal().unwrap();
         assert!(near(s.value(x), 3.5));
     }
 
@@ -1060,7 +650,7 @@ mod tests {
         let c2 = p.constrain(2.0 * y, Sense::Le, 12.0);
         let c3 = p.constrain(3.0 * x + 2.0 * y, Sense::Le, 18.0);
         p.maximize(3.0 * x + 5.0 * y);
-        let s = p.solve().unwrap().into_optimal().unwrap();
+        let s = reference(&p).unwrap().into_optimal().unwrap();
         assert!(near(s.dual(c1), 0.0), "dual c1 = {}", s.dual(c1));
         assert!(near(s.dual(c2), 1.5), "dual c2 = {}", s.dual(c2));
         assert!(near(s.dual(c3), 1.0), "dual c3 = {}", s.dual(c3));
@@ -1080,7 +670,7 @@ mod tests {
         p.constrain(2.0 * x + 2.0 * y, Sense::Le, 2.0);
         p.constrain(x - y, Sense::Le, 0.0);
         p.maximize(x + y);
-        let s = p.solve().unwrap().into_optimal().unwrap();
+        let s = reference(&p).unwrap().into_optimal().unwrap();
         assert!(near(s.objective(), 1.0));
     }
 
@@ -1093,7 +683,7 @@ mod tests {
         p.constrain(x + y, Sense::Eq, 2.0);
         p.constrain(x + y, Sense::Eq, 2.0);
         p.minimize(x.into());
-        let s = p.solve().unwrap().into_optimal().unwrap();
+        let s = reference(&p).unwrap().into_optimal().unwrap();
         assert!(near(s.value(x), 0.0));
         assert!(near(s.value(y), 2.0));
     }
@@ -1110,7 +700,7 @@ mod tests {
         p.constrain(LinExpr::from(d) + g, Sense::Ge, 7.0);
         p.constrain(2.0 * g - tc, Sense::Le, 0.0);
         p.minimize(tc.into());
-        let s = p.solve().unwrap().into_optimal().unwrap();
+        let s = reference(&p).unwrap().into_optimal().unwrap();
         // Tc = D + 5, D = 7 - g, g = Tc/2 -> Tc = 12 - Tc/2 -> Tc = 8
         assert!(near(s.objective(), 8.0), "Tc = {}", s.objective());
     }
@@ -1121,68 +711,8 @@ mod tests {
         let x = p.add_var("x");
         p.constrain(x.into(), Sense::Ge, 2.0);
         p.minimize(LinExpr::from(x) + 10.0);
-        let s = p.solve().unwrap().into_optimal().unwrap();
+        let s = reference(&p).unwrap().into_optimal().unwrap();
         assert!(near(s.objective(), 12.0));
-    }
-
-    #[test]
-    fn warm_start_agrees_after_rhs_perturbation() {
-        // Solve, perturb a RHS, warm-start from the stale basis: the
-        // verdict must match a cold re-solve exactly.
-        let mut p = Problem::new();
-        let x = p.add_var("x");
-        let y = p.add_var("y");
-        p.constrain(x.into(), Sense::Le, 4.0);
-        p.constrain(2.0 * y, Sense::Le, 12.0);
-        let c3 = p.constrain(3.0 * x + 2.0 * y, Sense::Le, 18.0);
-        p.maximize(3.0 * x + 5.0 * y);
-        let cold = p.solve().unwrap();
-        let basis = cold
-            .basis()
-            .expect("optimal solve captures a basis")
-            .clone();
-        p.set_rhs(c3, 15.0);
-        let warm = p.solve_from_basis(&basis).unwrap();
-        let cold2 = p.solve().unwrap();
-        assert_eq!(warm.status(), Status::Optimal);
-        assert!(near(warm.objective().unwrap(), cold2.objective().unwrap()));
-        // The warm solve skipped phase 1: strictly fewer pivots.
-        assert!(warm.iterations() <= cold2.iterations());
-    }
-
-    #[test]
-    fn warm_start_falls_back_when_structure_flips() {
-        // Driving the RHS negative flips the row's standard-form sign
-        // (slack becomes surplus + artificial): the snapshot no longer
-        // matches and the warm path must fall back to a correct cold solve.
-        let mut p = Problem::new();
-        let x = p.add_var_bounded("x", -10.0, f64::INFINITY);
-        let c = p.constrain(x.into(), Sense::Ge, 2.0);
-        p.minimize(x.into());
-        let cold = p.solve().unwrap();
-        let basis = cold.basis().unwrap().clone();
-        p.set_rhs(c, -5.0);
-        let warm = p.solve_from_basis(&basis).unwrap();
-        assert!(near(warm.objective().unwrap(), -5.0));
-    }
-
-    #[test]
-    fn warm_start_never_claims_uncertified_infeasibility() {
-        // Perturb the model into infeasibility: the warm solve must come
-        // back Infeasible *with* a Farkas certificate (i.e. via the cold
-        // phase-1 path, since the dual repair cannot certify).
-        let mut p = Problem::new();
-        let x = p.add_var("x");
-        let hi = p.constrain(x.into(), Sense::Le, 5.0);
-        p.constrain(x.into(), Sense::Ge, 2.0);
-        p.minimize(x.into());
-        let cold = p.solve().unwrap();
-        let basis = cold.basis().unwrap().clone();
-        p.set_rhs(hi, 1.0);
-        let warm = p.solve_from_basis(&basis).unwrap();
-        assert_eq!(warm.status(), Status::Infeasible);
-        let y = warm.farkas().expect("infeasible carries Farkas");
-        assert!(crate::certifies_infeasibility(&p, y));
     }
 
     #[test]
@@ -1191,15 +721,15 @@ mod tests {
         let x = p.add_var("x");
         let c = p.constrain(2.0 * x, Sense::Ge, 3.0);
         p.minimize(x.into());
-        let h1 = Tableau::build(&p, None).unwrap().matrix_hash;
+        let h1 = p.matrix_fingerprint().unwrap();
         p.set_rhs(c, 7.0);
-        let h2 = Tableau::build(&p, None).unwrap().matrix_hash;
+        let h2 = p.matrix_fingerprint().unwrap();
         assert_eq!(h1, h2, "RHS change must keep the matrix hash");
         let mut q = Problem::new();
         let x = q.add_var("x");
         q.constrain(4.0 * x, Sense::Ge, 3.0);
         q.minimize(x.into());
-        let h3 = Tableau::build(&q, None).unwrap().matrix_hash;
+        let h3 = q.matrix_fingerprint().unwrap();
         assert_ne!(h1, h3, "coefficient change must change the hash");
     }
 

@@ -45,7 +45,7 @@ pub struct Solution {
     pub(crate) iterations: usize,
     pub(crate) farkas: Option<Vec<f64>>,
     pub(crate) basis: Option<Basis>,
-    /// Factorization-kernel counters; only the sparse-LU variant fills
+    /// Factorization-kernel counters; only the sparse-LU simplex fills
     /// these in (`#[serde(default)]` keeps old serialized solutions
     /// readable).
     #[serde(default)]
@@ -53,9 +53,8 @@ pub struct Solution {
 }
 
 /// Factorization and update counters from a sparse-LU solve, for
-/// attributing where the time went (exposed per variant in
-/// `BENCH_scale.json`). `None` on the dense/revised variants, which have
-/// no eta file.
+/// attributing where the time went (exposed in `BENCH_scale.json`).
+/// `None` on the dense reference tableau, which has no eta file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SolveStats {
     /// Fresh basis factorizations after the initial one.
@@ -112,14 +111,14 @@ impl Solution {
     /// [`Problem::solve_from_basis`](crate::Problem::solve_from_basis).
     ///
     /// `None` for non-optimal statuses, and for derived solutions
-    /// (presolved, equilibrated, refined) whose internal basis would not
+    /// (equilibrated, refined) whose internal basis would not
     /// map back onto the original problem's standard form.
     pub fn basis(&self) -> Option<&Basis> {
         self.basis.as_ref()
     }
 
     /// Sparse-LU kernel counters (refactorizations, eta fill) for this
-    /// solve; `None` under the dense and revised variants.
+    /// solve; `None` under the dense reference tableau.
     pub fn stats(&self) -> Option<&SolveStats> {
         self.stats.as_ref()
     }

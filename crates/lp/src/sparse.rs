@@ -1,22 +1,19 @@
 //! Sparse-LU revised simplex: CSC standard form, Markowitz-ordered basis
 //! factorization with bounded-eta updates, and devex pricing.
 //!
-//! The third solver variant ([`SimplexVariant::SparseLu`]
-//! (crate::SimplexVariant::SparseLu)), built for the 10k–100k-latch
-//! netlists the paper's §VI scaling discussion anticipates. The existing
-//! revised simplex ([`crate::revised`]) keeps a *dense* `B⁻¹` and rebuilds
-//! it by `O(m³)` Gauss–Jordan every few hundred pivots — fine at the
-//! paper's ~650-row scale, hopeless at 10k rows. This module removes every
-//! dense `m×m` object:
+//! This is the crate's one production simplex: [`Problem::solve`],
+//! warm starts, certified solves and IIS extraction all run here. It is
+//! built for the 10k–100k-latch netlists the paper's §VI scaling
+//! discussion anticipates, so it keeps no dense `m×m` object:
 //!
 //! * **[`StdForm`]** — the standard-form constraint matrix assembled
 //!   directly in compressed sparse columns. It is the *single source of
 //!   truth* for the standard-form conventions (variable shifting and
 //!   splitting, bound rows, RHS normalization, logical-column order, the
-//!   FNV-1a matrix hash): the dense tableau of [`crate::simplex`] is
-//!   densified *from* it, so a [`Basis`] snapshot, a cached
-//!   `matrix_hash`, or a dual vector means exactly the same thing under
-//!   all three variants by construction.
+//!   FNV-1a matrix hash): the dense reference tableau of
+//!   [`crate::simplex`] is densified *from* it, so a [`Basis`] snapshot,
+//!   a cached `matrix_hash`, or a dual vector means exactly the same thing
+//!   under both engines by construction.
 //! * **[`LuFactors`]** — a sparse LU factorization of the basis with
 //!   Markowitz pivot ordering (minimize `(r−1)(c−1)` fill bound, subject
 //!   to a relative stability threshold), forward/backward substitution in
@@ -28,13 +25,14 @@
 //!   update-equals-refactorization).
 //! * **devex pricing** — reference-framework weights approximate
 //!   steepest-edge at Dantzig cost, cutting pivot counts on the long thin
-//!   models the large-circuit generator emits; the Bland anti-cycling
-//!   fallback of the sibling variants is retained unchanged.
+//!   models the large-circuit generator emits; Bland's rule remains the
+//!   anti-cycling fallback.
 //!
-//! Results remain interchangeable with the other variants at the
-//! [`Solution`] level — same statuses, same optima, same certificates —
-//! which `tests/scale_differential.rs` enforces on every shipped circuit,
-//! the stress suite, random circuits, and generated 1k/5k-row models.
+//! Results agree with the dense reference tableau
+//! ([`Problem::solve_reference`]) at the [`Solution`] level — same
+//! statuses, same optima, same certificates — which
+//! `tests/scale_differential.rs` enforces on every shipped circuit, the
+//! stress suite, random circuits, and generated 1k/5k-row models.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 // Index-heavy linear algebra: range loops are the clearest form here.
@@ -48,7 +46,6 @@ use crate::problem::{Objective, Problem, Sense};
 use crate::simplex::ColKind;
 use crate::solution::{Solution, SolveStats, Status};
 use crate::EPS;
-use std::sync::OnceLock;
 
 /// Hard cap on eta-file length between refactorizations — a safety valve
 /// behind the fill-aware trigger ([`LuFactors::fill_exceeded`]), which is
@@ -179,8 +176,8 @@ fn expr_to_sparse(
 
 impl StdForm {
     /// Builds the standard form of `p` with optional per-user-row RHS
-    /// perturbation directions, mirroring the dense
-    /// [`Tableau::build`](crate::simplex::Tableau) conventions exactly.
+    /// perturbation directions. The dense reference tableau is densified
+    /// from this form, so both engines share every convention.
     pub(crate) fn build(p: &Problem, param: Option<&[f64]>) -> Result<StdForm, LpError> {
         let (direction, obj_expr) = p.objective.as_ref().ok_or(LpError::MissingObjective)?;
         let sense_factor = match direction {
@@ -390,8 +387,101 @@ impl StdForm {
             user_rows: self.user_rows,
             ncols: self.ncols,
             matrix_hash: self.matrix_hash,
-            factor: OnceLock::new(),
         }
+    }
+
+    /// Crossover: guesses a basis that supports the primal point `x`
+    /// (user-variable space), for warm-starting a simplex solve from a
+    /// solution obtained outside the simplex — e.g. the graph fast path's
+    /// schedule on the difference subset of a mixed system.
+    ///
+    /// Per standard-form row, the slack/surplus is made basic when the row
+    /// has strict slack at `x`; tight rows take an unused structural
+    /// column that is positive at `x` (largest pivot coefficient first),
+    /// or park a logical column at zero when none remains. The result is
+    /// not guaranteed nonsingular or feasible — the warm-start entry path
+    /// validates and silently falls back to a cold solve, so a poor guess
+    /// costs nothing but the attempt.
+    pub(crate) fn basis_from_point(&self, p: &Problem, x: &[f64]) -> Result<Basis, LpError> {
+        if x.len() != p.vars.len() {
+            return Err(LpError::Numerical {
+                context: format!(
+                    "basis_from_point: {} values for {} variables",
+                    x.len(),
+                    p.vars.len()
+                ),
+            });
+        }
+        // Standard-form values of the structural columns at `x`.
+        let mut xstd = vec![0.0; self.ncols];
+        for (v, vc) in self.var_cols.iter().enumerate() {
+            match *vc {
+                VarCols::Shifted { col, shift } => xstd[col] = x[v] - shift,
+                VarCols::Split { pos, neg } => {
+                    xstd[pos] = x[v].max(0.0);
+                    xstd[neg] = (-x[v]).max(0.0);
+                }
+            }
+        }
+        let m = self.m;
+        let mut slack_of = vec![usize::MAX; m];
+        let mut surplus_of = vec![usize::MAX; m];
+        let mut art_of = vec![usize::MAX; m];
+        // Row activity of the structural columns, and each row's
+        // structural entries for the tight-row search below.
+        let mut activity = vec![0.0; m];
+        let mut row_entries: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+        for (c, k) in self.col_kinds.iter().enumerate() {
+            match *k {
+                ColKind::Structural { .. } => {
+                    for &(r, a) in &self.cols[c] {
+                        activity[r] += a * xstd[c];
+                        row_entries[r].push((c, a));
+                    }
+                }
+                ColKind::Slack { row } => slack_of[row] = c,
+                ColKind::Surplus { row } => surplus_of[row] = c,
+                ColKind::Artificial { row } => art_of[row] = c,
+            }
+        }
+        let mut used = vec![false; self.ncols];
+        let mut basic = vec![usize::MAX; m];
+        let mut tight: Vec<usize> = Vec::new();
+        for (r, slot) in basic.iter_mut().enumerate() {
+            let resid = self.rhs[r] - activity[r];
+            if slack_of[r] != usize::MAX && resid > EPS {
+                *slot = slack_of[r];
+                used[slack_of[r]] = true;
+            } else if surplus_of[r] != usize::MAX && resid < -EPS {
+                *slot = surplus_of[r];
+                used[surplus_of[r]] = true;
+            } else {
+                tight.push(r);
+            }
+        }
+        for &r in &tight {
+            let mut best: Option<(usize, f64)> = None;
+            for &(c, a) in &row_entries[r] {
+                if used[c] || xstd[c] <= EPS {
+                    continue;
+                }
+                // Entries come in column order: the lowest index wins ties.
+                let a = a.abs();
+                if a > EPS && best.is_none_or(|(_, ba)| a > ba) {
+                    best = Some((c, a));
+                }
+            }
+            let col = match best {
+                Some((c, _)) => c,
+                // Degenerate row: park a logical column at value zero.
+                None if art_of[r] != usize::MAX => art_of[r],
+                None if slack_of[r] != usize::MAX => slack_of[r],
+                None => surplus_of[r],
+            };
+            basic[r] = col;
+            used[col] = true;
+        }
+        Ok(self.capture_basis_from(&basic))
     }
 
     /// Resolves a snapshot's entries to column indices of this standard
@@ -1414,7 +1504,7 @@ impl SparseCore {
                 return Ok(Status::Infeasible);
             }
             // Drive basic artificials out where possible (mirrors the
-            // sibling variants; a stuck artificial on a redundant row stays
+            // dense tableau; a stuck artificial on a redundant row stays
             // basic at zero and is harmless).
             for r in 0..m {
                 if matches!(self.sf.col_kinds[self.basis[r]], ColKind::Artificial { .. }) {
@@ -1551,8 +1641,8 @@ fn package_optimal(p: &Problem, core: &SparseCore) -> Result<Solution, LpError> 
     })
 }
 
-/// Feasibility tolerance for warm-start repair decisions (matches the
-/// sibling variants' `WARM_FEAS`).
+/// Feasibility tolerance for warm-start repair decisions; matches the
+/// absolute phase-1 threshold rather than the pivot `EPS`.
 const WARM_FEAS: f64 = 1e-7;
 
 /// Sparse dual simplex on the current basis: restores `x_B ≥ 0` while
@@ -1710,7 +1800,7 @@ pub(crate) fn solve_from_basis_budgeted(
 mod tests {
     use super::{LuFactors, SparseCol, StdForm};
     use crate::simplex::Tableau;
-    use crate::{LinExpr, Problem, Sense, SimplexVariant, Status};
+    use crate::{LinExpr, Problem, Sense, SolveBudget, Status};
 
     fn near(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-7
@@ -1730,7 +1820,7 @@ mod tests {
     #[test]
     fn std_form_matches_dense_tableau() {
         // The CSC standard form and the dense tableau must agree entry for
-        // entry — including the matrix hash, which warm-start caches key on.
+        // entry: the tableau is densified from it.
         let mut p = Problem::new();
         let x = p.add_var_bounded("x", -2.0, 7.0);
         let f = p.add_free_var("f");
@@ -1743,7 +1833,6 @@ mod tests {
         let t = Tableau::build(&p, None).unwrap();
         assert_eq!(sf.m, t.rows());
         assert_eq!(sf.ncols, t.ncols);
-        assert_eq!(sf.matrix_hash, t.matrix_hash);
         assert_eq!(sf.col_kinds, t.col_kinds);
         let mut dense = vec![vec![0.0; sf.ncols]; sf.m];
         for (j, col) in sf.cols.iter().enumerate() {
@@ -1844,21 +1933,22 @@ mod tests {
         }
     }
 
-    fn all3(p: &Problem) -> (crate::Solution, crate::Solution, crate::Solution) {
-        let d = p.solve().expect("dense solves");
-        let r = p
-            .solve_with(SimplexVariant::Revised)
-            .expect("revised solves");
-        let s = p
-            .solve_with(SimplexVariant::SparseLu)
-            .expect("sparse solves");
-        (d, r, s)
+    /// The dense reference solve and the sparse-LU solve of `p`.
+    fn both(p: &Problem) -> (crate::Solution, crate::Solution) {
+        let d = reference(p);
+        let s = p.solve().expect("sparse solves");
+        (d, s)
+    }
+
+    fn reference(p: &Problem) -> crate::Solution {
+        p.solve_reference(SolveBudget::UNLIMITED)
+            .expect("dense solves")
     }
 
     #[test]
     fn agrees_on_textbook_max() {
         let p = textbook_max();
-        let (d, _, s) = all3(&p);
+        let (d, s) = both(&p);
         assert!(near(s.objective().unwrap(), 36.0));
         assert!(near(d.objective().unwrap(), s.objective().unwrap()));
         assert!(s.certify(&p).is_valid(), "{}", s.certify(&p));
@@ -1871,7 +1961,7 @@ mod tests {
         p.constrain(x.into(), Sense::Le, 1.0);
         p.constrain(x.into(), Sense::Ge, 2.0);
         p.minimize(x.into());
-        let s = p.solve_with(SimplexVariant::SparseLu).unwrap();
+        let s = p.solve().unwrap();
         assert_eq!(s.status(), Status::Infeasible);
         let y = s.farkas().expect("infeasible carries Farkas");
         assert!(crate::certifies_infeasibility(&p, y));
@@ -1880,10 +1970,7 @@ mod tests {
         let x = p.add_var("x");
         p.constrain(x.into(), Sense::Ge, 1.0);
         p.maximize(x.into());
-        assert_eq!(
-            p.solve_with(SimplexVariant::SparseLu).unwrap().status(),
-            Status::Unbounded
-        );
+        assert_eq!(p.solve().unwrap().status(), Status::Unbounded);
     }
 
     #[test]
@@ -1895,7 +1982,7 @@ mod tests {
         p.constrain(LinExpr::from(t) + x, Sense::Ge, 3.0);
         p.constrain(x.into(), Sense::Eq, 5.0);
         p.minimize(t.into());
-        let (d, _, s) = all3(&p);
+        let (d, s) = both(&p);
         assert!(near(d.objective().unwrap(), s.objective().unwrap()));
     }
 
@@ -1908,12 +1995,8 @@ mod tests {
         let c2 = p.constrain(2.0 * y, Sense::Le, 12.0);
         let c3 = p.constrain(3.0 * x + 2.0 * y, Sense::Le, 18.0);
         p.maximize(3.0 * x + 5.0 * y);
-        let d = p.solve().unwrap().into_optimal().unwrap();
-        let s = p
-            .solve_with(SimplexVariant::SparseLu)
-            .unwrap()
-            .into_optimal()
-            .unwrap();
+        let (d, s) = both(&p);
+        let (d, s) = (d.into_optimal().unwrap(), s.into_optimal().unwrap());
         for c in [c1, c2, c3] {
             assert!(near(d.dual(c), s.dual(c)), "dual mismatch on {c:?}");
         }
@@ -1933,7 +2016,7 @@ mod tests {
             obj = obj + x;
         }
         p.minimize(obj);
-        let d = p.solve().expect("dense solves");
+        let d = reference(&p);
         let s = super::solve_with_refactor_interval(&p, 7).expect("sparse solves");
         assert!(near(
             d.objective().expect("optimal"),
@@ -1945,14 +2028,12 @@ mod tests {
     #[test]
     fn warm_start_repairs_rhs_perturbations() {
         let mut p = textbook_max();
-        let cold = p.solve_with(SimplexVariant::SparseLu).unwrap();
+        let cold = p.solve().unwrap();
         let basis = cold.basis().expect("optimal captures basis").clone();
         let c3 = crate::ConstraintId(2);
         p.set_rhs(c3, 15.0);
-        let warm = p
-            .solve_from_basis_with(SimplexVariant::SparseLu, &basis)
-            .unwrap();
-        let check = p.solve().unwrap();
+        let warm = p.solve_from_basis(&basis).unwrap();
+        let check = reference(&p);
         assert_eq!(warm.status(), Status::Optimal);
         assert!(near(warm.objective().unwrap(), check.objective().unwrap()));
         assert!(warm.iterations() <= check.iterations());
@@ -1968,9 +2049,93 @@ mod tests {
         p.constrain(LinExpr::from(d) + g, Sense::Ge, 7.0);
         p.constrain(2.0 * g - tc, Sense::Le, 0.0);
         p.minimize(tc.into());
-        let (dd, rr, ss) = all3(&p);
+        let (dd, ss) = both(&p);
         assert!(near(dd.objective().unwrap(), 8.0));
-        assert!(near(rr.objective().unwrap(), 8.0));
         assert!(near(ss.objective().unwrap(), 8.0));
+    }
+
+    #[test]
+    fn basis_from_point_warm_starts() {
+        // Crossover from the known optimum of the textbook model: the
+        // warm solve must reach the same optimum, typically in fewer
+        // pivots than the cold two-phase run.
+        let mut p = Problem::new();
+        let x = p.add_var("x");
+        let y = p.add_var("y");
+        p.constrain(x.into(), Sense::Le, 4.0);
+        p.constrain(2.0 * y, Sense::Le, 12.0);
+        p.constrain(3.0 * x + 2.0 * y, Sense::Le, 18.0);
+        p.maximize(3.0 * x + 5.0 * y);
+        let basis = p.basis_from_point(&[2.0, 6.0]).unwrap();
+        let warm = p.solve_from_basis(&basis).unwrap().into_optimal().unwrap();
+        assert!(near(warm.objective(), 36.0));
+        assert!(near(warm.value(x), 2.0));
+        assert!(near(warm.value(y), 6.0));
+        // An interior (suboptimal) point still yields a usable basis.
+        let rough = p.basis_from_point(&[1.0, 1.0]).unwrap();
+        let s = p.solve_from_basis(&rough).unwrap().into_optimal().unwrap();
+        assert!(near(s.objective(), 36.0));
+        // And a wrong-length point is rejected.
+        assert!(p.basis_from_point(&[1.0]).is_err());
+    }
+
+    #[test]
+    fn warm_start_agrees_after_rhs_perturbation() {
+        // Solve, perturb a RHS, warm-start from the stale basis: the
+        // verdict must match a cold re-solve exactly.
+        let mut p = Problem::new();
+        let x = p.add_var("x");
+        let y = p.add_var("y");
+        p.constrain(x.into(), Sense::Le, 4.0);
+        p.constrain(2.0 * y, Sense::Le, 12.0);
+        let c3 = p.constrain(3.0 * x + 2.0 * y, Sense::Le, 18.0);
+        p.maximize(3.0 * x + 5.0 * y);
+        let cold = p.solve().unwrap();
+        let basis = cold
+            .basis()
+            .expect("optimal solve captures a basis")
+            .clone();
+        p.set_rhs(c3, 15.0);
+        let warm = p.solve_from_basis(&basis).unwrap();
+        let cold2 = p.solve().unwrap();
+        assert_eq!(warm.status(), Status::Optimal);
+        assert!(near(warm.objective().unwrap(), cold2.objective().unwrap()));
+        // The warm solve skipped phase 1: strictly fewer pivots.
+        assert!(warm.iterations() <= cold2.iterations());
+    }
+
+    #[test]
+    fn warm_start_falls_back_when_structure_flips() {
+        // Driving the RHS negative flips the row's standard-form sign
+        // (slack becomes surplus + artificial): the snapshot no longer
+        // matches and the warm path must fall back to a correct cold solve.
+        let mut p = Problem::new();
+        let x = p.add_var_bounded("x", -10.0, f64::INFINITY);
+        let c = p.constrain(x.into(), Sense::Ge, 2.0);
+        p.minimize(x.into());
+        let cold = p.solve().unwrap();
+        let basis = cold.basis().unwrap().clone();
+        p.set_rhs(c, -5.0);
+        let warm = p.solve_from_basis(&basis).unwrap();
+        assert!(near(warm.objective().unwrap(), -5.0));
+    }
+
+    #[test]
+    fn warm_start_never_claims_uncertified_infeasibility() {
+        // Perturb the model into infeasibility: the warm solve must come
+        // back Infeasible *with* a Farkas certificate (i.e. via the cold
+        // phase-1 path, since the dual repair cannot certify).
+        let mut p = Problem::new();
+        let x = p.add_var("x");
+        let hi = p.constrain(x.into(), Sense::Le, 5.0);
+        p.constrain(x.into(), Sense::Ge, 2.0);
+        p.minimize(x.into());
+        let cold = p.solve().unwrap();
+        let basis = cold.basis().unwrap().clone();
+        p.set_rhs(hi, 1.0);
+        let warm = p.solve_from_basis(&basis).unwrap();
+        assert_eq!(warm.status(), Status::Infeasible);
+        let y = warm.farkas().expect("infeasible carries Farkas");
+        assert!(crate::certifies_infeasibility(&p, y));
     }
 }

@@ -5,7 +5,7 @@
 //! against the original rows, so the caller never has to trust the simplex
 //! internals. This module does the same for the *optimal* verdict.
 //! [`Solution::certify`] re-derives every optimality condition from the
-//! original (pre-presolve, pre-scaling) [`Problem`] and the returned
+//! original (pre-scaling) [`Problem`] and the returned
 //! primal/dual vectors alone:
 //!
 //! 1. **Primal feasibility** — every row holds at the returned values;
@@ -157,7 +157,7 @@ fn bump(worst: &mut f64, r: f64) {
 
 impl Solution {
     /// Independently certifies this solution's `Optimal` verdict against
-    /// `p` — the *original* problem, before any presolve or scaling.
+    /// `p` — the *original* problem, before any scaling.
     ///
     /// The check uses only the returned primal values, duals and reduced
     /// costs; nothing is trusted from the solver's internal state. See the
@@ -327,7 +327,7 @@ impl Solution {
 mod tests {
     use super::*;
     use crate::expr::LinExpr;
-    use crate::problem::SimplexVariant;
+    use crate::recover::SolveBudget;
     use proptest::prelude::*;
 
     /// A tiny hand-checkable LP: min x + 2y s.t. x + y ≥ 4, x ≤ 3.
@@ -347,17 +347,16 @@ mod tests {
     }
 
     #[test]
-    fn accepts_both_variants_on_a_tiny_lp() {
+    fn accepts_both_engines_on_a_tiny_lp() {
         let p = tiny();
-        for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
-            let sol = p.solve_with(variant).expect("solves");
+        for (engine, sol) in [
+            ("sparse", p.solve()),
+            ("dense", p.solve_reference(SolveBudget::UNLIMITED)),
+        ] {
+            let sol = sol.expect("solves");
             let cert = sol.certify(&p);
-            assert!(cert.is_valid(), "{variant:?}: {cert}");
-            assert!(
-                cert.worst() < 1e-9,
-                "{variant:?}: residual {}",
-                cert.worst()
-            );
+            assert!(cert.is_valid(), "{engine}: {cert}");
+            assert!(cert.worst() < 1e-9, "{engine}: residual {}", cert.worst());
         }
     }
 
@@ -488,15 +487,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Acceptance: every optimal solve of a random LP certifies, with
-        /// both simplex variants.
+        /// the sparse-LU simplex and the dense reference alike.
         #[test]
         fn prop_certify_accepts_optimal_solves(spec in lp_strategy()) {
             let p = build_lp(&spec);
-            for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
-                let sol = p.solve_with(variant).expect("runs");
+            for (engine, sol) in [
+                ("sparse", p.solve()),
+                ("dense", p.solve_reference(SolveBudget::UNLIMITED)),
+            ] {
+                let sol = sol.expect("runs");
                 if sol.status() == Status::Optimal {
                     let cert = sol.certify(&p);
-                    prop_assert!(cert.is_valid(), "{variant:?}: {cert}");
+                    prop_assert!(cert.is_valid(), "{engine}: {cert}");
                 }
             }
         }

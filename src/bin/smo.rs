@@ -14,7 +14,7 @@
 //! smo lp       <netlist>            CPLEX LP-format dump of problem P2
 //! smo lint     <netlist>            structural sanity checks
 //! smo check    <netlist>            lint + solve + short-path race analysis
-//! smo analyze  <netlist>            cycle-time bracket + presolve report
+//! smo analyze  <netlist>            cycle-time bracket + solver cross-checks
 //! smo diagnose <netlist> [--cycle-time T]   why is there no schedule at T?
 //! smo sweep    <netlist> [--param tc|delay]  warm-started parameter sweep
 //! ```
@@ -35,7 +35,7 @@ use smo::api::{solve_json, sweep_json, ParseLimits};
 use smo::circuit::EdgeId;
 use smo::circuit::{lump_equivalent_latches, netlist, to_dot, Circuit, ClockSchedule};
 use smo::gen::datapath::{pipelined_datapath, DatapathConfig};
-use smo::lp::{Pricing, SimplexVariant};
+use smo::lp::Pricing;
 use smo::sim::{monte_carlo, simulate, MonteCarloOptions, SimOptions};
 use smo::timing::{
     graph_feasible_at, min_cycle_time, min_cycle_time_with, render_solution, sweep_cycle_time,
@@ -47,19 +47,53 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
-        Err(message) => {
+        Err(CliError::Usage(message)) => {
             eprintln!("error: {message}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+        Err(CliError::Failed(message)) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Why a command stopped. Only argument errors print the usage banner.
+enum CliError {
+    /// A missing subcommand, unknown flag or bad value.
+    Usage(String),
+    /// The arguments were fine but the work failed: an unreadable
+    /// netlist, a solver error, an I/O or network failure.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Usage(message)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        CliError::Usage(message.to_string())
+    }
+}
+
+/// An argument error, as the `Err` of any result.
+fn usage<T>(message: impl Into<String>) -> Result<T, CliError> {
+    Err(CliError::Usage(message.into()))
+}
+
+/// Wraps a runtime error (see [`CliError::Failed`]).
+fn failed(e: impl std::fmt::Display) -> CliError {
+    CliError::Failed(e.to_string())
 }
 
 const USAGE: &str = "usage:
   smo optimize <netlist>                         minimum cycle time + schedule
   smo solve    <netlist> [--backend auto|graph|lp] [--no-certify]
-               [--variant dense|revised|sparse]
                [--pricing devex|partial|bland] [--max-input-mb N]
                [--time-limit <secs>] [--json]
                                                  minimum cycle time with every
@@ -68,12 +102,14 @@ const USAGE: &str = "usage:
                                                  the simplex path, a re-checked
                                                  critical cycle on the graph
                                                  fast path (exit 1 if any
-                                                 check cannot be satisfied);
+                                                 check cannot be satisfied;
+                                                 --no-certify skips the checks
+                                                 and reports certified: false);
                                                  `auto` (default) solves
                                                  difference-only models on the
                                                  graph and warm-starts the
-                                                 simplex otherwise; --pricing
-                                                 picks the sparse variant's
+                                                 sparse-LU simplex otherwise;
+                                                 --pricing picks the simplex's
                                                  pivot-selection rule (default
                                                  `partial`: candidate-list
                                                  devex — same verdicts and
@@ -110,7 +146,8 @@ const USAGE: &str = "usage:
                [--allow RULE] [--deny RULE]
                                                  one-shot static gate: every
                                                  lint pass + the cycle-time
-                                                 solve + short-path race
+                                                 solve (`auto` by default) +
+                                                 short-path race
                                                  analysis; each double-clocking
                                                  race carries a witness naming
                                                  the short path and the
@@ -123,8 +160,9 @@ const USAGE: &str = "usage:
                                                  escalates it to error; exit 2
                                                  on any error-severity finding
   smo analyze  <netlist> [--json]                combinatorial cycle-time
-                                                 bracket, LP optimum and
-                                                 presolve breakdown; exit 2
+                                                 bracket, certified LP
+                                                 optimum, graph optimum and
+                                                 row classification; exit 2
                                                  if the cross-checks disagree
                                                  (an internal soundness bug)
   smo diagnose <netlist> [--cycle-time T] [--json]
@@ -135,14 +173,17 @@ const USAGE: &str = "usage:
                                                  scale × the optimal schedule
   smo sweep    <netlist> [--param tc|delay] [--runs N] [--jobs N] [--json]
                [--edge E] [--max-delay D] [--spread S] [--seed S] [--certify]
-               [--variant dense|revised|sparse]
                [--pricing devex|partial|bland] [--max-input-mb N]
-                                                 warm-started cycle-time sweep:
-                                                 `tc` grids one edge's delay
-                                                 (exact breakpoints included),
+                                                 cycle-time sweep: `tc` grids
+                                                 one edge's delay (exact
+                                                 breakpoints included),
                                                  `delay` jitters every delay
-                                                 by ±spread; output is
-                                                 identical for any --jobs
+                                                 by ±spread; difference
+                                                 models re-solve on the graph
+                                                 (0 pivots), others by
+                                                 warm-started sparse-LU
+                                                 repair; output is identical
+                                                 for any --jobs
   smo serve    [--addr A] [--workers N] [--queue N]
                                                  long-lived timing daemon:
                                                  line-delimited JSON over TCP
@@ -166,22 +207,19 @@ const USAGE: &str = "usage:
                                                  overload; writes
                                                  BENCH_serve.json";
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String]) -> Result<ExitCode, CliError> {
     let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
     match cmd.as_str() {
         "optimize" => {
             let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            let sol = min_cycle_time(&circuit).map_err(|e| e.to_string())?;
+            let sol = min_cycle_time(&circuit).map_err(failed)?;
             println!("optimal cycle time: {:.6}", sol.cycle_time());
             print!("{}", render_solution(&circuit, &sol));
             Ok(ExitCode::SUCCESS)
         }
         "solve" => {
             let mut path = None;
-            let mut options = MlpOptions {
-                backend: Backend::Auto,
-                ..Default::default()
-            };
+            let mut options = MlpOptions::default();
             let mut json = false;
             let mut max_mb = None;
             let mut it = rest.iter();
@@ -194,7 +232,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                             .ok_or("--backend needs a value (auto, graph or lp)")?
                             .parse()?;
                     }
-                    "--variant" => options.simplex = parse_variant(&mut it)?,
                     "--pricing" => options.pricing = parse_pricing(&mut it)?,
                     "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
                     "--time-limit" => {
@@ -204,7 +241,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                             .parse()
                             .map_err(|e| format!("bad time limit: {e}"))?;
                         if !secs.is_finite() || secs <= 0.0 {
-                            return Err(format!(
+                            return usage(format!(
                                 "time limit must be a positive number of seconds, got {secs}"
                             ));
                         }
@@ -214,21 +251,20 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     other if path.is_none() && !other.starts_with('-') => {
                         path = Some(other.to_string());
                     }
-                    other => return Err(format!("unexpected argument `{other}`")),
+                    other => return usage(format!("unexpected argument `{other}`")),
                 }
             }
             let circuit = load_with(&path.ok_or("missing netlist path")?, &input_limits(max_mb)?)?;
-            let sol = min_cycle_time_with(&circuit, &options).map_err(|e| e.to_string())?;
+            let sol = min_cycle_time_with(&circuit, &options).map_err(failed)?;
             if json {
                 println!("{}", solve_json(&sol));
             } else {
                 println!("optimal cycle time: {:.6}", sol.cycle_time());
                 println!(
                     "backend: {}",
-                    if sol.graph_certificate().is_some() {
-                        "graph (exact min-cycle-ratio)"
-                    } else {
-                        "lp (simplex)"
+                    match sol.backend() {
+                        Backend::Graph => "graph (exact min-cycle-ratio)",
+                        _ => "lp (simplex)",
                     }
                 );
                 println!("certified: {}", sol.certified());
@@ -243,8 +279,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             // `certify` on and a returned solution imply every solver
             // verdict passed its independent check (KKT on the simplex
             // path, the re-derived critical cycle on the graph path);
-            // `certified()` can only be false here when the user asked for
-            // --no-certify on a simplex-path solve.
+            // `certified()` is false after --no-certify, which skips both.
             Ok(if options.certify && !sol.certified() {
                 ExitCode::FAILURE
             } else {
@@ -270,12 +305,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     "--delay-max" => config.delay_range.1 = parse_arg(&mut it, "--delay-max")?,
                     "--seed" => seed = parse_arg(&mut it, "--seed")?,
                     "--out" => out = Some(parse_arg(&mut it, "--out")?),
-                    other => return Err(format!("unexpected argument `{other}`")),
+                    other => return usage(format!("unexpected argument `{other}`")),
                 }
             }
             if let Some(n) = latches {
                 if stages.is_some() || width.is_some() {
-                    return Err("--latches is exclusive with --stages/--width".into());
+                    return usage("--latches is exclusive with --stages/--width");
                 }
                 let sized = DatapathConfig::with_latches(n);
                 config.stages = sized.stages;
@@ -289,25 +324,25 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             // Validate up front so bad flags are CLI errors, not panics.
             if !(2..=4).contains(&config.phases) {
-                return Err(format!("--phases must be 2..=4, got {}", config.phases));
+                return usage(format!("--phases must be 2..=4, got {}", config.phases));
             }
             if config.stages < config.phases {
-                return Err(format!(
+                return usage(format!(
                     "need --stages >= --phases so every phase clocks a rank ({} < {})",
                     config.stages, config.phases
                 ));
             }
             if config.width < 2 {
-                return Err("need --width >= 2".into());
+                return usage("need --width >= 2");
             }
             if !(1..=config.width).contains(&config.fanin) {
-                return Err(format!(
+                return usage(format!(
                     "--fanin must be in 1..={}, got {}",
                     config.width, config.fanin
                 ));
             }
             if !(config.delay_range.0 > 0.0 && config.delay_range.0 <= config.delay_range.1) {
-                return Err(format!(
+                return usage(format!(
                     "delay range must be positive and non-empty, got {:?}",
                     config.delay_range
                 ));
@@ -323,17 +358,15 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 circuit.num_phases()
             );
             match out {
-                Some(path) => {
-                    std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?
-                }
+                Some(path) => std::fs::write(&path, text)
+                    .map_err(|e| failed(format!("cannot write {path}: {e}")))?,
                 None => print!("{text}"),
             }
             Ok(ExitCode::SUCCESS)
         }
         "report" => {
             let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            let text =
-                timing_report(&circuit, &MlpOptions::default()).map_err(|e| e.to_string())?;
+            let text = timing_report(&circuit, &report_options()).map_err(failed)?;
             print!("{text}");
             Ok(ExitCode::SUCCESS)
         }
@@ -369,14 +402,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 widths.push(w.parse::<f64>().map_err(|e| format!("bad width: {e}"))?);
             }
             if starts.len() != circuit.num_phases() {
-                return Err(format!(
+                return usage(format!(
                     "{} phase(s) given but the circuit has {}",
                     starts.len(),
                     circuit.num_phases()
                 ));
             }
             if widths.len() != circuit.num_phases() {
-                return Err(format!(
+                return usage(format!(
                     "{} width(s) given but the circuit has {} phase(s); \
                      pass one start,width pair per phase",
                     widths.len(),
@@ -393,7 +426,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let exists = if backend == Backend::Lp {
                 None
             } else {
-                graph_feasible_at(&circuit, tc).map_err(|e| e.to_string())?
+                graph_feasible_at(&circuit, tc).map_err(failed)?
             };
             if report.is_feasible() {
                 println!("FEASIBLE (worst setup slack {:.4})", report.worst_slack());
@@ -432,9 +465,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 None => 64,
             };
             if waves == 0 {
-                return Err("wave count must be at least 1".into());
+                return usage("wave count must be at least 1");
             }
-            let sol = min_cycle_time(&circuit).map_err(|e| e.to_string())?;
+            let sol = min_cycle_time(&circuit).map_err(failed)?;
             let trace = simulate(
                 &circuit,
                 sol.schedule(),
@@ -467,7 +500,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "lp" => {
             let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            let model = TimingModel::build(&circuit).map_err(|e| e.to_string())?;
+            let model = TimingModel::build(&circuit).map_err(failed)?;
             print!("{}", smo::lp::write_lp(model.problem()));
             Ok(ExitCode::SUCCESS)
         }
@@ -514,7 +547,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                             .parse()
                             .map_err(|e| format!("bad cycle time: {e}"))?;
                         if !t.is_finite() || t <= 0.0 {
-                            return Err(format!("cycle time must be finite and positive, got {t}"));
+                            return usage(format!(
+                                "cycle time must be finite and positive, got {t}"
+                            ));
                         }
                         options.cycle_time = Some(t);
                     }
@@ -530,7 +565,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     other if path.is_none() && !other.starts_with('-') => {
                         path = Some(other.to_string());
                     }
-                    other => return Err(format!("unexpected argument `{other}`")),
+                    other => return usage(format!("unexpected argument `{other}`")),
                 }
             }
             options.config = config;
@@ -572,14 +607,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 // A failed cross-check is not a usage error: report it on
                 // stderr with a distinct exit code and no usage banner.
                 Err(
-                    e @ (AnalyzeError::BoundsDisagree { .. }
-                    | AnalyzeError::PresolveDisagree { .. }
-                    | AnalyzeError::BackendDisagree { .. }),
+                    e
+                    @ (AnalyzeError::BoundsDisagree { .. } | AnalyzeError::BackendDisagree { .. }),
                 ) => {
                     eprintln!("analyze error: {e}");
                     Ok(ExitCode::from(2))
                 }
-                Err(e) => Err(e.to_string()),
+                Err(e) => Err(failed(e)),
             }
         }
         "diagnose" => {
@@ -596,7 +630,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                             .parse()
                             .map_err(|e| format!("bad cycle time: {e}"))?;
                         if !t.is_finite() || t < 0.0 {
-                            return Err(format!(
+                            return usage(format!(
                                 "cycle time must be finite and non-negative, got {t}"
                             ));
                         }
@@ -606,11 +640,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     other if path.is_none() && !other.starts_with('-') => {
                         path = Some(other.to_string());
                     }
-                    other => return Err(format!("unexpected argument `{other}`")),
+                    other => return usage(format!("unexpected argument `{other}`")),
                 }
             }
             let circuit = load(&path.ok_or("missing netlist path")?)?;
-            let d = diagnose(&circuit, cycle_time).map_err(|e| e.to_string())?;
+            let d = diagnose(&circuit, cycle_time).map_err(failed)?;
             if json {
                 println!("{}", d.to_json());
             } else {
@@ -630,7 +664,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 .parse()
                 .map_err(|e| format!("bad scale: {e}"))?;
             if !scale.is_finite() || scale <= 0.0 {
-                return Err(format!(
+                return usage(format!(
                     "scale must be a positive finite number, got {scale}"
                 ));
             }
@@ -639,9 +673,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 None => 200,
             };
             if runs == 0 {
-                return Err("run count must be at least 1".into());
+                return usage("run count must be at least 1");
             }
-            let sol = min_cycle_time(&circuit).map_err(|e| e.to_string())?;
+            let sol = min_cycle_time(&circuit).map_err(failed)?;
             let sched = sol.schedule().scaled(scale);
             let report = monte_carlo(
                 &circuit,
@@ -677,7 +711,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let mut seed = 0u64;
             let mut certify = false;
             let mut json = false;
-            let mut variant = None;
             let mut pricing = Pricing::default();
             let mut max_mb = None;
             let mut it = rest.iter();
@@ -688,7 +721,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                             Some("tc") => "tc",
                             Some("delay") => "delay",
                             other => {
-                                return Err(format!(
+                                return usage(format!(
                                     "--param must be `tc` or `delay`, got {other:?}"
                                 ))
                             }
@@ -702,23 +735,22 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     "--seed" => seed = parse_arg(&mut it, "--seed")?,
                     "--certify" => certify = true,
                     "--json" => json = true,
-                    "--variant" => variant = Some(parse_variant(&mut it)?),
                     "--pricing" => pricing = parse_pricing(&mut it)?,
                     "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
                     other if path.is_none() && !other.starts_with('-') => {
                         path = Some(other.to_string());
                     }
-                    other => return Err(format!("unexpected argument `{other}`")),
+                    other => return usage(format!("unexpected argument `{other}`")),
                 }
             }
             let circuit = load_with(&path.ok_or("missing netlist path")?, &input_limits(max_mb)?)?;
             if runs == 0 {
-                return Err("run count must be at least 1".into());
+                return usage("run count must be at least 1");
             }
             let param = match param.unwrap_or("delay") {
                 "tc" => {
                     if edge >= circuit.num_edges() {
-                        return Err(format!(
+                        return usage(format!(
                             "--edge {edge} out of range ({} edges)",
                             circuit.num_edges()
                         ));
@@ -733,20 +765,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
                 _ => SweepParam::Delay { spread },
             };
-            let mut options = SweepOptions {
+            let options = SweepOptions {
                 param,
                 runs,
                 seed,
                 jobs,
                 certify,
                 pricing,
-                ..Default::default()
             };
-            if let Some(v) = variant {
-                options.variant = v;
-            }
-            let reports = sweep_cycle_time(std::slice::from_ref(&circuit), &options)
-                .map_err(|e| e.to_string())?;
+            let reports =
+                sweep_cycle_time(std::slice::from_ref(&circuit), &options).map_err(failed)?;
             let report = &reports[0];
             if json {
                 println!("{}", sweep_json(report, &options));
@@ -791,14 +819,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     "--workers" => {
                         config.max_active = parse_arg(&mut it, "--workers")?;
                         if config.max_active == 0 {
-                            return Err("--workers must be at least 1".into());
+                            return usage("--workers must be at least 1");
                         }
                     }
                     "--queue" => config.max_queue = parse_arg(&mut it, "--queue")?,
-                    other => return Err(format!("unexpected argument `{other}`")),
+                    other => return usage(format!("unexpected argument `{other}`")),
                 }
             }
-            let server = smo::api::serve(config).map_err(|e| format!("serve: {e}"))?;
+            let server = smo::api::serve(config).map_err(|e| failed(format!("serve: {e}")))?;
             // The first line of output is machine-readable so scripts can
             // scrape the bound port (`--addr 127.0.0.1:0` picks one).
             println!("listening on {}", server.addr());
@@ -875,7 +903,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     other if netlist_path.is_none() && !other.starts_with('-') => {
                         netlist_path = Some(other.to_string());
                     }
-                    other => return Err(format!("unexpected argument `{other}`")),
+                    other => return usage(format!("unexpected argument `{other}`")),
                 }
             }
             if let Some(path) = &netlist_path {
@@ -883,7 +911,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 // caller's filesystem, and escaping happens here in code
                 // rather than in fragile shell quoting.
                 let src = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                    .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
                 fields.push(("netlist".into(), json_str(&src)));
             }
             if !phases.is_empty() {
@@ -897,9 +925,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     .collect::<Vec<_>>()
                     .join(",")
             );
-            let mut client =
-                smo::api::Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-            let response = client.call(&request).map_err(|e| format!("call: {e}"))?;
+            let mut client = smo::api::Client::connect(addr)
+                .map_err(|e| failed(format!("connect {addr}: {e}")))?;
+            let response = client
+                .call(&request)
+                .map_err(|e| failed(format!("call: {e}")))?;
             println!("{response}");
             Ok(if response.contains("\"status\":\"ok\"") {
                 ExitCode::SUCCESS
@@ -917,18 +947,29 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     "--out" => {
                         out_path = it.next().ok_or("--out needs a path")?.to_string();
                     }
-                    other => return Err(format!("unexpected argument `{other}`")),
+                    other => return usage(format!("unexpected argument `{other}`")),
                 }
             }
-            let json =
-                smo::api::bench::run_bench(quick).map_err(|e| format!("bench-serve: {e}"))?;
+            let json = smo::api::bench::run_bench(quick)
+                .map_err(|e| failed(format!("bench-serve: {e}")))?;
             std::fs::write(&out_path, &json)
-                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+                .map_err(|e| failed(format!("cannot write {out_path}: {e}")))?;
             print!("{json}");
             eprintln!("wrote {out_path}");
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown subcommand `{other}`")),
+        other => usage(format!("unknown subcommand `{other}`")),
+    }
+}
+
+/// Solve options for `smo report`. Its critical segments are read off
+/// LP duals, which only the simplex path produces; the report pins
+/// [`Backend::Lp`] so the schedule and slack table printed above them come
+/// from the simplex too. Every other command runs the default, `auto`.
+fn report_options() -> MlpOptions {
+    MlpOptions {
+        backend: Backend::Lp,
+        ..MlpOptions::default()
     }
 }
 
@@ -973,19 +1014,6 @@ fn parse_pricing(it: &mut std::slice::Iter<'_, String>) -> Result<Pricing, Strin
         .map_err(|e| format!("bad --pricing value: {e}"))
 }
 
-/// Parses the value following `--variant`.
-fn parse_variant(it: &mut std::slice::Iter<'_, String>) -> Result<SimplexVariant, String> {
-    match it.next().map(String::as_str) {
-        Some("dense") => Ok(SimplexVariant::Dense),
-        Some("revised") => Ok(SimplexVariant::Revised),
-        Some("sparse") => Ok(SimplexVariant::SparseLu),
-        Some(other) => Err(format!(
-            "bad --variant `{other}` (expected dense, revised or sparse)"
-        )),
-        None => Err("--variant needs a value (dense, revised or sparse)".into()),
-    }
-}
-
 /// Parses `<netlist> [--json]` argument lists (any order).
 fn path_and_json(rest: &[String]) -> Result<(String, bool), String> {
     let mut path = None;
@@ -1002,14 +1030,15 @@ fn path_and_json(rest: &[String]) -> Result<(String, bool), String> {
 
 /// Loads a netlist file, auto-detecting the gate-level dialect. Shares
 /// the daemon's parser (and its default input limits).
-fn load(path: &str) -> Result<Circuit, String> {
+fn load(path: &str) -> Result<Circuit, CliError> {
     load_with(path, &ParseLimits::default())
 }
 
 /// [`load`] with explicit parse limits (see [`input_limits`]).
-fn load_with(path: &str, limits: &ParseLimits) -> Result<Circuit, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    smo::api::parse_netlist(&src, limits).map_err(|e| format!("{path}: {e}"))
+fn load_with(path: &str, limits: &ParseLimits) -> Result<Circuit, CliError> {
+    let src =
+        std::fs::read_to_string(path).map_err(|e| failed(format!("cannot read {path}: {e}")))?;
+    smo::api::parse_netlist(&src, limits).map_err(|e| failed(format!("{path}: {e}")))
 }
 
 /// Parse limits for a `--max-input-mb` value: the daemon's strict defaults

@@ -1,6 +1,5 @@
 //! Integration tests for the static-analysis layer: `lint` and `analyze`
-//! over the shipped netlists, presolve soundness against the plain solve,
-//! infeasibility diagnosis on over-constrained variants of the paper's
+//! over the shipped netlists, infeasibility diagnosis on over-constrained variants of the paper's
 //! examples, and property tests of IIS minimality.
 
 use proptest::prelude::*;
@@ -8,7 +7,7 @@ use smo::analyze::{analyze, diagnose, lint, Diagnosis, Rule, Severity};
 use smo::circuit::netlist;
 use smo::gen::paper;
 use smo::gen::random::{random_circuit, GenConfig};
-use smo::lp::{certifies_infeasibility, extract_iis, PresolveOptions, SimplexVariant, Status};
+use smo::lp::{certifies_infeasibility, extract_iis, Status};
 use smo::timing::{cycle_time_bounds, ConstraintKind, ConstraintOptions, TimingModel};
 use std::path::Path;
 
@@ -69,65 +68,10 @@ fn analyze_lower_bound_is_exact_on_example1() {
 }
 
 #[test]
-fn presolve_removes_rows_on_at_least_one_shipped_circuit() {
-    // gaas_mips has flip-flops (their `D = 0` rows are equality singletons)
-    // and same-phase paths (whose C3 self-pair rows duplicate C1 widths).
-    let total: usize = SHIPPED
-        .iter()
-        .map(|f| analyze(&load(f)).unwrap().rows_removed())
-        .sum();
-    assert!(total >= 1, "presolve removed nothing across all circuits");
-    let mips = analyze(&load("circuits/gaas_mips.ckt")).unwrap();
-    assert!(mips.rows_removed() >= 1, "stats: {}", mips.presolve);
-    let ff = mips
-        .removed_by_family
-        .iter()
-        .find(|(f, _)| *f == "FF departure")
-        .expect("family breakdown present");
-    assert!(ff.1 >= 1, "FF departure singletons should fold");
-}
-
-#[test]
-fn presolved_and_plain_solves_agree_on_shipped_circuits() {
-    // When presolve removes nothing the reduced problem *is* the original,
-    // so the two paths are bit-identical by construction. When rows are
-    // removed the smaller simplex takes a different arithmetic path to the
-    // same vertex, so agreement is to the last ulp or two (on gaas_mips the
-    // presolved path returns the exact 4.4 while the plain dense solve
-    // carries one ulp of rounding).
-    for f in SHIPPED {
-        let circuit = load(f);
-        let model = TimingModel::build(&circuit).unwrap();
-        let plain = model.solve_lp().unwrap().objective();
-        let reductions = model
-            .problem()
-            .presolve(&PresolveOptions::default())
-            .stats()
-            .rows_removed();
-        for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
-            let pre = model
-                .problem()
-                .solve_with_presolve(variant, &PresolveOptions::default())
-                .unwrap()
-                .objective()
-                .expect("optimal");
-            if reductions == 0 && variant == SimplexVariant::Dense {
-                assert_eq!(pre, plain, "{f}: no-op presolve must be bit-identical");
-            } else {
-                assert!(
-                    (pre - plain).abs() <= 2.0 * f64::EPSILON * (1.0 + plain.abs()),
-                    "{f} with {variant:?}: presolved {pre} vs plain {plain}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn presolve_path_preserves_the_infeasibility_diagnosis() {
-    // Over-constrained Example 1 (Tc ≤ 100 < 110): the presolve entry
-    // point must surface the same Farkas certificate and the same IIS as
-    // the plain solve, referencing original row ids.
+fn overconstrained_example1_iis_matches_the_diagnosis() {
+    // Over-constrained Example 1 (Tc ≤ 100 < 110): the plain solve's
+    // Farkas certificate verifies, and the IIS names the same rows as the
+    // diagnosis.
     let circuit = paper::example1(80.0);
     let opts = ConstraintOptions {
         max_cycle: Some(100.0),
@@ -135,16 +79,10 @@ fn presolve_path_preserves_the_infeasibility_diagnosis() {
     };
     let model = TimingModel::build_with(&circuit, &opts).unwrap();
     let p = model.problem();
-
-    let plain = p.solve().unwrap();
-    let pre = p
-        .solve_with_presolve(SimplexVariant::Dense, &PresolveOptions::default())
-        .unwrap();
-    assert_eq!(plain.status(), Status::Infeasible);
-    assert_eq!(pre.status(), Status::Infeasible);
-    let y = pre.farkas().expect("infeasible solves carry a certificate");
+    let sol = p.solve().unwrap();
+    assert_eq!(sol.status(), Status::Infeasible);
+    let y = sol.farkas().expect("infeasible solves carry a certificate");
     assert!(certifies_infeasibility(p, y));
-    assert_eq!(plain.farkas(), pre.farkas(), "certificates must agree");
 
     let iis = extract_iis(p).unwrap().expect("model is infeasible");
     let d = diagnose(&circuit, Some(100.0)).unwrap();

@@ -171,16 +171,8 @@ fn analyze_reports_bracket_and_critical_cycle() {
     );
     assert!(text.contains("LP optimum: Tc* = 110"), "{text}");
     assert!(text.contains("lower bound is tight"), "{text}");
-    assert!(text.contains("presolve:"), "{text}");
-}
-
-#[test]
-fn analyze_reports_presolve_removals_on_gaas_mips() {
-    let out = smo(&["analyze", "circuits/gaas_mips.ckt"]);
-    assert!(out.status.success());
-    let text = stdout(&out);
-    assert!(text.contains("removed by family:"), "{text}");
-    assert!(text.contains("FF departure x"), "{text}");
+    assert!(text.contains("graph backend: Tc* = 110"), "{text}");
+    assert!(!text.contains("presolve"), "{text}");
 }
 
 #[test]
@@ -212,7 +204,7 @@ fn analyze_json_is_well_formed() {
     assert!(text.contains("\"optimum\": 110"), "{text}");
     assert!(text.contains("\"lower\": 110"), "{text}");
     assert!(text.contains("\"upper\": 180"), "{text}");
-    assert!(text.contains("\"removed_by_family\""), "{text}");
+    assert!(text.contains("\"graph_optimum\": 110"), "{text}");
 }
 
 #[test]
@@ -428,14 +420,21 @@ fn solve_no_certify_skips_certificates() {
     assert!(text.contains("certified: false"), "{text}");
     assert!(text.contains("optimal cycle time: 110.000000"), "{text}");
 
-    // The graph certificate is a byproduct of the solve itself (checking
-    // it costs one pass over the rows), so the fast path stays certified
-    // even under --no-certify.
+    // The graph path skips its certificate too, and says so.
     let out = smo(&["solve", "circuits/example1.ckt", "--no-certify"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    assert!(text.contains("certified: true"), "{text}");
+    assert!(text.contains("optimal cycle time: 110.000000"), "{text}");
+    assert!(text.contains("certified: false"), "{text}");
     assert!(text.contains("backend: graph"), "{text}");
+    assert!(!text.contains("  graph: "), "no certificate line: {text}");
+
+    let out = smo(&["solve", "circuits/example1.ckt", "--no-certify", "--json"]);
+    assert!(out.status.success());
+    let json = stdout(&out);
+    assert!(json.contains("\"certified\": false"), "{json}");
+    assert!(json.contains("\"backend\": \"graph\""), "{json}");
+    assert!(!json.contains("graph_certificate"), "{json}");
 }
 
 #[test]
@@ -628,8 +627,6 @@ fn solve_pricing_flag_is_accepted_and_verdict_invariant() {
             "circuits/example1.ckt",
             "--backend",
             "lp",
-            "--variant",
-            "sparse",
             "--pricing",
             pricing,
         ]);
@@ -646,6 +643,45 @@ fn solve_pricing_flag_is_accepted_and_verdict_invariant() {
     let out = smo(&["solve", "circuits/example1.ckt", "--pricing", "quantum"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown pricing"));
+}
+
+#[test]
+fn variant_flag_is_gone() {
+    for cmd in ["solve", "sweep"] {
+        let out = smo(&[cmd, "circuits/example1.ckt", "--variant", "sparse"]);
+        assert!(!out.status.success(), "{cmd} still accepts --variant");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument `--variant`"));
+    }
+}
+
+#[test]
+fn usage_banner_is_printed_only_for_argument_errors() {
+    let stderr = |args: &[&str]| {
+        let out = smo(args);
+        assert!(!out.status.success(), "{args:?} should fail");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    // Argument errors: missing subcommand, unknown flag, bad value.
+    for args in [
+        &[][..],
+        &["frobnicate"][..],
+        &["solve", "circuits/example1.ckt", "--frobnicate"][..],
+        &["solve", "circuits/example1.ckt", "--pricing", "quantum"][..],
+        &["sweep", "circuits/example1.ckt", "--runs", "many"][..],
+    ] {
+        let err = stderr(args);
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+    // Runtime errors: the arguments were fine, the work failed.
+    let err = stderr(&["solve", "circuits/no_such_netlist.ckt"]);
+    assert!(err.contains("cannot read"), "{err}");
+    assert!(!err.contains("usage:"), "{err}");
+    let bad = std::env::temp_dir().join(format!("smo-cli-bad-{}.ckt", std::process::id()));
+    std::fs::write(&bad, "this is not a netlist\n").expect("temp netlist");
+    let err = stderr(&["optimize", bad.to_str().expect("utf-8 path")]);
+    std::fs::remove_file(&bad).ok();
+    assert!(err.starts_with("error: "), "{err}");
+    assert!(!err.contains("usage:"), "{err}");
 }
 
 #[test]

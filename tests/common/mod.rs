@@ -1,80 +1,68 @@
 //! Shared helpers for the integration-test suites.
 //!
-//! The solve helpers here are deliberately *differential*: whenever a
-//! caller hands them a basis snapshot, the model is solved cold **and**
-//! warm (every simplex variant) and the verdicts are asserted to agree
-//! within [`Tol::TIGHT`]. Every suite that routes its re-solve loops
-//! through this module therefore doubles as a warm-start regression test.
+//! The solve helpers here are deliberately *differential*: the sparse-LU
+//! solve is checked against the dense reference tableau, and whenever a
+//! caller hands them a basis snapshot the model is also re-solved warm
+//! from it, with the verdicts asserted to agree within [`Tol::TIGHT`].
+//! Every suite that routes its re-solve loops through this module
+//! therefore doubles as a warm-start regression test.
 #![allow(dead_code)]
 
 use smo::circuit::Circuit;
-use smo::lp::{Basis, Problem, SimplexVariant, Solution, Status, Tol};
+use smo::lp::{Basis, Problem, Solution, SolveBudget, Status, Tol};
 use smo::timing::TimingModel;
 
-/// Solves `p` cold; with a snapshot, also re-solves warm from it with every
-/// simplex variant and asserts status and objective agree with the cold
-/// verdict. Returns the cold solution.
+/// Solves `p` cold, asserts the dense reference agrees, and with a
+/// snapshot also re-solves warm from it and asserts status and objective
+/// agree with the cold verdict. Returns the cold solution.
 pub fn solve_checked(p: &Problem, warm_from: Option<&Basis>) -> Solution {
     let cold = p.solve().expect("cold solve runs");
+    let reference = p
+        .solve_reference(SolveBudget::UNLIMITED)
+        .expect("reference solve runs");
+    let mut others = vec![("dense reference", reference)];
     if let Some(basis) = warm_from {
-        for variant in [
-            SimplexVariant::Dense,
-            SimplexVariant::Revised,
-            SimplexVariant::SparseLu,
-        ] {
-            let warm = p
-                .solve_from_basis_with(variant, basis)
-                .expect("warm solve runs");
-            assert_eq!(
-                warm.status(),
-                cold.status(),
-                "{variant:?}: warm and cold disagree on status"
+        others.push(("warm", p.solve_from_basis(basis).expect("warm solve runs")));
+    }
+    for (what, other) in others {
+        assert_eq!(
+            other.status(),
+            cold.status(),
+            "{what} and cold disagree on status"
+        );
+        if cold.status() == Status::Optimal {
+            let (w, c) = (other.objective().unwrap(), cold.objective().unwrap());
+            assert!(
+                Tol::TIGHT.is_zero(w - c, c),
+                "{what} objective {w} vs cold {c}"
             );
-            if cold.status() == Status::Optimal {
-                let (w, c) = (warm.objective().unwrap(), cold.objective().unwrap());
-                assert!(
-                    Tol::TIGHT.is_zero(w - c, c),
-                    "{variant:?}: warm objective {w} vs cold {c}"
-                );
-                assert!(
-                    warm.certify(p).is_valid(),
-                    "{variant:?}: warm optimum fails certification: {}",
-                    warm.certify(p)
-                );
-            }
-            if cold.status() == Status::Infeasible {
-                // A repaired basis must never smuggle in an uncertified
-                // verdict: infeasibility always arrives Farkas-backed.
-                let y = warm.farkas().expect("warm infeasible carries Farkas");
-                assert!(smo::lp::certifies_infeasibility(p, y));
-            }
+            assert!(
+                other.certify(p).is_valid(),
+                "{what} optimum fails certification: {}",
+                other.certify(p)
+            );
+        }
+        if cold.status() == Status::Infeasible {
+            // A repaired basis must never smuggle in an uncertified
+            // verdict: infeasibility always arrives Farkas-backed.
+            let y = other.farkas().expect("infeasible carries Farkas");
+            assert!(smo::lp::certifies_infeasibility(p, y));
         }
     }
     cold
 }
 
 /// LP-level minimum cycle time of `circuit`, solved cold; with a snapshot,
-/// also solved warm from it (every variant, objectives asserted equal).
-/// Returns the cycle time and the cold solve's own basis for chaining.
+/// also solved warm from it (objectives asserted equal). Returns the cycle
+/// time and the cold solve's own basis for chaining.
 pub fn min_tc_checked(circuit: &Circuit, warm_from: Option<&Basis>) -> (f64, Basis) {
     let model = TimingModel::build(circuit).expect("model builds");
     let cold = model.solve_lp().expect("plain SMO models are feasible");
     let tc = cold.objective();
     if let Some(basis) = warm_from {
-        for variant in [
-            SimplexVariant::Dense,
-            SimplexVariant::Revised,
-            SimplexVariant::SparseLu,
-        ] {
-            let warm = model
-                .solve_lp_from_basis(variant, basis)
-                .expect("warm solve runs");
-            let w = warm.objective();
-            assert!(
-                Tol::TIGHT.is_zero(w - tc, tc),
-                "{variant:?}: warm Tc {w} vs cold {tc}"
-            );
-        }
+        let warm = model.solve_lp_from_basis(basis).expect("warm solve runs");
+        let w = warm.objective();
+        assert!(Tol::TIGHT.is_zero(w - tc, tc), "warm Tc {w} vs cold {tc}");
     }
     let basis = cold
         .basis()

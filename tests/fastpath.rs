@@ -9,6 +9,7 @@ mod common;
 
 use proptest::prelude::*;
 use smo::circuit::Circuit;
+use smo::gen::datapath::{pipelined_datapath, DatapathConfig};
 use smo::gen::paper::{appendix_fig1, example1, example2, gaas_mips};
 use smo::gen::random::{random_circuit, GenConfig};
 use smo::lp::{
@@ -16,8 +17,8 @@ use smo::lp::{
     SolveBudget, Status, Tol,
 };
 use smo::timing::{
-    classify_model, cycle_time_bounds, min_cycle_time_with, variable_images, Backend,
-    ConstraintOptions, MlpOptions, TimingModel,
+    classify_model, cycle_time_bounds, min_cycle_time_with, variable_images, verify, Backend,
+    ConstraintOptions, MlpOptions, PropagationSystem, TimingModel,
 };
 
 /// Solves `circuit` on the requested backend, returning `None` when the
@@ -330,5 +331,74 @@ fn expired_deadline_is_a_budget_error_on_every_backend() {
                 }
             }
         }
+    }
+}
+
+/// `smo gen --latches 216 --seed 424457`: a loop of tiny negative gain
+/// slides the departures down by that gain once per sweep — about 27k
+/// Gauss–Seidel sweeps, past the slide's sweep budget, so the limit is
+/// computed directly. Both backends must return the certified optimum
+/// with the departures at a fixpoint of the propagation equations, and
+/// `smo check` must pass.
+#[test]
+fn slow_departure_slide_converges_on_auto_and_lp() {
+    let circuit = pipelined_datapath(&DatapathConfig::with_latches(216), 424_457);
+    for backend in [Backend::Auto, Backend::Lp] {
+        let sol = min_cycle_time_with(
+            &circuit,
+            &MlpOptions {
+                backend,
+                ..Default::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("{backend}: {e}"));
+        assert!(sol.certified(), "{backend}: not certified");
+        assert!(
+            (sol.cycle_time() - 67.872985).abs() < 1e-6,
+            "{backend}: Tc = {}",
+            sol.cycle_time()
+        );
+        assert!(verify(&circuit, sol.schedule()).is_feasible(), "{backend}");
+        let sys = PropagationSystem::new(&circuit, sol.schedule());
+        for (i, &d) in sol.departures().iter().enumerate() {
+            let f = sys.update(sol.departures(), i);
+            assert!(
+                (d - f).abs() < 1e-7,
+                "{backend}: latch {i}: D = {d}, F(D) = {f}"
+            );
+        }
+        let options = smo::analyze::CheckOptions {
+            backend,
+            ..Default::default()
+        };
+        let report = smo::analyze::check(&circuit, &options)
+            .unwrap_or_else(|e| panic!("{backend}: check: {e}"));
+        assert!(!report.has_errors(), "{backend}: {}", report.findings());
+    }
+}
+
+/// One default: every options struct, and a daemon request that names no
+/// backend, runs `auto`.
+#[test]
+fn auto_is_the_default_backend_everywhere() {
+    use smo::analyze::CheckOptions;
+    use smo::api::{Command, Request};
+    use smo::timing::RaceOptions;
+    assert_eq!(Backend::default(), Backend::Auto);
+    assert_eq!(MlpOptions::default().backend, Backend::default());
+    assert_eq!(RaceOptions::default().backend, Backend::default());
+    assert_eq!(CheckOptions::default().backend, Backend::default());
+    for cmd in ["solve", "check", "verify"] {
+        let line = format!(
+            r#"{{"cmd":"{cmd}","netlist":"clock 2\n","cycle_time":10,"phases":[[0,5],[5,5]]}}"#
+        );
+        let request = Request::parse(&line).unwrap_or_else(|e| panic!("{cmd}: {}", e.message));
+        let backend = match request.command {
+            Command::Solve { backend, .. }
+            | Command::Check { backend, .. }
+            | Command::Verify { backend, .. } => backend,
+            other => panic!("{cmd} parsed as {other:?}"),
+        };
+        assert_eq!(backend, Backend::default(), "{cmd}");
     }
 }

@@ -166,17 +166,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The dense and revised simplex implementations agree on status and
-    /// optimum across random LPs (including infeasible ones).
+    /// The sparse-LU simplex and the dense reference tableau agree on
+    /// status and optimum across random LPs (including infeasible ones).
     #[test]
-    fn dense_and_revised_simplex_agree(
+    fn dense_and_sparse_simplex_agree(
         rows in proptest::collection::vec(row_strategy(), 1..7),
         cx in -2.0f64..2.0,
         cy in -2.0f64..2.0,
         cz in -2.0f64..2.0,
         upper in 1.0f64..20.0,
     ) {
-        use smo::lp::SimplexVariant;
+        use smo::lp::SolveBudget;
         let mut p = Problem::new();
         let x = p.add_var_bounded("x", 0.0, upper);
         let y = p.add_var_bounded("y", 0.0, upper);
@@ -192,12 +192,12 @@ proptest! {
             p.constrain(expr, if r.le { Sense::Le } else { Sense::Ge }, r.rhs);
         }
         p.minimize(cx * LinExpr::from(x) + cy * LinExpr::from(y) + cz * LinExpr::from(z));
-        let dense = p.solve_with(SimplexVariant::Dense).expect("dense solves");
-        let revised = p.solve_with(SimplexVariant::Revised).expect("revised solves");
-        prop_assert_eq!(dense.status(), revised.status());
+        let dense = p.solve_reference(SolveBudget::UNLIMITED).expect("dense solves");
+        let sparse = p.solve().expect("sparse-LU solves");
+        prop_assert_eq!(dense.status(), sparse.status());
         if dense.status() == Status::Optimal {
-            let (a, b) = (dense.objective().unwrap(), revised.objective().unwrap());
-            prop_assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()), "dense {a} vs revised {b}");
+            let (a, b) = (dense.objective().unwrap(), sparse.objective().unwrap());
+            prop_assert!((a - b).abs() < 1e-6 * (1.0 + a.abs()), "dense {a} vs sparse-LU {b}");
         }
     }
 }

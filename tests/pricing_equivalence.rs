@@ -13,14 +13,14 @@
 use proptest::prelude::*;
 use smo::gen::random::{random_circuit, GenConfig};
 use smo::gen::{paper, stress};
-use smo::lp::{Pricing, SimplexVariant, Tol};
+use smo::lp::{Pricing, Tol};
 use smo::prelude::*;
-use smo::timing::{min_cycle_time_with, MlpOptions};
+use smo::timing::{min_cycle_time_with, Backend, MlpOptions};
 
 /// Certified sparse-LU solve under one pricing strategy.
 fn priced_tc(circuit: &Circuit, pricing: Pricing) -> f64 {
     let options = MlpOptions {
-        simplex: SimplexVariant::SparseLu,
+        backend: Backend::Lp,
         certify: true,
         pricing,
         ..Default::default()

@@ -182,26 +182,32 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Dense and revised simplex produce the same optimal cycle time on
-    /// random circuits (full MLP pipeline both times).
+    /// The sparse-LU simplex path and the dense reference tableau produce
+    /// the same optimal cycle time on random circuits.
     #[test]
     fn prop_simplex_variants_agree_on_circuits(spec in spec_strategy()) {
-        use smo::lp::SimplexVariant;
-        use smo::timing::MlpOptions;
+        use smo::lp::SolveBudget;
+        use smo::timing::{Backend, MlpOptions};
         let circuit = build(&spec);
-        let dense = min_cycle_time(&circuit).expect("dense solves").cycle_time();
-        let revised = smo::timing::min_cycle_time_with(
+        let sparse = smo::timing::min_cycle_time_with(
             &circuit,
             &MlpOptions {
-                simplex: SimplexVariant::Revised,
+                backend: Backend::Lp,
                 ..Default::default()
             },
         )
-        .expect("revised solves")
+        .expect("sparse-LU solves")
         .cycle_time();
+        let dense = TimingModel::build(&circuit)
+            .expect("model")
+            .problem()
+            .solve_reference(SolveBudget::UNLIMITED)
+            .expect("dense solves")
+            .objective()
+            .expect("optimal");
         prop_assert!(
-            (dense - revised).abs() < 1e-6 * (1.0 + dense),
-            "dense {dense} vs revised {revised}"
+            (dense - sparse).abs() < 1e-6 * (1.0 + dense),
+            "dense {dense} vs sparse-LU {sparse}"
         );
     }
 
@@ -223,55 +229,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Presolve preserves the optimal objective: solving through the
-    /// presolve pipeline returns the same cycle time as the plain solve,
-    /// for both simplex variants.
-    #[test]
-    fn prop_presolve_preserves_objective(spec in spec_strategy()) {
-        use smo::lp::{PresolveOptions, SimplexVariant};
-        let circuit = build(&spec);
-        let model = TimingModel::build(&circuit).expect("model");
-        let plain = model.solve_lp().expect("optimal").objective();
-        for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
-            let pre = model
-                .problem()
-                .solve_with_presolve(variant, &PresolveOptions::default())
-                .expect("solves")
-                .objective()
-                .expect("optimal");
-            prop_assert!(
-                (pre - plain).abs() <= 1e-9 * (1.0 + plain.abs()),
-                "{variant:?}: presolved {pre} vs plain {plain}"
-            );
-        }
-    }
-
-    /// Presolve preserves the feasibility verdict: a circuit made
-    /// infeasible by an impossible cycle-time cap is reported infeasible
-    /// through the presolve pipeline too (with a Farkas certificate on the
-    /// original rows).
-    #[test]
-    fn prop_presolve_preserves_infeasible_verdict(spec in spec_strategy()) {
-        use smo::lp::{certifies_infeasibility, PresolveOptions, SimplexVariant, Status};
-        use smo::timing::ConstraintOptions;
-        let circuit = build(&spec);
-        let free = TimingModel::build(&circuit)
-            .expect("model")
-            .solve_lp()
-            .expect("plain SMO model is feasible")
-            .objective();
-        prop_assume!(free > 1e-6);
-        let opts = ConstraintOptions { max_cycle: Some(0.8 * free), ..Default::default() };
-        let model = TimingModel::build_with(&circuit, &opts).expect("model");
-        let p = model.problem();
-        let sol = p
-            .solve_with_presolve(SimplexVariant::Dense, &PresolveOptions::default())
-            .expect("solver runs");
-        prop_assert_eq!(sol.status(), Status::Infeasible);
-        let y = sol.farkas().expect("certificate");
-        prop_assert!(certifies_infeasibility(p, y));
-    }
 
     /// The combinatorial bracket contains the LP optimum on random
     /// circuits: MMC lower bound ≤ Tc* ≤ flip-flop-style upper bound.

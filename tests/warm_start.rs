@@ -9,7 +9,7 @@ mod common;
 use proptest::prelude::*;
 use smo::circuit::EdgeId;
 use smo::gen::random::{perturbed_delays, random_circuit, GenConfig};
-use smo::lp::{certifies_infeasibility, RecoveryPolicy, SimplexVariant, Status, Tol};
+use smo::lp::{certifies_infeasibility, RecoveryPolicy, SolveBudget, Status, Tol};
 use smo::timing::{cycle_time_curve, ConstraintOptions, TimingModel};
 
 use common::{load_circuit, min_tc_checked, SHIPPED_NETLISTS};
@@ -27,25 +27,29 @@ fn perturb(model: &TimingModel, circuit: &smo::circuit::Circuit, delays: &[f64])
     m
 }
 
-/// Asserts that warm solves of `m` from `basis` match its cold optimum with
-/// both simplex variants, and that the certified warm path also agrees.
+/// Asserts that a warm solve of `m` from `basis` matches its cold optimum
+/// and the dense reference's, and that the certified warm path also agrees.
 fn assert_warm_matches_cold(m: &TimingModel, basis: &smo::lp::Basis) -> f64 {
     let cold = m.solve_lp().expect("perturbed model stays feasible");
     let tc = cold.objective();
-    for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
-        let warm = m.solve_lp_from_basis(variant, basis).expect("warm solves");
-        let w = warm.objective();
+    let dense = m
+        .problem()
+        .solve_reference(SolveBudget::UNLIMITED)
+        .expect("dense reference solves")
+        .objective()
+        .expect("optimal");
+    let warm = m
+        .solve_lp_from_basis(basis)
+        .expect("warm solves")
+        .objective();
+    for (what, other) in [("dense reference", dense), ("warm", warm)] {
         assert!(
-            Tol::TIGHT.is_zero(w - tc, tc),
-            "{variant:?}: warm Tc {w} vs cold {tc}"
+            Tol::TIGHT.is_zero(other - tc, tc),
+            "{what} Tc {other} vs cold {tc}"
         );
     }
-    let policy = RecoveryPolicy {
-        variant: SimplexVariant::Revised,
-        ..Default::default()
-    };
     let (opt, cert) = m
-        .solve_lp_certified_from_basis(&policy, Some(basis))
+        .solve_lp_certified_from_basis(&RecoveryPolicy::default(), Some(basis))
         .expect("certified warm solve succeeds");
     assert!(cert.is_valid(), "warm certificate invalid: {cert}");
     let w = opt.objective();
@@ -58,7 +62,8 @@ fn assert_warm_matches_cold(m: &TimingModel, basis: &smo::lp::Basis) -> f64 {
 
 /// On every shipped netlist: solve cold, bump every edge delay by 10 %, and
 /// check that warm re-solves from the stale basis agree with a from-scratch
-/// solve of the perturbed model (both variants, plus the certified path).
+/// solve of the perturbed model (and the dense reference, plus the
+/// certified path).
 #[test]
 fn warm_agrees_with_cold_on_every_shipped_netlist() {
     for path in SHIPPED_NETLISTS {
@@ -93,22 +98,20 @@ fn repair_never_returns_an_uncertified_optimum() {
             ..Default::default()
         };
         let capped = TimingModel::build_with(&circuit, &tight).expect("model builds");
-        for variant in [SimplexVariant::Dense, SimplexVariant::Revised] {
-            let warm = capped
-                .problem()
-                .solve_from_basis_with(variant, &basis)
-                .expect("solver runs");
-            assert_eq!(
-                warm.status(),
-                Status::Infeasible,
-                "{path} / {variant:?}: impossible cap accepted"
-            );
-            let y = warm.farkas().expect("infeasible verdict carries Farkas");
-            assert!(
-                certifies_infeasibility(capped.problem(), y),
-                "{path} / {variant:?}: Farkas vector does not certify"
-            );
-        }
+        let warm = capped
+            .problem()
+            .solve_from_basis(&basis)
+            .expect("solver runs");
+        assert_eq!(
+            warm.status(),
+            Status::Infeasible,
+            "{path}: impossible cap accepted"
+        );
+        let y = warm.farkas().expect("infeasible verdict carries Farkas");
+        assert!(
+            certifies_infeasibility(capped.problem(), y),
+            "{path}: Farkas vector does not certify"
+        );
     }
 }
 
