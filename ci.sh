@@ -40,8 +40,8 @@ echo "==> scale-differential suite (sparse-LU vs the dense oracle, release)"
 # so a solver regression fails fast instead of hanging CI.
 cargo test -q --release --test scale_differential -- --include-ignored
 
-echo "==> warm-start differential + sweep determinism suite"
-cargo test -q --test warm_start
+echo "==> sweep determinism + oracle suite"
+cargo test -q --test sweep
 
 echo "==> pricing-equivalence suite (devex vs partial vs bland, release)"
 # Every pricing rule must produce the same certified verdict and optimum
@@ -182,7 +182,7 @@ rm -f "$serve_log"
 echo "==> bench_serve (regenerates BENCH_serve.json, enforces shed>0 under overload)"
 ./target/release/smo bench-serve --out BENCH_serve.json > /dev/null
 
-echo "==> bench_sweep (regenerates BENCH_sweep.json, enforces warm >= 2x cold)"
+echo "==> bench_sweep (regenerates BENCH_sweep.json, enforces 1-worker sweep >= 2x cold simplex)"
 cargo run -q --release -p smo-bench --bin bench_sweep
 
 echo "==> bench_fastpath (regenerates BENCH_fastpath.json, enforces graph >= 10x lp)"

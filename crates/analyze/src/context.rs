@@ -7,17 +7,14 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use smo_circuit::{Circuit, Cycle, LatchId, PhaseId};
+use smo_circuit::{Circuit, Cycle, LatchId, PhaseId, SyncKind};
 use std::collections::BTreeMap;
-
-/// Bound on enumerated feedback cycles (cycle counts can be exponential).
-pub(crate) const CYCLE_LIMIT: usize = 256;
 
 /// Shared facts about one circuit: the graph decompositions and delay
 /// summaries every pass may consult.
 pub struct AnalysisContext<'c> {
     circuit: &'c Circuit,
-    /// Representative feedback cycles (capped at [`CYCLE_LIMIT`]).
+    /// One witness cycle per zero-delay latch core.
     cycles: Vec<Cycle>,
     /// Per-synchronizer: member of a cyclic SCC (feedback core).
     in_cyclic: Vec<bool>,
@@ -143,9 +140,21 @@ impl<'c> AnalysisContext<'c> {
             entry.max_delay = entry.max_delay.max(e.max_delay);
         }
 
+        // Zero-delay latch cores. Δ and Δ_DQ are validated non-negative,
+        // so a loop has zero total delay exactly when every hop does: the
+        // cores are the cyclic SCCs of the latch-only zero-delay hops.
+        let is_latch = |l: LatchId| circuit.sync(l).kind == SyncKind::Latch;
+        let cycles = circuit.loop_witnesses(|from, to| {
+            is_latch(from)
+                && is_latch(to)
+                && pairs
+                    .get(&(from.index(), to.index()))
+                    .is_some_and(|p| p.max_delay + circuit.sync(from).dq <= 0.0)
+        });
+
         AnalysisContext {
             circuit,
-            cycles: circuit.cycles(CYCLE_LIMIT),
+            cycles,
             in_cyclic,
             downstream,
             upstream,
@@ -161,7 +170,9 @@ impl<'c> AnalysisContext<'c> {
         self.circuit
     }
 
-    /// Representative feedback cycles, capped at [`CYCLE_LIMIT`].
+    /// One witness cycle per zero-delay latch core: a cyclic SCC of the
+    /// subgraph of latch-to-latch hops whose worst parallel Δ plus the
+    /// source's Δ_DQ is zero.
     pub fn cycles(&self) -> &[Cycle] {
         &self.cycles
     }

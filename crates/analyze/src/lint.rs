@@ -419,6 +419,30 @@ mod tests {
     }
 
     #[test]
+    fn zero_delay_loops_sharing_a_core_are_one_finding() {
+        // L1 ⇄ L2 and L2 ⇄ L3 are two zero-delay loops in one core; the
+        // L3 → L4 → L3 loop has delay, so it is not part of any core.
+        let mut b = CircuitBuilder::new(2);
+        let l1 = b.add_sync(Synchronizer::latch("L1", p(1), 0.0, 0.0));
+        let l2 = b.add_sync(Synchronizer::latch("L2", p(2), 0.0, 0.0));
+        let l3 = b.add_sync(Synchronizer::latch("L3", p(1), 0.0, 0.0));
+        let l4 = b.add_sync(Synchronizer::latch("L4", p(2), 0.0, 0.0));
+        for (from, to) in [(l1, l2), (l2, l1), (l2, l3), (l3, l2)] {
+            b.connect(from, to, 0.0);
+        }
+        b.connect(l3, l4, 1.0);
+        b.connect(l4, l3, 0.0);
+        let report = lint(&b.build().unwrap());
+        let zero: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == Rule::ZeroDelayLoop)
+            .collect();
+        assert_eq!(zero.len(), 1, "{report}");
+        assert_eq!(zero[0].location, "L1→L2→L1");
+    }
+
+    #[test]
     fn edge_triggering_breaks_the_race() {
         // The same zero-delay loop, but through a flip-flop: no error.
         let mut b = CircuitBuilder::new(2);

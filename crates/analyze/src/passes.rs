@@ -133,7 +133,8 @@ impl Pass for DuplicateEdgePass {
 
 /// `zero-delay-loop`: an all-latch feedback cycle with zero total delay
 /// (combinational + Δ_DQ) — data races around it while every latch on the
-/// loop is transparent, and no clock schedule can stop it.
+/// loop is transparent, and no clock schedule can stop it. One finding per
+/// zero-delay core, naming its witness cycle ([`AnalysisContext::cycles`]).
 struct ZeroDelayLoopPass;
 
 impl Pass for ZeroDelayLoopPass {
@@ -144,31 +145,25 @@ impl Pass for ZeroDelayLoopPass {
     fn run(&self, ctx: &AnalysisContext<'_>, out: &mut Vec<Finding>) {
         let circuit = ctx.circuit();
         for cycle in ctx.cycles() {
-            let all_latches = cycle
+            // Render with latch names, not the id-based `Cycle` display.
+            let mut path: Vec<&str> = cycle
                 .latches
                 .iter()
-                .all(|&l| circuit.sync(l).kind == SyncKind::Latch);
-            if all_latches && circuit.cycle_delay(cycle) <= 0.0 {
-                // Render with latch names, not the id-based `Cycle` display.
-                let mut path: Vec<&str> = cycle
-                    .latches
-                    .iter()
-                    .map(|&l| circuit.sync(l).name.as_str())
-                    .collect();
-                if let Some(&first) = path.first() {
-                    path.push(first);
-                }
-                push(
-                    out,
-                    self.rule(),
-                    Severity::Error,
-                    path.join("→"),
-                    format!(
-                        "zero-delay loop through transparent latches ({}): critical race",
-                        path.join(" → ")
-                    ),
-                );
+                .map(|&l| circuit.sync(l).name.as_str())
+                .collect();
+            if let Some(&first) = path.first() {
+                path.push(first);
             }
+            push(
+                out,
+                self.rule(),
+                Severity::Error,
+                path.join("→"),
+                format!(
+                    "zero-delay loop through transparent latches ({}): critical race",
+                    path.join(" → ")
+                ),
+            );
         }
     }
 }

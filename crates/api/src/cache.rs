@@ -1,14 +1,11 @@
 //! Fingerprint-keyed caches with LRU eviction under a hard byte budget.
 //!
 //! The daemon sees the same netlists over and over (CI re-checks, sweep
-//! dashboards, editor integrations), so it caches at three levels:
+//! dashboards, editor integrations), so it caches at two levels:
 //!
 //! 1. **circuits** — parsed [`Circuit`]s keyed by a fingerprint of the
 //!    netlist bytes, skipping the parser entirely on a repeat;
-//! 2. **bases** — the optimal simplex [`Basis`] from a previous solve of
-//!    the same netlist, warm-starting the next solve (delay-perturbed
-//!    requests of the same topology converge in a handful of pivots);
-//! 3. **results** — finished response payloads keyed by
+//! 2. **results** — finished response payloads keyed by
 //!    `(fingerprint, request signature)`, served without running the
 //!    engine at all.
 //!
@@ -20,7 +17,6 @@
 //! a panic is a bug, and re-running the bug on retry helps nobody).
 
 use smo_circuit::Circuit;
-use smo_lp::Basis;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -111,8 +107,6 @@ pub struct CacheConfig {
     pub circuit_bytes: usize,
     /// Budget for finished response payloads.
     pub result_bytes: usize,
-    /// Budget for warm-start bases.
-    pub basis_bytes: usize,
 }
 
 impl Default for CacheConfig {
@@ -120,7 +114,6 @@ impl Default for CacheConfig {
         CacheConfig {
             circuit_bytes: 8 << 20,
             result_bytes: 8 << 20,
-            basis_bytes: 4 << 20,
         }
     }
 }
@@ -132,8 +125,6 @@ pub struct CacheStats {
     pub result_hits: u64,
     /// Parsed-circuit hits (parser skipped).
     pub circuit_hits: u64,
-    /// Warm-basis hits (solver warm-started).
-    pub basis_hits: u64,
     /// Requests refused because their input is quarantined.
     pub quarantined: u64,
 }
@@ -144,7 +135,6 @@ pub struct CacheStats {
 pub struct ApiCache {
     circuits: LruMap<u64, Arc<Circuit>>,
     results: LruMap<(u64, String), Arc<str>>,
-    bases: LruMap<u64, Basis>,
     quarantine: HashSet<u64>,
     /// Counters; publicly readable via [`ApiCache::stats`].
     stats: CacheStats,
@@ -156,7 +146,6 @@ impl ApiCache {
         ApiCache {
             circuits: LruMap::new(config.circuit_bytes),
             results: LruMap::new(config.result_bytes),
-            bases: LruMap::new(config.basis_bytes),
             quarantine: HashSet::new(),
             stats: CacheStats::default(),
         }
@@ -177,7 +166,6 @@ impl ApiCache {
     pub fn quarantine(&mut self, fp: u64) {
         self.quarantine.insert(fp);
         self.circuits.remove(&fp);
-        self.bases.remove(&fp);
         // Result keys are (fp, signature); collect then remove.
         let stale: Vec<(u64, String)> = self
             .results
@@ -221,32 +209,16 @@ impl ApiCache {
         self.results.insert((fp, signature), payload, cost);
     }
 
-    /// A cached warm-start basis for `fp`.
-    pub fn basis(&mut self, fp: u64) -> Option<Basis> {
-        let hit = self.bases.get(&fp).cloned();
-        if hit.is_some() {
-            self.stats.basis_hits += 1;
-        }
-        hit
-    }
-
-    /// Caches the optimal basis from a finished solve of `fp`.
-    pub fn store_basis(&mut self, fp: u64, basis: Basis) {
-        let cost = basis.approx_bytes();
-        self.bases.insert(fp, basis, cost);
-    }
-
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// Entry counts (circuits, results, bases, quarantined) for `stats`.
-    pub fn sizes(&self) -> (usize, usize, usize, usize) {
+    /// Entry counts (circuits, results, quarantined) for `stats`.
+    pub fn sizes(&self) -> (usize, usize, usize) {
         (
             self.circuits.len(),
             self.results.len(),
-            self.bases.len(),
             self.quarantine.len(),
         )
     }
@@ -292,26 +264,6 @@ mod tests {
         assert!(cache.circuit(fp).is_none());
         assert!(cache.result(fp, "solve").is_none());
         assert_eq!(cache.stats().quarantined, 1);
-    }
-
-    #[test]
-    fn basis_entries_cost_their_real_size() {
-        let model = smo_core::TimingModel::build(&paper::example2()).unwrap();
-        let basis = model.solve_lp().unwrap().basis().cloned().unwrap();
-        let cost = basis.approx_bytes();
-        // A snapshot is one entry per basic column, not a dense B⁻¹.
-        assert!(cost < basis.size() * basis.size() * std::mem::size_of::<f64>());
-        // A budget of exactly one snapshot holds one snapshot: the entry is
-        // charged its real size, and the next one evicts it.
-        let mut cache = ApiCache::new(&CacheConfig {
-            basis_bytes: cost,
-            ..CacheConfig::default()
-        });
-        cache.store_basis(1, basis.clone());
-        assert_eq!(cache.basis(1).as_ref(), Some(&basis));
-        cache.store_basis(2, basis.clone());
-        assert!(cache.basis(1).is_none());
-        assert_eq!(cache.basis(2).as_ref(), Some(&basis));
     }
 
     #[test]

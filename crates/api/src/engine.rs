@@ -296,17 +296,20 @@ impl Engine {
         match &request.command {
             Command::Ping => self.ok_reply(id, Degradation::Full, "{\"ok\":true}", false),
             Command::Stats => {
-                let (circuits, results, bases, quarantined) = {
+                let (circuits, results, quarantined) = {
                     let cache = self.lock_cache();
                     cache.sizes()
                 };
                 let stats = self.lock_cache().stats();
+                // `basis_hits` is a retired wire key: there is no basis
+                // cache, so it is always 0. It stays in the reply because
+                // existing `stats` readers still parse it as a number.
                 let payload = format!(
                     "{{\"requests\":{},\"ok\":{},\"errors\":{},\"panics\":{},\"sheds\":{},\
                      \"active\":{},\"queued\":{},\"max_active\":{},\"max_queue\":{},\
-                     \"cache\":{{\"circuits\":{circuits},\"results\":{results},\"bases\":{bases},\
+                     \"cache\":{{\"circuits\":{circuits},\"results\":{results},\
                      \"quarantined\":{quarantined},\"result_hits\":{},\"circuit_hits\":{},\
-                     \"basis_hits\":{}}}}}",
+                     \"basis_hits\":0}}}}",
                     self.counters.requests.load(Ordering::Relaxed),
                     self.counters.ok.load(Ordering::Relaxed),
                     self.counters.errors.load(Ordering::Relaxed),
@@ -318,7 +321,6 @@ impl Engine {
                     load.max_queue,
                     stats.result_hits,
                     stats.circuit_hits,
-                    stats.basis_hits,
                 );
                 self.ok_reply(id, Degradation::Full, &payload, false)
             }
@@ -390,12 +392,7 @@ impl Engine {
                     ..Default::default()
                 };
                 degradation.shape(&mut options);
-                let warm = self.lock_cache().basis(fp);
-                let (json, basis) = ops::run_solve(&circuit, &options, warm.as_ref())?;
-                if let Some(b) = basis {
-                    self.lock_cache().store_basis(fp, b);
-                }
-                Ok(json)
+                ops::run_solve(&circuit, &options)
             }
             Command::Verify {
                 cycle_time,

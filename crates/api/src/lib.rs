@@ -17,8 +17,8 @@
 //!   per-request ids and wall-clock deadlines;
 //! - [`ops`] — the operations themselves (solve / verify / check /
 //!   diagnose / sweep), shared verbatim by both frontends;
-//! - [`cache`] — fingerprint-keyed LRU caches (parsed circuits, warm
-//!   simplex bases, finished results) under hard byte budgets, plus the
+//! - [`cache`] — fingerprint-keyed LRU caches (parsed circuits, finished
+//!   results) under hard byte budgets, plus the
 //!   quarantine set for inputs that crashed the engine;
 //! - [`engine`] — deadline mapping, the load-based degradation ladder,
 //!   per-request panic isolation, and the response envelope;

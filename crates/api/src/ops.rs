@@ -9,10 +9,10 @@
 use crate::error::ApiError;
 use smo_circuit::{netlist, Circuit, CircuitError, ClockSchedule, EdgeId};
 use smo_core::{
-    graph_feasible_at_within, min_cycle_time_warm, sweep_cycle_time, verify, Backend, MlpOptions,
+    graph_feasible_at_within, min_cycle_time_with, sweep_cycle_time, verify, Backend, MlpOptions,
     SweepOptions, SweepParam, SweepReport, TimingSolution,
 };
-use smo_lp::{Basis, SolveBudget};
+use smo_lp::SolveBudget;
 
 pub use smo_circuit::netlist::ParseLimits;
 
@@ -127,16 +127,9 @@ pub fn sweep_json(report: &SweepReport, options: &SweepOptions) -> String {
     out
 }
 
-/// Solves for the minimum cycle time, optionally warm-starting from a
-/// cached basis, and returns the pretty JSON plus the basis to cache for
-/// the next same-topology request.
-pub fn run_solve(
-    circuit: &Circuit,
-    options: &MlpOptions,
-    warm: Option<&Basis>,
-) -> Result<(String, Option<Basis>), ApiError> {
-    let (sol, basis) = min_cycle_time_warm(circuit, options, warm)?;
-    Ok((solve_json(&sol), basis))
+/// Solves for the minimum cycle time and returns the pretty JSON.
+pub fn run_solve(circuit: &Circuit, options: &MlpOptions) -> Result<String, ApiError> {
+    Ok(solve_json(&min_cycle_time_with(circuit, options)?))
 }
 
 /// Checks a concrete schedule row by row and (except on the pure-LP
@@ -206,7 +199,7 @@ pub fn run_diagnose(circuit: &Circuit, cycle_time: Option<f64>) -> Result<String
     Ok(d.to_json())
 }
 
-/// Warm-started parameter sweep. The daemon always runs sweeps
+/// Parameter sweep. The daemon always runs sweeps
 /// single-threaded (`jobs = 1`): concurrency belongs to the connection
 /// layer, and the report bytes are identical for any jobs value anyway.
 #[allow(clippy::too_many_arguments)]
@@ -266,10 +259,10 @@ mod tests {
     }
 
     #[test]
-    fn run_solve_matches_plain_solve_and_returns_a_basis() {
+    fn run_solve_matches_plain_solve() {
         let circuit = paper::example2();
         let options = MlpOptions::default();
-        let (json, _basis) = run_solve(&circuit, &options, None).unwrap();
+        let json = run_solve(&circuit, &options).unwrap();
         let direct = smo_core::min_cycle_time_with(&circuit, &options).unwrap();
         assert_eq!(json, solve_json(&direct));
     }

@@ -84,7 +84,7 @@ pub enum Command {
         /// Optional target cycle time.
         cycle_time: Option<f64>,
     },
-    /// Warm-started parameter sweep (the daemon twin of `smo sweep`).
+    /// Parameter sweep (the daemon twin of `smo sweep`).
     Sweep {
         /// Netlist text.
         netlist: String,

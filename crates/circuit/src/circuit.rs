@@ -169,29 +169,25 @@ impl Circuit {
             .any(|c| c.len() > 1 || (c.len() == 1 && adj[c[0]].contains(&c[0])))
     }
 
-    /// Enumerates elementary feedback cycles, at most `limit` of them.
+    /// One witness cycle per feedback core of the subgraph whose hops
+    /// `keep(from, to)` accepts, in time linear in synchronizers plus
+    /// hops.
     ///
-    /// Cycle counts can be exponential; `limit` bounds the work. The result
-    /// is intended for diagnostics (e.g. reporting which loop makes a
-    /// schedule infeasible).
-    pub fn cycles(&self, limit: usize) -> Vec<Cycle> {
-        let adj = self.adjacency();
-        let mut out = Vec::new();
-        for comp in graph::strongly_connected_components(&adj) {
-            if out.len() >= limit {
-                break;
-            }
-            let is_loop = comp.len() > 1 || adj[comp[0]].contains(&comp[0]);
-            if !is_loop {
-                continue;
-            }
-            for cyc in graph::enumerate_cycles(&adj, &comp, limit - out.len()) {
-                out.push(Cycle {
-                    latches: cyc.into_iter().map(LatchId::new).collect(),
-                });
-            }
+    /// A feedback core is a strongly connected component with more than
+    /// one synchronizer, or one with a self-hop. Each witness is a
+    /// shortest cycle through the core's lowest-numbered synchronizer and
+    /// starts there. Pass `|_, _| true` for the cores of the whole graph.
+    pub fn loop_witnesses(&self, keep: impl Fn(LatchId, LatchId) -> bool) -> Vec<Cycle> {
+        let mut adj = self.adjacency();
+        for (f, out) in adj.iter_mut().enumerate() {
+            out.retain(|&t| keep(LatchId::new(f), LatchId::new(t)));
         }
-        out
+        graph::loop_witnesses(&adj)
+            .into_iter()
+            .map(|cyc| Cycle {
+                latches: cyc.into_iter().map(LatchId::new).collect(),
+            })
+            .collect()
     }
 
     /// Strongly connected components of the synchronizer graph, in reverse
@@ -344,7 +340,7 @@ mod tests {
     fn feedback_and_cycles_detected() {
         let c = example1_like();
         assert!(c.has_feedback());
-        let cycles = c.cycles(10);
+        let cycles = c.loop_witnesses(|_, _| true);
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].latches.len(), 4);
         // loop delay: 20+20+60+80 combinational + 4×10 latch = 220
@@ -359,7 +355,7 @@ mod tests {
         b.connect(a, c2, 5.0);
         let c = b.build().unwrap();
         assert!(!c.has_feedback());
-        assert!(c.cycles(10).is_empty());
+        assert!(c.loop_witnesses(|_, _| true).is_empty());
     }
 
     #[test]
@@ -385,7 +381,7 @@ mod tests {
         b.connect(a, c2, 9.0);
         b.connect(c2, a, 2.0);
         let c = b.build().unwrap();
-        let cycles = c.cycles(10);
+        let cycles = c.loop_witnesses(|_, _| true);
         assert_eq!(cycles.len(), 1);
         // 9 (max of 5,9) + 2 + two latch dq of 1
         assert_eq!(c.cycle_delay(&cycles[0]), 13.0);
@@ -398,7 +394,12 @@ mod tests {
         b.connect(a, a, 5.0);
         let c = b.build().unwrap();
         assert!(c.has_feedback());
-        assert_eq!(c.cycles(10).len(), 1);
+        assert_eq!(
+            c.loop_witnesses(|_, _| true),
+            vec![Cycle { latches: vec![a] }]
+        );
+        // Filtering the self-hop away leaves no feedback core.
+        assert!(c.loop_witnesses(|f, t| f != t).is_empty());
     }
 
     #[test]

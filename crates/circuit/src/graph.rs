@@ -64,7 +64,7 @@ impl fmt::Display for Edge {
 }
 
 /// A directed cycle through synchronizers, reported by
-/// [`Circuit::cycles`](crate::Circuit::cycles).
+/// [`Circuit::loop_witnesses`](crate::Circuit::loop_witnesses).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cycle {
     /// The synchronizers on the cycle, in traversal order; the last feeds
@@ -174,55 +174,58 @@ pub(crate) fn strongly_connected_components(adj: &[Vec<usize>]) -> Vec<Vec<usize
     components
 }
 
-/// Enumerates elementary cycles within one SCC by DFS from its smallest
-/// node, capped at `limit` cycles (cycle counts are exponential in general).
-pub(crate) fn enumerate_cycles(
-    adj: &[Vec<usize>],
-    nodes: &[usize],
-    limit: usize,
-) -> Vec<Vec<usize>> {
-    // Johnson's algorithm simplified: we only need representative cycles for
-    // diagnostics, so a bounded DFS from each node (taking only nodes >= root
-    // to avoid duplicates) is sufficient and simple.
-    let mut in_scc = vec![false; adj.len()];
-    for &n in nodes {
-        in_scc[n] = true;
-    }
-    let mut cycles = Vec::new();
-    for &root in nodes {
-        if cycles.len() >= limit {
-            break;
+/// One witness cycle per cyclic strongly connected component of `adj`,
+/// each as a node list starting at the component's smallest node; the
+/// last node feeds back to the first.
+///
+/// A component is cyclic when it has more than one node or a self-edge.
+/// The witness is a shortest cycle through the smallest node, found by a
+/// breadth-first search confined to the component, so the whole pass is
+/// linear in nodes plus edges.
+pub(crate) fn loop_witnesses(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let n = adj.len();
+    let mut comp_of = vec![usize::MAX; n];
+    let mut parent = vec![usize::MAX; n];
+    let mut witnesses = Vec::new();
+    for (c, comp) in strongly_connected_components(adj).into_iter().enumerate() {
+        for &v in &comp {
+            comp_of[v] = c;
         }
-        let mut path = vec![root];
-        let mut on_path = vec![false; adj.len()];
-        on_path[root] = true;
-        // stack of (node, next child position)
-        let mut dfs = vec![(root, 0usize)];
-        while let Some(&(v, pos)) = dfs.last() {
-            if cycles.len() >= limit {
-                break;
-            }
-            if pos < adj[v].len() {
-                dfs.last_mut().expect("non-empty").1 += 1;
-                let w = adj[v][pos];
-                if !in_scc[w] || w < root {
-                    continue;
+        let Some(&start) = comp.iter().min() else {
+            continue;
+        };
+        if comp.len() == 1 && !adj[start].contains(&start) {
+            continue;
+        }
+        // BFS from `start` inside the component until an edge closes the
+        // loop back to it; the component is strongly connected, so one does.
+        let mut queue = std::collections::VecDeque::from([start]);
+        parent[start] = start;
+        let mut last = None;
+        'bfs: while let Some(v) = queue.pop_front() {
+            for &w in &adj[v] {
+                if w == start {
+                    last = Some(v);
+                    break 'bfs;
                 }
-                if w == root {
-                    cycles.push(path.clone());
-                } else if !on_path[w] {
-                    on_path[w] = true;
-                    path.push(w);
-                    dfs.push((w, 0));
+                if comp_of[w] == c && parent[w] == usize::MAX {
+                    parent[w] = v;
+                    queue.push_back(w);
                 }
-            } else {
-                dfs.pop();
-                path.pop();
-                on_path[v] = false;
             }
         }
+        let Some(mut v) = last else {
+            continue;
+        };
+        let mut cycle = vec![v];
+        while v != start {
+            v = parent[v];
+            cycle.push(v);
+        }
+        cycle.reverse();
+        witnesses.push(cycle);
     }
-    cycles
+    witnesses
 }
 
 #[cfg(test)]
@@ -258,30 +261,25 @@ mod tests {
     }
 
     #[test]
-    fn cycles_enumerated_without_duplicates() {
-        // 0 <-> 1, and triangle 0 -> 1 -> 2 -> 0.
-        let adj = vec![vec![1], vec![0, 2], vec![0]];
-        let nodes = vec![0, 1, 2];
-        let cycles = enumerate_cycles(&adj, &nodes, 100);
-        assert_eq!(cycles.len(), 2, "cycles: {cycles:?}");
+    fn one_witness_per_cyclic_component() {
+        // 0 <-> 1 and triangle 0 -> 1 -> 2 -> 0 form one component: one
+        // witness, the shortest cycle through node 0. Node 3 hangs off it.
+        let adj = vec![vec![1], vec![2, 0], vec![0, 3], vec![]];
+        assert_eq!(loop_witnesses(&adj), vec![vec![0, 1]]);
     }
 
     #[test]
-    fn cycle_limit_is_respected() {
-        // complete digraph on 4 nodes has many cycles; cap at 3.
-        let adj: Vec<Vec<usize>> = (0..4)
-            .map(|i| (0..4).filter(|&j| j != i).collect())
-            .collect();
-        let nodes = vec![0, 1, 2, 3];
-        let cycles = enumerate_cycles(&adj, &nodes, 3);
-        assert_eq!(cycles.len(), 3);
+    fn disjoint_loops_and_self_loops_each_get_a_witness() {
+        let adj = vec![vec![1], vec![0], vec![3], vec![4], vec![2], vec![5], vec![]];
+        let mut w = loop_witnesses(&adj);
+        w.sort();
+        assert_eq!(w, vec![vec![0, 1], vec![2, 3, 4], vec![5]]);
     }
 
     #[test]
-    fn self_loop_is_a_cycle() {
-        let adj = vec![vec![0]];
-        let cycles = enumerate_cycles(&adj, &[0], 10);
-        assert_eq!(cycles, vec![vec![0]]);
+    fn acyclic_graphs_have_no_witness() {
+        let adj = vec![vec![1, 2], vec![2], vec![]];
+        assert!(loop_witnesses(&adj).is_empty());
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! optimum outside it.
 
 use smo_circuit::{Circuit, ClockSpec, Cycle, LatchId, SyncKind};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Relaxation tolerance for the Bellman–Ford negative-cycle test. At the
@@ -215,8 +215,9 @@ fn scc_critical_cycle(circuit: &Circuit, comp: &[LatchId]) -> Option<CriticalCyc
     let index: HashMap<LatchId, usize> = comp.iter().enumerate().map(|(i, &l)| (l, i)).collect();
     // Parallel edges collapse to their worst weight: each parallel edge
     // yields its own L2R row, so the largest delay certifies the largest
-    // ratio while remaining a genuine cycle of rows.
-    let mut dedup: HashMap<(usize, usize), (f64, usize)> = HashMap::new();
+    // ratio while remaining a genuine cycle of rows. A `BTreeMap` keeps
+    // the arc order, and so the witness cycle, the same on every run.
+    let mut dedup: BTreeMap<(usize, usize), (f64, usize)> = BTreeMap::new();
     for e in circuit.edges() {
         if let (Some(&f), Some(&t)) = (index.get(&e.from), index.get(&e.to)) {
             let (w, c) = edge_weight(circuit, e.from, e.to, e.max_delay);
@@ -246,7 +247,7 @@ fn scc_critical_cycle(circuit: &Circuit, comp: &[LatchId]) -> Option<CriticalCyc
     // each round either proves no cycle beats λ or jumps λ to the exact
     // ratio of a strictly better witness, so the loop terminates.
     let mut lambda = -1.0;
-    let mut best: Option<(Vec<usize>, f64, usize)> = None;
+    let mut best: Option<Vec<usize>> = None;
     while let Some(cyc) = negative_cycle(comp.len(), &edges, lambda) {
         let weight: f64 = cyc.iter().map(|&ei| edges[ei].weight).sum();
         let wraps: usize = cyc.iter().map(|&ei| edges[ei].wraps).sum();
@@ -259,22 +260,23 @@ fn scc_critical_cycle(circuit: &Circuit, comp: &[LatchId]) -> Option<CriticalCyc
             break;
         }
         lambda = ratio;
-        best = Some((cyc, weight, wraps));
+        best = Some(cyc);
     }
 
-    best.map(|(cyc, weight, wraps)| {
-        // Walk the cycle's edges forward and rotate so the smallest latch id
-        // leads, for a deterministic report.
-        let nodes: Vec<LatchId> = cyc.iter().map(|&ei| comp[edges[ei].from]).collect();
-        let lead = nodes
+    best.map(|mut cyc| {
+        // Walk the cycle's edges forward, rotated so the smallest latch id
+        // leads, and sum in that order: the report and its last bits do
+        // not depend on where the search entered the cycle.
+        let lead = cyc
             .iter()
             .enumerate()
-            .min_by_key(|(_, l)| l.index())
+            .min_by_key(|(_, &ei)| comp[edges[ei].from].index())
             .map(|(i, _)| i)
             .unwrap_or(0);
-        let mut latches = Vec::with_capacity(nodes.len());
-        latches.extend_from_slice(&nodes[lead..]);
-        latches.extend_from_slice(&nodes[..lead]);
+        cyc.rotate_left(lead);
+        let latches: Vec<LatchId> = cyc.iter().map(|&ei| comp[edges[ei].from]).collect();
+        let weight: f64 = cyc.iter().map(|&ei| edges[ei].weight).sum();
+        let wraps: usize = cyc.iter().map(|&ei| edges[ei].wraps).sum();
         CriticalCycle {
             cycle: Cycle { latches },
             weight,

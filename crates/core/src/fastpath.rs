@@ -10,8 +10,7 @@
 //! ([`variable_images`]), routes pure-difference models to the
 //! shortest-path solver of [`smo_lp::DifferenceSystem`] (Bellman–Ford
 //! feasibility, Lawler's exact min-cycle-ratio `T_c*`), and hands mixed
-//! models back to the simplex with a crossover warm start
-//! ([`smo_lp::Problem::basis_from_point`]).
+//! models back to the cold certified simplex.
 //!
 //! The fast path never weakens the engine's verification story:
 //!
@@ -45,9 +44,8 @@ use smo_lp::{
 /// CLI and the daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Route difference-only models to the graph solver, warm-start the
-    /// simplex from the graph schedule on mixed models, and fall back to
-    /// the certified LP path on any numerical doubt.
+    /// Route difference-only models to the graph solver; mixed models,
+    /// and any numerical doubt, go to the certified LP path.
     #[default]
     Auto,
     /// Graph solver only; models with rows outside the difference
@@ -234,9 +232,8 @@ pub(crate) enum FastPathOutcome {
     /// The model was pure-difference and solved exactly on the graph.
     Solved(Box<TimingSolution>),
     /// The model has rows outside the difference fragment; the simplex
-    /// must run, warm-started from the graph relaxation's schedule when
-    /// one was obtained.
-    WarmStart(Option<smo_lp::Basis>),
+    /// must run.
+    Mixed,
 }
 
 /// Runs the fast path on a freshly built model. With `certify` off, a
@@ -258,8 +255,11 @@ pub(crate) fn attempt(
     certify: bool,
 ) -> Result<FastPathOutcome, TimingError> {
     let p = model.problem();
-    let (sys, pure, outcome) = min_ratio(circuit, model, budget)?;
-    match outcome {
+    let images = variable_images(circuit, model);
+    let cls = classify(p, &images)?;
+    let pure = cls.is_pure();
+    let sys = DifferenceSystem::build(p, &images, &cls)?;
+    match sys.minimize_param(budget)? {
         MinParamOutcome::Infeasible(cert) => {
             if cert.check(p) {
                 Err(infeasibility_error(circuit, model, &cert))
@@ -270,7 +270,7 @@ pub(crate) fn attempt(
                     context: "graph negative-cycle certificate failed its independent check".into(),
                 }))
             } else {
-                Ok(FastPathOutcome::WarmStart(None))
+                Ok(FastPathOutcome::Mixed)
             }
         }
         MinParamOutcome::Optimal {
@@ -278,13 +278,12 @@ pub(crate) fn attempt(
             potentials,
             witness,
         } => {
-            let x = reconstruct_point(circuit, model, lambda, &potentials);
             if !pure {
-                // Mixed mode: the graph relaxation's schedule seeds the
-                // simplex through the crossover; a failed crossover just
-                // means a cold start.
-                return Ok(FastPathOutcome::WarmStart(p.basis_from_point(&x).ok()));
+                // The difference subset's optimum only bounds a mixed
+                // model's Tc from below; the simplex decides.
+                return Ok(FastPathOutcome::Mixed);
             }
+            let x = reconstruct_point(circuit, model, lambda, &potentials);
             let mut solution = build_solution(circuit, model, update, lambda, &x)?;
             if certify {
                 let lower = sys.param_range().0;
@@ -314,11 +313,24 @@ pub(crate) fn min_cycle_ratio(
     model: &TimingModel,
     certify: bool,
 ) -> Result<Option<f64>, TimingError> {
-    let Ok((sys, true, outcome)) = min_ratio(circuit, model, &SolveBudget::UNLIMITED) else {
+    let p = model.problem();
+    let images = variable_images(circuit, model);
+    // A mixed model is the simplex's to solve: stop before building and
+    // minimizing a difference system whose optimum would only bound Tc.
+    let Ok(cls) = classify(p, &images) else {
+        return Ok(None);
+    };
+    if !cls.is_pure() {
+        return Ok(None);
+    }
+    let Ok(sys) = DifferenceSystem::build(p, &images, &cls) else {
+        return Ok(None);
+    };
+    let Ok(outcome) = sys.minimize_param(&SolveBudget::UNLIMITED) else {
         return Ok(None);
     };
     match outcome {
-        MinParamOutcome::Infeasible(cert) if cert.check(model.problem()) => {
+        MinParamOutcome::Infeasible(cert) if cert.check(p) => {
             Err(infeasibility_error(circuit, model, &cert))
         }
         MinParamOutcome::Optimal {
@@ -337,21 +349,6 @@ pub(crate) fn min_cycle_ratio(
         }
         MinParamOutcome::Infeasible(_) => Ok(None),
     }
-}
-
-/// The min-ratio solve on the model's difference rows: the difference
-/// system, whether it covers every row (a pure model), and the outcome.
-fn min_ratio(
-    circuit: &Circuit,
-    model: &TimingModel,
-    budget: &SolveBudget,
-) -> Result<(DifferenceSystem, bool, MinParamOutcome), TimingError> {
-    let p = model.problem();
-    let images = variable_images(circuit, model);
-    let cls = classify(p, &images)?;
-    let sys = DifferenceSystem::build(p, &images, &cls)?;
-    let outcome = sys.minimize_param(budget)?;
-    Ok((sys, cls.is_pure(), outcome))
 }
 
 /// Reconstructs the canonical graph schedule at a *fixed* cycle time:
@@ -697,12 +694,12 @@ mod tests {
     }
 
     #[test]
-    fn mixed_model_warm_starts_the_simplex() {
+    fn mixed_model_under_auto_certifies_and_matches_lp() {
         let c = example1(80.0);
         let mut model = TimingModel::build(&c).unwrap();
         // A redundant non-difference row (sum of two widths): the fast
-        // path must refuse to decide alone and hand back a crossover
-        // basis for the simplex.
+        // path must refuse to decide alone, and `auto` must fall through
+        // to the same certified simplex solve as `lp`.
         let (w1, w2, tc) = {
             let vars = model.vars();
             (
@@ -721,13 +718,26 @@ mod tests {
             true,
         )
         .unwrap();
-        let FastPathOutcome::WarmStart(basis) = outcome else {
-            panic!("general row must not solve on the graph");
+        assert!(
+            matches!(outcome, FastPathOutcome::Mixed),
+            "general row must not solve on the graph"
+        );
+        let solve = |backend| {
+            let options = MlpOptions {
+                backend,
+                ..Default::default()
+            };
+            crate::mlp::solve_built(&c, &model, &options).unwrap()
         };
-        let basis = basis.expect("subset relaxation should cross over");
-        let warm = model.solve_lp_from_basis(&basis).unwrap();
-        let cold = model.solve_lp().unwrap();
-        assert!((warm.objective() - cold.objective()).abs() < 1e-9);
+        let auto = solve(Backend::Auto);
+        let lp = solve(Backend::Lp);
+        assert_eq!(auto.backend(), Backend::Lp);
+        assert!(auto.graph_certificate().is_none());
+        assert!(!auto.certificates().is_empty());
+        assert!(auto.certificates().iter().all(|c| c.is_valid()));
+        assert_eq!(auto.cycle_time(), lp.cycle_time());
+        assert_eq!(auto.schedule(), lp.schedule());
+        assert!((auto.cycle_time() - 110.0).abs() < 1e-9);
     }
 
     #[test]

@@ -28,16 +28,16 @@
 //!   C1–C3 / L1 / L2R constraints in conflict.
 //! * **Timing diagrams** ([`render_schedule`], [`render_solution`]) — ASCII
 //!   renderings in the style of Figs. 6 and 11.
-//! * **Parallel sweeps** ([`sweep_cycle_time`]) — warm-started batch
-//!   re-solves: parametric clock sweeps and Monte-Carlo delay
+//! * **Parallel sweeps** ([`sweep_cycle_time`]) — batch re-solves on the
+//!   graph, cold simplex where it cannot settle: parametric clock sweeps and Monte-Carlo delay
 //!   perturbations fanned over a work-claiming thread pool, deterministic
 //!   for any thread count.
 //! * **Difference-constraint fast path** ([`Backend`], [`classify_model`])
 //!   — a static row classifier maps the SMO model onto a
 //!   difference-constraint graph; pure models solve by Bellman–Ford plus
 //!   Lawler's exact min-cycle-ratio iteration (no simplex at all) with an
-//!   independently re-checked [`GraphCertificate`], mixed models
-//!   warm-start the simplex from the graph schedule, and infeasibility
+//!   independently re-checked [`GraphCertificate`], mixed models go to
+//!   the cold certified simplex, and infeasibility
 //!   surfaces as a machine-checked negative-cycle Farkas certificate named
 //!   in paper vocabulary.
 //! * **Short-path race detection** ([`race_analysis`]) — the dual hazard
@@ -111,8 +111,7 @@ pub use fastpath::{
     GraphCertificate,
 };
 pub use mlp::{
-    min_cycle_time, min_cycle_time_warm, min_cycle_time_with, solve_model, solve_model_canonical,
-    MlpOptions, UpdateMode,
+    min_cycle_time, min_cycle_time_with, solve_model, solve_model_canonical, MlpOptions, UpdateMode,
 };
 pub use model::{
     shift_expr, ConstraintInfo, ConstraintKind, ConstraintOptions, DeparturePinning,

@@ -155,55 +155,26 @@ pub fn min_cycle_time_with(
     circuit: &Circuit,
     options: &MlpOptions,
 ) -> Result<TimingSolution, TimingError> {
-    run_mlp(circuit, options, None, None)
-}
-
-/// [`min_cycle_time_with`] for resident callers (the `smo serve` daemon,
-/// sweep-style batches): optionally seeds the first LP from a cached basis
-/// snapshot and hands back the snapshot of this solve's cycle-time LP for
-/// the caller's cache.
-///
-/// The returned basis fits any model sharing this one's
-/// [`matrix_fingerprint`](smo_lp::Problem::matrix_fingerprint) — delay
-/// edits change only right-hand sides, so perturbed copies of the same
-/// topology warm-start from it. `None` when no LP ran (pure models solved
-/// outright by the graph fast path) or the solver produced no snapshot. A
-/// stale or ill-fitting `warm` falls back to a cold solve silently;
-/// verdicts never depend on the warm start.
-///
-/// # Errors
-///
-/// See [`min_cycle_time`].
-pub fn min_cycle_time_warm(
-    circuit: &Circuit,
-    options: &MlpOptions,
-    warm: Option<&smo_lp::Basis>,
-) -> Result<(TimingSolution, Option<smo_lp::Basis>), TimingError> {
-    let mut captured = None;
-    let solution = run_mlp(circuit, options, warm, Some(&mut captured))?;
-    Ok((solution, captured))
-}
-
-/// Shared driver behind [`min_cycle_time_with`] / [`min_cycle_time_warm`]:
-/// one budget for every stage, optional warm seed, optional basis capture.
-fn run_mlp(
-    circuit: &Circuit,
-    options: &MlpOptions,
-    warm_in: Option<&smo_lp::Basis>,
-    captured: Option<&mut Option<smo_lp::Basis>>,
-) -> Result<TimingSolution, TimingError> {
     let model = TimingModel::build_with(circuit, &options.constraints)?;
+    solve_built(circuit, &model, options)
+}
+
+/// [`min_cycle_time_with`] on an already built model (which may carry
+/// extra rows): one budget for every stage.
+pub(crate) fn solve_built(
+    circuit: &Circuit,
+    model: &TimingModel,
+    options: &MlpOptions,
+) -> Result<TimingSolution, TimingError> {
     let budget = options.budget();
     let policy = options.policy(budget);
-    // Difference-constraint fast path: exact graph solve on pure models,
-    // crossover warm start on mixed ones (see [`crate::fastpath`]). A
-    // caller-cached optimal basis beats the crossover guess when both are
-    // on offer.
-    let mut warm: Option<smo_lp::Basis> = warm_in.cloned();
+    // Difference-constraint fast path: exact graph solve on pure models;
+    // mixed ones fall through to the cold simplex (see
+    // [`crate::fastpath`]).
     if options.backend != Backend::Lp {
-        match fastpath::attempt(circuit, &model, options.update, &budget, options.certify) {
+        match fastpath::attempt(circuit, model, options.update, &budget, options.certify) {
             Ok(FastPathOutcome::Solved(solution)) => return Ok(*solution),
-            Ok(FastPathOutcome::WarmStart(basis)) => {
+            Ok(FastPathOutcome::Mixed) => {
                 if options.backend == Backend::Graph {
                     return Err(TimingError::InvalidOptions {
                         reason: "backend `graph` requires a pure difference-constraint \
@@ -211,9 +182,6 @@ fn run_mlp(
                                  constraints (use `auto` or `lp`)"
                             .into(),
                     });
-                }
-                if warm.is_none() {
-                    warm = basis;
                 }
             }
             Err(e @ TimingError::Infeasible { .. }) => return Err(e),
@@ -238,9 +206,9 @@ fn run_mlp(
         pricing: options.pricing,
     };
     if options.canonicalize {
-        canonical_inner(circuit, &model, &lp, warm.as_ref(), captured)
+        canonical_inner(circuit, model, &lp)
     } else {
-        model_inner(circuit, &model, &lp, warm.as_ref(), captured)
+        model_inner(circuit, model, &lp)
     }
 }
 
@@ -265,20 +233,19 @@ impl LpStage<'_> {
         }
     }
 
-    /// Solves `model`'s LP (warm-started from `warm` when given), with the
-    /// certificate when the stage certifies.
+    /// Solves `model`'s LP cold, with the certificate when the stage
+    /// certifies.
     fn solve(
         &self,
         model: &TimingModel,
-        warm: Option<&smo_lp::Basis>,
     ) -> Result<(smo_lp::OptimalSolution, Vec<smo_lp::Certificate>), TimingError> {
         match self.policy {
             Some(pol) => {
-                let (sol, cert) = model.solve_lp_certified_from_basis(pol, warm)?;
+                let (sol, cert) = model.solve_lp_certified(pol)?;
                 Ok((sol, vec![cert]))
             }
             None => Ok((
-                model.solve_lp_budgeted(warm, self.budget, self.pricing)?,
+                model.solve_lp_budgeted(self.budget, self.pricing)?,
                 Vec::new(),
             )),
         }
@@ -298,25 +265,16 @@ pub fn solve_model_canonical(
     model: &TimingModel,
     update: UpdateMode,
 ) -> Result<TimingSolution, TimingError> {
-    canonical_inner(circuit, model, &LpStage::plain(update), None, None)
+    canonical_inner(circuit, model, &LpStage::plain(update))
 }
 
-/// Canonicalizing pipeline shared by the certified and plain paths. A warm
-/// basis (from the fast path's crossover) only seeds the *first* solve —
-/// the refined model has an extra row, so the snapshot no longer fits it.
-/// For the same reason `captured` snapshots the *first* (cycle-time) solve:
-/// that is the basis a later solve of this model can be seeded with.
+/// Canonicalizing pipeline shared by the certified and plain paths.
 fn canonical_inner(
     circuit: &Circuit,
     model: &TimingModel,
     lp: &LpStage<'_>,
-    warm: Option<&smo_lp::Basis>,
-    captured: Option<&mut Option<smo_lp::Basis>>,
 ) -> Result<TimingSolution, TimingError> {
-    let (first, mut certificates) = lp.solve(model, warm)?;
-    if let Some(slot) = captured {
-        *slot = first.basis().cloned();
-    }
+    let (first, mut certificates) = lp.solve(model)?;
     let tc_opt = first.objective();
 
     let mut refined = model.clone();
@@ -331,7 +289,7 @@ fn canonical_inner(
         }
         p.minimize(secondary);
     }
-    match model_inner(circuit, &refined, lp, None, None) {
+    match model_inner(circuit, &refined, lp) {
         Ok(mut solution) => {
             solution.num_constraints = model.num_constraints();
             solution.lp_iterations += first.iterations();
@@ -349,7 +307,7 @@ fn canonical_inner(
         // infeasibility), so that exhaustion gets the same fallback.
         Err(TimingError::Infeasible { .. })
         | Err(TimingError::Lp(smo_lp::LpError::CertificationFailed { .. })) => {
-            model_inner(circuit, model, lp, warm, None)
+            model_inner(circuit, model, lp)
         }
         Err(e) => Err(e),
     }
@@ -367,7 +325,7 @@ pub fn solve_model(
     model: &TimingModel,
     update: UpdateMode,
 ) -> Result<TimingSolution, TimingError> {
-    model_inner(circuit, model, &LpStage::plain(update), None, None)
+    model_inner(circuit, model, &LpStage::plain(update))
 }
 
 /// Step 2 of Algorithm MLP: slide the departures from `d0` to the
@@ -417,21 +375,14 @@ pub(crate) fn slide_departures(
     Ok((result.departures, arrivals, result.iterations))
 }
 
-/// Steps 1–2 of Algorithm MLP, optionally on the certified LP path,
-/// optionally warm-started from a crossover basis, with the LP's basis
-/// snapshot handed back through `captured` for resident callers' caches.
+/// Steps 1–2 of Algorithm MLP, optionally on the certified LP path.
 fn model_inner(
     circuit: &Circuit,
     model: &TimingModel,
     lp: &LpStage<'_>,
-    warm: Option<&smo_lp::Basis>,
-    captured: Option<&mut Option<smo_lp::Basis>>,
 ) -> Result<TimingSolution, TimingError> {
     // Step 1: LP.
-    let (sol, certificates) = lp.solve(model, warm)?;
-    if let Some(slot) = captured {
-        *slot = sol.basis().cloned();
-    }
+    let (sol, certificates) = lp.solve(model)?;
     let schedule = model.extract_schedule(&sol)?;
     let d0 = model.extract_departures(&sol);
 

@@ -684,67 +684,7 @@ impl TimingModel {
         &self,
         policy: &smo_lp::RecoveryPolicy,
     ) -> Result<(OptimalSolution, smo_lp::Certificate), TimingError> {
-        self.solve_lp_certified_from_basis(policy, None)
-    }
-
-    /// Like [`TimingModel::solve_lp`], warm-starting from a basis snapshot
-    /// captured by an earlier optimal solve of this model or of a
-    /// delay-perturbed copy (see
-    /// [`Problem::solve_from_basis`](smo_lp::Problem::solve_from_basis)).
-    ///
-    /// Delay edits via [`TimingModel::set_edge_delay`] change only
-    /// right-hand sides, so the snapshot stays structurally valid and the
-    /// repair is typically a handful of dual-simplex pivots instead of a
-    /// from-scratch phase 1. A snapshot that no longer fits falls back to
-    /// the cold path silently — verdicts never depend on the warm start.
-    ///
-    /// # Errors
-    ///
-    /// See [`TimingModel::solve_lp`].
-    pub fn solve_lp_from_basis(
-        &self,
-        basis: &smo_lp::Basis,
-    ) -> Result<OptimalSolution, TimingError> {
-        optimal(self.problem.solve_from_basis(basis)?)
-    }
-
-    /// The uncertified analogue of
-    /// [`TimingModel::solve_lp_certified_from_basis`]: one plain solve
-    /// (warm-started when a snapshot is supplied) under a wall-clock /
-    /// iteration budget, so `--time-limit` holds even with `--no-certify`.
-    ///
-    /// # Errors
-    ///
-    /// As [`TimingModel::solve_lp`], plus [`smo_lp::LpError::Budget`]
-    /// (wrapped in [`TimingError::Lp`]) when the budget runs out.
-    pub fn solve_lp_budgeted(
-        &self,
-        warm: Option<&smo_lp::Basis>,
-        budget: smo_lp::SolveBudget,
-        pricing: smo_lp::Pricing,
-    ) -> Result<OptimalSolution, TimingError> {
-        optimal(match warm {
-            Some(b) => self
-                .problem
-                .solve_from_basis_with_options(b, budget, pricing)?,
-            None => self.problem.solve_with_options(budget, pricing)?,
-        })
-    }
-
-    /// Like [`TimingModel::solve_lp_certified`], with an optional basis
-    /// snapshot prepended as the first rung of the recovery ladder. The
-    /// certificate is still evaluated against the raw constraint rows, so a
-    /// warm-started solve certifies exactly as strictly as a cold one.
-    ///
-    /// # Errors
-    ///
-    /// See [`TimingModel::solve_lp_certified`].
-    pub fn solve_lp_certified_from_basis(
-        &self,
-        policy: &smo_lp::RecoveryPolicy,
-        basis: Option<&smo_lp::Basis>,
-    ) -> Result<(OptimalSolution, smo_lp::Certificate), TimingError> {
-        let certified = self.problem.solve_certified_from_basis(policy, basis)?;
+        let certified = self.problem.solve_certified(policy)?;
         match certified.status() {
             smo_lp::Status::Optimal => {
                 let Some(cert) = certified.certificate().cloned() else {
@@ -762,6 +702,22 @@ impl TimingModel {
             }),
             smo_lp::Status::Unbounded => Err(TimingError::Unbounded),
         }
+    }
+
+    /// The uncertified analogue of [`TimingModel::solve_lp_certified`]:
+    /// one plain cold solve under a wall-clock / iteration budget, so
+    /// `--time-limit` holds even with `--no-certify`.
+    ///
+    /// # Errors
+    ///
+    /// As [`TimingModel::solve_lp`], plus [`smo_lp::LpError::Budget`]
+    /// (wrapped in [`TimingError::Lp`]) when the budget runs out.
+    pub fn solve_lp_budgeted(
+        &self,
+        budget: smo_lp::SolveBudget,
+        pricing: smo_lp::Pricing,
+    ) -> Result<OptimalSolution, TimingError> {
+        optimal(self.problem.solve_with_options(budget, pricing)?)
     }
 
     /// Extracts the clock schedule from an LP solution of this model.

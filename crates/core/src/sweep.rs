@@ -1,5 +1,5 @@
 //! Parallel parameter sweeps: graph re-solves on difference models,
-//! warm-started simplex re-solves on the rest.
+//! cold simplex re-solves on the rest.
 //!
 //! §VI of the paper motivates "parametric programming techniques … to
 //! study the effects on the optimal cycle time of varying the circuit
@@ -11,8 +11,8 @@
 //! thread pool:
 //!
 //! * **Clock sweeps** ([`SweepParam::Tc`]) — a grid sweep of one edge's
-//!   delay over `[0, max]`, each grid point re-solved from the base
-//!   optimum's basis, cross-checkable against the exact piecewise-linear
+//!   delay over `[0, max]`, each grid point re-solved from scratch,
+//!   cross-checkable against the exact piecewise-linear
 //!   curve ([`cycle_time_curve`](crate::cycle_time_curve)) whose
 //!   breakpoints ride along in the report.
 //! * **Monte-Carlo delay perturbation** ([`SweepParam::Delay`]) — every
@@ -23,30 +23,25 @@
 //!
 //! ## How a run is solved
 //!
-//! Each circuit is classified once. When every row of its model is a
-//! difference constraint — true of every default SMO model — each run is
-//! an exact min-cycle-ratio solve on the difference graph, the same code
-//! the `auto` backend solves with ([`Backend::Auto`](crate::Backend)),
-//! and `certify` re-checks each optimum into a
+//! Each run, and the unperturbed base, is solved the way the `auto`
+//! backend solves ([`Backend::Auto`](crate::Backend)). When every row of
+//! the model is a difference constraint — true of every default SMO
+//! model — the run is an exact min-cycle-ratio solve on the difference
+//! graph, and `certify` re-checks each optimum into a
 //! [`GraphCertificate`](crate::GraphCertificate). Such runs report zero
-//! pivots. A run the graph cannot settle (numerical doubt, a failed
-//! certificate) falls back to a cold simplex solve, as `auto` does.
-//!
-//! Models with other rows take the simplex route. Delay edits touch only
-//! constraint right-hand sides ([`TimingModel::set_edge_delay`]), never
-//! the matrix. A basis that was optimal for the base delays therefore
-//! stays *dual feasible* after any perturbation, and each re-solve is a
-//! short sparse-LU dual-simplex repair instead of a from-scratch phase 1.
+//! pivots. A run the graph cannot settle (a mixed model, numerical
+//! doubt, a failed certificate) gets a cold sparse-LU simplex solve,
+//! certified when `certify` is set.
 //!
 //! ## Determinism contract
 //!
 //! Results are identical for any `jobs` value: run `i` of a circuit is
 //! seeded with `seed + i` (the `smo-sim` Monte-Carlo convention), every
-//! simplex run warm-starts from the same deterministic base basis, and the
-//! reduction is ordered by `(circuit, run)` index — worker scheduling
-//! affects wall-clock only. `smo sweep --json` is byte-identical across
-//! `--jobs 1/2/8` because of this contract; `tests/warm_start.rs` locks
-//! it down.
+//! run is solved from scratch on a model restored bit-for-bit to the base
+//! delays, and the reduction is ordered by `(circuit, run)` index —
+//! worker scheduling affects wall-clock only. `smo sweep --json` is
+//! byte-identical across `--jobs 1/2/8` because of this contract;
+//! `tests/sweep.rs` locks it down.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,7 +52,7 @@ use crate::model::TimingModel;
 use crate::sensitivity::cycle_time_curve;
 use smo_circuit::{Circuit, EdgeId};
 use smo_gen::random::perturbed_delays;
-use smo_lp::{Basis, ConstraintId, RecoveryPolicy};
+use smo_lp::{ConstraintId, RecoveryPolicy};
 
 /// Which parameter a sweep varies.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,8 +92,8 @@ pub struct SweepOptions {
     /// Check every re-solve independently: graph runs re-derive a
     /// [`GraphCertificate`](crate::GraphCertificate), simplex runs go
     /// through the certified ladder
-    /// ([`TimingModel::solve_lp_certified_from_basis`]) and are KKT-checked
-    /// against raw problem data.
+    /// ([`TimingModel::solve_lp_certified`]) and are KKT-checked against
+    /// raw problem data.
     pub certify: bool,
     /// Simplex pricing strategy for every simplex solve in the sweep.
     /// Identical verdicts and optima under every strategy.
@@ -129,9 +124,8 @@ pub struct SweepRun {
     pub value: f64,
     /// Optimal cycle time `T_c*` at this parameter value.
     pub cycle_time: f64,
-    /// Simplex pivots this re-solve needed: zero on the graph route;
-    /// after a successful warm repair only the repair pivots. Compare
-    /// with [`SweepReport::base_iterations`] for the cold baseline.
+    /// Simplex pivots of this re-solve's cold fallback: zero on the graph
+    /// route.
     pub iterations: usize,
 }
 
@@ -142,8 +136,8 @@ pub struct SweepReport {
     pub circuit: usize,
     /// Optimal cycle time of the unperturbed model.
     pub base_cycle_time: f64,
-    /// Pivots of the cold base solve (the per-run warm baseline; zero on
-    /// the graph route).
+    /// Simplex pivots of the base solve's cold fallback (zero on the
+    /// graph route).
     pub base_iterations: usize,
     /// All runs, ordered by index.
     pub runs: Vec<SweepRun>,
@@ -156,47 +150,27 @@ pub struct SweepReport {
     pub max_cycle_time: f64,
     /// Mean cycle time over the runs (summed in index order).
     pub mean_cycle_time: f64,
-    /// Total pivots across all warm re-solves.
+    /// Total cold-fallback pivots across all re-solves (zero on the graph
+    /// route). The name and its JSON key predate the cold-only simplex.
     pub warm_iterations: usize,
 }
 
 /// The base solve of one circuit, shared read-only with the workers.
 struct BaseSolve {
     model: TimingModel,
-    /// The simplex route's warm-start seed: the standard-form matrix
-    /// fingerprint (the worker-side basis-cache key) and the base basis.
-    /// `None` on the graph route.
-    seed: Option<(u64, Basis)>,
     cycle_time: f64,
     iterations: usize,
 }
 
 impl BaseSolve {
-    /// Classifies `circuit` and solves its unperturbed model: on the graph
-    /// when the model is a pure difference system, else by a cold
-    /// sparse-LU solve whose basis seeds the warm runs.
+    /// Builds `circuit`'s unperturbed model and solves it like any run.
     fn new(circuit: &Circuit, options: &SweepOptions) -> Result<Self, TimingError> {
         let model = TimingModel::build(circuit)?;
-        if let Some(cycle_time) = fastpath::min_cycle_ratio(circuit, &model, options.certify)? {
-            return Ok(BaseSolve {
-                model,
-                seed: None,
-                cycle_time,
-                iterations: 0,
-            });
-        }
-        let fingerprint = model.problem().matrix_fingerprint()?;
-        let sol = model.solve_lp()?;
-        let basis = sol.basis().cloned().ok_or_else(|| {
-            TimingError::Lp(smo_lp::LpError::Numerical {
-                context: "optimal base solve returned no basis snapshot".into(),
-            })
-        })?;
+        let (cycle_time, iterations) = solve_run(circuit, &model, options)?;
         Ok(BaseSolve {
-            cycle_time: sol.value(model.vars().tc()),
-            iterations: sol.iterations(),
             model,
-            seed: Some((fingerprint, basis)),
+            cycle_time,
+            iterations,
         })
     }
 }
@@ -207,9 +181,6 @@ impl BaseSolve {
 ///
 /// All `circuits.len() × runs` re-solves are interleaved over
 /// `options.jobs` threads that claim work from a shared atomic counter.
-/// On the simplex route each worker keeps a private basis cache keyed by
-/// the circuit's standard-form matrix fingerprint, so structurally
-/// identical circuits share one warm-start basis per worker.
 ///
 /// # Errors
 ///
@@ -228,9 +199,6 @@ pub fn sweep_cycle_time(
     }
 
     // Base solves: one deterministic solve per circuit, on this thread.
-    // On the simplex route their bases seed the workers' caches and their
-    // iteration counts are the honest cold baseline each warm run is
-    // compared against.
     let bases: Vec<BaseSolve> = circuits
         .iter()
         .map(|c| BaseSolve::new(c, options))
@@ -250,10 +218,6 @@ pub fn sweep_cycle_time(
 
     let work = |_worker: usize| -> Result<Vec<(usize, SweepRun)>, (usize, TimingError)> {
         let mut out = Vec::new();
-        // The per-worker basis cache of the simplex route. Keyed by matrix
-        // fingerprint, so two structurally identical circuits in the batch
-        // share an entry.
-        let mut cache: HashMap<u64, Basis> = HashMap::new();
         // The per-worker model cache: one clone of each circuit's base
         // model, perturbed in place (RHS only) and restored after every
         // run. Cloning per (worker, circuit) instead of per run removes
@@ -266,12 +230,8 @@ pub fn sweep_cycle_time(
             }
             let c = w / options.runs;
             let i = w % options.runs;
-            let base = &bases[c];
-            let basis = base.seed.as_ref().map(|(fingerprint, basis)| {
-                &*cache.entry(*fingerprint).or_insert_with(|| basis.clone())
-            });
-            let model = models.entry(c).or_insert_with(|| base.model.clone());
-            match run_one(&circuits[c], model, basis, i, options) {
+            let model = models.entry(c).or_insert_with(|| bases[c].model.clone());
+            match run_one(&circuits[c], model, i, options) {
                 Ok(run) => out.push((w, run)),
                 Err(e) => return Err((w, e)),
             }
@@ -379,13 +339,11 @@ fn record_and_set(
 }
 
 /// One re-solve: perturb the worker's cached model in place (RHS edits
-/// only), solve it — on the graph, or warm-started from the worker's
-/// cached `basis` on the simplex route — then restore the recorded
-/// right-hand sides so the model is pristine for the next run.
+/// only), solve it ([`solve_run`]), then restore the recorded right-hand
+/// sides so the model is pristine for the next run.
 fn run_one(
     circuit: &Circuit,
     model: &mut TimingModel,
-    basis: Option<&Basis>,
     i: usize,
     options: &SweepOptions,
 ) -> Result<SweepRun, TimingError> {
@@ -421,7 +379,7 @@ fn run_one(
             worst
         }
     };
-    let solved = solve_run(circuit, model, basis, options);
+    let solved = solve_run(circuit, model, options);
     // Restore before propagating any error: the cached model must hold the
     // exact base RHS whenever run_one returns.
     for &(row, rhs) in touched.iter().rev() {
@@ -436,29 +394,24 @@ fn run_one(
     })
 }
 
-/// The cycle time and pivot count of one perturbed model: the graph
-/// min-ratio solve when there is no simplex `basis` to start from (and the
-/// graph settles the run), else a sparse-LU solve warm-started from
-/// `basis` when given.
+/// The cycle time and pivot count of one model: the graph min-ratio
+/// solve when it settles the model, else a cold sparse-LU solve.
 fn solve_run(
     circuit: &Circuit,
     model: &TimingModel,
-    basis: Option<&Basis>,
     options: &SweepOptions,
 ) -> Result<(f64, usize), TimingError> {
-    if basis.is_none() {
-        if let Some(tc) = fastpath::min_cycle_ratio(circuit, model, options.certify)? {
-            return Ok((tc, 0));
-        }
+    if let Some(tc) = fastpath::min_cycle_ratio(circuit, model, options.certify)? {
+        return Ok((tc, 0));
     }
     let sol = if options.certify {
         let policy = RecoveryPolicy {
             pricing: options.pricing,
             ..RecoveryPolicy::default()
         };
-        model.solve_lp_certified_from_basis(&policy, basis)?.0
+        model.solve_lp_certified(&policy)?.0
     } else {
-        model.solve_lp_budgeted(basis, smo_lp::SolveBudget::UNLIMITED, options.pricing)?
+        model.solve_lp_budgeted(smo_lp::SolveBudget::UNLIMITED, options.pricing)?
     };
     Ok((sol.value(model.vars().tc()), sol.iterations()))
 }
@@ -625,37 +578,32 @@ mod tests {
     }
 
     #[test]
-    fn simplex_route_warm_runs_use_fewer_pivots_than_the_cold_base() {
-        // A model big enough that the repair-vs-phase-1 gap is visible,
-        // forced onto the simplex route by seeding the run with a basis.
-        let c = random_circuit(
-            &GenConfig {
-                latches: 40,
-                edges: 70,
-                ..Default::default()
-            },
-            7,
-        );
-        let options = SweepOptions {
-            param: SweepParam::Delay { spread: 0.05 },
-            runs: 12,
-            seed: 3,
-            ..Default::default()
-        };
+    fn runs_the_graph_cannot_settle_get_a_cold_simplex_solve() {
+        // A redundant non-difference row (sum of two widths) makes the
+        // model mixed: the graph declines it and the run is solved cold.
+        let c = example1(80.0);
         let mut model = TimingModel::build(&c).unwrap();
-        let base = model.solve_lp().unwrap();
-        let basis = base.basis().cloned().unwrap();
-        let mut warm = 0;
-        for i in 0..options.runs {
-            let run = run_one(&c, &mut model, Some(&basis), i, &options).unwrap();
-            warm += run.iterations;
+        let (w1, w2, tc) = {
+            let vars = model.vars();
+            (
+                vars.width(smo_circuit::PhaseId::new(0)),
+                vars.width(smo_circuit::PhaseId::new(1)),
+                vars.tc(),
+            )
+        };
+        let expr = smo_lp::LinExpr::from(w1) + w2 - tc - tc;
+        model.problem_mut().constrain(expr, smo_lp::Sense::Le, 0.0);
+        let cold = model.solve_lp().unwrap();
+        for certify in [false, true] {
+            let options = SweepOptions {
+                param: SweepParam::Delay { spread: 0.0 },
+                certify,
+                ..Default::default()
+            };
+            let run = run_one(&c, &mut model, 0, &options).unwrap();
+            assert!((run.cycle_time - cold.objective()).abs() < 1e-9);
+            assert_eq!(run.iterations, cold.iterations());
         }
-        let mean_warm = warm as f64 / options.runs as f64;
-        assert!(
-            mean_warm < base.iterations() as f64 / 2.0,
-            "warm mean {mean_warm} vs cold base {}",
-            base.iterations()
-        );
     }
 
     #[test]

@@ -335,8 +335,8 @@ enum ParamBoundSrc {
 ///
 /// Built by [`DifferenceSystem::build`]; solves the subset *exactly* when
 /// the classification [`is_pure`](Classification::is_pure), and a
-/// relaxation (useful for warm starts and early infeasibility detection —
-/// an infeasible subset proves the full problem infeasible) otherwise.
+/// relaxation (useful for early infeasibility detection — an infeasible
+/// subset proves the full problem infeasible) otherwise.
 #[derive(Debug, Clone)]
 pub struct DifferenceSystem {
     /// Caller node space; the origin is appended at index `num_nodes`.

@@ -32,17 +32,18 @@
 //!   *original* problem,
 //! * solve budgets ([`SolveBudget`]): wall-clock deadlines and iteration
 //!   allowances enforced inside the pivot loops,
-//! * basis warm-starting ([`Basis`], [`Problem::solve_from_basis`]): every
-//!   optimal solve snapshots its basis, and sweep-style workloads re-enter
-//!   it with a bounded dual/primal repair instead of a fresh phase 1 —
-//!   falling back to the cold path whenever the snapshot no longer fits,
 //! * a difference-constraint fast path ([`classify`], [`DifferenceSystem`]):
 //!   rows recognized as two-variable differences `x_i − x_j ≤ base + slope·λ`
 //!   solve by Bellman–Ford feasibility and Lawler's exact min-cycle-ratio
 //!   iteration instead of the simplex, with negative-cycle infeasibility
 //!   certificates that [`certifies_infeasibility`] checks exactly like an LP
-//!   Farkas vector, and a crossover ([`Problem::basis_from_point`]) that
-//!   turns a graph schedule into a warm-start basis for mixed systems.
+//!   Farkas vector.
+//!
+//! Every simplex solve is cold: it starts from the all-logical basis and
+//! runs both phases. The paper solves P2 once per design (§V), and every
+//! model the timing engine builds today is a pure difference system that
+//! the graph path settles with no pivots, so the simplex is a certified
+//! fallback and test oracle rather than an inner loop.
 //!
 //! The SMO constraint matrices contain only `0, ±1` entries (§VI), so f64
 //! arithmetic with modest tolerances ([`EPS`]) is numerically comfortable.
@@ -72,7 +73,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod basis;
 mod error;
 mod export;
 mod expr;
@@ -90,7 +90,6 @@ mod sparse;
 mod tol;
 mod verify;
 
-pub use basis::Basis;
 pub use error::LpError;
 pub use export::write_lp;
 pub use expr::{LinExpr, VarId};

@@ -303,85 +303,6 @@ impl Problem {
         self.validate()?;
         simplex::solve_with_tableau(self, None, budget).map(|(s, _)| s)
     }
-
-    /// Solves warm-starting from a basis snapshot captured by an earlier
-    /// optimal solve ([`Solution::basis`](crate::Solution::basis)) of this
-    /// or a perturbed copy of this model.
-    ///
-    /// The snapshot is installed and repaired with a bounded dual/primal
-    /// phase instead of a from-scratch phase 1; when it no longer fits the
-    /// model (dimensions changed, a row's standard form flipped, the basis
-    /// went singular, the repair budget ran out) the solve silently falls
-    /// back to the cold path. Warm starts therefore never change a
-    /// verdict — an `Infeasible`/`Unbounded` status and its Farkas
-    /// certificate always come from the proven cold phase-1 machinery.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::solve`].
-    pub fn solve_from_basis(&self, basis: &crate::Basis) -> Result<Solution, LpError> {
-        self.solve_from_basis_with_options(
-            basis,
-            crate::recover::SolveBudget::UNLIMITED,
-            crate::Pricing::default(),
-        )
-    }
-
-    /// [`Problem::solve_from_basis`] under a wall-clock / iteration budget
-    /// (shared by the warm attempt and any cold fallback) with an explicit
-    /// pricing strategy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::solve_with_options`].
-    pub fn solve_from_basis_with_options(
-        &self,
-        basis: &crate::Basis,
-        budget: crate::recover::SolveBudget,
-        pricing: crate::Pricing,
-    ) -> Result<Solution, LpError> {
-        self.validate()?;
-        crate::sparse::solve_from_basis_budgeted(self, basis, budget, pricing)
-    }
-
-    /// Crossover: builds a warm-start [`Basis`](crate::Basis) from a bare
-    /// primal point (one value per variable), with no prior simplex run.
-    ///
-    /// This is how a solution produced *outside* the simplex — the
-    /// difference-constraint graph backend's schedule, a cached point from
-    /// a related model — enters the warm-start machinery: rows with strict
-    /// slack at the point get their logical column, tight rows get a
-    /// supporting structural column. The guess is best-effort; if it turns
-    /// out singular or badly infeasible,
-    /// [`Problem::solve_from_basis`] falls back to a cold solve, so the
-    /// verdict is never at risk.
-    ///
-    /// # Errors
-    ///
-    /// [`LpError`] if `x` has the wrong length or the problem fails
-    /// standard-form construction (no objective, malformed bounds, …).
-    pub fn basis_from_point(&self, x: &[f64]) -> Result<crate::Basis, LpError> {
-        self.validate()?;
-        crate::sparse::StdForm::build(self, None)?.basis_from_point(self, x)
-    }
-
-    /// Fingerprint of the standard-form constraint *matrix* — the same
-    /// FNV-1a hash a basis snapshot carries
-    /// ([`Basis::matrix_hash`](crate::Basis::matrix_hash)).
-    ///
-    /// RHS values are deliberately excluded, so two models that differ only
-    /// in right-hand sides (e.g. the same circuit with perturbed delays)
-    /// share a fingerprint. Use it to key warm-start basis caches across a
-    /// batch of structurally identical problems.
-    ///
-    /// # Errors
-    ///
-    /// [`LpError`] if the problem fails validation or standard-form
-    /// construction (no objective, malformed bounds, …).
-    pub fn matrix_fingerprint(&self) -> Result<u64, LpError> {
-        self.validate()?;
-        Ok(crate::sparse::StdForm::build(self, None)?.matrix_hash)
-    }
 }
 
 impl fmt::Display for Problem {

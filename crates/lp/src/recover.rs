@@ -112,10 +112,6 @@ impl SolveBudget {
 /// One rung of the recovery ladder, recorded in the order attempted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryStep {
-    /// Warm-started solve from a caller-supplied basis snapshot (only when
-    /// [`Problem::solve_certified_from_basis`] was given one). Falls back
-    /// to a cold solve internally if the snapshot does not fit.
-    WarmStart,
     /// Plain solve with the policy's pricing rule.
     Initial,
     /// Re-solve after geometric-mean row/column equilibration.
@@ -130,7 +126,6 @@ impl RecoveryStep {
     /// Short human-readable name (for logs and reports).
     pub fn name(&self) -> &'static str {
         match self {
-            RecoveryStep::WarmStart => "warm-start",
             RecoveryStep::Initial => "initial",
             RecoveryStep::Equilibrated => "equilibrated",
             RecoveryStep::AlternatePricing => "alternate-pricing",
@@ -268,9 +263,6 @@ fn refine(
         });
     }
     let mut out = delta.clone();
-    // The correction problem's basis is for the shifted data (its RHS sign
-    // normalization can differ); do not offer it as a warm-start source.
-    out.basis = None;
     for (x, (&d, &xhj)) in out.values.iter_mut().zip(delta.values.iter().zip(xh)) {
         *x = xhj + d / alpha;
     }
@@ -309,26 +301,6 @@ impl Problem {
     /// verdict certifies; any structural error ([`LpError::EmptyModel`],
     /// …) immediately, since no amount of re-solving fixes those.
     pub fn solve_certified(&self, policy: &RecoveryPolicy) -> Result<CertifiedSolution, LpError> {
-        self.solve_certified_from_basis(policy, None)
-    }
-
-    /// [`Problem::solve_certified`] with an optional warm-start basis: when
-    /// `basis` is `Some`, the ladder gets a leading
-    /// [`RecoveryStep::WarmStart`] rung that re-enters the snapshot via
-    /// [`Problem::solve_from_basis_with_options`]. Certification is
-    /// unchanged — the warm solve's verdict is machine-checked against the
-    /// raw problem data exactly like a cold one, and every later rung is
-    /// cold, so a stale or corrupted snapshot can cost time but never
-    /// correctness.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Problem::solve_certified`].
-    pub fn solve_certified_from_basis(
-        &self,
-        policy: &RecoveryPolicy,
-        basis: Option<&crate::Basis>,
-    ) -> Result<CertifiedSolution, LpError> {
         let start = Instant::now();
         let budget = policy.budget;
         let pricing = policy.pricing;
@@ -339,11 +311,7 @@ impl Problem {
         let mut best_cert: Option<Certificate> = None;
         let mut candidate: Option<Solution> = None;
 
-        let mut rungs: Vec<RecoveryStep> = Vec::with_capacity(5);
-        if basis.is_some() {
-            rungs.push(RecoveryStep::WarmStart);
-        }
-        rungs.extend([RecoveryStep::Initial, RecoveryStep::Equilibrated]);
+        let mut rungs = vec![RecoveryStep::Initial, RecoveryStep::Equilibrated];
         if pricing != Pricing::Bland {
             rungs.push(RecoveryStep::AlternatePricing);
         }
@@ -352,10 +320,6 @@ impl Problem {
         for rung in rungs {
             steps.push(rung);
             let attempt: RungResult = match rung {
-                RecoveryStep::WarmStart => {
-                    let b = basis.expect("warm rung only scheduled with a basis");
-                    self.solve_from_basis_with_options(b, budget, pricing)
-                }
                 RecoveryStep::Initial => self.solve_with_options(budget, pricing),
                 RecoveryStep::Equilibrated | RecoveryStep::AlternatePricing => {
                     let rung_pricing = if rung == RecoveryStep::AlternatePricing {

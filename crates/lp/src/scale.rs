@@ -123,9 +123,6 @@ impl Equilibration {
     /// the objective exactly on original data).
     pub(crate) fn unscale(&self, original: &Problem, scaled: &Solution) -> Solution {
         let mut out = scaled.clone();
-        // The basis belongs to the *scaled* problem's standard form; it is
-        // not a valid warm-start source for the original model.
-        out.basis = None;
         for (x, k) in out.values.iter_mut().zip(&self.col) {
             *x *= k;
         }

@@ -108,7 +108,7 @@ impl Tableau {
     /// Densifies the shared CSC standard form into the classic tableau
     /// layout: one row of width `ncols + 2` per constraint (columns, then
     /// RHS, then the parametric Δ). Every standard-form convention —
-    /// column order, RHS normalization, the matrix hash — is inherited
+    /// column order, RHS normalization — is inherited
     /// from [`StdForm`](crate::sparse::StdForm), so the dense and
     /// sparse-LU engines agree on them by construction.
     pub(crate) fn from_std_form(sf: crate::sparse::StdForm) -> Tableau {
@@ -486,7 +486,6 @@ pub(crate) fn solve_with_tableau(
             // are exactly a Farkas certificate of infeasibility.
             farkas: (status == Status::Infeasible)
                 .then(|| t.map_feasibility_duals(&t.phase1_duals())),
-            basis: None,
             stats: None,
         },
     };
@@ -495,8 +494,6 @@ pub(crate) fn solve_with_tableau(
 }
 
 /// Packages an optimal tableau (reduced costs in `t.z`) as a [`Solution`].
-/// Dense solves carry no basis snapshot: warm starts are the sparse-LU
-/// simplex's job.
 fn package_optimal(p: &Problem, t: &Tableau) -> Solution {
     let values = t.user_values();
     let slacks = p
@@ -519,7 +516,6 @@ fn package_optimal(p: &Problem, t: &Tableau) -> Solution {
         slacks,
         iterations: t.iterations,
         farkas: None,
-        basis: None,
         stats: None,
     }
 }
@@ -713,24 +709,6 @@ mod tests {
         p.minimize(LinExpr::from(x) + 10.0);
         let s = reference(&p).unwrap().into_optimal().unwrap();
         assert!(near(s.objective(), 12.0));
-    }
-
-    #[test]
-    fn matrix_hash_ignores_rhs_but_not_coefficients() {
-        let mut p = Problem::new();
-        let x = p.add_var("x");
-        let c = p.constrain(2.0 * x, Sense::Ge, 3.0);
-        p.minimize(x.into());
-        let h1 = p.matrix_fingerprint().unwrap();
-        p.set_rhs(c, 7.0);
-        let h2 = p.matrix_fingerprint().unwrap();
-        assert_eq!(h1, h2, "RHS change must keep the matrix hash");
-        let mut q = Problem::new();
-        let x = q.add_var("x");
-        q.constrain(4.0 * x, Sense::Ge, 3.0);
-        q.minimize(x.into());
-        let h3 = q.matrix_fingerprint().unwrap();
-        assert_ne!(h1, h3, "coefficient change must change the hash");
     }
 
     #[test]

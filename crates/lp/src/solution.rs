@@ -1,6 +1,5 @@
 //! Solver results: status, primal/dual values, slacks.
 
-use crate::basis::Basis;
 use crate::error::LpError;
 use crate::expr::VarId;
 use crate::problem::ConstraintId;
@@ -44,7 +43,6 @@ pub struct Solution {
     pub(crate) slacks: Vec<f64>,
     pub(crate) iterations: usize,
     pub(crate) farkas: Option<Vec<f64>>,
-    pub(crate) basis: Option<Basis>,
     /// Factorization-kernel counters; only the sparse-LU simplex fills
     /// these in (`#[serde(default)]` keeps old serialized solutions
     /// readable).
@@ -104,17 +102,6 @@ impl Solution {
     /// ([`extract_iis`](crate::extract_iis)).
     pub fn farkas(&self) -> Option<&[f64]> {
         self.farkas.as_deref()
-    }
-
-    /// Basis snapshot captured at an optimal solve, usable to warm-start
-    /// later solves of the same (or a perturbed) model through
-    /// [`Problem::solve_from_basis`](crate::Problem::solve_from_basis).
-    ///
-    /// `None` for non-optimal statuses, and for derived solutions
-    /// (equilibrated, refined) whose internal basis would not
-    /// map back onto the original problem's standard form.
-    pub fn basis(&self) -> Option<&Basis> {
-        self.basis.as_ref()
     }
 
     /// Sparse-LU kernel counters (refactorizations, eta fill) for this
@@ -238,12 +225,6 @@ impl OptimalSolution {
         self.0.iterations
     }
 
-    /// Basis snapshot for warm-starting related solves (see
-    /// [`Solution::basis`]).
-    pub fn basis(&self) -> Option<&Basis> {
-        self.0.basis()
-    }
-
     /// Borrows the underlying [`Solution`].
     pub fn as_solution(&self) -> &Solution {
         &self.0
@@ -277,7 +258,6 @@ mod tests {
             slacks: vec![],
             iterations: 3,
             farkas: None,
-            basis: None,
             stats: None,
         };
         let err = s.into_optimal().unwrap_err();
@@ -300,7 +280,6 @@ mod tests {
             slacks: vec![],
             iterations: 3,
             farkas: Some(vec![-1.0, 0.0, 2.0]),
-            basis: None,
             stats: None,
         };
         assert_eq!(

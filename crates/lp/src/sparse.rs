@@ -2,18 +2,17 @@
 //! factorization with bounded-eta updates, and devex pricing.
 //!
 //! This is the crate's one production simplex: [`Problem::solve`],
-//! warm starts, certified solves and IIS extraction all run here. It is
+//! certified solves and IIS extraction all run here. It is
 //! built for the 10k–100k-latch netlists the paper's §VI scaling
 //! discussion anticipates, so it keeps no dense `m×m` object:
 //!
 //! * **[`StdForm`]** — the standard-form constraint matrix assembled
 //!   directly in compressed sparse columns. It is the *single source of
 //!   truth* for the standard-form conventions (variable shifting and
-//!   splitting, bound rows, RHS normalization, logical-column order, the
-//!   FNV-1a matrix hash): the dense reference tableau of
-//!   [`crate::simplex`] is densified *from* it, so a [`Basis`] snapshot,
-//!   a cached `matrix_hash`, or a dual vector means exactly the same thing
-//!   under both engines by construction.
+//!   splitting, bound rows, RHS normalization, logical-column order): the
+//!   dense reference tableau of [`crate::simplex`] is densified *from* it,
+//!   so a column index or a dual vector means exactly the same thing under
+//!   both engines by construction.
 //! * **[`LuFactors`]** — a sparse LU factorization of the basis with
 //!   Markowitz pivot ordering (minimize `(r−1)(c−1)` fill bound, subject
 //!   to a relative stability threshold), forward/backward substitution in
@@ -38,7 +37,6 @@
 // Index-heavy linear algebra: range loops are the clearest form here.
 #![allow(clippy::needless_range_loop)]
 
-use crate::basis::{Basis, BasisEntry};
 use crate::error::LpError;
 use crate::hypersparse::{LuWorkspace, ScatterVec};
 use crate::pricing::{PartialPricer, Pricing};
@@ -93,7 +91,7 @@ pub(crate) enum VarCols {
 ///
 /// Built once per solve; the dense tableau densifies from it and the
 /// sparse core consumes it directly, so every convention (column order,
-/// `ColKind` assignment, RHS normalization, the matrix hash) is shared by
+/// `ColKind` assignment, RHS normalization) is shared by
 /// construction rather than by parallel reimplementation.
 pub(crate) struct StdForm {
     /// Standard-form row count (user rows + finite-upper-bound rows).
@@ -118,9 +116,6 @@ pub(crate) struct StdForm {
     pub(crate) user_rows: usize,
     /// `+1.0` minimize, `−1.0` maximize.
     pub(crate) sense_factor: f64,
-    /// FNV-1a hash of the matrix coefficients (RHS excluded), identical to
-    /// the dense tableau's hash for the same problem.
-    pub(crate) matrix_hash: u64,
     /// The all-logical starting basis (slacks + artificials = identity).
     pub(crate) initial_basis: Vec<usize>,
     pub(crate) var_cols: Vec<VarCols>,
@@ -130,7 +125,7 @@ pub(crate) struct StdForm {
 /// scratch vector plus a touched-index list, so assembly is `O(nnz)` per
 /// row instead of `O(nstruct)`. The accumulation arithmetic (`+=` on a
 /// zero-initialized slot) is exactly the dense builder's, so coefficients
-/// are bit-identical and the matrix hash agrees.
+/// are bit-identical.
 fn expr_to_sparse(
     expr: &crate::LinExpr,
     var_cols: &[VarCols],
@@ -319,19 +314,6 @@ impl StdForm {
             rows.push(entries);
         }
 
-        // --- matrix hash (row-major over nonzeros, same as dense) --------
-        let mut matrix_hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for (r, row) in rows.iter().enumerate() {
-            for &(j, v) in row {
-                if v != 0.0 {
-                    for word in [r as u64, j as u64, v.to_bits()] {
-                        matrix_hash ^= word;
-                        matrix_hash = matrix_hash.wrapping_mul(0x0000_0100_0000_01b3);
-                    }
-                }
-            }
-        }
-
         // --- transpose rows -> CSC ---------------------------------------
         let mut cols: Vec<SparseCol> = vec![Vec::new(); ncols];
         for (r, row) in rows.iter().enumerate() {
@@ -360,156 +342,9 @@ impl StdForm {
             dual_col,
             user_rows: p.rows.len(),
             sense_factor,
-            matrix_hash,
             initial_basis,
             var_cols,
         })
-    }
-
-    /// Snapshots an arbitrary basic-column list as a [`Basis`] in
-    /// problem-structure terms (shared semantics with the dense tableau).
-    pub(crate) fn capture_basis_from(&self, basic: &[usize]) -> Basis {
-        let entries = basic
-            .iter()
-            .map(|&b| match self.col_kinds[b] {
-                ColKind::Structural { var, sign } => BasisEntry::Structural {
-                    var,
-                    negative: sign < 0.0,
-                },
-                ColKind::Slack { row } => BasisEntry::Slack { row },
-                ColKind::Surplus { row } => BasisEntry::Surplus { row },
-                ColKind::Artificial { row } => BasisEntry::Artificial { row },
-            })
-            .collect();
-        Basis {
-            entries,
-            num_vars: self.var_cols.len(),
-            user_rows: self.user_rows,
-            ncols: self.ncols,
-            matrix_hash: self.matrix_hash,
-        }
-    }
-
-    /// Crossover: guesses a basis that supports the primal point `x`
-    /// (user-variable space), for warm-starting a simplex solve from a
-    /// solution obtained outside the simplex — e.g. the graph fast path's
-    /// schedule on the difference subset of a mixed system.
-    ///
-    /// Per standard-form row, the slack/surplus is made basic when the row
-    /// has strict slack at `x`; tight rows take an unused structural
-    /// column that is positive at `x` (largest pivot coefficient first),
-    /// or park a logical column at zero when none remains. The result is
-    /// not guaranteed nonsingular or feasible — the warm-start entry path
-    /// validates and silently falls back to a cold solve, so a poor guess
-    /// costs nothing but the attempt.
-    pub(crate) fn basis_from_point(&self, p: &Problem, x: &[f64]) -> Result<Basis, LpError> {
-        if x.len() != p.vars.len() {
-            return Err(LpError::Numerical {
-                context: format!(
-                    "basis_from_point: {} values for {} variables",
-                    x.len(),
-                    p.vars.len()
-                ),
-            });
-        }
-        // Standard-form values of the structural columns at `x`.
-        let mut xstd = vec![0.0; self.ncols];
-        for (v, vc) in self.var_cols.iter().enumerate() {
-            match *vc {
-                VarCols::Shifted { col, shift } => xstd[col] = x[v] - shift,
-                VarCols::Split { pos, neg } => {
-                    xstd[pos] = x[v].max(0.0);
-                    xstd[neg] = (-x[v]).max(0.0);
-                }
-            }
-        }
-        let m = self.m;
-        let mut slack_of = vec![usize::MAX; m];
-        let mut surplus_of = vec![usize::MAX; m];
-        let mut art_of = vec![usize::MAX; m];
-        // Row activity of the structural columns, and each row's
-        // structural entries for the tight-row search below.
-        let mut activity = vec![0.0; m];
-        let mut row_entries: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for (c, k) in self.col_kinds.iter().enumerate() {
-            match *k {
-                ColKind::Structural { .. } => {
-                    for &(r, a) in &self.cols[c] {
-                        activity[r] += a * xstd[c];
-                        row_entries[r].push((c, a));
-                    }
-                }
-                ColKind::Slack { row } => slack_of[row] = c,
-                ColKind::Surplus { row } => surplus_of[row] = c,
-                ColKind::Artificial { row } => art_of[row] = c,
-            }
-        }
-        let mut used = vec![false; self.ncols];
-        let mut basic = vec![usize::MAX; m];
-        let mut tight: Vec<usize> = Vec::new();
-        for (r, slot) in basic.iter_mut().enumerate() {
-            let resid = self.rhs[r] - activity[r];
-            if slack_of[r] != usize::MAX && resid > EPS {
-                *slot = slack_of[r];
-                used[slack_of[r]] = true;
-            } else if surplus_of[r] != usize::MAX && resid < -EPS {
-                *slot = surplus_of[r];
-                used[surplus_of[r]] = true;
-            } else {
-                tight.push(r);
-            }
-        }
-        for &r in &tight {
-            let mut best: Option<(usize, f64)> = None;
-            for &(c, a) in &row_entries[r] {
-                if used[c] || xstd[c] <= EPS {
-                    continue;
-                }
-                // Entries come in column order: the lowest index wins ties.
-                let a = a.abs();
-                if a > EPS && best.is_none_or(|(_, ba)| a > ba) {
-                    best = Some((c, a));
-                }
-            }
-            let col = match best {
-                Some((c, _)) => c,
-                // Degenerate row: park a logical column at value zero.
-                None if art_of[r] != usize::MAX => art_of[r],
-                None if slack_of[r] != usize::MAX => slack_of[r],
-                None => surplus_of[r],
-            };
-            basic[r] = col;
-            used[col] = true;
-        }
-        Ok(self.capture_basis_from(&basic))
-    }
-
-    /// Resolves a snapshot's entries to column indices of this standard
-    /// form, or `None` when the snapshot no longer fits.
-    pub(crate) fn basis_columns(&self, basis: &Basis) -> Option<Vec<usize>> {
-        if basis.num_vars != self.var_cols.len()
-            || basis.user_rows != self.user_rows
-            || basis.ncols != self.ncols
-            || basis.entries.len() != self.m
-        {
-            return None;
-        }
-        basis
-            .entries
-            .iter()
-            .map(|e| {
-                let want = match *e {
-                    BasisEntry::Structural { var, negative } => ColKind::Structural {
-                        var,
-                        sign: if negative { -1.0 } else { 1.0 },
-                    },
-                    BasisEntry::Slack { row } => ColKind::Slack { row },
-                    BasisEntry::Surplus { row } => ColKind::Surplus { row },
-                    BasisEntry::Artificial { row } => ColKind::Artificial { row },
-                };
-                self.col_kinds.iter().position(|k| *k == want)
-            })
-            .collect()
     }
 
     /// Maps standard-form column values back to user variables.
@@ -1588,17 +1423,14 @@ fn solve_inner(
             slacks: vec![],
             iterations: core.iterations,
             farkas,
-            basis: None,
             stats: Some(core.solve_stats()),
         });
     }
     package_optimal(p, &core)
 }
 
-/// Packages an optimal [`SparseCore`] as a [`Solution`] with the basis
-/// snapshot for warm restarts. (No dense factor is seeded into the
-/// snapshot cache — the sparse path refactorizes in `O(nnz)`, so adopting
-/// a dense `B⁻¹` would cost more than it saves.)
+/// Packages an optimal [`SparseCore`] as a [`Solution`]: primal values,
+/// duals, reduced costs and slacks in user terms.
 fn package_optimal(p: &Problem, core: &SparseCore) -> Result<Solution, LpError> {
     let mut col_values = vec![0.0; core.sf.ncols];
     for (r, &j) in core.basis.iter().enumerate() {
@@ -1636,163 +1468,8 @@ fn package_optimal(p: &Problem, core: &SparseCore) -> Result<Solution, LpError> 
         slacks,
         iterations: core.iterations,
         farkas: None,
-        basis: Some(core.sf.capture_basis_from(&core.basis)),
         stats: Some(core.solve_stats()),
     })
-}
-
-/// Feasibility tolerance for warm-start repair decisions; matches the
-/// absolute phase-1 threshold rather than the pivot `EPS`.
-const WARM_FEAS: f64 = 1e-7;
-
-/// Sparse dual simplex on the current basis: restores `x_B ≥ 0` while
-/// preserving dual feasibility. `Ok(false)` means "give up and fall back
-/// cold" — never wrong, only slower.
-fn dual_simplex(core: &mut SparseCore, costs: &[f64]) -> Result<bool, LpError> {
-    let m = core.sf.m;
-    let max_pivots = 2 * (m + core.sf.ncols);
-    let mut pivots = 0usize;
-    loop {
-        let mut leave = None;
-        let mut most = -WARM_FEAS;
-        for (r, &x) in core.xb.iter().enumerate() {
-            if x < most {
-                most = x;
-                leave = Some(r);
-            }
-        }
-        let Some(r) = leave else {
-            return Ok(true);
-        };
-        if pivots >= max_pivots {
-            return Ok(false);
-        }
-        if pivots.is_multiple_of(crate::recover::BUDGET_CHECK_EVERY) {
-            core.budget.check(core.iterations)?;
-        }
-        core.compute_pivot_row(r);
-        core.compute_duals(costs);
-        let mut enter = None;
-        let mut best = f64::INFINITY;
-        for j in 0..core.sf.ncols {
-            if core.in_basis[j] || matches!(core.sf.col_kinds[j], ColKind::Artificial { .. }) {
-                continue;
-            }
-            let alpha = core.sparse_dot(core.row_r.values(), j);
-            if alpha < -EPS {
-                let zj = (costs[j] - core.sparse_dot(core.y.values(), j)).max(0.0);
-                let ratio = zj / -alpha;
-                if ratio < best {
-                    best = ratio;
-                    enter = Some(j);
-                }
-            }
-        }
-        let Some(q) = enter else {
-            return Ok(false); // primal infeasible: certify via cold phase 1
-        };
-        core.compute_direction(q);
-        if core.d.get(r).abs() <= EPS {
-            return Ok(false); // BTRAN screen passed but FTRAN pivot is tiny
-        }
-        let theta = core.xb[r] / core.d.get(r);
-        for &i in core.d.touched() {
-            if i != r {
-                core.xb[i] -= theta * core.d.get(i);
-                if core.xb[i] < 0.0 && core.xb[i] > -1e-10 {
-                    core.xb[i] = 0.0;
-                }
-            }
-        }
-        core.xb[r] = theta;
-        core.in_basis[core.basis[r]] = false;
-        core.in_basis[q] = true;
-        core.basis[r] = q;
-        if core.lu.replace_column_scatter(r, &core.d).is_err() {
-            return Ok(false);
-        }
-        core.iterations += 1;
-        pivots += 1;
-        if core.eta_budget_exceeded() && core.refactorize().is_err() {
-            return Ok(false);
-        }
-    }
-}
-
-/// Installs `basis` into `core` and repairs it to optimality without a
-/// phase 1. `Ok(false)` for any condition that should fall back to the
-/// cold path; only [`LpError::Budget`] propagates.
-fn warm_optimize(core: &mut SparseCore, basis: &Basis) -> Result<bool, LpError> {
-    let Some(targets) = core.sf.basis_columns(basis) else {
-        return Ok(false);
-    };
-    core.basis = targets;
-    core.in_basis = vec![false; core.sf.ncols];
-    for &j in &core.basis {
-        core.in_basis[j] = true;
-    }
-    // A fresh sparse factorization is O(nnz): no dense factor cache to
-    // adopt, just factorize the snapshot basis directly.
-    if core.refactorize().is_err() {
-        return Ok(false); // snapshot basis singular for this matrix
-    }
-
-    let costs = core.sf.costs.clone();
-    let primal_ok = core.xb.iter().all(|&x| x >= -WARM_FEAS);
-    if !primal_ok {
-        core.compute_duals(&costs);
-        let dual_ok = (0..core.sf.ncols).all(|j| {
-            core.in_basis[j]
-                || matches!(core.sf.col_kinds[j], ColKind::Artificial { .. })
-                || costs[j] - core.sparse_dot(core.y.values(), j) >= -WARM_FEAS
-        });
-        if !dual_ok {
-            return Ok(false);
-        }
-        if !dual_simplex(core, &costs)? {
-            return Ok(false);
-        }
-    }
-    for x in &mut core.xb {
-        if (-WARM_FEAS..0.0).contains(x) {
-            *x = 0.0;
-        }
-    }
-    // A warm path must never claim infeasibility.
-    if core.artificial_infeasibility() > WARM_FEAS {
-        return Ok(false);
-    }
-
-    let limit = 50_000 + 200 * (core.sf.m + core.sf.ncols);
-    match core.phase(&costs, false, limit) {
-        Ok(true) => {}
-        Ok(false) => return Ok(false), // suspicious unbounded: verify cold
-        Err(e @ LpError::Budget { .. }) => return Err(e),
-        Err(_) => return Ok(false),
-    }
-    if core.artificial_infeasibility() > WARM_FEAS {
-        return Ok(false);
-    }
-    Ok(true)
-}
-
-/// Entry point used by [`Problem::solve_from_basis_with_budget`]: solve
-/// warm from `basis`, falling back to the cold two-phase path whenever the
-/// snapshot cannot be installed and repaired cleanly.
-pub(crate) fn solve_from_basis_budgeted(
-    p: &Problem,
-    basis: &Basis,
-    budget: crate::recover::SolveBudget,
-    pricing: Pricing,
-) -> Result<Solution, LpError> {
-    let sf = StdForm::build(p, None)?;
-    let mut core = SparseCore::new(sf, budget)?;
-    core.pricing = pricing;
-    if warm_optimize(&mut core, basis)? {
-        package_optimal(p, &core)
-    } else {
-        solve_inner(p, REFACTOR_ETAS, budget, pricing)
-    }
 }
 
 #[cfg(test)]
@@ -2026,20 +1703,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_repairs_rhs_perturbations() {
-        let mut p = textbook_max();
-        let cold = p.solve().unwrap();
-        let basis = cold.basis().expect("optimal captures basis").clone();
-        let c3 = crate::ConstraintId(2);
-        p.set_rhs(c3, 15.0);
-        let warm = p.solve_from_basis(&basis).unwrap();
-        let check = reference(&p);
-        assert_eq!(warm.status(), Status::Optimal);
-        assert!(near(warm.objective().unwrap(), check.objective().unwrap()));
-        assert!(warm.iterations() <= check.iterations());
-    }
-
-    #[test]
     fn smo_model_solves_identically() {
         let mut p = Problem::new();
         let tc = p.add_var("Tc");
@@ -2052,90 +1715,5 @@ mod tests {
         let (dd, ss) = both(&p);
         assert!(near(dd.objective().unwrap(), 8.0));
         assert!(near(ss.objective().unwrap(), 8.0));
-    }
-
-    #[test]
-    fn basis_from_point_warm_starts() {
-        // Crossover from the known optimum of the textbook model: the
-        // warm solve must reach the same optimum, typically in fewer
-        // pivots than the cold two-phase run.
-        let mut p = Problem::new();
-        let x = p.add_var("x");
-        let y = p.add_var("y");
-        p.constrain(x.into(), Sense::Le, 4.0);
-        p.constrain(2.0 * y, Sense::Le, 12.0);
-        p.constrain(3.0 * x + 2.0 * y, Sense::Le, 18.0);
-        p.maximize(3.0 * x + 5.0 * y);
-        let basis = p.basis_from_point(&[2.0, 6.0]).unwrap();
-        let warm = p.solve_from_basis(&basis).unwrap().into_optimal().unwrap();
-        assert!(near(warm.objective(), 36.0));
-        assert!(near(warm.value(x), 2.0));
-        assert!(near(warm.value(y), 6.0));
-        // An interior (suboptimal) point still yields a usable basis.
-        let rough = p.basis_from_point(&[1.0, 1.0]).unwrap();
-        let s = p.solve_from_basis(&rough).unwrap().into_optimal().unwrap();
-        assert!(near(s.objective(), 36.0));
-        // And a wrong-length point is rejected.
-        assert!(p.basis_from_point(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn warm_start_agrees_after_rhs_perturbation() {
-        // Solve, perturb a RHS, warm-start from the stale basis: the
-        // verdict must match a cold re-solve exactly.
-        let mut p = Problem::new();
-        let x = p.add_var("x");
-        let y = p.add_var("y");
-        p.constrain(x.into(), Sense::Le, 4.0);
-        p.constrain(2.0 * y, Sense::Le, 12.0);
-        let c3 = p.constrain(3.0 * x + 2.0 * y, Sense::Le, 18.0);
-        p.maximize(3.0 * x + 5.0 * y);
-        let cold = p.solve().unwrap();
-        let basis = cold
-            .basis()
-            .expect("optimal solve captures a basis")
-            .clone();
-        p.set_rhs(c3, 15.0);
-        let warm = p.solve_from_basis(&basis).unwrap();
-        let cold2 = p.solve().unwrap();
-        assert_eq!(warm.status(), Status::Optimal);
-        assert!(near(warm.objective().unwrap(), cold2.objective().unwrap()));
-        // The warm solve skipped phase 1: strictly fewer pivots.
-        assert!(warm.iterations() <= cold2.iterations());
-    }
-
-    #[test]
-    fn warm_start_falls_back_when_structure_flips() {
-        // Driving the RHS negative flips the row's standard-form sign
-        // (slack becomes surplus + artificial): the snapshot no longer
-        // matches and the warm path must fall back to a correct cold solve.
-        let mut p = Problem::new();
-        let x = p.add_var_bounded("x", -10.0, f64::INFINITY);
-        let c = p.constrain(x.into(), Sense::Ge, 2.0);
-        p.minimize(x.into());
-        let cold = p.solve().unwrap();
-        let basis = cold.basis().unwrap().clone();
-        p.set_rhs(c, -5.0);
-        let warm = p.solve_from_basis(&basis).unwrap();
-        assert!(near(warm.objective().unwrap(), -5.0));
-    }
-
-    #[test]
-    fn warm_start_never_claims_uncertified_infeasibility() {
-        // Perturb the model into infeasibility: the warm solve must come
-        // back Infeasible *with* a Farkas certificate (i.e. via the cold
-        // phase-1 path, since the dual repair cannot certify).
-        let mut p = Problem::new();
-        let x = p.add_var("x");
-        let hi = p.constrain(x.into(), Sense::Le, 5.0);
-        p.constrain(x.into(), Sense::Ge, 2.0);
-        p.minimize(x.into());
-        let cold = p.solve().unwrap();
-        let basis = cold.basis().unwrap().clone();
-        p.set_rhs(hi, 1.0);
-        let warm = p.solve_from_basis(&basis).unwrap();
-        assert_eq!(warm.status(), Status::Infeasible);
-        let y = warm.farkas().expect("infeasible carries Farkas");
-        assert!(crate::certifies_infeasibility(&p, y));
     }
 }

@@ -16,7 +16,7 @@
 //! smo check    <netlist>            lint + solve + short-path race analysis
 //! smo analyze  <netlist>            cycle-time bracket + solver cross-checks
 //! smo diagnose <netlist> [--cycle-time T]   why is there no schedule at T?
-//! smo sweep    <netlist> [--param tc|delay]  warm-started parameter sweep
+//! smo sweep    <netlist> [--param tc|delay]  parallel parameter sweep
 //! ```
 //!
 //! Long-lived use goes through the daemon (same code path, same JSON):
@@ -107,7 +107,7 @@ const USAGE: &str = "usage:
                                                  and reports certified: false);
                                                  `auto` (default) solves
                                                  difference-only models on the
-                                                 graph and warm-starts the
+                                                 graph and runs the cold
                                                  sparse-LU simplex otherwise;
                                                  --pricing picks the simplex's
                                                  pivot-selection rule (default
@@ -180,10 +180,9 @@ const USAGE: &str = "usage:
                                                  `delay` jitters every delay
                                                  by ±spread; difference
                                                  models re-solve on the graph
-                                                 (0 pivots), others by
-                                                 warm-started sparse-LU
-                                                 repair; output is identical
-                                                 for any --jobs
+                                                 (0 pivots), others by a cold
+                                                 sparse-LU solve; output is
+                                                 identical for any --jobs
   smo serve    [--addr A] [--workers N] [--queue N]
                                                  long-lived timing daemon:
                                                  line-delimited JSON over TCP
@@ -784,7 +783,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                     report.base_cycle_time, report.base_iterations
                 );
                 println!(
-                    "{} warm re-solve(s): Tc in [{:.6}, {:.6}], mean {:.6}, {} total pivots",
+                    "{} re-solve(s): Tc in [{:.6}, {:.6}], mean {:.6}, {} total pivots",
                     report.runs.len(),
                     report.min_cycle_time,
                     report.max_cycle_time,

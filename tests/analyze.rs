@@ -94,6 +94,21 @@ fn overconstrained_example1_iis_matches_the_diagnosis() {
     assert_eq!(from_iis, from_diagnose, "IIS must match the diagnosis");
 }
 
+/// The bracket collapses parallel arcs in a fixed order, so repeated
+/// calls name the same critical cycle and agree to the last bit (the race
+/// demo has two equal-ratio cycles to choose from).
+#[test]
+fn combinatorial_bounds_are_deterministic() {
+    let circuit = load("circuits/race_demo.ckt");
+    let first = cycle_time_bounds(&circuit);
+    assert!(!first.critical.is_empty());
+    for _ in 1..32 {
+        let again = cycle_time_bounds(&circuit);
+        assert_eq!(again, first);
+        assert_eq!(again.lower.to_bits(), first.lower.to_bits());
+    }
+}
+
 #[test]
 fn combinatorial_bounds_bracket_the_shipped_optima() {
     for f in SHIPPED {
@@ -147,6 +162,52 @@ path Y X delay=0
     let text = report.to_string();
     assert!(text.contains("orphan"));
     assert!(text.contains("φ3"));
+}
+
+/// A ring of ten diamonds (`A_i → B_i, C_i → A_{i+1}`: 1024 elementary
+/// cycles) with a zero-delay latch loop `Z1 ⇄ Z2` tied to it at `A5`.
+/// `z_first` declares Z1 and Z2 before the ring.
+fn diamond_ring_with_zero_delay_loop(z_first: bool) -> String {
+    let zs = "latch Z1 phase=1 setup=0 dq=0\nlatch Z2 phase=2 setup=0 dq=0\n";
+    let mut ring = String::new();
+    let mut paths = String::new();
+    for i in 0..10 {
+        let j = (i + 1) % 10;
+        ring += &format!(
+            "latch A{i} phase=1 setup=1 dq=1\nlatch B{i} phase=2 setup=1 dq=1\n\
+             latch C{i} phase=2 setup=1 dq=1\n"
+        );
+        paths += &format!(
+            "path A{i} B{i} delay=2\npath A{i} C{i} delay=3\n\
+             path B{i} A{j} delay=2\npath C{i} A{j} delay=1\n"
+        );
+    }
+    paths += "path Z1 Z2 delay=0\npath Z2 Z1 delay=0\npath A5 Z1 delay=1\npath Z2 A5 delay=1\n";
+    let latches = if z_first {
+        zs.to_string() + &ring
+    } else {
+        ring + zs
+    };
+    format!("clock 2\n{latches}{paths}")
+}
+
+#[test]
+fn zero_delay_loop_is_found_however_many_cycles_precede_it() {
+    for z_first in [true, false] {
+        let circuit = netlist::parse(&diamond_ring_with_zero_delay_loop(z_first)).unwrap();
+        let lint_report = lint(&circuit);
+        let check_report = smo::analyze::check(&circuit, &Default::default()).unwrap();
+        for report in [&lint_report, check_report.findings()] {
+            let zero: Vec<_> = report
+                .findings
+                .iter()
+                .filter(|f| f.rule == Rule::ZeroDelayLoop)
+                .collect();
+            assert_eq!(zero.len(), 1, "z_first = {z_first}:\n{report}");
+            assert_eq!(zero[0].location, "Z1→Z2→Z1");
+            assert!(report.has_errors());
+        }
+    }
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! The generator's contract is *byte determinism*: the same
 //! `(config, seed)` pair must produce the identical netlist forever —
-//! warm-start caches, checked-in benchmark curves and the
-//! scale-differential suite all key off that. A checked-in golden netlist
+//! checked-in benchmark curves and the scale-differential suite both key
+//! off that. A checked-in golden netlist
 //! (`tests/golden/`) pins the bytes; the remaining tests pin the semantic
 //! contract — generated circuits lint clean and round-trip the
 //! size-limited netlist parser unchanged.

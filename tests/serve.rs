@@ -302,6 +302,14 @@ fn hostile_corpus_never_crashes_the_daemon() {
         Some(0),
         "hostile corpus must not panic the engine"
     );
+    // The retired `basis_hits` key stays numeric for existing readers.
+    assert_eq!(
+        v.get("result")
+            .and_then(|r| r.get("cache"))
+            .and_then(|c| c.get("basis_hits"))
+            .and_then(Json::as_u64),
+        Some(0)
+    );
     assert!(sent > 20, "corpus should exercise many requests");
     server.shutdown();
     server.wait();
