@@ -198,6 +198,18 @@ gen_ckt=$(mktemp --suffix=.ckt)
   | grep "certified: true" > /dev/null
 rm -f "$gen_ckt"
 
+echo "==> 100k-latch generated circuit (300k rows): default-flag solve and check"
+# The graph min-ratio solve ends each Bellman–Ford round at the first
+# predecessor-graph cycle, so a 300k-row solve takes seconds rather than
+# the O(V·E)-per-round minutes. Both default-flag commands must finish
+# well inside the timeout, the solve certified.
+scale_ckt=$(mktemp --suffix=.ckt)
+./target/release/smo gen --latches 100000 --seed 7 --out "$scale_ckt"
+timeout 120 ./target/release/smo solve "$scale_ckt" --max-input-mb 64 --time-limit 30 \
+  | grep "certified: true" > /dev/null
+timeout 120 ./target/release/smo check "$scale_ckt" --max-input-mb 64 > /dev/null
+rm -f "$scale_ckt"
+
 echo "==> bench_scale (dense vs sparse-LU scaling gate)"
 # Quick mode enforces the speedup convention at CI-friendly sizes, then
 # re-measures sparse pivots/sec at the 10k-row anchor and fails if it

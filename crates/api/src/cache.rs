@@ -12,6 +12,9 @@
 //! Every entry carries an approximate byte cost; the cache evicts
 //! least-recently-used entries whenever a budget is exceeded, so a hostile
 //! client streaming unique netlists cannot grow the daemon without bound.
+//! A doorkeeper in front of the circuit cache keeps such one-off
+//! netlists out of it altogether: a parsed circuit is only worth keeping
+//! once its netlist has been seen twice.
 //! A separate **quarantine** set records fingerprints whose requests
 //! panicked the engine: they are fenced off permanently (never evicted —
 //! a panic is a bug, and re-running the bug on retry helps nobody).
@@ -19,6 +22,7 @@
 use smo_circuit::Circuit;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// FNV-1a 64-bit hash — the cache key for netlist bytes. Not
@@ -32,6 +36,41 @@ pub fn fingerprint(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Slots in a [`Doorkeeper`]: 4096 fingerprints, 32 KiB.
+const DOORKEEPER_SLOTS: usize = 4096;
+
+/// A direct-mapped memory of recently seen netlist fingerprints, used to
+/// admit a parsed circuit into the cache only on its netlist's second
+/// sighting. Unique netlists (one-off solves) then never displace the
+/// circuits of netlists that do repeat, and the circuit cache stays
+/// small under unique-netlist traffic.
+///
+/// Each fingerprint maps to one slot, and a newer fingerprint in the same
+/// slot overwrites it, so memory is fixed. A collision only delays an
+/// admission, and a zero fingerprint is admitted on first sight; neither
+/// affects any answer. Lock-free: slots are relaxed atomics, since a
+/// slot publishes no other data (the circuit itself goes through the
+/// cache mutex).
+pub(crate) struct Doorkeeper {
+    slots: Box<[AtomicU64]>,
+}
+
+impl Doorkeeper {
+    /// An empty doorkeeper.
+    pub(crate) fn new() -> Self {
+        Doorkeeper {
+            slots: (0..DOORKEEPER_SLOTS).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Records `fp` and reports whether its slot already held it, i.e.
+    /// whether the netlist was seen recently.
+    pub(crate) fn admit(&self, fp: u64) -> bool {
+        let slot = &self.slots[(fp % DOORKEEPER_SLOTS as u64) as usize];
+        slot.swap(fp, Ordering::Relaxed) == fp
+    }
 }
 
 /// A byte-budgeted LRU map. Recency is a monotone counter stamped on
@@ -188,10 +227,16 @@ impl ApiCache {
         hit
     }
 
-    /// Caches a parsed circuit. Cost model: edges and syncs dominate.
+    /// Caches a parsed circuit.
     pub fn store_circuit(&mut self, fp: u64, circuit: Arc<Circuit>) {
-        let cost = 256 + circuit.num_syncs() * 128 + circuit.num_edges() * 64;
+        let cost = Self::circuit_cost(&circuit);
         self.circuits.insert(fp, circuit, cost);
+    }
+
+    /// The byte cost charged for a cached circuit: edges and syncs
+    /// dominate.
+    pub(crate) fn circuit_cost(circuit: &Circuit) -> usize {
+        256 + circuit.num_syncs() * 128 + circuit.num_edges() * 64
     }
 
     /// A cached finished response for `(fp, signature)`.
@@ -264,6 +309,19 @@ mod tests {
         assert!(cache.circuit(fp).is_none());
         assert!(cache.result(fp, "solve").is_none());
         assert_eq!(cache.stats().quarantined, 1);
+    }
+
+    #[test]
+    fn doorkeeper_admits_on_the_second_sighting() {
+        let door = Doorkeeper::new();
+        let fp = fingerprint(b"netlist");
+        assert!(!door.admit(fp));
+        assert!(door.admit(fp));
+        assert!(door.admit(fp));
+        // A different fingerprint in the same slot displaces it.
+        let rival = fp ^ (1 << 40);
+        assert!(!door.admit(rival));
+        assert!(!door.admit(fp));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! lock is around the cache, held for lookups/insertions, never across a
 //! solve.
 
-use crate::cache::{fingerprint, ApiCache, CacheConfig};
+use crate::cache::{fingerprint, ApiCache, CacheConfig, Doorkeeper};
 use crate::error::{ApiError, ErrorKind};
 use crate::json::{escape, Json};
 use crate::ops;
@@ -156,6 +156,8 @@ pub struct Reply {
 pub struct Engine {
     config: EngineConfig,
     cache: Mutex<ApiCache>,
+    /// Gates circuit-cache admission: see [`Doorkeeper`].
+    doorkeeper: Doorkeeper,
     counters: Counters,
 }
 
@@ -166,6 +168,7 @@ impl Engine {
         Engine {
             config,
             cache,
+            doorkeeper: Doorkeeper::new(),
             counters: Counters::default(),
         }
     }
@@ -369,7 +372,11 @@ impl Engine {
             Some(c) => c,
             None => {
                 let parsed = Arc::new(ops::parse_netlist(netlist, &self.config.limits)?);
-                self.lock_cache().store_circuit(fp, Arc::clone(&parsed));
+                // Keep the circuit only for a netlist seen before: one-off
+                // netlists would otherwise evict the ones that repeat.
+                if self.doorkeeper.admit(fp) {
+                    self.lock_cache().store_circuit(fp, Arc::clone(&parsed));
+                }
                 parsed
             }
         };
@@ -587,6 +594,56 @@ mod tests {
             first.line.replace("\"cached\":false", "X"),
             second.line.replace("\"cached\":true", "X"),
         );
+    }
+
+    fn circuit_hits(e: &Engine) -> u64 {
+        e.lock_cache().stats().circuit_hits
+    }
+
+    fn request(cmd: &str, netlist: &str) -> String {
+        format!("{{\"cmd\":\"{cmd}\",\"netlist\":{}}}", escape(netlist))
+    }
+
+    #[test]
+    fn third_request_with_a_new_signature_is_a_circuit_hit() {
+        let e = engine();
+        let src = netlist::write(&paper::example2());
+        // First sighting: parsed, remembered, not cached.
+        e.handle_line(&request("solve", &src), Load::IDLE);
+        assert_eq!(circuit_hits(&e), 0);
+        // Second sighting (new signature, so no result hit): cached.
+        e.handle_line(&request("check", &src), Load::IDLE);
+        assert_eq!(circuit_hits(&e), 0);
+        let third = e.handle_line(&request("diagnose", &src), Load::IDLE);
+        assert!(third.line.contains("\"status\":\"ok\""), "{}", third.line);
+        assert_eq!(circuit_hits(&e), 1);
+    }
+
+    #[test]
+    fn unique_netlists_do_not_evict_a_repeated_circuit() {
+        // Room for one parsed circuit: without the doorkeeper, any one-off
+        // netlist stored after the repeated one would evict it.
+        let circuit = paper::example2();
+        let cost = ApiCache::circuit_cost(&circuit);
+        let e = Engine::new(EngineConfig {
+            cache: CacheConfig {
+                circuit_bytes: cost + cost / 2,
+                ..CacheConfig::default()
+            },
+            ..EngineConfig::default()
+        });
+        let src = netlist::write(&circuit);
+        e.handle_line(&request("solve", &src), Load::IDLE);
+        e.handle_line(&request("check", &src), Load::IDLE);
+        for i in 0..16 {
+            // Same circuit, unique bytes (a trailing comment line).
+            let unique = format!("{src}# one-off {i}\n");
+            let reply = e.handle_line(&request("solve", &unique), Load::IDLE);
+            assert!(reply.line.contains("\"status\":\"ok\""), "{}", reply.line);
+        }
+        assert_eq!(circuit_hits(&e), 0);
+        e.handle_line(&request("diagnose", &src), Load::IDLE);
+        assert_eq!(circuit_hits(&e), 1, "the repeated circuit was evicted");
     }
 
     #[test]

@@ -168,6 +168,7 @@ impl From<TimingError> for ApiError {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use smo_lp::BudgetUnit;
 
     #[test]
     fn slugs_are_stable() {
@@ -216,6 +217,7 @@ mod tests {
         let budget = TimingError::Lp(LpError::Budget {
             iterations: 7,
             timed_out: true,
+            unit: BudgetUnit::BellmanFordPasses,
         });
         let e = ApiError::from(budget);
         assert_eq!(e.kind, ErrorKind::Budget);

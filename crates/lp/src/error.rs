@@ -51,11 +51,14 @@ pub enum LpError {
     /// The caller's [`SolveBudget`](crate::SolveBudget) was exhausted
     /// before the solve terminated.
     Budget {
-        /// Simplex iterations completed when the budget ran out.
+        /// Units of work completed when the budget ran out, counted in
+        /// `unit`.
         iterations: usize,
         /// `true` when the wall-clock deadline expired; `false` when the
         /// iteration allowance ran out.
         timed_out: bool,
+        /// What `iterations` counts: simplex pivots or graph passes.
+        unit: BudgetUnit,
     },
     /// Every rung of the recovery ladder was exhausted without producing
     /// a verdict that certifies against the original problem
@@ -69,6 +72,25 @@ pub enum LpError {
         /// That worst relative residual.
         residual: f64,
     },
+}
+
+/// The unit of work a [`SolveBudget`](crate::SolveBudget) allowance is
+/// counted in, so a budget error names the solver that ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BudgetUnit {
+    /// Pivots of the simplex method.
+    SimplexIterations,
+    /// Full arc sweeps of the graph solver's Bellman–Ford.
+    BellmanFordPasses,
+}
+
+impl fmt::Display for BudgetUnit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            BudgetUnit::SimplexIterations => "simplex iterations",
+            BudgetUnit::BellmanFordPasses => "Bellman–Ford passes",
+        })
+    }
 }
 
 impl fmt::Display for LpError {
@@ -95,6 +117,7 @@ impl fmt::Display for LpError {
             LpError::Budget {
                 iterations,
                 timed_out,
+                unit,
             } => {
                 let what = if *timed_out {
                     "wall-clock deadline"
@@ -103,7 +126,7 @@ impl fmt::Display for LpError {
                 };
                 write!(
                     f,
-                    "solve budget exhausted ({what}) after {iterations} simplex iterations"
+                    "solve budget exhausted ({what}) after {iterations} {unit}"
                 )
             }
             LpError::CertificationFailed {
@@ -136,6 +159,28 @@ mod tests {
         assert!(msg.contains("x"));
         assert!(msg.contains("3"));
         assert!(msg.starts_with(char::is_lowercase));
+    }
+
+    #[test]
+    fn budget_errors_name_the_work_that_ran() {
+        let simplex = LpError::Budget {
+            iterations: 64,
+            timed_out: false,
+            unit: BudgetUnit::SimplexIterations,
+        };
+        assert_eq!(
+            simplex.to_string(),
+            "solve budget exhausted (iteration allowance) after 64 simplex iterations"
+        );
+        let graph = LpError::Budget {
+            iterations: 12,
+            timed_out: true,
+            unit: BudgetUnit::BellmanFordPasses,
+        };
+        assert_eq!(
+            graph.to_string(),
+            "solve budget exhausted (wall-clock deadline) after 12 Bellman–Ford passes"
+        );
     }
 
     #[test]

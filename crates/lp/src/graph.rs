@@ -9,7 +9,8 @@
 //! programming:
 //!
 //! * feasibility at a fixed `λ` is the absence of a negative cycle in the
-//!   constraint graph (Bellman–Ford, `O(V·E)`),
+//!   constraint graph (Bellman–Ford, which stops at the first
+//!   predecessor-graph cycle rather than running all `V` passes),
 //! * the minimal feasible `λ` is a minimum cycle-ratio problem, solved
 //!   here by Lawler's parametric iteration (repeatedly jump `λ` to the
 //!   ratio of the current negative-cycle witness),
@@ -29,6 +30,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use crate::error::BudgetUnit;
 use crate::expr::VarId;
 use crate::problem::{ConstraintId, Problem, Sense};
 use crate::recover::SolveBudget;
@@ -641,16 +643,23 @@ impl DifferenceSystem {
     /// potential assignment (the DBM closure relative to the origin) or a
     /// negative-cycle witness.
     ///
-    /// The `budget` is checked once per Bellman–Ford pass (each pass scans
-    /// every arc), so an expired deadline surfaces as
-    /// [`LpError::Budget`](crate::LpError) within one `O(E)` sweep rather
-    /// than after the full `O(V·E)` relaxation — the graph backend honors
-    /// `--time-limit` exactly like the simplex does.
+    /// Each pass scans every arc. A feasible system converges after as
+    /// many passes as its shortest paths have arcs; an infeasible one
+    /// stops at the first predecessor-graph cycle, which forms within a
+    /// few passes of the negative cycle being reached, not after `V`.
+    ///
+    /// The `budget` is checked once per pass, so an expired deadline
+    /// surfaces as [`LpError::Budget`](crate::LpError) within one `O(E)`
+    /// sweep — the graph backend honors `--time-limit` exactly like the
+    /// simplex does.
     ///
     /// # Errors
     ///
     /// Returns [`LpError::Budget`](crate::LpError) when the budget expires
-    /// mid-search; the `iterations` field counts completed passes.
+    /// mid-search, counting completed passes in
+    /// [`BudgetUnit::BellmanFordPasses`](crate::BudgetUnit), and
+    /// [`LpError::Numerical`](crate::LpError) if rounding leaves the
+    /// search relaxing after `V` passes with no predecessor cycle.
     pub fn feasible_at(
         &self,
         lambda: f64,
@@ -671,6 +680,11 @@ impl DifferenceSystem {
     /// negative-cycle witness whose ratio `−Σbase/Σslope` is the next
     /// candidate. A witness with `Σslope ≤ 0` stays negative for every
     /// admissible `λ` — infeasibility, certified through the cycle's rows.
+    ///
+    /// Each round is one [`feasible_at`](Self::feasible_at) search, so an
+    /// infeasible round stops at the first predecessor-graph cycle; on the
+    /// generated datapaths the search takes a handful of rounds of at most
+    /// a few dozen passes each.
     ///
     /// The `budget` is threaded into every Bellman–Ford round and checked
     /// once per pass; the cumulative pass count across rounds plays the
@@ -776,6 +790,27 @@ impl DifferenceSystem {
     /// potentials, or the arc indices of a negative cycle. The outer
     /// `Result` is the budget verdict; `passes` accumulates across calls
     /// so [`minimize_param`](Self::minimize_param) reports total work.
+    ///
+    /// After every pass that relaxed an arc, the predecessor graph is
+    /// searched for a cycle ([`pred_cycle`](Self::pred_cycle), `O(V)`), and
+    /// the first one found is the round's negative cycle. An infeasible
+    /// round therefore ends within a few passes of its cycle forming
+    /// instead of after all `V`.
+    ///
+    /// Every predecessor-graph cycle is strictly negative. While
+    /// `pred[y] = (x, y)`, `d[y]` keeps the value `d[x] + w(x, y)` it was
+    /// given, and `d[x]` can only have decreased since, so
+    /// `d[y] ≥ d[x] + w(x, y)`. Let `(u, v)` be the arc whose assignment
+    /// closes a cycle `C`. The rest of `C` is a predecessor path from `v`
+    /// to `u`, and summing its arc inequalities gives
+    /// `d[u] ≥ d[v] + w(v ⇝ u)`. The relaxation of `(u, v)` passed the
+    /// strict-improvement test `d[u] + w(u, v) < d[v] − τ` with
+    /// `τ = TOL·(1 + max(|d[v]|, |w(u, v)|)) > 0`. Adding the two gives
+    /// `w(C) = w(v ⇝ u) + w(u, v) < −τ < 0`. So a system without a
+    /// negative cycle never forms one: its round runs exactly the passes,
+    /// and yields exactly the labels, of the plain `V`-pass algorithm.
+    /// Conversely, a relaxation on pass `V` implies a predecessor cycle, so
+    /// the final error is reachable only through floating-point rounding.
     fn bellman_ford(
         &self,
         lambda: f64,
@@ -785,54 +820,73 @@ impl DifferenceSystem {
         let n = self.num_nodes + 1; // + origin
         let mut dist = vec![0.0f64; n];
         let mut pred: Vec<Option<usize>> = vec![None; n];
-        for pass in 0..n {
-            budget.check(*passes)?;
+        let mut stamp = vec![0usize; n];
+        for _ in 0..n {
+            budget.check_work(*passes, BudgetUnit::BellmanFordPasses)?;
             *passes += 1;
-            let mut relaxed = None;
+            let mut relaxed = false;
             for (idx, a) in self.arcs.iter().enumerate() {
                 let w = a.base + a.slope * lambda;
                 let cand = dist[a.from] + w;
                 if cand < dist[a.to] - TOL * (1.0 + dist[a.to].abs().max(w.abs())) {
                     dist[a.to] = cand;
                     pred[a.to] = Some(idx);
-                    relaxed = Some(a.to);
+                    relaxed = true;
                 }
             }
-            match relaxed {
-                None => {
-                    let o = dist[self.num_nodes];
-                    return Ok(Ok(dist[..self.num_nodes].iter().map(|d| d - o).collect()));
-                }
-                Some(node) if pass == n - 1 => {
-                    // A relaxation on pass n: walk predecessors n steps to
-                    // land inside the cycle, then collect it.
-                    let mut cur = node;
-                    for _ in 0..n {
-                        if let Some(p) = pred[cur] {
-                            cur = self.arcs[p].from;
-                        }
-                    }
-                    let start = cur;
-                    let mut cycle = Vec::new();
-                    // Every node on the walk has a predecessor, since we
-                    // arrived here following predecessor arcs.
-                    while let Some(p) = pred[cur] {
-                        cycle.push(p);
-                        cur = self.arcs[p].from;
-                        if cur == start {
-                            break;
-                        }
-                    }
-                    cycle.reverse();
-                    return Ok(Err(cycle));
-                }
-                Some(_) => {}
+            if !relaxed {
+                let o = dist[self.num_nodes];
+                return Ok(Ok(dist[..self.num_nodes].iter().map(|d| d - o).collect()));
+            }
+            if let Some(cycle) = self.pred_cycle(&pred, &mut stamp) {
+                return Ok(Err(cycle));
             }
         }
-        // Unreachable: the loop either converges or detects a cycle on the
-        // final pass. Report "no cycle" conservatively.
-        let o = dist[self.num_nodes];
-        Ok(Ok(dist[..self.num_nodes].iter().map(|d| d - o).collect()))
+        Err(crate::LpError::Numerical {
+            context: format!(
+                "Bellman–Ford at λ = {lambda}: still relaxing after {n} passes with an acyclic \
+                 predecessor graph"
+            ),
+        })
+    }
+
+    /// The first cycle of the predecessor graph, as arc indices in
+    /// traversal order, or `None` when the graph is a forest.
+    ///
+    /// Follows `pred` links from every node in turn, stamping each node
+    /// with the walk that reached it; a walk that meets its own stamp has
+    /// closed a cycle, and one that meets an earlier stamp joins a chain
+    /// already known to end at a root. Each node is stamped once, so the
+    /// search is `O(V)`. `stamp` is scratch space of length `V`.
+    fn pred_cycle(&self, pred: &[Option<usize>], stamp: &mut [usize]) -> Option<Vec<usize>> {
+        stamp.fill(0);
+        for start in 0..pred.len() {
+            let mark = start + 1;
+            let mut cur = start;
+            while stamp[cur] == 0 {
+                stamp[cur] = mark;
+                match pred[cur] {
+                    Some(p) => cur = self.arcs[p].from,
+                    None => break,
+                }
+            }
+            if stamp[cur] != mark || pred[cur].is_none() {
+                continue;
+            }
+            // `cur` was reached twice by this walk: it lies on the cycle.
+            let first = cur;
+            let mut cycle = Vec::new();
+            while let Some(p) = pred[cur] {
+                cycle.push(p);
+                cur = self.arcs[p].from;
+                if cur == first {
+                    break;
+                }
+            }
+            cycle.reverse();
+            return Some(cycle);
+        }
+        None
     }
 
     /// Aggregates a cycle's arcs into its row support and affine weight.
@@ -927,6 +981,95 @@ impl DifferenceSystem {
 mod tests {
     use super::*;
     use crate::{LinExpr, Problem, Status};
+    use proptest::prelude::*;
+
+    impl DifferenceSystem {
+        /// Test oracle: textbook Bellman–Ford with the production arc
+        /// order, labels and strict-improvement test, which runs all `V`
+        /// passes and reports a negative cycle only when an arc still
+        /// relaxes on the last one. `None` means a negative cycle.
+        fn bellman_ford_plain(&self, lambda: f64) -> Option<Vec<f64>> {
+            let n = self.num_nodes + 1;
+            let mut dist = vec![0.0f64; n];
+            for _ in 0..n {
+                let mut relaxed = false;
+                for a in &self.arcs {
+                    let w = a.base + a.slope * lambda;
+                    let cand = dist[a.from] + w;
+                    if cand < dist[a.to] - TOL * (1.0 + dist[a.to].abs().max(w.abs())) {
+                        dist[a.to] = cand;
+                        relaxed = true;
+                    }
+                }
+                if !relaxed {
+                    let o = dist[self.num_nodes];
+                    return Some(dist[..self.num_nodes].iter().map(|d| d - o).collect());
+                }
+            }
+            None
+        }
+    }
+
+    /// A random difference system over `nodes` free variables and a
+    /// parameter: rows `x_i − x_j ≤ base + slope·λ` with integer `base`
+    /// and `slope ∈ {0, 1}`, so every cycle weight at an integer `λ` is an
+    /// integer and no verdict sits within rounding of zero.
+    fn random_system(nodes: usize, rows: &[(usize, usize, i32, bool)]) -> DifferenceSystem {
+        let mut p = Problem::new();
+        let tc = p.add_var("Tc");
+        let x: Vec<VarId> = (0..nodes)
+            .map(|i| p.add_free_var(format!("x{i}")))
+            .collect();
+        for &(i, j, base, sloped) in rows {
+            let (i, j) = (i % nodes, j % nodes);
+            if i == j {
+                continue;
+            }
+            let mut expr = x[i] - x[j];
+            if sloped {
+                expr = expr - LinExpr::from(tc);
+            }
+            p.constrain(expr, Sense::Le, f64::from(base));
+        }
+        p.minimize(tc.into());
+        let mut images = vec![VarImage::Param];
+        images.extend((0..nodes).map(VarImage::Node));
+        let cls = classify(&p, &images).unwrap();
+        DifferenceSystem::build(&p, &images, &cls).unwrap()
+    }
+
+    proptest! {
+        /// Stopping at the first predecessor-graph cycle changes only when
+        /// an infeasible round ends: the verdict matches the plain `V`-pass
+        /// oracle, feasible potentials match it bit for bit, and every
+        /// reported cycle is negative.
+        #[test]
+        fn prop_early_exit_matches_plain_bellman_ford(
+            nodes in 2usize..12,
+            rows in proptest::collection::vec(
+                (0usize..12, 0usize..12, -20i32..30, proptest::bool::ANY),
+                1..40,
+            ),
+            lambda in 0i32..40,
+        ) {
+            let sys = random_system(nodes, &rows);
+            let lambda = f64::from(lambda);
+            let fast = sys.feasible_at(lambda, &SolveBudget::UNLIMITED).unwrap();
+            match (fast, sys.bellman_ford_plain(lambda)) {
+                (FixedParamOutcome::Feasible { potentials }, Some(oracle)) => {
+                    prop_assert_eq!(potentials, oracle);
+                }
+                (FixedParamOutcome::NegativeCycle(cycle), None) => {
+                    prop_assert!(cycle.weight_at(lambda) < 0.0, "cycle is not negative");
+                }
+                (fast, oracle) => {
+                    return Err(TestCaseError::fail(format!(
+                        "verdicts differ at λ = {lambda}: {fast:?} vs oracle {oracle:?}"
+                    )));
+                }
+            }
+        }
+    }
 
     /// A 2-node ring with one λ-dependent arc: x_b − x_a ≤ −150 + λ and
     /// x_a − x_b ≤ 50 force λ ≥ 100.

@@ -90,7 +90,7 @@ mod sparse;
 mod tol;
 mod verify;
 
-pub use error::LpError;
+pub use error::{BudgetUnit, LpError};
 pub use export::write_lp;
 pub use expr::{LinExpr, VarId};
 pub use graph::{

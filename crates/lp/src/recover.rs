@@ -32,7 +32,7 @@
 //! best attempt. All rungs honor a shared [`SolveBudget`] (wall-clock
 //! deadline + iteration allowance) checked inside the pivot loop.
 
-use crate::error::LpError;
+use crate::error::{BudgetUnit, LpError};
 use crate::iis::certifies_infeasibility;
 use crate::pricing::Pricing;
 use crate::problem::Problem;
@@ -55,9 +55,9 @@ pub(crate) const BUDGET_CHECK_EVERY: usize = 64;
 /// structured error instead of a hung process.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolveBudget {
-    /// Maximum total simplex iterations across the solve (`None` = no
-    /// limit). This is *in addition to* the solver's built-in
-    /// degeneracy-guard iteration limit.
+    /// Maximum total simplex iterations across the solve, or Bellman–Ford
+    /// passes on the graph path (`None` = no limit). This is *in addition
+    /// to* the solver's built-in degeneracy-guard iteration limit.
     pub max_iterations: Option<usize>,
     /// Absolute wall-clock deadline (`None` = no limit).
     pub deadline: Option<Instant>,
@@ -78,7 +78,8 @@ impl SolveBudget {
         }
     }
 
-    /// A budget allowing at most `n` simplex iterations.
+    /// A budget allowing at most `n` simplex iterations (or Bellman–Ford
+    /// passes on the graph path).
     pub fn with_max_iterations(n: usize) -> Self {
         SolveBudget {
             max_iterations: Some(n),
@@ -89,20 +90,25 @@ impl SolveBudget {
     /// Checks the budget at `iterations` pivots; `Err(LpError::Budget)`
     /// when exhausted.
     pub(crate) fn check(&self, iterations: usize) -> Result<(), LpError> {
+        self.check_work(iterations, BudgetUnit::SimplexIterations)
+    }
+
+    /// Checks the budget after `done` units of `unit` work; the graph
+    /// solver counts Bellman–Ford passes where the simplex counts pivots.
+    pub(crate) fn check_work(&self, done: usize, unit: BudgetUnit) -> Result<(), LpError> {
+        let exhausted = |timed_out| LpError::Budget {
+            iterations: done,
+            timed_out,
+            unit,
+        };
         if let Some(limit) = self.max_iterations {
-            if iterations >= limit {
-                return Err(LpError::Budget {
-                    iterations,
-                    timed_out: false,
-                });
+            if done >= limit {
+                return Err(exhausted(false));
             }
         }
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
-                return Err(LpError::Budget {
-                    iterations,
-                    timed_out: true,
-                });
+                return Err(exhausted(true));
             }
         }
         Ok(())

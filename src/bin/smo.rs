@@ -143,7 +143,7 @@ const USAGE: &str = "usage:
   smo lint     <netlist> [--json]                structural sanity checks
                                                  (exit 1 on error findings)
   smo check    <netlist> [--cycle-time T] [--backend auto|graph|lp] [--json]
-               [--allow RULE] [--deny RULE]
+               [--allow RULE] [--deny RULE] [--max-input-mb N]
                                                  one-shot static gate: every
                                                  lint pass + the cycle-time
                                                  solve (`auto` by default) +
@@ -158,7 +158,8 @@ const USAGE: &str = "usage:
                                                  assumption). --allow
                                                  suppresses a rule, --deny
                                                  escalates it to error; exit 2
-                                                 on any error-severity finding
+                                                 on any error-severity finding;
+                                                 --max-input-mb as for solve
   smo analyze  <netlist> [--json]                combinatorial cycle-time
                                                  bracket, certified LP
                                                  optimum, graph optimum and
@@ -536,6 +537,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let mut options = CheckOptions::default();
             let mut config = PassConfig::new();
             let mut json = false;
+            let mut max_mb: Option<usize> = None;
             let mut it = rest.iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
@@ -561,6 +563,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                     "--allow" => config = config.allow(parse_rule(&mut it, "--allow")?),
                     "--deny" => config = config.deny(parse_rule(&mut it, "--deny")?),
                     "--json" => json = true,
+                    "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
                     other if path.is_none() && !other.starts_with('-') => {
                         path = Some(other.to_string());
                     }
@@ -568,7 +571,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 }
             }
             options.config = config;
-            let circuit = load(&path.ok_or("missing netlist path")?)?;
+            let circuit = load_with(&path.ok_or("missing netlist path")?, &input_limits(max_mb)?)?;
             match check(&circuit, &options) {
                 Ok(report) => {
                     if json {

@@ -549,23 +549,29 @@ fn check_pinned_cycle_time_and_backends() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("check error:"));
 }
 
+/// `circuits/example1.ckt` padded with 1000-byte comment lines until it
+/// is at least `min_len` bytes long, written to a fresh temp directory.
+fn padded_example1(name: &str, min_len: usize) -> std::path::PathBuf {
+    let path = tempdir().join(name);
+    let mut src = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("circuits/example1.ckt"),
+    )
+    .expect("shipped netlist reads");
+    let pad = format!("# {}\n", "x".repeat(1000));
+    while src.len() < min_len {
+        src.push_str(&pad);
+    }
+    std::fs::write(&path, &src).expect("writable");
+    path
+}
+
 #[test]
 fn solve_max_input_mb_gates_oversized_netlists() {
     // A valid netlist padded past the 4 MiB default cap with comment
     // lines: rejected with the structured limit error by default,
     // accepted once the operator raises the cap, and a zero cap is
     // refused outright.
-    let dir = tempdir();
-    let path = dir.join("padded.ckt");
-    let mut src = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("circuits/example1.ckt"),
-    )
-    .expect("shipped netlist reads");
-    let pad = format!("# {}\n", "x".repeat(1000));
-    while src.len() <= 4 << 20 {
-        src.push_str(&pad);
-    }
-    std::fs::write(&path, &src).expect("writable");
+    let path = padded_example1("padded.ckt", (4 << 20) + 1);
     let p = path.to_str().expect("utf-8");
 
     let out = smo(&["solve", p]);
@@ -587,20 +593,35 @@ fn solve_max_input_mb_gates_oversized_netlists() {
 }
 
 #[test]
+fn check_max_input_mb_gates_oversized_netlists() {
+    // `check` takes the same flag as `solve`: the default cap rejects the
+    // padded netlist, a raised cap lets the full gate run, and a zero cap
+    // is refused outright.
+    let path = padded_example1("padded-check.ckt", (4 << 20) + 1);
+    let p = path.to_str().expect("utf-8");
+
+    let out = smo(&["check", p]);
+    assert!(!out.status.success(), "default limits must reject >4 MiB");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("exceeds the input bytes limit"), "{err}");
+
+    let out = smo(&["check", p, "--max-input-mb", "8"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let out = smo(&["check", p, "--max-input-mb", "0"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("at least 1"));
+}
+
+#[test]
 fn solve_under_the_raised_cap_still_enforces_it() {
     // Just under the raised cap parses; just over it still fails — the
     // flag moves the fence, it does not remove it.
-    let dir = tempdir();
-    let path = dir.join("underpadded.ckt");
-    let mut src = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("circuits/example1.ckt"),
-    )
-    .expect("shipped netlist reads");
-    let pad = format!("# {}\n", "x".repeat(1000));
-    while src.len() <= (5 << 20) - 2048 {
-        src.push_str(&pad);
-    }
-    std::fs::write(&path, &src).expect("writable");
+    let path = padded_example1("underpadded.ckt", (5 << 20) - 2047);
     let p = path.to_str().expect("utf-8");
 
     let out = smo(&["solve", p, "--max-input-mb", "5"]);

@@ -13,8 +13,8 @@ use smo::gen::datapath::{pipelined_datapath, DatapathConfig};
 use smo::gen::paper::{appendix_fig1, example1, example2, gaas_mips};
 use smo::gen::random::{random_circuit, GenConfig};
 use smo::lp::{
-    certifies_infeasibility, classify, DifferenceSystem, LinExpr, MinParamOutcome, Problem,
-    SolveBudget, Status, Tol,
+    certifies_infeasibility, classify, BudgetUnit, DifferenceSystem, FixedParamOutcome, LinExpr,
+    MinParamOutcome, Problem, SolveBudget, Status, Tol,
 };
 use smo::timing::{
     classify_model, cycle_time_bounds, min_cycle_time_with, variable_images, verify, Backend,
@@ -322,15 +322,93 @@ fn expired_deadline_is_a_budget_error_on_every_backend() {
             };
             match min_cycle_time_with(&circuit, &options) {
                 Err(smo::timing::TimingError::Lp(smo::lp::LpError::Budget {
-                    timed_out, ..
+                    timed_out,
+                    unit,
+                    ..
                 })) => {
                     assert!(timed_out, "{backend}/certify={certify}: expired by time");
+                    // The error names the work that ran: graph passes on
+                    // the graph routes, pivots on the simplex.
+                    let expected = match backend {
+                        Backend::Lp => BudgetUnit::SimplexIterations,
+                        Backend::Graph | Backend::Auto => BudgetUnit::BellmanFordPasses,
+                    };
+                    assert_eq!(unit, expected, "{backend}/certify={certify}");
                 }
                 other => {
                     panic!("{backend}/certify={certify}: expected LpError::Budget, got {other:?}")
                 }
             }
         }
+    }
+}
+
+/// The difference system of `smo gen --latches 4000 --seed 7`, the
+/// `datapath-large` benchmark input (4005 graph nodes with the origin).
+fn datapath_4000_system() -> (Circuit, DifferenceSystem) {
+    let circuit = pipelined_datapath(&DatapathConfig::with_latches(4000), 7);
+    let model = TimingModel::build(&circuit).expect("model");
+    let images = variable_images(&circuit, &model);
+    let cls = classify(model.problem(), &images).expect("classifies");
+    assert!(cls.is_pure());
+    let system = DifferenceSystem::build(model.problem(), &images, &cls).expect("builds");
+    (circuit, system)
+}
+
+/// Each infeasible Lawler round ends at the first cycle of the
+/// Bellman–Ford predecessor graph. A round that instead ran all V passes
+/// before reporting its cycle would need 4005 passes per infeasible round
+/// (8056 in total here); stopping early needs a few dozen, so a 500-pass
+/// allowance pins the behavior without timing anything.
+#[test]
+fn min_ratio_search_on_4000_latches_fits_500_passes() {
+    let (circuit, system) = datapath_4000_system();
+    let (lambda, witness) = match system.minimize_param(&SolveBudget::with_max_iterations(500)) {
+        Ok(MinParamOutcome::Optimal {
+            lambda, witness, ..
+        }) => (lambda, witness),
+        other => panic!("expected an optimum within 500 passes, got {other:?}"),
+    };
+    let witness = witness.expect("a critical cycle binds Tc*");
+    assert!(
+        (witness.implied_lower() - lambda).abs() <= 1e-9 * lambda,
+        "witness implies {} for Tc* = {lambda}",
+        witness.implied_lower()
+    );
+    // The product path re-derives achievability and minimality from the
+    // raw rows; it must accept the same optimum.
+    let sol = min_cycle_time_with(
+        &circuit,
+        &MlpOptions {
+            backend: Backend::Graph,
+            ..Default::default()
+        },
+    )
+    .expect("solves");
+    let cert = sol.graph_certificate().expect("graph solve is certified");
+    assert!(cert.is_valid(), "{cert}");
+    assert!((sol.cycle_time() - lambda).abs() <= 1e-12 * lambda);
+}
+
+/// Below Tc* a single Bellman–Ford round must find its negative cycle in
+/// far fewer than V = 4005 passes.
+#[test]
+fn feasible_at_below_optimum_finds_a_cycle_within_100_passes() {
+    let (_, system) = datapath_4000_system();
+    let lambda = match system.minimize_param(&SolveBudget::UNLIMITED) {
+        Ok(MinParamOutcome::Optimal { lambda, .. }) => lambda,
+        other => panic!("expected an optimum, got {other:?}"),
+    };
+    let below = 0.99 * lambda;
+    match system.feasible_at(below, &SolveBudget::with_max_iterations(100)) {
+        Ok(FixedParamOutcome::NegativeCycle(cycle)) => {
+            assert!(
+                cycle.weight_at(below) < 0.0,
+                "cycle weight must be negative"
+            );
+            assert!(!cycle.rows().is_empty());
+        }
+        other => panic!("expected a negative cycle within 100 passes, got {other:?}"),
     }
 }
 
