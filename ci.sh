@@ -198,17 +198,34 @@ gen_ckt=$(mktemp --suffix=.ckt)
   | grep "certified: true" > /dev/null
 rm -f "$gen_ckt"
 
-echo "==> 100k-latch generated circuit (300k rows): default-flag solve and check"
+echo "==> 100k-latch generated circuit (300k rows): default-flag solve, check and lint"
 # The graph min-ratio solve ends each Bellman–Ford round at the first
 # predecessor-graph cycle, so a 300k-row solve takes seconds rather than
-# the O(V·E)-per-round minutes. Both default-flag commands must finish
-# well inside the timeout, the solve certified.
+# the O(V·E)-per-round minutes. All three commands must finish well
+# inside the timeout, the solve certified. They all need --max-input-mb:
+# the 12.7 MB netlist is past the 4 MiB default.
 scale_ckt=$(mktemp --suffix=.ckt)
 ./target/release/smo gen --latches 100000 --seed 7 --out "$scale_ckt"
 timeout 120 ./target/release/smo solve "$scale_ckt" --max-input-mb 64 --time-limit 30 \
   | grep "certified: true" > /dev/null
 timeout 120 ./target/release/smo check "$scale_ckt" --max-input-mb 64 > /dev/null
+timeout 120 ./target/release/smo lint "$scale_ckt" --max-input-mb 64 > /dev/null
 rm -f "$scale_ckt"
+
+echo "==> 200k mindelay lines over 200k parallel paths: parsed in one indexed pass"
+# Every `mindelay` line resolves against one (from, to) index of the
+# edges, so this 6 MB netlist parses in well under a second; matching
+# each line against every edge instead would take about a minute.
+mindelay_ckt=$(mktemp --suffix=.ckt)
+{
+  printf 'clock 2\nlatch A phase=1 setup=1 dq=2\nlatch B phase=2 setup=1 dq=2\n'
+  # `yes` dies of SIGPIPE when `head` is done; only `head` must succeed.
+  { yes 'path A B delay=5' || true; } | head -n 200000
+  { yes 'mindelay A B 1' || true; } | head -n 200000
+} > "$mindelay_ckt"
+timeout 20 ./target/release/smo solve "$mindelay_ckt" --max-input-mb 64 --json \
+  | grep '"certified": true' > /dev/null
+rm -f "$mindelay_ckt"
 
 echo "==> bench_scale (dense vs sparse-LU scaling gate)"
 # Quick mode enforces the speedup convention at CI-friendly sizes, then

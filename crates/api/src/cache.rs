@@ -73,22 +73,31 @@ impl Doorkeeper {
     }
 }
 
+/// Buckets of the recency histogram that picks an eviction cutoff.
+const EVICTION_BUCKETS: usize = 256;
+
 /// A byte-budgeted LRU map. Recency is a monotone counter stamped on
-/// every touch; eviction scans for the stale minimum (the maps here hold
-/// tens of entries, so O(n) eviction beats the constant factor of an
-/// intrusive list).
+/// every touch. An insert that pushes the total over budget evicts in one
+/// batch, coldest first, down to a low-water mark of 7/8 of the budget:
+/// one pass over the entries buckets their costs by stamp, and a second
+/// drops every entry below the cutoff stamp. The result map holds tens of
+/// thousands of entries under steady daemon traffic, so a batch pays one
+/// scan per eighth of the budget instead of one per insert.
 struct LruMap<K, V> {
     entries: HashMap<K, (V, u64, usize)>, // value, last-use stamp, cost
     clock: u64,
+    /// No live entry's stamp is below this (the last eviction cutoff).
+    floor: u64,
     total_cost: usize,
     max_cost: usize,
 }
 
-impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
+impl<K: Eq + Hash, V> LruMap<K, V> {
     fn new(max_cost: usize) -> Self {
         LruMap {
             entries: HashMap::new(),
             clock: 0,
+            floor: 0,
             total_cost: 0,
             max_cost,
         }
@@ -113,19 +122,41 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         self.clock += 1;
         self.entries.insert(key, (value, self.clock, cost));
         self.total_cost += cost;
-        while self.total_cost > self.max_cost {
-            let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp, _))| *stamp)
-                .map(|(k, _)| k.clone())
-            else {
+        if self.total_cost > self.max_cost {
+            self.evict_to(self.max_cost - self.max_cost / 8);
+        }
+    }
+
+    /// Evicts the coldest entries until the total is at most `low_water`,
+    /// overshooting by at most one histogram bucket, and never the entry
+    /// stamped last (it alone fits the budget).
+    fn evict_to(&mut self, low_water: usize) {
+        let excess = self.total_cost.saturating_sub(low_water);
+        let span = self.clock - self.floor + 1;
+        let width = span.div_ceil(EVICTION_BUCKETS as u64);
+        let mut costs = [0usize; EVICTION_BUCKETS];
+        for (_, stamp, cost) in self.entries.values() {
+            costs[((stamp - self.floor) / width) as usize] += cost;
+        }
+        let mut freed = 0;
+        let mut cutoff = self.clock;
+        for (b, cost) in costs.iter().enumerate() {
+            freed += cost;
+            if freed >= excess {
+                cutoff = cutoff.min(self.floor + (b as u64 + 1) * width);
                 break;
-            };
-            if let Some((_, _, c)) = self.entries.remove(&oldest) {
-                self.total_cost -= c;
             }
         }
+        let mut total = self.total_cost;
+        self.entries.retain(|_, (_, stamp, cost)| {
+            let keep = *stamp >= cutoff;
+            if !keep {
+                total -= *cost;
+            }
+            keep
+        });
+        self.total_cost = total;
+        self.floor = cutoff;
     }
 
     fn remove(&mut self, key: &K) {
@@ -295,6 +326,45 @@ mod tests {
         // An entry larger than the whole budget is refused outright.
         m.insert(4, "d", 1000);
         assert_eq!(m.get(&4), None);
+    }
+
+    #[test]
+    fn lru_overfill_keeps_exactly_the_most_recent_entries_under_budget() {
+        let mut m: LruMap<u32, u32> = LruMap::new(1000);
+        let mut recency: Vec<u32> = Vec::new(); // least recent first
+        let mut batches = 0;
+        for k in 0..500u32 {
+            let before = m.len();
+            m.insert(k, k, 7 + k as usize % 13);
+            if m.len() <= before {
+                // An eviction batch runs down to the 7/8 low-water mark.
+                batches += 1;
+                assert!(m.total_cost <= 875, "batch stopped at {}", m.total_cost);
+            }
+            recency.retain(|&r| r != k);
+            recency.push(k);
+            // Touch an older key now and then, as hits do.
+            if k % 5 == 0 && k >= 40 {
+                let old = k - 40;
+                if m.get(&old).is_some() {
+                    recency.retain(|&r| r != old);
+                    recency.push(old);
+                }
+            }
+            assert!(m.total_cost <= m.max_cost, "over budget after {k}");
+            let live = m.len();
+            let survivors: Vec<u32> = recency[recency.len() - live..].to_vec();
+            for key in &survivors {
+                assert!(
+                    m.entries.contains_key(key),
+                    "{key} evicted before colder keys"
+                );
+            }
+            let cost: usize = m.entries.values().map(|&(_, _, c)| c).sum();
+            assert_eq!(cost, m.total_cost);
+        }
+        // ~6k of cost through a 1000 budget, an eighth freed per batch.
+        assert!((20..=60).contains(&batches), "{batches} batches");
     }
 
     #[test]

@@ -18,17 +18,10 @@ pub use smo_circuit::netlist::ParseLimits;
 
 /// Parses netlist text, auto-detecting the gate-level dialect (the
 /// file-reading half of the CLI's loader lives in the binary; the daemon
-/// receives netlists inline and never touches the filesystem).
+/// receives netlists inline and never touches the filesystem). See
+/// [`netlist::parse_auto`].
 pub fn parse_netlist(src: &str, limits: &ParseLimits) -> Result<Circuit, CircuitError> {
-    let gate_level = src.lines().any(|l| {
-        let t = l.split('#').next().unwrap_or("").trim_start();
-        t.starts_with("gate ") || t.starts_with("wire ")
-    });
-    if gate_level {
-        netlist::parse_gates_with_limits(src, limits)
-    } else {
-        netlist::parse_with_limits(src, limits)
-    }
+    netlist::parse_auto(src, limits)
 }
 
 /// Renders a solve result as a JSON object (hand-rolled, matching the

@@ -110,19 +110,46 @@ impl CircuitBuilder {
         id
     }
 
-    /// Declares the measured short-path delay for every existing `from → to`
-    /// path (the netlist `mindelay` statement). Returns how many edges were
-    /// updated — `0` means no such path exists yet.
-    pub fn set_min_delay(&mut self, from: LatchId, to: LatchId, min_delay: f64) -> usize {
-        let mut updated = 0;
-        for e in &mut self.edges {
-            if e.from == from && e.to == to {
-                e.min_delay = min_delay;
-                e.min_specified = true;
-                updated += 1;
+    /// Declares measured short-path delays (the netlist `mindelay`
+    /// statements): each `(from, to, δ)` sets the short-path delay of every
+    /// existing `from → to` path, in order, so a later declaration for the
+    /// same pair wins. The declarations resolve against one index of the
+    /// edges, and each path is written once, in `O((E + M) log E)` time
+    /// for `E` edges and `M` declarations.
+    ///
+    /// # Errors
+    ///
+    /// The position of the first declaration that matches no path; nothing
+    /// is applied then.
+    pub fn set_min_delays(&mut self, decls: &[(LatchId, LatchId, f64)]) -> Result<(), usize> {
+        if decls.is_empty() {
+            return Ok(());
+        }
+        let pair = |e: &Edge| (e.from, e.to);
+        let mut by_pair: Vec<usize> = (0..self.edges.len()).collect();
+        by_pair.sort_unstable_by_key(|&i| pair(&self.edges[i]));
+        // The winning δ of each pair, at the position its edges start.
+        let mut latest: Vec<Option<f64>> = vec![None; by_pair.len()];
+        for (n, &(from, to, min_delay)) in decls.iter().enumerate() {
+            let start = by_pair.partition_point(|&i| pair(&self.edges[i]) < (from, to));
+            match by_pair.get(start) {
+                Some(&i) if pair(&self.edges[i]) == (from, to) => latest[start] = Some(min_delay),
+                _ => return Err(n),
             }
         }
-        updated
+        for (start, winner) in latest.into_iter().enumerate() {
+            let Some(min_delay) = winner else { continue };
+            let key = pair(&self.edges[by_pair[start]]);
+            for &i in &by_pair[start..] {
+                let e = &mut self.edges[i];
+                if pair(e) != key {
+                    break;
+                }
+                e.min_delay = min_delay;
+                e.min_specified = true;
+            }
+        }
+        Ok(())
     }
 
     /// Number of synchronizers added so far.
@@ -148,7 +175,7 @@ impl CircuitBuilder {
         if syncs.is_empty() {
             return Err(CircuitError::EmptyCircuit);
         }
-        let mut names = HashSet::new();
+        let mut names: HashSet<&str> = HashSet::with_capacity(syncs.len());
         for s in &syncs {
             if s.phase.index() >= clock.num_phases() {
                 return Err(CircuitError::PhaseOutOfRange {
@@ -178,7 +205,7 @@ impl CircuitBuilder {
                     name: s.name.clone(),
                 });
             }
-            if !names.insert(s.name.clone()) {
+            if !names.insert(&s.name) {
                 return Err(CircuitError::DuplicateName {
                     name: s.name.clone(),
                 });

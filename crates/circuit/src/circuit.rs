@@ -21,18 +21,56 @@ pub struct Circuit {
     clock: ClockSpec,
     syncs: Vec<Synchronizer>,
     edges: Vec<Edge>,
-    fanin: Vec<Vec<EdgeId>>,
-    fanout: Vec<Vec<EdgeId>>,
+    fanin: Adjacency,
+    fanout: Adjacency,
+}
+
+/// Compressed sparse rows of edge ids per synchronizer: the edges of
+/// synchronizer `i` are `edges[offsets[i]..offsets[i + 1]]`, in edge-id
+/// order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Adjacency {
+    offsets: Vec<usize>,
+    edges: Vec<EdgeId>,
+}
+
+impl Adjacency {
+    /// Groups the edges by `end(edge)`, one of `n` synchronizers.
+    fn new(n: usize, all: &[Edge], end: impl Fn(&Edge) -> LatchId) -> Self {
+        let mut offsets = vec![0usize; n + 1];
+        for e in all {
+            offsets[end(e).index() + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets.clone();
+        let mut edges = vec![EdgeId(0); all.len()];
+        for (i, e) in all.iter().enumerate() {
+            let slot = &mut next[end(e).index()];
+            edges[*slot] = EdgeId(i);
+            *slot += 1;
+        }
+        Adjacency { offsets, edges }
+    }
+
+    fn of(&self, id: LatchId) -> &[EdgeId] {
+        &self.edges[self.offsets[id.index()]..self.offsets[id.index() + 1]]
+    }
+
+    fn max_degree(&self) -> usize {
+        self.offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 impl Circuit {
     pub(crate) fn from_parts(clock: ClockSpec, syncs: Vec<Synchronizer>, edges: Vec<Edge>) -> Self {
-        let mut fanin = vec![Vec::new(); syncs.len()];
-        let mut fanout = vec![Vec::new(); syncs.len()];
-        for (i, e) in edges.iter().enumerate() {
-            fanout[e.from.index()].push(EdgeId(i));
-            fanin[e.to.index()].push(EdgeId(i));
-        }
+        let fanin = Adjacency::new(syncs.len(), &edges, |e| e.to);
+        let fanout = Adjacency::new(syncs.len(), &edges, |e| e.from);
         Circuit {
             clock,
             syncs,
@@ -122,7 +160,7 @@ impl Circuit {
     ///
     /// Panics if `id` is out of range.
     pub fn fanin(&self, id: LatchId) -> &[EdgeId] {
-        &self.fanin[id.index()]
+        self.fanin.of(id)
     }
 
     /// Ids of the edges departing from `id`'s data output.
@@ -131,13 +169,13 @@ impl Circuit {
     ///
     /// Panics if `id` is out of range.
     pub fn fanout(&self, id: LatchId) -> &[EdgeId] {
-        &self.fanout[id.index()]
+        self.fanout.of(id)
     }
 
     /// The largest fan-in of any synchronizer — `F` in the paper's
     /// constraint-count bound `4k + (F+1)·l` (§IV).
     pub fn max_fanin(&self) -> usize {
-        self.fanin.iter().map(Vec::len).max().unwrap_or(0)
+        self.fanin.max_degree()
     }
 
     /// The paper's `K` matrix (eq. 2): `K[i][j]` is `true` iff `φ_i/φ_j` is
@@ -334,6 +372,26 @@ mod tests {
         let e = c.edge(c.fanout(LatchId::new(3))[0]);
         assert_eq!(e.to, LatchId::new(0));
         assert_eq!(e.max_delay, 80.0);
+    }
+
+    #[test]
+    fn fanin_and_fanout_list_edges_in_id_order() {
+        let mut b = CircuitBuilder::new(2);
+        let a = b.add_latch("A", p(1), 1.0, 1.0);
+        let c = b.add_latch("B", p(2), 1.0, 1.0);
+        let idle = b.add_latch("C", p(1), 1.0, 1.0);
+        b.connect(c, a, 1.0);
+        b.connect(a, c, 2.0);
+        b.connect(c, a, 3.0);
+        b.connect(a, a, 4.0);
+        let circuit = b.build().unwrap();
+        let ids = |es: &[EdgeId]| es.iter().map(|e| e.index()).collect::<Vec<_>>();
+        assert_eq!(ids(circuit.fanin(a)), vec![0, 2, 3]);
+        assert_eq!(ids(circuit.fanout(a)), vec![1, 3]);
+        assert_eq!(ids(circuit.fanin(c)), vec![1]);
+        assert_eq!(ids(circuit.fanout(c)), vec![0, 2]);
+        assert!(circuit.fanin(idle).is_empty() && circuit.fanout(idle).is_empty());
+        assert_eq!(circuit.max_fanin(), 3);
     }
 
     #[test]

@@ -36,8 +36,9 @@ use crate::error::CircuitError;
 use crate::gates::{GateNetlistBuilder, NodeId};
 use crate::ids::{LatchId, PhaseId};
 use crate::sync::{SyncKind, Synchronizer};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::str::SplitWhitespace;
 
 /// Input-size limits enforced before a netlist is parsed.
 ///
@@ -91,10 +92,11 @@ impl Default for ParseLimits {
 
 /// Pre-scan shared by both parsers: one pass over the raw text, rejecting
 /// anything outside `limits` before any per-line work allocates.
-fn check_limits(src: &str, limits: &ParseLimits) -> Result<(), CircuitError> {
-    if *limits == ParseLimits::UNLIMITED {
-        return Ok(());
-    }
+///
+/// The same pass reports whether the text is gate-level: `true` when some
+/// line, comment stripped and leading whitespace trimmed, starts with
+/// `gate ` or `wire ` (see [`parse_auto`]).
+fn prescan(src: &str, limits: &ParseLimits) -> Result<bool, CircuitError> {
     if src.len() > limits.max_bytes {
         return Err(CircuitError::InputLimit {
             what: "input bytes",
@@ -103,6 +105,7 @@ fn check_limits(src: &str, limits: &ParseLimits) -> Result<(), CircuitError> {
         });
     }
     let mut elements = 0usize;
+    let mut gate_level = false;
     for (lineno0, raw) in src.lines().enumerate() {
         if lineno0 >= limits.max_lines {
             return Err(CircuitError::InputLimit {
@@ -118,7 +121,9 @@ fn check_limits(src: &str, limits: &ParseLimits) -> Result<(), CircuitError> {
                 actual: raw.len(),
             });
         }
-        let line = raw.split('#').next().unwrap_or("").trim();
+        let line = strip_comment(raw).trim_start();
+        gate_level |= line.starts_with("gate ") || line.starts_with("wire ");
+        let line = line.trim_end();
         if line.is_empty() {
             continue;
         }
@@ -141,7 +146,37 @@ fn check_limits(src: &str, limits: &ParseLimits) -> Result<(), CircuitError> {
             }
         }
     }
-    Ok(())
+    Ok(gate_level)
+}
+
+/// `raw` up to its first `#`.
+fn strip_comment(raw: &str) -> &str {
+    raw.split('#').next().unwrap_or("")
+}
+
+/// The statements of a netlist: every line with a token outside its
+/// comment, as its one-based line number, its keyword and the tokens after
+/// the keyword.
+fn statements(src: &str) -> impl Iterator<Item = (usize, &str, SplitWhitespace<'_>)> {
+    src.lines().enumerate().filter_map(|(lineno0, raw)| {
+        let mut tokens = strip_comment(raw).split_whitespace();
+        tokens.next().map(|keyword| (lineno0 + 1, keyword, tokens))
+    })
+}
+
+fn syntax_error(line: usize, message: impl Into<String>) -> CircuitError {
+    CircuitError::ParseNetlist {
+        line,
+        message: message.into(),
+    }
+}
+
+/// The error for a netlist without a `clock` line, placed on its last line.
+fn missing_clock(src: &str) -> CircuitError {
+    syntax_error(
+        src.lines().count().max(1),
+        "netlist contains no `clock` line",
+    )
 }
 
 /// Parses a netlist into a validated [`Circuit`], enforcing the `Default`
@@ -172,106 +207,168 @@ pub fn parse(src: &str) -> Result<Circuit, CircuitError> {
 ///
 /// See [`parse`].
 pub fn parse_with_limits(src: &str, limits: &ParseLimits) -> Result<Circuit, CircuitError> {
-    check_limits(src, limits)?;
+    prescan(src, limits)?;
+    parse_latch_level(src)
+}
+
+/// Parses either dialect under `limits`: the gate-level parser
+/// ([`parse_gates`]) when some line starts with `gate ` or `wire ` once its
+/// comment and leading whitespace are stripped, [`parse`] otherwise. The
+/// dialect is detected by the limits pre-scan, so the text is read twice
+/// in all.
+///
+/// # Errors
+///
+/// See [`parse`] and [`parse_gates`]; limit errors take precedence over
+/// syntax errors in either dialect.
+pub fn parse_auto(src: &str, limits: &ParseLimits) -> Result<Circuit, CircuitError> {
+    if prescan(src, limits)? {
+        parse_gate_level(src)
+    } else {
+        parse_latch_level(src)
+    }
+}
+
+/// The `clock k` statement: the phase count `k`.
+fn clock_statement(mut tokens: SplitWhitespace<'_>, line: usize) -> Result<usize, CircuitError> {
+    let k: usize = tokens
+        .next()
+        .ok_or_else(|| syntax_error(line, "`clock` needs a phase count"))?
+        .parse()
+        .map_err(|e| syntax_error(line, format!("bad phase count: {e}")))?;
+    if k == 0 {
+        return Err(syntax_error(line, "clock must have at least one phase"));
+    }
+    if let Some(extra) = tokens.next() {
+        return Err(syntax_error(
+            line,
+            format!("unexpected token `{extra}` after `clock {k}`"),
+        ));
+    }
+    Ok(k)
+}
+
+/// A `latch` or `ff` statement: the element's name, borrowed from the
+/// source, and its synchronizer.
+fn sync_statement<'a>(
+    keyword: &str,
+    mut tokens: SplitWhitespace<'a>,
+    line: usize,
+) -> Result<(&'a str, Synchronizer), CircuitError> {
+    let name = tokens
+        .next()
+        .ok_or_else(|| syntax_error(line, format!("`{keyword}` needs a name")))?;
+    let ([phase, setup, dq], [hold]) =
+        read_attrs(tokens, ["phase", "setup", "dq"], ["hold"], line)?;
+    if phase.fract() != 0.0 || phase < 1.0 {
+        return Err(syntax_error(
+            line,
+            format!("phase must be a positive integer, got {phase}"),
+        ));
+    }
+    let phase = PhaseId::from_number(phase as usize);
+    let sync = match keyword {
+        "latch" => Synchronizer::latch(name, phase, setup, dq),
+        _ => Synchronizer::flip_flop(name, phase, setup, dq),
+    };
+    Ok((name, sync.with_hold(hold.unwrap_or(0.0))))
+}
+
+/// Reads a statement's `key=value` tokens into fixed slots: one per
+/// `required` key, which must appear, and one per `optional` key.
+///
+/// Errors come in a fixed order. First, per token in line order: a token
+/// without `=`, a value that is not a number, a key seen before on the
+/// line. Then the first absent required key, in `required` order. Then the
+/// first unknown key in line order.
+fn read_attrs<'a, const R: usize, const O: usize>(
+    tokens: SplitWhitespace<'a>,
+    required: [&str; R],
+    optional: [&str; O],
+    line: usize,
+) -> Result<([f64; R], [Option<f64>; O]), CircuitError> {
+    let mut req = [None; R];
+    let mut opt = [None; O];
+    // Unknown keys only need remembering to report duplicates among them;
+    // a line holding one fails anyway, so the set is built on that path
+    // alone.
+    let mut unknown: Option<(&str, HashSet<&str>)> = None;
+    for t in tokens {
+        let (key, value) = t
+            .split_once('=')
+            .ok_or_else(|| syntax_error(line, format!("expected key=value, got `{t}`")))?;
+        let value: f64 = value
+            .parse()
+            .map_err(|e| syntax_error(line, format!("bad value for `{key}`: {e}")))?;
+        let slot = if let Some(i) = required.iter().position(|&k| k == key) {
+            &mut req[i]
+        } else if let Some(i) = optional.iter().position(|&k| k == key) {
+            &mut opt[i]
+        } else {
+            let (_, seen) = unknown.get_or_insert_with(|| (key, HashSet::new()));
+            if !seen.insert(key) {
+                return Err(syntax_error(line, format!("duplicate attribute `{key}`")));
+            }
+            continue;
+        };
+        if slot.replace(value).is_some() {
+            return Err(syntax_error(line, format!("duplicate attribute `{key}`")));
+        }
+    }
+    let mut values = [0.0; R];
+    for ((value, slot), key) in values.iter_mut().zip(req).zip(required) {
+        *value = slot.ok_or_else(|| syntax_error(line, format!("missing {key}=")))?;
+    }
+    if let Some((key, _)) = unknown {
+        return Err(syntax_error(line, format!("unknown attribute `{key}`")));
+    }
+    Ok((values, opt))
+}
+
+/// The latch-level parser behind [`parse_with_limits`], after the
+/// pre-scan.
+fn parse_latch_level(src: &str) -> Result<Circuit, CircuitError> {
     let mut builder: Option<CircuitBuilder> = None;
-    let mut ids: HashMap<String, LatchId> = HashMap::new();
+    let mut ids: HashMap<&str, LatchId> = HashMap::new();
     // `mindelay` statements are order-independent (they may precede the
     // `path` lines they annotate), so they are resolved after the scan.
-    let mut mindelays: Vec<(usize, String, String, f64)> = Vec::new();
+    let mut mindelays: Vec<(usize, &str, &str, f64)> = Vec::new();
 
-    for (lineno0, raw) in src.lines().enumerate() {
-        let lineno = lineno0 + 1;
-        let err = |message: String| CircuitError::ParseNetlist {
-            line: lineno,
-            message,
-        };
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        let keyword = tokens.next().expect("non-empty line has a first token");
+    for (line, keyword, mut tokens) in statements(src) {
+        let no_clock = || syntax_error(line, "`clock` line must come first");
         match keyword {
             "clock" => {
                 if builder.is_some() {
-                    return Err(err("duplicate `clock` line".into()));
+                    return Err(syntax_error(line, "duplicate `clock` line"));
                 }
-                let k: usize = tokens
-                    .next()
-                    .ok_or_else(|| err("`clock` needs a phase count".into()))?
-                    .parse()
-                    .map_err(|e| err(format!("bad phase count: {e}")))?;
-                if k == 0 {
-                    return Err(err("clock must have at least one phase".into()));
-                }
-                if let Some(extra) = tokens.next() {
-                    return Err(err(format!("unexpected token `{extra}` after `clock {k}`")));
-                }
-                builder = Some(CircuitBuilder::new(k));
+                builder = Some(CircuitBuilder::new(clock_statement(tokens, line)?));
             }
             "latch" | "ff" => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| err("`clock` line must come first".into()))?;
-                let name = tokens
-                    .next()
-                    .ok_or_else(|| err(format!("`{keyword}` needs a name")))?
-                    .to_string();
-                let kv = parse_kv(tokens, lineno)?;
-                let phase = *kv
-                    .get("phase")
-                    .ok_or_else(|| err("missing phase=".into()))?;
-                let setup = *kv
-                    .get("setup")
-                    .ok_or_else(|| err("missing setup=".into()))?;
-                let dq = *kv.get("dq").ok_or_else(|| err("missing dq=".into()))?;
-                let hold = kv.get("hold").copied().unwrap_or(0.0);
-                for key in kv.keys() {
-                    if !matches!(key.as_str(), "phase" | "setup" | "dq" | "hold") {
-                        return Err(err(format!("unknown attribute `{key}`")));
-                    }
-                }
-                if phase.fract() != 0.0 || phase < 1.0 {
-                    return Err(err(format!(
-                        "phase must be a positive integer, got {phase}"
-                    )));
-                }
-                let phase = PhaseId::from_number(phase as usize);
-                let sync = match keyword {
-                    "latch" => Synchronizer::latch(&name, phase, setup, dq),
-                    _ => Synchronizer::flip_flop(&name, phase, setup, dq),
-                };
-                let id = b.add_sync(sync.with_hold(hold));
-                if ids.insert(name.clone(), id).is_some() {
-                    return Err(err(format!("duplicate element name `{name}`")));
+                let b = builder.as_mut().ok_or_else(no_clock)?;
+                let (name, sync) = sync_statement(keyword, tokens, line)?;
+                let id = b.add_sync(sync);
+                if ids.insert(name, id).is_some() {
+                    return Err(syntax_error(
+                        line,
+                        format!("duplicate element name `{name}`"),
+                    ));
                 }
             }
             "path" => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| err("`clock` line must come first".into()))?;
+                let b = builder.as_mut().ok_or_else(no_clock)?;
                 let from_name = tokens
                     .next()
-                    .ok_or_else(|| err("`path` needs a source".into()))?;
+                    .ok_or_else(|| syntax_error(line, "`path` needs a source"))?;
                 let to_name = tokens
                     .next()
-                    .ok_or_else(|| err("`path` needs a destination".into()))?;
-                let kv = parse_kv(tokens, lineno)?;
-                let delay = *kv
-                    .get("delay")
-                    .ok_or_else(|| err("missing delay=".into()))?;
-                let min = kv.get("min").copied();
-                for key in kv.keys() {
-                    if !matches!(key.as_str(), "delay" | "min") {
-                        return Err(err(format!("unknown attribute `{key}`")));
-                    }
-                }
-                let from = *ids
-                    .get(from_name)
-                    .ok_or_else(|| err(format!("unknown element `{from_name}`")))?;
-                let to = *ids
-                    .get(to_name)
-                    .ok_or_else(|| err(format!("unknown element `{to_name}`")))?;
+                    .ok_or_else(|| syntax_error(line, "`path` needs a destination"))?;
+                let ([delay], [min]) = read_attrs(tokens, ["delay"], ["min"], line)?;
+                let endpoint = |name: &str| {
+                    ids.get(name)
+                        .copied()
+                        .ok_or_else(|| syntax_error(line, format!("unknown element `{name}`")))
+                };
+                let (from, to) = (endpoint(from_name)?, endpoint(to_name)?);
                 match min {
                     Some(min) => b.connect_min_max(from, to, min, delay),
                     None => b.connect(from, to, delay),
@@ -279,78 +376,63 @@ pub fn parse_with_limits(src: &str, limits: &ParseLimits) -> Result<Circuit, Cir
             }
             "mindelay" => {
                 if builder.is_none() {
-                    return Err(err("`clock` line must come first".into()));
+                    return Err(no_clock());
                 }
                 let from = tokens
                     .next()
-                    .ok_or_else(|| err("`mindelay` needs a source".into()))?;
+                    .ok_or_else(|| syntax_error(line, "`mindelay` needs a source"))?;
                 let to = tokens
                     .next()
-                    .ok_or_else(|| err("`mindelay` needs a destination".into()))?;
+                    .ok_or_else(|| syntax_error(line, "`mindelay` needs a destination"))?;
                 let value = tokens
                     .next()
-                    .ok_or_else(|| err("`mindelay` needs a delay value".into()))?;
-                let value: f64 = value
-                    .parse()
-                    .map_err(|e| err(format!("bad mindelay value `{value}`: {e}")))?;
+                    .ok_or_else(|| syntax_error(line, "`mindelay` needs a delay value"))?;
+                let value: f64 = value.parse().map_err(|e| {
+                    syntax_error(line, format!("bad mindelay value `{value}`: {e}"))
+                })?;
                 if let Some(extra) = tokens.next() {
-                    return Err(err(format!(
-                        "unexpected token `{extra}` after `mindelay {from} {to} {value}`"
-                    )));
+                    return Err(syntax_error(
+                        line,
+                        format!("unexpected token `{extra}` after `mindelay {from} {to} {value}`"),
+                    ));
                 }
-                mindelays.push((lineno, from.to_string(), to.to_string(), value));
+                mindelays.push((line, from, to, value));
             }
             other => {
-                return Err(err(format!(
-                    "unknown keyword `{other}` (expected clock/latch/ff/path/mindelay)"
-                )));
+                return Err(syntax_error(
+                    line,
+                    format!("unknown keyword `{other}` (expected clock/latch/ff/path/mindelay)"),
+                ));
             }
         }
     }
 
-    let mut builder = builder.ok_or(CircuitError::ParseNetlist {
-        line: src.lines().count().max(1),
-        message: "netlist contains no `clock` line".into(),
-    })?;
-    for (line, from_name, to_name, value) in mindelays {
-        let err = |message: String| CircuitError::ParseNetlist { line, message };
-        let from = *ids
-            .get(&from_name)
-            .ok_or_else(|| err(format!("unknown element `{from_name}`")))?;
-        let to = *ids
-            .get(&to_name)
-            .ok_or_else(|| err(format!("unknown element `{to_name}`")))?;
-        if builder.set_min_delay(from, to, value) == 0 {
-            return Err(err(format!(
-                "`mindelay {from_name} {to_name}` matches no `path {from_name} {to_name}` line"
-            )));
+    let mut builder = builder.ok_or_else(|| missing_clock(src))?;
+    // Resolve names up to the first unknown one, apply that prefix through
+    // one edge index, and report whichever failure comes first in the file.
+    let mut resolved = Vec::with_capacity(mindelays.len());
+    let mut unknown_name = None;
+    for &(line, from, to, value) in &mindelays {
+        match (ids.get(from), ids.get(to)) {
+            (Some(&f), Some(&t)) => resolved.push((f, t, value)),
+            (f, _) => {
+                let name = if f.is_none() { from } else { to };
+                unknown_name = Some(syntax_error(line, format!("unknown element `{name}`")));
+                break;
+            }
         }
+    }
+    if let Err(i) = builder.set_min_delays(&resolved) {
+        let (line, from, to, _) = mindelays[i];
+        return Err(syntax_error(
+            line,
+            format!("`mindelay {from} {to}` matches no `path {from} {to}` line"),
+        ));
+    }
+    if let Some(e) = unknown_name {
+        return Err(e);
     }
     builder.build()
-}
-
-fn parse_kv<'a>(
-    tokens: impl Iterator<Item = &'a str>,
-    lineno: usize,
-) -> Result<HashMap<String, f64>, CircuitError> {
-    let mut kv = HashMap::new();
-    for t in tokens {
-        let (key, value) = t.split_once('=').ok_or(CircuitError::ParseNetlist {
-            line: lineno,
-            message: format!("expected key=value, got `{t}`"),
-        })?;
-        let value: f64 = value.parse().map_err(|e| CircuitError::ParseNetlist {
-            line: lineno,
-            message: format!("bad value for `{key}`: {e}"),
-        })?;
-        if kv.insert(key.to_string(), value).is_some() {
-            return Err(CircuitError::ParseNetlist {
-                line: lineno,
-                message: format!("duplicate attribute `{key}`"),
-            });
-        }
-    }
-    Ok(kv)
 }
 
 /// Parses a *gate-level* netlist and extracts the latch-graph circuit.
@@ -399,134 +481,76 @@ pub fn parse_gates(src: &str) -> Result<Circuit, CircuitError> {
 ///
 /// See [`parse_gates`].
 pub fn parse_gates_with_limits(src: &str, limits: &ParseLimits) -> Result<Circuit, CircuitError> {
-    check_limits(src, limits)?;
-    let mut builder: Option<GateNetlistBuilder> = None;
-    let mut ids: HashMap<String, NodeId> = HashMap::new();
+    prescan(src, limits)?;
+    parse_gate_level(src)
+}
 
-    for (lineno0, raw) in src.lines().enumerate() {
-        let lineno = lineno0 + 1;
-        let err = |message: String| CircuitError::ParseNetlist {
-            line: lineno,
-            message,
-        };
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        let keyword = tokens.next().expect("non-empty line has a first token");
+/// The gate-level parser behind [`parse_gates_with_limits`], after the
+/// pre-scan.
+fn parse_gate_level(src: &str) -> Result<Circuit, CircuitError> {
+    let mut builder: Option<GateNetlistBuilder> = None;
+    let mut ids: HashMap<&str, NodeId> = HashMap::new();
+
+    for (line, keyword, mut tokens) in statements(src) {
+        let no_clock = || syntax_error(line, "`clock` line must come first");
+        let duplicate = |name: &str| syntax_error(line, format!("duplicate element name `{name}`"));
         match keyword {
             "clock" => {
                 if builder.is_some() {
-                    return Err(err("duplicate `clock` line".into()));
+                    return Err(syntax_error(line, "duplicate `clock` line"));
                 }
-                let k: usize = tokens
-                    .next()
-                    .ok_or_else(|| err("`clock` needs a phase count".into()))?
-                    .parse()
-                    .map_err(|e| err(format!("bad phase count: {e}")))?;
-                if k == 0 {
-                    return Err(err("clock must have at least one phase".into()));
-                }
-                if let Some(extra) = tokens.next() {
-                    return Err(err(format!("unexpected token `{extra}` after `clock {k}`")));
-                }
-                builder = Some(GateNetlistBuilder::new(k));
+                builder = Some(GateNetlistBuilder::new(clock_statement(tokens, line)?));
             }
             "latch" | "ff" => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| err("`clock` line must come first".into()))?;
-                let name = tokens
-                    .next()
-                    .ok_or_else(|| err(format!("`{keyword}` needs a name")))?
-                    .to_string();
-                let kv = parse_kv(tokens, lineno)?;
-                let phase = *kv
-                    .get("phase")
-                    .ok_or_else(|| err("missing phase=".into()))?;
-                let setup = *kv
-                    .get("setup")
-                    .ok_or_else(|| err("missing setup=".into()))?;
-                let dq = *kv.get("dq").ok_or_else(|| err("missing dq=".into()))?;
-                let hold = kv.get("hold").copied().unwrap_or(0.0);
-                for key in kv.keys() {
-                    if !matches!(key.as_str(), "phase" | "setup" | "dq" | "hold") {
-                        return Err(err(format!("unknown attribute `{key}`")));
-                    }
-                }
-                if phase.fract() != 0.0 || phase < 1.0 {
-                    return Err(err(format!(
-                        "phase must be a positive integer, got {phase}"
-                    )));
-                }
-                let phase = PhaseId::from_number(phase as usize);
-                let sync = match keyword {
-                    "latch" => Synchronizer::latch(&name, phase, setup, dq),
-                    _ => Synchronizer::flip_flop(&name, phase, setup, dq),
-                };
-                let id = b.add_sync(sync.with_hold(hold));
-                if ids.insert(name.clone(), id).is_some() {
-                    return Err(err(format!("duplicate element name `{name}`")));
+                let b = builder.as_mut().ok_or_else(no_clock)?;
+                let (name, sync) = sync_statement(keyword, tokens, line)?;
+                let id = b.add_sync(sync);
+                if ids.insert(name, id).is_some() {
+                    return Err(duplicate(name));
                 }
             }
             "gate" => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| err("`clock` line must come first".into()))?;
+                let b = builder.as_mut().ok_or_else(no_clock)?;
                 let name = tokens
                     .next()
-                    .ok_or_else(|| err("`gate` needs a name".into()))?
-                    .to_string();
-                let kv = parse_kv(tokens, lineno)?;
-                let max = *kv.get("max").ok_or_else(|| err("missing max=".into()))?;
-                let min = kv.get("min").copied().unwrap_or(0.0);
-                for key in kv.keys() {
-                    if !matches!(key.as_str(), "min" | "max") {
-                        return Err(err(format!("unknown attribute `{key}`")));
-                    }
-                }
-                let id = b.add_gate(&name, min, max);
-                if ids.insert(name.clone(), id).is_some() {
-                    return Err(err(format!("duplicate element name `{name}`")));
+                    .ok_or_else(|| syntax_error(line, "`gate` needs a name"))?;
+                let ([max], [min]) = read_attrs(tokens, ["max"], ["min"], line)?;
+                let id = b.add_gate(name, min.unwrap_or(0.0), max);
+                if ids.insert(name, id).is_some() {
+                    return Err(duplicate(name));
                 }
             }
             "wire" => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| err("`clock` line must come first".into()))?;
+                let b = builder.as_mut().ok_or_else(no_clock)?;
                 let from = tokens
                     .next()
-                    .ok_or_else(|| err("`wire` needs a source".into()))?;
+                    .ok_or_else(|| syntax_error(line, "`wire` needs a source"))?;
                 let to = tokens
                     .next()
-                    .ok_or_else(|| err("`wire` needs a destination".into()))?;
-                let f = *ids
-                    .get(from)
-                    .ok_or_else(|| err(format!("unknown element `{from}`")))?;
-                let t = *ids
-                    .get(to)
-                    .ok_or_else(|| err(format!("unknown element `{to}`")))?;
+                    .ok_or_else(|| syntax_error(line, "`wire` needs a destination"))?;
+                let endpoint = |name: &str| {
+                    ids.get(name)
+                        .copied()
+                        .ok_or_else(|| syntax_error(line, format!("unknown element `{name}`")))
+                };
+                let (f, t) = (endpoint(from)?, endpoint(to)?);
                 if let Some(extra) = tokens.next() {
-                    return Err(err(format!(
-                        "unexpected token `{extra}` after `wire {from} {to}`"
-                    )));
+                    return Err(syntax_error(
+                        line,
+                        format!("unexpected token `{extra}` after `wire {from} {to}`"),
+                    ));
                 }
                 b.wire(f, t)?;
             }
             other => {
-                return Err(err(format!(
-                    "unknown keyword `{other}` (expected clock/latch/ff/gate/wire)"
-                )));
+                return Err(syntax_error(
+                    line,
+                    format!("unknown keyword `{other}` (expected clock/latch/ff/gate/wire)"),
+                ));
             }
         }
     }
-    builder
-        .ok_or(CircuitError::ParseNetlist {
-            line: src.lines().count().max(1),
-            message: "netlist contains no `clock` line".into(),
-        })?
-        .extract()
+    builder.ok_or_else(|| missing_clock(src))?.extract()
 }
 
 /// Serializes a circuit into the netlist text format.
@@ -875,6 +899,589 @@ wire B A      # feedback wire, zero delay
         assert!(parse_with_limits(src, &ParseLimits::UNLIMITED).is_ok());
         // The defaults admit every shipped-size netlist.
         assert!(parse(src).is_ok());
+    }
+
+    /// One case per error branch of [`parse`]: `(case, source, expected error)`.
+    const LATCH_ERRORS: &[(&str, &str, &str)] = &[
+        (
+            "duplicate clock",
+            "clock 1\nclock 2\n",
+            "netlist parse error at line 2: duplicate `clock` line",
+        ),
+        (
+            "clock without count",
+            "clock\n",
+            "netlist parse error at line 1: `clock` needs a phase count",
+        ),
+        (
+            "bad phase count",
+            "clock two\n",
+            "netlist parse error at line 1: bad phase count: invalid digit found in string",
+        ),
+        (
+            "zero phases",
+            "clock 0\n",
+            "netlist parse error at line 1: clock must have at least one phase",
+        ),
+        (
+            "trailing token after clock",
+            "clock 2 extra\n",
+            "netlist parse error at line 1: unexpected token `extra` after `clock 2`",
+        ),
+        (
+            "latch before clock",
+            "latch A phase=1 setup=1 dq=2\nclock 1\n",
+            "netlist parse error at line 1: `clock` line must come first",
+        ),
+        (
+            "latch without name",
+            "clock 1\nlatch\n",
+            "netlist parse error at line 2: `latch` needs a name",
+        ),
+        (
+            "ff without name",
+            "clock 1\nff\n",
+            "netlist parse error at line 2: `ff` needs a name",
+        ),
+        (
+            "token without =",
+            "clock 1\nlatch A phase=1 setup\n",
+            "netlist parse error at line 2: expected key=value, got `setup`",
+        ),
+        (
+            "bad attribute value",
+            "clock 1\nlatch A phase=1 setup=x dq=2\n",
+            "netlist parse error at line 2: bad value for `setup`: invalid float literal",
+        ),
+        (
+            "duplicate attribute",
+            "clock 1\nlatch A phase=1 setup=1 setup=2 dq=2\n",
+            "netlist parse error at line 2: duplicate attribute `setup`",
+        ),
+        (
+            "duplicate unknown attribute",
+            "clock 1\nlatch A phase=1 foo=1 foo=2 setup=1 dq=2\n",
+            "netlist parse error at line 2: duplicate attribute `foo`",
+        ),
+        (
+            "missing phase",
+            "clock 1\nlatch A setup=1 dq=2\n",
+            "netlist parse error at line 2: missing phase=",
+        ),
+        (
+            "missing setup",
+            "clock 1\nlatch A phase=1 dq=2\n",
+            "netlist parse error at line 2: missing setup=",
+        ),
+        (
+            "missing dq",
+            "clock 1\nff A phase=1 setup=1\n",
+            "netlist parse error at line 2: missing dq=",
+        ),
+        (
+            "missing beats unknown",
+            "clock 1\nlatch A phase=1 foo=1 dq=2\n",
+            "netlist parse error at line 2: missing setup=",
+        ),
+        (
+            "duplicate beats a later malformed token",
+            "clock 1\nlatch A dq=1 dq=2 bare\n",
+            "netlist parse error at line 2: duplicate attribute `dq`",
+        ),
+        (
+            "bad value beats missing",
+            "clock 1\nlatch A phase=? \n",
+            "netlist parse error at line 2: bad value for `phase`: invalid float literal",
+        ),
+        (
+            "unknown latch attribute",
+            "clock 1\nlatch A phase=1 setup=1 dq=2 foo=1 bar=2 baz=3\n",
+            "netlist parse error at line 2: unknown attribute `foo`",
+        ),
+        (
+            "fractional phase",
+            "clock 2\nlatch A phase=1.5 setup=1 dq=2\n",
+            "netlist parse error at line 2: phase must be a positive integer, got 1.5",
+        ),
+        (
+            "zero phase",
+            "clock 2\nlatch A phase=0 setup=1 dq=2\n",
+            "netlist parse error at line 2: phase must be a positive integer, got 0",
+        ),
+        (
+            "duplicate element",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\nff A phase=1 setup=1 dq=2\n",
+            "netlist parse error at line 3: duplicate element name `A`",
+        ),
+        (
+            "path before clock",
+            "path A B delay=1\n",
+            "netlist parse error at line 1: `clock` line must come first",
+        ),
+        (
+            "path without source",
+            "clock 1\npath\n",
+            "netlist parse error at line 2: `path` needs a source",
+        ),
+        (
+            "path without destination",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\npath A\n",
+            "netlist parse error at line 3: `path` needs a destination",
+        ),
+        (
+            "path missing delay",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\npath A A min=1\n",
+            "netlist parse error at line 3: missing delay=",
+        ),
+        (
+            "unknown path attribute",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\npath A A delay=1 max=2\n",
+            "netlist parse error at line 3: unknown attribute `max`",
+        ),
+        (
+            "path attribute error beats endpoint",
+            "clock 1\npath X Y delay\n",
+            "netlist parse error at line 2: expected key=value, got `delay`",
+        ),
+        (
+            "unknown path source",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\npath X A delay=1\n",
+            "netlist parse error at line 3: unknown element `X`",
+        ),
+        (
+            "unknown path destination",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\npath A Y delay=1\n",
+            "netlist parse error at line 3: unknown element `Y`",
+        ),
+        (
+            "mindelay before clock",
+            "mindelay A B 1\nclock 1\n",
+            "netlist parse error at line 1: `clock` line must come first",
+        ),
+        (
+            "mindelay without source",
+            "clock 1\nmindelay\n",
+            "netlist parse error at line 2: `mindelay` needs a source",
+        ),
+        (
+            "mindelay without destination",
+            "clock 1\nmindelay A\n",
+            "netlist parse error at line 2: `mindelay` needs a destination",
+        ),
+        (
+            "mindelay without value",
+            "clock 1\nmindelay A B\n",
+            "netlist parse error at line 2: `mindelay` needs a delay value",
+        ),
+        (
+            "bad mindelay value",
+            "clock 1\nmindelay A B slow\n",
+            "netlist parse error at line 2: bad mindelay value `slow`: invalid float literal",
+        ),
+        (
+            "trailing token after mindelay",
+            "clock 1\nmindelay A B 1 junk\n",
+            "netlist parse error at line 2: unexpected token `junk` after `mindelay A B 1`",
+        ),
+        (
+            "unknown keyword",
+            "clock 1\nwidget A\n",
+            "netlist parse error at line 2: unknown keyword `widget` (expected clock/latch/ff/path/mindelay)",
+        ),
+        (
+            "no clock line",
+            "# only a comment\n\n",
+            "netlist parse error at line 2: netlist contains no `clock` line",
+        ),
+        (
+            "empty input",
+            "",
+            "netlist parse error at line 1: netlist contains no `clock` line",
+        ),
+        (
+            "no clock after elements",
+            "latch A phase=1 setup=1 dq=2\n",
+            "netlist parse error at line 1: `clock` line must come first",
+        ),
+        (
+            "mindelay unknown source",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\nmindelay X A 1\n",
+            "netlist parse error at line 3: unknown element `X`",
+        ),
+        (
+            "mindelay unknown destination",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\nmindelay A Y 1\n",
+            "netlist parse error at line 3: unknown element `Y`",
+        ),
+        (
+            "mindelay matches no path",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\nlatch B phase=1 setup=1 dq=2\npath B A delay=2\nmindelay A B 1\n",
+            "netlist parse error at line 5: `mindelay A B` matches no `path A B` line",
+        ),
+        (
+            "first bad mindelay in file order",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\npath A A delay=2\nmindelay A Z 1\nmindelay Q A 1\n",
+            "netlist parse error at line 4: unknown element `Z`",
+        ),
+        (
+            "syntax error beats mindelay resolution",
+            "clock 1\nmindelay A B 1\nbogus\n",
+            "netlist parse error at line 3: unknown keyword `bogus` (expected clock/latch/ff/path/mindelay)",
+        ),
+        (
+            "mindelay above max",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\npath A A delay=2\nmindelay A A 3\n",
+            "edge `A` → `A`: min delay 3 exceeds max delay 2",
+        ),
+        (
+            "empty circuit",
+            "clock 1\n",
+            "circuit has no synchronizers",
+        ),
+        (
+            "dq below setup",
+            "clock 1\nlatch A phase=1 setup=3 dq=2\n",
+            "latch `A` has Δ_DQ = 2 below Δ_DC = 3 (the model assumes Δ_DQ ≥ Δ_DC)",
+        ),
+        (
+            "phase out of range",
+            "clock 1\nlatch A phase=2 setup=1 dq=2\n",
+            "latch `A` uses phase 2 but the clock has only 1 phases",
+        ),
+        (
+            "negative delay",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\npath A A delay=-1\n",
+            "edge `A` → `A`: max delay -1 must be finite and non-negative",
+        ),
+    ];
+
+    /// One case per error branch of [`parse_gates`].
+    const GATE_ERRORS: &[(&str, &str, &str)] = &[
+        (
+            "duplicate clock",
+            "clock 1\nclock 2\n",
+            "netlist parse error at line 2: duplicate `clock` line",
+        ),
+        (
+            "clock without count",
+            "clock\n",
+            "netlist parse error at line 1: `clock` needs a phase count",
+        ),
+        (
+            "bad phase count",
+            "clock -1\n",
+            "netlist parse error at line 1: bad phase count: invalid digit found in string",
+        ),
+        (
+            "zero phases",
+            "clock 0\n",
+            "netlist parse error at line 1: clock must have at least one phase",
+        ),
+        (
+            "trailing token after clock",
+            "clock 2 extra\n",
+            "netlist parse error at line 1: unexpected token `extra` after `clock 2`",
+        ),
+        (
+            "latch before clock",
+            "latch A phase=1 setup=1 dq=2\n",
+            "netlist parse error at line 1: `clock` line must come first",
+        ),
+        (
+            "latch without name",
+            "clock 1\nlatch\n",
+            "netlist parse error at line 2: `latch` needs a name",
+        ),
+        (
+            "token without =",
+            "clock 1\nlatch A phase\n",
+            "netlist parse error at line 2: expected key=value, got `phase`",
+        ),
+        (
+            "bad attribute value",
+            "clock 1\nlatch A phase=1 setup=1 dq=\n",
+            "netlist parse error at line 2: bad value for `dq`: cannot parse float from empty string",
+        ),
+        (
+            "duplicate attribute",
+            "clock 1\nlatch A phase=1 phase=1 setup=1 dq=2\n",
+            "netlist parse error at line 2: duplicate attribute `phase`",
+        ),
+        (
+            "missing setup",
+            "clock 1\nlatch A phase=1 dq=2\n",
+            "netlist parse error at line 2: missing setup=",
+        ),
+        (
+            "unknown latch attribute",
+            "clock 1\nlatch A phase=1 setup=1 dq=2 foo=1 bar=2 baz=3\n",
+            "netlist parse error at line 2: unknown attribute `foo`",
+        ),
+        (
+            "fractional phase",
+            "clock 2\nff A phase=2.5 setup=1 dq=2\n",
+            "netlist parse error at line 2: phase must be a positive integer, got 2.5",
+        ),
+        (
+            "duplicate element",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\nlatch A phase=1 setup=1 dq=2\n",
+            "netlist parse error at line 3: duplicate element name `A`",
+        ),
+        (
+            "gate before clock",
+            "gate g max=1\n",
+            "netlist parse error at line 1: `clock` line must come first",
+        ),
+        (
+            "gate without name",
+            "clock 1\ngate\n",
+            "netlist parse error at line 2: `gate` needs a name",
+        ),
+        (
+            "gate missing max",
+            "clock 1\ngate g min=1\n",
+            "netlist parse error at line 2: missing max=",
+        ),
+        (
+            "gate token without =",
+            "clock 1\ngate g max\n",
+            "netlist parse error at line 2: expected key=value, got `max`",
+        ),
+        (
+            "unknown gate attribute",
+            "clock 1\ngate g max=1 delay=2 foo=3\n",
+            "netlist parse error at line 2: unknown attribute `delay`",
+        ),
+        (
+            "gate duplicates latch name",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\ngate A max=1\n",
+            "netlist parse error at line 3: duplicate element name `A`",
+        ),
+        (
+            "wire before clock",
+            "wire a b\n",
+            "netlist parse error at line 1: `clock` line must come first",
+        ),
+        (
+            "wire without source",
+            "clock 1\nwire\n",
+            "netlist parse error at line 2: `wire` needs a source",
+        ),
+        (
+            "wire without destination",
+            "clock 1\ngate g max=1\nwire g\n",
+            "netlist parse error at line 3: `wire` needs a destination",
+        ),
+        (
+            "unknown wire source",
+            "clock 1\ngate g max=1\nwire x g\n",
+            "netlist parse error at line 3: unknown element `x`",
+        ),
+        (
+            "unknown wire destination",
+            "clock 1\ngate g max=1\nwire g y\n",
+            "netlist parse error at line 3: unknown element `y`",
+        ),
+        (
+            "unknown endpoint beats trailing token",
+            "clock 1\ngate g max=1\nwire g y junk\n",
+            "netlist parse error at line 3: unknown element `y`",
+        ),
+        (
+            "trailing token after wire",
+            "clock 1\ngate g max=1\nwire g g oops\n",
+            "netlist parse error at line 3: unexpected token `oops` after `wire g g`",
+        ),
+        (
+            "unknown keyword",
+            "clock 1\npath A B delay=1\n",
+            "netlist parse error at line 2: unknown keyword `path` (expected clock/latch/ff/gate/wire)",
+        ),
+        (
+            "no clock line",
+            "\n# comment\n\n",
+            "netlist parse error at line 3: netlist contains no `clock` line",
+        ),
+        (
+            "bad gate delays",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\ngate g min=3 max=1\nwire A g\nwire g A\n",
+            "edge `g` → `g`: gate delay range [3, 1] is invalid",
+        ),
+        (
+            "combinational cycle",
+            "clock 1\nlatch A phase=1 setup=1 dq=2\ngate g1 max=1\ngate g2 max=1\nwire A g1\nwire g1 g2\nwire g2 g1\n",
+            "combinational cycle through gate `g1` (no synchronizer on the loop)",
+        ),
+    ];
+
+    #[test]
+    fn error_surface_is_pinned() {
+        for (case, src, expected) in LATCH_ERRORS {
+            let got = parse(src).map(|_| ()).map_err(|e| e.to_string());
+            assert_eq!(got, Err(expected.to_string()), "parse: {case}");
+        }
+        for (case, src, expected) in GATE_ERRORS {
+            let got = parse_gates(src).map(|_| ()).map_err(|e| e.to_string());
+            assert_eq!(got, Err(expected.to_string()), "parse_gates: {case}");
+        }
+    }
+
+    #[test]
+    fn limit_errors_are_pinned_and_precede_syntax_errors() {
+        let d = ParseLimits::default();
+        let cases = [
+            (
+                "input bytes",
+                "clock 1\nlatch A phase=1 setup=1 dq=2\n".to_string(),
+                ParseLimits { max_bytes: 16, ..d },
+                "netlist exceeds the input bytes limit: 37 > 16",
+            ),
+            (
+                "lines",
+                "clock 1\n\n\nlatch A phase=1 setup=1 dq=2\n".to_string(),
+                ParseLimits { max_lines: 3, ..d },
+                "netlist exceeds the lines limit: 4 > 3",
+            ),
+            (
+                "line bytes",
+                format!("clock 1\n# {}\n", "x".repeat(5000)),
+                d,
+                "netlist exceeds the line bytes limit: 5002 > 4096",
+            ),
+            (
+                "tokens per line",
+                format!("clock 1\nlatch A {}\n", "k=1 ".repeat(70)),
+                d,
+                "netlist exceeds the tokens per line limit: 72 > 64",
+            ),
+            (
+                "element lines",
+                "clock 1\nlatch A phase=1 setup=1 dq=2\nlatch B phase=1 setup=1 dq=2\n\
+                 path A B delay=1\n"
+                    .to_string(),
+                ParseLimits {
+                    max_elements: 2,
+                    ..d
+                },
+                "netlist exceeds the element lines limit: 3 > 2",
+            ),
+            (
+                "limit beats syntax",
+                format!("bogus\nclock 1\n# {}\n", "y".repeat(5000)),
+                d,
+                "netlist exceeds the line bytes limit: 5002 > 4096",
+            ),
+            (
+                "comment-only lines count toward lines",
+                "# a\n# b\n# c\nclock 1\n".to_string(),
+                ParseLimits { max_lines: 3, ..d },
+                "netlist exceeds the lines limit: 4 > 3",
+            ),
+            (
+                "clock lines are not elements",
+                "clock 1\nclock 1\nlatch A phase=1 setup=1 dq=2\n".to_string(),
+                ParseLimits {
+                    max_elements: 1,
+                    ..d
+                },
+                "netlist parse error at line 2: duplicate `clock` line",
+            ),
+        ];
+        for (case, src, limits, expected) in cases {
+            for parser in [parse_with_limits, parse_gates_with_limits, parse_auto] {
+                let got = parser(&src, &limits).map(|_| ()).map_err(|e| e.to_string());
+                assert_eq!(got, Err(expected.to_string()), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_attribute_names_the_first_unknown_key() {
+        let src = "clock 1\nlatch A phase=1 setup=1 dq=2 foo=1 bar=2 baz=3\n";
+        for _ in 0..50 {
+            for parser in [parse, parse_gates] {
+                match parser(src).unwrap_err() {
+                    CircuitError::ParseNetlist { line, message } => {
+                        assert_eq!((line, message.as_str()), (2, "unknown attribute `foo`"));
+                    }
+                    other => panic!("unexpected error {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mindelay_statements_apply_in_file_order_to_every_matching_path() {
+        let src = "clock 2\nlatch A phase=1 setup=1 dq=2\nlatch B phase=2 setup=1 dq=2\n\
+                   mindelay A B 2\npath A B delay=9\npath A B delay=5 min=4\npath B A delay=6\n\
+                   path A A delay=7 min=1\nmindelay A B 3\nmindelay A A 0.5\nmindelay A A 1.5\n";
+        let c = parse(src).unwrap();
+        let mins: Vec<(f64, bool)> = c
+            .edges()
+            .iter()
+            .map(|e| (e.min_delay, e.min_specified))
+            .collect();
+        // The last `mindelay` for a pair wins on every parallel path, over
+        // any `min=` of its own; other pairs keep what their lines said.
+        assert_eq!(
+            mins,
+            vec![(3.0, true), (3.0, true), (0.0, false), (1.5, true)]
+        );
+    }
+
+    #[test]
+    fn first_failing_mindelay_in_file_order_is_reported() {
+        let head = "clock 1\nlatch A phase=1 setup=1 dq=2\nlatch B phase=1 setup=1 dq=2\n\
+                    path A A delay=2\n";
+        let cases = [
+            (
+                "mindelay B B 1\nmindelay A C 1\n",
+                (5, "`mindelay B B` matches no `path B B` line"),
+            ),
+            (
+                "mindelay A C 1\nmindelay B B 1\n",
+                (5, "unknown element `C`"),
+            ),
+            (
+                "mindelay A A 1\nmindelay C A 1\nmindelay B A 1\n",
+                (6, "unknown element `C`"),
+            ),
+        ];
+        for (tail, expected) in cases {
+            match parse(&format!("{head}{tail}")).unwrap_err() {
+                CircuitError::ParseNetlist { line, message } => {
+                    assert_eq!((line, message.as_str()), expected, "{tail:?}");
+                }
+                other => panic!("unexpected error {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn parse_auto_detects_the_gate_dialect_like_the_parsers_expect() {
+        let d = ParseLimits::default();
+        let latch_level = "clock 1\nlatch A phase=1 setup=1 dq=2 # gate g max=1\n\
+                           path A A delay=1\n";
+        assert_eq!(parse_auto(latch_level, &d).unwrap().num_edges(), 1);
+        // A gate line after leading whitespace selects the gate parser…
+        let gate_level = "clock 1\nlatch A phase=1 setup=1 dq=2\n  gate g max=3\nwire A g\n\
+                          wire g A\n";
+        assert_eq!(
+            parse_auto(gate_level, &d).unwrap().edges()[0].max_delay,
+            3.0
+        );
+        // …so a `path` line there is an unknown keyword, while `gate` with
+        // no space after it does not select it.
+        let mixed = "clock 1\nlatch A phase=1 setup=1 dq=2\npath A A delay=1\nwire A A\n";
+        assert!(parse_auto(mixed, &d)
+            .unwrap_err()
+            .to_string()
+            .contains("unknown keyword `path`"));
+        let bare = "clock 1\ngate\n";
+        assert!(parse_auto(bare, &d)
+            .unwrap_err()
+            .to_string()
+            .contains("unknown keyword `gate` (expected clock/latch/ff/path/mindelay)"));
     }
 
     #[test]

@@ -170,9 +170,11 @@ pub enum ConstraintKind {
     PinnedDeparture,
 }
 
-impl fmt::Display for ConstraintKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl ConstraintKind {
+    /// The row label, e.g. `"propagation"`; also the kind's `Display`
+    /// text and the name of each LP row of this kind.
+    pub fn label(self) -> &'static str {
+        match self {
             ConstraintKind::PeriodicityWidth => "periodicity (width)",
             ConstraintKind::PeriodicityStart => "periodicity (start)",
             ConstraintKind::PhaseOrder => "phase ordering",
@@ -185,8 +187,13 @@ impl fmt::Display for ConstraintKind {
             ConstraintKind::CycleBound => "cycle-time bound",
             ConstraintKind::SymmetricClock => "symmetric clock shape",
             ConstraintKind::PinnedDeparture => "pinned departure",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for ConstraintKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -262,11 +269,18 @@ impl VarMap {
 /// (eq. 12): `s_i − s_j − C_ij·T_c`, with `i` the source phase and `j` the
 /// destination.
 pub fn shift_expr(vars: &VarMap, from: PhaseId, to: PhaseId) -> LinExpr {
-    let mut e = LinExpr::from(vars.start(from)) - vars.start(to);
-    if ClockSpec::c_flag(from, to) {
-        e = e - vars.tc();
-    }
+    let mut e = LinExpr::new();
+    add_shift(&mut e, vars, from, to, 1.0);
     e
+}
+
+/// Adds `sign · S_{from,to}` (see [`shift_expr`]) to `e` in place.
+fn add_shift(e: &mut LinExpr, vars: &VarMap, from: PhaseId, to: PhaseId, sign: f64) {
+    e.add_term(vars.start(from), sign);
+    e.add_term(vars.start(to), -sign);
+    if ClockSpec::c_flag(from, to) {
+        e.add_term(vars.tc(), -sign);
+    }
 }
 
 /// The SMO timing constraints of a circuit, encoded as an LP, with full
@@ -321,7 +335,7 @@ impl TimingModel {
                     expr: LinExpr,
                     sense: Sense,
                     rhs: f64| {
-            let row = p.constrain_named(Some(kind.to_string()), expr, sense, rhs);
+            let row = p.constrain_named(Some(kind.label()), expr, sense, rhs);
             infos.push(ConstraintInfo {
                 kind,
                 row,
@@ -443,8 +457,8 @@ impl TimingModel {
                     for &eid in circuit.fanin(id) {
                         let e = circuit.edge(eid);
                         let src = circuit.sync(e.from);
-                        let expr = LinExpr::from(vars.departure(e.from))
-                            + shift_expr(&vars, src.phase, s.phase);
+                        let mut expr = LinExpr::from(vars.departure(e.from));
+                        add_shift(&mut expr, &vars, src.phase, s.phase, 1.0);
                         push(
                             &mut p,
                             &mut infos,
@@ -469,9 +483,8 @@ impl TimingModel {
             }
             let src = circuit.sync(e.from);
             // D_i − D_j − S_{p_j p_i} ≥ Δ_DQj + Δ_ji
-            let expr = LinExpr::from(vars.departure(e.to))
-                - vars.departure(e.from)
-                - shift_expr(&vars, src.phase, dst.phase);
+            let mut expr = LinExpr::from(vars.departure(e.to)) - vars.departure(e.from);
+            add_shift(&mut expr, &vars, src.phase, dst.phase, -1.0);
             push(
                 &mut p,
                 &mut infos,

@@ -1,7 +1,6 @@
 //! Linear expressions over problem variables.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -41,7 +40,8 @@ impl fmt::Display for VarId {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LinExpr {
-    terms: BTreeMap<VarId, f64>,
+    /// Non-zero terms, sorted by variable, each variable at most once.
+    terms: Vec<(VarId, f64)>,
     constant: f64,
 }
 
@@ -54,7 +54,7 @@ impl LinExpr {
     /// A constant expression.
     pub fn constant_expr(k: f64) -> Self {
         LinExpr {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             constant: k,
         }
     }
@@ -68,10 +68,25 @@ impl LinExpr {
 
     /// Adds `coeff · var` in place, merging with any existing term.
     pub fn add_term(&mut self, var: VarId, coeff: f64) {
-        let c = self.terms.entry(var).or_insert(0.0);
-        *c += coeff;
-        if c.abs() == 0.0 {
-            self.terms.remove(&var);
+        // Terms mostly arrive in variable order: try the end first.
+        let at = match self.terms.last() {
+            Some(&(last, _)) if last < var => Err(self.terms.len()),
+            None => Err(0),
+            _ => self.terms.binary_search_by_key(&var, |&(v, _)| v),
+        };
+        match at {
+            Ok(i) => {
+                let c = &mut self.terms[i].1;
+                *c += coeff;
+                if c.abs() == 0.0 {
+                    self.terms.remove(i);
+                }
+            }
+            Err(i) => {
+                if coeff.abs() != 0.0 {
+                    self.terms.insert(i, (var, coeff));
+                }
+            }
         }
     }
 
@@ -82,7 +97,9 @@ impl LinExpr {
 
     /// Coefficient of `var` (zero if absent).
     pub fn coeff(&self, var: VarId) -> f64 {
-        self.terms.get(&var).copied().unwrap_or(0.0)
+        self.terms
+            .binary_search_by_key(&var, |&(v, _)| v)
+            .map_or(0.0, |i| self.terms[i].1)
     }
 
     /// The additive constant `k`.
@@ -92,7 +109,7 @@ impl LinExpr {
 
     /// Iterates over the `(variable, coefficient)` terms in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, f64)> + '_ {
-        self.terms.iter().map(|(&v, &c)| (v, c))
+        self.terms.iter().copied()
     }
 
     /// Number of variables with non-zero coefficient.
@@ -115,12 +132,17 @@ impl LinExpr {
     ///
     /// Panics if some term's variable index is out of range for `values`.
     pub fn eval(&self, values: &[f64]) -> f64 {
-        self.constant + self.terms.iter().map(|(v, c)| c * values[v.0]).sum::<f64>()
+        self.constant
+            + self
+                .terms
+                .iter()
+                .map(|&(v, c)| c * values[v.0])
+                .sum::<f64>()
     }
 
     /// `true` if every coefficient and the constant are finite.
     pub fn is_finite(&self) -> bool {
-        self.constant.is_finite() && self.terms.values().all(|c| c.is_finite())
+        self.constant.is_finite() && self.terms.iter().all(|(_, c)| c.is_finite())
     }
 }
 
@@ -133,13 +155,13 @@ impl From<VarId> for LinExpr {
 impl fmt::Display for LinExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (v, c) in &self.terms {
+        for &(v, c) in &self.terms {
             if first {
-                if c < &0.0 {
+                if c < 0.0 {
                     write!(f, "-")?;
                 }
                 first = false;
-            } else if c < &0.0 {
+            } else if c < 0.0 {
                 write!(f, " - ")?;
             } else {
                 write!(f, " + ")?;
@@ -168,8 +190,12 @@ impl fmt::Display for LinExpr {
 impl Add for LinExpr {
     type Output = LinExpr;
     fn add(mut self, rhs: LinExpr) -> LinExpr {
-        for (v, c) in rhs.terms {
-            self.add_term(v, c);
+        if self.terms.is_empty() {
+            self.terms = rhs.terms;
+        } else {
+            for (v, c) in rhs.terms {
+                self.add_term(v, c);
+            }
         }
         self.constant += rhs.constant;
         self
@@ -186,7 +212,7 @@ impl Sub for LinExpr {
 impl Neg for LinExpr {
     type Output = LinExpr;
     fn neg(mut self) -> LinExpr {
-        for c in self.terms.values_mut() {
+        for (_, c) in &mut self.terms {
             *c = -*c;
         }
         self.constant = -self.constant;
@@ -197,7 +223,7 @@ impl Neg for LinExpr {
 impl Mul<f64> for LinExpr {
     type Output = LinExpr;
     fn mul(mut self, k: f64) -> LinExpr {
-        self.terms.retain(|_, c| {
+        self.terms.retain_mut(|(_, c)| {
             *c *= k;
             *c != 0.0
         });
@@ -304,6 +330,8 @@ impl Sub<LinExpr> for VarId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn v(i: usize) -> VarId {
         VarId(i)
@@ -353,6 +381,180 @@ mod tests {
         assert_eq!(format!("{z}"), "0");
         let neg_first = -v(1) + 0.5;
         assert_eq!(format!("{neg_first}"), "-x1 + 0.5");
+    }
+
+    #[test]
+    fn terms_stay_sorted_whatever_the_insertion_order() {
+        let mut e = LinExpr::new();
+        for (i, c) in [(4, 1.0), (1, 2.0), (3, -1.0), (0, 5.0), (4, -1.0), (2, 0.0)] {
+            e.add_term(v(i), c);
+        }
+        let terms: Vec<_> = e.iter().collect();
+        assert_eq!(terms, vec![(v(0), 5.0), (v(1), 2.0), (v(3), -1.0)]);
+        assert_eq!(format!("{e}"), "5·x0 + 2·x1 - x3");
+    }
+
+    /// The `BTreeMap` representation `LinExpr` had before its terms became
+    /// a sorted `Vec`: the oracle for the property test below.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Oracle {
+        terms: BTreeMap<VarId, f64>,
+        constant: f64,
+    }
+
+    impl Oracle {
+        fn add_term(&mut self, var: VarId, coeff: f64) {
+            let c = self.terms.entry(var).or_insert(0.0);
+            *c += coeff;
+            if c.abs() == 0.0 {
+                self.terms.remove(&var);
+            }
+        }
+
+        fn add(&mut self, rhs: &Oracle) {
+            for (&v, &c) in &rhs.terms {
+                self.add_term(v, c);
+            }
+            self.constant += rhs.constant;
+        }
+
+        fn neg(&mut self) {
+            for c in self.terms.values_mut() {
+                *c = -*c;
+            }
+            self.constant = -self.constant;
+        }
+
+        fn scale(&mut self, k: f64) {
+            self.terms.retain(|_, c| {
+                *c *= k;
+                *c != 0.0
+            });
+            self.constant *= k;
+        }
+
+        fn display(&self) -> String {
+            let mut out = String::new();
+            let mut first = true;
+            for (v, c) in &self.terms {
+                if first {
+                    if *c < 0.0 {
+                        out.push('-');
+                    }
+                    first = false;
+                } else if *c < 0.0 {
+                    out.push_str(" - ");
+                } else {
+                    out.push_str(" + ");
+                }
+                let a = c.abs();
+                if (a - 1.0).abs() > f64::EPSILON {
+                    out.push_str(&format!("{a}·"));
+                }
+                out.push_str(&v.to_string());
+            }
+            if first {
+                out.push_str(&self.constant.to_string());
+            } else if self.constant != 0.0 {
+                if self.constant < 0.0 {
+                    out.push_str(&format!(" - {}", -self.constant));
+                } else {
+                    out.push_str(&format!(" + {}", self.constant));
+                }
+            }
+            out
+        }
+    }
+
+    const VARS: usize = 6;
+    const COEFFS: [f64; 8] = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 0.5, 3.0];
+
+    /// One step: `(op, var, coeff index, operand terms)`.
+    type Step = (usize, usize, usize, Vec<(usize, usize)>);
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        proptest::collection::vec(
+            (
+                0usize..5,
+                0usize..VARS,
+                0usize..COEFFS.len(),
+                proptest::collection::vec((0usize..VARS, 0usize..COEFFS.len()), 0..=4),
+            ),
+            0..=12,
+        )
+    }
+
+    /// Replays `steps` on a `LinExpr` and on the oracle.
+    fn replay(steps: &[Step]) -> (LinExpr, Oracle) {
+        let mut e = LinExpr::new();
+        let mut o = Oracle::default();
+        for (op, var, ci, operand) in steps {
+            let c = COEFFS[*ci];
+            let mut rhs = LinExpr::constant_expr(c);
+            let mut rhs_o = Oracle {
+                constant: c,
+                ..Oracle::default()
+            };
+            for &(ov, oc) in operand {
+                rhs.add_term(v(ov), COEFFS[oc]);
+                rhs_o.add_term(v(ov), COEFFS[oc]);
+            }
+            match op {
+                0 => {
+                    e.add_term(v(*var), c);
+                    o.add_term(v(*var), c);
+                }
+                1 => {
+                    e = e + rhs;
+                    o.add(&rhs_o);
+                }
+                2 => {
+                    e = e - rhs;
+                    rhs_o.neg();
+                    o.add(&rhs_o);
+                }
+                3 => {
+                    e = e * c;
+                    o.scale(c);
+                }
+                _ => {
+                    e = v(*var) - e;
+                    o.neg();
+                    let mut lhs = Oracle::default();
+                    lhs.add_term(v(*var), 1.0);
+                    lhs.add(&o);
+                    o = lhs;
+                }
+            }
+        }
+        (e, o)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Terms, coefficients, evaluation, equality and rendering all
+        /// match the `BTreeMap` oracle over random operation sequences.
+        #[test]
+        fn prop_matches_btreemap_oracle(a in steps(), b in steps()) {
+            let (e, o) = replay(&a);
+            let terms: Vec<(VarId, f64)> = e.iter().collect();
+            let oracle_terms: Vec<(VarId, f64)> = o.terms.iter().map(|(&v, &c)| (v, c)).collect();
+            prop_assert_eq!(terms, oracle_terms);
+            prop_assert_eq!(e.len(), o.terms.len());
+            prop_assert_eq!(e.constant(), o.constant);
+            for i in 0..VARS {
+                prop_assert_eq!(e.coeff(v(i)), o.terms.get(&v(i)).copied().unwrap_or(0.0));
+            }
+            let point: Vec<f64> = (0..VARS).map(|i| 1.5 * i as f64 - 2.0).collect();
+            let oracle_eval = o.constant
+                + o.terms.iter().map(|(v, c)| c * point[v.index()]).sum::<f64>();
+            prop_assert_eq!(e.eval(&point).to_bits(), oracle_eval.to_bits());
+            prop_assert_eq!(format!("{e}"), o.display());
+            let (f, p) = replay(&b);
+            prop_assert_eq!(e == f, o == p);
+            prop_assert_eq!(e.clone() == e, o.clone() == o);
+        }
     }
 
     #[test]

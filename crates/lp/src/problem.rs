@@ -5,6 +5,7 @@ use crate::expr::{LinExpr, VarId};
 use crate::simplex;
 use crate::solution::Solution;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Direction of optimization.
@@ -58,7 +59,7 @@ pub(crate) struct Variable {
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct Row {
-    pub name: Option<String>,
+    pub name: Option<Cow<'static, str>>,
     pub expr: LinExpr,
     pub sense: Sense,
     pub rhs: f64,
@@ -112,14 +113,15 @@ impl Problem {
     /// Any constant inside `expr` is folded onto the right-hand side, so
     /// `constrain(x - y + 3, Le, 5)` stores `x - y ≤ 2`.
     pub fn constrain(&mut self, expr: LinExpr, sense: Sense, rhs: f64) -> ConstraintId {
-        self.constrain_named(None::<String>, expr, sense, rhs)
+        self.constrain_named(None::<&'static str>, expr, sense, rhs)
     }
 
     /// Like [`Problem::constrain`] but attaches a diagnostic name reported in
-    /// infeasibility analyses.
+    /// infeasibility analyses. A `&'static str` name is stored without
+    /// copying.
     pub fn constrain_named(
         &mut self,
-        name: Option<impl Into<String>>,
+        name: Option<impl Into<Cow<'static, str>>>,
         mut expr: LinExpr,
         sense: Sense,
         rhs: f64,

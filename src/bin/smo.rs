@@ -140,8 +140,10 @@ const USAGE: &str = "usage:
   smo dot      <netlist>                         Graphviz export
   smo lp       <netlist>                         LP-format dump of problem P2
   smo lump     <netlist>                         bus-lumped netlist (stdout)
-  smo lint     <netlist> [--json]                structural sanity checks
-                                                 (exit 1 on error findings)
+  smo lint     <netlist> [--json] [--max-input-mb N]
+                                                 structural sanity checks
+                                                 (exit 1 on error findings);
+                                                 --max-input-mb as for solve
   smo check    <netlist> [--cycle-time T] [--backend auto|graph|lp] [--json]
                [--allow RULE] [--deny RULE] [--max-input-mb N]
                                                  one-shot static gate: every
@@ -518,8 +520,21 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         "lint" => {
-            let (path, json) = path_and_json(rest)?;
-            let circuit = load(&path)?;
+            let mut path = None;
+            let mut json = false;
+            let mut max_mb: Option<usize> = None;
+            let mut it = rest.iter();
+            while let Some(arg) = it.next() {
+                match arg.as_str() {
+                    "--json" => json = true,
+                    "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
+                    other if path.is_none() && !other.starts_with('-') => {
+                        path = Some(other.to_string());
+                    }
+                    other => return usage(format!("unexpected argument `{other}`")),
+                }
+            }
+            let circuit = load_with(&path.ok_or("missing netlist path")?, &input_limits(max_mb)?)?;
             let report = lint(&circuit);
             if json {
                 println!("{}", report.to_json());

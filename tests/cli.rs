@@ -618,6 +618,30 @@ fn check_max_input_mb_gates_oversized_netlists() {
 }
 
 #[test]
+fn lint_max_input_mb_gates_oversized_netlists() {
+    // `lint` takes the same flag as `solve` and `check`.
+    let path = padded_example1("padded-lint.ckt", (4 << 20) + 1);
+    let p = path.to_str().expect("utf-8");
+
+    let out = smo(&["lint", p]);
+    assert!(!out.status.success(), "default limits must reject >4 MiB");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("exceeds the input bytes limit"), "{err}");
+
+    let out = smo(&["lint", p, "--max-input-mb", "8", "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout(&out).starts_with('{'));
+
+    let out = smo(&["lint", p, "--max-input-mb", "0"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("at least 1"));
+}
+
+#[test]
 fn solve_under_the_raised_cap_still_enforces_it() {
     // Just under the raised cap parses; just over it still fails — the
     // flag moves the fence, it does not remove it.
