@@ -127,13 +127,18 @@ fn prescan(src: &str, limits: &ParseLimits) -> Result<bool, CircuitError> {
         if line.is_empty() {
             continue;
         }
-        let tokens = line.split_whitespace().count();
-        if tokens > limits.max_tokens_per_line {
-            return Err(CircuitError::InputLimit {
-                what: "tokens per line",
-                limit: limits.max_tokens_per_line,
-                actual: tokens,
-            });
+        // Tokens and separators each take a byte or more, so a line of `n`
+        // bytes holds at most `⌈n / 2⌉` tokens. Only lines that could break
+        // the limit are counted.
+        if line.len().div_ceil(2) > limits.max_tokens_per_line {
+            let tokens = line.split_whitespace().count();
+            if tokens > limits.max_tokens_per_line {
+                return Err(CircuitError::InputLimit {
+                    what: "tokens per line",
+                    limit: limits.max_tokens_per_line,
+                    actual: tokens,
+                });
+            }
         }
         if !line.starts_with("clock") {
             elements += 1;
