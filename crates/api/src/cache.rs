@@ -80,9 +80,9 @@ const EVICTION_BUCKETS: usize = 256;
 /// every touch. An insert that pushes the total over budget evicts in one
 /// batch, coldest first, down to a low-water mark of 7/8 of the budget:
 /// one pass over the entries buckets their costs by stamp, and a second
-/// drops every entry below the cutoff stamp. The result map holds tens of
-/// thousands of entries under steady daemon traffic, so a batch pays one
-/// scan per eighth of the budget instead of one per insert.
+/// keeps every entry at or above the cutoff stamp. The result map holds
+/// tens of thousands of entries under steady daemon traffic, so a batch
+/// pays one scan per eighth of the budget instead of one per insert.
 struct LruMap<K, V> {
     entries: HashMap<K, (V, u64, usize)>, // value, last-use stamp, cost
     clock: u64,
@@ -147,15 +147,18 @@ impl<K: Eq + Hash, V> LruMap<K, V> {
                 break;
             }
         }
-        let mut total = self.total_cost;
-        self.entries.retain(|_, (_, stamp, cost)| {
-            let keep = *stamp >= cutoff;
-            if !keep {
-                total -= *cost;
-            }
-            keep
-        });
-        self.total_cost = total;
+        // Drain and re-insert rather than erase in place: erased slots
+        // become tombstones, and once they use up the table's spare room
+        // the next insert doubles the table. Draining keeps the table's
+        // allocation and leaves no tombstones.
+        let mut survivors = Vec::with_capacity(self.entries.len());
+        survivors.extend(
+            self.entries
+                .drain()
+                .filter(|(_, (_, stamp, _))| *stamp >= cutoff),
+        );
+        self.total_cost = survivors.iter().map(|(_, (_, _, cost))| cost).sum();
+        self.entries.extend(survivors);
         self.floor = cutoff;
     }
 
@@ -365,6 +368,19 @@ mod tests {
         }
         // ~6k of cost through a 1000 budget, an eighth freed per batch.
         assert!((20..=60).contains(&batches), "{batches} batches");
+    }
+
+    #[test]
+    fn lru_churn_keeps_the_table_size_of_a_full_budget() {
+        // At most 1000 unit-cost entries are live, a table of 2048 slots.
+        // Churn through it many times over: evicting in place would fill
+        // the table with tombstones until it doubled.
+        let mut m: LruMap<u32, ()> = LruMap::new(1000);
+        for k in 0..50_000 {
+            m.insert(k, (), 1);
+        }
+        assert!(m.len() <= 1000);
+        assert!(m.entries.capacity() < 2048, "{}", m.entries.capacity());
     }
 
     #[test]
