@@ -68,7 +68,8 @@ pub struct ParseLimits {
 }
 
 impl ParseLimits {
-    /// No limits — the pre-scan is skipped entirely.
+    /// No limits: the pre-scan rejects nothing (it still detects the
+    /// dialect for [`parse_auto`]).
     pub const UNLIMITED: ParseLimits = ParseLimits {
         max_bytes: usize::MAX,
         max_lines: usize::MAX,
