@@ -68,13 +68,7 @@ impl LinExpr {
 
     /// Adds `coeff · var` in place, merging with any existing term.
     pub fn add_term(&mut self, var: VarId, coeff: f64) {
-        // Terms mostly arrive in variable order: try the end first.
-        let at = match self.terms.last() {
-            Some(&(last, _)) if last < var => Err(self.terms.len()),
-            None => Err(0),
-            _ => self.terms.binary_search_by_key(&var, |&(v, _)| v),
-        };
-        match at {
+        match self.terms.binary_search_by_key(&var, |&(v, _)| v) {
             Ok(i) => {
                 let c = &mut self.terms[i].1;
                 *c += coeff;
@@ -190,12 +184,8 @@ impl fmt::Display for LinExpr {
 impl Add for LinExpr {
     type Output = LinExpr;
     fn add(mut self, rhs: LinExpr) -> LinExpr {
-        if self.terms.is_empty() {
-            self.terms = rhs.terms;
-        } else {
-            for (v, c) in rhs.terms {
-                self.add_term(v, c);
-            }
+        for (v, c) in rhs.terms {
+            self.add_term(v, c);
         }
         self.constant += rhs.constant;
         self
