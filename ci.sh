@@ -114,6 +114,10 @@ echo "==> panic-freedom attributes on the numerical fast-path modules"
 # `--backend auto` caller on pathological inputs.
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/lp/src/graph.rs
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/core/src/fastpath.rs
+# MLP step 2 (the departure slide) runs on every solve, on both backends:
+# the propagation system and the MLP driver keep the same attribute.
+grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/core/src/propagation.rs
+grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/core/src/mlp.rs
 # The sparse-LU simplex kernel, its hypersparse solve/pricing modules,
 # and the large-circuit generator feed the scaling gates: all keep the
 # same deny-level attribute.

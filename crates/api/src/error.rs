@@ -229,6 +229,11 @@ mod tests {
             .kind,
             ErrorKind::Infeasible
         );
+        let e = ApiError::from(TimingError::NotConverged {
+            positive_loop: vec!["A".into(), "B".into()],
+        });
+        assert_eq!(e.kind, ErrorKind::NotConverged);
+        assert!(e.message.ends_with("positive-gain loop through A -> B"));
     }
 
     #[test]

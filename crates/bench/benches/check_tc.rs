@@ -1,9 +1,9 @@
-//! Schedule verification throughput, and the §IV ablation: Jacobi versus
-//! Gauss-Seidel versus event-driven departure updates (the paper proposes
-//! the latter two as enhancements; this bench quantifies them).
+//! Schedule verification throughput, and the §IV ablation: the paper's
+//! Jacobi departure update versus the shipped slide (a linear peel plus an
+//! in-place upward pass) from the same LP point.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use smo_core::{min_cycle_time, verify, PropagationSystem};
+use smo_core::{min_cycle_time, verify, PropagationSystem, TimingModel};
 use smo_gen::random::{random_circuit, GenConfig};
 
 fn bench_verify(c: &mut Criterion) {
@@ -26,8 +26,8 @@ fn bench_verify(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_update_modes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("check_tc/update_mode");
+fn bench_slide(c: &mut Criterion) {
+    let mut group = c.benchmark_group("check_tc/slide");
     let cfg = GenConfig {
         latches: 128,
         edges: 192,
@@ -35,24 +35,19 @@ fn bench_update_modes(c: &mut Criterion) {
         ..Default::default()
     };
     let circuit = random_circuit(&cfg, 5);
-    let sol = min_cycle_time(&circuit).expect("solves");
-    // a 5%-relaxed schedule leaves every loop gain strictly negative, so a
-    // start high above the fixpoint forces all three solvers to do real
-    // sliding work
-    let relaxed = sol.schedule().scaled(1.05);
-    let system = PropagationSystem::new(&circuit, &relaxed);
-    let start: Vec<f64> = sol.departures().iter().map(|d| d + 100.0).collect();
+    let model = TimingModel::build(&circuit).expect("model");
+    let lp = model.solve_lp().expect("optimal");
+    let schedule = model.extract_schedule(&lp).expect("schedule");
+    let d0 = model.extract_departures(&lp);
+    let system = PropagationSystem::new(&circuit, &schedule);
     group.bench_function("jacobi", |b| {
-        b.iter(|| system.jacobi(&start, 100_000).iterations)
+        b.iter(|| system.jacobi(&d0, usize::MAX).iterations)
     });
-    group.bench_function("gauss_seidel", |b| {
-        b.iter(|| system.gauss_seidel(&start, 100_000).iterations)
-    });
-    group.bench_function("event_driven", |b| {
-        b.iter(|| system.event_driven(&start, 10_000_000).iterations)
+    group.bench_function("slide_limit", |b| {
+        b.iter(|| system.slide_limit(&d0).expect("slides").iterations)
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_verify, bench_update_modes);
+criterion_group!(benches, bench_verify, bench_slide);
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 //! * the MLP update iteration "usually terminated in two to three
 //!   iterations (in some cases no iterations were even necessary)".
 
-use smo_core::{min_cycle_time_with, MlpOptions, TimingModel, UpdateMode};
+use smo_core::{min_cycle_time_with, MlpOptions, TimingModel};
 use smo_gen::random::{random_circuit, GenConfig};
 
 fn main() {
@@ -37,7 +37,6 @@ fn main() {
         let bound = (3 * k - 1 + k * k) + (circuit.max_fanin() + 1) * circuit.num_syncs();
         assert!(n <= bound, "row count {n} exceeds the bound {bound}");
         let opts = MlpOptions {
-            update: UpdateMode::Jacobi,
             canonicalize: false, // count iterations of the single LP solve
             ..Default::default()
         };

@@ -15,7 +15,6 @@
 use smo_circuit::PhaseId;
 use smo_core::{
     min_cycle_time, render_schedule, solve_model, verify, ConstraintOptions, TimingModel,
-    UpdateMode,
 };
 use smo_gen::paper::{gaas_mips, GAAS_PAPER_OPTIMAL_NS, GAAS_TARGET_CYCLE_NS};
 use smo_lp::{LinExpr, Sense};
@@ -99,8 +98,7 @@ fn main() {
             0.0,
         );
     }
-    let overlapped = solve_model(&circuit, &model, UpdateMode::GaussSeidel)
-        .expect("overlap is feasible at the optimal Tc");
+    let overlapped = solve_model(&circuit, &model).expect("overlap is feasible at the optimal Tc");
     println!(
         "feasible at the unchanged optimum Tc = {:.3} ns:",
         overlapped.cycle_time()

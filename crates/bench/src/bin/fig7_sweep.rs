@@ -12,7 +12,7 @@
 //!   point `Δ41 = 60` and is suboptimal elsewhere.
 
 use smo_core::baseline;
-use smo_core::{min_cycle_time, solve_model, TimingModel, UpdateMode};
+use smo_core::{min_cycle_time, solve_model, PropagationSystem, TimingModel};
 use smo_gen::paper::{example1, EXAMPLE1_DELTA41_EDGE};
 use smo_lp::parametric_rhs;
 
@@ -109,19 +109,20 @@ fn main() {
     }
     println!("  parametric curve matches direct solves at 6 probe points ✓");
 
-    // Update-mode agreement along the sweep (the §IV ablation).
+    // The paper's Jacobi update against the shipped slide from the same
+    // LP point D⁰ (the §IV ablation): both must land on the same fixpoint.
     let circuit = example1(90.0);
     let model = TimingModel::build(&circuit).expect("model");
-    for mode in [
-        UpdateMode::Jacobi,
-        UpdateMode::GaussSeidel,
-        UpdateMode::EventDriven,
-    ] {
-        let sol = solve_model(&circuit, &model, mode).expect("solves");
-        println!(
-            "  {mode:?}: Tc = {:.2}, {} update iterations",
-            sol.cycle_time(),
-            sol.update_iterations()
-        );
+    let sol = solve_model(&circuit, &model).expect("solves");
+    let d0 = model.extract_departures(&model.solve_lp().expect("optimal"));
+    let jacobi = PropagationSystem::new(&circuit, sol.schedule()).jacobi(&d0, usize::MAX);
+    println!(
+        "  Tc = {:.2}: Jacobi {} sweeps, shipped slide {} sweeps",
+        sol.cycle_time(),
+        jacobi.iterations,
+        sol.update_iterations()
+    );
+    for (a, b) in jacobi.departures.iter().zip(sol.departures()) {
+        assert!((a - b).abs() < 1e-9, "Jacobi {a} vs slide {b}");
     }
 }

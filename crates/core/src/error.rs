@@ -30,16 +30,14 @@ pub enum TimingError {
         /// Human-readable explanation.
         reason: String,
     },
-    /// The departure-time fixpoint iteration failed to converge within its
-    /// safeguard bound (should not occur; please report).
+    /// The departure slide (MLP step 2) found no fixpoint: the schedule
+    /// leaves a latch loop of positive gain, or the slide's start point
+    /// violates the relaxed constraints L2R (should not occur; please
+    /// report).
     NotConverged {
-        /// Iterations performed before giving up.
-        iterations: usize,
-        /// The trailing per-sweep residual trajectory (largest departure
-        /// movement per sweep): growing residuals indicate a positive-gain
-        /// loop, residuals hovering near the fixpoint tolerance indicate a
-        /// numerical problem in the schedule.
-        residuals: Vec<f64>,
+        /// Names of the latches on the positive-gain loop, in propagation
+        /// order; empty when the start point violates L2R.
+        positive_loop: Vec<String>,
     },
 }
 
@@ -55,23 +53,17 @@ impl fmt::Display for TimingError {
             TimingError::InvalidOptions { reason } => {
                 write!(f, "invalid options: {reason}")
             }
-            TimingError::NotConverged {
-                iterations,
-                residuals,
-            } => {
-                write!(
-                    f,
-                    "departure fixpoint did not converge after {iterations} iterations"
-                )?;
-                if !residuals.is_empty() {
-                    let traj = residuals
-                        .iter()
-                        .map(|r| format!("{r:.3e}"))
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    write!(f, " (trailing residuals: {traj})")?;
+            TimingError::NotConverged { positive_loop } => {
+                write!(f, "departure fixpoint did not converge: ")?;
+                if positive_loop.is_empty() {
+                    write!(f, "start point violates L2R")
+                } else {
+                    write!(
+                        f,
+                        "positive-gain loop through {}",
+                        positive_loop.join(" -> ")
+                    )
                 }
-                Ok(())
             }
         }
     }
@@ -110,6 +102,24 @@ mod tests {
         assert!(e.to_string().contains("lp solver"));
         let e = TimingError::from(CircuitError::EmptyCircuit);
         assert!(e.source().is_some());
+    }
+
+    #[test]
+    fn not_converged_names_what_failed() {
+        let e = TimingError::NotConverged {
+            positive_loop: vec!["L1".into(), "L2".into()],
+        };
+        assert_eq!(
+            e.to_string(),
+            "departure fixpoint did not converge: positive-gain loop through L1 -> L2"
+        );
+        let e = TimingError::NotConverged {
+            positive_loop: Vec::new(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "departure fixpoint did not converge: start point violates L2R"
+        );
     }
 
     #[test]

@@ -29,7 +29,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::TimingError;
-use crate::mlp::UpdateMode;
 use crate::model::TimingModel;
 use crate::solution::TimingSolution;
 use smo_circuit::{Circuit, ClockSchedule, LatchId, PhaseId};
@@ -250,7 +249,6 @@ pub(crate) enum FastPathOutcome {
 pub(crate) fn attempt(
     circuit: &Circuit,
     model: &TimingModel,
-    update: UpdateMode,
     budget: &SolveBudget,
     certify: bool,
 ) -> Result<FastPathOutcome, TimingError> {
@@ -284,7 +282,7 @@ pub(crate) fn attempt(
                 return Ok(FastPathOutcome::Mixed);
             }
             let x = reconstruct_point(circuit, model, lambda, &potentials);
-            let mut solution = build_solution(circuit, model, update, lambda, &x)?;
+            let mut solution = build_solution(circuit, model, lambda, &x)?;
             if certify {
                 let lower = sys.param_range().0;
                 solution.graph_certificate =
@@ -457,7 +455,6 @@ fn reconstruct_point(
 fn build_solution(
     circuit: &Circuit,
     model: &TimingModel,
-    update: UpdateMode,
     lambda: f64,
     x: &[f64],
 ) -> Result<TimingSolution, TimingError> {
@@ -474,7 +471,7 @@ fn build_solution(
         .map(|i| x[vars.departure(LatchId::new(i)).index()])
         .collect();
     let (departures, arrivals, update_iterations) =
-        crate::mlp::slide_departures(circuit, &schedule, &d0, update)?;
+        crate::mlp::slide_departures(circuit, &schedule, &d0)?;
     Ok(TimingSolution {
         schedule,
         departures,
@@ -710,14 +707,7 @@ mod tests {
         };
         let expr = smo_lp::LinExpr::from(w1) + w2 - tc - tc;
         model.problem_mut().constrain(expr, smo_lp::Sense::Le, 0.0);
-        let outcome = attempt(
-            &c,
-            &model,
-            UpdateMode::GaussSeidel,
-            &SolveBudget::UNLIMITED,
-            true,
-        )
-        .unwrap();
+        let outcome = attempt(&c, &model, &SolveBudget::UNLIMITED, true).unwrap();
         assert!(
             matches!(outcome, FastPathOutcome::Mixed),
             "general row must not solve on the graph"

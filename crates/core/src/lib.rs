@@ -111,7 +111,7 @@ pub use fastpath::{
     GraphCertificate,
 };
 pub use mlp::{
-    min_cycle_time, min_cycle_time_with, solve_model, solve_model_canonical, MlpOptions, UpdateMode,
+    min_cycle_time, min_cycle_time_with, solve_model, solve_model_canonical, MlpOptions,
 };
 pub use model::{
     shift_expr, ConstraintInfo, ConstraintKind, ConstraintOptions, DeparturePinning,

@@ -4,14 +4,17 @@
 //! 1. Solve the relaxed LP **P2** (constraints C1–C4, L1, L2R, L3),
 //!    obtaining the optimal clock schedule and an initial departure vector
 //!    `D⁰`.
-//! 2. Holding the clock variables fixed, iterate the nonlinear propagation
-//!    equations L2 until the departures stop changing — "sliding" each `D_i`
-//!    toward the time origin. Starting from a point satisfying L2R the
-//!    iteration is monotone non-increasing and terminates.
+//! 2. Holding the clock variables fixed, slide each `D_i` toward the time
+//!    origin until the nonlinear propagation equations L2 hold. The paper
+//!    iterates L2 downward from `D⁰`; that descent crawls along loops of
+//!    small negative gain, so its limit is computed directly instead (see
+//!    [`PropagationSystem::slide_limit`]).
 //!
 //! By Theorem 1 the resulting point is optimal for the original nonlinear
 //! problem **P1**: the cycle time is untouched by step 2, and the slid
 //! departures still satisfy every setup constraint (they only decreased).
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::TimingError;
 use crate::fastpath::{self, Backend, FastPathOutcome};
@@ -20,26 +23,11 @@ use crate::propagation::PropagationSystem;
 use crate::solution::TimingSolution;
 use smo_circuit::{Circuit, ClockSchedule};
 
-/// Which fixpoint iteration Algorithm MLP uses in its update step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdateMode {
-    /// The paper's synchronous (Jacobi) update.
-    Jacobi,
-    /// In-place sweeps; usually fewer sweeps than Jacobi.
-    #[default]
-    GaussSeidel,
-    /// Worklist update recomputing only affected departures (the paper's
-    /// suggested enhancement for large circuits).
-    EventDriven,
-}
-
 /// Options for [`min_cycle_time_with`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MlpOptions {
     /// Constraint-generation options (extras like minimum phase width).
     pub constraints: ConstraintOptions,
-    /// Fixpoint iteration style for the update step.
-    pub update: UpdateMode,
     /// The optimal solution of P2 is generally not unique (§V, first
     /// observation on Example 1). When `true` (the default), a second LP
     /// pass fixes `T_c` at its optimum and minimizes `Σ(s_i + T_i)`,
@@ -80,7 +68,6 @@ impl Default for MlpOptions {
     fn default() -> Self {
         MlpOptions {
             constraints: ConstraintOptions::default(),
-            update: UpdateMode::default(),
             canonicalize: true,
             certify: true,
             time_limit: None,
@@ -172,7 +159,7 @@ pub(crate) fn solve_built(
     // mixed ones fall through to the cold simplex (see
     // [`crate::fastpath`]).
     if options.backend != Backend::Lp {
-        match fastpath::attempt(circuit, model, options.update, &budget, options.certify) {
+        match fastpath::attempt(circuit, model, &budget, options.certify) {
             Ok(FastPathOutcome::Solved(solution)) => return Ok(*solution),
             Ok(FastPathOutcome::Mixed) => {
                 if options.backend == Backend::Graph {
@@ -200,7 +187,6 @@ pub(crate) fn solve_built(
         }
     }
     let lp = LpStage {
-        update: options.update,
         policy: policy.as_ref(),
         budget,
         pricing: options.pricing,
@@ -212,11 +198,9 @@ pub(crate) fn solve_built(
     }
 }
 
-/// How the LP stages of one solve run: the update mode of the slide, the
-/// certified policy (`None` = plain solves), and the budget and pricing
-/// of the plain solves.
+/// How the LP stages of one solve run: the certified policy (`None` =
+/// plain solves), and the budget and pricing of the plain solves.
 struct LpStage<'a> {
-    update: UpdateMode,
     policy: Option<&'a smo_lp::RecoveryPolicy>,
     budget: smo_lp::SolveBudget,
     pricing: smo_lp::Pricing,
@@ -224,9 +208,8 @@ struct LpStage<'a> {
 
 impl LpStage<'_> {
     /// Plain, unbudgeted, uncertified solves with the default pricing.
-    fn plain(update: UpdateMode) -> LpStage<'static> {
+    fn plain() -> LpStage<'static> {
         LpStage {
-            update,
             policy: None,
             budget: smo_lp::SolveBudget::UNLIMITED,
             pricing: smo_lp::Pricing::default(),
@@ -263,9 +246,8 @@ impl LpStage<'_> {
 pub fn solve_model_canonical(
     circuit: &Circuit,
     model: &TimingModel,
-    update: UpdateMode,
 ) -> Result<TimingSolution, TimingError> {
-    canonical_inner(circuit, model, &LpStage::plain(update))
+    canonical_inner(circuit, model, &LpStage::plain())
 }
 
 /// Canonicalizing pipeline shared by the certified and plain paths.
@@ -320,59 +302,33 @@ fn canonical_inner(
 /// # Errors
 ///
 /// See [`min_cycle_time`].
-pub fn solve_model(
-    circuit: &Circuit,
-    model: &TimingModel,
-    update: UpdateMode,
-) -> Result<TimingSolution, TimingError> {
-    model_inner(circuit, model, &LpStage::plain(update))
+pub fn solve_model(circuit: &Circuit, model: &TimingModel) -> Result<TimingSolution, TimingError> {
+    model_inner(circuit, model, &LpStage::plain())
 }
 
 /// Step 2 of Algorithm MLP: slide the departures from `d0` to the
 /// nonlinear fixpoint under a fixed schedule. Returns
-/// `(departures, arrivals, iterations)`. Shared with the graph fast path,
-/// whose schedule also satisfies L2R at its start point.
-///
-/// The slide descends by the gain of the loop it slides down, once per
-/// sweep: a loop of small negative gain `g` moves `|g|` per sweep, so the
-/// sweep count grows with `(D⁰ − D*)/|g|` — linear, with no bound in `L`
-/// alone. The slide therefore runs for at most `1000 + 100·L` sweeps
-/// (`1000 + 100·L²` events in event-driven mode), within which the
-/// shipped netlists settle in a handful; if it has not settled by then,
-/// its limit is computed directly ([`PropagationSystem::slide_limit`], at
-/// most `L + 1` sweeps). Only a start point violating L2R or a
-/// positive-gain loop (no fixpoint at all) is reported as `NotConverged`.
+/// `(departures, arrivals, iterations)`, where `iterations` counts the
+/// upward sweeps of [`PropagationSystem::slide_limit`] (at most `L + 1`).
+/// Shared with the graph fast path, whose schedule also satisfies L2R at
+/// its start point. Only a start point violating L2R or a positive-gain
+/// loop (no fixpoint at all) is reported as `NotConverged`.
 pub(crate) fn slide_departures(
     circuit: &Circuit,
     schedule: &ClockSchedule,
     d0: &[f64],
-    update: UpdateMode,
 ) -> Result<(Vec<f64>, Vec<f64>, usize), TimingError> {
     let system = PropagationSystem::new(circuit, schedule);
-    let l = circuit.num_syncs();
-    let cap = 1000 + 100 * l;
-    let mut result = match update {
-        UpdateMode::Jacobi => system.jacobi(d0, cap),
-        UpdateMode::GaussSeidel => system.gauss_seidel(d0, cap),
-        UpdateMode::EventDriven => system.event_driven(d0, 1000 + 100 * l * l),
-    };
-    if !result.converged {
-        let slid = result.iterations;
-        match system.slide_limit(d0) {
-            Ok(limit) => {
-                result = limit;
-                result.iterations += slid;
-            }
-            Err(_) => {
-                return Err(TimingError::NotConverged {
-                    iterations: result.iterations,
-                    residuals: result.residuals,
-                })
-            }
-        }
-    }
-    let arrivals = system.arrivals(&result.departures);
-    Ok((result.departures, arrivals, result.iterations))
+    let limit = system
+        .slide_limit(d0)
+        .map_err(|positive_loop| TimingError::NotConverged {
+            positive_loop: positive_loop
+                .into_iter()
+                .map(|id| circuit.sync(id).name.clone())
+                .collect(),
+        })?;
+    let arrivals = system.arrivals(&limit.departures);
+    Ok((limit.departures, arrivals, limit.iterations))
 }
 
 /// Steps 1–2 of Algorithm MLP, optionally on the certified LP path.
@@ -387,8 +343,7 @@ fn model_inner(
     let d0 = model.extract_departures(&sol);
 
     // Step 2: slide the departures to the nonlinear fixpoint.
-    let (departures, arrivals, update_iterations) =
-        slide_departures(circuit, &schedule, &d0, lp.update)?;
+    let (departures, arrivals, update_iterations) = slide_departures(circuit, &schedule, &d0)?;
     Ok(TimingSolution {
         schedule,
         departures,
@@ -403,6 +358,7 @@ fn model_inner(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use smo_circuit::{CircuitBuilder, LatchId, PhaseId, SyncKind, Synchronizer};
@@ -471,65 +427,63 @@ mod tests {
     }
 
     #[test]
-    fn update_modes_agree() {
-        for mode in [
-            UpdateMode::Jacobi,
-            UpdateMode::GaussSeidel,
-            UpdateMode::EventDriven,
-        ] {
-            let opts = MlpOptions {
-                update: mode,
-                ..Default::default()
-            };
-            let sol = min_cycle_time_with(&example1(120.0), &opts).unwrap();
-            assert!((sol.cycle_time() - 140.0).abs() < 1e-6);
-            let sys = PropagationSystem::new(&example1(120.0), sol.schedule());
-            for i in 0..4 {
-                let expect = sys.update(sol.departures(), i);
-                assert!((sol.departures()[i] - expect).abs() < 1e-7, "{mode:?}");
-            }
-        }
-    }
-
-    #[test]
     fn update_terminates_in_few_sweeps() {
         // The paper: "the update process usually terminated in two to three
         // iterations (in some cases no iterations were even necessary)".
         // One sweep is always needed to *detect* the fixpoint, so allow a
-        // small handful.
-        let opts = MlpOptions {
-            update: UpdateMode::Jacobi,
-            ..Default::default()
-        };
+        // small handful — for the shipped slide and for the paper's Jacobi
+        // iteration from the same `D⁰`, which must land on the same point.
         for d41 in [60.0, 80.0, 100.0, 120.0] {
-            let sol = min_cycle_time_with(&example1(d41), &opts).unwrap();
+            let c = example1(d41);
+            let sol = min_cycle_time(&c).unwrap();
             assert!(
                 sol.update_iterations() <= 6,
                 "Δ41 = {d41}: {} sweeps",
                 sol.update_iterations()
             );
+            let model = TimingModel::build(&c).unwrap();
+            let lp = model.solve_lp().unwrap();
+            let schedule = model.extract_schedule(&lp).unwrap();
+            let d0 = model.extract_departures(&lp);
+            let jacobi = PropagationSystem::new(&c, &schedule).jacobi(&d0, 6);
+            assert!(jacobi.converged, "Δ41 = {d41}: {jacobi:?}");
+            let (slid, _, _) = slide_departures(&c, &schedule, &d0).unwrap();
+            for (a, b) in jacobi.departures.iter().zip(&slid) {
+                assert!((a - b).abs() < 1e-9, "Δ41 = {d41}: {a} vs {b}");
+            }
         }
     }
 
     #[test]
-    fn slide_limit_matches_an_uncapped_slow_slide() {
+    fn slow_slide_settles_within_the_latch_bound() {
         // `smo gen --latches 216 --seed 424457`: a loop of tiny negative
-        // gain needs tens of thousands of sweeps to slide down, next to
-        // zero-gain loops whose departures never move.
+        // gain needs tens of thousands of Jacobi sweeps to slide down, next
+        // to zero-gain loops whose departures never move. The shipped slide
+        // reaches the same limit in at most L + 1 sweeps on both paths.
         use smo_gen::datapath::{pipelined_datapath, DatapathConfig};
         let c = pipelined_datapath(&DatapathConfig::with_latches(216), 424_457);
+        let bound = c.num_syncs() + 1;
+        let sol = min_cycle_time(&c).unwrap();
+        assert!(
+            sol.update_iterations() <= bound,
+            "{}",
+            sol.update_iterations()
+        );
+        // `solve_model` slides from the plain LP's D⁰, which the test can
+        // rebuild and hand to the paper's uncapped Jacobi iteration.
         let model = TimingModel::build(&c).unwrap();
+        let sol = solve_model(&c, &model).unwrap();
+        assert!(
+            sol.update_iterations() <= bound,
+            "{}",
+            sol.update_iterations()
+        );
         let lp = model.solve_lp().unwrap();
-        let schedule = model.extract_schedule(&lp).unwrap();
         let d0 = model.extract_departures(&lp);
-        let sys = PropagationSystem::new(&c, &schedule);
-        let slow = sys.gauss_seidel(&d0, 1_000_000);
-        assert!(slow.converged);
+        let slow = PropagationSystem::new(&c, sol.schedule()).jacobi(&d0, usize::MAX);
         assert!(slow.iterations > 10_000, "{}", slow.iterations);
-        let direct = sys.slide_limit(&d0).unwrap();
-        assert!(direct.iterations <= c.num_syncs() + 1);
-        for (i, (a, b)) in slow.departures.iter().zip(&direct.departures).enumerate() {
-            assert!((a - b).abs() < 1e-6, "latch {i}: slide {a} vs direct {b}");
+        for (i, (a, b)) in slow.departures.iter().zip(sol.departures()).enumerate() {
+            assert!((a - b).abs() < 1e-6, "latch {i}: jacobi {a} vs slide {b}");
         }
     }
 

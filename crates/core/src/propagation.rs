@@ -8,22 +8,23 @@
 //! D_i = 0                                                     (flip-flops)
 //! ```
 //!
-//! Three solvers are provided, matching the paper's Algorithm MLP and its
-//! suggested enhancements (§IV):
+//! Two iterations are provided:
 //!
-//! * [`PropagationSystem::jacobi`] — the paper's synchronous update;
-//! * [`PropagationSystem::gauss_seidel`] — in-place sweeps ("a more
-//!   efficient Gauss-Seidel-style iteration is obviously possible");
-//! * [`PropagationSystem::event_driven`] — worklist update touching only
-//!   departures whose inputs changed ("an event-driven update mechanism …
-//!   can be easily implemented").
-//!
-//! All three converge to the same fixpoint: from a point satisfying the
-//! relaxed constraints L2R the iteration is monotone non-increasing and
-//! bounded below by `0`; from `0` it is monotone non-decreasing and — when
-//! every loop's gain is non-positive — stabilizes within `l` sweeps (a
-//! longest-path argument: revisiting a non-positive-gain cycle never
-//! increases a path weight).
+//! * [`PropagationSystem::jacobi`] — the paper's synchronous update
+//!   (Algorithm MLP steps 3–5), kept as the reference iteration. From a
+//!   point satisfying the relaxed constraints L2R it is monotone
+//!   non-increasing and bounded below by `0`, but it descends a loop of
+//!   negative gain `g` by only `|g|` per sweep, so its sweep count has no
+//!   bound in `l` alone.
+//! * [`PropagationSystem::least_fixpoint`] — in-place upward sweeps from
+//!   `D = 0`. When every loop's gain is non-positive they stabilize within
+//!   `l` sweeps (a longest-path argument: revisiting a non-positive-gain
+//!   cycle never increases a path weight), so a change in sweep `l + 1`
+//!   proves a positive-gain loop. Schedule verification runs it, and the
+//!   MLP slide runs the same pass from a floor that a linear-time peel of
+//!   the tight chains at `D⁰` sets.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use smo_circuit::{Circuit, ClockSchedule, LatchId, SyncKind};
 
@@ -57,29 +58,11 @@ pub struct PropagationSystem {
 pub struct FixpointResult {
     /// The departure vector at termination.
     pub departures: Vec<f64>,
-    /// Number of full sweeps (Jacobi/Gauss-Seidel) or processed work items
-    /// (event-driven).
+    /// Number of full sweeps, the last of which changed nothing when the
+    /// run converged.
     pub iterations: usize,
-    /// `false` if the safeguard bound was hit before stabilizing.
+    /// `false` if the sweep bound was hit before stabilizing.
     pub converged: bool,
-    /// The trailing residual trajectory: the largest departure movement of
-    /// each of the last [`RESIDUAL_WINDOW`] sweeps (or accepted events).
-    /// On non-convergence this distinguishes a genuinely diverging
-    /// iteration (growing residuals — a positive-gain loop) from one
-    /// grinding against the tolerance (residuals hovering near
-    /// `FIXPOINT_TOL` — a numerical problem in the schedule).
-    pub residuals: Vec<f64>,
-}
-
-/// How many trailing per-sweep residuals a [`FixpointResult`] retains.
-pub const RESIDUAL_WINDOW: usize = 16;
-
-/// Rolling push: keeps only the last [`RESIDUAL_WINDOW`] entries.
-fn push_residual(trajectory: &mut Vec<f64>, r: f64) {
-    if trajectory.len() == RESIDUAL_WINDOW {
-        trajectory.remove(0);
-    }
-    trajectory.push(r);
 }
 
 impl PropagationSystem {
@@ -181,11 +164,12 @@ impl PropagationSystem {
     }
 
     /// Jacobi iteration from `start` until fixpoint (the paper's Algorithm
-    /// MLP steps 3–5), capped at `max_sweeps` full sweeps.
+    /// MLP steps 3–5), capped at `max_sweeps` full sweeps. The reference
+    /// iteration: the oracle that [`slide_limit`](Self::slide_limit) is
+    /// tested against, and the ablation baseline.
     pub fn jacobi(&self, start: &[f64], max_sweeps: usize) -> FixpointResult {
         let mut d = start.to_vec();
         let mut next = vec![0.0; d.len()];
-        let mut residuals = Vec::new();
         for sweep in 0..max_sweeps {
             let mut delta = 0.0f64;
             for i in 0..d.len() {
@@ -193,13 +177,11 @@ impl PropagationSystem {
                 delta = delta.max((next[i] - d[i]).abs());
             }
             std::mem::swap(&mut d, &mut next);
-            push_residual(&mut residuals, delta);
             if delta <= FIXPOINT_TOL {
                 return FixpointResult {
                     departures: d,
                     iterations: sweep + 1,
                     converged: true,
-                    residuals,
                 };
             }
         }
@@ -207,77 +189,6 @@ impl PropagationSystem {
             departures: d,
             iterations: max_sweeps,
             converged: false,
-            residuals,
-        }
-    }
-
-    /// Gauss-Seidel iteration: like [`PropagationSystem::jacobi`] but each
-    /// update immediately sees the sweep's earlier updates.
-    pub fn gauss_seidel(&self, start: &[f64], max_sweeps: usize) -> FixpointResult {
-        let mut d = start.to_vec();
-        let mut residuals = Vec::new();
-        for sweep in 0..max_sweeps {
-            let mut delta = 0.0f64;
-            for i in 0..d.len() {
-                let v = self.update(&d, i);
-                delta = delta.max((v - d[i]).abs());
-                d[i] = v;
-            }
-            push_residual(&mut residuals, delta);
-            if delta <= FIXPOINT_TOL {
-                return FixpointResult {
-                    departures: d,
-                    iterations: sweep + 1,
-                    converged: true,
-                    residuals,
-                };
-            }
-        }
-        FixpointResult {
-            departures: d,
-            iterations: max_sweeps,
-            converged: false,
-            residuals,
-        }
-    }
-
-    /// Event-driven worklist iteration: only recomputes departures whose
-    /// fan-in changed. `max_events` bounds the processed work items.
-    pub fn event_driven(&self, start: &[f64], max_events: usize) -> FixpointResult {
-        let mut d = start.to_vec();
-        let n = d.len();
-        let mut queued = vec![true; n];
-        let mut queue: std::collections::VecDeque<usize> = (0..n).collect();
-        let mut events = 0usize;
-        let mut residuals = Vec::new();
-        while let Some(i) = queue.pop_front() {
-            queued[i] = false;
-            events += 1;
-            if events > max_events {
-                return FixpointResult {
-                    departures: d,
-                    iterations: events,
-                    converged: false,
-                    residuals,
-                };
-            }
-            let v = self.update(&d, i);
-            if (v - d[i]).abs() > FIXPOINT_TOL {
-                push_residual(&mut residuals, (v - d[i]).abs());
-                d[i] = v;
-                for &dst in &self.outgoing[i] {
-                    if !queued[dst] {
-                        queued[dst] = true;
-                        queue.push_back(dst);
-                    }
-                }
-            }
-        }
-        FixpointResult {
-            departures: d,
-            iterations: events,
-            converged: true,
-            residuals,
         }
     }
 
@@ -334,7 +245,6 @@ impl PropagationSystem {
                     departures: e,
                     iterations: sweep + 1,
                     converged: true,
-                    residuals: Vec::new(),
                 };
             }
         }
@@ -342,25 +252,24 @@ impl PropagationSystem {
             departures: e,
             iterations: max_sweeps,
             converged: false,
-            residuals: Vec::new(),
         }
     }
 
     /// Least-fixpoint computation from `D = 0` with positive-loop detection,
     /// used by schedule *verification*.
     ///
-    /// Iterates upward; with all loop gains ≤ 0 the iteration stabilizes
-    /// within `l` sweeps, so a change in sweep `l + 1` proves a
+    /// Iterates upward in place; with all loop gains ≤ 0 the iteration
+    /// stabilizes within `l` sweeps, so a change in sweep `l + 1` proves a
     /// positive-gain loop. On divergence the offending loop (as synchronizer
     /// ids) is returned.
     pub fn least_fixpoint(&self) -> Result<FixpointResult, Vec<LatchId>> {
         self.least_fixpoint_above(&vec![0.0; self.len()])
     }
 
-    /// The limit of the downward slide from `start` — what
-    /// [`PropagationSystem::gauss_seidel`] converges to — computed
-    /// directly in at most `l + 1` sweeps, however slowly the slide
-    /// itself would descend.
+    /// MLP step 2: the limit of the downward slide from `start` — what
+    /// [`PropagationSystem::jacobi`] converges to — computed directly by a
+    /// linear-time peel and at most `l + 1` upward sweeps, however slowly
+    /// the slide itself would descend.
     ///
     /// `start` must satisfy the relaxed constraints L2R (`F(start) ≤
     /// start`), as Algorithm MLP's LP point does. Summing L2R around a
@@ -371,7 +280,22 @@ impl PropagationSystem {
     /// restricted to the latches reached by an endless backward chain of
     /// tight arcs. `Err` carries a positive-gain loop, or is empty when
     /// `start` violates L2R and the result is no fixpoint.
-    pub(crate) fn slide_limit(&self, start: &[f64]) -> Result<FixpointResult, Vec<LatchId>> {
+    pub fn slide_limit(&self, start: &[f64]) -> Result<FixpointResult, Vec<LatchId>> {
+        let limit = self.least_fixpoint_above(&self.tight_floor(start))?;
+        let settled = (0..self.len()).all(|i| {
+            (self.update(&limit.departures, i) - limit.departures[i]).abs() <= FIXPOINT_TOL
+        });
+        if settled {
+            Ok(limit)
+        } else {
+            Err(Vec::new())
+        }
+    }
+
+    /// The floor of [`PropagationSystem::slide_limit`]: `start` on the
+    /// latches with an endless backward chain of arcs tight at `start`,
+    /// `0` elsewhere. Linear in the arcs (times the fan-in).
+    fn tight_floor(&self, start: &[f64]) -> Vec<f64> {
         let l = self.len();
         let tight =
             |i: usize, a: &Arc| (start[a.source] + a.weight - start[i]).abs() <= FIXPOINT_TOL;
@@ -388,9 +312,9 @@ impl PropagationSystem {
             })
             .collect();
         let mut queue: Vec<usize> = (0..l).filter(|&i| live[i] == 0).collect();
-        let mut peeled = vec![false; l];
+        let mut floor = start.to_vec();
         while let Some(j) = queue.pop() {
-            peeled[j] = true;
+            floor[j] = 0.0;
             for &i in &self.outgoing[j] {
                 if self.is_ff[i] || live[i] == 0 {
                     continue;
@@ -404,32 +328,22 @@ impl PropagationSystem {
                 }
             }
         }
-        let floor: Vec<f64> = (0..l)
-            .map(|i| if peeled[i] { 0.0 } else { start[i] })
-            .collect();
-        let limit = self.least_fixpoint_above(&floor)?;
-        let settled = (0..l).all(|i| {
-            (self.update(&limit.departures, i) - limit.departures[i]).abs() <= FIXPOINT_TOL
-        });
-        if settled {
-            Ok(limit)
-        } else {
-            Err(Vec::new())
-        }
+        floor
     }
 
     /// The least fixpoint of `D = max(floor, F(D))`, iterating upward from
-    /// `floor` (see [`PropagationSystem::least_fixpoint`]).
+    /// `floor` (see [`PropagationSystem::least_fixpoint`]). Each update
+    /// sees the sweep's earlier ones, so a rising chain that runs with the
+    /// latch order settles in one sweep; the sweep count is the depth of
+    /// the longest rising chain against that order, never more than
+    /// `l + 1` without a positive-gain loop.
     fn least_fixpoint_above(&self, floor: &[f64]) -> Result<FixpointResult, Vec<LatchId>> {
         let l = self.len();
         let mut d = floor.to_vec();
-        let mut next = vec![0.0; l];
         let mut pred: Vec<Option<usize>> = vec![None; l];
-        let sweeps = l + 1;
         let mut witness = None;
-        for sweep in 0..sweeps {
+        for sweep in 0..=l {
             let mut changed = false;
-            next.copy_from_slice(&d);
             for i in 0..l {
                 if self.is_ff[i] {
                     continue; // pinned at 0
@@ -445,18 +359,16 @@ impl PropagationSystem {
                 }
                 if (best - d[i]).abs() > FIXPOINT_TOL {
                     changed = true;
-                    next[i] = best;
+                    d[i] = best;
                     pred[i] = best_pred;
                     witness = Some(i);
                 }
             }
-            std::mem::swap(&mut d, &mut next);
             if !changed {
                 return Ok(FixpointResult {
                     departures: d,
                     iterations: sweep + 1,
                     converged: true,
-                    residuals: Vec::new(),
                 });
             }
         }
@@ -489,6 +401,7 @@ impl PropagationSystem {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use smo_circuit::{CircuitBuilder, PhaseId};
@@ -532,17 +445,30 @@ mod tests {
         assert!(loop_ids.len() <= 4);
     }
 
+    /// Raises `start` to the least point above it that satisfies L2R
+    /// (`F(d) ≤ d`), the precondition of the slide.
+    fn lift_to_l2r(sys: &PropagationSystem, mut start: Vec<f64>) -> Vec<f64> {
+        loop {
+            let lifted: Vec<f64> = (0..sys.len())
+                .map(|i| start[i].max(sys.update(&start, i)))
+                .collect();
+            if lifted == start {
+                return start;
+            }
+            start = lifted;
+        }
+    }
+
     #[test]
-    fn all_three_solvers_agree_from_above() {
+    fn slide_limit_matches_jacobi_from_above() {
         let sys = symmetric_system(60.0, 110.0);
-        let start = vec![50.0; 4];
+        let start = lift_to_l2r(&sys, vec![50.0; 4]);
         let j = sys.jacobi(&start, 10_000);
-        let g = sys.gauss_seidel(&start, 10_000);
-        let e = sys.event_driven(&start, 1_000_000);
-        assert!(j.converged && g.converged && e.converged);
+        let s = sys.slide_limit(&start).unwrap();
+        assert!(j.converged && s.converged);
+        assert!(s.iterations <= sys.len() + 1);
         for i in 0..4 {
-            assert!((j.departures[i] - g.departures[i]).abs() < 1e-7);
-            assert!((j.departures[i] - e.departures[i]).abs() < 1e-7);
+            assert!((j.departures[i] - s.departures[i]).abs() < 1e-7);
         }
     }
 
@@ -581,25 +507,23 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_matches_on_random_starts() {
+    fn slide_limit_matches_jacobi_on_random_starts() {
         let sys = symmetric_system(80.0, 120.0);
         for seed in 0..20u64 {
             // cheap deterministic pseudo-random start
             let start: Vec<f64> = (0..4)
                 .map(|i| ((seed * 37 + i * 101) % 97) as f64)
                 .collect();
-            // only valid from above if start ≥ F(start); force that by one
-            // big constant
-            let start: Vec<f64> = start.iter().map(|v| v + 500.0).collect();
+            let start = lift_to_l2r(&sys, start);
             let j = sys.jacobi(&start, 100_000);
-            let e = sys.event_driven(&start, 10_000_000);
-            assert!(j.converged && e.converged);
+            let s = sys.slide_limit(&start).unwrap();
+            assert!(j.converged);
             for i in 0..4 {
                 assert!(
-                    (j.departures[i] - e.departures[i]).abs() < 1e-6,
+                    (j.departures[i] - s.departures[i]).abs() < 1e-6,
                     "seed {seed}: {:?} vs {:?}",
                     j.departures,
-                    e.departures
+                    s.departures
                 );
             }
         }

@@ -42,7 +42,7 @@
 
 use crate::error::TimingError;
 use crate::fastpath::{self, Backend};
-use crate::mlp::{min_cycle_time_with, solve_model_canonical, MlpOptions, UpdateMode};
+use crate::mlp::{min_cycle_time_with, solve_model_canonical, MlpOptions};
 use crate::model::{ConstraintOptions, TimingModel};
 use crate::propagation::PropagationSystem;
 use smo_circuit::{Circuit, ClockSchedule, EdgeId, SyncKind};
@@ -287,7 +287,7 @@ pub fn race_analysis(circuit: &Circuit, options: &RaceOptions) -> Result<RaceRep
                     ..options.constraints.clone()
                 };
                 let pinned_model = TimingModel::build_with(circuit, &pinned)?;
-                solve_model_canonical(circuit, &pinned_model, UpdateMode::default())?
+                solve_model_canonical(circuit, &pinned_model)?
                     .schedule()
                     .clone()
             }

@@ -14,7 +14,7 @@ pub struct TimingSolution {
     pub(crate) schedule: ClockSchedule,
     pub(crate) departures: Vec<f64>,
     pub(crate) arrivals: Vec<f64>,
-    /// Sweeps taken by the MLP departure-update iteration (steps 3–5).
+    /// Upward sweeps taken by the MLP departure slide (step 2).
     pub(crate) update_iterations: usize,
     /// Simplex iterations taken by the LP solve (step 1).
     pub(crate) lp_iterations: usize,
@@ -75,9 +75,10 @@ impl TimingSolution {
         &self.arrivals
     }
 
-    /// Sweeps taken by the departure-update iteration (the paper reports
-    /// "two to three iterations" typically; zero means the LP point already
-    /// satisfied the nonlinear constraints).
+    /// Upward sweeps taken by the departure slide (MLP step 2), at most
+    /// `L + 1`; the last sweep only confirms the fixpoint. The linear-time
+    /// peel that precedes the sweeps is not counted. (The paper's Jacobi
+    /// update "usually terminated in two to three iterations".)
     pub fn update_iterations(&self) -> usize {
         self.update_iterations
     }

@@ -413,11 +413,11 @@ fn feasible_at_below_optimum_finds_a_cycle_within_100_passes() {
 }
 
 /// `smo gen --latches 216 --seed 424457`: a loop of tiny negative gain
-/// slides the departures down by that gain once per sweep — about 27k
-/// Gauss–Seidel sweeps, past the slide's sweep budget, so the limit is
-/// computed directly. Both backends must return the certified optimum
-/// with the departures at a fixpoint of the propagation equations, and
-/// `smo check` must pass.
+/// slides the departures down by that gain once per sweep of the paper's
+/// downward iteration — tens of thousands of sweeps — while the shipped
+/// slide computes the limit directly in at most `L + 1`. Both backends
+/// must return the certified optimum with the departures at a fixpoint of
+/// the propagation equations, and `smo check` must pass.
 #[test]
 fn slow_departure_slide_converges_on_auto_and_lp() {
     let circuit = pipelined_datapath(&DatapathConfig::with_latches(216), 424_457);
@@ -437,6 +437,11 @@ fn slow_departure_slide_converges_on_auto_and_lp() {
             sol.cycle_time()
         );
         assert!(verify(&circuit, sol.schedule()).is_feasible(), "{backend}");
+        assert!(
+            sol.update_iterations() <= circuit.num_syncs() + 1,
+            "{backend}: {} sweeps",
+            sol.update_iterations()
+        );
         let sys = PropagationSystem::new(&circuit, sol.schedule());
         for (i, &d) in sol.departures().iter().enumerate() {
             let f = sys.update(sol.departures(), i);

@@ -119,7 +119,7 @@ fn gaas_matches_example3_observations() {
 #[test]
 fn gaas_phi3_can_be_fully_overlapped_by_phi1_at_no_cost() {
     use smo::lp::{LinExpr, Sense};
-    use smo::timing::{solve_model, ConstraintOptions, TimingModel, UpdateMode};
+    use smo::timing::{solve_model, ConstraintOptions, TimingModel};
     let circuit = paper::gaas_mips();
     let tc_opt = tc(&circuit);
     let mut model = TimingModel::build_with(
@@ -146,8 +146,7 @@ fn gaas_phi3_can_be_fully_overlapped_by_phi1_at_no_cost() {
         Sense::Le,
         0.0,
     );
-    let sol = solve_model(&circuit, &model, UpdateMode::GaussSeidel)
-        .expect("overlap feasible at the optimal Tc");
+    let sol = solve_model(&circuit, &model).expect("overlap feasible at the optimal Tc");
     assert!((sol.cycle_time() - tc_opt).abs() < 1e-6);
 }
 

@@ -143,17 +143,24 @@ proptest! {
     }
 
     /// Departure variables at the LP optimum dominate the slid fixpoint
-    /// (the MLP update only moves departures toward the origin).
+    /// (the MLP update only moves departures toward the origin), the slide
+    /// takes at most `L + 1` sweeps, and it lands where the paper's
+    /// uncapped Jacobi iteration from the same `D⁰` does.
     #[test]
     fn prop_update_only_slides_down(spec in spec_strategy()) {
         let circuit = build(&spec);
         let model = TimingModel::build(&circuit).expect("model");
         let lp = model.solve_lp().expect("optimal");
         let d0 = model.extract_departures(&lp);
-        let sol = smo::timing::solve_model(&circuit, &model, smo::timing::UpdateMode::Jacobi)
-            .expect("solves");
+        let sol = smo::timing::solve_model(&circuit, &model).expect("solves");
         for (slid, initial) in sol.departures().iter().zip(&d0) {
             prop_assert!(*slid <= initial + 1e-7, "slide increased a departure");
+        }
+        prop_assert!(sol.update_iterations() <= circuit.num_syncs() + 1);
+        let jacobi = smo::timing::PropagationSystem::new(&circuit, sol.schedule())
+            .jacobi(&d0, usize::MAX);
+        for (slid, oracle) in sol.departures().iter().zip(&jacobi.departures) {
+            prop_assert!((slid - oracle).abs() <= 1e-6, "slide {slid} vs Jacobi {oracle}");
         }
     }
 
