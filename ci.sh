@@ -22,8 +22,11 @@ echo "==> cargo clippy unwrap/expect audit (lp + core, warn-level)"
 cargo clippy -q -p smo-lp -p smo-core --lib -- \
   -W clippy::unwrap_used -W clippy::expect_used
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test (every workspace crate)"
+# Plain `cargo test` runs only the root `smo` package; `--workspace` adds
+# the unit tests and proptests inside each crate (the graph search's
+# oracle comparison among them).
+cargo test -q --workspace
 
 echo "==> e2e benchmark crate tests"
 # The end-to-end benchmark is a workspace of its own (e2e/Cargo.toml):
@@ -204,8 +207,9 @@ rm -f "$gen_ckt"
 
 echo "==> 100k-latch generated circuit (300k rows): default-flag solve, check and lint"
 # The graph min-ratio solve ends each Bellman–Ford round at the first
-# predecessor-graph cycle, so a 300k-row solve takes seconds rather than
-# the O(V·E)-per-round minutes. All three commands must finish well
+# predecessor-graph cycle and scans only the nodes whose labels dropped,
+# so a 300k-row solve takes about a second rather than the
+# O(V·E)-per-round minutes. All three commands must finish well
 # inside the timeout, the solve certified. They all need --max-input-mb:
 # the 12.7 MB netlist is past the 4 MiB default.
 scale_ckt=$(mktemp --suffix=.ckt)

@@ -7,8 +7,8 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use smo_circuit::{Circuit, Cycle, LatchId, PhaseId, SyncKind};
-use std::collections::BTreeMap;
+use smo_circuit::{Circuit, Cycle, Digraph, LatchId, PhaseId, SyncKind};
+use std::ops::Range;
 
 /// Shared facts about one circuit: the graph decompositions and delay
 /// summaries every pass may consult.
@@ -28,17 +28,24 @@ pub struct AnalysisContext<'c> {
     component_roots: Vec<usize>,
     /// Per-phase: controls at least one synchronizer.
     phase_used: Vec<bool>,
-    /// Delay closure over parallel paths: for each ordered `(from, to)`
-    /// pair, the edge indices plus the envelope
-    /// `(min short_delay, max max_delay)` across them.
-    pairs: BTreeMap<(usize, usize), PairDelays>,
+    /// Delay closure over parallel paths: one entry per ordered
+    /// `(from, to)` pair with an edge, sorted by `(from, to)`.
+    pairs: Vec<PairDelays>,
+    /// Indices into [`Circuit::edges`], sorted by `(from, to)` and then
+    /// in declaration order; each pair owns one range of it.
+    pair_edges: Vec<usize>,
 }
 
 /// The delay envelope of all parallel `from → to` edges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairDelays {
-    /// Indices into [`Circuit::edges`] in declaration order.
-    pub edges: Vec<usize>,
+    /// Source synchronizer index.
+    pub from: usize,
+    /// Destination synchronizer index.
+    pub to: usize,
+    /// The parallel edges, as a range of
+    /// [`AnalysisContext::pair_edges`].
+    pub edges: Range<usize>,
     /// Smallest effective short-path delay across the parallel edges.
     pub short_delay: f64,
     /// Largest long-path delay across the parallel edges.
@@ -50,20 +57,54 @@ impl<'c> AnalysisContext<'c> {
     pub fn new(circuit: &'c Circuit) -> Self {
         let n = circuit.num_syncs();
 
+        // Parallel-path delay closure: each synchronizer's fan-out, in
+        // declaration order, stably sorted by destination and merged per
+        // destination. `pair_start[v]..pair_start[v + 1]` are the pairs
+        // leaving `v`.
+        let edges = circuit.edges();
+        let mut pair_edges: Vec<usize> = Vec::with_capacity(edges.len());
+        let mut pairs: Vec<PairDelays> = Vec::new();
+        let mut pair_start = Vec::with_capacity(n + 1);
+        for from in 0..n {
+            pair_start.push(pairs.len());
+            let begin = pair_edges.len();
+            pair_edges.extend(circuit.fanout(LatchId::new(from)).iter().map(|e| e.index()));
+            pair_edges[begin..].sort_by_key(|&e| edges[e].to.index());
+            for k in begin..pair_edges.len() {
+                let e = &edges[pair_edges[k]];
+                match pairs.last_mut() {
+                    Some(p) if p.from == from && p.to == e.to.index() => {
+                        p.edges.end = k + 1;
+                        p.short_delay = p.short_delay.min(e.short_delay());
+                        p.max_delay = p.max_delay.max(e.max_delay);
+                    }
+                    _ => pairs.push(PairDelays {
+                        from,
+                        to: e.to.index(),
+                        edges: k..k + 1,
+                        short_delay: e.short_delay(),
+                        max_delay: e.max_delay,
+                    }),
+                }
+            }
+        }
+        pair_start.push(pairs.len());
+        let hops = |keep: &dyn Fn(&PairDelays) -> bool| {
+            Digraph::from_fn(n, |v| {
+                pairs[pair_start[v]..pair_start[v + 1]]
+                    .iter()
+                    .filter(move |p| keep(p))
+                    .map(|p| p.to)
+            })
+        };
+
         // Feedback cores: SCCs of size > 1, or singletons with a self-edge.
+        let graph = hops(&|_| true);
         let mut in_cyclic = vec![false; n];
-        for comp in circuit.sccs() {
-            let cyclic = comp.len() > 1
-                || comp.len() == 1 && {
-                    let l = comp[0];
-                    circuit.fanout(l).iter().any(|&e| {
-                        let edge = &circuit.edges()[e.index()];
-                        edge.to == l
-                    })
-                };
-            if cyclic {
-                for l in comp {
-                    in_cyclic[l.index()] = true;
+        for comp in graph.sccs() {
+            if comp.len() > 1 || graph.has_self_loop(comp[0]) {
+                for v in comp {
+                    in_cyclic[v] = true;
                 }
             }
         }
@@ -125,32 +166,21 @@ impl<'c> AnalysisContext<'c> {
             .map(|i| circuit.syncs_on_phase(PhaseId::new(i)).next().is_some())
             .collect();
 
-        // Parallel-path delay closure.
-        let mut pairs: BTreeMap<(usize, usize), PairDelays> = BTreeMap::new();
-        for (idx, e) in circuit.edges().iter().enumerate() {
-            let entry = pairs
-                .entry((e.from.index(), e.to.index()))
-                .or_insert(PairDelays {
-                    edges: Vec::new(),
-                    short_delay: f64::INFINITY,
-                    max_delay: f64::NEG_INFINITY,
-                });
-            entry.edges.push(idx);
-            entry.short_delay = entry.short_delay.min(e.short_delay());
-            entry.max_delay = entry.max_delay.max(e.max_delay);
-        }
-
         // Zero-delay latch cores. Δ and Δ_DQ are validated non-negative,
         // so a loop has zero total delay exactly when every hop does: the
         // cores are the cyclic SCCs of the latch-only zero-delay hops.
-        let is_latch = |l: LatchId| circuit.sync(l).kind == SyncKind::Latch;
-        let cycles = circuit.loop_witnesses(|from, to| {
-            is_latch(from)
-                && is_latch(to)
-                && pairs
-                    .get(&(from.index(), to.index()))
-                    .is_some_and(|p| p.max_delay + circuit.sync(from).dq <= 0.0)
-        });
+        let is_latch = |v: usize| circuit.sync(LatchId::new(v)).kind == SyncKind::Latch;
+        let cycles = hops(&|p| {
+            is_latch(p.from)
+                && is_latch(p.to)
+                && p.max_delay + circuit.sync(LatchId::new(p.from)).dq <= 0.0
+        })
+        .loop_witnesses()
+        .into_iter()
+        .map(|cyc| Cycle {
+            latches: cyc.into_iter().map(LatchId::new).collect(),
+        })
+        .collect();
 
         AnalysisContext {
             circuit,
@@ -162,6 +192,7 @@ impl<'c> AnalysisContext<'c> {
             component_roots,
             phase_used,
             pairs,
+            pair_edges,
         }
     }
 
@@ -219,9 +250,16 @@ impl<'c> AnalysisContext<'c> {
         self.phase_used[index]
     }
 
-    /// The parallel-path delay closure, keyed by
-    /// `(from.index(), to.index())` in sorted order.
-    pub fn pair_delays(&self) -> &BTreeMap<(usize, usize), PairDelays> {
+    /// The parallel-path delay closure, one entry per `(from, to)` pair
+    /// with an edge, sorted by `(from.index(), to.index())`.
+    pub fn pair_delays(&self) -> &[PairDelays] {
         &self.pairs
+    }
+
+    /// Edge indices grouped by pair: `pair_edges()[p.edges.clone()]` are
+    /// the indices into [`Circuit::edges`] of pair `p`'s parallel edges,
+    /// in declaration order.
+    pub fn pair_edges(&self) -> &[usize] {
+        &self.pair_edges
     }
 }

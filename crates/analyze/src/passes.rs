@@ -112,10 +112,10 @@ impl Pass for DuplicateEdgePass {
 
     fn run(&self, ctx: &AnalysisContext<'_>, out: &mut Vec<Finding>) {
         let circuit = ctx.circuit();
-        for (&(from, to), pair) in ctx.pair_delays() {
-            let from = circuit.sync(LatchId::new(from));
-            let to = circuit.sync(LatchId::new(to));
-            for &dup in pair.edges.iter().skip(1) {
+        for pair in ctx.pair_delays() {
+            let from = circuit.sync(LatchId::new(pair.from));
+            let to = circuit.sync(LatchId::new(pair.to));
+            for &dup in ctx.pair_edges()[pair.edges.clone()].iter().skip(1) {
                 push(
                     out,
                     self.rule(),

@@ -1,7 +1,7 @@
 //! The immutable, validated circuit.
 
 use crate::clock::ClockSpec;
-use crate::graph::{self, Cycle, Edge, EdgeId};
+use crate::graph::{Cycle, Digraph, Edge, EdgeId};
 use crate::ids::{LatchId, PhaseId};
 use crate::matrix::BoolMatrix;
 use crate::sync::{SyncKind, Synchronizer};
@@ -202,9 +202,9 @@ impl Circuit {
     /// `true` if any directed cycle passes through the synchronizer graph.
     pub fn has_feedback(&self) -> bool {
         let adj = self.adjacency();
-        graph::strongly_connected_components(&adj)
+        adj.sccs()
             .iter()
-            .any(|c| c.len() > 1 || (c.len() == 1 && adj[c[0]].contains(&c[0])))
+            .any(|c| c.len() > 1 || (c.len() == 1 && adj.has_self_loop(c[0])))
     }
 
     /// One witness cycle per feedback core of the subgraph whose hops
@@ -216,11 +216,9 @@ impl Circuit {
     /// shortest cycle through the core's lowest-numbered synchronizer and
     /// starts there. Pass `|_, _| true` for the cores of the whole graph.
     pub fn loop_witnesses(&self, keep: impl Fn(LatchId, LatchId) -> bool) -> Vec<Cycle> {
-        let mut adj = self.adjacency();
-        for (f, out) in adj.iter_mut().enumerate() {
-            out.retain(|&t| keep(LatchId::new(f), LatchId::new(t)));
-        }
-        graph::loop_witnesses(&adj)
+        self.adjacency()
+            .filter(|f, t| keep(LatchId::new(f), LatchId::new(t)))
+            .loop_witnesses()
             .into_iter()
             .map(|cyc| Cycle {
                 latches: cyc.into_iter().map(LatchId::new).collect(),
@@ -235,22 +233,24 @@ impl Circuit {
     /// [`Circuit::has_feedback`] or check for a self-edge to distinguish
     /// cyclic components.
     pub fn sccs(&self) -> Vec<Vec<LatchId>> {
-        graph::strongly_connected_components(&self.adjacency())
+        self.adjacency()
+            .sccs()
             .into_iter()
             .map(|comp| comp.into_iter().map(LatchId::new).collect())
             .collect()
     }
 
-    /// Adjacency list over synchronizer indices (parallel edges deduplicated).
-    fn adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.syncs.len()];
-        for e in &self.edges {
-            let (f, t) = (e.from.index(), e.to.index());
-            if !adj[f].contains(&t) {
-                adj[f].push(t);
-            }
-        }
-        adj
+    /// The synchronizer graph with parallel edges merged: the successors
+    /// of each synchronizer in the order of their first edge.
+    fn adjacency(&self) -> Digraph {
+        let to = |e: &EdgeId| self.edges[e.index()].to.index();
+        Digraph::from_fn(self.syncs.len(), |f| {
+            let out = self.fanout(LatchId::new(f));
+            out.iter()
+                .enumerate()
+                .filter(move |&(i, e)| !out[..i].iter().any(|p| to(p) == to(e)))
+                .map(move |(_, e)| to(e))
+        })
     }
 
     /// Sum of all long-path delays around a cycle, including latch

@@ -87,12 +87,84 @@ impl fmt::Display for Cycle {
     }
 }
 
-/// Tarjan strongly-connected components over an adjacency list.
+/// A directed graph over synchronizer indices without parallel arcs, in
+/// compressed adjacency form: the successors of node `v` are
+/// `targets[offsets[v]..offsets[v + 1]]`.
+///
+/// Analyses that already hold a circuit's deduplicated hops build one with
+/// [`Digraph::from_fn`] and share it between [`Digraph::sccs`] and
+/// [`Digraph::loop_witnesses`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Digraph {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Digraph {
+    /// The graph over nodes `0..n` in which `successors(v)` lists the
+    /// successors of `v`, each once.
+    pub fn from_fn<I: IntoIterator<Item = usize>>(
+        n: usize,
+        mut successors: impl FnMut(usize) -> I,
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for v in 0..n {
+            targets.extend(successors(v));
+            offsets.push(targets.len());
+        }
+        Digraph { offsets, targets }
+    }
+
+    /// Number of nodes.
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The successors of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a node.
+    pub(crate) fn successors(&self, v: usize) -> &[usize] {
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// The subgraph of the arcs `keep(from, to)` accepts.
+    pub(crate) fn filter(&self, keep: impl Fn(usize, usize) -> bool) -> Digraph {
+        let keep = &keep;
+        Digraph::from_fn(self.num_nodes(), |v| {
+            self.successors(v)
+                .iter()
+                .copied()
+                .filter(move |&t| keep(v, t))
+        })
+    }
+
+    /// `true` when `v` has an arc to itself.
+    pub fn has_self_loop(&self, v: usize) -> bool {
+        self.successors(v).contains(&v)
+    }
+
+    /// Strongly connected components, in reverse topological order; see
+    /// [`strongly_connected_components`].
+    pub fn sccs(&self) -> Vec<Vec<usize>> {
+        strongly_connected_components(self)
+    }
+
+    /// One witness cycle per cyclic component; see [`loop_witnesses`].
+    pub fn loop_witnesses(&self) -> Vec<Vec<usize>> {
+        loop_witnesses(self)
+    }
+}
+
+/// Tarjan strongly-connected components of a [`Digraph`].
 ///
 /// Returns components in reverse topological order; every synchronizer
 /// appears in exactly one component. Components of size > 1, and singleton
 /// components with a self-edge, contain feedback.
-pub(crate) fn strongly_connected_components(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+fn strongly_connected_components(adj: &Digraph) -> Vec<Vec<usize>> {
     #[derive(Clone, Copy)]
     struct NodeState {
         index: usize,
@@ -100,7 +172,7 @@ pub(crate) fn strongly_connected_components(adj: &[Vec<usize>]) -> Vec<Vec<usize
         on_stack: bool,
         visited: bool,
     }
-    let n = adj.len();
+    let n = adj.num_nodes();
     let mut state = vec![
         NodeState {
             index: 0,
@@ -137,7 +209,7 @@ pub(crate) fn strongly_connected_components(adj: &[Vec<usize>]) -> Vec<Vec<usize
                 }
                 Frame::Resume(v, child_pos) => {
                     let mut advanced = false;
-                    for (pos, &w) in adj[v].iter().enumerate().skip(child_pos) {
+                    for (pos, &w) in adj.successors(v).iter().enumerate().skip(child_pos) {
                         if !state[w].visited {
                             call_stack.push(Frame::Resume(v, pos + 1));
                             call_stack.push(Frame::Enter(w));
@@ -182,8 +254,8 @@ pub(crate) fn strongly_connected_components(adj: &[Vec<usize>]) -> Vec<Vec<usize
 /// The witness is a shortest cycle through the smallest node, found by a
 /// breadth-first search confined to the component, so the whole pass is
 /// linear in nodes plus edges.
-pub(crate) fn loop_witnesses(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = adj.len();
+fn loop_witnesses(adj: &Digraph) -> Vec<Vec<usize>> {
+    let n = adj.num_nodes();
     let mut comp_of = vec![usize::MAX; n];
     let mut parent = vec![usize::MAX; n];
     let mut witnesses = Vec::new();
@@ -194,7 +266,7 @@ pub(crate) fn loop_witnesses(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
         let Some(&start) = comp.iter().min() else {
             continue;
         };
-        if comp.len() == 1 && !adj[start].contains(&start) {
+        if comp.len() == 1 && !adj.has_self_loop(start) {
             continue;
         }
         // BFS from `start` inside the component until an edge closes the
@@ -203,7 +275,7 @@ pub(crate) fn loop_witnesses(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
         parent[start] = start;
         let mut last = None;
         'bfs: while let Some(v) = queue.pop_front() {
-            for &w in &adj[v] {
+            for &w in adj.successors(v) {
                 if w == start {
                     last = Some(v);
                     break 'bfs;
@@ -232,11 +304,15 @@ pub(crate) fn loop_witnesses(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
 
+    fn digraph(adj: &[Vec<usize>]) -> Digraph {
+        Digraph::from_fn(adj.len(), |v| adj[v].clone())
+    }
+
     #[test]
     fn scc_splits_dag() {
         // 0 -> 1 -> 2 (no cycles): three singleton components.
         let adj = vec![vec![1], vec![2], vec![]];
-        let comps = strongly_connected_components(&adj);
+        let comps = strongly_connected_components(&digraph(&adj));
         assert_eq!(comps.len(), 3);
         assert!(comps.iter().all(|c| c.len() == 1));
     }
@@ -245,7 +321,7 @@ mod tests {
     fn scc_finds_loop() {
         // 0 -> 1 -> 2 -> 0 plus a tail 2 -> 3.
         let adj = vec![vec![1], vec![2], vec![0, 3], vec![]];
-        let comps = strongly_connected_components(&adj);
+        let comps = strongly_connected_components(&digraph(&adj));
         let big: Vec<_> = comps.iter().filter(|c| c.len() > 1).collect();
         assert_eq!(big.len(), 1);
         let mut nodes = big[0].clone();
@@ -256,7 +332,7 @@ mod tests {
     #[test]
     fn scc_handles_two_disjoint_loops() {
         let adj = vec![vec![1], vec![0], vec![3], vec![2]];
-        let comps = strongly_connected_components(&adj);
+        let comps = strongly_connected_components(&digraph(&adj));
         assert_eq!(comps.iter().filter(|c| c.len() == 2).count(), 2);
     }
 
@@ -265,13 +341,13 @@ mod tests {
         // 0 <-> 1 and triangle 0 -> 1 -> 2 -> 0 form one component: one
         // witness, the shortest cycle through node 0. Node 3 hangs off it.
         let adj = vec![vec![1], vec![2, 0], vec![0, 3], vec![]];
-        assert_eq!(loop_witnesses(&adj), vec![vec![0, 1]]);
+        assert_eq!(loop_witnesses(&digraph(&adj)), vec![vec![0, 1]]);
     }
 
     #[test]
     fn disjoint_loops_and_self_loops_each_get_a_witness() {
         let adj = vec![vec![1], vec![0], vec![3], vec![4], vec![2], vec![5], vec![]];
-        let mut w = loop_witnesses(&adj);
+        let mut w = loop_witnesses(&digraph(&adj));
         w.sort();
         assert_eq!(w, vec![vec![0, 1], vec![2, 3, 4], vec![5]]);
     }
@@ -279,7 +355,7 @@ mod tests {
     #[test]
     fn acyclic_graphs_have_no_witness() {
         let adj = vec![vec![1, 2], vec![2], vec![]];
-        assert!(loop_witnesses(&adj).is_empty());
+        assert!(loop_witnesses(&digraph(&adj)).is_empty());
     }
 
     #[test]
@@ -297,7 +373,7 @@ mod tests {
         let adj: Vec<Vec<usize>> = (0..n)
             .map(|i| if i + 1 < n { vec![i + 1] } else { vec![] })
             .collect();
-        let comps = strongly_connected_components(&adj);
+        let comps = strongly_connected_components(&digraph(&adj));
         assert_eq!(comps.len(), n);
     }
 }

@@ -63,7 +63,7 @@ pub use circuit::Circuit;
 pub use clock::{ClockSchedule, ClockSpec};
 pub use dot::to_dot;
 pub use error::CircuitError;
-pub use graph::{Cycle, Edge, EdgeId};
+pub use graph::{Cycle, Digraph, Edge, EdgeId};
 pub use ids::{LatchId, PhaseId};
 pub use matrix::BoolMatrix;
 pub use sync::{SyncKind, Synchronizer};

@@ -18,9 +18,11 @@
 //! bound (§V, Example 1), and the generalization of Karp's minimum-mean
 //! cycle to 0/1 arc lengths in the denominator; we compute it exactly per
 //! SCC with Lawler's parametric scheme (binary-search-free: each round runs
-//! a Bellman–Ford negative-cycle detection at the current ratio λ and jumps
-//! to the exact ratio of the witness cycle). A handful of single-constraint
-//! floors (latch setups, per-edge stage delays) are folded in as well.
+//! a Bellman–Ford negative-cycle search at the current ratio λ — the same
+//! label-correcting [`ParamGraph`] search the graph backend solves P2 with —
+//! and jumps to the exact ratio of the witness cycle). A handful of
+//! single-constraint floors (latch setups, per-edge stage delays) are
+//! folded in as well.
 //!
 //! **Upper bound.** The flip-flop-style schedule `s_p = (p−1)·W`,
 //! `T_p = W`, `Tc = k·W` — where `W` is the worst single-stage delay
@@ -37,13 +39,9 @@
 //! optimum outside it.
 
 use smo_circuit::{Circuit, ClockSpec, Cycle, LatchId, SyncKind};
+use smo_lp::{ParamArc, ParamGraph, SearchOutcome, SolveBudget};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-
-/// Relaxation tolerance for the Bellman–Ford negative-cycle test. At the
-/// final ratio the critical cycle has cost exactly zero (delays are plain
-/// sums and one exact division), so a strict tolerance terminates cleanly.
-const TOL: f64 = 1e-9;
 
 /// A critical (maximum-ratio) cycle of one strongly connected component.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,14 +198,6 @@ pub fn cycle_time_bounds(circuit: &Circuit) -> CycleTimeBounds {
     }
 }
 
-/// One deduplicated arc of the per-SCC ratio graph.
-struct RatioEdge {
-    from: usize,
-    to: usize,
-    weight: f64,
-    wraps: usize,
-}
-
 /// Finds the maximum-ratio cycle of one SCC via Lawler's parametric
 /// iteration, or `None` if the component is acyclic (a singleton without a
 /// self-loop).
@@ -217,40 +207,56 @@ fn scc_critical_cycle(circuit: &Circuit, comp: &[LatchId]) -> Option<CriticalCyc
     // yields its own L2R row, so the largest delay certifies the largest
     // ratio while remaining a genuine cycle of rows. A `BTreeMap` keeps
     // the arc order, and so the witness cycle, the same on every run.
+    // Only the members' fan-out is read, so all components together cost
+    // one pass over the edges.
     let mut dedup: BTreeMap<(usize, usize), (f64, usize)> = BTreeMap::new();
-    for e in circuit.edges() {
-        if let (Some(&f), Some(&t)) = (index.get(&e.from), index.get(&e.to)) {
-            let (w, c) = edge_weight(circuit, e.from, e.to, e.max_delay);
-            let entry = dedup.entry((f, t)).or_insert((w, c));
-            if w > entry.0 {
-                entry.0 = w;
+    for (f, &l) in comp.iter().enumerate() {
+        for &id in circuit.fanout(l) {
+            let e = circuit.edge(id);
+            if let Some(&t) = index.get(&e.to) {
+                let (w, c) = edge_weight(circuit, e.from, e.to, e.max_delay);
+                let entry = dedup.entry((f, t)).or_insert((w, c));
+                if w > entry.0 {
+                    entry.0 = w;
+                }
             }
         }
     }
-    if comp.len() == 1 && !dedup.contains_key(&(0, 0)) {
+    if dedup.is_empty() || comp.len() == 1 && !dedup.contains_key(&(0, 0)) {
         return None;
     }
-    let edges: Vec<RatioEdge> = dedup
-        .into_iter()
-        .map(|((from, to), (weight, wraps))| RatioEdge {
-            from,
-            to,
-            weight,
-            wraps,
+    // Arc cost `λ·wraps − weight`: a negative cycle at λ has a ratio
+    // above λ. The tag keeps the arc's delay and wrap count exact.
+    let graph = ParamGraph::build(comp.len(), |add| {
+        for (&(from, to), &(weight, wraps)) in &dedup {
+            add(ParamArc {
+                from,
+                to,
+                base: -weight,
+                slope: wraps as f64,
+                tag: (weight, wraps),
+            });
+        }
+    })
+    .ok()?; // fails only past `u32` node or arc indices
+    let totals = |cyc: &[usize]| {
+        cyc.iter().fold((0.0, 0usize), |(w, c), &k| {
+            let (weight, wraps) = graph.arc(k).tag;
+            (w + weight, c + wraps)
         })
-        .collect();
-    if edges.is_empty() {
-        return None;
-    }
+    };
 
     // Start below every possible ratio (weights ≥ 0, wraps ≥ 1 on cycles);
     // each round either proves no cycle beats λ or jumps λ to the exact
-    // ratio of a strictly better witness, so the loop terminates.
+    // ratio of a strictly better witness, so the loop terminates. A search
+    // that ends in a numerical error keeps the best witness so far.
     let mut lambda = -1.0;
     let mut best: Option<Vec<usize>> = None;
-    while let Some(cyc) = negative_cycle(comp.len(), &edges, lambda) {
-        let weight: f64 = cyc.iter().map(|&ei| edges[ei].weight).sum();
-        let wraps: usize = cyc.iter().map(|&ei| edges[ei].wraps).sum();
+    let mut passes = 0;
+    while let Ok(SearchOutcome::Cycle(cyc)) =
+        graph.bellman_ford(lambda, &SolveBudget::UNLIMITED, &mut passes)
+    {
+        let (weight, wraps) = totals(&cyc);
         debug_assert!(wraps >= 1, "every synchronizer cycle wraps at least once");
         if wraps == 0 {
             break;
@@ -270,13 +276,12 @@ fn scc_critical_cycle(circuit: &Circuit, comp: &[LatchId]) -> Option<CriticalCyc
         let lead = cyc
             .iter()
             .enumerate()
-            .min_by_key(|(_, &ei)| comp[edges[ei].from].index())
+            .min_by_key(|(_, &k)| comp[graph.arc(k).from].index())
             .map(|(i, _)| i)
             .unwrap_or(0);
         cyc.rotate_left(lead);
-        let latches: Vec<LatchId> = cyc.iter().map(|&ei| comp[edges[ei].from]).collect();
-        let weight: f64 = cyc.iter().map(|&ei| edges[ei].weight).sum();
-        let wraps: usize = cyc.iter().map(|&ei| edges[ei].wraps).sum();
+        let latches: Vec<LatchId> = cyc.iter().map(|&k| comp[graph.arc(k).from]).collect();
+        let (weight, wraps) = totals(&cyc);
         CriticalCycle {
             cycle: Cycle { latches },
             weight,
@@ -284,53 +289,6 @@ fn scc_critical_cycle(circuit: &Circuit, comp: &[LatchId]) -> Option<CriticalCyc
             ratio: weight / wraps as f64,
         }
     })
-}
-
-/// Bellman–Ford negative-cycle detection under arc costs `λ·wraps − weight`
-/// from a virtual source (all distances start at zero). Returns the edge
-/// indices of one negative cycle in forward traversal order, or `None`.
-fn negative_cycle(n: usize, edges: &[RatioEdge], lambda: f64) -> Option<Vec<usize>> {
-    let mut dist = vec![0.0; n];
-    let mut pred: Vec<Option<usize>> = vec![None; n];
-    let mut witness = None;
-    for pass in 0..n {
-        let mut relaxed = false;
-        for (ei, e) in edges.iter().enumerate() {
-            let cost = lambda * e.wraps as f64 - e.weight;
-            if dist[e.from] + cost < dist[e.to] - TOL {
-                dist[e.to] = dist[e.from] + cost;
-                pred[e.to] = Some(ei);
-                relaxed = true;
-                if pass == n - 1 {
-                    witness = Some(e.to);
-                }
-            }
-        }
-        if !relaxed {
-            return None;
-        }
-    }
-    // A relaxation in the n-th pass means `witness` is reachable from a
-    // negative cycle; walking n predecessors lands inside it.
-    let mut v = witness?;
-    for _ in 0..n {
-        v = edges[pred[v]?].from;
-    }
-    let start = v;
-    let mut cyc = Vec::new();
-    loop {
-        let ei = pred[v]?;
-        cyc.push(ei);
-        v = edges[ei].from;
-        if v == start {
-            break;
-        }
-        if cyc.len() > n {
-            return None; // defensive: predecessor chain corrupted
-        }
-    }
-    cyc.reverse();
-    Some(cyc)
 }
 
 #[cfg(test)]

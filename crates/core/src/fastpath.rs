@@ -8,9 +8,10 @@
 //! difference constraint `x_a − x_b ≤ base + slope·T_c` over the node set
 //! `{s_p} ∪ {E_p} ∪ {u_i}`. This module builds that mapping
 //! ([`variable_images`]), routes pure-difference models to the
-//! shortest-path solver of [`smo_lp::DifferenceSystem`] (Bellman–Ford
-//! feasibility, Lawler's exact min-cycle-ratio `T_c*`), and hands mixed
-//! models back to the cold certified simplex.
+//! shortest-path solver of [`smo_lp::DifferenceSystem`] (label-correcting
+//! Bellman–Ford feasibility, whose passes are FIFO generations of the
+//! nodes whose labels dropped; Lawler's exact min-cycle-ratio `T_c*`), and
+//! hands mixed models back to the cold certified simplex.
 //!
 //! The fast path never weakens the engine's verification story:
 //!
@@ -135,7 +136,7 @@ pub fn graph_feasible_at(circuit: &Circuit, cycle: f64) -> Result<Option<bool>, 
 }
 
 /// [`graph_feasible_at`] under a wall-clock / iteration budget: the
-/// Bellman–Ford sweep aborts with [`smo_lp::LpError::Budget`] (wrapped in
+/// Bellman–Ford search aborts with [`smo_lp::LpError::Budget`] (wrapped in
 /// [`TimingError::Lp`]) when the budget expires, so daemon-style callers
 /// can bound even the feasibility probe.
 ///

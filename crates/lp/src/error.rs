@@ -80,7 +80,8 @@ pub enum LpError {
 pub enum BudgetUnit {
     /// Pivots of the simplex method.
     SimplexIterations,
-    /// Full arc sweeps of the graph solver's Bellman–Ford.
+    /// Passes of the graph solver's Bellman–Ford: FIFO generations of the
+    /// nodes whose labels dropped, each at most one scan of every arc.
     BellmanFordPasses,
 }
 

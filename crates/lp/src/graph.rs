@@ -9,8 +9,10 @@
 //! programming:
 //!
 //! * feasibility at a fixed `λ` is the absence of a negative cycle in the
-//!   constraint graph (Bellman–Ford, which stops at the first
-//!   predecessor-graph cycle rather than running all `V` passes),
+//!   constraint graph ([`ParamGraph::bellman_ford`]: a FIFO
+//!   label-correcting search that scans only nodes whose labels dropped
+//!   and stops at the first predecessor-graph cycle rather than running
+//!   all `V` passes),
 //! * the minimal feasible `λ` is a minimum cycle-ratio problem, solved
 //!   here by Lawler's parametric iteration (repeatedly jump `λ` to the
 //!   ratio of the current negative-cycle witness),
@@ -26,7 +28,8 @@
 //! into a graph). Rows that do not fit ([`RowClass::General`]) are simply
 //! absent from the graph; callers decide whether the system is exact
 //! ([`Classification::is_pure`]) or a relaxation that routes to the
-//! simplex fallback.
+//! simplex fallback. [`ParamGraph`] is the search kernel underneath, shared
+//! with callers that build λ-affine graphs of their own.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -307,14 +310,337 @@ enum ArcSource {
     Bound,
 }
 
-/// One arc `x_to − x_from ≤ base + slope·λ`.
-#[derive(Debug, Clone, Copy)]
-struct GraphArc {
-    from: usize,
-    to: usize,
-    base: f64,
-    slope: f64,
-    source: ArcSource,
+/// One arc `from → to` of a [`ParamGraph`], weighing `base + slope·λ`,
+/// with the caller's `tag`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ParamArc<T> {
+    /// Source node.
+    pub from: usize,
+    /// Target node.
+    pub to: usize,
+    /// Weight at `λ = 0`.
+    pub base: f64,
+    /// Weight per unit of `λ`.
+    pub slope: f64,
+    /// Caller data carried with the arc.
+    pub tag: T,
+}
+
+/// Marks "no predecessor arc" in the search's `pred` array.
+const NO_ARC: u32 = u32::MAX;
+
+/// A digraph whose arc weights are affine in a parameter `λ`, with the
+/// label-correcting Bellman–Ford search behind every graph verdict.
+///
+/// The arcs are stored once, in CSR order by source (stable, so arcs of
+/// one source keep the order they were listed in). The search's inner loop
+/// reads only the parallel `to`, `base` and `slope` arrays; `from` serves
+/// the predecessor walks and the caller's tags sit in an array of their
+/// own.
+#[derive(Debug, Clone)]
+pub struct ParamGraph<T> {
+    /// `first[u]..first[u + 1]` are the arcs leaving node `u`.
+    first: Vec<u32>,
+    from: Vec<u32>,
+    to: Vec<u32>,
+    base: Vec<f64>,
+    slope: Vec<f64>,
+    tags: Vec<T>,
+}
+
+/// Outcome of one [`ParamGraph::bellman_ford`] search.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SearchOutcome {
+    /// No negative cycle: one label per node, the weight of a walk from a
+    /// virtual source joined to every node by a zero-weight arc. No arc
+    /// improves any label by more than the relaxation tolerance.
+    Labels(Vec<f64>),
+    /// A strictly negative cycle, as arc indices in traversal order.
+    Cycle(Vec<usize>),
+}
+
+impl<T: Copy> ParamGraph<T> {
+    /// Stores the arcs that `each_arc` lists over nodes `0..num_nodes`.
+    ///
+    /// `each_arc` is called twice, once to count out-degrees and once to
+    /// place the arcs, and must list the same arcs in the same order both
+    /// times; nothing else is allocated for them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LpError::Numerical`](crate::LpError) when an arc names a
+    /// node outside `0..num_nodes`, or when the node or arc count does not
+    /// fit the `u32` indices.
+    pub fn build(
+        num_nodes: usize,
+        each_arc: impl Fn(&mut dyn FnMut(ParamArc<T>)),
+    ) -> Result<Self, crate::LpError> {
+        let overflow = |what: &str| crate::LpError::Numerical {
+            context: format!("parametric graph: {what}"),
+        };
+        if num_nodes >= NO_ARC as usize {
+            return Err(overflow("too many nodes"));
+        }
+        let mut degree = vec![0u32; num_nodes + 1];
+        let mut arcs = 0usize;
+        let mut some_tag = None;
+        each_arc(&mut |a| {
+            if a.from < num_nodes && a.to < num_nodes {
+                degree[a.from + 1] = degree[a.from + 1].saturating_add(1);
+                arcs += 1;
+                some_tag.get_or_insert(a.tag);
+            } else {
+                arcs = usize::MAX;
+            }
+        });
+        if arcs >= NO_ARC as usize {
+            return Err(overflow("arc endpoint out of range, or too many arcs"));
+        }
+        let mut first = degree;
+        for u in 0..num_nodes {
+            first[u + 1] += first[u];
+        }
+        let mut slot: Vec<u32> = first[..num_nodes].to_vec();
+        let (mut from, mut to) = (vec![0u32; arcs], vec![0u32; arcs]);
+        let (mut base, mut slope) = (vec![0.0; arcs], vec![0.0; arcs]);
+        let mut tags = some_tag.map_or_else(Vec::new, |t| vec![t; arcs]);
+        let mut placed = 0usize;
+        each_arc(&mut |a| {
+            let Some(k) = slot.get_mut(a.from) else {
+                return;
+            };
+            let i = *k as usize;
+            if i < first[a.from + 1] as usize && a.to < num_nodes {
+                *k += 1;
+                placed += 1;
+                from[i] = a.from as u32;
+                to[i] = a.to as u32;
+                base[i] = a.base;
+                slope[i] = a.slope;
+                tags[i] = a.tag;
+            }
+        });
+        if placed != arcs {
+            return Err(overflow("the arc listing changed between calls"));
+        }
+        Ok(ParamGraph {
+            first,
+            from,
+            to,
+            base,
+            slope,
+            tags,
+        })
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    /// Number of arcs.
+    pub fn num_arcs(&self) -> usize {
+        self.to.len()
+    }
+
+    /// Arc `k` in CSR order, the order [`SearchOutcome::Cycle`] indexes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    pub fn arc(&self, k: usize) -> ParamArc<T> {
+        ParamArc {
+            from: self.from[k] as usize,
+            to: self.to[k] as usize,
+            base: self.base[k],
+            slope: self.slope[k],
+            tag: self.tags[k],
+        }
+    }
+
+    /// Label-correcting Bellman–Ford at a fixed `λ`, from a virtual source
+    /// joined to every node by a zero-weight arc (all labels start at 0).
+    ///
+    /// The search keeps a FIFO queue of nodes whose labels dropped, and a
+    /// *pass* is one generation of it: pass 1 scans every node, and pass
+    /// `k + 1` scans the nodes whose labels dropped during pass `k`. A node
+    /// that drops again before its scan is scanned once, with its newest
+    /// label. So each pass is at most one `O(E)` scan, and a feasible
+    /// search ends as soon as no label drops.
+    ///
+    /// After every pass that dropped a label, the predecessor graph is
+    /// searched for a cycle by walking `pred` links from each node that
+    /// dropped in that pass. Walks are stamped, so a walk that meets its
+    /// own stamp has closed a cycle, and one that meets another walk of
+    /// the same pass stops. A new cycle must contain the node whose `pred`
+    /// closed it, which dropped in that pass, so the first cycle is found
+    /// in the pass it forms, in `O(V)` per pass at worst.
+    ///
+    /// Every predecessor-graph cycle is strictly negative, whatever order
+    /// the relaxations ran in. While `pred[y] = (x, y)`, `d[y]` keeps the
+    /// value `d[x] + w(x, y)` it was given, and `d[x]` can only have
+    /// decreased since, so `d[y] ≥ d[x] + w(x, y)`. Let `(u, v)` be the
+    /// arc whose assignment closes a cycle `C`. The rest of `C` is a
+    /// predecessor path from `v` to `u`, and summing its arc inequalities
+    /// gives `d[u] ≥ d[v] + w(v ⇝ u)`. The relaxation of `(u, v)` passed
+    /// the strict-improvement test `d[u] + w(u, v) < d[v] − τ` with
+    /// `τ = TOL·(1 + max(|d[v]|, |w(u, v)|)) > 0`. Adding the two gives
+    /// `w(C) = w(v ⇝ u) + w(u, v) < −τ < 0`. So a graph without a
+    /// negative cycle never forms one, and its labels are those of the
+    /// textbook `V`-pass algorithm up to the tolerance each relaxation
+    /// skips. Conversely, in exact arithmetic the queue empties within `V`
+    /// passes unless a negative cycle exists, so running past `V` passes
+    /// with an acyclic predecessor graph is reachable only through
+    /// floating-point rounding.
+    ///
+    /// The `budget` is checked once per pass, counting into `passes`, so an
+    /// expired deadline surfaces within one `O(E)` pass; `passes`
+    /// accumulates across calls so a parametric search reports its total.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LpError::Budget`](crate::LpError) when the budget expires
+    /// mid-search, in [`BudgetUnit::BellmanFordPasses`](crate::BudgetUnit),
+    /// and [`LpError::Numerical`](crate::LpError) when the search is still
+    /// relaxing after `V` passes with no predecessor cycle.
+    pub fn bellman_ford(
+        &self,
+        lambda: f64,
+        budget: &SolveBudget,
+        passes: &mut usize,
+    ) -> Result<SearchOutcome, crate::LpError> {
+        Search::new(self.num_nodes()).run(self, lambda, budget, passes)
+    }
+}
+
+/// Working state of one [`ParamGraph::bellman_ford`] search.
+struct Search {
+    dist: Vec<f64>,
+    /// Arc that last lowered each label, or [`NO_ARC`].
+    pred: Vec<u32>,
+    /// Waiting to be scanned, in this pass or the next.
+    queued: Vec<bool>,
+    /// Pass (from 1) in which each label last dropped; 0 for never.
+    dropped_in: Vec<u32>,
+    /// Id of the last predecessor walk through each node; 0 for none.
+    walked: Vec<usize>,
+    /// Walk ids handed out so far, across passes.
+    walks: usize,
+    /// Arcs scanned so far: the search's work, pinned by the tests.
+    scanned: usize,
+}
+
+impl Search {
+    fn new(n: usize) -> Self {
+        Search {
+            dist: vec![0.0; n],
+            pred: vec![NO_ARC; n],
+            queued: vec![true; n],
+            dropped_in: vec![0; n],
+            walked: vec![0; n],
+            walks: 0,
+            scanned: 0,
+        }
+    }
+
+    fn run<T>(
+        &mut self,
+        g: &ParamGraph<T>,
+        lambda: f64,
+        budget: &SolveBudget,
+        passes: &mut usize,
+    ) -> Result<SearchOutcome, crate::LpError> {
+        let n = self.dist.len();
+        let mut current: Vec<u32> = (0..n as u32).collect();
+        let mut next: Vec<u32> = Vec::new();
+        let mut dropped: Vec<u32> = Vec::new();
+        for pass in 1..=n.max(1) as u32 {
+            budget.check_work(*passes, BudgetUnit::BellmanFordPasses)?;
+            *passes += 1;
+            for &u in &current {
+                let u = u as usize;
+                self.queued[u] = false;
+                let du = self.dist[u];
+                let arcs = g.first[u] as usize..g.first[u + 1] as usize;
+                self.scanned += arcs.len();
+                for k in arcs {
+                    let v = g.to[k] as usize;
+                    let w = g.base[k] + g.slope[k] * lambda;
+                    let cand = du + w;
+                    let dv = self.dist[v];
+                    if cand < dv - TOL * (1.0 + dv.abs().max(w.abs())) {
+                        self.dist[v] = cand;
+                        self.pred[v] = k as u32;
+                        if self.dropped_in[v] != pass {
+                            self.dropped_in[v] = pass;
+                            dropped.push(v as u32);
+                        }
+                        if !self.queued[v] {
+                            self.queued[v] = true;
+                            next.push(v as u32);
+                        }
+                    }
+                }
+            }
+            if let Some(cycle) = self.walk_for_cycle(g, &dropped) {
+                return Ok(SearchOutcome::Cycle(cycle));
+            }
+            if next.is_empty() {
+                return Ok(SearchOutcome::Labels(std::mem::take(&mut self.dist)));
+            }
+            std::mem::swap(&mut current, &mut next);
+            next.clear();
+            dropped.clear();
+        }
+        Err(crate::LpError::Numerical {
+            context: format!(
+                "Bellman–Ford at λ = {lambda}: still relaxing after {n} passes with an acyclic \
+                 predecessor graph"
+            ),
+        })
+    }
+
+    /// The first predecessor-graph cycle reached by walking `pred` links
+    /// from `starts`, as arc indices in traversal order.
+    fn walk_for_cycle<T>(&mut self, g: &ParamGraph<T>, starts: &[u32]) -> Option<Vec<usize>> {
+        let floor = self.walks;
+        for &start in starts {
+            self.walks += 1;
+            let id = self.walks;
+            let mut v = start as usize;
+            loop {
+                if self.walked[v] == id {
+                    return Some(self.trace_cycle(g, v));
+                }
+                if self.walked[v] > floor {
+                    break; // joins a walk of this pass, which found no cycle
+                }
+                self.walked[v] = id;
+                match self.pred[v] {
+                    NO_ARC => break,
+                    k => v = g.from[k as usize] as usize,
+                }
+            }
+        }
+        None
+    }
+
+    /// The predecessor cycle through `on_cycle`, starting with the arc
+    /// that leaves it.
+    fn trace_cycle<T>(&self, g: &ParamGraph<T>, on_cycle: usize) -> Vec<usize> {
+        let mut cycle = Vec::new();
+        let mut v = on_cycle;
+        loop {
+            let k = self.pred[v] as usize;
+            cycle.push(k);
+            v = g.from[k] as usize;
+            if v == on_cycle {
+                break;
+            }
+        }
+        cycle.reverse();
+        cycle
+    }
 }
 
 /// Provenance of one side of the parameter interval `λ ∈ [lower, upper]`.
@@ -343,7 +669,9 @@ enum ParamBoundSrc {
 pub struct DifferenceSystem {
     /// Caller node space; the origin is appended at index `num_nodes`.
     num_nodes: usize,
-    arcs: Vec<GraphArc>,
+    /// The arcs over the caller's nodes plus the origin, each tagged with
+    /// its provenance.
+    graph: ParamGraph<ArcSource>,
     lambda_lower: f64,
     lambda_lower_src: ParamBoundSrc,
     lambda_upper: f64,
@@ -507,119 +835,117 @@ impl DifferenceSystem {
             .max()
             .unwrap_or(0);
         let origin = num_nodes;
-        let mut sys = DifferenceSystem {
-            num_nodes,
-            arcs: Vec::new(),
-            lambda_lower: f64::NEG_INFINITY,
-            lambda_lower_src: ParamBoundSrc::VarBound,
-            lambda_upper: f64::INFINITY,
-            lambda_upper_src: ParamBoundSrc::VarBound,
-            constant_conflict: None,
-            num_rows: p.num_constraints(),
-        };
+        let mut lambda_lower = f64::NEG_INFINITY;
+        let mut lambda_lower_src = ParamBoundSrc::VarBound;
+        let mut lambda_upper = f64::INFINITY;
+        let mut lambda_upper_src = ParamBoundSrc::VarBound;
+        let mut constant_conflict = None;
 
         // Parameter bounds from the parameter variable's own box (if any
         // variable maps to Param); tightened by ParamBound rows below.
         for (v, im) in images.iter().enumerate() {
             if matches!(im, VarImage::Param) {
                 let (lo, up) = p.var_bounds(VarId(v));
-                sys.lambda_lower = sys.lambda_lower.max(lo);
-                sys.lambda_upper = sys.lambda_upper.min(up);
+                lambda_lower = lambda_lower.max(lo);
+                lambda_upper = lambda_upper.min(up);
             }
         }
-        if sys.lambda_lower == f64::NEG_INFINITY
+        if lambda_lower == f64::NEG_INFINITY
             && !images.iter().any(|im| matches!(im, VarImage::Param))
         {
             // No parameter at all: weights are constant, pin λ = 0.
-            sys.lambda_lower = 0.0;
-            sys.lambda_upper = 0.0;
+            lambda_lower = 0.0;
+            lambda_upper = 0.0;
         }
-
-        // Constraint-row arcs.
         for (r, atoms) in cls.atoms.iter().enumerate() {
             let c = ConstraintId(r);
             for atom in atoms {
-                let source = ArcSource::Row { c, sign: atom.sign };
-                match atom.class {
-                    RowClass::Difference { i, j, bound } => sys.arcs.push(GraphArc {
-                        from: j,
-                        to: i,
-                        base: bound.base,
-                        slope: bound.slope,
-                        source,
-                    }),
-                    RowClass::SingleVar { i, negated, bound } => {
-                        // +x_i ≤ b: origin→i; −x_i ≤ b: i→origin.
-                        let (from, to) = if negated { (i, origin) } else { (origin, i) };
-                        sys.arcs.push(GraphArc {
-                            from,
-                            to,
-                            base: bound.base,
-                            slope: bound.slope,
-                            source,
-                        });
+                let RowClass::ParamBound { coef, rhs } = atom.class else {
+                    continue;
+                };
+                let src = ParamBoundSrc::Row {
+                    c,
+                    sign: atom.sign,
+                    coef,
+                };
+                if coef > TOL {
+                    let cand = rhs / coef;
+                    if cand < lambda_upper {
+                        lambda_upper = cand;
+                        lambda_upper_src = src;
                     }
-                    RowClass::ParamBound { coef, rhs } => {
-                        if coef > TOL {
-                            let cand = rhs / coef;
-                            if cand < sys.lambda_upper {
-                                sys.lambda_upper = cand;
-                                sys.lambda_upper_src = ParamBoundSrc::Row {
-                                    c,
-                                    sign: atom.sign,
-                                    coef,
-                                };
-                            }
-                        } else if coef < -TOL {
-                            let cand = rhs / coef;
-                            if cand > sys.lambda_lower {
-                                sys.lambda_lower = cand;
-                                sys.lambda_lower_src = ParamBoundSrc::Row {
-                                    c,
-                                    sign: atom.sign,
-                                    coef,
-                                };
-                            }
-                        } else if rhs < -TOL && sys.constant_conflict.is_none() {
-                            // 0 ≤ rhs < 0: the row is infeasible alone.
-                            sys.constant_conflict = Some((c, atom.sign));
-                        }
+                } else if coef < -TOL {
+                    let cand = rhs / coef;
+                    if cand > lambda_lower {
+                        lambda_lower = cand;
+                        lambda_lower_src = src;
                     }
-                    RowClass::General => {}
+                } else if rhs < -TOL && constant_conflict.is_none() {
+                    // 0 ≤ rhs < 0: the row is infeasible alone.
+                    constant_conflict = Some((c, atom.sign));
                 }
             }
         }
 
-        // Variable-bound arcs (the ambient box, structural in the SMO
-        // models: non-negativity of widths, starts and departures).
-        for (v, im) in images.iter().enumerate() {
-            let (lo, up) = p.var_bounds(VarId(v));
-            let (a, b) = match *im {
-                VarImage::Node(i) => (i, origin),
-                VarImage::Diff(i, j) => (i, j),
-                VarImage::Param => continue,
-            };
-            // lo ≤ x_a − x_b ≤ up
-            if lo.is_finite() {
-                sys.arcs.push(GraphArc {
-                    from: a,
-                    to: b,
-                    base: -lo,
-                    slope: 0.0,
-                    source: ArcSource::Bound,
-                });
+        let graph = ParamGraph::build(num_nodes + 1, |add| {
+            // Constraint-row arcs.
+            for (r, atoms) in cls.atoms.iter().enumerate() {
+                for atom in atoms {
+                    let tag = ArcSource::Row {
+                        c: ConstraintId(r),
+                        sign: atom.sign,
+                    };
+                    let (from, to, bound) = match atom.class {
+                        RowClass::Difference { i, j, bound } => (j, i, bound),
+                        // +x_i ≤ b: origin→i; −x_i ≤ b: i→origin.
+                        RowClass::SingleVar { i, negated, bound } if negated => (i, origin, bound),
+                        RowClass::SingleVar { i, bound, .. } => (origin, i, bound),
+                        RowClass::ParamBound { .. } | RowClass::General => continue,
+                    };
+                    add(ParamArc {
+                        from,
+                        to,
+                        base: bound.base,
+                        slope: bound.slope,
+                        tag,
+                    });
+                }
             }
-            if up.is_finite() {
-                sys.arcs.push(GraphArc {
-                    from: b,
-                    to: a,
-                    base: up,
+            // Variable-bound arcs (the ambient box, structural in the SMO
+            // models: non-negativity of widths, starts and departures).
+            for (v, im) in images.iter().enumerate() {
+                let (lo, up) = p.var_bounds(VarId(v));
+                let (a, b) = match *im {
+                    VarImage::Node(i) => (i, origin),
+                    VarImage::Diff(i, j) => (i, j),
+                    VarImage::Param => continue,
+                };
+                // lo ≤ x_a − x_b ≤ up
+                let bound_arc = |from, to, base| ParamArc {
+                    from,
+                    to,
+                    base,
                     slope: 0.0,
-                    source: ArcSource::Bound,
-                });
+                    tag: ArcSource::Bound,
+                };
+                if lo.is_finite() {
+                    add(bound_arc(a, b, -lo));
+                }
+                if up.is_finite() {
+                    add(bound_arc(b, a, up));
+                }
             }
-        }
-        Ok(sys)
+        })?;
+        Ok(DifferenceSystem {
+            num_nodes,
+            graph,
+            lambda_lower,
+            lambda_lower_src,
+            lambda_upper,
+            lambda_upper_src,
+            constant_conflict,
+            num_rows: p.num_constraints(),
+        })
     }
 
     /// Number of nodes in the caller's node space (the internal origin is
@@ -630,7 +956,7 @@ impl DifferenceSystem {
 
     /// Number of arcs, including variable-bound arcs.
     pub fn num_arcs(&self) -> usize {
-        self.arcs.len()
+        self.graph.num_arcs()
     }
 
     /// The admissible parameter interval `[lower, upper]` implied by the
@@ -643,15 +969,16 @@ impl DifferenceSystem {
     /// potential assignment (the DBM closure relative to the origin) or a
     /// negative-cycle witness.
     ///
-    /// Each pass scans every arc. A feasible system converges after as
-    /// many passes as its shortest paths have arcs; an infeasible one
-    /// stops at the first predecessor-graph cycle, which forms within a
-    /// few passes of the negative cycle being reached, not after `V`.
+    /// One [`ParamGraph::bellman_ford`] search: each pass scans only the
+    /// nodes whose labels dropped in the previous one. A feasible system
+    /// converges once no label drops; an infeasible one stops at the first
+    /// predecessor-graph cycle, which forms within a few passes of the
+    /// negative cycle being reached, not after `V`.
     ///
     /// The `budget` is checked once per pass, so an expired deadline
-    /// surfaces as [`LpError::Budget`](crate::LpError) within one `O(E)`
-    /// sweep — the graph backend honors `--time-limit` exactly like the
-    /// simplex does.
+    /// surfaces as [`LpError::Budget`](crate::LpError) within one pass of
+    /// at most `O(E)` work — the graph backend honors `--time-limit`
+    /// exactly like the simplex does.
     ///
     /// # Errors
     ///
@@ -682,9 +1009,10 @@ impl DifferenceSystem {
     /// admissible `λ` — infeasibility, certified through the cycle's rows.
     ///
     /// Each round is one [`feasible_at`](Self::feasible_at) search, so an
-    /// infeasible round stops at the first predecessor-graph cycle; on the
-    /// generated datapaths the search takes a handful of rounds of at most
-    /// a few dozen passes each.
+    /// infeasible round stops at the first predecessor-graph cycle, and
+    /// every pass after the first scans only the nodes whose labels
+    /// dropped; on the generated datapaths the search takes a handful of
+    /// rounds of a few dozen passes each.
     ///
     /// The `budget` is threaded into every Bellman–Ford round and checked
     /// once per pass; the cumulative pass count across rounds plays the
@@ -720,7 +1048,7 @@ impl DifferenceSystem {
         let mut passes = 0usize;
         // Lawler terminates after at most one round per distinct simple-
         // cycle ratio; the cap is a generous safety net over that.
-        for _ in 0..(1000 + 10 * self.arcs.len()) {
+        for _ in 0..(1000 + 10 * self.graph.num_arcs()) {
             let cycle = match self.bellman_ford(lambda, budget, &mut passes)? {
                 Ok(potentials) => {
                     return Ok(MinParamOutcome::Optimal {
@@ -785,108 +1113,24 @@ impl DifferenceSystem {
         })
     }
 
-    /// Bellman–Ford with super-source semantics (all distances start at
-    /// zero, making every node reachable): returns origin-normalized
-    /// potentials, or the arc indices of a negative cycle. The outer
-    /// `Result` is the budget verdict; `passes` accumulates across calls
-    /// so [`minimize_param`](Self::minimize_param) reports total work.
-    ///
-    /// After every pass that relaxed an arc, the predecessor graph is
-    /// searched for a cycle ([`pred_cycle`](Self::pred_cycle), `O(V)`), and
-    /// the first one found is the round's negative cycle. An infeasible
-    /// round therefore ends within a few passes of its cycle forming
-    /// instead of after all `V`.
-    ///
-    /// Every predecessor-graph cycle is strictly negative. While
-    /// `pred[y] = (x, y)`, `d[y]` keeps the value `d[x] + w(x, y)` it was
-    /// given, and `d[x]` can only have decreased since, so
-    /// `d[y] ≥ d[x] + w(x, y)`. Let `(u, v)` be the arc whose assignment
-    /// closes a cycle `C`. The rest of `C` is a predecessor path from `v`
-    /// to `u`, and summing its arc inequalities gives
-    /// `d[u] ≥ d[v] + w(v ⇝ u)`. The relaxation of `(u, v)` passed the
-    /// strict-improvement test `d[u] + w(u, v) < d[v] − τ` with
-    /// `τ = TOL·(1 + max(|d[v]|, |w(u, v)|)) > 0`. Adding the two gives
-    /// `w(C) = w(v ⇝ u) + w(u, v) < −τ < 0`. So a system without a
-    /// negative cycle never forms one: its round runs exactly the passes,
-    /// and yields exactly the labels, of the plain `V`-pass algorithm.
-    /// Conversely, a relaxation on pass `V` implies a predecessor cycle, so
-    /// the final error is reachable only through floating-point rounding.
+    /// One [`ParamGraph::bellman_ford`] search at `λ`: origin-normalized
+    /// potentials in caller node space, or the arc indices of a negative
+    /// cycle. The outer `Result` is the budget verdict; `passes`
+    /// accumulates across calls so [`minimize_param`](Self::minimize_param)
+    /// reports total work.
     fn bellman_ford(
         &self,
         lambda: f64,
         budget: &SolveBudget,
         passes: &mut usize,
     ) -> Result<Result<Vec<f64>, Vec<usize>>, crate::LpError> {
-        let n = self.num_nodes + 1; // + origin
-        let mut dist = vec![0.0f64; n];
-        let mut pred: Vec<Option<usize>> = vec![None; n];
-        let mut stamp = vec![0usize; n];
-        for _ in 0..n {
-            budget.check_work(*passes, BudgetUnit::BellmanFordPasses)?;
-            *passes += 1;
-            let mut relaxed = false;
-            for (idx, a) in self.arcs.iter().enumerate() {
-                let w = a.base + a.slope * lambda;
-                let cand = dist[a.from] + w;
-                if cand < dist[a.to] - TOL * (1.0 + dist[a.to].abs().max(w.abs())) {
-                    dist[a.to] = cand;
-                    pred[a.to] = Some(idx);
-                    relaxed = true;
-                }
-            }
-            if !relaxed {
+        Ok(match self.graph.bellman_ford(lambda, budget, passes)? {
+            SearchOutcome::Labels(dist) => {
                 let o = dist[self.num_nodes];
-                return Ok(Ok(dist[..self.num_nodes].iter().map(|d| d - o).collect()));
+                Ok(dist[..self.num_nodes].iter().map(|d| d - o).collect())
             }
-            if let Some(cycle) = self.pred_cycle(&pred, &mut stamp) {
-                return Ok(Err(cycle));
-            }
-        }
-        Err(crate::LpError::Numerical {
-            context: format!(
-                "Bellman–Ford at λ = {lambda}: still relaxing after {n} passes with an acyclic \
-                 predecessor graph"
-            ),
+            SearchOutcome::Cycle(cycle) => Err(cycle),
         })
-    }
-
-    /// The first cycle of the predecessor graph, as arc indices in
-    /// traversal order, or `None` when the graph is a forest.
-    ///
-    /// Follows `pred` links from every node in turn, stamping each node
-    /// with the walk that reached it; a walk that meets its own stamp has
-    /// closed a cycle, and one that meets an earlier stamp joins a chain
-    /// already known to end at a root. Each node is stamped once, so the
-    /// search is `O(V)`. `stamp` is scratch space of length `V`.
-    fn pred_cycle(&self, pred: &[Option<usize>], stamp: &mut [usize]) -> Option<Vec<usize>> {
-        stamp.fill(0);
-        for start in 0..pred.len() {
-            let mark = start + 1;
-            let mut cur = start;
-            while stamp[cur] == 0 {
-                stamp[cur] = mark;
-                match pred[cur] {
-                    Some(p) => cur = self.arcs[p].from,
-                    None => break,
-                }
-            }
-            if stamp[cur] != mark || pred[cur].is_none() {
-                continue;
-            }
-            // `cur` was reached twice by this walk: it lies on the cycle.
-            let first = cur;
-            let mut cycle = Vec::new();
-            while let Some(p) = pred[cur] {
-                cycle.push(p);
-                cur = self.arcs[p].from;
-                if cur == first {
-                    break;
-                }
-            }
-            cycle.reverse();
-            return Some(cycle);
-        }
-        None
     }
 
     /// Aggregates a cycle's arcs into its row support and affine weight.
@@ -894,10 +1138,10 @@ impl DifferenceSystem {
         let mut rows: Vec<(ConstraintId, f64)> = Vec::new();
         let (mut base, mut slope) = (0.0, 0.0);
         for &idx in cycle {
-            let a = &self.arcs[idx];
+            let a = self.graph.arc(idx);
             base += a.base;
             slope += a.slope;
-            if let ArcSource::Row { c, sign } = a.source {
+            if let ArcSource::Row { c, sign } = a.tag {
                 if let Some(e) = rows.iter_mut().find(|(rc, _)| *rc == c) {
                     e.1 += sign;
                 } else {
@@ -984,16 +1228,17 @@ mod tests {
     use proptest::prelude::*;
 
     impl DifferenceSystem {
-        /// Test oracle: textbook Bellman–Ford with the production arc
-        /// order, labels and strict-improvement test, which runs all `V`
-        /// passes and reports a negative cycle only when an arc still
-        /// relaxes on the last one. `None` means a negative cycle.
+        /// Test oracle: textbook Bellman–Ford with the production labels
+        /// and strict-improvement test, which scans every arc in CSR order
+        /// on each of up to `V` passes and reports a negative cycle only
+        /// when an arc still relaxes on the last one. `None` means a
+        /// negative cycle.
         fn bellman_ford_plain(&self, lambda: f64) -> Option<Vec<f64>> {
             let n = self.num_nodes + 1;
             let mut dist = vec![0.0f64; n];
             for _ in 0..n {
                 let mut relaxed = false;
-                for a in &self.arcs {
+                for a in (0..self.graph.num_arcs()).map(|k| self.graph.arc(k)) {
                     let w = a.base + a.slope * lambda;
                     let cand = dist[a.from] + w;
                     if cand < dist[a.to] - TOL * (1.0 + dist[a.to].abs().max(w.abs())) {
@@ -1011,10 +1256,16 @@ mod tests {
     }
 
     /// A random difference system over `nodes` free variables and a
-    /// parameter: rows `x_i − x_j ≤ base + slope·λ` with integer `base`
-    /// and `slope ∈ {0, 1}`, so every cycle weight at an integer `λ` is an
-    /// integer and no verdict sits within rounding of zero.
-    fn random_system(nodes: usize, rows: &[(usize, usize, i32, bool)]) -> DifferenceSystem {
+    /// parameter: rows `x_i − x_j ≤ base / denom + slope·λ` with integer
+    /// `base` and `slope ∈ {0, 1}`. With `denom = 1` every cycle weight at
+    /// an integer `λ` is an integer; with `denom = 10` it is a multiple of
+    /// 0.1 up to rounding. Either way no verdict sits within the
+    /// tolerance of zero.
+    fn random_system(
+        nodes: usize,
+        rows: &[(usize, usize, i32, bool)],
+        denom: i32,
+    ) -> DifferenceSystem {
         let mut p = Problem::new();
         let tc = p.add_var("Tc");
         let x: Vec<VarId> = (0..nodes)
@@ -1029,7 +1280,7 @@ mod tests {
             if sloped {
                 expr = expr - LinExpr::from(tc);
             }
-            p.constrain(expr, Sense::Le, f64::from(base));
+            p.constrain(expr, Sense::Le, f64::from(base) / f64::from(denom));
         }
         p.minimize(tc.into());
         let mut images = vec![VarImage::Param];
@@ -1038,11 +1289,52 @@ mod tests {
         DifferenceSystem::build(&p, &images, &cls).unwrap()
     }
 
+    /// Compares the search with the textbook oracle at `λ`: the verdicts
+    /// match and every reported cycle is negative. Feasible labels match
+    /// bit for bit when `exact`, and otherwise within the slack the
+    /// strict-improvement test allows along a shortest path: at most `V`
+    /// skipped improvements of `TOL·(1 + M)` each, `M` bounding every
+    /// label and arc weight.
+    fn check_against_oracle(
+        sys: &DifferenceSystem,
+        lambda: f64,
+        exact: bool,
+    ) -> Result<(), TestCaseError> {
+        let fast = sys.feasible_at(lambda, &SolveBudget::UNLIMITED).unwrap();
+        match (fast, sys.bellman_ford_plain(lambda)) {
+            (FixedParamOutcome::Feasible { potentials }, Some(oracle)) => {
+                if exact {
+                    prop_assert_eq!(potentials, oracle);
+                } else {
+                    let g = &sys.graph;
+                    let m = (0..g.num_arcs())
+                        .map(|k| g.arc(k))
+                        .map(|a| (a.base + a.slope * lambda).abs())
+                        .chain(potentials.iter().chain(&oracle).map(|d| d.abs()))
+                        .fold(0.0, f64::max);
+                    let bound = g.num_nodes() as f64 * TOL * (1.0 + m);
+                    for (i, (d, o)) in potentials.iter().zip(&oracle).enumerate() {
+                        prop_assert!((d - o).abs() <= bound, "node {i}: {d} vs oracle {o}");
+                    }
+                }
+            }
+            (FixedParamOutcome::NegativeCycle(cycle), None) => {
+                prop_assert!(cycle.weight_at(lambda) < 0.0, "cycle is not negative");
+            }
+            (fast, oracle) => {
+                return Err(TestCaseError::fail(format!(
+                    "verdicts differ at λ = {lambda}: {fast:?} vs oracle {oracle:?}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
-        /// Stopping at the first predecessor-graph cycle changes only when
-        /// an infeasible round ends: the verdict matches the plain `V`-pass
-        /// oracle, feasible potentials match it bit for bit, and every
-        /// reported cycle is negative.
+        /// The label-correcting search reaches the textbook verdict: on
+        /// small integer-weighted systems its feasible labels equal the
+        /// plain `V`-pass oracle's bit for bit, and every reported cycle is
+        /// negative.
         #[test]
         fn prop_early_exit_matches_plain_bellman_ford(
             nodes in 2usize..12,
@@ -1052,22 +1344,54 @@ mod tests {
             ),
             lambda in 0i32..40,
         ) {
-            let sys = random_system(nodes, &rows);
-            let lambda = f64::from(lambda);
-            let fast = sys.feasible_at(lambda, &SolveBudget::UNLIMITED).unwrap();
-            match (fast, sys.bellman_ford_plain(lambda)) {
-                (FixedParamOutcome::Feasible { potentials }, Some(oracle)) => {
-                    prop_assert_eq!(potentials, oracle);
-                }
-                (FixedParamOutcome::NegativeCycle(cycle), None) => {
-                    prop_assert!(cycle.weight_at(lambda) < 0.0, "cycle is not negative");
-                }
-                (fast, oracle) => {
-                    return Err(TestCaseError::fail(format!(
-                        "verdicts differ at λ = {lambda}: {fast:?} vs oracle {oracle:?}"
-                    )));
-                }
-            }
+            let sys = random_system(nodes, &rows, 1);
+            check_against_oracle(&sys, f64::from(lambda), true)?;
+        }
+
+        /// The same on systems of 100–160 nodes with fractional weights
+        /// (tenths), where the two relaxation orders may round labels
+        /// differently: verdicts match, labels agree within the
+        /// tolerance-scaled bound, and every reported cycle is negative.
+        #[test]
+        fn prop_early_exit_matches_plain_bellman_ford_on_large_fractional_systems(
+            nodes in 100usize..160,
+            rows in proptest::collection::vec(
+                (0usize..160, 0usize..160, -80i32..300, proptest::bool::ANY),
+                100..400,
+            ),
+            lambda in 0i32..40,
+        ) {
+            let sys = random_system(nodes, &rows, 10);
+            check_against_oracle(&sys, f64::from(lambda), false)?;
+        }
+    }
+
+    /// A 2000-node chain whose arcs are listed against its direction. A
+    /// search that passes over the arc list in order lowers one more
+    /// label per pass, so it needs `V` passes of `E` arc scans each; the
+    /// FIFO search scans each node once per drop of its label.
+    #[test]
+    fn reversed_chain_scans_each_arc_a_bounded_number_of_times() {
+        let n = 2000;
+        let rows: Vec<_> = (0..n - 1).rev().map(|i| (i + 1, i, -1, false)).collect();
+        let sys = random_system(n, &rows, 1);
+        let e = sys.num_arcs();
+        assert_eq!(e, n - 1);
+        let mut search = Search::new(sys.graph.num_nodes());
+        let mut passes = 0;
+        let outcome = search
+            .run(&sys.graph, 0.0, &SolveBudget::UNLIMITED, &mut passes)
+            .unwrap();
+        let SearchOutcome::Labels(labels) = outcome else {
+            panic!("a chain has no cycle");
+        };
+        assert!(
+            search.scanned <= 4 * e,
+            "{} arc scans for {e} arcs in {passes} passes",
+            search.scanned
+        );
+        for (i, &d) in labels[..n].iter().enumerate() {
+            assert_eq!(d, -(i as f64), "node {i}");
         }
     }
 

@@ -95,7 +95,8 @@ pub use export::write_lp;
 pub use expr::{LinExpr, VarId};
 pub use graph::{
     classify, AffineBound, Classification, DifferenceSystem, FixedParamOutcome, GraphInfeasibility,
-    MinParamOutcome, NegativeCycle, ParamLowerWitness, RowClass, VarImage,
+    MinParamOutcome, NegativeCycle, ParamArc, ParamGraph, ParamLowerWitness, RowClass,
+    SearchOutcome, VarImage,
 };
 pub use hypersparse::{LuWorkspace, ScatterVec};
 pub use iis::{certifies_infeasibility, extract_iis, Iis};

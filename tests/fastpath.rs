@@ -390,6 +390,39 @@ fn min_ratio_search_on_4000_latches_fits_500_passes() {
     assert!((sol.cycle_time() - lambda).abs() <= 1e-12 * lambda);
 }
 
+/// The default solve's optimum on generated datapaths, pinned to 1e-12
+/// relative: the label-correcting search may name a different critical
+/// cycle of the same ratio, but not move Tc. Each answer carries a valid
+/// graph certificate and lies in the combinatorial bracket, whose lower
+/// end on the 4000-latch seed-7 input is pinned too.
+#[test]
+fn datapath_optima_are_pinned_and_certified() {
+    for (latches, seed, expected) in [
+        (4000, 7, 67.6638170311788),
+        (4000, 11, 67.6950006279635),
+        (216, 424_457, 67.87298536930071),
+    ] {
+        let circuit = pipelined_datapath(&DatapathConfig::with_latches(latches), seed);
+        let sol = min_cycle_time_with(&circuit, &MlpOptions::default())
+            .unwrap_or_else(|e| panic!("({latches}, {seed}): {e}"));
+        let tc = sol.cycle_time();
+        assert!(
+            (tc - expected).abs() <= 1e-12 * expected,
+            "({latches}, {seed}): Tc = {tc:.15}, expected {expected}"
+        );
+        let cert = sol
+            .graph_certificate()
+            .unwrap_or_else(|| panic!("({latches}, {seed}): no graph certificate"));
+        assert!(cert.is_valid(), "({latches}, {seed}): {cert}");
+        let bounds = cycle_time_bounds(&circuit);
+        assert!(bounds.brackets(tc), "({latches}, {seed}): {bounds}");
+        if (latches, seed) == (4000, 7) {
+            assert_eq!(bounds.lower, 64.38640693517007);
+            assert_eq!(bounds.upper, 81.96925774291144);
+        }
+    }
+}
+
 /// Below Tc* a single Bellman–Ford round must find its negative cycle in
 /// far fewer than V = 4005 passes.
 #[test]
