@@ -220,6 +220,18 @@ timeout 120 ./target/release/smo check "$scale_ckt" --max-input-mb 64 > /dev/nul
 timeout 120 ./target/release/smo lint "$scale_ckt" --max-input-mb 64 > /dev/null
 rm -f "$scale_ckt"
 
+echo "==> 16.7k-latch generated circuit (50k rows): exact Tc(Δ) curve of a critical edge"
+# `--param tc` reports the exact breakpoints of Tc*(Δ) by a few
+# critical-cycle solves (2k + 1 for k breakpoints), so the whole sweep is a
+# small multiple of one `smo solve` (about 0.8 s against 0.16 s on a
+# 2-core host). Edge 10585 lies on the critical cycle of this seed-7
+# datapath; its curve over [0, 2Δ] has four breakpoints.
+curve_ckt=$(mktemp --suffix=.ckt)
+./target/release/smo gen --latches 16700 --seed 7 --out "$curve_ckt"
+curve_out=$(timeout 30 ./target/release/smo sweep "$curve_ckt" --param tc --edge 10585 --runs 8 --json)
+printf '%s\n' "$curve_out" | grep '"breakpoints": \[[0-9]' > /dev/null
+rm -f "$curve_ckt"
+
 echo "==> 200k mindelay lines over 200k parallel paths: parsed in one indexed pass"
 # Every `mindelay` line resolves against one (from, to) index of the
 # edges, so this 6 MB netlist parses in well under a second; matching

@@ -1,8 +1,8 @@
-//! Parametric simplex vs dense re-solve sweep: the §VI payoff quantified.
+//! Exact curve vs re-solve sweep: the §VI payoff quantified.
 //!
-//! To chart `T_c(Δ41)` over a range, the naive approach re-solves the LP at
-//! every sample; the parametric simplex does one solve plus a handful of
-//! dual pivots and returns the *exact* piecewise-linear curve.
+//! To chart `T_c(Δ41)` over a range, the naive approach re-solves at every
+//! sample; the exact curve needs `2k + 1` critical-cycle solves for `k`
+//! breakpoints and returns the whole piecewise-linear function.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use smo_core::{cycle_time_curve, min_cycle_time, TimingModel};

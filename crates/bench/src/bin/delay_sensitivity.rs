@@ -3,11 +3,11 @@
 //! cycle time of varying the circuit delays" — on the flagship GaAs MIPS
 //! model.
 //!
-//! * `dT_c/dΔ` for every combinational path, from one LP solve (the
-//!   sensitivity vector; zero everywhere except the critical segments);
+//! * `dT_c/dΔ` for every combinational path, from one solve (the
+//!   sensitivity vector; zero everywhere except the critical loop);
 //! * the exact piecewise-linear `T_c(Δ)` curve for the instruction-cache
 //!   access time — "how fast do the SRAMs need to be?" — with breakpoints
-//!   from the parametric simplex, cross-checked against fresh solves.
+//!   from a few critical-cycle solves, cross-checked against fresh solves.
 
 use smo_core::{cycle_time_curve, delay_sensitivities, min_cycle_time, TimingModel};
 use smo_gen::paper::gaas_mips;
@@ -16,7 +16,7 @@ fn main() {
     smo_bench::header("GaAs MIPS — delay sensitivities (dTc/dΔ per path)");
     let circuit = gaas_mips();
     let model = TimingModel::build(&circuit).expect("model");
-    let sens = smo_bench::timed("sensitivity vector (one LP)", || {
+    let sens = smo_bench::timed("sensitivity vector (one solve)", || {
         delay_sensitivities(&circuit, &model).expect("solves")
     });
     let mut nonzero = 0;
@@ -51,16 +51,23 @@ fn main() {
         })
         .expect("icache access edge exists");
     let base_tc = min_cycle_time(&circuit).expect("solves").cycle_time();
-    let curve = smo_bench::timed("parametric simplex", || {
+    let curve = smo_bench::timed("critical-cycle curve", || {
         cycle_time_curve(&circuit, &model, icache, 8.0).expect("curve")
     });
     for seg in &curve.segments {
         println!(
             "  Δ_icache ∈ [{:5.2}, {:5.2}] ns: Tc = {:.3} + {:.2}·(Δ − {:.2})",
-            seg.theta_lo, seg.theta_hi, seg.objective_lo, seg.slope, seg.theta_lo
+            seg.lo, seg.hi, seg.tc_lo, seg.slope, seg.lo
         );
     }
-    println!("  breakpoints: {:?}", curve.breakpoints());
+    // Printed at the segments' precision: the crossing of two cycle lines
+    // carries their rounding in its last bits.
+    let bps: Vec<String> = curve
+        .breakpoints()
+        .iter()
+        .map(|b| format!("{b:.2}"))
+        .collect();
+    println!("  breakpoints: [{}]", bps.join(", "));
     // cross-check against fresh solves at a few probes by rebuilding the
     // circuit with a modified cache delay
     for probe in [1.0, 3.15, 5.0, 7.5] {
@@ -78,12 +85,12 @@ fn main() {
         }
         let modified = b.build().expect("builds");
         let direct = min_cycle_time(&modified).expect("solves").cycle_time();
-        let para = curve.objective_at(probe).expect("in range");
+        let exact = curve.objective_at(probe).expect("in range");
         assert!(
-            (direct - para).abs() < 1e-6,
-            "Δ = {probe}: parametric {para} vs direct {direct}"
+            (direct - exact).abs() < 1e-6,
+            "Δ = {probe}: curve {exact} vs direct {direct}"
         );
-        println!("  probe Δ = {probe:.2}: Tc = {direct:.3} (parametric curve agrees)");
+        println!("  probe Δ = {probe:.2}: Tc = {direct:.3} (exact curve agrees)");
     }
     println!(
         "\nat the shipped Δ_icache = 3.15 ns the cache is {} (base Tc = {base_tc:.2} ns)",

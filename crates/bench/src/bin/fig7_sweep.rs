@@ -1,6 +1,6 @@
 //! Fig. 7: optimal cycle time `T_c` versus `Δ41` for Example 1 — MLP against
-//! the heuristic baselines — plus the *exact* piecewise-linear curve from
-//! parametric programming (the paper's §VI future-work direction).
+//! the heuristic baselines — plus the *exact* piecewise-linear curve that
+//! the paper's §VI future-work direction asks parametric programming for.
 //!
 //! The paper's observations, all checked here:
 //!
@@ -12,9 +12,8 @@
 //!   point `Δ41 = 60` and is suboptimal elsewhere.
 
 use smo_core::baseline;
-use smo_core::{min_cycle_time, solve_model, PropagationSystem, TimingModel};
+use smo_core::{cycle_time_curve, min_cycle_time, solve_model, PropagationSystem, TimingModel};
 use smo_gen::paper::{example1, EXAMPLE1_DELTA41_EDGE};
-use smo_lp::parametric_rhs;
 
 fn main() {
     smo_bench::header("Fig. 7 — Tc versus Δ41 for Example 1");
@@ -69,22 +68,26 @@ fn main() {
     assert!((sym60 - opt60).abs() < 1e-6);
     println!("\nNRIP-like = optimal at Δ41 = 60 (both {opt60:.1} ns) ✓");
 
-    // Exact breakpoints from the parametric simplex: Δ41 enters only the RHS
-    // of its propagation row, so Tc*(Δ41) comes out of one solve plus dual
-    // pivots.
-    smo_bench::header("Fig. 7 (exact) — parametric-RHS analysis of Δ41");
+    // Exact breakpoints: Tc*(Δ41) is the maximum of the critical-cycle
+    // lines in Δ41, so a few min-ratio solves, each giving the critical
+    // cycle's line, pin it down (Eisner–Severance: 2k + 1 solves for k
+    // breakpoints).
+    smo_bench::header("Fig. 7 (exact) — critical-cycle curve of Δ41");
     let circuit = example1(0.0);
     let model = TimingModel::build(&circuit).expect("model");
-    let row = model
-        .edge_constraint(smo_circuit::EdgeId::new(EXAMPLE1_DELTA41_EDGE))
-        .expect("Δ41 row exists");
-    let curve = smo_bench::timed("parametric simplex", || {
-        parametric_rhs(model.problem(), &[(row, 1.0)], 140.0).expect("parametric analysis")
+    let curve = smo_bench::timed("critical-cycle curve", || {
+        cycle_time_curve(
+            &circuit,
+            &model,
+            smo_circuit::EdgeId::new(EXAMPLE1_DELTA41_EDGE),
+            140.0,
+        )
+        .expect("curve solves")
     });
     for seg in &curve.segments {
         println!(
             "  Δ41 ∈ [{:6.2}, {:6.2}]: Tc = {:.2} + {:.2}·(Δ41 − {:.2})",
-            seg.theta_lo, seg.theta_hi, seg.objective_lo, seg.slope, seg.theta_lo
+            seg.lo, seg.hi, seg.tc_lo, seg.slope, seg.lo
         );
     }
     let bps = curve.breakpoints();
@@ -98,16 +101,16 @@ fn main() {
         assert!((got - want).abs() < 1e-6);
     }
 
-    // Cross-check the parametric curve against fresh solves.
+    // Cross-check the curve against fresh solves.
     for d41 in [5.0, 20.0, 33.0, 60.0, 100.0, 137.0] {
         let direct = min_cycle_time(&example1(d41)).expect("solves").cycle_time();
-        let para = curve.objective_at(d41).expect("in range");
+        let exact = curve.objective_at(d41).expect("in range");
         assert!(
-            (direct - para).abs() < 1e-6,
-            "Δ41 = {d41}: parametric {para} vs direct {direct}"
+            (direct - exact).abs() < 1e-6,
+            "Δ41 = {d41}: curve {exact} vs direct {direct}"
         );
     }
-    println!("  parametric curve matches direct solves at 6 probe points ✓");
+    println!("  exact curve matches direct solves at 6 probe points ✓");
 
     // The paper's Jacobi update against the shipped slide from the same
     // LP point D⁰ (the §IV ablation): both must land on the same fixpoint.

@@ -237,14 +237,14 @@ pub(crate) enum FastPathOutcome {
 }
 
 /// Runs the fast path on a freshly built model. With `certify` off, a
-/// pure-model solve skips the [`GraphCertificate`] re-check.
+/// pure-model solve skips the [`GraphCertificate`] re-check. A mixed
+/// model is handed back before any graph is built: the simplex decides
+/// it, infeasibility included.
 ///
 /// # Errors
 ///
 /// [`TimingError::Infeasible`] with a machine-checked negative-cycle
-/// certificate (also correct for mixed models — the difference subset's
-/// rows are a subset of the full row set, so its Farkas vector condemns
-/// the whole model); [`TimingError::Lp`] on numerical trouble inside the
+/// certificate; [`TimingError::Lp`] on numerical trouble inside the
 /// graph solver (callers under [`Backend::Auto`] fall back to the
 /// simplex).
 pub(crate) fn attempt(
@@ -256,20 +256,20 @@ pub(crate) fn attempt(
     let p = model.problem();
     let images = variable_images(circuit, model);
     let cls = classify(p, &images)?;
-    let pure = cls.is_pure();
+    if !cls.is_pure() {
+        return Ok(FastPathOutcome::Mixed);
+    }
     let sys = DifferenceSystem::build(p, &images, &cls)?;
     match sys.minimize_param(budget)? {
         MinParamOutcome::Infeasible(cert) => {
             if cert.check(p) {
                 Err(infeasibility_error(circuit, model, &cert))
-            } else if pure {
-                // A pure system whose certificate fails the independent
-                // check is numerical trouble, not a verdict.
+            } else {
+                // A certificate that fails the independent check is
+                // numerical trouble, not a verdict.
                 Err(TimingError::Lp(smo_lp::LpError::Numerical {
                     context: "graph negative-cycle certificate failed its independent check".into(),
                 }))
-            } else {
-                Ok(FastPathOutcome::Mixed)
             }
         }
         MinParamOutcome::Optimal {
@@ -277,11 +277,6 @@ pub(crate) fn attempt(
             potentials,
             witness,
         } => {
-            if !pure {
-                // The difference subset's optimum only bounds a mixed
-                // model's Tc from below; the simplex decides.
-                return Ok(FastPathOutcome::Mixed);
-            }
             let x = reconstruct_point(circuit, model, lambda, &potentials);
             let mut solution = build_solution(circuit, model, lambda, &x)?;
             if certify {
@@ -296,8 +291,9 @@ pub(crate) fn attempt(
 
 /// The exact minimum cycle time of a pure difference model by the
 /// min-ratio solve of [`attempt`], without the departure slide — all a
-/// sweep run needs. With `certify`, the optimum must also pass the
-/// [`GraphCertificate`] re-check.
+/// sweep run needs — with the critical cycle that proves it (`None` when
+/// `T_c*` sits on the model's declared lower bound). With `certify`, the
+/// optimum must also pass the [`GraphCertificate`] re-check.
 ///
 /// Returns `Ok(None)` on a miss that `auto` would hand to the simplex: a
 /// row outside the difference fragment, numerical trouble in the graph
@@ -311,7 +307,7 @@ pub(crate) fn min_cycle_ratio(
     circuit: &Circuit,
     model: &TimingModel,
     certify: bool,
-) -> Result<Option<f64>, TimingError> {
+) -> Result<Option<(f64, Option<ParamLowerWitness>)>, TimingError> {
     let p = model.problem();
     let images = variable_images(circuit, model);
     // A mixed model is the simplex's to solve: stop before building and
@@ -344,7 +340,7 @@ pub(crate) fn min_cycle_ratio(
                     return Ok(None);
                 }
             }
-            Ok(Some(lambda))
+            Ok(Some((lambda, witness)))
         }
         MinParamOutcome::Infeasible(_) => Ok(None),
     }
@@ -729,6 +725,40 @@ mod tests {
         assert_eq!(auto.cycle_time(), lp.cycle_time());
         assert_eq!(auto.schedule(), lp.schedule());
         assert!((auto.cycle_time() - 110.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn infeasible_mixed_model_under_auto_is_infeasible() {
+        // The cycle cap of 50 is below Example 1's optimum of 110, and a
+        // redundant non-difference row makes the model mixed: the graph
+        // never runs, and the simplex must still return the verdict.
+        let c = example1(80.0);
+        let constraints = ConstraintOptions {
+            max_cycle: Some(50.0),
+            ..Default::default()
+        };
+        let mut model = TimingModel::build_with(&c, &constraints).unwrap();
+        let (w1, w2, tc) = {
+            let vars = model.vars();
+            (
+                vars.width(PhaseId::new(0)),
+                vars.width(PhaseId::new(1)),
+                vars.tc(),
+            )
+        };
+        let expr = smo_lp::LinExpr::from(w1) + w2 - tc - tc;
+        model.problem_mut().constrain(expr, smo_lp::Sense::Le, 0.0);
+        let outcome = attempt(&c, &model, &SolveBudget::UNLIMITED, true).unwrap();
+        assert!(matches!(outcome, FastPathOutcome::Mixed));
+        let options = MlpOptions {
+            constraints,
+            ..Default::default()
+        };
+        let err = crate::mlp::solve_built(&c, &model, &options).unwrap_err();
+        assert!(
+            matches!(err, TimingError::Infeasible { .. }),
+            "expected infeasibility, got {err:?}"
+        );
     }
 
     #[test]

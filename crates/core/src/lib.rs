@@ -120,7 +120,7 @@ pub use model::{
 pub use propagation::{Arc, FixpointResult, PropagationSystem, FIXPOINT_TOL};
 pub use race::{race_analysis, race_analysis_at, RaceOptions, RaceReport, ShortPathWitness};
 pub use report::{render_report, timing_report};
-pub use sensitivity::{cycle_time_curve, delay_sensitivities};
+pub use sensitivity::{cycle_time_curve, delay_sensitivities, CurveSegment, CycleTimeCurve};
 pub use solution::TimingSolution;
 pub use sweep::{sweep_cycle_time, SweepOptions, SweepParam, SweepReport, SweepRun};
 

@@ -659,14 +659,20 @@ impl TimingModel {
         let row = self
             .edge_constraint(edge)
             .expect("edge has a propagation or FF-setup row");
-        let (_, sense, rhs) = self.problem.constraint(row);
-        let sign = match sense {
+        let rhs = self.problem.constraint(row).2;
+        let sign = self.delay_sign(row);
+        self.problem
+            .set_rhs(row, rhs + sign * (new_delay - old_delay));
+    }
+
+    /// How an edge delay enters its row's right-hand side: `+Δ` in a `≥`
+    /// propagation row, `−Δ` in a `≤` flip-flop setup row.
+    pub(crate) fn delay_sign(&self, row: ConstraintId) -> f64 {
+        match self.problem.constraint(row).1 {
             Sense::Ge => 1.0,
             Sense::Le => -1.0,
             Sense::Eq => unreachable!("edge rows are inequalities"),
-        };
-        self.problem
-            .set_rhs(row, rhs + sign * (new_delay - old_delay));
+        }
     }
 
     /// Solves the LP and returns the raw optimal solution.

@@ -401,7 +401,7 @@ fn solve_run(
     model: &TimingModel,
     options: &SweepOptions,
 ) -> Result<(f64, usize), TimingError> {
-    if let Some(tc) = fastpath::min_cycle_ratio(circuit, model, options.certify)? {
+    if let Some((tc, _)) = fastpath::min_cycle_ratio(circuit, model, options.certify)? {
         return Ok((tc, 0));
     }
     let sol = if options.certify {

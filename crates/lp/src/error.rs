@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors reported by [`Problem::solve`](crate::Problem::solve) and the
-/// parametric analysis routines.
+/// other solver entry points.
 ///
 /// Note that an *infeasible* or *unbounded* model is **not** an error: those
 /// are normal outcomes reported through [`Status`](crate::Status). `LpError`

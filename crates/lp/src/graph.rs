@@ -127,6 +127,7 @@ impl RowClass {
 /// row).
 #[derive(Debug, Clone, Copy)]
 struct Atom {
+    row: ConstraintId,
     class: RowClass,
     sign: f64,
 }
@@ -134,7 +135,11 @@ struct Atom {
 /// The per-row result of [`classify`].
 #[derive(Debug, Clone)]
 pub struct Classification {
-    atoms: Vec<Vec<Atom>>,
+    /// Every row's atoms in row order: one per `≤`/`≥` row, two per `=`
+    /// row (its `≤` direction first).
+    atoms: Vec<Atom>,
+    /// `first[r]` indexes row `r`'s first atom in `atoms`.
+    first: Vec<usize>,
 }
 
 impl Classification {
@@ -145,32 +150,30 @@ impl Classification {
     ///
     /// Panics if `c` does not belong to the classified problem.
     pub fn class(&self, c: ConstraintId) -> RowClass {
-        self.atoms[c.index()][0].class
+        self.atoms[self.first[c.index()]].class
     }
 
     /// Number of classified rows.
     pub fn len(&self) -> usize {
-        self.atoms.len()
+        self.first.len()
     }
 
     /// `true` when the problem had no rows.
     pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
+        self.first.is_empty()
     }
 
     /// `true` when every row lies in the difference fragment — the graph
     /// backend is then *exact*, not a relaxation.
     pub fn is_pure(&self) -> bool {
-        self.atoms
-            .iter()
-            .all(|a| a[0].class.is_difference_fragment())
+        self.atoms.iter().all(|a| a.class.is_difference_fragment())
     }
 
     /// The rows classified [`RowClass::General`], in ascending id order.
     pub fn general_rows(&self) -> Vec<ConstraintId> {
-        (0..self.atoms.len())
-            .filter(|&r| !self.atoms[r][0].class.is_difference_fragment())
+        (0..self.len())
             .map(ConstraintId)
+            .filter(|&c| !self.class(c).is_difference_fragment())
             .collect()
     }
 
@@ -195,7 +198,10 @@ impl Classification {
     }
 
     fn count(&self, f: impl Fn(&RowClass) -> bool) -> usize {
-        self.atoms.iter().filter(|a| f(&a[0].class)).count()
+        self.first
+            .iter()
+            .filter(|&&k| f(&self.atoms[k].class))
+            .count()
     }
 }
 
@@ -216,48 +222,44 @@ pub fn classify(p: &Problem, images: &[VarImage]) -> Result<Classification, crat
             ),
         });
     }
-    let atoms = (0..p.num_constraints())
-        .map(|r| {
-            let (expr, sense, rhs) = p.constraint(ConstraintId(r));
-            let fwd = classify_le(expr.iter(), rhs, images, false);
-            match sense {
-                Sense::Le => vec![Atom {
-                    class: fwd,
-                    sign: -1.0,
-                }],
-                Sense::Ge => vec![Atom {
-                    class: classify_le(expr.iter(), rhs, images, true),
-                    sign: 1.0,
-                }],
-                Sense::Eq => vec![
-                    Atom {
-                        class: fwd,
-                        sign: -1.0,
-                    },
-                    Atom {
-                        class: classify_le(expr.iter(), rhs, images, true),
-                        sign: 1.0,
-                    },
-                ],
+    let m = p.num_constraints();
+    let mut atoms = Vec::with_capacity(m);
+    let mut first = Vec::with_capacity(m);
+    // Net coefficient per node, reused by every row: rows touch at most a
+    // handful of nodes, so a small association list beats a map.
+    let mut nodes: Vec<(usize, f64)> = Vec::with_capacity(4);
+    for r in 0..m {
+        let row = ConstraintId(r);
+        let (expr, sense, rhs) = p.constraint(row);
+        first.push(atoms.len());
+        let mut push = |negate: bool, sign: f64| {
+            let class = classify_le(expr.iter(), rhs, images, negate, &mut nodes);
+            atoms.push(Atom { row, class, sign });
+        };
+        match sense {
+            Sense::Le => push(false, -1.0),
+            Sense::Ge => push(true, 1.0),
+            Sense::Eq => {
+                push(false, -1.0);
+                push(true, 1.0);
             }
-        })
-        .collect();
-    Ok(Classification { atoms })
+        }
+    }
+    Ok(Classification { atoms, first })
 }
 
 /// Classifies one `≤`-form inequality `Σ c_v·x_v ≤ rhs` (negated first
 /// when `negate` is set) by substituting variable images and collecting
-/// net node coefficients.
+/// net node coefficients in the caller's scratch list `nodes`.
 fn classify_le(
     terms: impl Iterator<Item = (VarId, f64)>,
     rhs: f64,
     images: &[VarImage],
     negate: bool,
+    nodes: &mut Vec<(usize, f64)>,
 ) -> RowClass {
     let flip = if negate { -1.0 } else { 1.0 };
-    // Net coefficient per node; rows touch at most a handful of nodes, so
-    // a small association list beats a map.
-    let mut nodes: Vec<(usize, f64)> = Vec::with_capacity(4);
+    nodes.clear();
     let mut add = |n: usize, c: f64| {
         if let Some(e) = nodes.iter_mut().find(|(i, _)| *i == n) {
             e.1 += c;
@@ -753,6 +755,14 @@ impl ParamLowerWitness {
     pub fn implied_lower(&self) -> f64 {
         self.implied_lower
     }
+
+    /// `Σ slope` of the witness cycle (positive): the coefficient of `λ`
+    /// that its rows aggregate to. Moving the right-hand side of a
+    /// witness row with multiplier `m` by `ε` moves the implied lower
+    /// bound by `m·ε / Σ slope`.
+    pub fn slope(&self) -> f64 {
+        self.slope
+    }
 }
 
 /// A graph-derived Farkas certificate of infeasibility for the *problem*
@@ -857,59 +867,54 @@ impl DifferenceSystem {
             lambda_lower = 0.0;
             lambda_upper = 0.0;
         }
-        for (r, atoms) in cls.atoms.iter().enumerate() {
-            let c = ConstraintId(r);
-            for atom in atoms {
-                let RowClass::ParamBound { coef, rhs } = atom.class else {
-                    continue;
-                };
-                let src = ParamBoundSrc::Row {
-                    c,
-                    sign: atom.sign,
-                    coef,
-                };
-                if coef > TOL {
-                    let cand = rhs / coef;
-                    if cand < lambda_upper {
-                        lambda_upper = cand;
-                        lambda_upper_src = src;
-                    }
-                } else if coef < -TOL {
-                    let cand = rhs / coef;
-                    if cand > lambda_lower {
-                        lambda_lower = cand;
-                        lambda_lower_src = src;
-                    }
-                } else if rhs < -TOL && constant_conflict.is_none() {
-                    // 0 ≤ rhs < 0: the row is infeasible alone.
-                    constant_conflict = Some((c, atom.sign));
+        for atom in &cls.atoms {
+            let RowClass::ParamBound { coef, rhs } = atom.class else {
+                continue;
+            };
+            let src = ParamBoundSrc::Row {
+                c: atom.row,
+                sign: atom.sign,
+                coef,
+            };
+            if coef > TOL {
+                let cand = rhs / coef;
+                if cand < lambda_upper {
+                    lambda_upper = cand;
+                    lambda_upper_src = src;
                 }
+            } else if coef < -TOL {
+                let cand = rhs / coef;
+                if cand > lambda_lower {
+                    lambda_lower = cand;
+                    lambda_lower_src = src;
+                }
+            } else if rhs < -TOL && constant_conflict.is_none() {
+                // 0 ≤ rhs < 0: the row is infeasible alone.
+                constant_conflict = Some((atom.row, atom.sign));
             }
         }
 
         let graph = ParamGraph::build(num_nodes + 1, |add| {
             // Constraint-row arcs.
-            for (r, atoms) in cls.atoms.iter().enumerate() {
-                for atom in atoms {
-                    let tag = ArcSource::Row {
-                        c: ConstraintId(r),
-                        sign: atom.sign,
-                    };
-                    let (from, to, bound) = match atom.class {
-                        RowClass::Difference { i, j, bound } => (j, i, bound),
-                        // +x_i ≤ b: origin→i; −x_i ≤ b: i→origin.
-                        RowClass::SingleVar { i, negated, bound } if negated => (i, origin, bound),
-                        RowClass::SingleVar { i, bound, .. } => (origin, i, bound),
-                        RowClass::ParamBound { .. } | RowClass::General => continue,
-                    };
-                    add(ParamArc {
-                        from,
-                        to,
-                        base: bound.base,
-                        slope: bound.slope,
-                        tag,
-                    });
-                }
+            for atom in &cls.atoms {
+                let tag = ArcSource::Row {
+                    c: atom.row,
+                    sign: atom.sign,
+                };
+                let (from, to, bound) = match atom.class {
+                    RowClass::Difference { i, j, bound } => (j, i, bound),
+                    // +x_i ≤ b: origin→i; −x_i ≤ b: i→origin.
+                    RowClass::SingleVar { i, negated, bound } if negated => (i, origin, bound),
+                    RowClass::SingleVar { i, bound, .. } => (origin, i, bound),
+                    RowClass::ParamBound { .. } | RowClass::General => continue,
+                };
+                add(ParamArc {
+                    from,
+                    to,
+                    base: bound.base,
+                    slope: bound.slope,
+                    tag,
+                });
             }
             // Variable-bound arcs (the ambient box, structural in the SMO
             // models: non-negativity of widths, starts and departures).

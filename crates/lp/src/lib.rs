@@ -14,11 +14,6 @@
 //!   ([`Pricing`]) and a Bland anti-cycling fallback ([`Problem::solve`]),
 //! * dual values, reduced costs, and slacks on the returned [`Solution`]
 //!   (used by the timing engine for critical-segment analysis),
-//! * parametric right-hand-side analysis ([`parametric_rhs`]) on the
-//!   dense tableau, implementing the paper's §VI "parametric programming"
-//!   direction — it returns the exact breakpoints of the optimal objective
-//!   as a piecewise linear function of a scalar parameter (this
-//!   regenerates Fig. 7's breakpoints without sweeping),
 //! * the dense tableau itself as a differential-test oracle
 //!   ([`Problem::solve_reference`]),
 //! * infeasibility diagnosis: infeasible solves carry a Farkas certificate
@@ -79,7 +74,6 @@ mod expr;
 mod graph;
 mod hypersparse;
 mod iis;
-mod parametric;
 mod pricing;
 mod problem;
 mod recover;
@@ -100,7 +94,6 @@ pub use graph::{
 };
 pub use hypersparse::{LuWorkspace, ScatterVec};
 pub use iis::{certifies_infeasibility, extract_iis, Iis};
-pub use parametric::{parametric_objective, parametric_rhs, ParametricCurve, ParametricSegment};
 pub use pricing::Pricing;
 pub use problem::{ConstraintId, Objective, Problem, Sense};
 pub use recover::{CertifiedSolution, RecoveryPolicy, RecoveryStep, SolveBudget};

@@ -287,7 +287,7 @@ impl Problem {
 
     /// Solves the model with the dense-tableau simplex — the paper's §V
     /// solver, kept as the **reference oracle** of the differential test
-    /// suites and as the engine of [`parametric_rhs`](crate::parametric_rhs).
+    /// suites.
     ///
     /// It shares the standard form of [`Problem::solve`] but nothing of
     /// its factorization or pricing, so agreement between the two is an
@@ -303,7 +303,7 @@ impl Problem {
         budget: crate::recover::SolveBudget,
     ) -> Result<Solution, LpError> {
         self.validate()?;
-        simplex::solve_with_tableau(self, None, budget).map(|(s, _)| s)
+        simplex::solve_dense(self, budget)
     }
 }
 

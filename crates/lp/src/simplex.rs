@@ -2,7 +2,7 @@
 //!
 //! This is the paper's §V solver. It no longer serves production solves
 //! (those run the sparse-LU simplex of [`crate::sparse`]); it remains the
-//! engine of [`crate::parametric`] and the differential-test oracle behind
+//! differential-test oracle behind
 //! [`Problem::solve_reference`](crate::Problem::solve_reference).
 //!
 //! The implementation works on a classical dense tableau. Models are brought
@@ -20,10 +20,6 @@
 //! Phase 1 minimizes the sum of artificials; phase 2 the real objective.
 //! Pricing is Dantzig (most negative reduced cost) switching to Bland's rule
 //! after a fixed number of iterations, which guarantees termination.
-//!
-//! The tableau carries one extra **parametric** column alongside the RHS; it
-//! is transformed by every pivot and is used by [`crate::parametric`] to run
-//! the Gass–Saaty parametric-RHS procedure on the optimal tableau.
 
 use crate::error::LpError;
 use crate::problem::{Problem, Sense};
@@ -45,11 +41,10 @@ pub(crate) enum ColKind {
 
 use crate::sparse::VarCols;
 
-/// Standard-form tableau shared between the primal solver and the parametric
-/// post-processor.
+/// The dense standard-form tableau.
 #[derive(Debug, Clone)]
 pub(crate) struct Tableau {
-    /// `m` rows of width `ncols + 2`: columns, then RHS, then parametric Δ.
+    /// `m` rows of width `ncols + 1`: columns, then RHS.
     pub(crate) tab: Vec<Vec<f64>>,
     /// Basic column index per row.
     pub(crate) basis: Vec<usize>,
@@ -59,9 +54,6 @@ pub(crate) struct Tableau {
     pub(crate) costs: Vec<f64>,
     /// Current reduced-cost row for the phase-2 costs (valid after solve).
     pub(crate) z: Vec<f64>,
-    /// Optional second reduced-cost row (used by parametric objective
-    /// ranging); transformed by every pivot alongside `z`.
-    pub(crate) z2: Option<Vec<f64>>,
     /// `+1.0` for minimize, `−1.0` for maximize.
     pub(crate) sense_factor: f64,
     /// Per standard-form row: was the row negated during normalization?
@@ -78,18 +70,11 @@ pub(crate) struct Tableau {
     pub(crate) budget: crate::recover::SolveBudget,
 }
 
-const RHS: usize = 0; // symbolic: rhs column is at index ncols + RHS
-const PARAM: usize = 1; // parametric column is at index ncols + PARAM
-
 impl Tableau {
+    /// The RHS column sits right after the `ncols` columns.
     #[inline]
     pub(crate) fn rhs(&self, r: usize) -> f64 {
-        self.tab[r][self.ncols + RHS]
-    }
-
-    #[inline]
-    pub(crate) fn param(&self, r: usize) -> f64 {
-        self.tab[r][self.ncols + PARAM]
+        self.tab[r][self.ncols]
     }
 
     #[inline]
@@ -97,32 +82,28 @@ impl Tableau {
         self.tab.len()
     }
 
-    /// Builds the standard-form tableau for `p`. `param` gives the per-user-row
-    /// RHS perturbation direction (defaults to all zeros).
-    pub(crate) fn build(p: &Problem, param: Option<&[f64]>) -> Result<Tableau, LpError> {
-        Ok(Tableau::from_std_form(crate::sparse::StdForm::build(
-            p, param,
-        )?))
+    /// Builds the standard-form tableau for `p`.
+    pub(crate) fn build(p: &Problem) -> Result<Tableau, LpError> {
+        Ok(Tableau::from_std_form(crate::sparse::StdForm::build(p)?))
     }
 
     /// Densifies the shared CSC standard form into the classic tableau
-    /// layout: one row of width `ncols + 2` per constraint (columns, then
-    /// RHS, then the parametric Δ). Every standard-form convention —
+    /// layout: one row of width `ncols + 1` per constraint (columns, then
+    /// RHS). Every standard-form convention —
     /// column order, RHS normalization — is inherited
     /// from [`StdForm`](crate::sparse::StdForm), so the dense and
     /// sparse-LU engines agree on them by construction.
     pub(crate) fn from_std_form(sf: crate::sparse::StdForm) -> Tableau {
         let m = sf.m;
         let ncols = sf.ncols;
-        let mut tab = vec![vec![0.0; ncols + 2]; m];
+        let mut tab = vec![vec![0.0; ncols + 1]; m];
         for (j, col) in sf.cols.iter().enumerate() {
             for &(r, v) in col {
                 tab[r][j] = v;
             }
         }
         for (r, row) in tab.iter_mut().enumerate() {
-            row[ncols + RHS] = sf.rhs[r];
-            row[ncols + PARAM] = sf.param[r];
+            row[ncols] = sf.rhs[r];
         }
         Tableau {
             tab,
@@ -131,7 +112,6 @@ impl Tableau {
             col_kinds: sf.col_kinds,
             costs: sf.costs,
             z: vec![0.0; ncols],
-            z2: None,
             sense_factor: sf.sense_factor,
             row_flip: sf.row_flip,
             dual_col: sf.dual_col,
@@ -160,7 +140,7 @@ impl Tableau {
     /// Performs one pivot on `(row, col)`, updating the tableau, the basis
     /// and the reduced-cost row.
     pub(crate) fn pivot(&mut self, row: usize, col: usize) {
-        let width = self.ncols + 2;
+        let width = self.ncols + 1;
         let piv = self.tab[row][col];
         debug_assert!(piv.abs() > EPS, "pivot on near-zero element");
         let inv = 1.0 / piv;
@@ -190,15 +170,6 @@ impl Tableau {
                 self.z[j] -= zfac * self.tab[row][j];
             }
             self.z[col] = 0.0;
-        }
-        if let Some(z2) = &mut self.z2 {
-            let z2fac = z2[col];
-            if z2fac != 0.0 {
-                for (j, z2j) in z2.iter_mut().enumerate().take(self.ncols) {
-                    *z2j -= z2fac * self.tab[row][j];
-                }
-                z2[col] = 0.0;
-            }
         }
         self.basis[row] = col;
         self.iterations += 1;
@@ -363,23 +334,6 @@ impl Tableau {
             .collect()
     }
 
-    /// Converts a per-user-variable cost delta into a standard-column cost
-    /// vector (minimize orientation), for parametric objective ranging.
-    pub(crate) fn user_costs_to_columns(&self, delta: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.ncols];
-        for (var, vc) in self.var_cols.iter().enumerate() {
-            let d = self.sense_factor * delta[var];
-            match *vc {
-                VarCols::Shifted { col, .. } => out[col] += d,
-                VarCols::Split { pos, neg } => {
-                    out[pos] += d;
-                    out[neg] -= d;
-                }
-            }
-        }
-        out
-    }
-
     /// Maps a standard-row dual vector back to user rows undoing only the
     /// normalization flips — **not** the objective orientation.
     ///
@@ -462,17 +416,15 @@ impl Tableau {
     }
 }
 
-/// Solves `p` under `budget`, returning both the packaged [`Solution`]
-/// and (when optimal) the final tableau for parametric post-processing.
-pub(crate) fn solve_with_tableau(
+/// Solves `p` on the dense tableau under `budget`.
+pub(crate) fn solve_dense(
     p: &Problem,
-    param: Option<&[f64]>,
     budget: crate::recover::SolveBudget,
-) -> Result<(Solution, Option<Tableau>), LpError> {
-    let mut t = Tableau::build(p, param)?;
+) -> Result<Solution, LpError> {
+    let mut t = Tableau::build(p)?;
     t.budget = budget;
     let status = t.optimize()?;
-    let solution = match status {
+    Ok(match status {
         Status::Optimal => package_optimal(p, &t),
         _ => Solution {
             status,
@@ -488,9 +440,7 @@ pub(crate) fn solve_with_tableau(
                 .then(|| t.map_feasibility_duals(&t.phase1_duals())),
             stats: None,
         },
-    };
-    let keep = solution.status == Status::Optimal;
-    Ok((solution, keep.then_some(t)))
+    })
 }
 
 /// Packages an optimal tableau (reduced costs in `t.z`) as a [`Solution`].

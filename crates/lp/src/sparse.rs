@@ -102,8 +102,6 @@ pub(crate) struct StdForm {
     pub(crate) cols: Vec<SparseCol>,
     /// Normalized (non-negative) right-hand sides.
     pub(crate) rhs: Vec<f64>,
-    /// Parametric RHS direction, transformed alongside normalization.
-    pub(crate) param: Vec<f64>,
     /// Phase-2 costs, already in minimize orientation.
     pub(crate) costs: Vec<f64>,
     /// What each column represents.
@@ -170,10 +168,9 @@ fn expr_to_sparse(
 }
 
 impl StdForm {
-    /// Builds the standard form of `p` with optional per-user-row RHS
-    /// perturbation directions. The dense reference tableau is densified
-    /// from this form, so both engines share every convention.
-    pub(crate) fn build(p: &Problem, param: Option<&[f64]>) -> Result<StdForm, LpError> {
+    /// Builds the standard form of `p`. The dense reference tableau is
+    /// densified from this form, so both engines share every convention.
+    pub(crate) fn build(p: &Problem) -> Result<StdForm, LpError> {
         let (direction, obj_expr) = p.objective.as_ref().ok_or(LpError::MissingObjective)?;
         let sense_factor = match direction {
             Objective::Minimize => 1.0,
@@ -210,24 +207,18 @@ impl StdForm {
             entries: SparseCol,
             sense: Sense,
             rhs: f64,
-            param: f64,
         }
         let mut scratch = vec![0.0; nstruct];
         let mut mark = vec![false; nstruct];
         let mut touched: Vec<usize> = Vec::new();
         let mut raw: Vec<RawRow> = Vec::with_capacity(p.rows.len() + bound_rows.len());
-        let zero_param = vec![0.0; p.rows.len()];
-        let param = param.unwrap_or(&zero_param);
-        debug_assert_eq!(param.len(), p.rows.len());
-
-        for (i, row) in p.rows.iter().enumerate() {
+        for row in &p.rows {
             let (entries, shift_sum) =
                 expr_to_sparse(&row.expr, &var_cols, &mut scratch, &mut mark, &mut touched);
             raw.push(RawRow {
                 entries,
                 sense: row.sense,
                 rhs: row.rhs - shift_sum,
-                param: param[i],
             });
         }
         for &(var, upper) in &bound_rows {
@@ -239,7 +230,6 @@ impl StdForm {
                 entries,
                 sense: Sense::Le,
                 rhs,
-                param: 0.0,
             });
         }
 
@@ -253,7 +243,6 @@ impl StdForm {
                     *v = -*v;
                 }
                 row.rhs = -row.rhs;
-                row.param = -row.param;
                 row.sense = match row.sense {
                     Sense::Le => Sense::Ge,
                     Sense::Ge => Sense::Le,
@@ -292,7 +281,6 @@ impl StdForm {
         let mut initial_basis = vec![usize::MAX; m];
         let mut dual_col = vec![usize::MAX; m];
         let mut rhs = vec![0.0; m];
-        let mut params = vec![0.0; m];
         let mut rows: Vec<SparseCol> = Vec::with_capacity(m);
         for (r, row) in raw.iter().enumerate() {
             let mut entries = row.entries.clone();
@@ -310,7 +298,6 @@ impl StdForm {
                 dual_col[r] = art_col[r];
             }
             rhs[r] = row.rhs;
-            params[r] = row.param;
             rows.push(entries);
         }
 
@@ -335,7 +322,6 @@ impl StdForm {
             ncols,
             cols,
             rhs,
-            param: params,
             costs,
             col_kinds,
             row_flip,
@@ -1404,7 +1390,7 @@ fn solve_inner(
     budget: crate::recover::SolveBudget,
     pricing: Pricing,
 ) -> Result<Solution, LpError> {
-    let sf = StdForm::build(p, None)?;
+    let sf = StdForm::build(p)?;
     let mut core = SparseCore::new(sf, budget)?;
     core.refactor_every = refactor_every.max(1);
     core.pricing = pricing;
@@ -1506,8 +1492,8 @@ mod tests {
         p.constrain(LinExpr::from(y) + f, Sense::Eq, 5.0);
         p.constrain(x + y, Sense::Le, 9.0);
         p.maximize(x + 2.0 * f - y);
-        let sf = StdForm::build(&p, None).unwrap();
-        let t = Tableau::build(&p, None).unwrap();
+        let sf = StdForm::build(&p).unwrap();
+        let t = Tableau::build(&p).unwrap();
         assert_eq!(sf.m, t.rows());
         assert_eq!(sf.ncols, t.ncols);
         assert_eq!(sf.col_kinds, t.col_kinds);

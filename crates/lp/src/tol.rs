@@ -13,8 +13,7 @@
 //! * [`Tol::FEAS`] (`1e-7` relative) — feasibility decisions: constraint
 //!   violations, bound violations, dual sign checks, Farkas certificates.
 //! * [`Tol::TIGHT`] (`1e-9` relative) — agreement decisions: objective
-//!   cross-checks, slope equality in parametric ranging, support
-//!   detection in multiplier vectors.
+//!   cross-checks, support detection in multiplier vectors.
 
 /// A relative tolerance, applied as `rel · (1 + |scale|)`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -4,8 +4,8 @@
 //! *"Analysis and Design of Latch-Controlled Synchronous Digital Circuits"*
 //! (DAC 1990 / IEEE TCAD 1992). It re-exports the member crates:
 //!
-//! * [`lp`] — dense simplex linear-programming solver with duals and
-//!   parametric RHS analysis ([`smo_lp`]),
+//! * [`lp`] — sparse-LU simplex linear-programming solver with duals,
+//!   certificates and the difference-constraint graph solver ([`smo_lp`]),
 //! * [`circuit`] — k-phase clock and latch-level circuit model
 //!   ([`smo_circuit`]),
 //! * [`timing`] — the SMO timing engine: constraint generation, Algorithm

@@ -177,6 +177,38 @@ fn deadline_expiry_over_the_wire() {
     server.wait();
 }
 
+/// A `tc` sweep over the wire reports the exact breakpoints of the
+/// `T_c*(Δ)` curve, the same ones `smo sweep --param tc --edge 347` prints
+/// for `smo gen --latches 300 --seed 7`.
+#[test]
+fn tc_sweep_over_the_wire_reports_the_exact_breakpoints() {
+    let server = start_server(2, 2);
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    let config = smo::gen::datapath::DatapathConfig::with_latches(300);
+    let datapath = netlist::write(&smo::gen::datapath::pipelined_datapath(&config, 7));
+    let line = format!(
+        "{{\"id\":\"tc\",\"cmd\":\"sweep\",\"param\":\"tc\",\"edge\":347,\"runs\":8,\"netlist\":{}}}",
+        js(&datapath)
+    );
+    let resp = client.call(&line).unwrap();
+    assert_eq!(classify(&resp).0, "ok", "{resp}");
+    let v = Json::parse(&resp).unwrap();
+    let breakpoints: Vec<String> = v
+        .get("result")
+        .and_then(|r| r.get("breakpoints"))
+        .and_then(Json::as_arr)
+        .expect("a tc sweep reports breakpoints")
+        .iter()
+        .map(|b| format!("{:.6}", b.as_f64().unwrap()))
+        .collect();
+    assert_eq!(breakpoints, ["37.459242", "65.566233"], "{resp}");
+
+    server.shutdown();
+    server.wait();
+}
+
 #[test]
 fn panic_isolation_and_quarantine() {
     let server = start_server(2, 2);
