@@ -46,13 +46,6 @@ cargo test -q --release --test scale_differential -- --include-ignored
 echo "==> sweep determinism + oracle suite"
 cargo test -q --test sweep
 
-echo "==> pricing-equivalence suite (devex vs partial vs bland, release)"
-# Every pricing rule must produce the same certified verdict and optimum
-# on the shipped netlists, the stress suite, and proptest-random
-# circuits — the contract that makes `--pricing` a pure performance
-# knob. Release mode keeps the sparse stress solves fast.
-cargo test -q --release --test pricing_equivalence
-
 echo "==> smo lint + smo analyze + certified smo solve over circuits/*.ckt"
 # `lint` exits non-zero on error-severity findings; `analyze` exits 2 when
 # the combinatorial bracket, the certified LP solve or the graph backend
@@ -63,15 +56,12 @@ for ckt in circuits/*.ckt; do
   ./target/release/smo lint "$ckt"
   ./target/release/smo analyze "$ckt"
   # Every shipped netlist must solve with every verdict independently
-  # checked (exit 0 and an explicit `certified: true` line). Plain
-  # grep (not -q): -q closes the pipe early and breaks the writer.
-  ./target/release/smo solve "$ckt" | grep "certified: true" > /dev/null
+  # checked (exit 0 and an explicit `certified: true` line).
+  ./target/release/smo solve "$ckt" | grep -q "certified: true"
   # Graph-vs-LP differential: both backends must solve every shipped
   # netlist, certified, and report the same optimum to the printed
   # precision. The `backend: graph` grep doubles as proof the fast path
-  # actually engages rather than silently falling back. Capture the full
-  # output first: truncating smo's stdout mid-write (e.g. `| head`)
-  # breaks the pipe under `set -o pipefail`.
+  # actually engages rather than silently falling back.
   graph_out=$(./target/release/smo solve "$ckt" --backend graph)
   lp_out=$(./target/release/smo solve "$ckt" --backend lp)
   printf '%s\n' "$graph_out" | grep "backend: graph" > /dev/null
@@ -121,7 +111,7 @@ grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/core/src/fastpat
 # the propagation system and the MLP driver keep the same attribute.
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/core/src/propagation.rs
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/core/src/mlp.rs
-# The sparse-LU simplex kernel, its hypersparse solve/pricing modules,
+# The sparse-LU simplex kernel, its hypersparse solve and pricing modules,
 # and the large-circuit generator feed the scaling gates: all keep the
 # same deny-level attribute.
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/lp/src/sparse.rs
@@ -231,6 +221,28 @@ curve_ckt=$(mktemp --suffix=.ckt)
 curve_out=$(timeout 30 ./target/release/smo sweep "$curve_ckt" --param tc --edge 10585 --runs 8 --json)
 printf '%s\n' "$curve_out" | grep '"breakpoints": \[[0-9]' > /dev/null
 rm -f "$curve_ckt"
+
+echo "==> 16.7k-latch generated circuit (50k rows): report and diagnose on the graph"
+# `report` reads its critical segments off the critical cycle that proves
+# Tc*, and `diagnose` takes one graph solve: its negative cycle seeds the
+# deletion filter, which decides each trial on the seed's own graph. All
+# three run in a small multiple of `smo check` (about 0.2 s on a 2-core
+# host); on the simplex they took minutes.
+graph_ckt=$(mktemp --suffix=.ckt)
+./target/release/smo gen --latches 16700 --seed 7 --out "$graph_ckt"
+timeout 30 ./target/release/smo report "$graph_ckt" \
+  | grep -q "critical combinational segments"
+timeout 30 ./target/release/smo diagnose "$graph_ckt" > /dev/null
+set +e
+capped_out=$(timeout 30 ./target/release/smo diagnose "$graph_ckt" --cycle-time 50)
+capped_rc=$?
+set -e
+if [ "$capped_rc" -ne 1 ]; then
+  echo "smo diagnose --cycle-time 50: expected exit code 1, got $capped_rc" >&2
+  exit 1
+fi
+printf '%s\n' "$capped_out" | grep -q "(Farkas-certified)"
+rm -f "$graph_ckt"
 
 echo "==> 200k mindelay lines over 200k parallel paths: parsed in one indexed pass"
 # Every `mindelay` line resolves against one (from, to) index of the

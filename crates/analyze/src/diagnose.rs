@@ -1,88 +1,13 @@
-//! "Why is there no feasible schedule?" — the diagnosis entry points.
+//! "Why is there no feasible schedule?" — the diagnosis entry point.
 //!
-//! Thin orchestration over [`smo_core::diagnose_infeasibility`]: build the
-//! timing model (optionally with a cycle-time cap), solve it, and either
-//! report the optimum or explain the conflict.
+//! Thin orchestration over [`smo_core::diagnose_model`]: build the timing
+//! model (optionally with a cycle-time cap), then either report the
+//! optimum or explain the conflict, from one solve.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use smo_circuit::Circuit;
-use smo_core::{
-    diagnose_infeasibility, ConstraintOptions, InfeasibilityReport, TimingError, TimingModel,
-};
-use std::fmt;
-
-/// The outcome of a diagnosis run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Diagnosis {
-    /// A schedule exists; `min_cycle` is the optimal cycle time under the
-    /// options used (i.e. the smallest feasible `T_c`).
-    Feasible {
-        /// Optimal cycle time.
-        min_cycle: f64,
-    },
-    /// No schedule exists; the report names the conflicting constraints.
-    Infeasible(InfeasibilityReport),
-}
-
-impl Diagnosis {
-    /// `true` for the [`Diagnosis::Feasible`] arm.
-    pub fn is_feasible(&self) -> bool {
-        matches!(self, Diagnosis::Feasible { .. })
-    }
-
-    /// The infeasibility report, if any.
-    pub fn report(&self) -> Option<&InfeasibilityReport> {
-        match self {
-            Diagnosis::Feasible { .. } => None,
-            Diagnosis::Infeasible(r) => Some(r),
-        }
-    }
-
-    /// Renders the diagnosis as a JSON object (hand-rolled, matching
-    /// [`InfeasibilityReport::to_json`] in the infeasible case).
-    pub fn to_json(&self) -> String {
-        match self {
-            Diagnosis::Feasible { min_cycle } => {
-                format!("{{\n  \"feasible\": true,\n  \"min_cycle\": {min_cycle}\n}}")
-            }
-            Diagnosis::Infeasible(r) => r.to_json(),
-        }
-    }
-}
-
-impl fmt::Display for Diagnosis {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Diagnosis::Feasible { min_cycle } => {
-                write!(f, "feasible: minimum cycle time {min_cycle}")
-            }
-            Diagnosis::Infeasible(r) => write!(f, "{r}"),
-        }
-    }
-}
-
-/// Diagnoses `circuit` under explicit [`ConstraintOptions`].
-///
-/// # Errors
-///
-/// Propagates model-building and LP errors; an unbounded LP maps to
-/// [`TimingError::Unbounded`].
-pub fn diagnose_with(
-    circuit: &Circuit,
-    options: &ConstraintOptions,
-) -> Result<Diagnosis, TimingError> {
-    let model = TimingModel::build_with(circuit, options)?;
-    match diagnose_infeasibility(circuit, &model)? {
-        Some(report) => Ok(Diagnosis::Infeasible(report)),
-        None => {
-            let sol = model.solve_lp()?;
-            Ok(Diagnosis::Feasible {
-                min_cycle: sol.objective(),
-            })
-        }
-    }
-}
+use smo_core::{diagnose_model, ConstraintOptions, Diagnosis, TimingError, TimingModel};
 
 /// Diagnoses `circuit`, optionally capped at a target cycle time.
 ///
@@ -90,17 +15,19 @@ pub fn diagnose_with(
 /// feasible for a valid circuit, so this reports the optimum `T_c`).
 /// With `Some(t)` an upper bound `T_c ≤ t` is added — the "can I clock
 /// this at `t`?" question — and an infeasible answer comes back with the
-/// full conflict report.
+/// full conflict report. Other [`ConstraintOptions`] go through
+/// [`diagnose_model`] on a model built with them.
 ///
 /// # Errors
 ///
-/// See [`diagnose_with`].
+/// Propagates model-building and solver errors; an unbounded LP maps to
+/// [`TimingError::Unbounded`].
 pub fn diagnose(circuit: &Circuit, cycle_time: Option<f64>) -> Result<Diagnosis, TimingError> {
     let options = ConstraintOptions {
         max_cycle: cycle_time,
         ..Default::default()
     };
-    diagnose_with(circuit, &options)
+    diagnose_model(circuit, &TimingModel::build_with(circuit, &options)?)
 }
 
 #[cfg(test)]

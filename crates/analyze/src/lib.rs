@@ -20,7 +20,8 @@
 //!   [`ShortPathWitness`](smo_core::ShortPathWitness) text.
 //! * **Diagnosis** ([`diagnose`]) — when a cycle-time target makes the
 //!   timing LP infeasible, answer *why*: extract a Farkas-certified
-//!   irreducible infeasible subsystem and map every member back to the
+//!   irreducible infeasible subsystem, seeded by the graph's negative
+//!   cycle on a pure difference model, and map every member back to the
 //!   paper's constraint names (C1–C3 clock rows, L1 setup, L2R
 //!   propagation) with the latches and phases involved.
 //! * **Constraint analysis** ([`analyze`]) — cross-check the combinatorial
@@ -68,6 +69,7 @@ mod report;
 
 pub use check::{check, CheckOptions, CheckReport};
 pub use context::{AnalysisContext, PairDelays};
-pub use diagnose::{diagnose, diagnose_with, Diagnosis};
+pub use diagnose::diagnose;
 pub use lint::{lint, lint_with, Finding, LintReport, PassConfig, Rule, Severity};
 pub use report::{analyze, constraint_family, AnalyzeError, AnalyzeReport};
+pub use smo_core::Diagnosis;

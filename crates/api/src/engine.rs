@@ -386,16 +386,12 @@ impl Engine {
         };
         match command {
             Command::Solve {
-                backend,
-                certify,
-                pricing,
-                ..
+                backend, certify, ..
             } => {
                 let mut options = MlpOptions {
                     backend: *backend,
                     certify: *certify,
                     time_limit,
-                    pricing: *pricing,
                     ..Default::default()
                 };
                 degradation.shape(&mut options);
@@ -428,12 +424,11 @@ impl Engine {
                 spread,
                 seed,
                 certify,
-                pricing,
                 ..
             } => {
                 let certify = *certify && degradation < Degradation::Uncertified;
                 ops::run_sweep(
-                    &circuit, param, *runs, *edge, *max_delay, *spread, *seed, certify, *pricing,
+                    &circuit, param, *runs, *edge, *max_delay, *spread, *seed, certify,
                 )
             }
             _ => Err(ApiError::new(
@@ -508,11 +503,8 @@ fn envelope(
 fn command_signature(request: &Request) -> String {
     match &request.command {
         Command::Solve {
-            backend,
-            certify,
-            pricing,
-            ..
-        } => format!("solve:{backend:?}:{certify}:{pricing}"),
+            backend, certify, ..
+        } => format!("solve:{backend:?}:{certify}"),
         Command::Verify {
             cycle_time,
             phases,
@@ -539,11 +531,8 @@ fn command_signature(request: &Request) -> String {
             spread,
             seed,
             certify,
-            pricing,
             ..
-        } => format!(
-            "sweep:{param}:{runs}:{edge}:{max_delay:?}:{spread:.12e}:{seed}:{certify}:{pricing}"
-        ),
+        } => format!("sweep:{param}:{runs}:{edge}:{max_delay:?}:{spread:.12e}:{seed}:{certify}"),
         Command::Ping | Command::Stats | Command::Shutdown | Command::DebugPanic => {
             request.command.name().to_string()
         }

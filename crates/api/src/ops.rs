@@ -205,7 +205,6 @@ pub fn run_sweep(
     spread: f64,
     seed: u64,
     certify: bool,
-    pricing: smo_lp::Pricing,
 ) -> Result<String, ApiError> {
     let param = match param {
         "tc" => {
@@ -229,7 +228,6 @@ pub fn run_sweep(
         seed,
         jobs: 1,
         certify,
-        pricing,
     };
     let reports = sweep_cycle_time(std::slice::from_ref(circuit), &options)?;
     Ok(sweep_json(&reports[0], &options))
@@ -290,31 +288,9 @@ mod tests {
     #[test]
     fn run_sweep_rejects_out_of_range_edges() {
         let circuit = paper::example2();
-        let e = run_sweep(
-            &circuit,
-            "tc",
-            4,
-            10_000,
-            None,
-            0.1,
-            0,
-            false,
-            Default::default(),
-        )
-        .unwrap_err();
+        let e = run_sweep(&circuit, "tc", 4, 10_000, None, 0.1, 0, false).unwrap_err();
         assert_eq!(e.kind, crate::error::ErrorKind::BadRequest);
-        let json = run_sweep(
-            &circuit,
-            "delay",
-            3,
-            0,
-            None,
-            0.05,
-            7,
-            false,
-            Default::default(),
-        )
-        .unwrap();
+        let json = run_sweep(&circuit, "delay", 3, 0, None, 0.05, 7, false).unwrap();
         assert!(json.contains("\"param\": \"delay\""));
     }
 }

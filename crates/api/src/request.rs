@@ -53,9 +53,6 @@ pub enum Command {
         /// Independently check every solver verdict. The degradation
         /// ladder may clear this under load.
         certify: bool,
-        /// Simplex pricing strategy (`"devex"`, `"partial"`, `"bland"`);
-        /// honored by every simplex solve of the request.
-        pricing: smo_lp::Pricing,
     },
     /// Check a concrete schedule (the daemon twin of `smo verify`).
     Verify {
@@ -103,8 +100,6 @@ pub enum Command {
         seed: u64,
         /// Independently check every re-solve.
         certify: bool,
-        /// Simplex pricing strategy for every simplex re-solve.
-        pricing: smo_lp::Pricing,
     },
 }
 
@@ -179,7 +174,6 @@ impl Request {
                 netlist: req_netlist(&value)?,
                 backend: opt_backend(&value)?,
                 certify: opt_bool(&value, "certify")?.unwrap_or(true),
-                pricing: opt_pricing(&value)?,
             },
             "verify" => {
                 let phases = match value.get("phases") {
@@ -247,7 +241,6 @@ impl Request {
                         })?,
                     },
                     certify: opt_bool(&value, "certify")?.unwrap_or(false),
-                    pricing: opt_pricing(&value)?,
                 }
             }
             other => {
@@ -312,19 +305,6 @@ fn opt_usize(value: &Json, field: &str) -> Result<Option<usize>, ApiError> {
     }
 }
 
-fn opt_pricing(value: &Json) -> Result<smo_lp::Pricing, ApiError> {
-    match value.get("pricing") {
-        None | Some(Json::Null) => Ok(smo_lp::Pricing::default()),
-        Some(v) => {
-            let s = v
-                .as_str()
-                .ok_or_else(|| ApiError::bad_request("`pricing` must be a string"))?;
-            s.parse()
-                .map_err(|e: String| ApiError::bad_request(format!("`pricing`: {e}")))
-        }
-    }
-}
-
 fn opt_backend(value: &Json) -> Result<Backend, ApiError> {
     match value.get("backend") {
         None | Some(Json::Null) => Ok(Backend::default()),
@@ -356,12 +336,10 @@ mod tests {
                 netlist,
                 backend,
                 certify,
-                pricing,
             } => {
                 assert_eq!(netlist, "clock 2\n");
                 assert_eq!(backend, Backend::Graph);
                 assert!(!certify);
-                assert_eq!(pricing, smo_lp::Pricing::default());
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -419,8 +397,6 @@ mod tests {
             r#"{"cmd":"sweep","netlist":"","runs":0}"#,
             r#"{"cmd":"check","netlist":"","cycle_time":"ten"}"#,
             r#"{"cmd":"solve","netlist":"","backend":"quantum"}"#,
-            r#"{"cmd":"solve","netlist":"","pricing":"quantum"}"#,
-            r#"{"cmd":"sweep","netlist":"","pricing":7}"#,
         ] {
             let e = Request::parse(line).unwrap_err();
             assert_eq!(e.kind, crate::error::ErrorKind::BadRequest, "line: {line}");

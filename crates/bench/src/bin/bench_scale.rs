@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use smo_core::TimingModel;
 use smo_gen::datapath::{pipelined_datapath, DatapathConfig};
-use smo_lp::{LpError, Pricing, RecoveryPolicy, SolveBudget, Tol};
+use smo_lp::{LpError, RecoveryPolicy, SolveBudget, Tol};
 
 /// Latch targets chosen so the models land near 650 / 2k / 5k / 10k /
 /// 25k / 50k rows (rows ≈ 3 × latches + a little).
@@ -89,10 +89,9 @@ fn budget(deadline: Option<Duration>) -> SolveBudget {
 }
 
 /// One certified sparse-LU solve of `model`'s cycle-time LP.
-fn sparse_solve(model: &TimingModel, deadline: Option<Duration>, pricing: Pricing) -> Measurement {
+fn sparse_solve(model: &TimingModel, deadline: Option<Duration>) -> Measurement {
     let policy = RecoveryPolicy {
         budget: budget(deadline),
-        pricing,
     };
     let start = Instant::now();
     match model.problem().solve_certified(&policy) {
@@ -176,16 +175,6 @@ fn checked_in_throughput(json: &str) -> Option<f64> {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    // `--pricing devex|partial|bland` re-runs the curve under a different
-    // sparse-LU pricing rule (an A/B knob for kernel work; the checked-in
-    // artifact always uses the default).
-    let args: Vec<String> = std::env::args().collect();
-    let pricing = args
-        .iter()
-        .position(|a| a == "--pricing")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.parse::<Pricing>().expect("valid --pricing"))
-        .unwrap_or_default();
     smo_bench::header(if quick {
         "Solver scaling, dense vs sparse-LU (quick: small sizes + 10k-row throughput gate)"
     } else {
@@ -251,7 +240,7 @@ fn main() {
 
         // Sparse first: it sets the honest deadline for the others.
         let sparse_deadline = jumbo.then_some(SPARSE_JUMBO_DEADLINE);
-        let sparse = sparse_solve(&model, sparse_deadline, pricing);
+        let sparse = sparse_solve(&model, sparse_deadline);
         assert!(
             !sparse.timed_out,
             "sparse-lu timed out at {rows} rows ({latches} latches): the hypersparse \
@@ -282,7 +271,7 @@ fn main() {
         // Sparse-only anchor-size solve: the pivots_per_sec tripwire.
         let model = build_model(SIZES[ANCHOR]);
         let rows = model.num_constraints();
-        let sparse = sparse_solve(&model, None, pricing);
+        let sparse = sparse_solve(&model, None);
         print_row(rows, SIZES[ANCHOR], &sparse);
         let measured = sparse.pivots_per_sec();
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");

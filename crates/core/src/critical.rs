@@ -6,28 +6,29 @@
 //! disjoint. The criticality of these segments … [is] directly related to
 //! associated slack variables in the inequality constraints."
 //!
-//! This module extracts exactly that from the solved LP: an edge (or setup
-//! requirement) is *critical* when its constraint row is binding (zero
-//! slack) **and** carries a non-zero dual — increasing the corresponding
-//! delay would increase the optimal cycle time at the rate given by the
-//! dual. Maximal chains of consecutive critical edges are grouped into
-//! segments.
+//! This module reads exactly that off the solve that proves `T_c*` (the
+//! oracle behind [`delay_sensitivities`](crate::delay_sensitivities)): an
+//! edge (or setup requirement) is *critical* when its row moves `T_c*`,
+//! and the rate is its sensitivity `dT_c*/dΔ`. On a pure difference model
+//! those rows are the critical cycle that certifies the graph optimum, so
+//! the critical edges are that cycle's edges; where several loops tie,
+//! it names one of them. On a mixed model they are the rows with a
+//! non-zero simplex dual (binding rows, by complementary slackness), and
+//! a tie can show up as several disjoint segments at once. Maximal chains
+//! of consecutive critical edges are grouped into segments.
 
 use crate::error::TimingError;
 use crate::model::{ConstraintKind, TimingModel};
+use crate::sensitivity::Support;
 use smo_circuit::{Circuit, EdgeId, LatchId};
 use std::fmt;
-
-/// Tolerance for "binding" classification.
-const TOL: f64 = 1e-7;
 
 /// One critical combinational edge with its sensitivity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CriticalEdge {
     /// The edge.
     pub edge: EdgeId,
-    /// `d T_c / d Δ` for this edge's delay (the LP dual of its propagation
-    /// row); `0 < sensitivity ≤ 1`.
+    /// `d T_c / d Δ` for this edge's delay; `0 < sensitivity ≤ 1`.
     pub sensitivity: f64,
 }
 
@@ -44,7 +45,7 @@ pub struct CriticalReport {
     /// All critical edges with sensitivities, sorted by decreasing
     /// sensitivity.
     pub edges: Vec<CriticalEdge>,
-    /// Synchronizers whose setup constraint is binding with non-zero dual.
+    /// Synchronizers whose setup constraint moves `T_c*`, in row order.
     pub setup_critical: Vec<LatchId>,
     /// Maximal chains of consecutive critical edges.
     pub segments: Vec<CriticalSegment>,
@@ -84,45 +85,42 @@ impl fmt::Display for CriticalReport {
     }
 }
 
-/// Solves the model's LP and classifies critical edges, setup constraints
-/// and segments.
+/// Solves the model the way the `auto` backend does and classifies
+/// critical edges, setup constraints and segments.
 ///
 /// # Errors
 ///
-/// Propagates LP failures from [`TimingModel::solve_lp`].
+/// Propagates solver failures, and [`TimingError::Infeasible`] when no
+/// schedule exists.
 pub fn critical_report(
     circuit: &Circuit,
     model: &TimingModel,
 ) -> Result<CriticalReport, TimingError> {
-    let sol = model.solve_lp()?;
-
-    let mut edges = Vec::new();
-    let mut setup_critical = Vec::new();
-    for info in model.constraints() {
-        match info.kind {
-            ConstraintKind::Propagation | ConstraintKind::FlipFlopSetup => {
-                let dual = sol.dual(info.row).abs();
-                let slack = sol.slack(info.row).abs();
-                if dual > TOL && slack < TOL {
-                    edges.push(CriticalEdge {
-                        edge: info.edge.expect("edge rows carry an edge id"),
-                        sensitivity: dual,
-                    });
-                }
-            }
-            ConstraintKind::Setup
-                if sol.dual(info.row).abs() > TOL && sol.slack(info.row).abs() < TOL =>
-            {
-                setup_critical.push(info.latch.expect("setup rows carry a latch id"));
-            }
-            _ => {}
-        }
-    }
+    let support = Support::solve(circuit, model)?;
+    let mut edges: Vec<CriticalEdge> = support
+        .edge_slopes(model, circuit.num_edges())
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, sensitivity)| sensitivity != 0.0)
+        .map(|(i, sensitivity)| CriticalEdge {
+            edge: EdgeId::new(i),
+            sensitivity,
+        })
+        .collect();
     edges.sort_by(|a, b| {
         b.sensitivity
             .total_cmp(&a.sensitivity)
             .then(a.edge.cmp(&b.edge))
     });
+    let mut setup = support.rows.clone();
+    setup.sort_by_key(|&(row, _)| row);
+    let setup_critical = setup
+        .iter()
+        // Rows a caller added to the model carry no provenance.
+        .filter_map(|&(row, v)| Some((model.constraints().get(row.index())?, v)))
+        .filter(|&(info, v)| v != 0.0 && info.kind == ConstraintKind::Setup)
+        .filter_map(|(info, _)| info.latch)
+        .collect();
 
     let segments = chain_segments(circuit, &edges);
     Ok(CriticalReport {

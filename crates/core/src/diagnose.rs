@@ -4,26 +4,86 @@
 //! `T_c` satisfies everything — so infeasibility only arises when extras
 //! over-constrain it: a fixed or capped cycle time, minimum phase widths,
 //! separations, pinned departures (§III-A extras). When that happens this
-//! module turns the raw LP answer into an explanation in the paper's own
-//! vocabulary:
+//! module turns the solver's answer into an explanation in the paper's
+//! own vocabulary:
 //!
 //! 1. the solver's Farkas certificate is re-verified against the model
 //!    ([`smo_lp::certifies_infeasibility`]), giving a machine-checked proof
-//!    that no schedule exists;
-//! 2. an irreducible infeasible subsystem is extracted
-//!    ([`smo_lp::extract_iis`]) — a minimal set of rows that conflict;
+//!    that no schedule exists. On a pure difference model it is the
+//!    graph's negative constraint cycle (with the cap, or the cycle that
+//!    forced `T_c` up, where one is needed), otherwise the simplex's
+//!    phase-1 duals;
+//! 2. an irreducible infeasible subsystem is extracted — a minimal set of
+//!    rows that conflict — by the deletion filter over the certificate's
+//!    rows ([`smo_lp::extract_graph_iis`] on the graph,
+//!    [`smo_lp::extract_iis`] on the simplex);
 //! 3. each IIS row is mapped back through the [`TimingModel`]'s provenance
 //!    records ([`ConstraintInfo`]) to the C1–C3 / L1 / L2R constraint of
 //!    the paper it encodes, named after the latches and phases involved.
 //!
-//! The result is an [`InfeasibilityReport`] that renders both as prose
+//! The result is a [`Diagnosis`]: the optimum when a schedule exists,
+//! otherwise an [`InfeasibilityReport`] that renders both as prose
 //! (`Display`) and as JSON ([`InfeasibilityReport::to_json`]).
 
 use crate::error::TimingError;
+use crate::fastpath;
 use crate::model::{ConstraintInfo, ConstraintKind, TimingModel};
 use smo_circuit::{Circuit, SyncKind};
-use smo_lp::{certifies_infeasibility, extract_iis, ConstraintId, Problem, Sense, Status};
+use smo_lp::{
+    certifies_infeasibility, extract_graph_iis, extract_iis, ConstraintId, Iis, MinParamOutcome,
+    Problem, Sense, SolveBudget, Status,
+};
 use std::fmt;
+
+/// The outcome of [`diagnose_model`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Diagnosis {
+    /// A schedule exists; `min_cycle` is the optimal cycle time under the
+    /// options used (i.e. the smallest feasible `T_c`).
+    Feasible {
+        /// Optimal cycle time.
+        min_cycle: f64,
+    },
+    /// No schedule exists; the report names the conflicting constraints.
+    Infeasible(InfeasibilityReport),
+}
+
+impl Diagnosis {
+    /// `true` for the [`Diagnosis::Feasible`] arm.
+    pub fn is_feasible(&self) -> bool {
+        matches!(self, Diagnosis::Feasible { .. })
+    }
+
+    /// The infeasibility report, if any.
+    pub fn report(&self) -> Option<&InfeasibilityReport> {
+        match self {
+            Diagnosis::Feasible { .. } => None,
+            Diagnosis::Infeasible(r) => Some(r),
+        }
+    }
+
+    /// Renders the diagnosis as a JSON object (hand-rolled, matching
+    /// [`InfeasibilityReport::to_json`] in the infeasible case).
+    pub fn to_json(&self) -> String {
+        match self {
+            Diagnosis::Feasible { min_cycle } => {
+                format!("{{\n  \"feasible\": true,\n  \"min_cycle\": {min_cycle}\n}}")
+            }
+            Diagnosis::Infeasible(r) => r.to_json(),
+        }
+    }
+}
+
+impl fmt::Display for Diagnosis {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Diagnosis::Feasible { min_cycle } => {
+                write!(f, "feasible: minimum cycle time {min_cycle}")
+            }
+            Diagnosis::Infeasible(r) => write!(f, "{r}"),
+        }
+    }
+}
 
 /// One member of an irreducible infeasible subsystem, mapped back to the
 /// SMO constraint it encodes.
@@ -54,7 +114,7 @@ impl fmt::Display for DiagnosedConstraint {
 /// The answer to "why is there no feasible schedule?": an irreducible
 /// infeasible subsystem of the timing constraints, in paper vocabulary.
 ///
-/// Produced by [`diagnose_infeasibility`]. The member list is minimal by
+/// Produced by [`diagnose_model`]. The member list is minimal by
 /// construction of the deletion filter: the members are jointly
 /// infeasible, and removing any single one leaves a feasible remainder.
 #[derive(Debug, Clone, PartialEq)]
@@ -311,12 +371,12 @@ pub(crate) fn describe(
     }
 }
 
-/// Diagnoses why `model` admits no feasible clock schedule.
+/// Diagnoses `model`: its optimal cycle time, or why it admits no
+/// feasible clock schedule.
 ///
-/// Returns `Ok(None)` when the model is feasible (an optimal schedule
-/// exists). Otherwise extracts an irreducible infeasible subsystem from
-/// the LP, re-verifies the solver's Farkas certificate, and maps every
-/// IIS row back through the model's provenance records to the paper's
+/// A pure difference model takes one graph solve; any other model, or a
+/// graph answer that fails its checks, one simplex solve. Every IIS row
+/// is mapped back through the model's provenance records to the paper's
 /// constraint names.
 ///
 /// `circuit` must be the circuit `model` was built from (it supplies the
@@ -327,19 +387,33 @@ pub(crate) fn describe(
 /// Propagates LP solver failures ([`TimingError::Lp`]) and maps an
 /// unbounded LP to [`TimingError::Unbounded`] (a modelling error: the
 /// cycle-time objective is bounded below in every well-formed model).
-pub fn diagnose_infeasibility(
-    circuit: &Circuit,
-    model: &TimingModel,
-) -> Result<Option<InfeasibilityReport>, TimingError> {
+pub fn diagnose_model(circuit: &Circuit, model: &TimingModel) -> Result<Diagnosis, TimingError> {
     let p = model.problem();
-    let sol = p.solve().map_err(TimingError::Lp)?;
+    // Numerical trouble on the graph leaves the verdict to the simplex.
+    let graph = fastpath::difference_system(circuit, model).ok().flatten();
+    match graph.and_then(|sys| sys.minimize_param(&SolveBudget::UNLIMITED).ok()) {
+        Some(MinParamOutcome::Optimal { lambda, .. }) => {
+            return Ok(Diagnosis::Feasible { min_cycle: lambda })
+        }
+        Some(MinParamOutcome::Infeasible(cert)) if cert.check(p) => {
+            let images = fastpath::variable_images(circuit, model);
+            if let Ok(Some(iis)) = extract_graph_iis(p, &images, &cert) {
+                return Ok(Diagnosis::Infeasible(report(circuit, model, &iis, true)));
+            }
+        }
+        _ => {}
+    }
+    let sol = p.solve()?;
     match sol.status() {
-        Status::Optimal => return Ok(None),
+        Status::Optimal => {
+            let min_cycle = sol.into_optimal()?.objective();
+            return Ok(Diagnosis::Feasible { min_cycle });
+        }
         Status::Unbounded => return Err(TimingError::Unbounded),
         Status::Infeasible => {}
     }
     let certified = sol.farkas().is_some_and(|y| certifies_infeasibility(p, y));
-    let Some(iis) = extract_iis(p).map_err(TimingError::Lp)? else {
+    let Some(iis) = extract_iis(p)? else {
         // The deletion filter re-solves reduced models; on a marginally
         // infeasible system round-off can flip one of them feasible and
         // leave no IIS even though the full solve said Infeasible.
@@ -347,6 +421,18 @@ pub fn diagnose_infeasibility(
             context: "infeasible model yielded no irreducible subsystem".into(),
         }));
     };
+    Ok(Diagnosis::Infeasible(report(
+        circuit, model, &iis, certified,
+    )))
+}
+
+/// The report for an IIS of `model`.
+fn report(
+    circuit: &Circuit,
+    model: &TimingModel,
+    iis: &Iis,
+    certified: bool,
+) -> InfeasibilityReport {
     let constraints = iis
         .rows()
         .iter()
@@ -356,12 +442,12 @@ pub fn diagnose_infeasibility(
             describe(circuit, model, info)
         })
         .collect();
-    Ok(Some(InfeasibilityReport {
+    InfeasibilityReport {
         constraints,
         certified,
-        total_rows: p.num_constraints(),
+        total_rows: model.problem().num_constraints(),
         cycle_limit: model.options().fixed_cycle.or(model.options().max_cycle),
-    }))
+    }
 }
 
 #[cfg(test)]
@@ -384,7 +470,7 @@ mod tests {
     fn feasible_models_yield_no_report() {
         let ckt = two_latch_loop();
         let model = TimingModel::build(&ckt).unwrap();
-        assert!(diagnose_infeasibility(&ckt, &model).unwrap().is_none());
+        assert!(diagnose_model(&ckt, &model).unwrap().is_feasible());
     }
 
     #[test]
@@ -402,9 +488,8 @@ mod tests {
             ..Default::default()
         };
         let model = TimingModel::build_with(&ckt, &opts).unwrap();
-        let report = diagnose_infeasibility(&ckt, &model)
-            .unwrap()
-            .expect("capped model is infeasible");
+        let diagnosis = diagnose_model(&ckt, &model).unwrap();
+        let report = diagnosis.report().expect("capped model is infeasible");
         assert!(report.certified, "Farkas certificate must verify");
         assert_eq!(report.cycle_limit, Some(0.5 * free));
         // The cap itself must be part of the conflict…
@@ -444,7 +529,8 @@ mod tests {
             ..Default::default()
         };
         let model = TimingModel::build_with(&ckt, &opts).unwrap();
-        let report = diagnose_infeasibility(&ckt, &model).unwrap().unwrap();
+        let diagnosis = diagnose_model(&ckt, &model).unwrap();
+        let report = diagnosis.report().unwrap();
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"feasible\": false"));

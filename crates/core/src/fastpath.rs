@@ -22,7 +22,7 @@
 //! * an infeasible graph solve surfaces the negative cycle as a Farkas
 //!   vector checked by [`smo_lp::certifies_infeasibility`] and named in
 //!   paper vocabulary (C1/C3/L1/…), exactly like
-//!   [`diagnose_infeasibility`](crate::diagnose_infeasibility);
+//!   [`diagnose_model`](crate::diagnose_model);
 //! * any numerical doubt (an uncheckable certificate, a stalled
 //!   iteration) falls back to the certified simplex path under
 //!   [`Backend::Auto`].
@@ -52,9 +52,9 @@ pub enum Backend {
     /// fragment are rejected with
     /// [`TimingError::InvalidOptions`](crate::TimingError).
     Graph,
-    /// The sparse-LU simplex on every model. Pick it when the caller
-    /// needs LP duals (critical segments) or the canonical compact
-    /// schedule of [`MlpOptions::canonicalize`](crate::MlpOptions).
+    /// The sparse-LU simplex on every model. Pick it for the canonical
+    /// compact schedule of [`MlpOptions::canonicalize`](crate::MlpOptions)
+    /// or to cross-check the graph path.
     Lp,
 }
 
@@ -149,12 +149,9 @@ pub fn graph_feasible_at_within(
     budget: &SolveBudget,
 ) -> Result<Option<bool>, TimingError> {
     let model = TimingModel::build(circuit)?;
-    let images = variable_images(circuit, &model);
-    let cls = classify(model.problem(), &images)?;
-    if !cls.is_pure() {
+    let Some(sys) = difference_system(circuit, &model)? else {
         return Ok(None);
-    }
-    let sys = DifferenceSystem::build(model.problem(), &images, &cls)?;
+    };
     let (lo, hi) = sys.param_range();
     if cycle < lo - Tol::FEAS.abs_for(lo) || cycle > hi + Tol::FEAS.abs_for(hi) {
         return Ok(Some(false));
@@ -254,12 +251,9 @@ pub(crate) fn attempt(
     certify: bool,
 ) -> Result<FastPathOutcome, TimingError> {
     let p = model.problem();
-    let images = variable_images(circuit, model);
-    let cls = classify(p, &images)?;
-    if !cls.is_pure() {
+    let Some(sys) = difference_system(circuit, model)? else {
         return Ok(FastPathOutcome::Mixed);
-    }
-    let sys = DifferenceSystem::build(p, &images, &cls)?;
+    };
     match sys.minimize_param(budget)? {
         MinParamOutcome::Infeasible(cert) => {
             if cert.check(p) {
@@ -309,16 +303,7 @@ pub(crate) fn min_cycle_ratio(
     certify: bool,
 ) -> Result<Option<(f64, Option<ParamLowerWitness>)>, TimingError> {
     let p = model.problem();
-    let images = variable_images(circuit, model);
-    // A mixed model is the simplex's to solve: stop before building and
-    // minimizing a difference system whose optimum would only bound Tc.
-    let Ok(cls) = classify(p, &images) else {
-        return Ok(None);
-    };
-    if !cls.is_pure() {
-        return Ok(None);
-    }
-    let Ok(sys) = DifferenceSystem::build(p, &images, &cls) else {
+    let Ok(Some(sys)) = difference_system(circuit, model) else {
         return Ok(None);
     };
     let Ok(outcome) = sys.minimize_param(&SolveBudget::UNLIMITED) else {
@@ -346,6 +331,22 @@ pub(crate) fn min_cycle_ratio(
     }
 }
 
+/// The model's difference system, or `None` when a row lies outside the
+/// difference fragment: a mixed model is the simplex's to solve, and a
+/// graph built from its difference rows would only bound `T_c`.
+pub(crate) fn difference_system(
+    circuit: &Circuit,
+    model: &TimingModel,
+) -> Result<Option<DifferenceSystem>, TimingError> {
+    let p = model.problem();
+    let images = variable_images(circuit, model);
+    let cls = classify(p, &images)?;
+    if !cls.is_pure() {
+        return Ok(None);
+    }
+    Ok(Some(DifferenceSystem::build(p, &images, &cls)?))
+}
+
 /// Reconstructs the canonical graph schedule at a *fixed* cycle time:
 /// Bellman–Ford potentials of the difference system at `λ = tc`, mapped
 /// back through [`reconstruct_point`]. The potentials are origin-normalized
@@ -368,13 +369,9 @@ pub(crate) fn schedule_at(
     tc: f64,
     budget: &SolveBudget,
 ) -> Result<Option<ClockSchedule>, TimingError> {
-    let p = model.problem();
-    let images = variable_images(circuit, model);
-    let cls = classify(p, &images)?;
-    if !cls.is_pure() {
+    let Some(sys) = difference_system(circuit, model)? else {
         return Ok(None);
-    }
-    let sys = DifferenceSystem::build(p, &images, &cls)?;
+    };
     let (lo, hi) = sys.param_range();
     if tc < lo - Tol::FEAS.abs_for(lo) || tc > hi + Tol::FEAS.abs_for(hi) {
         return Err(TimingError::Infeasible {
@@ -596,8 +593,7 @@ fn witness_bound(p: &Problem, tc: smo_lp::VarId, witness: &ParamLowerWitness) ->
 
 /// Builds the [`TimingError::Infeasible`] for a machine-checked
 /// negative-cycle certificate, naming the conflict in paper vocabulary
-/// the way [`diagnose_infeasibility`](crate::diagnose_infeasibility)
-/// does.
+/// the way [`diagnose_model`](crate::diagnose_model) does.
 fn infeasibility_error(
     circuit: &Circuit,
     model: &TimingModel,

@@ -16,16 +16,18 @@
 //!   and optional short-path (hold) checking.
 //! * **Baselines** ([`baseline`]) — edge-triggered, symmetric-clock
 //!   (NRIP-like) and single-borrow heuristics for the paper's comparisons.
-//! * **Critical segments** ([`critical_report`]) — binding-constraint/dual
-//!   analysis of which combinational delays set the cycle time (§V).
+//! * **Critical segments** ([`critical_report`]) — which combinational
+//!   delays set the cycle time (§V), and at what rate: the rows of the
+//!   critical cycle that proves `T_c*` (simplex duals on a mixed model).
 //! * **Combinatorial bounds** ([`cycle_time_bounds`]) — a certified bracket
 //!   `lower ≤ Tc* ≤ upper` from the latch graph alone: maximum-ratio
 //!   critical cycles per SCC (the paper's "average delay around the loop",
 //!   §V) against a feasible flip-flop-style schedule, no LP required.
-//! * **Infeasibility diagnosis** ([`diagnose_infeasibility`]) — when extras
+//! * **Infeasibility diagnosis** ([`diagnose_model`]) — when extras
 //!   (a capped cycle time, minimum widths, …) over-constrain the model, a
-//!   Farkas-certified irreducible infeasible subsystem names the exact
-//!   C1–C3 / L1 / L2R constraints in conflict.
+//!   Farkas-certified irreducible infeasible subsystem, seeded by the
+//!   graph's negative cycle, names the exact C1–C3 / L1 / L2R constraints
+//!   in conflict.
 //! * **Timing diagrams** ([`render_schedule`], [`render_solution`]) — ASCII
 //!   renderings in the style of Figs. 6 and 11.
 //! * **Parallel sweeps** ([`sweep_cycle_time`]) — batch re-solves on the
@@ -103,7 +105,7 @@ pub use analysis::{
 };
 pub use bounds::{cycle_time_bounds, CriticalCycle, CycleTimeBounds};
 pub use critical::{critical_report, CriticalEdge, CriticalReport, CriticalSegment};
-pub use diagnose::{diagnose_infeasibility, DiagnosedConstraint, InfeasibilityReport};
+pub use diagnose::{diagnose_model, DiagnosedConstraint, Diagnosis, InfeasibilityReport};
 pub use diagram::{render_schedule, render_solution};
 pub use error::TimingError;
 pub use fastpath::{

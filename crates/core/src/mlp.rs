@@ -57,11 +57,6 @@ pub struct MlpOptions {
     /// Which solver backs the cycle-time computation (see [`Backend`]);
     /// [`Backend::default`] ([`Backend::Auto`]) unless set.
     pub backend: Backend,
-    /// Simplex pricing strategy for every LP this solve runs (certified
-    /// rungs included). All strategies give identical verdicts and
-    /// objectives — this only trades pivot-selection cost against pivot
-    /// count.
-    pub pricing: smo_lp::Pricing,
 }
 
 impl Default for MlpOptions {
@@ -72,7 +67,6 @@ impl Default for MlpOptions {
             certify: true,
             time_limit: None,
             backend: Backend::default(),
-            pricing: smo_lp::Pricing::default(),
         }
     }
 }
@@ -91,10 +85,7 @@ impl MlpOptions {
     /// The [`smo_lp::RecoveryPolicy`] these options induce under `budget`,
     /// or `None` when certification is off.
     fn policy(&self, budget: smo_lp::SolveBudget) -> Option<smo_lp::RecoveryPolicy> {
-        self.certify.then_some(smo_lp::RecoveryPolicy {
-            budget,
-            pricing: self.pricing,
-        })
+        self.certify.then_some(smo_lp::RecoveryPolicy { budget })
     }
 }
 
@@ -189,7 +180,6 @@ pub(crate) fn solve_built(
     let lp = LpStage {
         policy: policy.as_ref(),
         budget,
-        pricing: options.pricing,
     };
     if options.canonicalize {
         canonical_inner(circuit, model, &lp)
@@ -199,20 +189,18 @@ pub(crate) fn solve_built(
 }
 
 /// How the LP stages of one solve run: the certified policy (`None` =
-/// plain solves), and the budget and pricing of the plain solves.
+/// plain solves), and the budget of the plain solves.
 struct LpStage<'a> {
     policy: Option<&'a smo_lp::RecoveryPolicy>,
     budget: smo_lp::SolveBudget,
-    pricing: smo_lp::Pricing,
 }
 
 impl LpStage<'_> {
-    /// Plain, unbudgeted, uncertified solves with the default pricing.
+    /// Plain, unbudgeted, uncertified solves.
     fn plain() -> LpStage<'static> {
         LpStage {
             policy: None,
             budget: smo_lp::SolveBudget::UNLIMITED,
-            pricing: smo_lp::Pricing::default(),
         }
     }
 
@@ -227,10 +215,7 @@ impl LpStage<'_> {
                 let (sol, cert) = model.solve_lp_certified(pol)?;
                 Ok((sol, vec![cert]))
             }
-            None => Ok((
-                model.solve_lp_budgeted(self.budget, self.pricing)?,
-                Vec::new(),
-            )),
+            None => Ok((model.solve_lp_budgeted(self.budget)?, Vec::new())),
         }
     }
 }

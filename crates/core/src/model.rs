@@ -290,6 +290,9 @@ pub struct TimingModel {
     problem: Problem,
     vars: VarMap,
     infos: Vec<ConstraintInfo>,
+    /// Each edge's delay row (see [`TimingModel::edge_constraint`]), by
+    /// edge index.
+    edge_rows: Vec<Option<ConstraintId>>,
     options: ConstraintOptions,
 }
 
@@ -589,10 +592,19 @@ impl TimingModel {
         }
 
         p.minimize(tc.into());
+        let mut edge_rows = vec![None; circuit.num_edges()];
+        for info in &infos {
+            if let (Some(e), ConstraintKind::Propagation | ConstraintKind::FlipFlopSetup) =
+                (info.edge, info.kind)
+            {
+                edge_rows[e.index()].get_or_insert(info.row);
+            }
+        }
         Ok(TimingModel {
             problem: p,
             vars,
             infos,
+            edge_rows,
             options: options.clone(),
         })
     }
@@ -632,16 +644,7 @@ impl TimingModel {
     /// constraint — the row whose RHS contains that edge's `Δ_ji`, which is
     /// what parametric delay studies perturb.
     pub fn edge_constraint(&self, edge: EdgeId) -> Option<ConstraintId> {
-        self.infos
-            .iter()
-            .find(|c| {
-                c.edge == Some(edge)
-                    && matches!(
-                        c.kind,
-                        ConstraintKind::Propagation | ConstraintKind::FlipFlopSetup
-                    )
-            })
-            .map(|c| c.row)
+        self.edge_rows.get(edge.index()).copied().flatten()
     }
 
     /// Updates the combinational delay an edge contributes to its
@@ -734,9 +737,8 @@ impl TimingModel {
     pub fn solve_lp_budgeted(
         &self,
         budget: smo_lp::SolveBudget,
-        pricing: smo_lp::Pricing,
     ) -> Result<OptimalSolution, TimingError> {
-        optimal(self.problem.solve_with_options(budget, pricing)?)
+        optimal(self.problem.solve_with_budget(budget)?)
     }
 
     /// Extracts the clock schedule from an LP solution of this model.

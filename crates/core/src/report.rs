@@ -7,7 +7,7 @@ use crate::analysis::{verify_with, AnalysisOptions};
 use crate::critical::critical_report;
 use crate::diagram::render_solution;
 use crate::error::TimingError;
-use crate::mlp::{min_cycle_time_with, MlpOptions};
+use crate::mlp::{solve_built, MlpOptions};
 use crate::model::TimingModel;
 use crate::solution::TimingSolution;
 use smo_circuit::Circuit;
@@ -40,17 +40,20 @@ use std::fmt::Write as _;
 /// # }
 /// ```
 pub fn timing_report(circuit: &Circuit, options: &MlpOptions) -> Result<String, TimingError> {
-    let solution = min_cycle_time_with(circuit, options)?;
-    render_report(circuit, options, &solution)
+    let model = TimingModel::build_with(circuit, &options.constraints)?;
+    let solution = solve_built(circuit, &model, options)?;
+    render_report(circuit, &model, options, &solution)
 }
 
-/// Renders the report for an already computed solution.
+/// Renders the report for a solution of `model`, the model built from
+/// `circuit` under `options`.
 ///
 /// # Errors
 ///
-/// Propagates LP failures from the critical-segment analysis.
+/// Propagates solver failures from the critical-segment analysis.
 pub fn render_report(
     circuit: &Circuit,
+    model: &TimingModel,
     options: &MlpOptions,
     solution: &TimingSolution,
 ) -> Result<String, TimingError> {
@@ -106,8 +109,7 @@ pub fn render_report(
     }
 
     // critical segments
-    let model = TimingModel::build_with(circuit, &options.constraints)?;
-    let critical = critical_report(circuit, &model)?;
+    let critical = critical_report(circuit, model)?;
     let _ = writeln!(w, "\ncritical combinational segments:");
     if critical.segments.is_empty() {
         let _ = writeln!(

@@ -11,7 +11,8 @@
 //!   edge over a delay range (this is how `fig7_sweep` recovers the
 //!   breakpoints of Fig. 7 exactly).
 //!
-//! Both stand on one oracle: solve the model the way the `auto` backend
+//! Both, and [`critical_report`](crate::critical_report), stand on one
+//! oracle: solve the model the way the `auto` backend
 //! does, and read off `T_c*` together with a supporting line per edge.
 //! On a pure difference model the line comes from the critical cycle
 //! that proves the graph optimum ([`smo_lp::ParamLowerWitness`]): `T_c*` is that
@@ -36,15 +37,15 @@ use smo_lp::{ConstraintId, Tol, EPS};
 
 /// `T_c*` of one model and `dT_c*/db_r` for the rows `r` whose right-hand
 /// side `b_r` moves it (every other row's is zero).
-struct Support {
-    tc: f64,
-    rows: Vec<(ConstraintId, f64)>,
+pub(crate) struct Support {
+    pub(crate) tc: f64,
+    pub(crate) rows: Vec<(ConstraintId, f64)>,
 }
 
 impl Support {
     /// Solves `model` the way `auto` does: the graph min-ratio solve on a
     /// pure difference model, the sparse-LU simplex otherwise.
-    fn solve(circuit: &Circuit, model: &TimingModel) -> Result<Support, TimingError> {
+    pub(crate) fn solve(circuit: &Circuit, model: &TimingModel) -> Result<Support, TimingError> {
         if let Some((tc, witness)) = fastpath::min_cycle_ratio(circuit, model, false)? {
             let rows = witness.map_or_else(Vec::new, |w| {
                 w.rows().iter().map(|&(c, m)| (c, m / w.slope())).collect()
@@ -64,17 +65,20 @@ impl Support {
         })
     }
 
-    /// `dT_c*/dΔ` through one edge row: `dT_c*/db` times the sign with
-    /// which the edge delay enters the row's right-hand side.
-    fn slope(&self, model: &TimingModel, row: ConstraintId) -> f64 {
-        // A fold from +0.0, not `sum()` (which starts at −0.0): an edge
-        // off the critical cycle has slope +0.
-        let db = self
-            .rows
-            .iter()
-            .filter(|&&(c, _)| c == row)
-            .fold(0.0, |acc, &(_, v)| acc + v);
-        model.delay_sign(row) * db
+    /// `dT_c*/dΔ` per edge, indexed by edge index (`num_edges` entries).
+    pub(crate) fn edge_slopes(&self, model: &TimingModel, num_edges: usize) -> Vec<f64> {
+        let mut out = vec![0.0; num_edges];
+        for &(row, v) in &self.rows {
+            let Some(info) = model.constraints().get(row.index()) else {
+                continue;
+            };
+            if let (Some(edge), ConstraintKind::Propagation | ConstraintKind::FlipFlopSetup) =
+                (info.edge, info.kind)
+            {
+                out[edge.index()] += model.delay_sign(row) * v;
+            }
+        }
+        out
     }
 }
 
@@ -117,19 +121,7 @@ pub fn delay_sensitivities(
     circuit: &Circuit,
     model: &TimingModel,
 ) -> Result<Vec<f64>, TimingError> {
-    let support = Support::solve(circuit, model)?;
-    let mut out = vec![0.0; circuit.num_edges()];
-    for &(row, v) in &support.rows {
-        let Some(info) = model.constraints().get(row.index()) else {
-            continue;
-        };
-        if let (Some(edge), ConstraintKind::Propagation | ConstraintKind::FlipFlopSetup) =
-            (info.edge, info.kind)
-        {
-            out[edge.index()] += model.delay_sign(row) * v;
-        }
-    }
-    Ok(out)
+    Ok(Support::solve(circuit, model)?.edge_slopes(model, circuit.num_edges()))
 }
 
 /// One linear piece of a [`CycleTimeCurve`].
@@ -250,7 +242,7 @@ pub fn cycle_time_curve(
         Ok(Line {
             at: delta,
             tc: support.tc,
-            slope: support.slope(&model, row),
+            slope: support.edge_slopes(&model, circuit.num_edges())[edge.index()],
         })
     };
 

@@ -95,9 +95,6 @@ pub struct SweepOptions {
     /// ([`TimingModel::solve_lp_certified`]) and are KKT-checked against
     /// raw problem data.
     pub certify: bool,
-    /// Simplex pricing strategy for every simplex solve in the sweep.
-    /// Identical verdicts and optima under every strategy.
-    pub pricing: smo_lp::Pricing,
 }
 
 impl Default for SweepOptions {
@@ -108,7 +105,6 @@ impl Default for SweepOptions {
             seed: 0,
             jobs: 1,
             certify: false,
-            pricing: smo_lp::Pricing::default(),
         }
     }
 }
@@ -405,13 +401,9 @@ fn solve_run(
         return Ok((tc, 0));
     }
     let sol = if options.certify {
-        let policy = RecoveryPolicy {
-            pricing: options.pricing,
-            ..RecoveryPolicy::default()
-        };
-        model.solve_lp_certified(&policy)?.0
+        model.solve_lp_certified(&RecoveryPolicy::default())?.0
     } else {
-        model.solve_lp_budgeted(smo_lp::SolveBudget::UNLIMITED, options.pricing)?
+        model.solve_lp()?
     };
     Ok((sol.value(model.vars().tc()), sol.iterations()))
 }

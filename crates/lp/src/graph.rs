@@ -460,6 +460,27 @@ impl<T: Copy> ParamGraph<T> {
         }
     }
 
+    /// `true` when the arcs form no directed cycle (Kahn's algorithm).
+    pub(crate) fn is_acyclic(&self) -> bool {
+        let n = self.num_nodes();
+        let mut indegree = vec![0u32; n];
+        for &v in &self.to {
+            indegree[v as usize] += 1;
+        }
+        let mut ready: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
+        let mut removed = 0;
+        while let Some(u) = ready.pop() {
+            removed += 1;
+            for &v in &self.to[self.first[u] as usize..self.first[u + 1] as usize] {
+                indegree[v as usize] -= 1;
+                if indegree[v as usize] == 0 {
+                    ready.push(v as usize);
+                }
+            }
+        }
+        removed == n
+    }
+
     /// Label-correcting Bellman–Ford at a fixed `λ`, from a virtual source
     /// joined to every node by a zero-weight arc (all labels start at 0).
     ///
@@ -830,6 +851,18 @@ impl DifferenceSystem {
         images: &[VarImage],
         cls: &Classification,
     ) -> Result<Self, crate::LpError> {
+        Self::build_rows(p, images, cls, None)
+    }
+
+    /// [`DifferenceSystem::build`] over the rows `r` with `keep[r]` only
+    /// (every row when `keep` is `None`); the variable box stays whole.
+    pub(crate) fn build_rows(
+        p: &Problem,
+        images: &[VarImage],
+        cls: &Classification,
+        keep: Option<&[bool]>,
+    ) -> Result<Self, crate::LpError> {
+        let dropped = |c: ConstraintId| keep.is_some_and(|k| !k[c.index()]);
         if images.len() != p.num_vars() || cls.len() != p.num_constraints() {
             return Err(crate::LpError::Numerical {
                 context: "difference system: image or classification dimension mismatch".into(),
@@ -867,7 +900,7 @@ impl DifferenceSystem {
             lambda_lower = 0.0;
             lambda_upper = 0.0;
         }
-        for atom in &cls.atoms {
+        for atom in cls.atoms.iter().filter(|a| !dropped(a.row)) {
             let RowClass::ParamBound { coef, rhs } = atom.class else {
                 continue;
             };
@@ -896,7 +929,7 @@ impl DifferenceSystem {
 
         let graph = ParamGraph::build(num_nodes + 1, |add| {
             // Constraint-row arcs.
-            for atom in &cls.atoms {
+            for atom in cls.atoms.iter().filter(|a| !dropped(a.row)) {
                 let tag = ArcSource::Row {
                     c: atom.row,
                     sign: atom.sign,
@@ -968,6 +1001,21 @@ impl DifferenceSystem {
     /// parameter variable's box and the `ParamBound` rows.
     pub fn param_range(&self) -> (f64, f64) {
         (self.lambda_lower, self.lambda_upper)
+    }
+
+    /// Whether some `λ` in [`param_range`](Self::param_range) admits
+    /// feasible potentials: at once for an acyclic graph, otherwise by
+    /// [`minimize_param`](Self::minimize_param).
+    pub(crate) fn admits_param(&self, budget: &SolveBudget) -> Result<bool, crate::LpError> {
+        if self.graph.is_acyclic() {
+            return Ok(
+                self.constant_conflict.is_none() && self.lambda_lower <= self.lambda_upper + TOL
+            );
+        }
+        Ok(matches!(
+            self.minimize_param(budget)?,
+            MinParamOutcome::Optimal { .. }
+        ))
     }
 
     /// Bellman–Ford feasibility at a fixed parameter: either a feasible
@@ -1085,6 +1133,20 @@ impl DifferenceSystem {
                 Some(next) => {
                     if next > self.lambda_upper + TOL * (1.0 + self.lambda_upper.abs()) {
                         // The cycle forces λ beyond its admissible maximum.
+                        // A search at that maximum usually closes a far
+                        // shorter cycle: the smaller certificate.
+                        let cycle =
+                            match self.bellman_ford(self.lambda_upper, budget, &mut passes)? {
+                                Err(arcs) => {
+                                    let top = self.summarize(&arcs);
+                                    if top.slope > TOL && top.rows.len() < cycle.rows.len() {
+                                        top
+                                    } else {
+                                        cycle
+                                    }
+                                }
+                                Ok(_) => cycle,
+                            };
                         let extra = self.upper_bound_multiplier(cycle.slope);
                         return Ok(MinParamOutcome::Infeasible(
                             self.certificate(&cycle.rows, &extra),

@@ -13,10 +13,15 @@
 //! removable rows: an IIS here means "these rows conflict *given* the
 //! declared variable domains", which matches how the SMO timing models
 //! are built (non-negativity is structural, eqs. (7)–(9), (18)).
+//!
+//! [`extract_graph_iis`] runs the same filter on a pure difference system
+//! from a graph negative cycle, with graph searches for the trials.
 
 use crate::error::LpError;
-use crate::expr::VarId;
+use crate::expr::{LinExpr, VarId};
+use crate::graph::{classify, DifferenceSystem, GraphInfeasibility, VarImage};
 use crate::problem::{ConstraintId, Problem, Sense};
+use crate::recover::SolveBudget;
 use crate::solution::Status;
 
 /// An irreducible infeasible subsystem of a [`Problem`]'s rows.
@@ -53,21 +58,55 @@ impl Iis {
 }
 
 impl Problem {
-    /// A copy of this problem containing only the rows in `keep` (same
-    /// variables, bounds and objective).
+    /// A copy of this problem containing only the rows in `keep`, over the
+    /// variables those rows or the objective use (same bounds, same
+    /// objective; a variable no kept row mentions only has to lie in its
+    /// own box, so dropping it changes no feasibility verdict).
     ///
     /// Row order follows `keep`; constraint ids of the returned problem
-    /// index into `keep`, not into `self`.
+    /// index into `keep`, not into `self`. Variables keep their order.
     ///
     /// # Panics
     ///
     /// Panics if any id in `keep` does not belong to this problem.
     pub fn restricted(&self, keep: &[ConstraintId]) -> Problem {
+        let used = self.restricted_vars(keep);
+        let remap = |e: &LinExpr| {
+            let mut out = LinExpr::constant_expr(e.constant());
+            for (v, a) in e.iter() {
+                if let Ok(i) = used.binary_search(&v) {
+                    out.add_term(VarId(i), a);
+                }
+            }
+            out
+        };
         Problem {
-            vars: self.vars.clone(),
-            rows: keep.iter().map(|c| self.rows[c.index()].clone()).collect(),
-            objective: self.objective.clone(),
+            vars: used.iter().map(|v| self.vars[v.index()].clone()).collect(),
+            rows: keep
+                .iter()
+                .map(|c| {
+                    let row = &self.rows[c.index()];
+                    crate::problem::Row {
+                        expr: remap(&row.expr),
+                        ..row.clone()
+                    }
+                })
+                .collect(),
+            objective: self.objective.as_ref().map(|(o, e)| (*o, remap(e))),
         }
+    }
+
+    /// The variables of [`Problem::restricted`]`(keep)`, ascending: those
+    /// the rows in `keep` or the objective use.
+    pub(crate) fn restricted_vars(&self, keep: &[ConstraintId]) -> Vec<VarId> {
+        let rows = keep.iter().map(|c| &self.rows[c.index()].expr);
+        let mut used: Vec<VarId> = rows
+            .chain(self.objective.iter().map(|(_, e)| e))
+            .flat_map(|e| e.iter().map(|(v, _)| v))
+            .collect();
+        used.sort_unstable();
+        used.dedup();
+        used
     }
 }
 
@@ -103,7 +142,7 @@ pub fn extract_iis(p: &Problem) -> Result<Option<Iis>, LpError> {
 
     // Seed from the Farkas support when it is itself infeasible (it can
     // fail to be only through numerical noise in the certificate).
-    let mut members = match sol.farkas() {
+    let members = match sol.farkas() {
         Some(y) => {
             let support: Vec<ConstraintId> = all
                 .iter()
@@ -122,7 +161,16 @@ pub fn extract_iis(p: &Problem) -> Result<Option<Iis>, LpError> {
         None => all,
     };
 
-    // Deletion filter: one removal attempt per member.
+    deletion_filter(members, |keep| subsystem_infeasible(p, keep)).map(Some)
+}
+
+/// The deletion filter: one removal attempt per member of the infeasible
+/// row set `members`, keeping each removal after which `infeasible` still
+/// holds. The rows left are irreducible.
+fn deletion_filter(
+    mut members: Vec<ConstraintId>,
+    mut infeasible: impl FnMut(&[ConstraintId]) -> Result<bool, LpError>,
+) -> Result<Iis, LpError> {
     let mut i = 0;
     while i < members.len() {
         if members.len() == 1 {
@@ -130,13 +178,85 @@ pub fn extract_iis(p: &Problem) -> Result<Option<Iis>, LpError> {
         }
         let mut trial = members.clone();
         trial.remove(i);
-        if subsystem_infeasible(p, &trial)? {
+        if infeasible(&trial)? {
             members = trial; // row i was not needed for the conflict
         } else {
             i += 1; // row i is essential, keep it
         }
     }
-    Ok(Some(Iis { rows: members }))
+    Ok(Iis { rows: members })
+}
+
+/// [`extract_iis`] for a pure difference system under `images`: the
+/// deletion filter starts from the rows of `cert`, a checked negative
+/// cycle of `p`, and decides each trial on the graph of the kept rows
+/// alone (feasible at once when acyclic, by Lawler's search otherwise),
+/// so it costs time proportional to the certificate, not to the model.
+/// `Ok(None)` when the certificate's rows do not conflict by themselves
+/// (numerical trouble).
+///
+/// # Errors
+///
+/// [`LpError::Numerical`] when `images` does not match `p` or a
+/// certificate row lies outside the difference fragment, and errors from
+/// the graph searches.
+pub fn extract_graph_iis(
+    p: &Problem,
+    images: &[VarImage],
+    cert: &GraphInfeasibility,
+) -> Result<Option<Iis>, LpError> {
+    if images.len() != p.num_vars() {
+        return Err(LpError::Numerical {
+            context: "graph IIS: variable images do not match the problem".into(),
+        });
+    }
+    let mut seed: Vec<ConstraintId> = cert.rows().iter().map(|&(c, _)| c).collect();
+    seed.sort_unstable();
+    // The seed rows over their own variables, on nodes numbered densely.
+    let q = p.restricted(&seed);
+    let vars = p.restricted_vars(&seed);
+    let mut nodes: Vec<usize> = Vec::new();
+    for v in &vars {
+        match images[v.index()] {
+            VarImage::Node(i) => nodes.push(i),
+            VarImage::Diff(a, b) => nodes.extend([a, b]),
+            VarImage::Param => {}
+        }
+    }
+    nodes.sort_unstable();
+    nodes.dedup();
+    let node = |i: usize| nodes.partition_point(|&n| n < i);
+    let sub: Vec<VarImage> = vars
+        .iter()
+        .map(|v| match images[v.index()] {
+            VarImage::Node(i) => VarImage::Node(node(i)),
+            VarImage::Diff(a, b) => VarImage::Diff(node(a), node(b)),
+            VarImage::Param => VarImage::Param,
+        })
+        .collect();
+    let cls = classify(&q, &sub)?;
+    if !cls.is_pure() {
+        return Err(LpError::Numerical {
+            context: "graph IIS: a certificate row lies outside the difference fragment".into(),
+        });
+    }
+    let mut keep = vec![false; q.num_constraints()];
+    let mut infeasible = |rows: &[ConstraintId]| {
+        keep.fill(false);
+        for c in rows {
+            keep[c.index()] = true;
+        }
+        let sys = DifferenceSystem::build_rows(&q, &sub, &cls, Some(&keep))?;
+        Ok(!sys.admits_param(&SolveBudget::UNLIMITED)?)
+    };
+    let all: Vec<ConstraintId> = (0..q.num_constraints()).map(ConstraintId).collect();
+    if !infeasible(&all)? {
+        return Ok(None);
+    }
+    let iis = deletion_filter(all, infeasible)?;
+    Ok(Some(Iis {
+        rows: iis.rows.iter().map(|c| seed[c.index()]).collect(),
+    }))
 }
 
 /// Checks that `y` is a valid Farkas certificate of infeasibility for `p`.

@@ -10,15 +10,17 @@
 //! * a [`Problem`] builder with named variables, bounds, and linear
 //!   constraints in `≤` / `≥` / `=` form ([`Sense`]),
 //! * a two-phase primal simplex over a sparse LU factorization of the
-//!   basis ([`LuFactors`]) with devex, partial or Bland pricing
-//!   ([`Pricing`]) and a Bland anti-cycling fallback ([`Problem::solve`]),
+//!   basis ([`LuFactors`]) with candidate-list devex pricing and a Bland
+//!   anti-cycling fallback ([`Problem::solve`]),
 //! * dual values, reduced costs, and slacks on the returned [`Solution`]
-//!   (used by the timing engine for critical-segment analysis),
+//!   (the timing engine's delay sensitivities on models outside the
+//!   difference fragment),
 //! * the dense tableau itself as a differential-test oracle
 //!   ([`Problem::solve_reference`]),
 //! * infeasibility diagnosis: infeasible solves carry a Farkas certificate
 //!   ([`Solution::farkas`]) and [`extract_iis`] reduces the conflict to an
-//!   irreducible infeasible subsystem of named rows,
+//!   irreducible infeasible subsystem of named rows ([`extract_graph_iis`]
+//!   does the same from a graph negative cycle, without the simplex),
 //! * independent optimality checking ([`Solution::certify`] returning a
 //!   [`Certificate`] of KKT residuals) and certified solving with a
 //!   numerical recovery ladder ([`Problem::solve_certified`]):
@@ -36,9 +38,12 @@
 //!
 //! Every simplex solve is cold: it starts from the all-logical basis and
 //! runs both phases. The paper solves P2 once per design (§V), and every
-//! model the timing engine builds today is a pure difference system that
-//! the graph path settles with no pivots, so the simplex is a certified
-//! fallback and test oracle rather than an inner loop.
+//! model the timing engine builds from a netlist is a pure difference
+//! system that the graph path settles with no pivots — the optimum, its
+//! critical cycle (the critical segments and delay sensitivities) and,
+//! under an impossible cap, the conflict. The simplex serves models with
+//! general rows, `--backend lp`, `smo analyze`'s cross-check and the test
+//! oracles rather than an inner loop.
 //!
 //! The SMO constraint matrices contain only `0, ±1` entries (§VI), so f64
 //! arithmetic with modest tolerances ([`EPS`]) is numerically comfortable.
@@ -93,8 +98,7 @@ pub use graph::{
     SearchOutcome, VarImage,
 };
 pub use hypersparse::{LuWorkspace, ScatterVec};
-pub use iis::{certifies_infeasibility, extract_iis, Iis};
-pub use pricing::Pricing;
+pub use iis::{certifies_infeasibility, extract_graph_iis, extract_iis, Iis};
 pub use problem::{ConstraintId, Objective, Problem, Sense};
 pub use recover::{CertifiedSolution, RecoveryPolicy, RecoveryStep, SolveBudget};
 pub use solution::{OptimalSolution, Solution, SolveStats, Status};

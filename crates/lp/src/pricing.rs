@@ -1,81 +1,14 @@
-//! Pricing strategies for the sparse-LU simplex.
-//!
-//! PR 9's devex pricing scans every nonbasic column each pivot — `O(ncols
-//! × nnz-per-column)` per iteration, the second half (with the dense
-//! triangular solves) of why 10k-row solves took ~48 s. This module makes
-//! the strategy selectable:
-//!
-//! * [`Pricing::Devex`] — the full devex scan, exactly PR 9's loop.
-//! * [`Pricing::Partial`] — candidate-list devex (the default): keep a short list of attractive columns, re-price
-//!   only the list plus a rotating slice of the column range each
-//!   iteration, and *always* fall back to one full scan before declaring
-//!   optimality, so verdicts are identical to full pricing by
-//!   construction. Devex reference weights are maintained exactly on the
-//!   candidate list and left stale elsewhere — a scoring approximation
-//!   (may change the pivot sequence) that can never change the answer.
-//! * [`Pricing::Bland`] — first-eligible lowest-index selection from the
-//!   first iteration. Terminally slow but cycling-proof; the other two
-//!   modes still switch to Bland automatically after the shared
-//!   anti-cycling iteration threshold, exactly as before.
-//!
-//! The dense reference tableau
-//! ([`solve_reference`](crate::Problem::solve_reference)) prices its whole
-//! tableau rows by construction and ignores the setting.
+//! Candidate-list partial devex pricing for the sparse-LU simplex: where
+//! full devex scans every nonbasic column each pivot, [`PartialPricer`]
+//! re-prices a short candidate list plus a rotating slice of the columns,
+//! and scans them all before declaring optimality, so its verdicts are
+//! those of full pricing. Devex weights are kept exact on the list and
+//! stale elsewhere, which may change the pivot path, never the answer.
+//! Bland's rule takes over after the anti-cycling threshold.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::EPS;
-
-/// Simplex pricing strategy for the sparse-LU simplex (the dense
-/// reference tableau always prices the full column set).
-/// All strategies produce the same verdict and optimum — they differ only
-/// in which eligible column enters first, i.e. in the path taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Full devex scan of every nonbasic column per pivot.
-    Devex,
-    /// Candidate-list devex with a rotating pricing slice and a full-scan
-    /// optimality check (default).
-    #[default]
-    Partial,
-    /// Bland's first-eligible rule from the first iteration.
-    Bland,
-}
-
-impl Pricing {
-    /// All strategies, for equivalence sweeps.
-    pub const ALL: [Pricing; 3] = [Pricing::Devex, Pricing::Partial, Pricing::Bland];
-
-    /// The CLI/serve spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Pricing::Devex => "devex",
-            Pricing::Partial => "partial",
-            Pricing::Bland => "bland",
-        }
-    }
-}
-
-impl std::fmt::Display for Pricing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Pricing {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "devex" => Ok(Pricing::Devex),
-            "partial" => Ok(Pricing::Partial),
-            "bland" => Ok(Pricing::Bland),
-            other => Err(format!(
-                "unknown pricing '{other}' (expected devex, partial, or bland)"
-            )),
-        }
-    }
-}
 
 /// Candidate-list partial pricer.
 ///
@@ -198,15 +131,6 @@ impl PartialPricer {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pricing_round_trips_through_strings() {
-        for p in Pricing::ALL {
-            assert_eq!(p.as_str().parse::<Pricing>().unwrap(), p);
-        }
-        assert!("quantum".parse::<Pricing>().is_err());
-        assert_eq!(Pricing::default(), Pricing::Partial);
-    }
 
     #[test]
     fn select_finds_best_column_and_certifies_optimality() {

@@ -252,7 +252,7 @@ impl Problem {
     }
 
     /// Solves the model with the sparse-LU two-phase primal simplex (see
-    /// the [`sparse`-module docs](crate)) under the default pricing rule.
+    /// the [`sparse`-module docs](crate)).
     ///
     /// Infeasible and unbounded models are reported through
     /// [`Status`](crate::Status) on the returned [`Solution`], not as errors.
@@ -262,27 +262,22 @@ impl Problem {
     /// Returns an error for invalid models (see [`Problem::validate`]) or if
     /// the internal iteration safeguard trips.
     pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_with_options(
-            crate::recover::SolveBudget::UNLIMITED,
-            crate::Pricing::default(),
-        )
+        self.solve_with_budget(crate::recover::SolveBudget::UNLIMITED)
     }
 
     /// [`Problem::solve`] under a wall-clock / iteration budget, checked
-    /// inside the pivot loop, with an explicit pricing strategy. Every
-    /// strategy yields the same verdict and optimum.
+    /// inside the pivot loop.
     ///
     /// # Errors
     ///
     /// Same as [`Problem::solve`], plus [`LpError::Budget`] when the
     /// budget is exhausted before the solve terminates.
-    pub fn solve_with_options(
+    pub fn solve_with_budget(
         &self,
         budget: crate::recover::SolveBudget,
-        pricing: crate::Pricing,
     ) -> Result<Solution, LpError> {
         self.validate()?;
-        crate::sparse::solve_budgeted(self, budget, pricing)
+        crate::sparse::solve_budgeted(self, budget, false)
     }
 
     /// Solves the model with the dense-tableau simplex — the paper's §V
@@ -297,7 +292,7 @@ impl Problem {
     ///
     /// # Errors
     ///
-    /// Same as [`Problem::solve_with_options`].
+    /// Same as [`Problem::solve_with_budget`].
     pub fn solve_reference(
         &self,
         budget: crate::recover::SolveBudget,

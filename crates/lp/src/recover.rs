@@ -10,7 +10,7 @@
 //! with an iteration limit or numerical breakdown — a **recovery ladder**
 //! is walked, cheapest rung first:
 //!
-//! 1. **Initial solve** with the policy's pricing rule.
+//! 1. **Initial solve**, candidate-list devex pricing.
 //! 2. **Geometric-mean equilibration** ([`crate::scale`]) — re-solve the
 //!    rescaled model; cures the badly-scaled instances that defeat the
 //!    solver's absolute phase-1 threshold. The certificate is still
@@ -18,7 +18,7 @@
 //! 3. **Alternate pricing** — the equilibrated model again, under Bland's
 //!    rule: a fresh factorization along a different pivot path, which
 //!    sidesteps the degenerate stalls and ill-conditioned bases one path
-//!    can run into. (Skipped when the policy already prices by Bland.)
+//!    can run into.
 //! 4. **Iterative refinement** — one round: the best candidate point is
 //!    shifted to the origin and the residual problem re-solved at a
 //!    power-of-two zoom factor, recovering digits the first solve lost.
@@ -34,7 +34,6 @@
 
 use crate::error::{BudgetUnit, LpError};
 use crate::iis::certifies_infeasibility;
-use crate::pricing::Pricing;
 use crate::problem::Problem;
 use crate::scale::equilibrate;
 use crate::solution::{Solution, Status};
@@ -118,7 +117,7 @@ impl SolveBudget {
 /// One rung of the recovery ladder, recorded in the order attempted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryStep {
-    /// Plain solve with the policy's pricing rule.
+    /// Plain solve.
     Initial,
     /// Re-solve after geometric-mean row/column equilibration.
     Equilibrated,
@@ -140,26 +139,13 @@ impl RecoveryStep {
     }
 }
 
-/// Policy for [`Problem::solve_certified`]: the pricing rule and the
-/// shared budget every rung draws from.
+/// Policy for [`Problem::solve_certified`]: the shared budget every rung
+/// draws from.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecoveryPolicy {
     /// Budget shared across all rungs. A `deadline` bounds the whole
     /// ladder; `max_iterations` bounds each individual solve.
     pub budget: SolveBudget,
-    /// Pricing strategy for every rung except
-    /// [`RecoveryStep::AlternatePricing`].
-    pub pricing: Pricing,
-}
-
-impl RecoveryPolicy {
-    /// Default policy with an explicit wall-clock limit for the ladder.
-    pub fn with_time_limit(limit: Duration) -> Self {
-        RecoveryPolicy {
-            budget: SolveBudget::with_time_limit(limit),
-            pricing: Pricing::default(),
-        }
-    }
 }
 
 /// A solution whose verdict has been machine-checked against the original
@@ -221,12 +207,7 @@ impl CertifiedSolution {
 /// and reduced costs are directly valid for the original (`A`, `c`
 /// unchanged; the `α` factors cancel in `∂z/∂b`), and the corrected point
 /// is `x* = x̂ + δ*/α`.
-fn refine(
-    p: &Problem,
-    candidate: &Solution,
-    budget: SolveBudget,
-    pricing: Pricing,
-) -> Result<Solution, LpError> {
+fn refine(p: &Problem, candidate: &Solution, budget: SolveBudget) -> Result<Solution, LpError> {
     let xh = &candidate.values;
     if xh.len() != p.vars.len() || xh.iter().any(|v| !v.is_finite()) {
         return Err(LpError::Numerical {
@@ -260,7 +241,7 @@ fn refine(
         r.rhs = alpha * (r.rhs - r.expr.eval(xh));
     }
 
-    let delta = shifted.solve_with_options(budget, pricing)?;
+    let delta = shifted.solve_with_budget(budget)?;
     if delta.status() != Status::Optimal {
         // The original was (claimed) optimal; a non-optimal correction
         // means the candidate was far off. Report rather than guess.
@@ -309,7 +290,6 @@ impl Problem {
     pub fn solve_certified(&self, policy: &RecoveryPolicy) -> Result<CertifiedSolution, LpError> {
         let start = Instant::now();
         let budget = policy.budget;
-        let pricing = policy.pricing;
         let mut steps: Vec<RecoveryStep> = Vec::new();
         let mut iterations = 0usize;
         // Best failed certificate (for the final error) and best optimal
@@ -317,29 +297,27 @@ impl Problem {
         let mut best_cert: Option<Certificate> = None;
         let mut candidate: Option<Solution> = None;
 
-        let mut rungs = vec![RecoveryStep::Initial, RecoveryStep::Equilibrated];
-        if pricing != Pricing::Bland {
-            rungs.push(RecoveryStep::AlternatePricing);
-        }
-        rungs.push(RecoveryStep::Refined);
-
+        let rungs = [
+            RecoveryStep::Initial,
+            RecoveryStep::Equilibrated,
+            RecoveryStep::AlternatePricing,
+            RecoveryStep::Refined,
+        ];
         for rung in rungs {
             steps.push(rung);
             let attempt: RungResult = match rung {
-                RecoveryStep::Initial => self.solve_with_options(budget, pricing),
+                RecoveryStep::Initial => self.solve_with_budget(budget),
                 RecoveryStep::Equilibrated | RecoveryStep::AlternatePricing => {
-                    let rung_pricing = if rung == RecoveryStep::AlternatePricing {
-                        Pricing::Bland
-                    } else {
-                        pricing
-                    };
+                    // The alternate path prices by Bland from the start.
+                    let bland = rung == RecoveryStep::AlternatePricing;
                     let (scaled, eq) = equilibrate(self);
                     scaled
-                        .solve_with_options(budget, rung_pricing)
+                        .validate()
+                        .and_then(|()| crate::sparse::solve_budgeted(&scaled, budget, bland))
                         .map(|s| eq.unscale(self, &s))
                 }
                 RecoveryStep::Refined => match candidate.as_ref() {
-                    Some(c) => refine(self, c, budget, pricing),
+                    Some(c) => refine(self, c, budget),
                     None => Err(LpError::Numerical {
                         context: "refinement: no optimal candidate to refine".into(),
                     }),
@@ -503,7 +481,6 @@ mod tests {
         let p = sample();
         let policy = RecoveryPolicy {
             budget: SolveBudget::with_max_iterations(0),
-            ..Default::default()
         };
         match p.solve_certified(&policy) {
             Err(LpError::Budget { timed_out, .. }) => assert!(!timed_out),
@@ -519,7 +496,6 @@ mod tests {
                 max_iterations: None,
                 deadline: Some(Instant::now()),
             },
-            ..Default::default()
         };
         match p.solve_certified(&policy) {
             Err(LpError::Budget { timed_out, .. }) => assert!(timed_out),
@@ -535,8 +511,7 @@ mod tests {
         // would; refinement must land back on a certified optimum.
         candidate.values[0] += 1e-4;
         candidate.values[1] -= 1e-4;
-        let refined =
-            refine(&p, &candidate, SolveBudget::UNLIMITED, Pricing::default()).expect("refines");
+        let refined = refine(&p, &candidate, SolveBudget::UNLIMITED).expect("refines");
         assert!(refined.certify(&p).is_valid(), "{}", refined.certify(&p));
     }
 }

@@ -1,5 +1,5 @@
 //! Sparse-LU revised simplex: CSC standard form, Markowitz-ordered basis
-//! factorization with bounded-eta updates, and devex pricing.
+//! factorization with bounded-eta updates, and partial devex pricing.
 //!
 //! This is the crate's one production simplex: [`Problem::solve`],
 //! certified solves and IIS extraction all run here. It is
@@ -22,10 +22,11 @@
 //!   length or fill crosses a budget. Public, so the factorization kernel
 //!   is property-testable in isolation (`L·U = P·B·Q` residuals,
 //!   update-equals-refactorization).
-//! * **devex pricing** — reference-framework weights approximate
-//!   steepest-edge at Dantzig cost, cutting pivot counts on the long thin
-//!   models the large-circuit generator emits; Bland's rule remains the
-//!   anti-cycling fallback.
+//! * **partial devex pricing** (candidate-list devex) — reference-framework
+//!   weights approximate steepest-edge at Dantzig cost, cutting pivot
+//!   counts on the long thin models the large-circuit generator emits,
+//!   scored over a candidate list rather than every column; Bland's rule
+//!   remains the anti-cycling fallback.
 //!
 //! Results agree with the dense reference tableau
 //! ([`Problem::solve_reference`]) at the [`Solution`] level — same
@@ -39,7 +40,7 @@
 
 use crate::error::LpError;
 use crate::hypersparse::{LuWorkspace, ScatterVec};
-use crate::pricing::{PartialPricer, Pricing};
+use crate::pricing::PartialPricer;
 use crate::problem::{Objective, Problem, Sense};
 use crate::simplex::ColKind;
 use crate::solution::{Solution, SolveStats, Status};
@@ -897,7 +898,9 @@ struct SparseCore {
     budget: crate::recover::SolveBudget,
     /// phase-1 duals captured at infeasible termination
     farkas_y: Option<Vec<f64>>,
-    pricing: Pricing,
+    /// Bland's rule from the first pivot (the recovery ladder's
+    /// alternate-path rung) instead of after the anti-cycling threshold
+    bland: bool,
     stats: CoreStats,
     /// reusable hypersparse scratch: no per-iteration allocation
     ws: LuWorkspace,
@@ -937,7 +940,7 @@ impl SparseCore {
             refactor_every: REFACTOR_ETAS,
             budget,
             farkas_y: None,
-            pricing: Pricing::default(),
+            bland: false,
             stats: CoreStats::default(),
             ws: LuWorkspace::new(m),
             y: ScatterVec::new(m),
@@ -1055,22 +1058,13 @@ impl SparseCore {
     }
 
     /// Devex weight update against the leaving row `r` (must run before
-    /// the basis changes), restricted to `scope` — the full nonbasic range
-    /// under `Pricing::Devex` (`None`, no per-pivot index allocation), the
-    /// candidate list under `Partial`.
-    fn update_devex_weights(&mut self, scope: Option<&[usize]>, q: usize, r: usize, alpha_q: f64) {
+    /// the basis changes), restricted to the candidate list `scope`:
+    /// weights are maintained only where they are read. Off-list weights
+    /// go stale, which can reorder pivots but never changes any verdict.
+    fn update_devex_weights(&mut self, scope: &[usize], q: usize, r: usize, alpha_q: f64) {
         let wq = self.devex[q];
-        match scope {
-            Some(list) => {
-                for &j in list {
-                    self.devex_bump(j, q, alpha_q, wq);
-                }
-            }
-            None => {
-                for j in 0..self.sf.ncols {
-                    self.devex_bump(j, q, alpha_q, wq);
-                }
-            }
+        for &j in scope {
+            self.devex_bump(j, q, alpha_q, wq);
         }
         let leaving = (wq / (alpha_q * alpha_q)).max(1.0);
         self.devex[self.basis[r]] = leaving;
@@ -1127,8 +1121,8 @@ impl SparseCore {
         };
     }
 
-    /// One simplex phase (minimize `costs`): devex / partial / Bland
-    /// pricing with the shared Bland anti-cycling fallback, hypersparse
+    /// One simplex phase (minimize `costs`): partial devex pricing with
+    /// the shared Bland anti-cycling fallback, hypersparse
     /// FTRAN/BTRAN, ratio test, eta update, fill-aware refactorization.
     /// `Ok(true)` at optimality, `Ok(false)` if unbounded.
     fn phase(
@@ -1165,7 +1159,7 @@ impl SparseCore {
             {
                 self.budget.check(self.iterations)?;
             }
-            let bland = self.iterations > bland_after || self.pricing == Pricing::Bland;
+            let bland = self.iterations > bland_after || self.bland;
             if !y_valid {
                 self.compute_duals(costs);
                 y_valid = true;
@@ -1173,8 +1167,8 @@ impl SparseCore {
             }
 
             // Pricing: devex score z²/w (Dantzig weighted by the reference
-            // framework) over the full range or the candidate list, or
-            // plain Bland first-eligible in fallback mode.
+            // framework) over the candidate list, or plain Bland
+            // first-eligible in fallback mode.
             let enter = if bland {
                 let mut enter = None;
                 for j in 0..ncols {
@@ -1186,7 +1180,7 @@ impl SparseCore {
                     }
                 }
                 enter
-            } else if self.pricing == Pricing::Partial {
+            } else {
                 let y = self.y.values();
                 pricer.select(
                     ncols,
@@ -1194,23 +1188,6 @@ impl SparseCore {
                     |j| costs[j] - self.sparse_dot(y, j),
                     |j| self.devex[j],
                 )
-            } else {
-                let mut enter = None;
-                let mut best_score = 0.0;
-                for j in 0..ncols {
-                    if !self.eligible(j, allow_artificial) {
-                        continue;
-                    }
-                    let zj = costs[j] - self.sparse_dot(self.y.values(), j);
-                    if zj < -EPS {
-                        let score = zj * zj / self.devex[j];
-                        if score > best_score {
-                            best_score = score;
-                            enter = Some(j);
-                        }
-                    }
-                }
-                enter
             };
             let Some(q) = enter else {
                 if y_fresh {
@@ -1235,14 +1212,7 @@ impl SparseCore {
             if !bland {
                 self.compute_pivot_row(r);
                 let alpha_q = self.d.get(r);
-                if self.pricing == Pricing::Partial {
-                    // Maintain weights only where they are read: on the
-                    // candidate list. Off-list weights go stale, which can
-                    // reorder pivots but never changes any verdict.
-                    self.update_devex_weights(Some(pricer.candidates()), q, r, alpha_q);
-                } else {
-                    self.update_devex_weights(None, q, r, alpha_q);
-                }
+                self.update_devex_weights(pricer.candidates(), q, r, alpha_q);
                 // Rank-one dual update along the pivot row (z_q on the
                 // *pre-pivot* duals, ρ_r for the pre-pivot basis — both in
                 // hand). Replaces next iteration's from-scratch BTRAN.
@@ -1360,13 +1330,14 @@ impl SparseCore {
     }
 }
 
-/// Entry point used by [`Problem::solve_with_budget`].
+/// Entry point used by [`Problem::solve_with_budget`]; `bland` prices by
+/// Bland's rule from the first pivot.
 pub(crate) fn solve_budgeted(
     p: &Problem,
     budget: crate::recover::SolveBudget,
-    pricing: Pricing,
+    bland: bool,
 ) -> Result<Solution, LpError> {
-    solve_inner(p, REFACTOR_ETAS, budget, pricing)
+    solve_inner(p, REFACTOR_ETAS, budget, bland)
 }
 
 /// [`solve_budgeted`] with an explicit eta-file budget (exposed for tests
@@ -1380,7 +1351,7 @@ pub(crate) fn solve_with_refactor_interval(
         p,
         refactor_every,
         crate::recover::SolveBudget::UNLIMITED,
-        Pricing::default(),
+        false,
     )
 }
 
@@ -1388,12 +1359,12 @@ fn solve_inner(
     p: &Problem,
     refactor_every: usize,
     budget: crate::recover::SolveBudget,
-    pricing: Pricing,
+    bland: bool,
 ) -> Result<Solution, LpError> {
     let sf = StdForm::build(p)?;
     let mut core = SparseCore::new(sf, budget)?;
     core.refactor_every = refactor_every.max(1);
-    core.pricing = pricing;
+    core.bland = bland;
     let status = core.optimize()?;
     if status != Status::Optimal {
         let farkas = core

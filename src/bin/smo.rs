@@ -5,8 +5,7 @@
 //! the library:
 //!
 //! ```text
-//! smo optimize <netlist>            minimum cycle time + optimal schedule
-//! smo solve    <netlist>            certified minimum cycle time (KKT-checked LPs)
+//! smo solve    <netlist>            certified minimum cycle time + optimal schedule
 //! smo report   <netlist>            full timing report (slacks, critical segments)
 //! smo verify   <netlist> Tc s1,w1 [s2,w2 …]   check a concrete schedule
 //! smo simulate <netlist> [waves]    behavioural simulation at the optimum
@@ -35,17 +34,30 @@ use smo::api::{solve_json, sweep_json, ParseLimits};
 use smo::circuit::EdgeId;
 use smo::circuit::{lump_equivalent_latches, netlist, to_dot, Circuit, ClockSchedule};
 use smo::gen::datapath::{pipelined_datapath, DatapathConfig};
-use smo::lp::Pricing;
 use smo::sim::{monte_carlo, simulate, MonteCarloOptions, SimOptions};
 use smo::timing::{
     graph_feasible_at, min_cycle_time, min_cycle_time_with, render_solution, sweep_cycle_time,
     timing_report, verify, Backend, MlpOptions, SweepOptions, SweepParam, TimingModel,
 };
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    // Commands write into a buffer that goes to stdout once they are
+    // done. A reader that stops early (`smo … | head -1`) closes the
+    // pipe: the rest of the output is dropped quietly, and the exit code
+    // still reports the command's verdict.
+    let mut out = String::new();
+    let result = run(&args, &mut out);
+    if let Err(e) = std::io::stdout().write_all(out.as_bytes()) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write output: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    match result {
         Ok(code) => code,
         Err(CliError::Usage(message)) => {
             eprintln!("error: {message}");
@@ -75,6 +87,12 @@ impl From<String> for CliError {
     }
 }
 
+impl From<std::fmt::Error> for CliError {
+    fn from(e: std::fmt::Error) -> Self {
+        CliError::Failed(e.to_string())
+    }
+}
+
 impl From<&str> for CliError {
     fn from(message: &str) -> Self {
         CliError::Usage(message.to_string())
@@ -92,10 +110,8 @@ fn failed(e: impl std::fmt::Display) -> CliError {
 }
 
 const USAGE: &str = "usage:
-  smo optimize <netlist>                         minimum cycle time + schedule
   smo solve    <netlist> [--backend auto|graph|lp] [--no-certify]
-               [--pricing devex|partial|bland] [--max-input-mb N]
-               [--time-limit <secs>] [--json]
+               [--max-input-mb N] [--time-limit <secs>] [--json]
                                                  minimum cycle time with every
                                                  solver verdict independently
                                                  checked: KKT certificates on
@@ -109,11 +125,6 @@ const USAGE: &str = "usage:
                                                  difference-only models on the
                                                  graph and runs the cold
                                                  sparse-LU simplex otherwise;
-                                                 --pricing picks the simplex's
-                                                 pivot-selection rule (default
-                                                 `partial`: candidate-list
-                                                 devex — same verdicts and
-                                                 optimum on every setting);
                                                  --max-input-mb N lifts the
                                                  netlist input limits to N MiB
                                                  (default 4; lines/elements
@@ -176,7 +187,7 @@ const USAGE: &str = "usage:
                                                  scale × the optimal schedule
   smo sweep    <netlist> [--param tc|delay] [--runs N] [--jobs N] [--json]
                [--edge E] [--max-delay D] [--spread S] [--seed S] [--certify]
-               [--pricing devex|partial|bland] [--max-input-mb N]
+               [--max-input-mb N]
                                                  cycle-time sweep: `tc` grids
                                                  one edge's delay (exact
                                                  breakpoints included),
@@ -197,7 +208,7 @@ const USAGE: &str = "usage:
   smo call     <addr> <cmd> [netlist] [--id I] [--deadline-ms N]
                [--backend auto|graph|lp] [--no-certify] [--cycle-time T]
                [--phase s,w ...] [--param tc|delay] [--runs N] [--edge E]
-               [--spread S] [--seed S] [--pricing devex|partial|bland]
+               [--spread S] [--seed S]
                                                  send one request to a daemon
                                                  (cmd: ping, stats, shutdown,
                                                  solve, verify, check,
@@ -209,17 +220,10 @@ const USAGE: &str = "usage:
                                                  overload; writes
                                                  BENCH_serve.json";
 
-fn run(args: &[String]) -> Result<ExitCode, CliError> {
+fn run(args: &[String], out: &mut String) -> Result<ExitCode, CliError> {
     let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
     match cmd.as_str() {
-        "optimize" => {
-            let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            let sol = min_cycle_time(&circuit).map_err(failed)?;
-            println!("optimal cycle time: {:.6}", sol.cycle_time());
-            print!("{}", render_solution(&circuit, &sol));
-            Ok(ExitCode::SUCCESS)
-        }
-        "solve" => {
+        "solve" | "optimize" => {
             let mut path = None;
             let mut options = MlpOptions::default();
             let mut json = false;
@@ -228,13 +232,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             while let Some(arg) = it.next() {
                 match arg.as_str() {
                     "--no-certify" => options.certify = false,
-                    "--backend" => {
-                        options.backend = it
-                            .next()
-                            .ok_or("--backend needs a value (auto, graph or lp)")?
-                            .parse()?;
-                    }
-                    "--pricing" => options.pricing = parse_pricing(&mut it)?,
+                    "--backend" => options.backend = parse_backend(&mut it)?,
                     "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
                     "--time-limit" => {
                         let secs: f64 = it
@@ -259,24 +257,25 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let circuit = load_with(&path.ok_or("missing netlist path")?, &input_limits(max_mb)?)?;
             let sol = min_cycle_time_with(&circuit, &options).map_err(failed)?;
             if json {
-                println!("{}", solve_json(&sol));
+                writeln!(out, "{}", solve_json(&sol))?;
             } else {
-                println!("optimal cycle time: {:.6}", sol.cycle_time());
-                println!(
+                writeln!(out, "optimal cycle time: {:.6}", sol.cycle_time())?;
+                writeln!(
+                    out,
                     "backend: {}",
                     match sol.backend() {
                         Backend::Graph => "graph (exact min-cycle-ratio)",
                         _ => "lp (simplex)",
                     }
-                );
-                println!("certified: {}", sol.certified());
+                )?;
+                writeln!(out, "certified: {}", sol.certified())?;
                 for (i, cert) in sol.certificates().iter().enumerate() {
-                    println!("  lp {}: {cert}", i + 1);
+                    writeln!(out, "  lp {}: {cert}", i + 1)?;
                 }
                 if let Some(gc) = sol.graph_certificate() {
-                    println!("  graph: {gc}");
+                    writeln!(out, "  graph: {gc}")?;
                 }
-                print!("{}", render_solution(&circuit, &sol));
+                write!(out, "{}", render_solution(&circuit, &sol))?;
             }
             // `certify` on and a returned solution imply every solver
             // verdict passed its independent check (KKT on the simplex
@@ -294,7 +293,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let mut stages: Option<usize> = None;
             let mut width: Option<usize> = None;
             let mut seed: u64 = 0;
-            let mut out: Option<String> = None;
+            let mut out_file: Option<String> = None;
             let mut it = rest.iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
@@ -306,7 +305,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                     "--delay-min" => config.delay_range.0 = parse_arg(&mut it, "--delay-min")?,
                     "--delay-max" => config.delay_range.1 = parse_arg(&mut it, "--delay-max")?,
                     "--seed" => seed = parse_arg(&mut it, "--seed")?,
-                    "--out" => out = Some(parse_arg(&mut it, "--out")?),
+                    "--out" => out_file = Some(parse_arg(&mut it, "--out")?),
                     other => return usage(format!("unexpected argument `{other}`")),
                 }
             }
@@ -359,17 +358,17 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 circuit.num_edges(),
                 circuit.num_phases()
             );
-            match out {
+            match out_file {
                 Some(path) => std::fs::write(&path, text)
                     .map_err(|e| failed(format!("cannot write {path}: {e}")))?,
-                None => print!("{text}"),
+                None => out.push_str(&text),
             }
             Ok(ExitCode::SUCCESS)
         }
         "report" => {
             let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            let text = timing_report(&circuit, &report_options()).map_err(failed)?;
-            print!("{text}");
+            let text = timing_report(&circuit, &MlpOptions::default()).map_err(failed)?;
+            write!(out, "{text}")?;
             Ok(ExitCode::SUCCESS)
         }
         "verify" => {
@@ -378,12 +377,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let mut it = rest.iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--backend" => {
-                        backend = it
-                            .next()
-                            .ok_or("--backend needs a value (auto, graph or lp)")?
-                            .parse()?;
-                    }
+                    "--backend" => backend = parse_backend(&mut it)?,
                     _ => positional.push(arg),
                 }
             }
@@ -431,9 +425,13 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 graph_feasible_at(&circuit, tc).map_err(failed)?
             };
             if report.is_feasible() {
-                println!("FEASIBLE (worst setup slack {:.4})", report.worst_slack());
+                writeln!(
+                    out,
+                    "FEASIBLE (worst setup slack {:.4})",
+                    report.worst_slack()
+                )?;
                 match exists {
-                    Some(true) => println!("graph: confirmed, Tc = {tc} is achievable"),
+                    Some(true) => writeln!(out, "graph: confirmed, Tc = {tc} is achievable")?,
                     Some(false) => {
                         eprintln!(
                             "verify error: the schedule passes the row checks but the \
@@ -446,15 +444,16 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 Ok(ExitCode::SUCCESS)
             } else {
                 for v in report.violations() {
-                    println!("VIOLATION: {v}");
+                    writeln!(out, "VIOLATION: {v}")?;
                 }
-                println!("INFEASIBLE");
+                writeln!(out, "INFEASIBLE")?;
                 match exists {
-                    Some(true) => println!(
+                    Some(true) => writeln!(
+                        out,
                         "graph: a different schedule IS feasible at Tc = {tc} \
                          (try `smo solve`)"
-                    ),
-                    Some(false) => println!("graph: no schedule at all exists at Tc = {tc}"),
+                    )?,
+                    Some(false) => writeln!(out, "graph: no schedule at all exists at Tc = {tc}")?,
                     None => {}
                 }
                 Ok(ExitCode::FAILURE)
@@ -478,32 +477,34 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                     ..Default::default()
                 },
             );
-            println!(
+            writeln!(
+                out,
                 "simulated {} wave(s) at Tc = {:.4}: converged at {:?}, {} violation(s)",
                 trace.waves(),
                 sol.cycle_time(),
                 trace.converged_at(),
                 trace.violations().len()
-            );
+            )?;
             for (id, s) in circuit.syncs() {
-                println!(
+                writeln!(
+                    out,
                     "  {:16} D = {:8.4}  (analysis: {:8.4})",
                     s.name,
                     trace.steady_departures()[id.index()],
                     sol.departure(id)
-                );
+                )?;
             }
             Ok(ExitCode::SUCCESS)
         }
         "dot" => {
             let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            print!("{}", to_dot(&circuit));
+            write!(out, "{}", to_dot(&circuit))?;
             Ok(ExitCode::SUCCESS)
         }
         "lp" => {
             let circuit = load(rest.first().ok_or("missing netlist path")?)?;
             let model = TimingModel::build(&circuit).map_err(failed)?;
-            print!("{}", smo::lp::write_lp(model.problem()));
+            write!(out, "{}", smo::lp::write_lp(model.problem()))?;
             Ok(ExitCode::SUCCESS)
         }
         "lump" => {
@@ -516,7 +517,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 circuit.num_edges(),
                 reduced.num_edges()
             );
-            print!("{}", netlist::write(&reduced));
+            write!(out, "{}", netlist::write(&reduced))?;
             Ok(ExitCode::SUCCESS)
         }
         "lint" => {
@@ -537,9 +538,9 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let circuit = load_with(&path.ok_or("missing netlist path")?, &input_limits(max_mb)?)?;
             let report = lint(&circuit);
             if json {
-                println!("{}", report.to_json());
+                writeln!(out, "{}", report.to_json())?;
             } else {
-                println!("{report}");
+                writeln!(out, "{report}")?;
             }
             Ok(if report.has_errors() {
                 ExitCode::FAILURE
@@ -556,25 +557,8 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let mut it = rest.iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--cycle-time" => {
-                        let t: f64 = it
-                            .next()
-                            .ok_or("--cycle-time needs a value")?
-                            .parse()
-                            .map_err(|e| format!("bad cycle time: {e}"))?;
-                        if !t.is_finite() || t <= 0.0 {
-                            return usage(format!(
-                                "cycle time must be finite and positive, got {t}"
-                            ));
-                        }
-                        options.cycle_time = Some(t);
-                    }
-                    "--backend" => {
-                        options.backend = it
-                            .next()
-                            .ok_or("--backend needs a value (auto, graph or lp)")?
-                            .parse()?;
-                    }
+                    "--cycle-time" => options.cycle_time = Some(parse_cycle_time(&mut it, false)?),
+                    "--backend" => options.backend = parse_backend(&mut it)?,
                     "--allow" => config = config.allow(parse_rule(&mut it, "--allow")?),
                     "--deny" => config = config.deny(parse_rule(&mut it, "--deny")?),
                     "--json" => json = true,
@@ -590,9 +574,9 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             match check(&circuit, &options) {
                 Ok(report) => {
                     if json {
-                        println!("{}", report.to_json());
+                        writeln!(out, "{}", report.to_json())?;
                     } else {
-                        println!("{report}");
+                        writeln!(out, "{report}")?;
                     }
                     Ok(if report.has_errors() {
                         ExitCode::from(2)
@@ -615,9 +599,9 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             match analyze(&circuit) {
                 Ok(report) => {
                     if json {
-                        println!("{}", report.to_json());
+                        writeln!(out, "{}", report.to_json())?;
                     } else {
-                        print!("{report}");
+                        write!(out, "{report}")?;
                     }
                     Ok(ExitCode::SUCCESS)
                 }
@@ -640,19 +624,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let mut it = rest.iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
-                    "--cycle-time" => {
-                        let t: f64 = it
-                            .next()
-                            .ok_or("--cycle-time needs a value")?
-                            .parse()
-                            .map_err(|e| format!("bad cycle time: {e}"))?;
-                        if !t.is_finite() || t < 0.0 {
-                            return usage(format!(
-                                "cycle time must be finite and non-negative, got {t}"
-                            ));
-                        }
-                        cycle_time = Some(t);
-                    }
+                    "--cycle-time" => cycle_time = Some(parse_cycle_time(&mut it, true)?),
                     "--json" => json = true,
                     other if path.is_none() && !other.starts_with('-') => {
                         path = Some(other.to_string());
@@ -663,9 +635,9 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let circuit = load(&path.ok_or("missing netlist path")?)?;
             let d = diagnose(&circuit, cycle_time).map_err(failed)?;
             if json {
-                println!("{}", d.to_json());
+                writeln!(out, "{}", d.to_json())?;
             } else {
-                println!("{d}");
+                writeln!(out, "{d}")?;
             }
             Ok(if d.is_feasible() {
                 ExitCode::SUCCESS
@@ -705,7 +677,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                     ..Default::default()
                 },
             );
-            println!(
+            writeln!(out,
                 "Tc = {:.4} ({}× optimum): {}/{} runs failed ({:.1}%), {} setup violations, worst shortfall {:.4}",
                 sched.cycle(),
                 scale,
@@ -714,7 +686,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 report.failure_rate() * 100.0,
                 report.setup_violations,
                 report.worst_shortfall
-            );
+            )?;
             Ok(ExitCode::SUCCESS)
         }
         "sweep" => {
@@ -728,7 +700,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let mut seed = 0u64;
             let mut certify = false;
             let mut json = false;
-            let mut pricing = Pricing::default();
             let mut max_mb = None;
             let mut it = rest.iter();
             while let Some(arg) = it.next() {
@@ -752,7 +723,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                     "--seed" => seed = parse_arg(&mut it, "--seed")?,
                     "--certify" => certify = true,
                     "--json" => json = true,
-                    "--pricing" => pricing = parse_pricing(&mut it)?,
                     "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
                     other if path.is_none() && !other.starts_with('-') => {
                         path = Some(other.to_string());
@@ -788,39 +758,41 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 seed,
                 jobs,
                 certify,
-                pricing,
             };
             let reports =
                 sweep_cycle_time(std::slice::from_ref(&circuit), &options).map_err(failed)?;
             let report = &reports[0];
             if json {
-                println!("{}", sweep_json(report, &options));
+                writeln!(out, "{}", sweep_json(report, &options))?;
             } else {
-                println!(
+                writeln!(
+                    out,
                     "base: Tc = {:.6} ({} cold pivots)",
                     report.base_cycle_time, report.base_iterations
-                );
-                println!(
+                )?;
+                writeln!(
+                    out,
                     "{} re-solve(s): Tc in [{:.6}, {:.6}], mean {:.6}, {} total pivots",
                     report.runs.len(),
                     report.min_cycle_time,
                     report.max_cycle_time,
                     report.mean_cycle_time,
                     report.warm_iterations
-                );
+                )?;
                 if !report.breakpoints.is_empty() {
                     let bps: Vec<String> = report
                         .breakpoints
                         .iter()
                         .map(|b| format!("{b:.6}"))
                         .collect();
-                    println!("exact Tc*(Δ) breakpoints: {}", bps.join(", "));
+                    writeln!(out, "exact Tc*(Δ) breakpoints: {}", bps.join(", "))?;
                 }
                 for run in &report.runs {
-                    println!(
+                    writeln!(
+                        out,
                         "  run {:4}  param {:>12.6}  Tc {:>12.6}  pivots {:4}",
                         run.index, run.value, run.cycle_time, run.iterations
-                    );
+                    )?;
                 }
             }
             Ok(ExitCode::SUCCESS)
@@ -846,11 +818,11 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let server = smo::api::serve(config).map_err(|e| failed(format!("serve: {e}")))?;
             // The first line of output is machine-readable so scripts can
             // scrape the bound port (`--addr 127.0.0.1:0` picks one).
-            println!("listening on {}", server.addr());
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
+            let mut stdout = std::io::stdout();
+            let _ = writeln!(stdout, "listening on {}", server.addr());
+            let _ = stdout.flush();
             server.wait();
-            println!("drained, exiting");
+            let _ = writeln!(stdout, "drained, exiting");
             Ok(ExitCode::SUCCESS)
         }
         "call" => {
@@ -911,12 +883,6 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                         let s: u64 = parse_arg(&mut it, "--seed")?;
                         fields.push(("seed".into(), s.to_string()));
                     }
-                    "--pricing" => {
-                        // Parsed locally so typos fail here, not at the
-                        // daemon.
-                        let p = parse_pricing(&mut it)?;
-                        fields.push(("pricing".into(), json_str(p.as_str())));
-                    }
                     other if netlist_path.is_none() && !other.starts_with('-') => {
                         netlist_path = Some(other.to_string());
                     }
@@ -947,7 +913,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let response = client
                 .call(&request)
                 .map_err(|e| failed(format!("call: {e}")))?;
-            println!("{response}");
+            writeln!(out, "{response}")?;
             Ok(if response.contains("\"status\":\"ok\"") {
                 ExitCode::SUCCESS
             } else {
@@ -971,22 +937,11 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 .map_err(|e| failed(format!("bench-serve: {e}")))?;
             std::fs::write(&out_path, &json)
                 .map_err(|e| failed(format!("cannot write {out_path}: {e}")))?;
-            print!("{json}");
+            write!(out, "{json}")?;
             eprintln!("wrote {out_path}");
             Ok(ExitCode::SUCCESS)
         }
         other => usage(format!("unknown subcommand `{other}`")),
-    }
-}
-
-/// Solve options for `smo report`. Its critical segments are read off
-/// LP duals, which only the simplex path produces; the report pins
-/// [`Backend::Lp`] so the schedule and slack table printed above them come
-/// from the simplex too. Every other command runs the default, `auto`.
-fn report_options() -> MlpOptions {
-    MlpOptions {
-        backend: Backend::Lp,
-        ..MlpOptions::default()
     }
 }
 
@@ -1023,12 +978,33 @@ where
         .map_err(|e| format!("bad {flag} value: {e}"))
 }
 
-/// Parses the value following `--pricing`.
-fn parse_pricing(it: &mut std::slice::Iter<'_, String>) -> Result<Pricing, String> {
+/// Parses the value following `--backend`.
+fn parse_backend(it: &mut std::slice::Iter<'_, String>) -> Result<Backend, String> {
     it.next()
-        .ok_or("--pricing needs a value (devex, partial or bland)")?
+        .ok_or("--backend needs a value (auto, graph or lp)")?
         .parse()
-        .map_err(|e| format!("bad --pricing value: {e}"))
+}
+
+/// Parses the value following `--cycle-time`: finite, and positive (or,
+/// with `allow_zero`, non-negative).
+fn parse_cycle_time(
+    it: &mut std::slice::Iter<'_, String>,
+    allow_zero: bool,
+) -> Result<f64, String> {
+    let t: f64 = it
+        .next()
+        .ok_or("--cycle-time needs a value")?
+        .parse()
+        .map_err(|e| format!("bad cycle time: {e}"))?;
+    let sign = if allow_zero {
+        "non-negative"
+    } else {
+        "positive"
+    };
+    if !t.is_finite() || t < 0.0 || (t == 0.0 && !allow_zero) {
+        return Err(format!("cycle time must be finite and {sign}, got {t}"));
+    }
+    Ok(t)
 }
 
 /// Parses `<netlist> [--json]` argument lists (any order).

@@ -7,8 +7,13 @@ use smo::analyze::{analyze, diagnose, lint, Diagnosis, Rule, Severity};
 use smo::circuit::netlist;
 use smo::gen::paper;
 use smo::gen::random::{random_circuit, GenConfig};
-use smo::lp::{certifies_infeasibility, extract_iis, Status};
-use smo::timing::{cycle_time_bounds, ConstraintKind, ConstraintOptions, TimingModel};
+use smo::lp::{
+    certifies_infeasibility, classify, extract_graph_iis, extract_iis, ConstraintId,
+    DifferenceSystem, MinParamOutcome, Problem, SolveBudget, Status,
+};
+use smo::timing::{
+    cycle_time_bounds, variable_images, ConstraintKind, ConstraintOptions, TimingModel,
+};
 use std::path::Path;
 
 const SHIPPED: [&str; 5] = [
@@ -335,4 +340,91 @@ proptest! {
             );
         }
     }
+
+    /// Capped anywhere inside the combinatorial bracket (half the cases),
+    /// or below it down to half its lower end (the other half, so that
+    /// the conflicts vary), a random circuit either keeps a schedule or
+    /// gets an IIS seeded by the graph's
+    /// negative cycle. That IIS is what `diagnose` reports; the dense
+    /// reference simplex finds it infeasible and every one-row deletion
+    /// feasible; and whenever the IIS is unique, the simplex's deletion
+    /// filter over the full model finds one of the same size.
+    #[test]
+    fn prop_graph_seeded_iis_is_irreducible(
+        phases in 1usize..=4,
+        latches in 2usize..=7,
+        edges in 3usize..=12,
+        seed in 0u64..1000,
+        at in -1.0f64..1.0,
+    ) {
+        let cfg = GenConfig { phases, latches, edges, ..Default::default() };
+        let circuit = random_circuit(&cfg, seed);
+        let bounds = cycle_time_bounds(&circuit);
+        let cap = if at < 0.0 {
+            bounds.lower * (1.0 + 0.5 * at)
+        } else {
+            bounds.lower + at * (bounds.upper - bounds.lower)
+        };
+        let opts = ConstraintOptions { max_cycle: Some(cap), ..Default::default() };
+        let model = TimingModel::build_with(&circuit, &opts).expect("model builds");
+        let p = model.problem();
+        let images = variable_images(&circuit, &model);
+        let cls = classify(p, &images).expect("images match the model");
+        prop_assert!(cls.is_pure());
+        let sys = DifferenceSystem::build(p, &images, &cls).expect("graph builds");
+        let diagnosis = diagnose(&circuit, Some(cap)).expect("diagnosis runs");
+        match sys.minimize_param(&SolveBudget::UNLIMITED).expect("graph solve runs") {
+            MinParamOutcome::Optimal { lambda, .. } => {
+                prop_assert_eq!(diagnosis, Diagnosis::Feasible { min_cycle: lambda });
+                prop_assert!(lambda <= cap * (1.0 + 1e-9));
+            }
+            MinParamOutcome::Infeasible(cert) => {
+                prop_assert!(cert.check(p));
+                let iis = extract_graph_iis(p, &images, &cert)
+                    .expect("graph searches run")
+                    .expect("the certificate's rows conflict");
+                let rows = iis.rows().to_vec();
+                let report = diagnosis.report().expect("capped model is infeasible");
+                prop_assert_eq!(report.rows(), rows.clone());
+                prop_assert!(report.certified);
+                prop_assert!(reference_infeasible(p, &rows));
+                for i in 0..rows.len() {
+                    let mut rest = rows.clone();
+                    rest.remove(i);
+                    prop_assert!(
+                        !reference_infeasible(p, &rest),
+                        "IIS member {} of {} is redundant", i, rows.len()
+                    );
+                }
+                // Rows whose removal alone restores a schedule lie in
+                // every IIS; when they conflict by themselves, they are
+                // the only one.
+                let all: Vec<ConstraintId> = model.constraints().iter().map(|c| c.row).collect();
+                let necessary: Vec<ConstraintId> = all
+                    .iter()
+                    .copied()
+                    .filter(|&r| {
+                        let rest: Vec<ConstraintId> =
+                            all.iter().copied().filter(|&c| c != r).collect();
+                        !reference_infeasible(p, &rest)
+                    })
+                    .collect();
+                if reference_infeasible(p, &necessary) {
+                    let lp = extract_iis(p).expect("solver runs").expect("model is infeasible");
+                    prop_assert_eq!(rows.len(), lp.len());
+                    prop_assert_eq!(rows, necessary);
+                }
+            }
+        }
+    }
+}
+
+/// Whether the rows `rows` of `p` admit no solution, by the dense
+/// reference simplex.
+fn reference_infeasible(p: &Problem, rows: &[ConstraintId]) -> bool {
+    p.restricted(rows)
+        .solve_reference(SolveBudget::UNLIMITED)
+        .expect("reference solve runs")
+        .status()
+        == Status::Infeasible
 }

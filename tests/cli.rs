@@ -2,7 +2,7 @@
 //! netlists in `circuits/`.
 
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn smo(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_smo"))
@@ -665,29 +665,39 @@ fn solve_under_the_raised_cap_still_enforces_it() {
 }
 
 #[test]
-fn solve_pricing_flag_is_accepted_and_verdict_invariant() {
-    for pricing in ["devex", "partial", "bland"] {
-        let out = smo(&[
-            "solve",
-            "circuits/example1.ckt",
-            "--backend",
-            "lp",
-            "--pricing",
-            pricing,
-        ]);
-        assert!(
-            out.status.success(),
-            "--pricing {pricing}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let text = stdout(&out);
-        assert!(text.contains("110.000000"), "--pricing {pricing}: {text}");
-        assert!(text.contains("certified: true"), "--pricing {pricing}");
+fn pricing_flag_is_gone() {
+    for cmd in ["solve", "sweep"] {
+        let out = smo(&[cmd, "circuits/example1.ckt", "--pricing", "partial"]);
+        assert!(!out.status.success(), "{cmd} still accepts --pricing");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument `--pricing`"));
     }
+    let out = smo(&["call", "127.0.0.1:1", "solve", "--pricing", "partial"]);
+    assert!(!out.status.success(), "call still accepts --pricing");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument `--pricing`"));
+}
 
-    let out = smo(&["solve", "circuits/example1.ckt", "--pricing", "quantum"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown pricing"));
+#[test]
+fn closed_stdout_exits_quietly() {
+    // A reader that stops early (`smo … | head -1`) closes the pipe. The
+    // netlist of 2000 latches overflows any pipe buffer, so its write
+    // always meets the closed pipe.
+    for args in [
+        &["diagnose", "circuits/alu_bypass.ckt"][..],
+        &["gen", "--latches", "2000", "--seed", "7"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_smo"))
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("smo binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("smo exits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.status.success(), "{args:?}: {err}");
+    }
 }
 
 #[test]

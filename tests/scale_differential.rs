@@ -31,10 +31,7 @@ use smo::timing::TimingModel;
 fn assert_engines_agree(name: &str, circuit: &Circuit, budget: SolveBudget) -> Status {
     let model = TimingModel::build(circuit).unwrap_or_else(|e| panic!("{name}: model: {e}"));
     let p = model.problem();
-    let policy = RecoveryPolicy {
-        budget,
-        ..Default::default()
-    };
+    let policy = RecoveryPolicy { budget };
     let sparse = p
         .solve_certified(&policy)
         .unwrap_or_else(|e| panic!("{name}: sparse-LU certified solve: {e}"));
@@ -153,7 +150,6 @@ fn generated_5k_rows_sparse_certifies_under_time_budget() {
         .problem()
         .solve_certified(&RecoveryPolicy {
             budget: sparse_budget,
-            ..Default::default()
         })
         .expect("sparse-LU certifies 5k rows inside the budget");
     assert_eq!(sparse.status(), Status::Optimal);

@@ -12,7 +12,8 @@ use smo::gen::paper::{example1, example2, gaas_mips, EXAMPLE1_DELTA41_EDGE};
 use smo::gen::random::{random_circuit, GenConfig};
 use smo::lp::{LinExpr, Sense, SolveBudget};
 use smo::timing::{
-    cycle_time_curve, delay_sensitivities, ConstraintKind, CycleTimeCurve, TimingModel,
+    critical_report, cycle_time_curve, delay_sensitivities, ConstraintKind, CycleTimeCurve,
+    TimingModel,
 };
 
 /// `T_c*` of `model` by the dense-tableau reference simplex.
@@ -149,6 +150,43 @@ fn sensitivities_equal_lp_dual_sums_away_from_breakpoints() {
             assert!(
                 (g - l).abs() < 1e-9,
                 "{name}, edge {e}: critical cycle {g} vs LP duals {l}"
+            );
+        }
+    }
+}
+
+/// §V: critical segments are binding constraints. Every edge that
+/// `critical_report` names lies on the critical cycle, whose rows sum to
+/// `T_c*` (on the mixed model: carries a non-zero dual), so its delay row
+/// has zero slack at every LP optimum.
+#[test]
+fn critical_edges_are_binding_rows_of_the_lp_optimum() {
+    for (name, circuit, mixed) in [
+        ("example1 Δ41 = 60", example1(60.0), false),
+        ("example1 Δ41 = 80", example1(80.0), false),
+        ("mixed example1 Δ41 = 80", example1(80.0), true),
+        ("example2", example2(), false),
+        ("gaas_mips", gaas_mips(), false),
+    ] {
+        let mut model = TimingModel::build(&circuit).expect("model builds");
+        if mixed {
+            make_mixed(&mut model);
+        }
+        let lp = model
+            .problem()
+            .solve_reference(SolveBudget::UNLIMITED)
+            .expect("reference solve runs")
+            .into_optimal()
+            .expect("reference solve is optimal");
+        let report = critical_report(&circuit, &model).expect("critical analysis runs");
+        assert!(!report.edges.is_empty(), "{name}: no critical edge");
+        for ce in &report.edges {
+            let row = model.edge_constraint(ce.edge).expect("edge rows exist");
+            assert!(
+                lp.slack(row).abs() < 1e-7,
+                "{name}: critical edge {:?} has slack {}",
+                ce.edge,
+                lp.slack(row)
             );
         }
     }

@@ -210,6 +210,61 @@ fn tc_sweep_over_the_wire_reports_the_exact_breakpoints() {
 }
 
 #[test]
+fn diagnose_over_the_wire_on_a_generated_datapath() {
+    let server = start_server(2, 2);
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    let config = smo::gen::datapath::DatapathConfig::with_latches(1000);
+    let datapath = js(&netlist::write(&smo::gen::datapath::pipelined_datapath(
+        &config, 7,
+    )));
+    let result = |resp: &str| {
+        assert_eq!(classify(resp).0, "ok", "{resp}");
+        Json::parse(resp).unwrap().get("result").unwrap().clone()
+    };
+    let solved = result(
+        &client
+            .call(&format!("{{\"cmd\":\"solve\",\"netlist\":{datapath}}}"))
+            .unwrap(),
+    );
+    let tc = solved.get("cycle_time").and_then(Json::as_f64).unwrap();
+
+    // Uncapped: the optimum, from the same graph solve as `solve`.
+    let free = result(
+        &client
+            .call(&format!("{{\"cmd\":\"diagnose\",\"netlist\":{datapath}}}"))
+            .unwrap(),
+    );
+    assert_eq!(free.get("feasible").and_then(Json::as_bool), Some(true));
+    let min_cycle = free.get("min_cycle").and_then(Json::as_f64).unwrap();
+    // `solve` prints six decimals.
+    assert!((min_cycle - tc).abs() <= 1e-6, "{min_cycle} vs {tc}");
+
+    // Capped below the optimum: a certified conflict that names the cap.
+    let capped = result(
+        &client
+            .call(&format!(
+                "{{\"cmd\":\"diagnose\",\"cycle_time\":50,\"netlist\":{datapath}}}"
+            ))
+            .unwrap(),
+    );
+    assert_eq!(capped.get("feasible").and_then(Json::as_bool), Some(false));
+    assert_eq!(capped.get("certified").and_then(Json::as_bool), Some(true));
+    assert_eq!(capped.get("cycle_limit").and_then(Json::as_f64), Some(50.0));
+    let iis = capped.get("iis").and_then(Json::as_arr).unwrap();
+    assert!(iis.len() >= 2, "a cap alone is never an IIS");
+    assert!(iis.iter().any(|row| {
+        row.get("relation")
+            .and_then(Json::as_str)
+            .is_some_and(|r| r == "Tc <= 50")
+    }));
+
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn panic_isolation_and_quarantine() {
     let server = start_server(2, 2);
     let addr = server.addr().to_string();
