@@ -48,8 +48,9 @@ cargo test -q --test sweep
 
 echo "==> smo lint + smo analyze + certified smo solve over circuits/*.ckt"
 # `lint` exits non-zero on error-severity findings; `analyze` exits 2 when
-# the combinatorial bracket, the certified LP solve or the graph backend
-# disagree (an internal soundness bug). Either failure fails CI.
+# the combinatorial bracket misses the optimum or the optimum's KKT
+# certificate is invalid (an internal soundness bug). Either failure
+# fails CI.
 cargo build -q --release --bin smo
 for ckt in circuits/*.ckt; do
   echo "--- $ckt"
@@ -222,12 +223,14 @@ curve_out=$(timeout 30 ./target/release/smo sweep "$curve_ckt" --param tc --edge
 printf '%s\n' "$curve_out" | grep '"breakpoints": \[[0-9]' > /dev/null
 rm -f "$curve_ckt"
 
-echo "==> 16.7k-latch generated circuit (50k rows): report and diagnose on the graph"
+echo "==> 16.7k-latch generated circuit (50k rows): report, diagnose and analyze on the graph"
 # `report` reads its critical segments off the critical cycle that proves
 # Tc*, and `diagnose` takes one graph solve: its negative cycle seeds the
-# deletion filter, which decides each trial on the seed's own graph. All
-# three run in a small multiple of `smo check` (about 0.2 s on a 2-core
-# host); on the simplex they took minutes.
+# deletion filter, which decides each trial on the seed's own graph.
+# `analyze` makes the one default solve and proves it optimal for the LP
+# by the KKT certificate of the critical cycle's duals. All four run in a
+# small multiple of `smo check` (about 0.2 s on a 2-core host); on the
+# simplex they took minutes.
 graph_ckt=$(mktemp --suffix=.ckt)
 ./target/release/smo gen --latches 16700 --seed 7 --out "$graph_ckt"
 timeout 30 ./target/release/smo report "$graph_ckt" \
@@ -242,6 +245,8 @@ if [ "$capped_rc" -ne 1 ]; then
   exit 1
 fi
 printf '%s\n' "$capped_out" | grep -q "(Farkas-certified)"
+analyze_out=$(timeout 30 ./target/release/smo analyze "$graph_ckt")
+printf '%s\n' "$analyze_out" | grep -q "certified optimal"
 rm -f "$graph_ckt"
 
 echo "==> 200k mindelay lines over 200k parallel paths: parsed in one indexed pass"

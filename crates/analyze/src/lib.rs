@@ -25,10 +25,11 @@
 //!   paper's constraint names (C1–C3 clock rows, L1 setup, L2R
 //!   propagation) with the latches and phases involved.
 //! * **Constraint analysis** ([`analyze`]) — cross-check the combinatorial
-//!   cycle-time bracket `lower ≤ Tc* ≤ upper` against the certified LP
-//!   optimum and the graph backend's exact optimum, and classify each
-//!   constraint family into the difference fragment. Any disagreement is a
-//!   hard [`AnalyzeError`], not a finding.
+//!   cycle-time bracket `lower ≤ Tc* ≤ upper` against the default solve's
+//!   optimum, proven optimal for the LP by its KKT certificate, and
+//!   classify each constraint family into the difference fragment. A
+//!   bracket that misses the optimum is a hard [`AnalyzeError`], not a
+//!   finding.
 //!
 //! The passes back the `smo lint`, `smo diagnose` and `smo analyze` CLI
 //! subcommands.

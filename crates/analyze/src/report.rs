@@ -1,17 +1,21 @@
 //! `smo analyze` — the constraint-system report.
 //!
-//! One pass that cross-checks the three views of a circuit's cycle time:
+//! One pass that cross-checks two independent views of a circuit's cycle
+//! time:
 //!
 //! 1. the **combinatorial bracket** `lower ≤ Tc* ≤ upper` from
 //!    [`smo_core::cycle_time_bounds`] (no LP),
-//! 2. the **certified LP optimum** of the sparse-LU simplex,
-//! 3. the **graph optimum** of the exact min-cycle-ratio backend, on
-//!    pure difference-constraint models.
+//! 2. the **certified LP optimum**: the default `auto` solve that
+//!    `smo solve` makes (the exact min-cycle-ratio graph backend on a pure
+//!    difference-constraint model, the sparse-LU simplex otherwise), with
+//!    its KKT certificate, which proves the optimum of LP P2 from the raw
+//!    rows whichever solver found it.
 //!
-//! The three must agree — the bracket must contain the optimum and the two
-//! solvers must return the same objective — or [`analyze`] returns a hard
+//! The bracket must contain the optimum, or [`analyze`] returns a hard
 //! [`AnalyzeError`] rather than a report: a disagreement means a bug in the
-//! bound derivation or one of the solvers, not in the circuit.
+//! bound derivation or the solver, not in the circuit. An invalid
+//! certificate is reported in [`AnalyzeReport::certificate`], and
+//! `smo analyze` exits 2 on it as on a disagreement.
 //!
 //! The report also classifies the rows family by family (the paper's
 //! C1–C3 clock rows, L1 setup, L2R propagation, flip-flop rows) into the
@@ -26,11 +30,6 @@ use smo_core::{
 };
 use smo_lp::LpError;
 use std::fmt;
-
-/// Objective agreement tolerance between the graph and simplex optima.
-/// On the shipped circuits the two agree to the last bit; the tolerance
-/// only guards against platform-dependent rounding on exotic inputs.
-const AGREE_TOL: f64 = 1e-9;
 
 /// The paper-facing constraint families used for the classification
 /// breakdown.
@@ -79,15 +78,6 @@ pub enum AnalyzeError {
         /// The LP optimum that escaped the bracket.
         optimum: f64,
     },
-    /// The difference-constraint graph backend and the simplex returned
-    /// different optima on a pure-difference model — an internal soundness
-    /// failure in one of the two solvers.
-    BackendDisagree {
-        /// Exact optimum from the min-cycle-ratio graph solver.
-        graph: f64,
-        /// Optimum from the (certified) simplex.
-        lp: f64,
-    },
 }
 
 impl fmt::Display for AnalyzeError {
@@ -102,11 +92,6 @@ impl fmt::Display for AnalyzeError {
                 f,
                 "soundness failure: LP optimum {optimum} escapes the certified \
                  combinatorial bracket [{lower}, {upper}]"
-            ),
-            AnalyzeError::BackendDisagree { graph, lp } => write!(
-                f,
-                "soundness failure: graph backend returned Tc* = {graph} but the \
-                 simplex returned {lp} on a pure difference-constraint model"
             ),
         }
     }
@@ -142,8 +127,7 @@ pub struct AnalyzeReport {
     /// cyclic SCC, in the same (decreasing-ratio) order as
     /// `bounds.critical`.
     pub critical_names: Vec<String>,
-    /// The certified LP optimum `Tc*`, cross-checked against the bracket
-    /// and the graph backend.
+    /// The certified LP optimum `Tc*`, cross-checked against the bracket.
     pub optimum: f64,
     /// `optimum == bounds.lower` up to `1e-6` relative — the bracket is
     /// tight and the critical cycle alone determines the cycle time.
@@ -156,14 +140,15 @@ pub struct AnalyzeReport {
     /// Rows outside the difference fragment (zero means the graph backend
     /// solves this model exactly).
     pub num_general_rows: usize,
-    /// Exact optimum from the min-cycle-ratio graph backend, when the model
-    /// is pure-difference (`None` when general rows force the simplex).
-    /// Always cross-checked against the LP optimum before the report is
-    /// returned.
+    /// The optimum when the exact min-cycle-ratio graph backend found it
+    /// (`None` when the simplex did: general rows, or numerical trouble on
+    /// the graph).
     pub graph_optimum: Option<f64>,
-    /// Independent KKT certificate for the LP solve: the reported optimum is not just "what the simplex said" but has been
-    /// re-verified from the raw constraint data (primal/dual feasibility,
-    /// complementary slackness, duality gap).
+    /// Independent KKT certificate of the optimum (the weakest, when the
+    /// simplex solved more than one LP): the reported optimum is not just
+    /// "what the solver said" but has been re-verified from the raw
+    /// constraint data (primal/dual feasibility, complementary slackness,
+    /// duality gap). `None` or invalid means the optimum is unproven.
     pub certificate: Option<smo_lp::Certificate>,
 }
 
@@ -312,27 +297,24 @@ impl fmt::Display for AnalyzeReport {
         match self.graph_optimum {
             Some(g) => writeln!(
                 f,
-                "graph backend: Tc* = {g} (exact min-cycle-ratio, agrees with the LP)"
+                "graph backend: Tc* = {g} (exact min-cycle-ratio, KKT-certified on the LP)"
             )?,
-            None => writeln!(
-                f,
-                "graph backend: not exact here (general rows present); simplex decides"
-            )?,
+            None => writeln!(f, "graph backend: not used here; the simplex decided")?,
         }
         Ok(())
     }
 }
 
-/// Analyzes `circuit`: computes the combinatorial bracket, solves the LP
-/// certified, and cross-checks the optimum against the bracket and, on
-/// pure difference models, the graph backend.
+/// Analyzes `circuit`: computes the combinatorial bracket, makes the
+/// default certified solve, and cross-checks the optimum against the
+/// bracket. The caller must check [`AnalyzeReport::certificate`]: an
+/// optimum whose certificate is missing or invalid is unproven.
 ///
 /// # Errors
 ///
 /// [`AnalyzeError::Timing`] when the model cannot be built or solved;
-/// [`AnalyzeError::BoundsDisagree`] / [`AnalyzeError::BackendDisagree`]
-/// when a soundness cross-check fails (these indicate an internal bug, and
-/// `smo analyze` surfaces them with a distinct exit code).
+/// [`AnalyzeError::BoundsDisagree`] when the bracket misses the optimum (an
+/// internal bug, which `smo analyze` surfaces with a distinct exit code).
 pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
     let model = TimingModel::build(circuit)?;
 
@@ -349,30 +331,17 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
         }
     }
 
-    // The certified solve: its verdict is re-verified from the raw
-    // constraint data (walking the numerical recovery ladder if the first
-    // attempt does not certify).
-    let (sol, certificate) = model.solve_lp_certified(&smo_lp::RecoveryPolicy::default())?;
-    let optimum = sol.objective();
-
-    // On pure-difference models the graph backend solves the same problem
-    // exactly; its optimum and the simplex's must coincide.
-    let graph_optimum = if cls.is_pure() {
-        let graph_sol = min_cycle_time_with(
-            circuit,
-            &MlpOptions {
-                backend: Backend::Graph,
-                ..Default::default()
-            },
-        )?;
-        let graph = graph_sol.cycle_time();
-        if (graph - optimum).abs() > AGREE_TOL * (1.0 + optimum.abs()) {
-            return Err(AnalyzeError::BackendDisagree { graph, lp: optimum });
-        }
-        Some(graph)
-    } else {
-        None
-    };
+    // The default solve of `smo solve`: its optimum is KKT-checked against
+    // the raw constraint data, on the graph path with the critical cycle's
+    // duals.
+    let sol = min_cycle_time_with(circuit, &MlpOptions::default())?;
+    let optimum = sol.cycle_time();
+    let certificate = sol
+        .certificates()
+        .iter()
+        .max_by(|a, b| a.worst().total_cmp(&b.worst()))
+        .cloned();
+    let graph_optimum = (sol.backend() == Backend::Graph).then_some(optimum);
 
     // The combinatorial bracket must contain the optimum.
     let bounds = cycle_time_bounds(circuit);
@@ -418,7 +387,7 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
             .collect(),
         num_general_rows: cls.num_general(),
         graph_optimum,
-        certificate: Some(certificate),
+        certificate,
     })
 }
 
@@ -557,10 +526,5 @@ mod tests {
             optimum: 25.0,
         };
         assert!(b.to_string().contains("escapes the certified"));
-        let g = AnalyzeError::BackendDisagree {
-            graph: 10.0,
-            lp: 11.0,
-        };
-        assert!(g.to_string().contains("graph backend"));
     }
 }

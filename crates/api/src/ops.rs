@@ -31,16 +31,6 @@ pub fn solve_json(sol: &TimingSolution) -> String {
     out.push_str(&format!("  \"cycle_time\": {:.6},\n", sol.cycle_time()));
     out.push_str(&format!("  \"certified\": {},\n", sol.certified()));
     out.push_str(&format!("  \"backend\": \"{}\",\n", sol.backend()));
-    if let Some(gc) = sol.graph_certificate() {
-        out.push_str(&format!(
-            "  \"graph_certificate\": {{\"valid\": {}, \"implied_lower\": {:.6}, \
-             \"witness_rows\": {}, \"max_violation\": {:e}}},\n",
-            gc.is_valid(),
-            gc.implied_lower(),
-            gc.witness_rows(),
-            gc.max_violation()
-        ));
-    }
     out.push_str(&format!(
         "  \"lp_iterations\": {},\n  \"update_iterations\": {},\n  \"num_constraints\": {},\n",
         sol.lp_iterations(),

@@ -67,7 +67,7 @@ impl Diagnosis {
     pub fn to_json(&self) -> String {
         match self {
             Diagnosis::Feasible { min_cycle } => {
-                format!("{{\n  \"feasible\": true,\n  \"min_cycle\": {min_cycle}\n}}")
+                format!("{{\n  \"feasible\": true,\n  \"min_cycle\": {min_cycle:.6}\n}}")
             }
             Diagnosis::Infeasible(r) => r.to_json(),
         }
@@ -78,7 +78,7 @@ impl fmt::Display for Diagnosis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Diagnosis::Feasible { min_cycle } => {
-                write!(f, "feasible: minimum cycle time {min_cycle}")
+                write!(f, "feasible: minimum cycle time {min_cycle:.6}")
             }
             Diagnosis::Infeasible(r) => write!(f, "{r}"),
         }

@@ -15,10 +15,12 @@
 //!
 //! The fast path never weakens the engine's verification story:
 //!
-//! * an optimal graph solve carries a [`GraphCertificate`] — the row
-//!   arithmetic of the critical cycle re-checked against the raw LP rows,
-//!   the graph analogue of the simplex path's KKT
-//!   [`Certificate`](smo_lp::Certificate);
+//! * an optimal graph solve carries the same KKT
+//!   [`Certificate`](smo_lp::Certificate) as the simplex path: the
+//!   critical cycle that proves `T_c*` is P2's optimal dual (§IV, each of
+//!   its rows weighted by its multiplier over the cycle's `Σ slope`), and
+//!   [`smo_lp::certify_kkt`] checks it with the graph's point against the
+//!   raw LP rows;
 //! * an infeasible graph solve surfaces the negative cycle as a Farkas
 //!   vector checked by [`smo_lp::certifies_infeasibility`] and named in
 //!   paper vocabulary (C1/C3/L1/…), exactly like
@@ -34,8 +36,8 @@ use crate::model::TimingModel;
 use crate::solution::TimingSolution;
 use smo_circuit::{Circuit, ClockSchedule, LatchId, PhaseId};
 use smo_lp::{
-    classify, Classification, DifferenceSystem, FixedParamOutcome, GraphInfeasibility,
-    MinParamOutcome, ParamLowerWitness, Problem, Sense, SolveBudget, Tol, VarImage,
+    classify, Certificate, Classification, ConstraintId, DifferenceSystem, FixedParamOutcome,
+    GraphInfeasibility, MinParamOutcome, ParamLowerWitness, SolveBudget, Tol, VarImage,
 };
 
 /// Which solver backs [`min_cycle_time_with`](crate::min_cycle_time_with).
@@ -162,68 +164,6 @@ pub fn graph_feasible_at_within(
     )))
 }
 
-/// Independent optimality check of a graph solve, the analogue of the
-/// KKT [`Certificate`](smo_lp::Certificate) on the simplex path.
-///
-/// Validity means two things were re-derived from the raw LP rows with no
-/// reference to the graph solver: *achievability* (the returned schedule
-/// satisfies every constraint row within [`Tol::FEAS`]) and *minimality*
-/// (the critical cycle's row multipliers aggregate — by plain row
-/// arithmetic over the variable box — to a proof that `T_c ≥ T_c*`; or
-/// `T_c*` sits on the model's declared cycle-time lower bound).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphCertificate {
-    tc: f64,
-    implied_lower: f64,
-    max_violation: f64,
-    witness_rows: usize,
-    valid: bool,
-}
-
-impl GraphCertificate {
-    /// `true` when both the achievability and the minimality re-checks
-    /// passed.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
-    /// The certified optimal cycle time.
-    pub fn tc(&self) -> f64 {
-        self.tc
-    }
-
-    /// The lower bound on `T_c` re-derived from the witness rows (equals
-    /// [`GraphCertificate::tc`] up to tolerance when valid).
-    pub fn implied_lower(&self) -> f64 {
-        self.implied_lower
-    }
-
-    /// Worst relative constraint violation of the returned schedule
-    /// (comparable against [`Tol::FEAS`]`.rel()`).
-    pub fn max_violation(&self) -> f64 {
-        self.max_violation
-    }
-
-    /// Number of constraint rows on the critical cycle (zero when `T_c*`
-    /// sits on the declared lower bound).
-    pub fn witness_rows(&self) -> usize {
-        self.witness_rows
-    }
-}
-
-impl std::fmt::Display for GraphCertificate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} (Tc >= {:.6} from {} critical row(s), worst residual {:.2e})",
-            if self.valid { "valid" } else { "INVALID" },
-            self.implied_lower,
-            self.witness_rows,
-            self.max_violation
-        )
-    }
-}
-
 /// What [`attempt`] produced.
 pub(crate) enum FastPathOutcome {
     /// The model was pure-difference and solved exactly on the graph.
@@ -233,10 +173,10 @@ pub(crate) enum FastPathOutcome {
     Mixed,
 }
 
-/// Runs the fast path on a freshly built model. With `certify` off, a
-/// pure-model solve skips the [`GraphCertificate`] re-check. A mixed
-/// model is handed back before any graph is built: the simplex decides
-/// it, infeasibility included.
+/// Runs the fast path on a freshly built model. With `certify` on, a
+/// pure-model solve carries the KKT certificate of [`certify_optimum`].
+/// A mixed model is handed back before any graph is built: the simplex
+/// decides it, infeasibility included.
 ///
 /// # Errors
 ///
@@ -274,9 +214,8 @@ pub(crate) fn attempt(
             let x = reconstruct_point(circuit, model, lambda, &potentials);
             let mut solution = build_solution(circuit, model, lambda, &x)?;
             if certify {
-                let lower = sys.param_range().0;
-                solution.graph_certificate =
-                    Some(certify_graph(model, lambda, &x, witness.as_ref(), lower));
+                let cert = certify_optimum(model, &x, &critical_duals(witness.as_ref()));
+                solution.certificates = vec![cert];
             }
             Ok(FastPathOutcome::Solved(Box::new(solution)))
         }
@@ -286,8 +225,8 @@ pub(crate) fn attempt(
 /// The exact minimum cycle time of a pure difference model by the
 /// min-ratio solve of [`attempt`], without the departure slide — all a
 /// sweep run needs — with the critical cycle that proves it (`None` when
-/// `T_c*` sits on the model's declared lower bound). With `certify`, the
-/// optimum must also pass the [`GraphCertificate`] re-check.
+/// `T_c*` sits on the cycle-time variable's own lower bound). With
+/// `certify`, the optimum must also pass [`certify_optimum`].
 ///
 /// Returns `Ok(None)` on a miss that `auto` would hand to the simplex: a
 /// row outside the difference fragment, numerical trouble in the graph
@@ -320,8 +259,7 @@ pub(crate) fn min_cycle_ratio(
         } => {
             if certify {
                 let x = reconstruct_point(circuit, model, lambda, &potentials);
-                let lower = sys.param_range().0;
-                if !certify_graph(model, lambda, &x, witness.as_ref(), lower).is_valid() {
+                if !certify_optimum(model, &x, &critical_duals(witness.as_ref())).is_valid() {
                     return Ok(None);
                 }
             }
@@ -474,121 +412,32 @@ fn build_solution(
         lp_iterations: 0,
         num_constraints: model.num_constraints(),
         certificates: Vec::new(),
-        graph_certificate: None,
         backend: Backend::Graph,
     })
 }
 
-/// Re-derives achievability and minimality from the raw LP rows (see
-/// [`GraphCertificate`]).
-fn certify_graph(
-    model: &TimingModel,
-    lambda: f64,
-    x: &[f64],
-    witness: Option<&ParamLowerWitness>,
-    param_lower: f64,
-) -> GraphCertificate {
-    let p = model.problem();
-    // Achievability: every row holds at `x` within FEAS.
-    let mut max_violation: f64 = 0.0;
-    for info in model.constraints() {
-        let (expr, sense, rhs) = p.constraint(info.row);
-        let lhs = expr.eval(x);
-        let scale = lhs.abs().max(rhs.abs());
-        let viol = match sense {
-            Sense::Le => Tol::FEAS.violation(lhs, rhs, scale),
-            Sense::Ge => Tol::FEAS.violation(rhs, lhs, scale),
-            Sense::Eq => Tol::FEAS
-                .violation(lhs, rhs, scale)
-                .max(Tol::FEAS.violation(rhs, lhs, scale)),
-        };
-        max_violation = max_violation.max(viol);
-    }
-    let feasible = max_violation <= Tol::FEAS.rel();
-    // Minimality: either the witness rows aggregate to `T_c ≥ λ*`, or λ*
-    // sits on the model's declared parameter lower bound.
-    let (implied_lower, witness_rows, lower_ok) = match witness {
-        None => (
-            param_lower,
-            0,
-            lambda <= param_lower + Tol::FEAS.abs_for(param_lower),
-        ),
-        Some(w) => {
-            let bound = witness_bound(p, model.vars().tc(), w);
-            (
-                bound,
-                w.rows().len(),
-                bound >= lambda - Tol::FEAS.abs_for(lambda),
-            )
-        }
-    };
-    GraphCertificate {
-        tc: lambda,
-        implied_lower,
-        max_violation,
-        witness_rows,
-        valid: feasible && lower_ok,
-    }
+/// P2's optimal dual on the graph path, as `(row, dual)` pairs: each row
+/// of the critical cycle that proves `T_c*` gets its multiplier over the
+/// cycle's `Σ slope`, and every other row zero (§IV, Theorem 1). The dual
+/// of a row is `dT_c*/db` for its right-hand side `b`. Empty when `T_c*`
+/// sits on the cycle-time variable's own lower bound.
+pub(crate) fn critical_duals(witness: Option<&ParamLowerWitness>) -> Vec<(ConstraintId, f64)> {
+    witness.map_or_else(Vec::new, |w| {
+        w.rows().iter().map(|&(c, m)| (c, m / w.slope())).collect()
+    })
 }
 
-/// The lower bound on `T_c` that the witness rows prove, re-derived from
-/// the rows and the variable box alone: aggregate the rows with their
-/// multipliers (checking Farkas sign conventions), then relax every
-/// non-`T_c` coefficient against its variable bound. Returns `−∞` when
-/// the aggregation is unusable (wrong sign, unbounded relaxation, no
-/// positive `T_c` coefficient).
-fn witness_bound(p: &Problem, tc: smo_lp::VarId, witness: &ParamLowerWitness) -> f64 {
-    let tol = Tol::TIGHT;
-    let mut coef = vec![0.0; p.num_vars()];
-    let mut vars: Vec<Option<smo_lp::VarId>> = vec![None; p.num_vars()];
-    let mut rhs_agg = 0.0;
-    let mut scale: f64 = 0.0;
-    for &(c, m) in witness.rows() {
-        let (expr, sense, rhs) = p.constraint(c);
-        let ok = match sense {
-            Sense::Le => m <= tol.rel(),
-            Sense::Ge => m >= -tol.rel(),
-            Sense::Eq => true,
-        };
-        if !ok {
-            return f64::NEG_INFINITY;
-        }
-        for (v, a) in expr.iter() {
-            coef[v.index()] += m * a;
-            vars[v.index()] = Some(v);
-            scale = scale.max((m * a).abs());
-        }
-        rhs_agg += m * rhs;
+/// The KKT certificate of a graph optimum: the point `x` and its
+/// [`critical_duals`] checked against P2's raw rows by
+/// [`smo_lp::certify_kkt`], the checker of the simplex path. Valid means
+/// `x` is optimal by weak duality, whichever solver found it.
+fn certify_optimum(model: &TimingModel, x: &[f64], duals: &[(ConstraintId, f64)]) -> Certificate {
+    let p = model.problem();
+    let mut y = vec![0.0; p.num_constraints()];
+    for &(c, v) in duals {
+        y[c.index()] += v;
     }
-    // The aggregate Σ coef·x ≥ rhs_agg holds for every feasible x. Move
-    // everything except T_c to the right at its worst box value: on a
-    // well-formed witness the node coefficients all cancel except
-    // bound-arc residuals, which relax against the box below.
-    let mut gamma = 0.0;
-    let mut slack = 0.0;
-    for (i, &cv) in coef.iter().enumerate() {
-        if cv.abs() <= tol.abs_for(scale) {
-            continue;
-        }
-        let Some(var) = vars[i] else {
-            return f64::NEG_INFINITY;
-        };
-        if var == tc {
-            gamma = cv;
-            continue;
-        }
-        let (lo, up) = p.var_bounds(var);
-        // sup over the box of cv·x_v.
-        let sup = if cv > 0.0 { cv * up } else { cv * lo };
-        if !sup.is_finite() {
-            return f64::NEG_INFINITY;
-        }
-        slack += sup;
-    }
-    if gamma <= tol.abs_for(scale) {
-        return f64::NEG_INFINITY;
-    }
-    (rhs_agg - slack) / gamma
+    smo_lp::certify_kkt(p, x, &y, None)
 }
 
 /// Builds the [`TimingError::Infeasible`] for a machine-checked
@@ -624,7 +473,9 @@ mod tests {
     use crate::mlp::{min_cycle_time_with, MlpOptions};
     use crate::model::ConstraintOptions;
     use crate::propagation::PropagationSystem;
+    use proptest::prelude::*;
     use smo_gen::paper::example1;
+    use smo_gen::random::{random_circuit, GenConfig};
 
     fn opts(backend: Backend) -> MlpOptions {
         MlpOptions {
@@ -644,9 +495,10 @@ mod tests {
             sol.cycle_time()
         );
         assert_eq!(sol.lp_iterations(), 0);
-        let cert = sol.graph_certificate().expect("graph path must certify");
-        assert!(cert.is_valid());
-        assert!((cert.implied_lower() - 110.0).abs() < 1e-6);
+        let [cert] = sol.certificates() else {
+            panic!("graph path must certify: {:?}", sol.certificates());
+        };
+        assert!(cert.is_valid(), "{cert}");
         assert!(sol.certified());
         assert!(sol.to_string().contains("[certified]"));
         // The slid departures satisfy the nonlinear fixpoint (Theorem 1).
@@ -669,8 +521,104 @@ mod tests {
                 lp.cycle_time(),
                 fast.cycle_time()
             );
-            assert!(fast.graph_certificate().is_some(), "Δ41 = {d41}");
+            assert_eq!(fast.backend(), Backend::Graph, "Δ41 = {d41}");
+            assert!(fast.certified(), "Δ41 = {d41}");
         }
+    }
+
+    /// The graph optimum of `circuit`'s default model, taken apart: the
+    /// model, `T_c*`, the point of [`reconstruct_point`] and its
+    /// [`critical_duals`].
+    fn graph_optimum(circuit: &Circuit) -> (TimingModel, f64, Vec<f64>, Vec<(ConstraintId, f64)>) {
+        let model = TimingModel::build(circuit).unwrap();
+        let sys = difference_system(circuit, &model)
+            .unwrap()
+            .expect("pure model");
+        let MinParamOutcome::Optimal {
+            lambda,
+            potentials,
+            witness,
+        } = sys.minimize_param(&SolveBudget::UNLIMITED).unwrap()
+        else {
+            panic!("default models are feasible");
+        };
+        let x = reconstruct_point(circuit, &model, lambda, &potentials);
+        let duals = critical_duals(witness.as_ref());
+        (model, lambda, x, duals)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// On random pure circuits the graph optimum's KKT certificate is
+        /// valid, `T_c*` matches the dense reference simplex, and the
+        /// check rejects a halved dual, a dropped critical row and a point
+        /// whose `T_c` is 0.1 % low.
+        #[test]
+        fn prop_graph_kkt_certificate_is_valid_and_sharp(
+            seed in 0u64..10_000,
+            latches in 3usize..12,
+            ff in proptest::bool::ANY,
+        ) {
+            let cfg = GenConfig {
+                latches,
+                edges: 2 * latches,
+                flip_flop_prob: if ff { 0.3 } else { 0.0 },
+                ..Default::default()
+            };
+            let circuit = random_circuit(&cfg, seed);
+            let (model, tc, x, duals) = graph_optimum(&circuit);
+            let cert = certify_optimum(&model, &x, &duals);
+            prop_assert!(cert.is_valid(), "{cert}");
+            let reference = model
+                .problem()
+                .solve_reference(SolveBudget::UNLIMITED)
+                .unwrap()
+                .into_optimal()
+                .unwrap()
+                .objective();
+            prop_assert!(
+                (tc - reference).abs() <= Tol::TIGHT.abs_for(reference),
+                "graph Tc* = {tc}, dense simplex {reference}"
+            );
+
+            prop_assert!(!duals.is_empty(), "a critical cycle binds Tc*");
+            let halved: Vec<_> = duals.iter().map(|&(c, v)| (c, v / 2.0)).collect();
+            prop_assert!(!certify_optimum(&model, &x, &halved).is_valid());
+            // A row that only restates a variable bound (a flip-flop's
+            // pinned departure) can go without breaking the proof; a row
+            // carrying `T_c` cannot.
+            let tc_var = model.vars().tc();
+            let drop = duals
+                .iter()
+                .position(|&(c, _)| model.problem().constraint(c).0.coeff(tc_var) != 0.0)
+                .expect("the critical cycle's Σ slope is positive");
+            let mut fewer = duals.clone();
+            fewer.remove(drop);
+            let cert = certify_optimum(&model, &x, &fewer);
+            prop_assert!(!cert.is_valid(), "without row {:?}: {cert}", duals[drop].0);
+            let mut low = x.clone();
+            low[model.vars().tc().index()] -= 1e-3 * tc;
+            prop_assert!(!certify_optimum(&model, &low, &duals).is_valid());
+        }
+    }
+
+    #[test]
+    fn pinned_cycle_time_certifies_through_its_row() {
+        // `fixed_cycle` declares Tc's lower bound by a row: the row itself
+        // is the witness, and the KKT check passes with its dual of 1.
+        let c = example1(80.0);
+        let options = MlpOptions {
+            backend: Backend::Graph,
+            constraints: ConstraintOptions {
+                fixed_cycle: Some(150.0),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let sol = min_cycle_time_with(&c, &options).unwrap();
+        assert_eq!(sol.cycle_time(), 150.0);
+        assert!(sol.certified(), "{:?}", sol.certificates());
     }
 
     #[test]
@@ -715,7 +663,6 @@ mod tests {
         let auto = solve(Backend::Auto);
         let lp = solve(Backend::Lp);
         assert_eq!(auto.backend(), Backend::Lp);
-        assert!(auto.graph_certificate().is_none());
         assert!(!auto.certificates().is_empty());
         assert!(auto.certificates().iter().all(|c| c.is_valid()));
         assert_eq!(auto.cycle_time(), lp.cycle_time());

@@ -37,8 +37,9 @@
 //! * **Difference-constraint fast path** ([`Backend`], [`classify_model`])
 //!   — a static row classifier maps the SMO model onto a
 //!   difference-constraint graph; pure models solve by Bellman–Ford plus
-//!   Lawler's exact min-cycle-ratio iteration (no simplex at all) with an
-//!   independently re-checked [`GraphCertificate`], mixed models go to
+//!   Lawler's exact min-cycle-ratio iteration (no simplex at all) with the
+//!   same KKT [`Certificate`](smo_lp::Certificate) as the simplex path,
+//!   built from the critical cycle's duals, mixed models go to
 //!   the cold certified simplex, and infeasibility
 //!   surfaces as a machine-checked negative-cycle Farkas certificate named
 //!   in paper vocabulary.
@@ -110,7 +111,6 @@ pub use diagram::{render_schedule, render_solution};
 pub use error::TimingError;
 pub use fastpath::{
     classify_model, graph_feasible_at, graph_feasible_at_within, variable_images, Backend,
-    GraphCertificate,
 };
 pub use mlp::{
     min_cycle_time, min_cycle_time_with, solve_model, solve_model_canonical, MlpOptions,

@@ -43,8 +43,8 @@ pub struct MlpOptions {
     /// [`TimingSolution::certificates`](crate::TimingSolution)), a failed
     /// check walks the numerical recovery ladder, and exhaustion surfaces
     /// as a structured error instead of a silently-wrong cycle time. On the
-    /// graph path the critical cycle is re-checked into a
-    /// [`GraphCertificate`](crate::GraphCertificate). With `false` neither
+    /// graph path the same KKT check ([`smo_lp::certify_kkt`]) runs on the
+    /// graph's point with the critical cycle's duals. With `false` neither
     /// check runs and the solution reports itself uncertified.
     pub certify: bool,
     /// Wall-clock budget for the whole solve (`None` = unlimited). The
@@ -337,7 +337,6 @@ fn model_inner(
         lp_iterations: sol.iterations(),
         num_constraints: model.num_constraints(),
         certificates,
-        graph_certificate: None,
         backend: Backend::Lp,
     })
 }

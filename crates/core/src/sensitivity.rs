@@ -47,9 +47,7 @@ impl Support {
     /// pure difference model, the sparse-LU simplex otherwise.
     pub(crate) fn solve(circuit: &Circuit, model: &TimingModel) -> Result<Support, TimingError> {
         if let Some((tc, witness)) = fastpath::min_cycle_ratio(circuit, model, false)? {
-            let rows = witness.map_or_else(Vec::new, |w| {
-                w.rows().iter().map(|&(c, m)| (c, m / w.slope())).collect()
-            });
+            let rows = fastpath::critical_duals(witness.as_ref());
             return Ok(Support { tc, rows });
         }
         let sol = model.solve_lp()?;

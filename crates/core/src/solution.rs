@@ -21,13 +21,9 @@ pub struct TimingSolution {
     /// Number of constraint rows in the LP (the paper reports 91 for the
     /// GaAs example).
     pub(crate) num_constraints: usize,
-    /// Independent optimality certificates for each LP solved on the way
-    /// to this solution (empty when certification was disabled).
+    /// Independent KKT certificates of the optimum (empty when
+    /// certification was disabled).
     pub(crate) certificates: Vec<smo_lp::Certificate>,
-    /// Independent optimality certificate from the difference-constraint
-    /// graph solver, when the fast path produced this solution (`None` on
-    /// the simplex path).
-    pub(crate) graph_certificate: Option<crate::fastpath::GraphCertificate>,
     /// The solver that produced this solution: [`Backend::Graph`] or
     /// [`Backend::Lp`].
     pub(crate) backend: Backend,
@@ -93,20 +89,14 @@ impl TimingSolution {
         self.num_constraints
     }
 
-    /// Independent optimality certificates, one per LP solved on the way
-    /// to this solution (two with canonicalization, one without; empty
-    /// when certification was disabled via
-    /// [`MlpOptions::certify`](crate::MlpOptions)).
+    /// Independent KKT certificates ([`smo_lp::certify_kkt`]) of the
+    /// optimum: on the simplex path one per LP solved on the way to this
+    /// solution (two with canonicalization, one without), on the graph
+    /// path one for the graph's point and the duals of its critical cycle.
+    /// Empty when certification was disabled via
+    /// [`MlpOptions::certify`](crate::MlpOptions).
     pub fn certificates(&self) -> &[smo_lp::Certificate] {
         &self.certificates
-    }
-
-    /// The graph solver's optimality certificate, when the
-    /// difference-constraint fast path produced this solution (`None` on
-    /// the simplex path; see
-    /// [`GraphCertificate`](crate::fastpath::GraphCertificate)).
-    pub fn graph_certificate(&self) -> Option<&crate::fastpath::GraphCertificate> {
-        self.graph_certificate.as_ref()
     }
 
     /// The solver that produced this solution: [`Backend::Graph`] for the
@@ -118,13 +108,9 @@ impl TimingSolution {
 
     /// `true` when every solver verdict behind this solution was
     /// independently machine-checked: at least one certificate present
-    /// (KKT certificates on the simplex path, a
-    /// [`GraphCertificate`](crate::fastpath::GraphCertificate) on the
-    /// graph fast path) and all of them valid.
+    /// and all of them valid.
     pub fn certified(&self) -> bool {
-        let any = !self.certificates.is_empty() || self.graph_certificate.is_some();
-        any && self.certificates.iter().all(|c| c.is_valid())
-            && self.graph_certificate.iter().all(|c| c.is_valid())
+        !self.certificates.is_empty() && self.certificates.iter().all(|c| c.is_valid())
     }
 
     /// Absolute departure instant within the cycle: `s_{p_i} + D_i`, for
@@ -170,7 +156,6 @@ mod tests {
             lp_iterations: 9,
             num_constraints: 15,
             certificates: Vec::new(),
-            graph_certificate: None,
             backend: Backend::Lp,
         }
     }

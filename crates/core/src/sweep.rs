@@ -27,9 +27,9 @@
 //! backend solves ([`Backend::Auto`](crate::Backend)). When every row of
 //! the model is a difference constraint — true of every default SMO
 //! model — the run is an exact min-cycle-ratio solve on the difference
-//! graph, and `certify` re-checks each optimum into a
-//! [`GraphCertificate`](crate::GraphCertificate). Such runs report zero
-//! pivots. A run the graph cannot settle (a mixed model, numerical
+//! graph, and `certify` checks each optimum with its critical cycle's
+//! duals by [`smo_lp::certify_kkt`], the KKT check of the simplex path.
+//! Such runs report zero pivots. A run the graph cannot settle (a mixed model, numerical
 //! doubt, a failed certificate) gets a cold sparse-LU simplex solve,
 //! certified when `certify` is set.
 //!
@@ -89,11 +89,10 @@ pub struct SweepOptions {
     /// the work-item count and to [`std::thread::available_parallelism`],
     /// so over-subscribing a small container no longer costs throughput.
     pub jobs: usize,
-    /// Check every re-solve independently: graph runs re-derive a
-    /// [`GraphCertificate`](crate::GraphCertificate), simplex runs go
-    /// through the certified ladder
-    /// ([`TimingModel::solve_lp_certified`]) and are KKT-checked against
-    /// raw problem data.
+    /// Check every re-solve independently against raw problem data by the
+    /// one KKT checker, [`smo_lp::certify_kkt`]: graph runs with their
+    /// critical cycle's duals, simplex runs through the certified ladder
+    /// ([`TimingModel::solve_lp_certified`]).
     pub certify: bool,
 }
 

@@ -755,8 +755,9 @@ impl NegativeCycle {
 
 /// Proof that `λ*` returned by [`DifferenceSystem::minimize_param`] is
 /// minimal: `(row, multiplier)` pairs whose sum implies `λ ≥ implied_lower`
-/// by pure row arithmetic (empty when `λ*` sits on the parameter's own
-/// lower bound).
+/// by pure row arithmetic — the critical cycle's rows, or the
+/// [`RowClass::ParamBound`] row when `λ*` sits on a lower bound that a row
+/// declares.
 #[derive(Debug, Clone)]
 pub struct ParamLowerWitness {
     rows: Vec<(ConstraintId, f64)>,
@@ -828,7 +829,7 @@ pub enum MinParamOutcome {
         /// relative to the origin.
         potentials: Vec<f64>,
         /// Row-arithmetic proof of minimality; `None` when `λ*` sits on
-        /// the parameter's own lower bound.
+        /// the parameter variable's own lower bound.
         witness: Option<ParamLowerWitness>,
     },
     /// No parameter value is feasible.
@@ -1096,7 +1097,16 @@ impl DifferenceSystem {
             ));
         }
         let mut lambda = self.lambda_lower;
-        let mut witness: Option<ParamLowerWitness> = None;
+        // A row-backed lower bound is the first witness: the row alone
+        // implies `λ ≥ lambda_lower`.
+        let mut witness = match self.lambda_lower_src {
+            ParamBoundSrc::Row { c, sign, coef } => Some(ParamLowerWitness {
+                rows: vec![(c, sign)],
+                implied_lower: self.lambda_lower,
+                slope: -coef,
+            }),
+            ParamBoundSrc::VarBound => None,
+        };
         let mut stalls = 0usize;
         let mut passes = 0usize;
         // Lawler terminates after at most one round per distinct simple-
@@ -1116,15 +1126,15 @@ impl DifferenceSystem {
                 None => {
                     // Negative at every λ' ≥ lambda. A standalone Farkas
                     // vector must also rule out λ' < lambda: combine with
-                    // whatever forced λ this high — the previous witness
-                    // cycle (scaled so the λ terms cancel) or, on the
-                    // first round, the parameter's lower bound.
+                    // the witness that forced λ this high (scaled so the λ
+                    // terms cancel); a parameter box needs nothing, the
+                    // checker's box supremum covers it.
                     let extra = match &witness {
                         Some(w) if cycle.slope < -TOL => {
                             let t = -cycle.slope / w.slope;
                             w.rows.iter().map(|&(c, m)| (c, t * m)).collect()
                         }
-                        _ => self.lower_bound_multiplier(cycle.slope),
+                        _ => Vec::new(),
                     };
                     return Ok(MinParamOutcome::Infeasible(
                         self.certificate(&cycle.rows, &extra),
@@ -1220,20 +1230,9 @@ impl DifferenceSystem {
         NegativeCycle { base, slope, rows }
     }
 
-    /// The extra `(row, multiplier)` needed when a `Σslope ≤ 0` cycle's
-    /// residual `λ` term must be cancelled by the parameter's *lower*
+    /// The extra `(row, multiplier)` needed when a `Σslope > 0` cycle's
+    /// residual `λ` term must be cancelled by the parameter's *upper*
     /// bound row (nothing when the bound is the variable's own box).
-    fn lower_bound_multiplier(&self, cycle_slope: f64) -> Vec<(ConstraintId, f64)> {
-        match self.lambda_lower_src {
-            ParamBoundSrc::Row { c, sign, coef } if cycle_slope.abs() > TOL => {
-                vec![(c, (cycle_slope / coef) * sign)]
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Likewise for a `Σslope > 0` cycle clashing with the parameter's
-    /// *upper* bound row.
     fn upper_bound_multiplier(&self, cycle_slope: f64) -> Vec<(ConstraintId, f64)> {
         match self.lambda_upper_src {
             ParamBoundSrc::Row { c, sign, coef } => {
@@ -1584,6 +1583,45 @@ mod tests {
                 assert!(cert.check(&p));
                 assert_eq!(cert.rows().len(), 2);
                 assert_eq!(p.solve().unwrap().status(), Status::Infeasible);
+            }
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+
+    #[test]
+    fn row_lower_bound_witnesses_the_optimum_and_the_conflict() {
+        // Tc ≥ 10 by a row. Feasible: the row is the witness. Add a cycle
+        // whose weight 5 − Tc is negative above 5: the Farkas vector must
+        // combine it with the bound row to cancel Tc.
+        let mut p = Problem::new();
+        let tc = p.add_var("Tc");
+        let x = p.add_free_var("x");
+        let y = p.add_free_var("y");
+        p.constrain(tc.into(), Sense::Ge, 10.0);
+        p.minimize(tc.into());
+        let images = vec![VarImage::Param, VarImage::Node(0), VarImage::Node(1)];
+        let solve = |p: &Problem| {
+            let cls = classify(p, &images).unwrap();
+            let sys = DifferenceSystem::build(p, &images, &cls).unwrap();
+            sys.minimize_param(&SolveBudget::UNLIMITED).unwrap()
+        };
+        match solve(&p) {
+            MinParamOutcome::Optimal {
+                lambda, witness, ..
+            } => {
+                assert_eq!(lambda, 10.0);
+                let w = witness.expect("the bound row witnesses Tc* = 10");
+                assert_eq!(w.rows(), &[(ConstraintId(0), 1.0)]);
+                assert_eq!((w.implied_lower(), w.slope()), (10.0, 1.0));
+            }
+            other => panic!("unexpected outcome {other:?}"),
+        }
+        p.constrain(LinExpr::from(x) - y + tc, Sense::Le, 5.0);
+        p.constrain(LinExpr::from(y) - x, Sense::Le, 0.0);
+        match solve(&p) {
+            MinParamOutcome::Infeasible(cert) => {
+                assert!(cert.check(&p));
+                assert_eq!(cert.rows().len(), 3);
             }
             other => panic!("unexpected outcome {other:?}"),
         }

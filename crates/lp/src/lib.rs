@@ -21,8 +21,10 @@
 //!   ([`Solution::farkas`]) and [`extract_iis`] reduces the conflict to an
 //!   irreducible infeasible subsystem of named rows ([`extract_graph_iis`]
 //!   does the same from a graph negative cycle, without the simplex),
-//! * independent optimality checking ([`Solution::certify`] returning a
-//!   [`Certificate`] of KKT residuals) and certified solving with a
+//! * independent optimality checking ([`certify_kkt`] returning a
+//!   [`Certificate`] of KKT residuals for any primal/dual pair, the one
+//!   checker behind [`Solution::certify`] and the timing engine's graph
+//!   path) and certified solving with a
 //!   numerical recovery ladder ([`Problem::solve_certified`]):
 //!   geometric-mean equilibration, Bland pricing on a fresh factorization,
 //!   and one round of iterative refinement, all verified against the
@@ -41,9 +43,10 @@
 //! model the timing engine builds from a netlist is a pure difference
 //! system that the graph path settles with no pivots — the optimum, its
 //! critical cycle (the critical segments and delay sensitivities) and,
-//! under an impossible cap, the conflict. The simplex serves models with
-//! general rows, `--backend lp`, `smo analyze`'s cross-check and the test
-//! oracles rather than an inner loop.
+//! under an impossible cap, the conflict; the critical cycle's rows are
+//! also the LP's optimal dual, which [`certify_kkt`] checks. The simplex
+//! serves models with general rows, `--backend lp` and the test oracles
+//! rather than an inner loop.
 //!
 //! The SMO constraint matrices contain only `0, ±1` entries (§VI), so f64
 //! arithmetic with modest tolerances ([`EPS`]) is numerically comfortable.
@@ -104,7 +107,7 @@ pub use recover::{CertifiedSolution, RecoveryPolicy, RecoveryStep, SolveBudget};
 pub use solution::{OptimalSolution, Solution, SolveStats, Status};
 pub use sparse::LuFactors;
 pub use tol::Tol;
-pub use verify::Certificate;
+pub use verify::{certify_kkt, Certificate};
 
 /// Absolute tolerance used throughout the solver for feasibility, pivot
 /// eligibility and optimality tests.

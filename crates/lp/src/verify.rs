@@ -4,9 +4,11 @@
 //! closes the loop on the *infeasible* verdict: a Farkas vector is checked
 //! against the original rows, so the caller never has to trust the simplex
 //! internals. This module does the same for the *optimal* verdict.
-//! [`Solution::certify`] re-derives every optimality condition from the
-//! original (pre-scaling) [`Problem`] and the returned
-//! primal/dual vectors alone:
+//! [`certify_kkt`] re-derives every optimality condition from the
+//! original (pre-scaling) [`Problem`] and a primal/dual pair alone, so any
+//! solver's answer can be checked by the same code: [`Solution::certify`]
+//! runs it on a simplex solution, and the timing engine's graph path on
+//! the duals of its critical cycle. The conditions:
 //!
 //! 1. **Primal feasibility** — every row holds at the returned values;
 //! 2. **Bound satisfaction** — every variable sits inside its box;
@@ -166,160 +168,177 @@ impl Solution {
     /// that do not match the problem's shape, yield an invalid
     /// certificate.
     pub fn certify(&self, p: &Problem) -> Certificate {
-        let tol = Tol::FEAS;
-        let n = p.vars.len();
-        let m = p.rows.len();
-        let Some((direction, obj)) = p.objective.as_ref() else {
-            return Certificate::invalid();
-        };
-        if self.status() != Status::Optimal
-            || self.values.len() != n
-            || self.duals.len() != m
-            || self.reduced_costs.len() != n
-        {
+        if self.status() != Status::Optimal {
             return Certificate::invalid();
         }
-        let sigma = match direction {
-            Objective::Minimize => 1.0,
-            Objective::Maximize => -1.0,
+        certify_kkt(p, &self.values, &self.duals, Some(&self.reduced_costs))
+    }
+}
+
+/// Certifies that `values` is optimal for `p` — the *original* problem —
+/// with the row duals `duals` as the proof: the KKT conditions whose
+/// residuals make up a [`Certificate`], evaluated on `(values, duals)`
+/// alone, so a valid certificate proves optimality by weak duality
+/// whatever solver produced the vectors. Duals follow the sign
+/// convention of [`OptimalSolution::duals`](crate::OptimalSolution::duals).
+///
+/// `reduced_costs` are the solver's reported reduced costs, checked for
+/// consistency with the duals (stationarity); `None` takes the effective
+/// reduced costs `c − Aᵀy` themselves, for a solver without a basis, such
+/// as a graph solver, which has nothing else to report. Vectors that do not match the
+/// problem's shape, or a problem without an objective, yield an invalid
+/// certificate.
+pub fn certify_kkt(
+    p: &Problem,
+    values: &[f64],
+    duals: &[f64],
+    reduced_costs: Option<&[f64]>,
+) -> Certificate {
+    let tol = Tol::FEAS;
+    let n = p.vars.len();
+    let m = p.rows.len();
+    let Some((direction, obj)) = p.objective.as_ref() else {
+        return Certificate::invalid();
+    };
+    if values.len() != n || duals.len() != m || reduced_costs.is_some_and(|rc| rc.len() != n) {
+        return Certificate::invalid();
+    }
+    let sigma = match direction {
+        Objective::Minimize => 1.0,
+        Objective::Maximize => -1.0,
+    };
+    let x = values;
+    let dual_scale = duals.iter().fold(0.0f64, |a, &y| a.max(y.abs())).max(1.0);
+
+    let mut primal = 0.0f64;
+    let mut dual_sign = 0.0f64;
+    let mut complementarity = 0.0f64;
+    // Per-column accumulators for stationarity: Σᵢ aᵢⱼ yᵢ and its
+    // cancellation scale Σᵢ |aᵢⱼ yᵢ|.
+    let mut aty = vec![0.0f64; n];
+    let mut aty_scale = vec![0.0f64; n];
+    // Dual objective: Σᵢ yᵢ bᵢ (normalized) plus bound terms below.
+    let mut dual_obj = 0.0f64;
+
+    for (row, &y) in p.rows.iter().zip(duals) {
+        // Row activity with its cancellation scale.
+        let mut activity = 0.0;
+        let mut act_scale = row.rhs.abs();
+        for (var, coeff) in row.expr.iter() {
+            let term = coeff * x[var.index()];
+            activity += term;
+            act_scale += term.abs();
+            aty[var.index()] += coeff * y;
+            aty_scale[var.index()] += (coeff * y).abs();
+        }
+        // 1. Primal feasibility.
+        let viol = match row.sense {
+            Sense::Le => activity - row.rhs,
+            Sense::Ge => row.rhs - activity,
+            Sense::Eq => (activity - row.rhs).abs(),
         };
-        let x = &self.values;
-        let dual_scale = self
-            .duals
-            .iter()
-            .fold(0.0f64, |a, &y| a.max(y.abs()))
-            .max(1.0);
+        bump(&mut primal, tol.violation(viol, 0.0, act_scale));
 
-        let mut primal = 0.0f64;
-        let mut dual_sign = 0.0f64;
-        let mut complementarity = 0.0f64;
-        // Per-column accumulators for stationarity: Σᵢ aᵢⱼ yᵢ and its
-        // cancellation scale Σᵢ |aᵢⱼ yᵢ|.
-        let mut aty = vec![0.0f64; n];
-        let mut aty_scale = vec![0.0f64; n];
-        // Dual objective: Σᵢ yᵢ bᵢ (normalized) plus bound terms below.
-        let mut dual_obj = 0.0f64;
+        // 3. Dual sign per sense (normalized orientation).
+        let yn = sigma * y;
+        let wrong = match row.sense {
+            Sense::Le => yn.max(0.0),
+            Sense::Ge => (-yn).max(0.0),
+            Sense::Eq => 0.0,
+        };
+        bump(&mut dual_sign, wrong / dual_scale);
 
-        for (row, &y) in p.rows.iter().zip(&self.duals) {
-            // Row activity with its cancellation scale.
-            let mut activity = 0.0;
-            let mut act_scale = row.rhs.abs();
-            for (var, coeff) in row.expr.iter() {
-                let term = coeff * x[var.index()];
-                activity += term;
-                act_scale += term.abs();
-                aty[var.index()] += coeff * y;
-                aty_scale[var.index()] += (coeff * y).abs();
-            }
-            // 1. Primal feasibility.
-            let viol = match row.sense {
-                Sense::Le => activity - row.rhs,
-                Sense::Ge => row.rhs - activity,
-                Sense::Eq => (activity - row.rhs).abs(),
-            };
-            bump(&mut primal, tol.violation(viol, 0.0, act_scale));
-
-            // 3. Dual sign per sense (normalized orientation).
-            let yn = sigma * y;
-            let wrong = match row.sense {
-                Sense::Le => yn.max(0.0),
-                Sense::Ge => (-yn).max(0.0),
+        // 5. Complementary slackness on rows: either the dual or the
+        // slack must vanish (relative to their own scales).
+        if !matches!(row.sense, Sense::Eq) {
+            let slack = match row.sense {
+                Sense::Le => row.rhs - activity,
+                Sense::Ge => activity - row.rhs,
                 Sense::Eq => 0.0,
             };
-            bump(&mut dual_sign, wrong / dual_scale);
-
-            // 5. Complementary slackness on rows: either the dual or the
-            // slack must vanish (relative to their own scales).
-            if !matches!(row.sense, Sense::Eq) {
-                let slack = match row.sense {
-                    Sense::Le => row.rhs - activity,
-                    Sense::Ge => activity - row.rhs,
-                    Sense::Eq => 0.0,
-                };
-                let rel_y = y.abs() / dual_scale;
-                let rel_slack = slack.abs() / (1.0 + act_scale);
-                bump(&mut complementarity, rel_y.min(rel_slack));
-            }
-
-            dual_obj += sigma * y * row.rhs;
+            let rel_y = y.abs() / dual_scale;
+            let rel_slack = slack.abs() / (1.0 + act_scale);
+            bump(&mut complementarity, rel_y.min(rel_slack));
         }
 
-        let mut bounds = 0.0f64;
-        let mut stationarity = 0.0f64;
-        for (j, (var, &xj)) in p.vars.iter().zip(x).enumerate() {
-            // 2. Bound satisfaction.
+        dual_obj += sigma * y * row.rhs;
+    }
+
+    let mut bounds = 0.0f64;
+    let mut stationarity = 0.0f64;
+    for (j, (var, &xj)) in p.vars.iter().zip(x).enumerate() {
+        // 2. Bound satisfaction.
+        if var.lower.is_finite() {
+            let scale = xj.abs().max(var.lower.abs());
+            bump(&mut bounds, tol.violation(var.lower - xj, 0.0, scale));
+        }
+        if var.upper.is_finite() {
+            let scale = xj.abs().max(var.upper.abs());
+            bump(&mut bounds, tol.violation(xj - var.upper, 0.0, scale));
+        }
+
+        // The *effective* reduced cost is derived from the duals
+        // alone: g_j = c_j − Σᵢ aᵢⱼ yᵢ. The optimality conditions are
+        // checked on g_j, so the certificate rests on (x, y) and weak
+        // duality, not on trusting the reported reduced costs.
+        let cj = obj.coeff(crate::expr::VarId(j));
+        let g = cj - aty[j];
+        let rc = reduced_costs.map_or(g, |rc| rc[j]);
+        let gscale = 1.0 + cj.abs() + aty_scale[j] + rc.abs();
+
+        // 4. Stationarity (consistency of the reported reduced cost):
+        // the solver folds finite upper bounds into internal `≤` rows
+        // whose duals are not part of the user-visible vector, so
+        // rc_j may differ from g_j by an upper-bound multiplier
+        // μ_j = g_j − rc_j — admissible only with the `≤`-row sign
+        // (normalized μ ≤ 0) and only when x_j sits at its upper
+        // bound. Anywhere else rc_j must equal g_j.
+        let mu_n = sigma * (g - rc) / gscale;
+        let at_ub = var.upper.is_finite()
+            && (var.upper - xj).abs() <= tol.abs_for(xj.abs().max(var.upper.abs()));
+        let resid = if at_ub { mu_n.max(0.0) } else { mu_n.abs() };
+        bump(&mut stationarity, resid);
+
+        // 3b/5b. Direction and complementarity of the effective
+        // reduced cost: (normalized) positive holds the variable at
+        // its lower bound, negative at its upper bound; pushing
+        // against an infinite bound is dual-infeasible.
+        let gn = sigma * g;
+        let rel_g = gn.abs() / gscale;
+        if gn > 0.0 {
             if var.lower.is_finite() {
-                let scale = xj.abs().max(var.lower.abs());
-                bump(&mut bounds, tol.violation(var.lower - xj, 0.0, scale));
+                let dist = (xj - var.lower).abs() / (1.0 + xj.abs() + var.lower.abs());
+                bump(&mut complementarity, rel_g.min(dist));
+                dual_obj += gn * var.lower;
+            } else {
+                bump(&mut dual_sign, rel_g);
             }
+        } else if gn < 0.0 {
             if var.upper.is_finite() {
-                let scale = xj.abs().max(var.upper.abs());
-                bump(&mut bounds, tol.violation(xj - var.upper, 0.0, scale));
-            }
-
-            // The *effective* reduced cost is derived from the duals
-            // alone: g_j = c_j − Σᵢ aᵢⱼ yᵢ. The optimality conditions are
-            // checked on g_j, so the certificate rests on (x, y) and weak
-            // duality, not on trusting the reported reduced costs.
-            let cj = obj.coeff(crate::expr::VarId(j));
-            let rc = self.reduced_costs[j];
-            let g = cj - aty[j];
-            let gscale = 1.0 + cj.abs() + aty_scale[j] + rc.abs();
-
-            // 4. Stationarity (consistency of the reported reduced cost):
-            // the solver folds finite upper bounds into internal `≤` rows
-            // whose duals are not part of the user-visible vector, so
-            // rc_j may differ from g_j by an upper-bound multiplier
-            // μ_j = g_j − rc_j — admissible only with the `≤`-row sign
-            // (normalized μ ≤ 0) and only when x_j sits at its upper
-            // bound. Anywhere else rc_j must equal g_j.
-            let mu_n = sigma * (g - rc) / gscale;
-            let at_ub = var.upper.is_finite()
-                && (var.upper - xj).abs() <= tol.abs_for(xj.abs().max(var.upper.abs()));
-            let resid = if at_ub { mu_n.max(0.0) } else { mu_n.abs() };
-            bump(&mut stationarity, resid);
-
-            // 3b/5b. Direction and complementarity of the effective
-            // reduced cost: (normalized) positive holds the variable at
-            // its lower bound, negative at its upper bound; pushing
-            // against an infinite bound is dual-infeasible.
-            let gn = sigma * g;
-            let rel_g = gn.abs() / gscale;
-            if gn > 0.0 {
-                if var.lower.is_finite() {
-                    let dist = (xj - var.lower).abs() / (1.0 + xj.abs() + var.lower.abs());
-                    bump(&mut complementarity, rel_g.min(dist));
-                    dual_obj += gn * var.lower;
-                } else {
-                    bump(&mut dual_sign, rel_g);
-                }
-            } else if gn < 0.0 {
-                if var.upper.is_finite() {
-                    let dist = (var.upper - xj).abs() / (1.0 + xj.abs() + var.upper.abs());
-                    bump(&mut complementarity, rel_g.min(dist));
-                    dual_obj += gn * var.upper;
-                } else {
-                    bump(&mut dual_sign, rel_g);
-                }
+                let dist = (var.upper - xj).abs() / (1.0 + xj.abs() + var.upper.abs());
+                bump(&mut complementarity, rel_g.min(dist));
+                dual_obj += gn * var.upper;
+            } else {
+                bump(&mut dual_sign, rel_g);
             }
         }
+    }
 
-        // 6. Duality gap, on the linear parts (the objective constant is
-        // shared by both sides and cancels). The primal value is
-        // re-evaluated from the returned point, never read back from the
-        // solver.
-        let primal_obj = sigma * (obj.eval(x) - obj.constant());
-        let gap = (primal_obj - dual_obj).abs() / (1.0 + primal_obj.abs() + dual_obj.abs());
+    // 6. Duality gap, on the linear parts (the objective constant is
+    // shared by both sides and cancels). The primal value is
+    // re-evaluated from the returned point, never read back from the
+    // solver.
+    let primal_obj = sigma * (obj.eval(x) - obj.constant());
+    let gap = (primal_obj - dual_obj).abs() / (1.0 + primal_obj.abs() + dual_obj.abs());
 
-        Certificate {
-            primal,
-            bounds,
-            stationarity,
-            dual_sign,
-            complementarity,
-            gap: if gap.is_nan() { f64::INFINITY } else { gap },
-            tol,
-        }
+    Certificate {
+        primal,
+        bounds,
+        stationarity,
+        dual_sign,
+        complementarity,
+        gap: if gap.is_nan() { f64::INFINITY } else { gap },
+        tol,
     }
 }
 

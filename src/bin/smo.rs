@@ -13,7 +13,7 @@
 //! smo lp       <netlist>            CPLEX LP-format dump of problem P2
 //! smo lint     <netlist>            structural sanity checks
 //! smo check    <netlist>            lint + solve + short-path race analysis
-//! smo analyze  <netlist>            cycle-time bracket + solver cross-checks
+//! smo analyze  <netlist>            cycle-time bracket + certified optimum
 //! smo diagnose <netlist> [--cycle-time T]   why is there no schedule at T?
 //! smo sweep    <netlist> [--param tc|delay]  parallel parameter sweep
 //! ```
@@ -174,11 +174,13 @@ const USAGE: &str = "usage:
                                                  on any error-severity finding;
                                                  --max-input-mb as for solve
   smo analyze  <netlist> [--json]                combinatorial cycle-time
-                                                 bracket, certified LP
-                                                 optimum, graph optimum and
+                                                 bracket, the default solve's
+                                                 KKT-certified LP optimum and
                                                  row classification; exit 2
-                                                 if the cross-checks disagree
-                                                 (an internal soundness bug)
+                                                 if the bracket misses the
+                                                 optimum or the certificate
+                                                 fails (an internal
+                                                 soundness bug)
   smo diagnose <netlist> [--cycle-time T] [--json]
                                                  minimum cycle time, or a
                                                  Farkas-certified explanation
@@ -270,17 +272,17 @@ fn run(args: &[String], out: &mut String) -> Result<ExitCode, CliError> {
                 )?;
                 writeln!(out, "certified: {}", sol.certified())?;
                 for (i, cert) in sol.certificates().iter().enumerate() {
-                    writeln!(out, "  lp {}: {cert}", i + 1)?;
-                }
-                if let Some(gc) = sol.graph_certificate() {
-                    writeln!(out, "  graph: {gc}")?;
+                    match sol.backend() {
+                        Backend::Graph => writeln!(out, "  graph: {cert}")?,
+                        _ => writeln!(out, "  lp {}: {cert}", i + 1)?,
+                    }
                 }
                 write!(out, "{}", render_solution(&circuit, &sol))?;
             }
             // `certify` on and a returned solution imply every solver
-            // verdict passed its independent check (KKT on the simplex
-            // path, the re-derived critical cycle on the graph path);
-            // `certified()` is false after --no-certify, which skips both.
+            // verdict passed its independent KKT check (on the graph path
+            // with the critical cycle's duals); `certified()` is false
+            // after --no-certify, which skips it.
             Ok(if options.certify && !sol.certified() {
                 ExitCode::FAILURE
             } else {
@@ -603,14 +605,19 @@ fn run(args: &[String], out: &mut String) -> Result<ExitCode, CliError> {
                     } else {
                         write!(out, "{report}")?;
                     }
-                    Ok(ExitCode::SUCCESS)
+                    // An optimum without a valid certificate is unproven:
+                    // the same exit code as a failed cross-check.
+                    Ok(
+                        if report.certificate.as_ref().is_some_and(|c| c.is_valid()) {
+                            ExitCode::SUCCESS
+                        } else {
+                            ExitCode::from(2)
+                        },
+                    )
                 }
                 // A failed cross-check is not a usage error: report it on
                 // stderr with a distinct exit code and no usage banner.
-                Err(
-                    e
-                    @ (AnalyzeError::BoundsDisagree { .. } | AnalyzeError::BackendDisagree { .. }),
-                ) => {
+                Err(e @ AnalyzeError::BoundsDisagree { .. }) => {
                     eprintln!("analyze error: {e}");
                     Ok(ExitCode::from(2))
                 }

@@ -260,6 +260,31 @@ fn diagnose_reports_optimum_when_uncapped() {
 }
 
 #[test]
+fn diagnose_prints_its_optimum_like_solve() {
+    // Six decimals in text and JSON, as `smo solve` prints the same
+    // optimum: race_demo's graph optimum is 5.050000000000001 in full.
+    for (f, tc) in [
+        ("circuits/race_demo.ckt", "5.050000"),
+        ("circuits/example2.ckt", "31.000000"),
+    ] {
+        let out = smo(&["diagnose", f]);
+        assert!(out.status.success(), "{f}");
+        assert_eq!(stdout(&out), format!("feasible: minimum cycle time {tc}\n"));
+        let out = smo(&["diagnose", f, "--json"]);
+        assert!(out.status.success(), "{f}");
+        assert_eq!(
+            stdout(&out),
+            format!("{{\n  \"feasible\": true,\n  \"min_cycle\": {tc}\n}}\n")
+        );
+        let solve = stdout(&smo(&["solve", f]));
+        assert!(
+            solve.contains(&format!("optimal cycle time: {tc}\n")),
+            "{solve}"
+        );
+    }
+}
+
+#[test]
 fn diagnose_names_the_conflict_at_an_impossible_cycle_time() {
     let out = smo(&["diagnose", "circuits/example1.ckt", "--cycle-time", "100"]);
     assert!(
@@ -346,7 +371,8 @@ fn solve_certifies_every_shipped_netlist() {
         "circuits/alu_bypass.ckt",
     ] {
         // Default (auto): the shipped netlists are pure difference
-        // systems, so the graph backend engages with its own certificate.
+        // systems, so the graph backend engages, KKT-certified with the
+        // critical cycle's duals.
         let out = smo(&["solve", f]);
         assert!(
             out.status.success(),
@@ -356,7 +382,7 @@ fn solve_certifies_every_shipped_netlist() {
         let text = stdout(&out);
         assert!(text.contains("certified: true"), "{f}: {text}");
         assert!(text.contains("backend: graph"), "{f}: {text}");
-        assert!(text.contains("graph: valid"), "{f}: {text}");
+        assert!(text.contains("graph: certified optimal"), "{f}: {text}");
 
         // Forced LP: the simplex certificates must still be there.
         let out = smo(&["solve", f, "--backend", "lp"]);
@@ -373,15 +399,17 @@ fn solve_certifies_every_shipped_netlist() {
 
 #[test]
 fn solve_json_carries_certificates() {
-    // Graph path (default): one graph certificate, no LP residuals.
+    // Graph path (default): one KKT certificate, from the critical
+    // cycle's duals.
     let out = smo(&["solve", "circuits/example1.ckt", "--json"]);
     assert!(out.status.success());
     let text = stdout(&out);
     assert!(text.contains("\"cycle_time\": 110.000000"), "{text}");
     assert!(text.contains("\"certified\": true"), "{text}");
     assert!(text.contains("\"backend\": \"graph\""), "{text}");
-    assert!(text.contains("\"graph_certificate\""), "{text}");
-    assert!(text.contains("\"implied_lower\": 110.000000"), "{text}");
+    assert!(!text.contains("graph_certificate"), "{text}");
+    assert!(text.contains("\"duality gap\""), "{text}");
+    assert_eq!(text.matches("\"valid\": true").count(), 1, "{text}");
 
     // LP path: the KKT certificates, one per LP.
     let out = smo(&[

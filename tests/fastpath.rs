@@ -375,8 +375,8 @@ fn min_ratio_search_on_4000_latches_fits_500_passes() {
         "witness implies {} for Tc* = {lambda}",
         witness.implied_lower()
     );
-    // The product path re-derives achievability and minimality from the
-    // raw rows; it must accept the same optimum.
+    // The product path KKT-checks the optimum against the raw rows; it
+    // must accept the same optimum.
     let sol = min_cycle_time_with(
         &circuit,
         &MlpOptions {
@@ -385,7 +385,9 @@ fn min_ratio_search_on_4000_latches_fits_500_passes() {
         },
     )
     .expect("solves");
-    let cert = sol.graph_certificate().expect("graph solve is certified");
+    let [cert] = sol.certificates() else {
+        panic!("graph solve is certified: {:?}", sol.certificates());
+    };
     assert!(cert.is_valid(), "{cert}");
     assert!((sol.cycle_time() - lambda).abs() <= 1e-12 * lambda);
 }
@@ -393,7 +395,7 @@ fn min_ratio_search_on_4000_latches_fits_500_passes() {
 /// The default solve's optimum on generated datapaths, pinned to 1e-12
 /// relative: the label-correcting search may name a different critical
 /// cycle of the same ratio, but not move Tc. Each answer carries a valid
-/// graph certificate and lies in the combinatorial bracket, whose lower
+/// KKT certificate and lies in the combinatorial bracket, whose lower
 /// end on the 4000-latch seed-7 input is pinned too.
 #[test]
 fn datapath_optima_are_pinned_and_certified() {
@@ -410,9 +412,10 @@ fn datapath_optima_are_pinned_and_certified() {
             (tc - expected).abs() <= 1e-12 * expected,
             "({latches}, {seed}): Tc = {tc:.15}, expected {expected}"
         );
-        let cert = sol
-            .graph_certificate()
-            .unwrap_or_else(|| panic!("({latches}, {seed}): no graph certificate"));
+        assert_eq!(sol.backend(), Backend::Graph, "({latches}, {seed})");
+        let [cert] = sol.certificates() else {
+            panic!("({latches}, {seed}): {:?}", sol.certificates());
+        };
         assert!(cert.is_valid(), "({latches}, {seed}): {cert}");
         let bounds = cycle_time_bounds(&circuit);
         assert!(bounds.brackets(tc), "({latches}, {seed}): {bounds}");

@@ -126,9 +126,10 @@ fn golden_solve_result_bytes() {
         reply.line,
         "{\"id\":\"s1\",\"status\":\"ok\",\"degradation\":\"full\",\"cached\":false,\
          \"result\":{\"cycle_time\":31,\"certified\":true,\"backend\":\"graph\",\
-         \"graph_certificate\":{\"valid\":true,\"implied_lower\":31,\"witness_rows\":3,\
-         \"max_violation\":0},\"lp_iterations\":0,\"update_iterations\":2,\
-         \"num_constraints\":32,\"certificates\":[]}}"
+         \"lp_iterations\":0,\"update_iterations\":2,\"num_constraints\":32,\
+         \"certificates\":[{\"valid\":true,\"tolerance\":0.0000001,\"worst_residual\":0,\
+         \"residuals\":{\"primal\":0,\"bounds\":0,\"stationarity\":0,\"dual sign\":0,\
+         \"complementarity\":0,\"duality gap\":0}}]}}"
     );
     // Byte-identical on the cache hit, except for the cached flag.
     let again = e.handle_line(&solve_line("s1", &read_circuit("example2.ckt")), Load::IDLE);
@@ -414,7 +415,8 @@ fn overload_sheds_instead_of_buffering() {
     .expect("bind");
     let addr = server.addr().to_string();
 
-    // Occupy the only slot with a deliberately slow LP solve.
+    // Occupy the only slot with a deliberately slow LP solve: about 0.1 s
+    // in a release build, far longer than the 20 pokes below.
     let big = netlist::write(&smo::gen::random::random_circuit(
         &smo::gen::random::GenConfig {
             latches: 100,
@@ -434,8 +436,15 @@ fn overload_sheds_instead_of_buffering() {
     });
 
     // Wait for the slow request to actually hold the slot, then poke.
-    std::thread::sleep(Duration::from_millis(150));
+    // `stats` is a control command, so it gets past the full slot.
     let mut c = Client::connect(&addr).unwrap();
+    while !c
+        .call("{\"cmd\":\"stats\"}")
+        .unwrap()
+        .contains("\"active\":1")
+    {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // Control commands bypass the gate even under saturation.
     let pong = c.call("{\"cmd\":\"ping\"}").unwrap();
     assert_eq!(classify(&pong).0, "ok");
