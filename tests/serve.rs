@@ -489,3 +489,126 @@ fn graceful_drain_finishes_inflight_work() {
     );
     server.wait(); // must return: no wedged threads, no abandoned work
 }
+
+// ---------------------------------------------------------------------
+// Line framing: how request bytes become lines, however they arrive.
+// ---------------------------------------------------------------------
+
+/// A raw connection: request bytes go out exactly as given.
+fn raw_connect(addr: &str) -> (std::net::TcpStream, std::io::BufReader<std::net::TcpStream>) {
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+/// Reads one reply line, without its newline.
+fn read_reply(reader: &mut impl std::io::BufRead) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.ends_with('\n'),
+        "reply must be one whole line: {line:?}"
+    );
+    line.pop();
+    line
+}
+
+#[test]
+fn framing_reassembles_a_request_from_any_split() {
+    use std::io::Write as _;
+    let server = start_server(2, 2);
+    let addr = server.addr().to_string();
+    let (mut stream, mut reader) = raw_connect(&addr);
+    let netlist = read_circuit("example2.ckt");
+    let big = netlist::write(&smo::gen::random::random_circuit(
+        &smo::gen::random::GenConfig {
+            latches: 60,
+            edges: 120,
+            ..Default::default()
+        },
+        5,
+    ));
+    let cases = [
+        (1usize, solve_line("one", &netlist)),
+        (4096, solve_line("four", &big)),
+    ];
+    for (piece, line) in cases {
+        let bytes = format!("{line}\n").into_bytes();
+        for chunk in bytes.chunks(piece) {
+            stream.write_all(chunk).unwrap();
+        }
+        let reply = read_reply(&mut reader);
+        let expected = Engine::new(EngineConfig::default()).handle_line(&line, Load::IDLE);
+        assert_eq!(reply, expected.line, "pieces of {piece} bytes");
+    }
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn framing_splits_two_requests_in_one_write_and_strips_crlf() {
+    use std::io::Write as _;
+    let server = start_server(2, 2);
+    let addr = server.addr().to_string();
+    let (mut stream, mut reader) = raw_connect(&addr);
+    stream
+        .write_all(b"{\"id\":\"a\",\"cmd\":\"ping\"}\n{\"id\":\"b\",\"cmd\":\"ping\"}\r\n")
+        .unwrap();
+    let pong = |id: &str| {
+        Engine::new(EngineConfig::default())
+            .handle_line(&format!("{{\"id\":\"{id}\",\"cmd\":\"ping\"}}"), Load::IDLE)
+            .line
+    };
+    assert_eq!(read_reply(&mut reader), pong("a"));
+    assert_eq!(read_reply(&mut reader), pong("b"));
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn framing_decodes_invalid_utf8_lossily() {
+    use std::io::Write as _;
+    let server = start_server(2, 2);
+    let addr = server.addr().to_string();
+    let (mut stream, mut reader) = raw_connect(&addr);
+    for bytes in [
+        &b"{\"id\":\"\xff\xfe\",\"cmd\":\"ping\"}"[..],
+        &b"\xc3(\x80 not json"[..],
+    ] {
+        stream.write_all(bytes).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let expected = Engine::new(EngineConfig::default())
+            .handle_line(&String::from_utf8_lossy(bytes), Load::IDLE)
+            .line;
+        assert_eq!(read_reply(&mut reader), expected);
+    }
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn framing_refuses_a_line_past_max_line_bytes() {
+    use std::io::{Read as _, Write as _};
+    let server = serve(ServerConfig {
+        max_active: 1,
+        max_queue: 1,
+        max_line_bytes: 4096,
+        ..Default::default()
+    })
+    .expect("bind");
+    let addr = server.addr().to_string();
+    let (mut stream, mut reader) = raw_connect(&addr);
+    stream.write_all(&[b'x'; 5000]).unwrap();
+    let reply = read_reply(&mut reader);
+    assert_eq!(classify(&reply), ("error".into(), "limit".into()));
+    assert!(reply.contains("request line exceeds 4096 bytes"), "{reply}");
+    // The daemon closes the connection after refusing the line.
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0);
+    server.shutdown();
+    server.wait();
+}
