@@ -167,6 +167,17 @@ impl CircuitBuilder {
     /// `Δ_DQ < Δ_DC` on a latch, duplicate names, dangling edge endpoints,
     /// empty circuit).
     pub fn build(self) -> Result<Circuit, CircuitError> {
+        self.build_checking_names(true)
+    }
+
+    /// [`build`](Self::build) for a caller that has already checked every
+    /// name: non-empty, free of whitespace and `#`, and unique. The netlist
+    /// parser does, since its names are tokens it indexes as it reads them.
+    pub(crate) fn build_with_checked_names(self) -> Result<Circuit, CircuitError> {
+        self.build_checking_names(false)
+    }
+
+    fn build_checking_names(self, check_names: bool) -> Result<Circuit, CircuitError> {
         let CircuitBuilder {
             clock,
             syncs,
@@ -175,7 +186,8 @@ impl CircuitBuilder {
         if syncs.is_empty() {
             return Err(CircuitError::EmptyCircuit);
         }
-        let mut names: HashSet<&str> = HashSet::with_capacity(syncs.len());
+        let mut names: HashSet<&str> =
+            HashSet::with_capacity(if check_names { syncs.len() } else { 0 });
         for s in &syncs {
             if s.phase.index() >= clock.num_phases() {
                 return Err(CircuitError::PhaseOutOfRange {
@@ -199,6 +211,9 @@ impl CircuitBuilder {
                     dq: s.dq,
                     setup: s.setup,
                 });
+            }
+            if !check_names {
+                continue;
             }
             if s.name.is_empty() || s.name.chars().any(|c| c.is_whitespace() || c == '#') {
                 return Err(CircuitError::InvalidName {

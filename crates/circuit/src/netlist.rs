@@ -22,6 +22,18 @@
 //!   appear anywhere after the `clock` line);
 //! * `#` starts a comment; blank lines are ignored.
 //!
+//! Lines end at `\n`, and a `\r` just before it belongs to the line ending.
+//! Tokens are separated by the characters `char::is_whitespace` accepts:
+//! on an ASCII line these are space, `\t`, `\n`, VT (`\x0b`), FF (`\x0c`)
+//! and `\r`; elsewhere Unicode spaces such as U+00A0 and U+2003 separate
+//! tokens too. A `#` ends the line's last token wherever it stands.
+//!
+//! Both dialects ([`parse`] and [`parse_gates`]) read the text in one pass
+//! that checks every line against the [`ParseLimits`] as it parses the
+//! line's statement. A limit error always wins over a syntax error: after
+//! the first syntax error the pass still checks the limits of the
+//! remaining lines, and reports the syntax error only if they pass.
+//!
 //! A `path` without `min=` (and no covering `mindelay`) leaves the
 //! short-path delay *unspecified*: hold/race analyses then assume the most
 //! optimistic raceless value (the max delay) instead of `0`, so netlists
@@ -38,15 +50,14 @@ use crate::ids::{LatchId, PhaseId};
 use crate::sync::{SyncKind, Synchronizer};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::str::SplitWhitespace;
 
-/// Input-size limits enforced before a netlist is parsed.
+/// Input-size limits enforced while a netlist is parsed.
 ///
 /// Netlist text reaching [`parse`] is untrusted by definition once the
-/// daemon (`smo serve`) exists, so both parsers pre-scan their input
-/// against these caps and reject oversized or pathologically shaped text
-/// with a structured [`CircuitError::InputLimit`] — bounded memory and
-/// time on arbitrary bytes, never a panic or an allocation storm.
+/// daemon (`smo serve`) exists, so both parsers check their input against
+/// these caps line by line and reject oversized or pathologically shaped
+/// text with a structured [`CircuitError::InputLimit`] — bounded memory
+/// and time on arbitrary bytes, never a panic or an allocation storm.
 ///
 /// The `Default` caps are generous for real designs (a 4 MiB netlist is
 /// tens of thousands of latches) and tight enough that a hostile client
@@ -68,8 +79,8 @@ pub struct ParseLimits {
 }
 
 impl ParseLimits {
-    /// No limits: the pre-scan rejects nothing (it still detects the
-    /// dialect for [`parse_auto`]).
+    /// No limits: the scan rejects nothing (it still detects the dialect
+    /// for [`parse_auto`]).
     pub const UNLIMITED: ParseLimits = ParseLimits {
         max_bytes: usize::MAX,
         max_lines: usize::MAX,
@@ -91,83 +102,213 @@ impl Default for ParseLimits {
     }
 }
 
-/// Pre-scan shared by both parsers: one pass over the raw text, rejecting
-/// anything outside `limits` before any per-line work allocates.
-///
-/// The same pass reports whether the text is gate-level: `true` when some
-/// line, comment stripped and leading whitespace trimmed, starts with
-/// `gate ` or `wire ` (see [`parse_auto`]).
-fn prescan(src: &str, limits: &ParseLimits) -> Result<bool, CircuitError> {
-    if src.len() > limits.max_bytes {
-        return Err(CircuitError::InputLimit {
-            what: "input bytes",
-            limit: limits.max_bytes,
-            actual: src.len(),
-        });
+/// Whether `b` separates tokens: the ASCII part of `char::is_whitespace`.
+const fn is_separator(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// The bytes that continue a token on an ASCII line: everything below
+/// `0x80` but the separators and `#`.
+const TOKEN_BYTE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 0x80 {
+        table[b] = !is_separator(b as u8) && b != b'#' as usize;
+        b += 1;
     }
-    let mut elements = 0usize;
-    let mut gate_level = false;
-    for (lineno0, raw) in src.lines().enumerate() {
-        if lineno0 >= limits.max_lines {
-            return Err(CircuitError::InputLimit {
-                what: "lines",
-                limit: limits.max_lines,
-                actual: lineno0 + 1,
-            });
-        }
-        if raw.len() > limits.max_line_bytes {
-            return Err(CircuitError::InputLimit {
-                what: "line bytes",
-                limit: limits.max_line_bytes,
-                actual: raw.len(),
-            });
-        }
-        let line = strip_comment(raw).trim_start();
-        gate_level |= line.starts_with("gate ") || line.starts_with("wire ");
-        let line = line.trim_end();
-        if line.is_empty() {
+    table
+};
+
+/// The end of the token that starts at `i`: the first byte at or after
+/// `i` that is not a [`TOKEN_BYTE`].
+fn token_end(bytes: &[u8], mut i: usize) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    // Eight bytes at a time: flag each byte below `!`, equal to `#` or
+    // from 0x80 up. The lowest flag is always a true one, and every byte
+    // below it continues the token.
+    while let Some(word) = bytes.get(i..i + 8) {
+        let mut w = [0; 8];
+        w.copy_from_slice(word);
+        let w = u64::from_le_bytes(w);
+        let below = w.wrapping_sub(ONES * 0x21) & !w;
+        let x = w ^ (ONES * u64::from(b'#'));
+        let hash = x.wrapping_sub(ONES) & !x;
+        let flags = (below | hash | w) & HIGH;
+        if flags == 0 {
+            i += 8;
             continue;
         }
-        // Tokens and separators each take a byte or more, so a line of `n`
-        // bytes holds at most `⌈n / 2⌉` tokens. Only lines that could break
-        // the limit are counted.
-        if line.len().div_ceil(2) > limits.max_tokens_per_line {
-            let tokens = line.split_whitespace().count();
-            if tokens > limits.max_tokens_per_line {
-                return Err(CircuitError::InputLimit {
-                    what: "tokens per line",
-                    limit: limits.max_tokens_per_line,
-                    actual: tokens,
+        i += (flags.trailing_zeros() / 8) as usize;
+        // Control bytes other than the separators continue a token.
+        if !TOKEN_BYTE[usize::from(bytes[i])] {
+            return i;
+        }
+        i += 1;
+    }
+    while i < bytes.len() && TOKEN_BYTE[usize::from(bytes[i])] {
+        i += 1;
+    }
+    i
+}
+
+/// The tokens of a statement after its keyword.
+type Tokens<'a, 'b> = std::iter::Copied<std::slice::Iter<'b, &'a str>>;
+
+/// One line of a netlist, split.
+struct Line {
+    /// Length in bytes, without its `\n` or `\r\n` ending.
+    len: usize,
+    /// Tokens before the first `#`, counted in full even past the cap.
+    tokens: usize,
+    /// Where the next line starts.
+    next: usize,
+}
+
+/// Splits the line of `src` that starts at `start` in one pass, pushing
+/// up to `cap` of its tokens onto the cleared `tokens`.
+///
+/// An ASCII line is split byte by byte. A line with a non-ASCII byte
+/// before its comment is split again by `split_whitespace`, so Unicode
+/// separators split exactly as `char::is_whitespace` says.
+fn split_line<'a>(src: &'a str, start: usize, cap: usize, tokens: &mut Vec<&'a str>) -> Line {
+    let bytes = src.as_bytes();
+    let newline_from = |i: usize| src[i..].find('\n').map(|p| i + p);
+    tokens.clear();
+    let mut count = 0;
+    let mut i = start;
+    let end = loop {
+        while i < bytes.len() && is_separator(bytes[i]) && bytes[i] != b'\n' {
+            i += 1;
+        }
+        let token = i;
+        i = token_end(bytes, i);
+        if i > token {
+            count += 1;
+            if count <= cap {
+                tokens.push(&src[token..i]);
+            }
+        }
+        match bytes.get(i) {
+            None => break None,
+            Some(b'\n') => break Some(i),
+            Some(b'#') => break newline_from(i),
+            Some(&b) if b >= 0x80 => {
+                let end = newline_from(i);
+                let line = &src[start..end.unwrap_or(src.len())];
+                let text = line.split_once('#').map_or(line, |(text, _)| text);
+                tokens.clear();
+                count = 0;
+                for t in text.split_whitespace() {
+                    count += 1;
+                    if count <= cap {
+                        tokens.push(t);
+                    }
+                }
+                break end;
+            }
+            Some(_) => {}
+        }
+    };
+    let (len, next) = match end {
+        // `str::lines` strips a `\r` only before a `\n`.
+        Some(nl) if nl > start && bytes[nl - 1] == b'\r' => (nl - 1 - start, nl + 1),
+        Some(nl) => (nl - start, nl + 1),
+        None => (src.len() - start, src.len()),
+    };
+    Line {
+        len,
+        tokens: count,
+        next,
+    }
+}
+
+/// How a [`scan`] ended.
+struct Scanned {
+    /// Lines read: all of them, unless the scan stopped at a gate line.
+    lines: usize,
+    /// Whether the scan stopped at a gate-level line (`detect_gates` only).
+    gate_level: bool,
+}
+
+/// The one pass behind both parsers: hands every statement of `src` (a
+/// line with a token outside its comment) to `statement` as its one-based
+/// line number and its tokens, the keyword first, having checked the
+/// [`ParseLimits`] of each line up to it. Lines split as `str::lines`
+/// splits them.
+///
+/// After the first error `statement` returns, the scan goes on checking
+/// limits only, and reports that error once the whole text has passed
+/// them: a limit error anywhere comes first. With `detect_gates`, a line
+/// that starts with `gate ` or `wire ` once its leading whitespace is
+/// trimmed ends the scan there (see [`parse_auto`]), unless a limit error
+/// comes first.
+///
+/// A line's tokens go to one reused buffer, which never holds more than
+/// `max_tokens_per_line` of them.
+fn scan<'a>(
+    src: &'a str,
+    limits: &ParseLimits,
+    detect_gates: bool,
+    mut statement: impl FnMut(usize, &[&'a str]) -> Result<(), CircuitError>,
+) -> Result<Scanned, CircuitError> {
+    let limit = |what, limit, actual| {
+        Err(CircuitError::InputLimit {
+            what,
+            limit,
+            actual,
+        })
+    };
+    if src.len() > limits.max_bytes {
+        return limit("input bytes", limits.max_bytes, src.len());
+    }
+    let mut tokens = Vec::new();
+    let mut lines = 0;
+    let mut elements = 0;
+    let mut first_error = None;
+    let mut start = 0;
+    while start < src.len() {
+        let line = split_line(src, start, limits.max_tokens_per_line, &mut tokens);
+        let line_start = std::mem::replace(&mut start, line.next);
+        lines += 1;
+        if lines > limits.max_lines {
+            return limit("lines", limits.max_lines, lines);
+        }
+        if line.len > limits.max_line_bytes {
+            return limit("line bytes", limits.max_line_bytes, line.len);
+        }
+        let Some(&keyword) = tokens.first() else {
+            continue;
+        };
+        if detect_gates && matches!(keyword, "gate" | "wire") {
+            let text = src[line_start..].trim_start();
+            if text.starts_with("gate ") || text.starts_with("wire ") {
+                return Ok(Scanned {
+                    lines,
+                    gate_level: true,
                 });
             }
         }
-        if !line.starts_with("clock") {
+        if line.tokens > limits.max_tokens_per_line {
+            return limit("tokens per line", limits.max_tokens_per_line, line.tokens);
+        }
+        if !keyword.starts_with("clock") {
             elements += 1;
             if elements > limits.max_elements {
-                return Err(CircuitError::InputLimit {
-                    what: "element lines",
-                    limit: limits.max_elements,
-                    actual: elements,
-                });
+                return limit("element lines", limits.max_elements, elements);
             }
         }
+        if first_error.is_none() {
+            first_error = statement(lines, &tokens).err();
+        }
     }
-    Ok(gate_level)
-}
-
-/// `raw` up to its first `#`.
-fn strip_comment(raw: &str) -> &str {
-    raw.split('#').next().unwrap_or("")
-}
-
-/// The statements of a netlist: every line with a token outside its
-/// comment, as its one-based line number, its keyword and the tokens after
-/// the keyword.
-fn statements(src: &str) -> impl Iterator<Item = (usize, &str, SplitWhitespace<'_>)> {
-    src.lines().enumerate().filter_map(|(lineno0, raw)| {
-        let mut tokens = strip_comment(raw).split_whitespace();
-        tokens.next().map(|keyword| (lineno0 + 1, keyword, tokens))
-    })
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(Scanned {
+            lines,
+            gate_level: false,
+        }),
+    }
 }
 
 fn syntax_error(line: usize, message: impl Into<String>) -> CircuitError {
@@ -177,12 +318,10 @@ fn syntax_error(line: usize, message: impl Into<String>) -> CircuitError {
     }
 }
 
-/// The error for a netlist without a `clock` line, placed on its last line.
-fn missing_clock(src: &str) -> CircuitError {
-    syntax_error(
-        src.lines().count().max(1),
-        "netlist contains no `clock` line",
-    )
+/// The error for a netlist of `lines` lines without a `clock` line,
+/// placed on its last line.
+fn missing_clock(lines: usize) -> CircuitError {
+    syntax_error(lines.max(1), "netlist contains no `clock` line")
 }
 
 /// Parses a netlist into a validated [`Circuit`], enforcing the `Default`
@@ -213,134 +352,46 @@ pub fn parse(src: &str) -> Result<Circuit, CircuitError> {
 ///
 /// See [`parse`].
 pub fn parse_with_limits(src: &str, limits: &ParseLimits) -> Result<Circuit, CircuitError> {
-    prescan(src, limits)?;
-    parse_latch_level(src)
+    parse_either(src, limits, false)
 }
 
 /// Parses either dialect under `limits`: the gate-level parser
 /// ([`parse_gates`]) when some line starts with `gate ` or `wire ` once its
 /// comment and leading whitespace are stripped, [`parse`] otherwise. The
-/// dialect is detected by the limits pre-scan, so the text is read twice
-/// in all.
+/// latch-level pass stops at the first gate-level line, and the gate-level
+/// parser then reads the text from the start.
 ///
 /// # Errors
 ///
 /// See [`parse`] and [`parse_gates`]; limit errors take precedence over
 /// syntax errors in either dialect.
 pub fn parse_auto(src: &str, limits: &ParseLimits) -> Result<Circuit, CircuitError> {
-    if prescan(src, limits)? {
-        parse_gate_level(src)
-    } else {
-        parse_latch_level(src)
-    }
+    parse_either(src, limits, true)
 }
 
-/// The `clock k` statement: the phase count `k`.
-fn clock_statement(mut tokens: SplitWhitespace<'_>, line: usize) -> Result<usize, CircuitError> {
-    let k: usize = tokens
-        .next()
-        .ok_or_else(|| syntax_error(line, "`clock` needs a phase count"))?
-        .parse()
-        .map_err(|e| syntax_error(line, format!("bad phase count: {e}")))?;
-    if k == 0 {
-        return Err(syntax_error(line, "clock must have at least one phase"));
-    }
-    if let Some(extra) = tokens.next() {
-        return Err(syntax_error(
-            line,
-            format!("unexpected token `{extra}` after `clock {k}`"),
-        ));
-    }
-    Ok(k)
-}
-
-/// A `latch` or `ff` statement: the element's name, borrowed from the
-/// source, and its synchronizer.
-fn sync_statement<'a>(
-    keyword: &str,
-    mut tokens: SplitWhitespace<'a>,
-    line: usize,
-) -> Result<(&'a str, Synchronizer), CircuitError> {
-    let name = tokens
-        .next()
-        .ok_or_else(|| syntax_error(line, format!("`{keyword}` needs a name")))?;
-    let ([phase, setup, dq], [hold]) =
-        read_attrs(tokens, ["phase", "setup", "dq"], ["hold"], line)?;
-    if phase.fract() != 0.0 || phase < 1.0 {
-        return Err(syntax_error(
-            line,
-            format!("phase must be a positive integer, got {phase}"),
-        ));
-    }
-    let phase = PhaseId::from_number(phase as usize);
-    let sync = match keyword {
-        "latch" => Synchronizer::latch(name, phase, setup, dq),
-        _ => Synchronizer::flip_flop(name, phase, setup, dq),
-    };
-    Ok((name, sync.with_hold(hold.unwrap_or(0.0))))
-}
-
-/// Reads a statement's `key=value` tokens into fixed slots: one per
-/// `required` key, which must appear, and one per `optional` key.
-///
-/// Errors come in a fixed order. First, per token in line order: a token
-/// without `=`, a value that is not a number, a key seen before on the
-/// line. Then the first absent required key, in `required` order. Then the
-/// first unknown key in line order.
-fn read_attrs<'a, const R: usize, const O: usize>(
-    tokens: SplitWhitespace<'a>,
-    required: [&str; R],
-    optional: [&str; O],
-    line: usize,
-) -> Result<([f64; R], [Option<f64>; O]), CircuitError> {
-    let mut req = [None; R];
-    let mut opt = [None; O];
-    // Unknown keys only need remembering to report duplicates among them;
-    // a line holding one fails anyway, so the set is built on that path
-    // alone.
-    let mut unknown: Option<(&str, HashSet<&str>)> = None;
-    for t in tokens {
-        let (key, value) = t
-            .split_once('=')
-            .ok_or_else(|| syntax_error(line, format!("expected key=value, got `{t}`")))?;
-        let value: f64 = value
-            .parse()
-            .map_err(|e| syntax_error(line, format!("bad value for `{key}`: {e}")))?;
-        let slot = if let Some(i) = required.iter().position(|&k| k == key) {
-            &mut req[i]
-        } else if let Some(i) = optional.iter().position(|&k| k == key) {
-            &mut opt[i]
-        } else {
-            let (_, seen) = unknown.get_or_insert_with(|| (key, HashSet::new()));
-            if !seen.insert(key) {
-                return Err(syntax_error(line, format!("duplicate attribute `{key}`")));
-            }
-            continue;
-        };
-        if slot.replace(value).is_some() {
-            return Err(syntax_error(line, format!("duplicate attribute `{key}`")));
-        }
-    }
-    let mut values = [0.0; R];
-    for ((value, slot), key) in values.iter_mut().zip(req).zip(required) {
-        *value = slot.ok_or_else(|| syntax_error(line, format!("missing {key}=")))?;
-    }
-    if let Some((key, _)) = unknown {
-        return Err(syntax_error(line, format!("unknown attribute `{key}`")));
-    }
-    Ok((values, opt))
-}
-
-/// The latch-level parser behind [`parse_with_limits`], after the
-/// pre-scan.
-fn parse_latch_level(src: &str) -> Result<Circuit, CircuitError> {
+/// The latch-level parser, handing over to the gate-level one when
+/// `detect_gates` is on and a gate-level line turns up.
+fn parse_either(
+    src: &str,
+    limits: &ParseLimits,
+    detect_gates: bool,
+) -> Result<Circuit, CircuitError> {
     let mut builder: Option<CircuitBuilder> = None;
-    let mut ids: HashMap<&str, LatchId> = HashMap::new();
+    // Sized for a typical netlist's share of latch lines.
+    let mut ids: HashMap<&str, LatchId> =
+        HashMap::with_capacity((src.len() / 128).min(limits.max_elements));
     // `mindelay` statements are order-independent (they may precede the
     // `path` lines they annotate), so they are resolved after the scan.
     let mut mindelays: Vec<(usize, &str, &str, f64)> = Vec::new();
+    // The last source and destination `path` lines resolved: netlists list
+    // their paths grouped by one end, so these spare many index lookups.
+    let mut last_ends: [Option<(&str, LatchId)>; 2] = [None; 2];
 
-    for (line, keyword, mut tokens) in statements(src) {
+    let scanned = scan(src, limits, detect_gates, |line, tokens| {
+        let [keyword, ref tokens @ ..] = *tokens else {
+            return Ok(());
+        };
+        let mut tokens = tokens.iter().copied();
         let no_clock = || syntax_error(line, "`clock` line must come first");
         match keyword {
             "clock" => {
@@ -369,12 +420,17 @@ fn parse_latch_level(src: &str) -> Result<Circuit, CircuitError> {
                     .next()
                     .ok_or_else(|| syntax_error(line, "`path` needs a destination"))?;
                 let ([delay], [min]) = read_attrs(tokens, ["delay"], ["min"], line)?;
-                let endpoint = |name: &str| {
-                    ids.get(name)
-                        .copied()
-                        .ok_or_else(|| syntax_error(line, format!("unknown element `{name}`")))
+                let mut endpoint = |end: usize, name| match last_ends[end] {
+                    Some((last, id)) if last == name => Ok(id),
+                    _ => {
+                        let id = *ids.get(name).ok_or_else(|| {
+                            syntax_error(line, format!("unknown element `{name}`"))
+                        })?;
+                        last_ends[end] = Some((name, id));
+                        Ok(id)
+                    }
                 };
-                let (from, to) = (endpoint(from_name)?, endpoint(to_name)?);
+                let (from, to) = (endpoint(0, from_name)?, endpoint(1, to_name)?);
                 match min {
                     Some(min) => b.connect_min_max(from, to, min, delay),
                     None => b.connect(from, to, delay),
@@ -411,9 +467,13 @@ fn parse_latch_level(src: &str) -> Result<Circuit, CircuitError> {
                 ));
             }
         }
+        Ok(())
+    })?;
+    if scanned.gate_level {
+        return parse_gate_level(src, limits);
     }
 
-    let mut builder = builder.ok_or_else(|| missing_clock(src))?;
+    let mut builder = builder.ok_or_else(|| missing_clock(scanned.lines))?;
     // Resolve names up to the first unknown one, apply that prefix through
     // one edge index, and report whichever failure comes first in the file.
     let mut resolved = Vec::with_capacity(mindelays.len());
@@ -438,7 +498,106 @@ fn parse_latch_level(src: &str) -> Result<Circuit, CircuitError> {
     if let Some(e) = unknown_name {
         return Err(e);
     }
-    builder.build()
+    builder.build_with_checked_names()
+}
+
+/// The `clock k` statement: the phase count `k`.
+fn clock_statement(mut tokens: Tokens<'_, '_>, line: usize) -> Result<usize, CircuitError> {
+    let k: usize = tokens
+        .next()
+        .ok_or_else(|| syntax_error(line, "`clock` needs a phase count"))?
+        .parse()
+        .map_err(|e| syntax_error(line, format!("bad phase count: {e}")))?;
+    if k == 0 {
+        return Err(syntax_error(line, "clock must have at least one phase"));
+    }
+    if let Some(extra) = tokens.next() {
+        return Err(syntax_error(
+            line,
+            format!("unexpected token `{extra}` after `clock {k}`"),
+        ));
+    }
+    Ok(k)
+}
+
+/// A `latch` or `ff` statement: the element's name, borrowed from the
+/// source, and its synchronizer.
+fn sync_statement<'a>(
+    keyword: &str,
+    mut tokens: Tokens<'a, '_>,
+    line: usize,
+) -> Result<(&'a str, Synchronizer), CircuitError> {
+    let name = tokens
+        .next()
+        .ok_or_else(|| syntax_error(line, format!("`{keyword}` needs a name")))?;
+    let ([phase, setup, dq], [hold]) =
+        read_attrs(tokens, ["phase", "setup", "dq"], ["hold"], line)?;
+    if phase.fract() != 0.0 || phase < 1.0 {
+        return Err(syntax_error(
+            line,
+            format!("phase must be a positive integer, got {phase}"),
+        ));
+    }
+    let phase = PhaseId::from_number(phase as usize);
+    let sync = match keyword {
+        "latch" => Synchronizer::latch(name, phase, setup, dq),
+        _ => Synchronizer::flip_flop(name, phase, setup, dq),
+    };
+    Ok((name, sync.with_hold(hold.unwrap_or(0.0))))
+}
+
+/// Reads a statement's `key=value` tokens into fixed slots: one per
+/// `required` key, which must appear, and one per `optional` key.
+///
+/// Errors come in a fixed order. First, per token in line order: a token
+/// without `=`, a value that is not a number, a key seen before on the
+/// line. Then the first absent required key, in `required` order. Then the
+/// first unknown key in line order.
+fn read_attrs<'a, const R: usize, const O: usize>(
+    tokens: Tokens<'a, '_>,
+    required: [&str; R],
+    optional: [&str; O],
+    line: usize,
+) -> Result<([f64; R], [Option<f64>; O]), CircuitError> {
+    let mut req = [None; R];
+    let mut opt = [None; O];
+    // Unknown keys only need remembering to report duplicates among them;
+    // a line holding one fails anyway, so the set is built on that path
+    // alone.
+    let mut unknown: Option<(&str, HashSet<&str>)> = None;
+    for t in tokens {
+        // Keys are short: a byte loop beats `split_once`'s searcher here.
+        let eq = t
+            .bytes()
+            .position(|b| b == b'=')
+            .ok_or_else(|| syntax_error(line, format!("expected key=value, got `{t}`")))?;
+        let (key, value) = (&t[..eq], &t[eq + 1..]);
+        let value: f64 = value
+            .parse()
+            .map_err(|e| syntax_error(line, format!("bad value for `{key}`: {e}")))?;
+        let slot = if let Some(i) = required.iter().position(|&k| k == key) {
+            &mut req[i]
+        } else if let Some(i) = optional.iter().position(|&k| k == key) {
+            &mut opt[i]
+        } else {
+            let (_, seen) = unknown.get_or_insert_with(|| (key, HashSet::new()));
+            if !seen.insert(key) {
+                return Err(syntax_error(line, format!("duplicate attribute `{key}`")));
+            }
+            continue;
+        };
+        if slot.replace(value).is_some() {
+            return Err(syntax_error(line, format!("duplicate attribute `{key}`")));
+        }
+    }
+    let mut values = [0.0; R];
+    for ((value, slot), key) in values.iter_mut().zip(req).zip(required) {
+        *value = slot.ok_or_else(|| syntax_error(line, format!("missing {key}=")))?;
+    }
+    if let Some((key, _)) = unknown {
+        return Err(syntax_error(line, format!("unknown attribute `{key}`")));
+    }
+    Ok((values, opt))
 }
 
 /// Parses a *gate-level* netlist and extracts the latch-graph circuit.
@@ -487,17 +646,19 @@ pub fn parse_gates(src: &str) -> Result<Circuit, CircuitError> {
 ///
 /// See [`parse_gates`].
 pub fn parse_gates_with_limits(src: &str, limits: &ParseLimits) -> Result<Circuit, CircuitError> {
-    prescan(src, limits)?;
-    parse_gate_level(src)
+    parse_gate_level(src, limits)
 }
 
-/// The gate-level parser behind [`parse_gates_with_limits`], after the
-/// pre-scan.
-fn parse_gate_level(src: &str) -> Result<Circuit, CircuitError> {
+/// The gate-level parser behind [`parse_gates_with_limits`].
+fn parse_gate_level(src: &str, limits: &ParseLimits) -> Result<Circuit, CircuitError> {
     let mut builder: Option<GateNetlistBuilder> = None;
     let mut ids: HashMap<&str, NodeId> = HashMap::new();
 
-    for (line, keyword, mut tokens) in statements(src) {
+    let lines = scan(src, limits, false, |line, tokens| {
+        let [keyword, ref tokens @ ..] = *tokens else {
+            return Ok(());
+        };
+        let mut tokens = tokens.iter().copied();
         let no_clock = || syntax_error(line, "`clock` line must come first");
         let duplicate = |name: &str| syntax_error(line, format!("duplicate element name `{name}`"));
         match keyword {
@@ -555,8 +716,10 @@ fn parse_gate_level(src: &str) -> Result<Circuit, CircuitError> {
                 ));
             }
         }
-    }
-    builder.ok_or_else(|| missing_clock(src))?.extract()
+        Ok(())
+    })?
+    .lines;
+    builder.ok_or_else(|| missing_clock(lines))?.extract()
 }
 
 /// Serializes a circuit into the netlist text format.
@@ -1488,6 +1651,40 @@ wire B A      # feedback wire, zero delay
             .unwrap_err()
             .to_string()
             .contains("unknown keyword `gate` (expected clock/latch/ff/path/mindelay)"));
+    }
+
+    #[test]
+    fn token_end_matches_the_byte_rule() {
+        let plain = |bytes: &[u8], mut i: usize| {
+            while i < bytes.len() && TOKEN_BYTE[usize::from(bytes[i])] {
+                i += 1;
+            }
+            i
+        };
+        // Every byte value, and every pair of edge-case bytes (a borrow
+        // out of the first must not hide the second), at every offset of
+        // the eight-byte words.
+        let edges = [
+            0x00, 0x01, 0x08, 0x09, 0x0a, 0x0b, 0x0d, 0x0e, 0x1f, 0x20, 0x21, 0x22, 0x23, 0x24,
+            0x7f, 0x80, 0xc3, 0xff, b'a',
+        ];
+        let pairs = edges
+            .iter()
+            .flat_map(|&a| edges.iter().map(move |&b| [a, b]));
+        let singles = (0..=255u8).map(|b| [b, b'a']);
+        for pair in singles.chain(pairs) {
+            for at in 0..19 {
+                let mut bytes = [b'x'; 20];
+                bytes[at..at + 2].copy_from_slice(&pair);
+                for start in 0..=at {
+                    assert_eq!(
+                        token_end(&bytes, start),
+                        plain(&bytes, start),
+                        "{pair:?} at {at} from {start}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
