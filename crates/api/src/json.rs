@@ -64,6 +64,7 @@ impl Json {
     /// trailing non-whitespace bytes.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
         };
@@ -80,6 +81,14 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Mutable object field lookup (first match); `None` on non-objects.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -207,6 +216,7 @@ pub fn escape(s: &str) -> String {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -298,6 +308,19 @@ impl<'a> Parser<'a> {
         self.eat(b'"', "expected `\"`")?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // in one go. All three are ASCII, so the run ends on a char
+            // boundary of `src`.
+            let end = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .map_or(self.bytes.len(), |run| self.pos + run);
+            let run = self
+                .src
+                .get(self.pos..end)
+                .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
+            out.push_str(run);
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -325,24 +348,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"));
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar. Input is a &str, so byte
-                    // boundaries are already valid; copy bytes until the
-                    // next char boundary.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    if let Ok(chunk) = std::str::from_utf8(&self.bytes[start..self.pos]) {
-                        out.push_str(chunk);
-                    } else {
-                        return Err(self.err("invalid UTF-8 in string"));
-                    }
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }

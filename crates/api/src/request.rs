@@ -145,7 +145,7 @@ impl Request {
     /// Parses one request line. All failures are `bad-request` errors with
     /// messages naming the offending field.
     pub fn parse(line: &str) -> Result<Request, ApiError> {
-        let value =
+        let mut value =
             Json::parse(line).map_err(|e| ApiError::bad_request(format!("request line: {e}")))?;
         if !matches!(value, Json::Obj(_)) {
             return Err(ApiError::bad_request("request must be a JSON object"));
@@ -171,7 +171,7 @@ impl Request {
             "shutdown" => Command::Shutdown,
             "debug-panic" => Command::DebugPanic,
             "solve" => Command::Solve {
-                netlist: req_netlist(&value)?,
+                netlist: req_netlist(&mut value)?,
                 backend: opt_backend(&value)?,
                 certify: opt_bool(&value, "certify")?.unwrap_or(true),
             },
@@ -198,19 +198,19 @@ impl Request {
                     }
                 };
                 Command::Verify {
-                    netlist: req_netlist(&value)?,
+                    netlist: req_netlist(&mut value)?,
                     cycle_time: req_finite(&value, "cycle_time")?,
                     phases,
                     backend: opt_backend(&value)?,
                 }
             }
             "check" => Command::Check {
-                netlist: req_netlist(&value)?,
+                netlist: req_netlist(&mut value)?,
                 cycle_time: opt_finite(&value, "cycle_time")?,
                 backend: opt_backend(&value)?,
             },
             "diagnose" => Command::Diagnose {
-                netlist: req_netlist(&value)?,
+                netlist: req_netlist(&mut value)?,
                 cycle_time: opt_finite(&value, "cycle_time")?,
             },
             "sweep" => {
@@ -228,7 +228,7 @@ impl Request {
                     return Err(ApiError::bad_request("`runs` must be at least 1"));
                 }
                 Command::Sweep {
-                    netlist: req_netlist(&value)?,
+                    netlist: req_netlist(&mut value)?,
                     param,
                     runs,
                     edge: opt_usize(&value, "edge")?.unwrap_or(0),
@@ -258,12 +258,13 @@ impl Request {
     }
 }
 
-fn req_netlist(value: &Json) -> Result<String, ApiError> {
-    value
-        .get("netlist")
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| ApiError::bad_request("missing string field `netlist`"))
+/// Moves the `netlist` string out of the request object: it is the bulk
+/// of the line, and nothing reads it from `value` afterwards.
+fn req_netlist(value: &mut Json) -> Result<String, ApiError> {
+    match value.get_mut("netlist") {
+        Some(Json::Str(s)) => Ok(std::mem::take(s)),
+        _ => Err(ApiError::bad_request("missing string field `netlist`")),
+    }
 }
 
 fn finite(v: &Json, field: &str) -> Result<f64, ApiError> {

@@ -223,12 +223,15 @@ fn handle_connection(
     let _ = stream.set_read_timeout(Some(READ_TICK));
     let _ = stream.set_nodelay(true);
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..searched]` holds no `\n`: each read is searched once.
+    let mut searched = 0;
     let mut chunk = [0u8; 16 * 1024];
     loop {
-        // Drain every complete line already buffered.
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line_bytes[..nl]).into_owned();
+        // Answer every complete line already buffered.
+        let mut start = 0;
+        while let Some(nl) = find_newline(&buf, searched) {
+            let line = String::from_utf8_lossy(&buf[start..nl]);
+            (start, searched) = (nl + 1, nl + 1);
             let line = line.trim_end_matches('\r');
             if line.trim().is_empty() {
                 continue;
@@ -249,6 +252,8 @@ fn handle_connection(
                 return;
             }
         }
+        buf.drain(..start);
+        searched = buf.len();
         if shutdown.load(Ordering::SeqCst) {
             // Drained: whatever this connection was executing has been
             // answered above; stop reading new work.
@@ -271,6 +276,14 @@ fn handle_connection(
             Err(_) => return,
         }
     }
+}
+
+/// The position of the first `\n` in `buf` at or after `from`.
+fn find_newline(buf: &[u8], from: usize) -> Option<usize> {
+    buf[from..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map(|p| from + p)
 }
 
 /// Routes one line: control commands bypass the gate, work commands pass
@@ -315,6 +328,8 @@ fn answer(line: &str, engine: &Engine, gate: &Gate, shutdown: &AtomicBool) -> Re
 pub struct Client {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// `buf[..searched]` holds no `\n`.
+    searched: usize,
 }
 
 impl Client {
@@ -325,6 +340,7 @@ impl Client {
         Ok(Client {
             stream,
             buf: Vec::new(),
+            searched: 0,
         })
     }
 
@@ -337,10 +353,17 @@ impl Client {
     fn read_line(&mut self) -> std::io::Result<String> {
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            if let Some(nl) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=nl).collect();
-                return Ok(String::from_utf8_lossy(&line[..nl]).into_owned());
+            if let Some(nl) = find_newline(&self.buf, self.searched) {
+                // The line keeps the buffer's allocation; only the bytes
+                // after it move.
+                let rest = self.buf.split_off(nl + 1);
+                let mut line = std::mem::replace(&mut self.buf, rest);
+                line.truncate(nl);
+                self.searched = 0;
+                return Ok(String::from_utf8(line)
+                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()));
             }
+            self.searched = self.buf.len();
             let n = self.stream.read(&mut chunk)?;
             if n == 0 {
                 return Err(std::io::Error::new(
