@@ -174,7 +174,8 @@ pub(crate) enum FastPathOutcome {
 }
 
 /// Runs the fast path on a freshly built model. With `certify` on, a
-/// pure-model solve carries the KKT certificate of [`certify_optimum`].
+/// pure-model solve carries the KKT certificate of [`certify_optimum`],
+/// valid or not: [`route`] decides what a failed one means.
 /// A mixed model is handed back before any graph is built: the simplex
 /// decides it, infeasibility included.
 ///
@@ -219,6 +220,40 @@ pub(crate) fn attempt(
             }
             Ok(FastPathOutcome::Solved(Box::new(solution)))
         }
+    }
+}
+
+/// What a solve under `backend` makes of [`attempt`]'s outcome: `Some`
+/// answers the solve, `None` hands it to the simplex.
+///
+/// Under [`Backend::Auto`] a miss goes to the simplex: a mixed model,
+/// numerical trouble, or an optimum whose requested certificate fails its
+/// check. [`Backend::Graph`] answers with whatever the graph gave, an
+/// uncertified optimum included. A verdict (infeasibility) and an expired
+/// budget answer under both.
+pub(crate) fn route(
+    outcome: Result<FastPathOutcome, TimingError>,
+    backend: Backend,
+    certify: bool,
+) -> Option<Result<TimingSolution, TimingError>> {
+    let graph_only = backend == Backend::Graph;
+    match outcome {
+        Ok(FastPathOutcome::Solved(solution)) => {
+            (graph_only || !certify || solution.certified()).then_some(Ok(*solution))
+        }
+        Ok(FastPathOutcome::Mixed) => graph_only.then(|| {
+            Err(TimingError::InvalidOptions {
+                reason: "backend `graph` requires a pure difference-constraint \
+                         model, but the generated rows include general linear \
+                         constraints (use `auto` or `lp`)"
+                    .into(),
+            })
+        }),
+        Err(e @ TimingError::Infeasible { .. }) => Some(Err(e)),
+        // The deadline expired inside the fast path; falling through to
+        // the simplex would defeat it.
+        Err(e @ TimingError::Lp(smo_lp::LpError::Budget { .. })) => Some(Err(e)),
+        Err(e) => graph_only.then_some(Err(e)),
     }
 }
 
@@ -601,6 +636,36 @@ mod tests {
             low[model.vars().tc().index()] -= 1e-3 * tc;
             prop_assert!(!certify_optimum(&model, &low, &duals).is_valid());
         }
+    }
+
+    #[test]
+    fn auto_hands_an_optimum_with_a_failed_certificate_to_the_simplex() {
+        let circuit = example1(80.0);
+        let (model, _, x, duals) = graph_optimum(&circuit);
+        let budget = SolveBudget::UNLIMITED;
+        let solved = || match attempt(&circuit, &model, &budget, true) {
+            Ok(FastPathOutcome::Solved(solution)) => solution,
+            _ => panic!("example 1 is a pure model"),
+        };
+        // A certificate made invalid by halving the critical cycle's duals.
+        let halved: Vec<_> = duals.iter().map(|&(c, v)| (c, v / 2.0)).collect();
+        let broken = || {
+            let mut solution = solved();
+            solution.certificates = vec![certify_optimum(&model, &x, &halved)];
+            assert!(!solution.certified());
+            Ok(FastPathOutcome::Solved(solution))
+        };
+        assert!(route(broken(), Backend::Auto, true).is_none());
+        let graph = route(broken(), Backend::Graph, true)
+            .expect("`graph` answers itself")
+            .unwrap();
+        assert!(!graph.certified());
+        assert_eq!(graph.backend(), Backend::Graph);
+        // A valid certificate answers under `auto`, and so does an
+        // optimum nobody asked to certify.
+        let ok = route(Ok(FastPathOutcome::Solved(solved())), Backend::Auto, true);
+        assert!(ok.expect("certified optimum").unwrap().certified());
+        assert!(route(broken(), Backend::Auto, false).is_some());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::TimingError;
-use crate::fastpath::{self, Backend, FastPathOutcome};
+use crate::fastpath::{self, Backend};
 use crate::model::{ConstraintOptions, TimingModel};
 use crate::propagation::PropagationSystem;
 use crate::solution::TimingSolution;
@@ -150,31 +150,9 @@ pub(crate) fn solve_built(
     // mixed ones fall through to the cold simplex (see
     // [`crate::fastpath`]).
     if options.backend != Backend::Lp {
-        match fastpath::attempt(circuit, model, &budget, options.certify) {
-            Ok(FastPathOutcome::Solved(solution)) => return Ok(*solution),
-            Ok(FastPathOutcome::Mixed) => {
-                if options.backend == Backend::Graph {
-                    return Err(TimingError::InvalidOptions {
-                        reason: "backend `graph` requires a pure difference-constraint \
-                                 model, but the generated rows include general linear \
-                                 constraints (use `auto` or `lp`)"
-                            .into(),
-                    });
-                }
-            }
-            Err(e @ TimingError::Infeasible { .. }) => return Err(e),
-            Err(e @ TimingError::Lp(smo_lp::LpError::Budget { .. })) => {
-                // The deadline expired inside the fast path; falling
-                // through to the simplex would defeat it.
-                return Err(e);
-            }
-            Err(e) => {
-                if options.backend == Backend::Graph {
-                    return Err(e);
-                }
-                // `auto` treats numerical trouble in the fast path as a
-                // miss, not a verdict: fall through to the certified LP.
-            }
+        let outcome = fastpath::attempt(circuit, model, &budget, options.certify);
+        if let Some(answer) = fastpath::route(outcome, options.backend, options.certify) {
+            return answer;
         }
     }
     let lp = LpStage {
