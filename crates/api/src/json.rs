@@ -176,14 +176,18 @@ impl Json {
 }
 
 /// Formats a number the way the reports do: integers without a decimal
-/// point, everything else via Rust's shortest-roundtrip float formatting.
-/// Non-finite values (unrepresentable in JSON) render as `null`.
+/// point, everything else via Rust's shortest-roundtrip float formatting,
+/// in exponent form (`4.300991475928116e-16`) when `|n| < 1e-6` or
+/// `|n| ≥ 1e21`, where the plain form runs to dozens of zeros. Non-finite
+/// values (unrepresentable in JSON) render as `null`.
 pub fn fmt_num(n: f64) -> String {
     if !n.is_finite() {
         return "null".into();
     }
     if n.fract() == 0.0 && n.abs() < 1e15 {
         format!("{}", n as i64)
+    } else if n.abs() < 1e-6 || n.abs() >= 1e21 {
+        format!("{n:e}")
     } else {
         format!("{n}")
     }
@@ -490,6 +494,37 @@ mod tests {
         assert_eq!(fmt_num(1.5), "1.5");
         assert_eq!(fmt_num(-0.25), "-0.25");
         assert_eq!(fmt_num(f64::NAN), "null");
+        // Tiny and huge non-integers take the exponent form.
+        assert_eq!(fmt_num(4.300991475928116e-16), "4.300991475928116e-16");
+        assert_eq!(fmt_num(1e-7), "1e-7");
+        assert_eq!(fmt_num(-2.5e-9), "-2.5e-9");
+        assert_eq!(fmt_num(5e-324), "5e-324");
+        assert_eq!(fmt_num(1e21), "1e21");
+        assert_eq!(fmt_num(-1.5e300), "-1.5e300");
+        // The bounds themselves, and the plain range next to them.
+        assert_eq!(fmt_num(1e-6), "0.000001");
+        assert_eq!(fmt_num(1.25e-5), "0.0000125");
+        assert_eq!(fmt_num(1e20), "100000000000000000000");
+        assert_eq!(fmt_num(0.0), "0");
+        for n in [
+            4.300991475928116e-16,
+            1e-7,
+            -2.5e-9,
+            5e-324,
+            f64::MIN_POSITIVE,
+            9.999999999999999e-7,
+            1e-6,
+            0.1,
+            1.5,
+            123456.789,
+            1e15 + 0.5,
+            1e20,
+            1e21,
+            f64::MAX,
+            -f64::MAX,
+        ] {
+            assert_eq!(Json::parse(&fmt_num(n)), Ok(Json::Num(n)), "{n:e}");
+        }
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn golden_solve_result_bytes() {
         "{\"id\":\"s1\",\"status\":\"ok\",\"degradation\":\"full\",\"cached\":false,\
          \"result\":{\"cycle_time\":31,\"certified\":true,\"backend\":\"graph\",\
          \"lp_iterations\":0,\"update_iterations\":2,\"num_constraints\":32,\
-         \"certificates\":[{\"valid\":true,\"tolerance\":0.0000001,\"worst_residual\":0,\
+         \"certificates\":[{\"valid\":true,\"tolerance\":1e-7,\"worst_residual\":0,\
          \"residuals\":{\"primal\":0,\"bounds\":0,\"stationarity\":0,\"dual sign\":0,\
          \"complementarity\":0,\"duality gap\":0}}]}}"
     );
