@@ -28,9 +28,12 @@ echo "==> cargo test (every workspace crate)"
 # oracle comparison among them).
 cargo test -q --workspace
 
-echo "==> e2e benchmark crate tests"
-# The end-to-end benchmark is a workspace of its own (e2e/Cargo.toml):
-# its oracle and statistics unit tests only run when asked for by path.
+echo "==> e2e benchmark crate: fmt, clippy (-D warnings) and tests"
+# The end-to-end benchmark is a workspace of its own (e2e/Cargo.toml), so
+# the workspace-wide fmt, clippy and test steps above do not cover it; it
+# links smo_api and smo_circuit, so their changes must keep it building.
+cargo fmt --manifest-path e2e/Cargo.toml -- --check
+cargo clippy --manifest-path e2e/Cargo.toml --all-targets -q -- -D warnings
 cargo test -q --manifest-path e2e/Cargo.toml
 
 echo "==> stress harness (pathological circuits, sparse-LU vs the dense oracle)"
@@ -169,6 +172,19 @@ set -e
 rm -f "$bad_ckt"
 [ "$bad_rc" -ne 0 ] && printf '%s\n' "$bad_line" | grep '"kind":"parse"' > /dev/null
 [ "$expired_rc" -ne 0 ] && printf '%s\n' "$expired_line" | grep '"kind":"budget"' > /dev/null
+# A netlist past the 4 MiB input limit, on one legal request line: the
+# daemon frames and decodes it in linear time and answers `limit` at once.
+big_ckt=$(mktemp --suffix=.ckt)
+./target/release/smo gen --latches 40000 --seed 7 --out "$big_ckt" > /dev/null
+set +e
+big_line=$(timeout 10 ./target/release/smo call "$serve_addr" solve "$big_ckt")
+big_rc=$?
+set -e
+rm -f "$big_ckt"
+if [ "$big_rc" -ne 1 ] || ! printf '%s\n' "$big_line" | grep -q '"kind":"limit"'; then
+  echo "oversized netlist: expected a limit error (exit 1), got exit $big_rc" >&2
+  exit 1
+fi
 # The daemon must still be healthy after the hostile batch (no panics)…
 ./target/release/smo call "$serve_addr" stats | grep '"panics":0' > /dev/null
 # …and must drain cleanly on shutdown.
