@@ -178,7 +178,8 @@ fn split_line<'a>(src: &'a str, start: usize, cap: usize, tokens: &mut Vec<&'a s
     let mut count = 0;
     let mut i = start;
     let end = loop {
-        while i < bytes.len() && is_separator(bytes[i]) && bytes[i] != b'\n' {
+        // Every separator but `\n`, which ends the line.
+        while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\x0b' | b'\x0c' | b'\r') {
             i += 1;
         }
         let token = i;
