@@ -547,6 +547,22 @@ fn sync_statement<'a>(
     Ok((name, sync.with_hold(hold.unwrap_or(0.0))))
 }
 
+/// `text` as an `f64` when it is one to nine ASCII digits, the most
+/// common value: what `str::parse` gives, without its general machinery.
+fn small_integer(text: &str) -> Option<f64> {
+    if text.is_empty() || text.len() > 9 {
+        return None;
+    }
+    let mut n = 0u32;
+    for b in text.bytes() {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        n = n * 10 + u32::from(b - b'0');
+    }
+    Some(f64::from(n))
+}
+
 /// Reads a statement's `key=value` tokens into fixed slots: one per
 /// `required` key, which must appear, and one per `optional` key.
 ///
@@ -573,9 +589,12 @@ fn read_attrs<'a, const R: usize, const O: usize>(
             .position(|b| b == b'=')
             .ok_or_else(|| syntax_error(line, format!("expected key=value, got `{t}`")))?;
         let (key, value) = (&t[..eq], &t[eq + 1..]);
-        let value: f64 = value
-            .parse()
-            .map_err(|e| syntax_error(line, format!("bad value for `{key}`: {e}")))?;
+        let value = match small_integer(value) {
+            Some(v) => v,
+            None => value
+                .parse()
+                .map_err(|e| syntax_error(line, format!("bad value for `{key}`: {e}")))?,
+        };
         let slot = if let Some(i) = required.iter().position(|&k| k == key) {
             &mut req[i]
         } else if let Some(i) = optional.iter().position(|&k| k == key) {
@@ -1652,6 +1671,16 @@ wire B A      # feedback wire, zero delay
             .unwrap_err()
             .to_string()
             .contains("unknown keyword `gate` (expected clock/latch/ff/path/mindelay)"));
+    }
+
+    #[test]
+    fn small_integers_parse_like_str_parse() {
+        for text in ["0", "7", "007", "10", "999999999", "123456789"] {
+            assert_eq!(small_integer(text), text.parse().ok(), "{text}");
+        }
+        for text in ["", "1000000000", "-1", "+1", "1.0", "1e3", "0x1", "½"] {
+            assert_eq!(small_integer(text), None, "{text}");
+        }
     }
 
     #[test]
