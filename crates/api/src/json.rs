@@ -86,7 +86,7 @@ impl Json {
     }
 
     /// Mutable object field lookup (first match); `None` on non-objects.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+    pub(crate) fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
         match self {
             Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
