@@ -512,7 +512,7 @@ mod tests {
             -2.5e-9,
             5e-324,
             f64::MIN_POSITIVE,
-            9.999999999999999e-7,
+            f64::from_bits(1e-6f64.to_bits() - 1),
             1e-6,
             0.1,
             1.5,
