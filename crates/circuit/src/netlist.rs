@@ -125,8 +125,9 @@ fn token_end(bytes: &[u8], mut i: usize) -> usize {
     const ONES: u64 = u64::from_le_bytes([0x01; 8]);
     const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
     // Eight bytes at a time: flag each byte below `!`, equal to `#` or
-    // from 0x80 up. The lowest flag is always a true one, and every byte
-    // below it continues the token.
+    // from 0x80 up. The lowest flag is always a true one (a borrow only
+    // spreads upward from a true one), and every byte before it continues
+    // the token.
     while let Some(word) = bytes.get(i..i + 8) {
         let mut w = [0; 8];
         w.copy_from_slice(word);
