@@ -115,11 +115,10 @@ grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/core/src/fastpat
 # the propagation system and the MLP driver keep the same attribute.
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/core/src/propagation.rs
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/core/src/mlp.rs
-# The sparse-LU simplex kernel, its hypersparse solve and pricing modules,
-# and the large-circuit generator feed the scaling gates: all keep the
-# same deny-level attribute.
+# The sparse-LU simplex and its pricing module serve `--backend lp` and
+# the scale-differential oracle, and the large-circuit generator feeds the
+# scaling gates: all keep the same deny-level attribute.
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/lp/src/sparse.rs
-grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/lp/src/hypersparse.rs
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/lp/src/pricing.rs
 grep -q 'deny(clippy::unwrap_used, clippy::expect_used)' crates/gen/src/datapath.rs
 
@@ -279,20 +278,5 @@ mindelay_ckt=$(mktemp --suffix=.ckt)
 timeout 20 ./target/release/smo solve "$mindelay_ckt" --max-input-mb 64 --json \
   | grep '"certified": true' > /dev/null
 rm -f "$mindelay_ckt"
-
-echo "==> bench_scale (dense vs sparse-LU scaling gate)"
-# Quick mode enforces the speedup convention at CI-friendly sizes, then
-# re-measures sparse pivots/sec at the 10k-row anchor and fails if it
-# drops below half the checked-in sparse_pivots_per_sec_10k — the
-# throughput regression gate for the hypersparse kernels — all without
-# touching the checked-in curve. The full BENCH_scale.json regeneration
-# (6 sizes to ~50k rows; dense is deadline-bounded, the jumbo sparse
-# solves get up to 1800 s each) runs with SCALE_FULL=1 ./ci.sh and
-# enforces the >= 10x gate at the 10k-row anchor.
-if [ "${SCALE_FULL:-0}" = "1" ]; then
-  cargo run -q --release -p smo-bench --bin bench_scale
-else
-  cargo run -q --release -p smo-bench --bin bench_scale -- --quick
-fi
 
 echo "CI OK"

@@ -4,14 +4,14 @@
 //! reproduction. The paper's initial implementation used "a dense-matrix LP
 //! solver which implements the standard simplex algorithm" (§V); this crate
 //! keeps that dense tableau as its reference oracle and solves with a
-//! sparse-LU revised simplex that scales to the 50k-row models of §VI,
-//! all built from scratch:
+//! sparse-LU revised simplex, all built from scratch:
 //!
 //! * a [`Problem`] builder with named variables, bounds, and linear
 //!   constraints in `≤` / `≥` / `=` form ([`Sense`]),
 //! * a two-phase primal simplex over a sparse LU factorization of the
-//!   basis ([`LuFactors`]) with candidate-list devex pricing and a Bland
-//!   anti-cycling fallback ([`Problem::solve`]),
+//!   basis ([`LuFactors`]), whose FTRAN and BTRAN are plain loops over the
+//!   sparse L, U and eta factors, with candidate-list devex pricing and a
+//!   Bland anti-cycling fallback ([`Problem::solve`]),
 //! * dual values, reduced costs, and slacks on the returned [`Solution`]
 //!   (the timing engine's delay sensitivities on models outside the
 //!   difference fragment),
@@ -80,7 +80,6 @@ mod error;
 mod export;
 mod expr;
 mod graph;
-mod hypersparse;
 mod iis;
 mod pricing;
 mod problem;
@@ -100,11 +99,10 @@ pub use graph::{
     MinParamOutcome, NegativeCycle, ParamArc, ParamGraph, ParamLowerWitness, RowClass,
     SearchOutcome, VarImage,
 };
-pub use hypersparse::{LuWorkspace, ScatterVec};
 pub use iis::{certifies_infeasibility, extract_graph_iis, extract_iis, Iis};
 pub use problem::{ConstraintId, Objective, Problem, Sense};
 pub use recover::{CertifiedSolution, RecoveryPolicy, RecoveryStep, SolveBudget};
-pub use solution::{OptimalSolution, Solution, SolveStats, Status};
+pub use solution::{OptimalSolution, Solution, Status};
 pub use sparse::LuFactors;
 pub use tol::Tol;
 pub use verify::{certify_kkt, Certificate};

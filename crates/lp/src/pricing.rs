@@ -32,7 +32,7 @@ impl PartialPricer {
         // every 4 iterations; small problems degenerate to a full scan per
         // pivot (i.e. plain devex). A wide slice keeps the devex scores
         // current enough to nearly match full devex's pivot count while
-        // scanning a quarter of the columns — at the 10k-row bench anchor,
+        // scanning a quarter of the columns — on a 10k-row generated datapath,
         // 1/16 took 26k pivots and 1/4 takes 20k (full devex: 18k), and
         // total time bottoms out here (1/2 pays more in scan time than it
         // saves in pivots).

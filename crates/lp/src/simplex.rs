@@ -438,7 +438,6 @@ pub(crate) fn solve_dense(
             // are exactly a Farkas certificate of infeasibility.
             farkas: (status == Status::Infeasible)
                 .then(|| t.map_feasibility_duals(&t.phase1_duals())),
-            stats: None,
         },
     })
 }
@@ -466,7 +465,6 @@ fn package_optimal(p: &Problem, t: &Tableau) -> Solution {
         slacks,
         iterations: t.iterations,
         farkas: None,
-        stats: None,
     }
 }
 

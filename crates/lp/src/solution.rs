@@ -43,27 +43,6 @@ pub struct Solution {
     pub(crate) slacks: Vec<f64>,
     pub(crate) iterations: usize,
     pub(crate) farkas: Option<Vec<f64>>,
-    /// Factorization-kernel counters; only the sparse-LU simplex fills
-    /// these in (`#[serde(default)]` keeps old serialized solutions
-    /// readable).
-    #[serde(default)]
-    pub(crate) stats: Option<SolveStats>,
-}
-
-/// Factorization and update counters from a sparse-LU solve, for
-/// attributing where the time went (exposed in `BENCH_scale.json`).
-/// `None` on the dense reference tableau, which has no eta file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SolveStats {
-    /// Fresh basis factorizations after the initial one.
-    pub refactorizations: usize,
-    /// Total eta nonzeros appended across the whole solve (the measured
-    /// update fill the fill-aware trigger bounds).
-    pub eta_nnz_total: usize,
-    /// Largest eta-file fill observed between refactorizations.
-    pub peak_eta_nnz: usize,
-    /// `nnz(L+U)` of the final factorization.
-    pub factor_nnz: usize,
 }
 
 impl Solution {
@@ -102,12 +81,6 @@ impl Solution {
     /// ([`extract_iis`](crate::extract_iis)).
     pub fn farkas(&self) -> Option<&[f64]> {
         self.farkas.as_deref()
-    }
-
-    /// Sparse-LU kernel counters (refactorizations, eta fill) for this
-    /// solve; `None` under the dense reference tableau.
-    pub fn stats(&self) -> Option<&SolveStats> {
-        self.stats.as_ref()
     }
 
     /// Converts into an [`OptimalSolution`], failing if the status is not
@@ -258,7 +231,6 @@ mod tests {
             slacks: vec![],
             iterations: 3,
             farkas: None,
-            stats: None,
         };
         let err = s.into_optimal().unwrap_err();
         assert_eq!(
@@ -280,7 +252,6 @@ mod tests {
             slacks: vec![],
             iterations: 3,
             farkas: Some(vec![-1.0, 0.0, 2.0]),
-            stats: None,
         };
         assert_eq!(
             s.to_string(),

@@ -2,9 +2,10 @@
 //! factorization with bounded-eta updates, and partial devex pricing.
 //!
 //! This is the crate's one production simplex: [`Problem::solve`],
-//! certified solves and IIS extraction all run here. It is
-//! built for the 10k–100k-latch netlists the paper's §VI scaling
-//! discussion anticipates, so it keeps no dense `m×m` object:
+//! certified solves and IIS extraction all run here. Netlist models
+//! settle on the graph path ([`crate::classify`]), so the simplex serves
+//! `--backend lp`, mixed models and the test oracles. It keeps no dense
+//! `m×m` object:
 //!
 //! * **[`StdForm`]** — the standard-form constraint matrix assembled
 //!   directly in compressed sparse columns. It is the *single source of
@@ -15,13 +16,15 @@
 //!   both engines by construction.
 //! * **[`LuFactors`]** — a sparse LU factorization of the basis with
 //!   Markowitz pivot ordering (minimize `(r−1)(c−1)` fill bound, subject
-//!   to a relative stability threshold), forward/backward substitution in
-//!   `O(nnz(L+U))`, and bounded product-form **eta updates** for column
-//!   replacement — the Forrest–Tomlin-style "update, don't refactorize"
-//!   discipline, with a fresh factorization forced once the eta file's
-//!   length or fill crosses a budget. Public, so the factorization kernel
-//!   is property-testable in isolation (`L·U = P·B·Q` residuals,
-//!   update-equals-refactorization).
+//!   to a relative stability threshold) and bounded product-form **eta
+//!   updates** for column replacement — the Forrest–Tomlin-style "update,
+//!   don't refactorize" discipline, with a fresh factorization forced once
+//!   the eta file's length or fill crosses a budget. FTRAN
+//!   ([`LuFactors::solve`]) and BTRAN ([`LuFactors::solve_transpose`]) are
+//!   plain loops over dense `Vec<f64>` vectors and the sparse L, U and eta
+//!   factors, `O(m + nnz(L+U) + nnz(etas))` per solve. Public, so the
+//!   factorization kernel is property-testable in isolation (`L·U = P·B·Q`
+//!   residuals, update-equals-refactorization).
 //! * **partial devex pricing** (candidate-list devex) — reference-framework
 //!   weights approximate steepest-edge at Dantzig cost, cutting pivot
 //!   counts on the long thin models the large-circuit generator emits,
@@ -39,11 +42,10 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::error::LpError;
-use crate::hypersparse::{LuWorkspace, ScatterVec};
 use crate::pricing::PartialPricer;
 use crate::problem::{Objective, Problem, Sense};
 use crate::simplex::ColKind;
-use crate::solution::{Solution, SolveStats, Status};
+use crate::solution::{Solution, Status};
 use crate::EPS;
 
 /// Hard cap on eta-file length between refactorizations — a safety valve
@@ -58,7 +60,7 @@ const REFACTOR_ETAS: usize = 256;
 /// nonzeros than `ETA_FILL_FACTOR ×` the last factorization's fill plus
 /// [`ETA_FILL_SLACK`]. The factor balances the amortized cost of a
 /// Markowitz refactorization against the `O(eta_nnz)` transposed eta pass
-/// every BTRAN pays: measured at the 10k-row bench anchor, total solve
+/// every BTRAN pays: measured on a 10k-row generated datapath, total solve
 /// time is convex in this knob (71.9 s at 1, 16.8 s at 8, 13.2 s at 12,
 /// 15.4 s at 16) and 12 sits at the bottom of the bowl. Deliberately
 /// nnz-based, never wall-clock-based: solve trajectories stay
@@ -78,6 +80,15 @@ const MARKOWITZ_TAU: f64 = 0.1;
 
 /// A sparse column: `(row, value)` pairs sorted by row.
 pub(crate) type SparseCol = Vec<(usize, f64)>;
+
+/// The dense length-`m` vector with the given `(index, value)` entries.
+fn densify(m: usize, entries: &[(usize, f64)]) -> Vec<f64> {
+    let mut v = vec![0.0; m];
+    for &(i, x) in entries {
+        v[i] = x;
+    }
+    v
+}
 
 /// How a user variable maps to standard-form columns.
 #[derive(Debug, Clone, Copy)]
@@ -395,10 +406,10 @@ pub(crate) struct Eta {
 /// The factorization solves `B·x = b` ([`LuFactors::solve`]) and
 /// `Bᵀ·y = c` ([`LuFactors::solve_transpose`]) in time proportional to the
 /// factor fill, and absorbs simplex basis changes through
-/// [`LuFactors::replace_column`] without refactorizing — the caller
-/// refactorizes when [`LuFactors::eta_count`] / [`LuFactors::eta_nnz`]
-/// cross its budget. Row indices address the original matrix rows; column
-/// indices address basis *positions* (the order columns were passed to
+/// [`LuFactors::replace_column`] without refactorizing — the simplex
+/// refactorizes when the eta file's length or fill crosses its budget.
+/// Row indices address the original matrix rows; column indices address
+/// basis *positions* (the order columns were passed to
 /// [`LuFactors::factorize`]).
 ///
 /// Exposed publicly so the kernel is testable in isolation; the solver
@@ -420,18 +431,11 @@ pub struct LuFactors {
     pub(crate) upper: Vec<Vec<(usize, f64)>>,
     /// Per step: the pivot value.
     pub(crate) pivots: Vec<f64>,
-    /// Reverse U dependencies in step space: `u_rev[s]` lists the steps
-    /// `k < s` whose U row references step `s`'s pivot column. The
-    /// hypersparse FTRAN's backward symbolic phase walks these edges.
-    pub(crate) u_rev: Vec<Vec<usize>>,
-    /// Reverse L dependencies in step space: `l_rev[s]` lists the steps
-    /// `k < s` whose L column hits step `s`'s pivot row (for the
-    /// hypersparse BTRAN's `Lᵀ` symbolic phase).
-    pub(crate) l_rev: Vec<Vec<usize>>,
     pub(crate) etas: Vec<Eta>,
+    /// Nonzeros across the eta file, pivots included.
     pub(crate) eta_nnz: usize,
-    /// `factor_nnz` cached at factorization time (the fill-trigger
-    /// comparison runs every pivot).
+    /// Nonzeros in L and U, pivots included, counted at factorization
+    /// time (the fill trigger compares against it every pivot).
     pub(crate) factor_fill: usize,
 }
 
@@ -664,21 +668,6 @@ impl LuFactors {
             lower.push(mults);
         }
 
-        // Reverse dependency lists in step space, one pass over the
-        // factors: these are the graphs the hypersparse symbolic phases
-        // traverse (see `hypersparse.rs`).
-        let mut u_rev: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (k, row) in upper.iter().enumerate() {
-            for &(pos, _) in row {
-                u_rev[col_step[pos]].push(k);
-            }
-        }
-        let mut l_rev: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (k, col) in lower.iter().enumerate() {
-            for &(r, _) in col {
-                l_rev[row_step[r]].push(k);
-            }
-        }
         let factor_fill = m
             + lower.iter().map(Vec::len).sum::<usize>()
             + upper.iter().map(Vec::len).sum::<usize>();
@@ -692,8 +681,6 @@ impl LuFactors {
             lower,
             upper,
             pivots,
-            u_rev,
-            l_rev,
             etas: Vec::new(),
             eta_nnz: 0,
             factor_fill,
@@ -710,22 +697,11 @@ impl LuFactors {
         self.etas.len()
     }
 
-    /// Total nonzeros across the eta file (the update fill the caller's
-    /// refactorization budget bounds).
-    pub fn eta_nnz(&self) -> usize {
-        self.eta_nnz
-    }
-
-    /// Nonzeros in the L and U factors (including pivots), excluding etas.
-    pub fn factor_nnz(&self) -> usize {
-        self.factor_fill
-    }
-
     /// The fill-aware refactorization trigger: `true` once the eta file
     /// carries more fill than rebuilding the factors would
     /// (`eta_nnz > ETA_FILL_FACTOR × factor_nnz + ETA_FILL_SLACK`). The
-    /// caller combines this with a hard [`LuFactors::eta_count`] cap.
-    pub fn fill_exceeded(&self) -> bool {
+    /// simplex combines this with a hard [`LuFactors::eta_count`] cap.
+    pub(crate) fn fill_exceeded(&self) -> bool {
         self.eta_nnz > ETA_FILL_FACTOR * self.factor_fill + ETA_FILL_SLACK
     }
 
@@ -733,48 +709,106 @@ impl LuFactors {
     /// the result by basis position. Eta updates are applied in order, so
     /// the result is for the *current* (updated) basis.
     ///
-    /// Dense compatibility wrapper over [`LuFactors::ftran_scatter`]; the
-    /// simplex hot loop calls the scatter kernel directly with a reused
-    /// workspace.
+    /// Both solves divide only nonzero values, so every zero they return
+    /// is `+0.0`: a zero divided by a negative pivot would be `-0.0`, and
+    /// could print as `-0`.
     ///
     /// # Panics
     ///
     /// Panics when `b.len() != self.size()`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         assert_eq!(b.len(), self.m);
-        let sparse_b: Vec<(usize, f64)> = b
+        // L pass (row space), first step first: step k scatters its pivot
+        // row's value into the later rows of its L column.
+        let mut work = b.to_vec();
+        for k in 0..self.m {
+            let w = work[self.prow[k]];
+            if w != 0.0 {
+                for &(r, mult) in &self.lower[k] {
+                    work[r] -= mult * w;
+                }
+            }
+        }
+        // U pass (row space -> position space), last step first. It starts
+        // at the last step with a nonzero row value: a U row reaches only
+        // later steps, so every step above that one solves to zero.
+        let mut x = vec![0.0; self.m];
+        let top = self
+            .prow
             .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        let mut ws = crate::hypersparse::LuWorkspace::new(self.m);
-        let mut x = crate::hypersparse::ScatterVec::new(self.m);
-        self.ftran_scatter(&sparse_b, &mut ws, &mut x);
-        x.to_dense()
+            .rposition(|&r| work[r] != 0.0)
+            .map_or(0, |k| k + 1);
+        for k in (0..top).rev() {
+            let mut t = work[self.prow[k]];
+            for &(pos, v) in &self.upper[k] {
+                t -= v * x[pos];
+            }
+            if t != 0.0 {
+                x[self.pcol[k]] = t / self.pivots[k];
+            }
+        }
+        // Eta file, oldest first (position space).
+        for eta in &self.etas {
+            let xp = x[eta.pos];
+            if xp != 0.0 {
+                let xr = xp / eta.pivot;
+                for &(i, d) in &eta.entries {
+                    x[i] -= d * xr;
+                }
+                x[eta.pos] = xr;
+            }
+        }
+        x
     }
 
     /// Solves `Bᵀ·y = c` (BTRAN), where `c` is indexed by basis position
     /// and the result by original row. Eta updates are applied (transposed,
     /// in reverse), so the result is for the current basis.
     ///
-    /// Dense compatibility wrapper over [`LuFactors::btran_scatter`].
-    ///
     /// # Panics
     ///
     /// Panics when `c.len() != self.size()`.
     pub fn solve_transpose(&self, c: &[f64]) -> Vec<f64> {
         assert_eq!(c.len(), self.m);
-        let sparse_c: Vec<(usize, f64)> = c
+        // Transposed eta file, newest first (position space).
+        let mut work = c.to_vec();
+        for eta in self.etas.iter().rev() {
+            let mut t = work[eta.pos];
+            for &(i, d) in &eta.entries {
+                t -= work[i] * d;
+            }
+            work[eta.pos] = if t != 0.0 { t / eta.pivot } else { 0.0 };
+        }
+        // Uᵀ pass (position space -> row space), first step first: step
+        // k's value lands on its pivot row.
+        let mut y = vec![0.0; self.m];
+        for k in 0..self.m {
+            let w = work[self.pcol[k]];
+            if w != 0.0 {
+                let zk = w / self.pivots[k];
+                y[self.prow[k]] = zk;
+                for &(pos, v) in &self.upper[k] {
+                    work[pos] -= v * zk;
+                }
+            }
+        }
+        // Lᵀ pass (row space, in place), last step first; step k's own
+        // row is read only at step k. Like FTRAN's U pass it starts at the
+        // last step with a nonzero value: an L column reaches only later
+        // steps.
+        let top = self
+            .prow
             .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        let mut ws = crate::hypersparse::LuWorkspace::new(self.m);
-        let mut y = crate::hypersparse::ScatterVec::new(self.m);
-        self.btran_scatter(&sparse_c, &mut ws, &mut y);
-        y.to_dense()
+            .rposition(|&r| y[r] != 0.0)
+            .map_or(0, |k| k + 1);
+        for k in (0..top).rev() {
+            let mut t = y[self.prow[k]];
+            for &(r, mult) in &self.lower[k] {
+                t -= mult * y[r];
+            }
+            y[self.prow[k]] = t;
+        }
+        y
     }
 
     /// Replaces the basis column at `pos` with `column` (sorted sparse
@@ -786,10 +820,8 @@ impl LuFactors {
     /// singular (the FTRAN direction's pivot entry is ~0); the factors are
     /// left unchanged in that case.
     pub fn replace_column(&mut self, pos: usize, column: &[(usize, f64)]) -> Result<(), LpError> {
-        let mut ws = crate::hypersparse::LuWorkspace::new(self.m);
-        let mut d = crate::hypersparse::ScatterVec::new(self.m);
-        self.ftran_scatter(column, &mut ws, &mut d);
-        self.replace_column_scatter(pos, &d)
+        let d = self.solve(&densify(self.m, column));
+        self.replace_column_with_direction(pos, &d)
     }
 
     /// [`LuFactors::replace_column`] when the caller already holds the
@@ -817,19 +849,13 @@ impl LuFactors {
             .filter(|&(i, &d)| i != pos && d != 0.0)
             .map(|(i, &d)| (i, d))
             .collect();
-        self.push_eta(pos, pivot, entries);
-        Ok(())
-    }
-
-    /// Appends one eta to the file and maintains the fill counter (both
-    /// update paths funnel through here).
-    pub(crate) fn push_eta(&mut self, pos: usize, pivot: f64, entries: Vec<(usize, f64)>) {
         self.eta_nnz += entries.len() + 1;
         self.etas.push(Eta {
             pos,
             pivot,
             entries,
         });
+        Ok(())
     }
 
     /// Reconstructs the factored matrix as a dense `m × m` array indexed
@@ -869,15 +895,6 @@ impl LuFactors {
 /// restart, standard practice to keep the approximation honest).
 const DEVEX_RESET: f64 = 1e12;
 
-/// Update/refactorization counters accumulated over one solve, surfaced as
-/// [`crate::SolveStats`] on the solution.
-#[derive(Debug, Clone, Copy, Default)]
-struct CoreStats {
-    refactorizations: usize,
-    eta_nnz_total: usize,
-    peak_eta_nnz: usize,
-}
-
 struct SparseCore {
     sf: StdForm,
     basis: Vec<usize>,
@@ -901,17 +918,12 @@ struct SparseCore {
     /// Bland's rule from the first pivot (the recovery ladder's
     /// alternate-path rung) instead of after the anti-cycling threshold
     bland: bool,
-    stats: CoreStats,
-    /// reusable hypersparse scratch: no per-iteration allocation
-    ws: LuWorkspace,
     /// dual vector `y = Bᵀ⁻¹ c_B` (row space)
-    y: ScatterVec,
+    y: Vec<f64>,
     /// FTRAN direction `d = B⁻¹ a_q` (position space)
-    d: ScatterVec,
+    d: Vec<f64>,
     /// BTRAN of the leaving unit vector (row space)
-    row_r: ScatterVec,
-    /// sparse basic-cost buffer for the dual BTRAN
-    cb_buf: Vec<(usize, f64)>,
+    row_r: Vec<f64>,
 }
 
 impl SparseCore {
@@ -927,7 +939,6 @@ impl SparseCore {
         let lu = LuFactors::factorize(sf.m, &bcols)?;
         let xb = lu.solve(&sf.rhs);
         let devex = vec![1.0; sf.ncols];
-        let m = sf.m;
         Ok(SparseCore {
             sf,
             basis,
@@ -941,12 +952,9 @@ impl SparseCore {
             budget,
             farkas_y: None,
             bland: false,
-            stats: CoreStats::default(),
-            ws: LuWorkspace::new(m),
-            y: ScatterVec::new(m),
-            d: ScatterVec::new(m),
-            row_r: ScatterVec::new(m),
-            cb_buf: Vec::new(),
+            y: Vec::new(),
+            d: Vec::new(),
+            row_r: Vec::new(),
         })
     }
 
@@ -954,31 +962,20 @@ impl SparseCore {
         self.sf.cols[j].iter().map(|&(r, v)| y[r] * v).sum()
     }
 
-    /// `y = Bᵀ⁻¹ c_B` into `self.y`, seeding only nonzero basic costs —
-    /// in phase 2 the SMO objective makes `c_B` nearly empty, so this
-    /// BTRAN is the textbook hypersparse win.
+    /// `y = Bᵀ⁻¹ c_B` into `self.y`.
     fn compute_duals(&mut self, costs: &[f64]) {
-        self.cb_buf.clear();
-        for (r, &j) in self.basis.iter().enumerate() {
-            let c = costs[j];
-            if c != 0.0 {
-                self.cb_buf.push((r, c));
-            }
-        }
-        self.lu
-            .btran_scatter(&self.cb_buf, &mut self.ws, &mut self.y);
+        let cb: Vec<f64> = self.basis.iter().map(|&j| costs[j]).collect();
+        self.y = self.lu.solve_transpose(&cb);
     }
 
     /// FTRAN of column `q` into `self.d`.
     fn compute_direction(&mut self, q: usize) {
-        self.lu
-            .ftran_scatter(&self.sf.cols[q], &mut self.ws, &mut self.d);
+        self.d = self.lu.solve(&densify(self.sf.m, &self.sf.cols[q]));
     }
 
     /// BTRAN of the unit vector at basis position `r` into `self.row_r`.
     fn compute_pivot_row(&mut self, r: usize) {
-        self.lu
-            .btran_scatter(&[(r, 1.0)], &mut self.ws, &mut self.row_r);
+        self.row_r = self.lu.solve_transpose(&densify(self.sf.m, &[(r, 1.0)]));
     }
 
     /// Fresh factorization of the current basis; recomputes `xb` from the
@@ -990,22 +987,7 @@ impl SparseCore {
             .map(|&j| self.sf.cols[j].clone())
             .collect();
         self.lu = LuFactors::factorize(self.sf.m, &bcols)?;
-        let rhs: Vec<(usize, f64)> = self
-            .sf
-            .rhs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.lu.ftran_scatter(&rhs, &mut self.ws, &mut self.d);
-        for v in &mut self.xb {
-            *v = 0.0;
-        }
-        for (i, v) in self.d.iter_nonzero() {
-            self.xb[i] = v;
-        }
-        self.stats.refactorizations += 1;
+        self.xb = self.lu.solve(&self.sf.rhs);
         Ok(())
     }
 
@@ -1018,11 +1000,7 @@ impl SparseCore {
     /// refactorization happened (the caller invalidates incremental duals
     /// on that boundary).
     fn apply_update(&mut self, r: usize) -> Result<bool, LpError> {
-        let before = self.lu.eta_nnz();
-        self.lu.replace_column_scatter(r, &self.d)?;
-        let after = self.lu.eta_nnz();
-        self.stats.eta_nnz_total += after - before;
-        self.stats.peak_eta_nnz = self.stats.peak_eta_nnz.max(after);
+        self.lu.replace_column_with_direction(r, &self.d)?;
         self.iterations += 1;
         if self.eta_budget_exceeded() {
             self.refactorize()?;
@@ -1045,7 +1023,7 @@ impl SparseCore {
         if self.in_basis[j] || j == q {
             return;
         }
-        let alpha = self.sparse_dot(self.row_r.values(), j);
+        let alpha = self.sparse_dot(&self.row_r, j);
         if alpha != 0.0 {
             let cand = (alpha / alpha_q) * (alpha / alpha_q) * wq;
             if cand > self.devex[j] {
@@ -1079,14 +1057,12 @@ impl SparseCore {
         }
     }
 
-    /// Ratio test over the (sorted) nonzeros of `self.d`: identical
-    /// tie-breaking to the dense scan, which visited rows in ascending
-    /// order with `d[r] == 0` elsewhere.
+    /// Ratio test over the positions of `self.d` in ascending order; ties
+    /// within `EPS` go to the smaller basic column index.
     fn ratio_test(&self) -> Option<usize> {
         let mut leave: Option<usize> = None;
         let mut best_ratio = f64::INFINITY;
-        for &i in self.d.touched() {
-            let di = self.d.get(i);
+        for (i, &di) in self.d.iter().enumerate() {
             if di > EPS {
                 let ratio = self.xb[i] / di;
                 let better = ratio < best_ratio - EPS
@@ -1101,18 +1077,19 @@ impl SparseCore {
         leave
     }
 
-    /// Applies the primal pivot `x_B -= θ·d` over the direction's nonzeros
-    /// only. Equivalent to the old full-row sweep: untouched entries have
-    /// `d[i] == 0` exactly, and the tiny-negative clamp only ever fires on
-    /// entries a pivot just wrote.
+    /// Applies the primal pivot `x_B -= θ·d`, clamping tiny negatives the
+    /// pivot writes to zero. Where `d[i] == 0.0` the entry is left as it
+    /// was: `x_B` holds no `-0.0` (the solves return none and the updates
+    /// make none), so subtracting `θ·0` changes nothing, and the clamp is
+    /// masked off. That lets the loop run without branches.
     fn update_xb(&mut self, r: usize, theta: f64) {
-        for &i in self.d.touched() {
-            if i != r {
-                self.xb[i] -= theta * self.d.get(i);
-                if self.xb[i] < 0.0 && self.xb[i] > -1e-10 {
-                    self.xb[i] = 0.0;
-                }
-            }
+        for (x, &di) in self.xb.iter_mut().zip(&self.d) {
+            let v = *x - theta * di;
+            *x = if di != 0.0 && v < 0.0 && v > -1e-10 {
+                0.0
+            } else {
+                v
+            };
         }
         self.xb[r] = if theta < 0.0 && theta > -1e-10 {
             0.0
@@ -1122,8 +1099,8 @@ impl SparseCore {
     }
 
     /// One simplex phase (minimize `costs`): partial devex pricing with
-    /// the shared Bland anti-cycling fallback, hypersparse
-    /// FTRAN/BTRAN, ratio test, eta update, fill-aware refactorization.
+    /// the shared Bland anti-cycling fallback, FTRAN/BTRAN, ratio test,
+    /// eta update, fill-aware refactorization.
     /// `Ok(true)` at optimality, `Ok(false)` if unbounded.
     fn phase(
         &mut self,
@@ -1141,9 +1118,8 @@ impl SparseCore {
         let mut pricer = PartialPricer::new(ncols);
         // Dual maintenance. `y_valid` gates a from-scratch BTRAN; after a
         // pivot the duals are instead *updated* along the pivot row
-        // (`y' = y + (z_q/α_r)·ρ_r`, the textbook rank-one dual update) —
-        // that BTRAN was the single largest per-iteration cost at 10k+
-        // rows. `y_fresh` records whether any incremental updates have
+        // (`y' = y + (z_q/α_r)·ρ_r`, the textbook rank-one dual update),
+        // which saves a BTRAN per pivot. `y_fresh` records whether any incremental updates have
         // been folded in since the last exact BTRAN: optimality is only
         // ever declared on exact duals (see the rescan below), so the
         // update changes pivot routes, never verdicts.
@@ -1173,7 +1149,7 @@ impl SparseCore {
                 let mut enter = None;
                 for j in 0..ncols {
                     if self.eligible(j, allow_artificial)
-                        && costs[j] - self.sparse_dot(self.y.values(), j) < -EPS
+                        && costs[j] - self.sparse_dot(&self.y, j) < -EPS
                     {
                         enter = Some(j);
                         break;
@@ -1181,7 +1157,7 @@ impl SparseCore {
                 }
                 enter
             } else {
-                let y = self.y.values();
+                let y = &self.y;
                 pricer.select(
                     ncols,
                     |j| self.eligible(j, allow_artificial),
@@ -1211,16 +1187,17 @@ impl SparseCore {
             // the basis changes (the BTRAN row is for the current basis).
             if !bland {
                 self.compute_pivot_row(r);
-                let alpha_q = self.d.get(r);
+                let alpha_q = self.d[r];
                 self.update_devex_weights(pricer.candidates(), q, r, alpha_q);
                 // Rank-one dual update along the pivot row (z_q on the
                 // *pre-pivot* duals, ρ_r for the pre-pivot basis — both in
-                // hand). Replaces next iteration's from-scratch BTRAN.
-                let zq = costs[q] - self.sparse_dot(self.y.values(), q);
+                // hand). Replaces next iteration's from-scratch BTRAN. `y`
+                // holds no `-0.0`, so adding `g·0` leaves an entry as it was.
+                let zq = costs[q] - self.sparse_dot(&self.y, q);
                 let g = zq / alpha_q;
                 if g != 0.0 {
-                    for &i in self.row_r.touched() {
-                        self.y.add(i, g * self.row_r.get(i));
+                    for (yi, &ri) in self.y.iter_mut().zip(&self.row_r) {
+                        *yi += g * ri;
                     }
                 }
                 y_fresh = false;
@@ -1232,7 +1209,7 @@ impl SparseCore {
             }
 
             // Pivot: update xb, the basis, and the LU eta file.
-            let theta = self.xb[r] / self.d.get(r);
+            let theta = self.xb[r] / self.d[r];
             self.update_xb(r, theta);
             self.in_basis[self.basis[r]] = false;
             self.in_basis[q] = true;
@@ -1243,16 +1220,6 @@ impl SparseCore {
                 // give the duals the same treatment.
                 y_valid = false;
             }
-        }
-    }
-
-    /// The per-solve kernel counters as the public stats record.
-    fn solve_stats(&self) -> SolveStats {
-        SolveStats {
-            refactorizations: self.stats.refactorizations,
-            eta_nnz_total: self.stats.eta_nnz_total,
-            peak_eta_nnz: self.stats.peak_eta_nnz,
-            factor_nnz: self.lu.factor_nnz(),
         }
     }
 
@@ -1291,7 +1258,7 @@ impl SparseCore {
             debug_assert!(optimal, "phase 1 is bounded below");
             if self.artificial_infeasibility() > 1e-7 {
                 self.compute_duals(&phase1);
-                self.farkas_y = Some(self.y.to_dense());
+                self.farkas_y = Some(self.y.clone());
                 return Ok(Status::Infeasible);
             }
             // Drive basic artificials out where possible (mirrors the
@@ -1303,16 +1270,16 @@ impl SparseCore {
                     for q in 0..ncols {
                         if self.in_basis[q]
                             || matches!(self.sf.col_kinds[q], ColKind::Artificial { .. })
-                            || self.sparse_dot(self.row_r.values(), q).abs() <= EPS
+                            || self.sparse_dot(&self.row_r, q).abs() <= EPS
                         {
                             continue;
                         }
                         self.compute_direction(q);
-                        if self.d.get(r).abs() > EPS {
+                        if self.d[r].abs() > EPS {
                             self.in_basis[self.basis[r]] = false;
                             self.in_basis[q] = true;
                             self.basis[r] = q;
-                            self.lu.replace_column_scatter(r, &self.d)?;
+                            self.lu.replace_column_with_direction(r, &self.d)?;
                             self.refactorize()?;
                             break;
                         }
@@ -1380,7 +1347,6 @@ fn solve_inner(
             slacks: vec![],
             iterations: core.iterations,
             farkas,
-            stats: Some(core.solve_stats()),
         });
     }
     package_optimal(p, &core)
@@ -1425,7 +1391,6 @@ fn package_optimal(p: &Problem, core: &SparseCore) -> Result<Solution, LpError> 
         slacks,
         iterations: core.iterations,
         farkas: None,
-        stats: Some(core.solve_stats()),
     })
 }
 
