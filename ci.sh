@@ -211,20 +211,34 @@ gen_ckt=$(mktemp --suffix=.ckt)
   | grep "certified: true" > /dev/null
 rm -f "$gen_ckt"
 
-echo "==> 100k-latch generated circuit (300k rows): default-flag solve, check and lint"
+echo "==> 100k-latch generated circuit (300k rows): default-flag solve, check, lint, report, analyze, diagnose"
 # The graph min-ratio solve ends each Bellman–Ford round at the first
 # predecessor-graph cycle and scans only the nodes whose labels dropped,
 # so a 300k-row solve takes about a second rather than the
-# O(V·E)-per-round minutes. All three commands must finish well
-# inside the timeout, the solve certified. They all need --max-input-mb:
-# the 12.7 MB netlist is past the 4 MiB default.
+# O(V·E)-per-round minutes. Every command must finish well inside the
+# timeout, the solve certified and the analyze optimum proven. They all
+# need --max-input-mb: the 12.7 MB netlist is past the 4 MiB default.
 scale_ckt=$(mktemp --suffix=.ckt)
 ./target/release/smo gen --latches 100000 --seed 7 --out "$scale_ckt"
 timeout 120 ./target/release/smo solve "$scale_ckt" --max-input-mb 64 --time-limit 30 \
   | grep "certified: true" > /dev/null
 timeout 120 ./target/release/smo check "$scale_ckt" --max-input-mb 64 > /dev/null
 timeout 120 ./target/release/smo lint "$scale_ckt" --max-input-mb 64 > /dev/null
+timeout 120 ./target/release/smo report "$scale_ckt" --max-input-mb 64 > /dev/null
+timeout 120 ./target/release/smo analyze "$scale_ckt" --max-input-mb 64 \
+  | grep "certified optimal" > /dev/null
+timeout 120 ./target/release/smo diagnose "$scale_ckt" --max-input-mb 64 > /dev/null
 rm -f "$scale_ckt"
+
+echo "==> 100k-latch deep pipeline (50k stages x 2 wide): certified default solve"
+# Lawler's first cycle here runs through every stage. Merging its rows by
+# a search per arc made this solve quadratic in the depth; it now takes
+# about as long as the wide 100k-latch solve above.
+deep_ckt=$(mktemp --suffix=.ckt)
+./target/release/smo gen --stages 50000 --width 2 --seed 7 --out "$deep_ckt"
+timeout 60 ./target/release/smo solve "$deep_ckt" --max-input-mb 64 \
+  | grep "certified: true" > /dev/null
+rm -f "$deep_ckt"
 
 echo "==> 16.7k-latch generated circuit (50k rows): exact Tc(Δ) curve of a critical edge"
 # `--param tc` reports the exact breakpoints of Tc*(Δ) by a few

@@ -28,7 +28,6 @@ use smo_core::{
     classify_model, cycle_time_bounds, min_cycle_time_with, Backend, ConstraintKind,
     CycleTimeBounds, MlpOptions, TimingError, TimingModel,
 };
-use smo_lp::LpError;
 use std::fmt;
 
 /// The paper-facing constraint families used for the classification
@@ -65,8 +64,9 @@ fn family_index(kind: ConstraintKind) -> usize {
 /// Why [`analyze`] could not produce a report.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalyzeError {
-    /// Building or solving the timing model failed.
-    Timing(String),
+    /// Building or solving the timing model failed. The error is kept
+    /// whole, so a caller can classify it as a plain solve's error.
+    Timing(TimingError),
     /// The LP optimum fell outside the combinatorial bracket — an internal
     /// soundness failure (bug in the bounds or the model), never a property
     /// of the circuit.
@@ -83,7 +83,7 @@ pub enum AnalyzeError {
 impl fmt::Display for AnalyzeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AnalyzeError::Timing(reason) => write!(f, "{reason}"),
+            AnalyzeError::Timing(e) => write!(f, "{e}"),
             AnalyzeError::BoundsDisagree {
                 lower,
                 upper,
@@ -101,13 +101,7 @@ impl std::error::Error for AnalyzeError {}
 
 impl From<TimingError> for AnalyzeError {
     fn from(e: TimingError) -> Self {
-        AnalyzeError::Timing(e.to_string())
-    }
-}
-
-impl From<LpError> for AnalyzeError {
-    fn from(e: LpError) -> Self {
-        AnalyzeError::Timing(e.to_string())
+        AnalyzeError::Timing(e)
     }
 }
 

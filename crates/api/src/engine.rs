@@ -32,7 +32,6 @@ use crate::ops;
 use crate::request::{Command, Request};
 use smo_circuit::netlist::ParseLimits;
 use smo_core::{Backend, MlpOptions};
-use smo_lp::SolveBudget;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,9 +78,10 @@ impl Load {
 /// The quality ladder. Under light load every request gets the full
 /// certified treatment; as the queue fills, the engine sheds *work*
 /// before it sheds *requests*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Degradation {
     /// Load factor < 0.5: exactly what the CLI would compute.
+    #[default]
     Full,
     /// Load factor < 0.9: backend forced to `auto` (graph fast path
     /// where the model allows) and schedule canonicalization skipped —
@@ -116,7 +116,7 @@ impl Degradation {
     }
 
     /// Applies the rung to a solve's options.
-    fn shape(self, options: &mut MlpOptions) {
+    pub(crate) fn shape(self, options: &mut MlpOptions) {
         match self {
             Degradation::Full => {}
             Degradation::FastPath => {
@@ -222,7 +222,7 @@ impl Engine {
         let signature = format!(
             "{}\u{1f}{}",
             degradation.slug(),
-            command_signature(&request)
+            request.command.signature()
         );
         if let Some(hit) = self.lock_cache().result(fp, &signature) {
             return self.ok_reply(id.as_deref(), degradation, &hit, true);
@@ -380,62 +380,12 @@ impl Engine {
                 parsed
             }
         };
-        let budget = match time_limit {
-            Some(d) => SolveBudget::with_time_limit(d),
-            None => SolveBudget::UNLIMITED,
+        let settings = ops::Settings {
+            time_limit,
+            degradation,
+            ..Default::default()
         };
-        match command {
-            Command::Solve {
-                backend, certify, ..
-            } => {
-                let mut options = MlpOptions {
-                    backend: *backend,
-                    certify: *certify,
-                    time_limit,
-                    ..Default::default()
-                };
-                degradation.shape(&mut options);
-                ops::run_solve(&circuit, &options)
-            }
-            Command::Verify {
-                cycle_time,
-                phases,
-                backend,
-                ..
-            } => ops::run_verify(&circuit, *cycle_time, phases, *backend, &budget),
-            Command::Check {
-                cycle_time,
-                backend,
-                ..
-            } => {
-                let options = smo_analyze::CheckOptions {
-                    cycle_time: *cycle_time,
-                    backend: *backend,
-                    ..Default::default()
-                };
-                ops::run_check(&circuit, &options)
-            }
-            Command::Diagnose { cycle_time, .. } => ops::run_diagnose(&circuit, *cycle_time),
-            Command::Sweep {
-                param,
-                runs,
-                edge,
-                max_delay,
-                spread,
-                seed,
-                certify,
-                ..
-            } => {
-                let certify = *certify && degradation < Degradation::Uncertified;
-                ops::run_sweep(
-                    &circuit, param, *runs, *edge, *max_delay, *spread, *seed, certify,
-                )
-            }
-            _ => Err(ApiError::new(
-                ErrorKind::Internal,
-                "control command reached the work dispatcher",
-            )),
-        }
+        Ok(ops::run(&circuit, command, &settings)?.to_json())
     }
 
     fn ok_reply(
@@ -496,47 +446,6 @@ fn envelope(
         "{{\"id\":{id},\"status\":\"{status}\",\"degradation\":\"{}\",\"cached\":{cached},\"{key}\":{payload}}}",
         degradation.slug()
     )
-}
-
-/// A canonical string of everything that affects a command's answer
-/// (used, with the degradation rung, as the result-cache key).
-fn command_signature(request: &Request) -> String {
-    match &request.command {
-        Command::Solve {
-            backend, certify, ..
-        } => format!("solve:{backend:?}:{certify}"),
-        Command::Verify {
-            cycle_time,
-            phases,
-            backend,
-            ..
-        } => {
-            let mut s = format!("verify:{backend:?}:{cycle_time:.12e}");
-            for (a, b) in phases {
-                s.push_str(&format!(":{a:.12e},{b:.12e}"));
-            }
-            s
-        }
-        Command::Check {
-            cycle_time,
-            backend,
-            ..
-        } => format!("check:{backend:?}:{cycle_time:?}"),
-        Command::Diagnose { cycle_time, .. } => format!("diagnose:{cycle_time:?}"),
-        Command::Sweep {
-            param,
-            runs,
-            edge,
-            max_delay,
-            spread,
-            seed,
-            certify,
-            ..
-        } => format!("sweep:{param}:{runs}:{edge}:{max_delay:?}:{spread:.12e}:{seed}:{certify}"),
-        Command::Ping | Command::Stats | Command::Shutdown | Command::DebugPanic => {
-            request.command.name().to_string()
-        }
-    }
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {

@@ -7,6 +7,8 @@
 //! `shutting-down` mean "retry elsewhere / later", `panic` and
 //! `quarantined` mean "this input broke the engine and is now fenced off".
 
+use crate::ops::OpError;
+use smo_analyze::AnalyzeError;
 use smo_circuit::CircuitError;
 use smo_core::TimingError;
 use smo_lp::LpError;
@@ -164,6 +166,28 @@ impl From<TimingError> for ApiError {
     }
 }
 
+impl From<AnalyzeError> for ApiError {
+    /// A failed `check` or `analyze` keeps its own message; a timing
+    /// failure gets the kind a plain solve's error would.
+    fn from(e: AnalyzeError) -> Self {
+        let kind = match &e {
+            AnalyzeError::Timing(t) => ApiError::from(t.clone()).kind,
+            AnalyzeError::BoundsDisagree { .. } => ErrorKind::Internal,
+        };
+        ApiError::new(kind, e.to_string())
+    }
+}
+
+impl From<OpError> for ApiError {
+    fn from(e: OpError) -> Self {
+        match e {
+            OpError::Request(message) => ApiError::bad_request(message),
+            OpError::Timing(e) => e.into(),
+            OpError::Check(e) => e.into(),
+        }
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -234,6 +258,22 @@ mod tests {
         });
         assert_eq!(e.kind, ErrorKind::NotConverged);
         assert!(e.message.ends_with("positive-gain loop through A -> B"));
+    }
+
+    #[test]
+    fn check_errors_classify_like_solve_errors_and_keep_their_text() {
+        let infeasible = TimingError::Infeasible {
+            reason: "no".into(),
+        };
+        let e = ApiError::from(AnalyzeError::Timing(infeasible.clone()));
+        assert_eq!(e.kind, ErrorKind::Infeasible);
+        assert_eq!(e.message, infeasible.to_string());
+        let e = ApiError::from(AnalyzeError::BoundsDisagree {
+            lower: 1.0,
+            upper: 2.0,
+            optimum: 3.0,
+        });
+        assert_eq!(e.kind, ErrorKind::Internal);
     }
 
     #[test]

@@ -110,10 +110,13 @@ impl Json {
     }
 
     /// The numeric payload as a non-negative integer (rejects fractions,
-    /// negatives and values beyond 2^53).
+    /// negatives and values from 2^53 up). Below 2^53 a number holds every
+    /// integer exactly; from there up a literal such as 2^53 + 1 has
+    /// already been rounded to a neighbour, so it is refused rather than
+    /// read as another integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 9.007_199_254_740_992e15 => {
+            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < 9.007_199_254_740_992e15 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -540,5 +543,12 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+        // 2^53 − 1 is the largest integer accepted; the literal 2^53 + 1
+        // parses to 2^53 and is refused.
+        assert_eq!(
+            Json::parse("9007199254740991").unwrap().as_u64(),
+            Some(9_007_199_254_740_991)
+        );
+        assert_eq!(Json::parse("9007199254740993").unwrap().as_u64(), None);
     }
 }

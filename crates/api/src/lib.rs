@@ -14,9 +14,11 @@
 //! - [`error`] — the failure taxonomy: every error a request can hit
 //!   maps to a stable machine-readable kind slug;
 //! - [`request`] — the wire protocol: one JSON object per line, with
-//!   per-request ids and wall-clock deadlines;
+//!   per-request ids and wall-clock deadlines; the CLI builds the same
+//!   [`Request`] from its command line;
 //! - [`ops`] — the operations themselves (solve / verify / check /
-//!   diagnose / sweep), shared verbatim by both frontends;
+//!   diagnose / sweep) behind one typed dispatch, [`ops::run`], shared
+//!   verbatim by both frontends;
 //! - [`cache`] — fingerprint-keyed LRU caches (parsed circuits, finished
 //!   results) under hard byte budgets, plus the
 //!   quarantine set for inputs that crashed the engine;
@@ -43,6 +45,6 @@ pub use cache::{fingerprint, ApiCache, CacheConfig, CacheStats};
 pub use engine::{Degradation, Engine, EngineConfig, Load, Reply};
 pub use error::{ApiError, ErrorKind};
 pub use json::{Json, JsonError};
-pub use ops::{parse_netlist, solve_json, sweep_json, ParseLimits};
+pub use ops::{input_limits, parse_netlist, solve_json, sweep_json, ParseLimits};
 pub use request::{Command, Request};
 pub use server::{serve, Client, ServerConfig, ServerHandle};

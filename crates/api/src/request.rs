@@ -13,9 +13,15 @@
 //! the netlist *inline* as the `"netlist"` string field — the daemon never
 //! reads the client's filesystem. Control commands (`ping`, `stats`,
 //! `shutdown`, `debug-panic`) take no payload and bypass the load gate.
+//!
+//! The `smo` CLI speaks the same grammar: it turns its command line into
+//! the fields of such an object and builds its [`Request`] with
+//! [`Request::from_json`], so the defaults and the checks are the
+//! daemon's; `smo call` sends [`Request::to_json`].
 
 use crate::error::ApiError;
 use crate::json::Json;
+use smo_circuit::ClockSchedule;
 use smo_core::Backend;
 
 /// A parsed request: envelope fields plus the typed command.
@@ -139,28 +145,134 @@ impl Command {
             _ => None,
         }
     }
+
+    /// The checks a command needs no netlist for: a `check` cycle time is
+    /// positive and a `diagnose` one non-negative, a `verify` schedule is
+    /// well formed, a sweep has a known `param` and at least one run.
+    /// [`Request::from_json`] makes them, so the daemon answers a failure
+    /// `bad-request` and the CLI a usage error, in the same words.
+    fn validate(&self) -> Result<(), String> {
+        let sign = |t: f64, ok: bool, sign: &str| {
+            if ok && t.is_finite() {
+                Ok(())
+            } else {
+                Err(format!("cycle time must be finite and {sign}, got {t}"))
+            }
+        };
+        match self {
+            Command::Verify {
+                cycle_time, phases, ..
+            } => {
+                let (starts, widths) = phases.iter().copied().unzip();
+                ClockSchedule::new(*cycle_time, starts, widths)
+                    .map(drop)
+                    .map_err(|e| e.to_string())
+            }
+            Command::Check {
+                cycle_time: Some(t),
+                ..
+            } => sign(*t, *t > 0.0, "positive"),
+            Command::Diagnose {
+                cycle_time: Some(t),
+                ..
+            } => sign(*t, *t >= 0.0, "non-negative"),
+            Command::Sweep { runs: 0, .. } => Err("run count must be at least 1".into()),
+            Command::Sweep { param, .. } if param != "tc" && param != "delay" => Err(format!(
+                "`param` must be \"tc\" or \"delay\", got \"{param}\""
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Every field but the netlist, in wire order, with defaults filled
+    /// in.
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        let backend = |b: &Backend| ("backend", Json::Str(b.to_string()));
+        let cycle_time = |t: &Option<f64>| t.map(|t| ("cycle_time", Json::Num(t)));
+        match self {
+            Command::Solve {
+                backend: b,
+                certify,
+                ..
+            } => vec![backend(b), ("certify", Json::Bool(*certify))],
+            Command::Verify {
+                cycle_time,
+                phases,
+                backend: b,
+                ..
+            } => vec![
+                ("cycle_time", Json::Num(*cycle_time)),
+                (
+                    "phases",
+                    Json::Arr(
+                        phases
+                            .iter()
+                            .map(|&(s, w)| Json::Arr(vec![Json::Num(s), Json::Num(w)]))
+                            .collect(),
+                    ),
+                ),
+                backend(b),
+            ],
+            Command::Check {
+                cycle_time: t,
+                backend: b,
+                ..
+            } => cycle_time(t).into_iter().chain([backend(b)]).collect(),
+            Command::Diagnose { cycle_time: t, .. } => cycle_time(t).into_iter().collect(),
+            Command::Sweep {
+                param,
+                runs,
+                edge,
+                max_delay,
+                spread,
+                seed,
+                certify,
+                ..
+            } => {
+                let mut f = vec![
+                    ("param", Json::Str(param.clone())),
+                    ("runs", Json::Num(*runs as f64)),
+                    ("edge", Json::Num(*edge as f64)),
+                ];
+                f.extend(max_delay.map(|d| ("max_delay", Json::Num(d))));
+                f.extend([
+                    ("spread", Json::Num(*spread)),
+                    ("seed", Json::Num(*seed as f64)),
+                    ("certify", Json::Bool(*certify)),
+                ]);
+                f
+            }
+            Command::Ping | Command::Stats | Command::Shutdown | Command::DebugPanic => Vec::new(),
+        }
+    }
+
+    /// Everything in the command that decides its answer: the name and
+    /// every field but the netlist (the result cache's key, beside the
+    /// netlist's fingerprint).
+    pub(crate) fn signature(&self) -> String {
+        format!("{}{}", self.name(), object(self.fields()).render_compact())
+    }
 }
 
 impl Request {
     /// Parses one request line. All failures are `bad-request` errors with
     /// messages naming the offending field.
     pub fn parse(line: &str) -> Result<Request, ApiError> {
-        let mut value =
+        let value =
             Json::parse(line).map_err(|e| ApiError::bad_request(format!("request line: {e}")))?;
+        Request::from_json(value)
+    }
+
+    /// Builds a request from a JSON object: a parsed request line, or the
+    /// fields the CLI read off its command line. Absent fields take their
+    /// defaults; fields the command does not use are ignored. All
+    /// failures, [`Command::validate`]'s included, are `bad-request`.
+    pub fn from_json(mut value: Json) -> Result<Request, ApiError> {
         if !matches!(value, Json::Obj(_)) {
             return Err(ApiError::bad_request("request must be a JSON object"));
         }
-        let id = match value.get("id") {
-            None => None,
-            Some(Json::Str(s)) => Some(s.clone()),
-            Some(_) => return Err(ApiError::bad_request("`id` must be a string")),
-        };
-        let deadline_ms = match value.get("deadline_ms") {
-            None => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                ApiError::bad_request("`deadline_ms` must be a non-negative integer")
-            })?),
-        };
+        let id = opt_str(&value, "id")?;
+        let deadline_ms = opt_u64(&value, "deadline_ms")?;
         let cmd = value
             .get("cmd")
             .and_then(Json::as_str)
@@ -171,78 +283,35 @@ impl Request {
             "shutdown" => Command::Shutdown,
             "debug-panic" => Command::DebugPanic,
             "solve" => Command::Solve {
-                netlist: req_netlist(&mut value)?,
                 backend: opt_backend(&value)?,
                 certify: opt_bool(&value, "certify")?.unwrap_or(true),
-            },
-            "verify" => {
-                let phases = match value.get("phases") {
-                    Some(Json::Arr(items)) => {
-                        let mut out = Vec::with_capacity(items.len());
-                        for item in items {
-                            let pair = item.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                                ApiError::bad_request(
-                                    "`phases` must be an array of [start, width] pairs",
-                                )
-                            })?;
-                            let s = finite(&pair[0], "phases[].start")?;
-                            let w = finite(&pair[1], "phases[].width")?;
-                            out.push((s, w));
-                        }
-                        out
-                    }
-                    _ => {
-                        return Err(ApiError::bad_request(
-                            "verify needs `phases`: an array of [start, width] pairs",
-                        ))
-                    }
-                };
-                Command::Verify {
-                    netlist: req_netlist(&mut value)?,
-                    cycle_time: req_finite(&value, "cycle_time")?,
-                    phases,
-                    backend: opt_backend(&value)?,
-                }
-            }
-            "check" => Command::Check {
                 netlist: req_netlist(&mut value)?,
+            },
+            "verify" => Command::Verify {
+                cycle_time: req_finite(&value, "cycle_time")?,
+                phases: req_phases(&value)?,
+                backend: opt_backend(&value)?,
+                netlist: req_netlist(&mut value)?,
+            },
+            "check" => Command::Check {
                 cycle_time: opt_finite(&value, "cycle_time")?,
                 backend: opt_backend(&value)?,
+                netlist: req_netlist(&mut value)?,
             },
             "diagnose" => Command::Diagnose {
-                netlist: req_netlist(&mut value)?,
                 cycle_time: opt_finite(&value, "cycle_time")?,
+                netlist: req_netlist(&mut value)?,
             },
-            "sweep" => {
-                let param = match value.get("param").and_then(Json::as_str) {
-                    None => "delay".to_string(),
-                    Some(p @ ("tc" | "delay")) => p.to_string(),
-                    Some(other) => {
-                        return Err(ApiError::bad_request(format!(
-                            "`param` must be \"tc\" or \"delay\", got \"{other}\""
-                        )))
-                    }
-                };
-                let runs = opt_usize(&value, "runs")?.unwrap_or(16);
-                if runs == 0 {
-                    return Err(ApiError::bad_request("`runs` must be at least 1"));
-                }
-                Command::Sweep {
-                    netlist: req_netlist(&mut value)?,
-                    param,
-                    runs,
-                    edge: opt_usize(&value, "edge")?.unwrap_or(0),
-                    max_delay: opt_finite(&value, "max_delay")?,
-                    spread: opt_finite(&value, "spread")?.unwrap_or(0.1),
-                    seed: match value.get("seed") {
-                        None => 0,
-                        Some(v) => v.as_u64().ok_or_else(|| {
-                            ApiError::bad_request("`seed` must be a non-negative integer")
-                        })?,
-                    },
-                    certify: opt_bool(&value, "certify")?.unwrap_or(false),
-                }
-            }
+            "sweep" => Command::Sweep {
+                param: opt_str(&value, "param")?.unwrap_or_else(|| "delay".into()),
+                runs: opt_u64(&value, "runs")?.map_or(16, |n| n as usize),
+                edge: opt_u64(&value, "edge")?.map_or(0, |n| n as usize),
+                max_delay: opt_finite(&value, "max_delay")?,
+                spread: opt_finite(&value, "spread")?.unwrap_or(0.1),
+                seed: opt_u64(&value, "seed")?.unwrap_or(0),
+                certify: opt_bool(&value, "certify")?.unwrap_or(false),
+                netlist: req_netlist(&mut value)?,
+            },
             other => {
                 return Err(ApiError::bad_request(format!(
                     "unknown command `{other}` (known: ping, stats, shutdown, \
@@ -250,12 +319,34 @@ impl Request {
                 )))
             }
         };
+        command.validate().map_err(ApiError::bad_request)?;
         Ok(Request {
             id,
             deadline_ms,
             command,
         })
     }
+
+    /// The request as one wire line, every field written out: for a valid
+    /// request `r`, `Request::parse(&r.to_json()) == Ok(r)`.
+    pub fn to_json(&self) -> String {
+        let mut fields = Vec::new();
+        fields.extend(self.id.clone().map(|id| ("id", Json::Str(id))));
+        fields.extend(
+            self.deadline_ms
+                .map(|ms| ("deadline_ms", Json::Num(ms as f64))),
+        );
+        fields.push(("cmd", Json::Str(self.command.name().into())));
+        fields.extend(self.command.fields());
+        if let Some(netlist) = self.command.netlist() {
+            fields.push(("netlist", Json::Str(netlist.into())));
+        }
+        object(fields).render_compact()
+    }
+}
+
+fn object(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 /// Moves the `netlist` string out of the request object: it is the bulk
@@ -267,56 +358,72 @@ fn req_netlist(value: &mut Json) -> Result<String, ApiError> {
     }
 }
 
-fn finite(v: &Json, field: &str) -> Result<f64, ApiError> {
-    v.as_f64()
-        .filter(|x| x.is_finite())
-        .ok_or_else(|| ApiError::bad_request(format!("`{field}` must be a finite number")))
+/// `phases`: an array of `[start, width]` pairs of finite numbers.
+fn req_phases(value: &Json) -> Result<Vec<(f64, f64)>, ApiError> {
+    let pair = |item: &Json| match item.as_arr()? {
+        [s, w] => Some((finite(s)?, finite(w)?)),
+        _ => None,
+    };
+    value
+        .get("phases")
+        .and_then(Json::as_arr)
+        .and_then(|items| items.iter().map(pair).collect())
+        .ok_or_else(|| {
+            ApiError::bad_request("verify needs `phases`: an array of [start, width] number pairs")
+        })
 }
 
-fn req_finite(value: &Json, field: &str) -> Result<f64, ApiError> {
-    let v = value
-        .get(field)
-        .ok_or_else(|| ApiError::bad_request(format!("missing numeric field `{field}`")))?;
-    finite(v, field)
+fn finite(v: &Json) -> Option<f64> {
+    v.as_f64().filter(|x| x.is_finite())
+}
+
+/// An optional field: `None` when absent or `null`, otherwise `read`'s
+/// value, or a `bad-request` that says what the field must be.
+fn opt<T>(
+    value: &Json,
+    field: &str,
+    what: &str,
+    read: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, ApiError> {
+    match value.get(field) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => read(v)
+            .map(Some)
+            .ok_or_else(|| ApiError::bad_request(format!("`{field}` must be {what}"))),
+    }
 }
 
 fn opt_finite(value: &Json, field: &str) -> Result<Option<f64>, ApiError> {
-    match value.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => finite(v, field).map(Some),
-    }
+    opt(value, field, "a finite number", finite)
+}
+
+fn req_finite(value: &Json, field: &str) -> Result<f64, ApiError> {
+    opt_finite(value, field)?
+        .ok_or_else(|| ApiError::bad_request(format!("missing numeric field `{field}`")))
+}
+
+fn opt_u64(value: &Json, field: &str) -> Result<Option<u64>, ApiError> {
+    opt(
+        value,
+        field,
+        "a non-negative integer below 2^53",
+        Json::as_u64,
+    )
 }
 
 fn opt_bool(value: &Json, field: &str) -> Result<Option<bool>, ApiError> {
-    match value.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| ApiError::bad_request(format!("`{field}` must be a boolean"))),
-    }
+    opt(value, field, "a boolean", Json::as_bool)
 }
 
-fn opt_usize(value: &Json, field: &str) -> Result<Option<usize>, ApiError> {
-    match value.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_u64().map(|n| Some(n as usize)).ok_or_else(|| {
-            ApiError::bad_request(format!("`{field}` must be a non-negative integer"))
-        }),
-    }
+fn opt_str(value: &Json, field: &str) -> Result<Option<String>, ApiError> {
+    opt(value, field, "a string", |v| v.as_str().map(str::to_string))
 }
 
 fn opt_backend(value: &Json) -> Result<Backend, ApiError> {
-    match value.get("backend") {
-        None | Some(Json::Null) => Ok(Backend::default()),
-        Some(v) => {
-            let s = v
-                .as_str()
-                .ok_or_else(|| ApiError::bad_request("`backend` must be a string"))?;
-            s.parse()
-                .map_err(|e: String| ApiError::bad_request(format!("`backend`: {e}")))
-        }
-    }
+    opt_str(value, "backend")?.map_or(Ok(Backend::default()), |s| {
+        s.parse()
+            .map_err(|e: String| ApiError::bad_request(format!("`backend`: {e}")))
+    })
 }
 
 #[cfg(test)]
@@ -416,6 +523,168 @@ mod tests {
             assert!(r.command.is_control());
             assert_eq!(r.command.name(), name);
             assert_eq!(r.command.netlist(), None);
+        }
+    }
+
+    /// The option values the daemon used to take into the solve, where
+    /// they failed as `internal` (`check`) or `invalid-circuit`
+    /// (`diagnose`), and the other values a command can be refused for
+    /// without its netlist: all are `bad-request` now.
+    #[test]
+    fn invalid_option_values_are_bad_requests() {
+        let engine = crate::Engine::new(crate::EngineConfig::default());
+        for line in [
+            r#"{"cmd":"check","netlist":"x","cycle_time":-5}"#,
+            r#"{"cmd":"check","netlist":"x","cycle_time":0}"#,
+            r#"{"cmd":"diagnose","netlist":"x","cycle_time":-5}"#,
+            r#"{"cmd":"sweep","netlist":"x","runs":0}"#,
+            r#"{"cmd":"sweep","netlist":"x","param":"voltage"}"#,
+            r#"{"cmd":"sweep","netlist":"x","param":7}"#,
+            r#"{"cmd":"sweep","netlist":"x","seed":9007199254740993}"#,
+            r#"{"cmd":"verify","netlist":"x","cycle_time":-5,"phases":[[0,1]]}"#,
+            r#"{"cmd":"verify","netlist":"x","cycle_time":10,"phases":[[5,1],[0,1]]}"#,
+            r#"{"cmd":"verify","netlist":"x","cycle_time":10,"phases":[[0,11]]}"#,
+            r#"{"cmd":"verify","netlist":"x","cycle_time":10,"phases":[]}"#,
+            r#"{"cmd":"verify","netlist":"x","cycle_time":10,"phases":[[0,1,2]]}"#,
+        ] {
+            let e = Request::parse(line).unwrap_err();
+            assert_eq!(e.kind, crate::error::ErrorKind::BadRequest, "{line}: {e}");
+            let reply = engine.handle_line(line, crate::Load::IDLE).line;
+            assert!(reply.contains(r#""kind":"bad-request""#), "{line}: {reply}");
+        }
+        // `diagnose` takes a zero cycle time; `check` needs a positive one.
+        assert!(Request::parse(r#"{"cmd":"diagnose","netlist":"x","cycle_time":0}"#).is_ok());
+    }
+
+    #[test]
+    fn integers_past_the_wire_range_are_refused_not_rounded() {
+        let r = Request {
+            id: None,
+            deadline_ms: Some((1 << 53) + 1),
+            command: Command::Ping,
+        };
+        let e = Request::parse(&r.to_json()).unwrap_err();
+        assert!(e.message.contains("deadline_ms"), "{e}");
+    }
+
+    mod round_trip {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Text over characters the wire escapes (quotes, backslashes,
+        /// control characters) and multi-byte ones.
+        fn text(max: usize) -> impl Strategy<Value = String> {
+            let chars = vec![
+                'a', 'Z', '0', ' ', '#', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}',
+                '\u{7f}', 'é', '中', '🦀',
+            ];
+            proptest::collection::vec(proptest::sample::select(chars), 0..max)
+                .prop_map(|cs| cs.into_iter().collect())
+        }
+
+        /// A finite number from about 1e-12 to 1e12, integral or not.
+        fn number() -> impl Strategy<Value = f64> {
+            (0.0f64..10.0, -12i32..12, proptest::bool::ANY).prop_map(|(m, e, round)| {
+                let x = m * 10f64.powi(e);
+                if round {
+                    x.round()
+                } else {
+                    x
+                }
+            })
+        }
+
+        const WIRE_INT: u64 = (1 << 53) - 1;
+
+        /// Any valid request: every command, with and without its
+        /// optional fields.
+        fn request() -> impl Strategy<Value = Request> {
+            (
+                (0usize..9, text(12), 0..=WIRE_INT, 0u8..4),
+                (
+                    text(60),
+                    proptest::sample::select(vec![Backend::Auto, Backend::Graph, Backend::Lp]),
+                ),
+                (
+                    number(),
+                    proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..5),
+                ),
+                (
+                    1usize..=WIRE_INT as usize,
+                    0usize..=WIRE_INT as usize,
+                    number(),
+                    0..=WIRE_INT,
+                ),
+            )
+                .prop_map(
+                    |(
+                        (which, id, deadline, bits),
+                        (netlist, backend),
+                        (x, pairs),
+                        (runs, edge, spread, seed),
+                    )| {
+                        let (flag, some) = (bits & 1 == 1, bits & 2 == 2);
+                        let t = x + 1e-9;
+                        let mut starts: Vec<f64> = pairs.iter().map(|p| p.0 * t).collect();
+                        starts.sort_by(f64::total_cmp);
+                        let phases = starts
+                            .into_iter()
+                            .zip(pairs.iter().map(|p| p.1 * t))
+                            .collect();
+                        let command = match which {
+                            0 => Command::Ping,
+                            1 => Command::Stats,
+                            2 => Command::Shutdown,
+                            3 => Command::DebugPanic,
+                            4 => Command::Solve {
+                                netlist,
+                                backend,
+                                certify: flag,
+                            },
+                            5 => Command::Verify {
+                                netlist,
+                                cycle_time: t,
+                                phases,
+                                backend,
+                            },
+                            6 => Command::Check {
+                                netlist,
+                                cycle_time: some.then_some(t),
+                                backend,
+                            },
+                            7 => Command::Diagnose {
+                                netlist,
+                                cycle_time: some.then_some(x),
+                            },
+                            _ => Command::Sweep {
+                                netlist,
+                                param: if flag { "tc" } else { "delay" }.into(),
+                                runs,
+                                edge,
+                                max_delay: some.then_some(x),
+                                spread,
+                                seed,
+                                certify: !flag,
+                            },
+                        };
+                        Request {
+                            id: some.then_some(id),
+                            deadline_ms: flag.then_some(deadline),
+                            command,
+                        }
+                    },
+                )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// `to_json` writes every field so that `parse` reads back the
+            /// same request, escapes and all.
+            #[test]
+            fn parse_reads_back_what_to_json_writes(r in request()) {
+                prop_assert_eq!(Request::parse(&r.to_json()), Ok(r.clone()));
+            }
         }
     }
 }

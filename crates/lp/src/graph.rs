@@ -1211,18 +1211,31 @@ impl DifferenceSystem {
     }
 
     /// Aggregates a cycle's arcs into its row support and affine weight.
+    /// Rows keep their first-occurrence order, and each row's multiplier
+    /// sums its arcs in cycle order.
     fn summarize(&self, cycle: &[usize]) -> NegativeCycle {
         let mut rows: Vec<(ConstraintId, f64)> = Vec::new();
+        // `slot[c]` is row `c`'s position in `rows`, so each arc costs one
+        // lookup: a Lawler cycle through every stage of a deep pipeline
+        // has one arc per stage, and searching `rows` per arc made it
+        // quadratic.
+        let mut slot: Vec<usize> = Vec::new();
         let (mut base, mut slope) = (0.0, 0.0);
         for &idx in cycle {
             let a = self.graph.arc(idx);
             base += a.base;
             slope += a.slope;
             if let ArcSource::Row { c, sign } = a.tag {
-                if let Some(e) = rows.iter_mut().find(|(rc, _)| *rc == c) {
-                    e.1 += sign;
-                } else {
-                    rows.push((c, sign));
+                let i = c.index();
+                if i >= slot.len() {
+                    slot.resize(i + 1, usize::MAX);
+                }
+                match slot[i] {
+                    usize::MAX => {
+                        slot[i] = rows.len();
+                        rows.push((c, sign));
+                    }
+                    p => rows[p].1 += sign,
                 }
             }
         }
@@ -1318,6 +1331,27 @@ mod tests {
                 }
             }
             None
+        }
+
+        /// Test oracle for [`DifferenceSystem::summarize`]: the quadratic
+        /// merge, which searches the rows found so far for each arc's row.
+        fn summarize_quadratic(&self, cycle: &[usize]) -> NegativeCycle {
+            let mut rows: Vec<(ConstraintId, f64)> = Vec::new();
+            let (mut base, mut slope) = (0.0, 0.0);
+            for &idx in cycle {
+                let a = self.graph.arc(idx);
+                base += a.base;
+                slope += a.slope;
+                if let ArcSource::Row { c, sign } = a.tag {
+                    if let Some(e) = rows.iter_mut().find(|(rc, _)| *rc == c) {
+                        e.1 += sign;
+                    } else {
+                        rows.push((c, sign));
+                    }
+                }
+            }
+            rows.retain(|(_, m)| m.abs() > TOL);
+            NegativeCycle { base, slope, rows }
         }
     }
 
@@ -1429,6 +1463,29 @@ mod tests {
         ) {
             let sys = random_system(nodes, &rows, 10);
             check_against_oracle(&sys, f64::from(lambda), false)?;
+        }
+
+        /// `summarize` merges rows exactly as the quadratic oracle does:
+        /// the same rows in the same order, bit-identical multipliers and
+        /// weights, on arc walks that revisit rows many times (a few rows,
+        /// long walks) and on walks over many rows.
+        #[test]
+        fn prop_summarize_matches_the_quadratic_merge(
+            nodes in 2usize..40,
+            rows in proptest::collection::vec(
+                (0usize..40, 0usize..40, -20i32..30, proptest::bool::ANY),
+                1..60,
+            ),
+            walk in proptest::collection::vec(0usize..10_000, 0..300),
+        ) {
+            let sys = random_system(nodes, &rows, 10);
+            let arcs = sys.graph.num_arcs();
+            prop_assume!(arcs > 0);
+            let cycle: Vec<usize> = walk.iter().map(|k| k % arcs).collect();
+            let (fast, slow) = (sys.summarize(&cycle), sys.summarize_quadratic(&cycle));
+            prop_assert_eq!(fast.rows, slow.rows);
+            prop_assert_eq!(fast.base.to_bits(), slow.base.to_bits());
+            prop_assert_eq!(fast.slope.to_bits(), slow.slope.to_bits());
         }
     }
 

@@ -2,46 +2,30 @@
 //!
 //! The 1990 implementation was "a simple parser, a dense-matrix LP solver
 //! … and graphical output routines"; this binary is the same package around
-//! the library:
+//! the library. Run `smo` without arguments for the usage banner.
 //!
-//! ```text
-//! smo solve    <netlist>            certified minimum cycle time + optimal schedule
-//! smo report   <netlist>            full timing report (slacks, critical segments)
-//! smo verify   <netlist> Tc s1,w1 [s2,w2 …]   check a concrete schedule
-//! smo simulate <netlist> [waves]    behavioural simulation at the optimum
-//! smo dot      <netlist>            Graphviz export
-//! smo lp       <netlist>            CPLEX LP-format dump of problem P2
-//! smo lint     <netlist>            structural sanity checks
-//! smo check    <netlist>            lint + solve + short-path race analysis
-//! smo analyze  <netlist>            cycle-time bracket + certified optimum
-//! smo diagnose <netlist> [--cycle-time T]   why is there no schedule at T?
-//! smo sweep    <netlist> [--param tc|delay]  parallel parameter sweep
-//! ```
-//!
-//! Long-lived use goes through the daemon (same code path, same JSON):
-//!
-//! ```text
-//! smo serve    [--addr A] [--workers N] [--queue N]   timing daemon
-//! smo call     <addr> <cmd> [netlist] [flags]         one request to a daemon
-//! smo bench-serve [--quick]                           daemon load test
-//! ```
+//! The commands the daemon also serves (`solve`, `verify`, `check`,
+//! `diagnose`, `sweep`) parse their arguments into the daemon's own
+//! [`Request`](smo::api::Request) and run through the same
+//! [`ops::run`](smo::api::ops::run) dispatch: same defaults, same checks,
+//! same JSON. `smo call` sends that request to a daemon instead.
 //!
 //! Netlists use the `smo_circuit::netlist` text format; files containing
 //! `gate`/`wire` lines are parsed gate-level and extracted automatically.
 
-use smo::analyze::{analyze, check, diagnose, lint, AnalyzeError, CheckOptions, PassConfig, Rule};
-use smo::api::{solve_json, sweep_json, ParseLimits};
-use smo::circuit::EdgeId;
-use smo::circuit::{lump_equivalent_latches, netlist, to_dot, Circuit, ClockSchedule};
+use smo::analyze::{analyze, lint, AnalyzeError, Rule};
+use smo::api::ops::{self, OpError, Outcome, Settings};
+use smo::api::{input_limits, Command, Json, Request};
+use smo::circuit::{lump_equivalent_latches, netlist, to_dot, Circuit};
 use smo::gen::datapath::{pipelined_datapath, DatapathConfig};
 use smo::sim::{monte_carlo, simulate, MonteCarloOptions, SimOptions};
 use smo::timing::{
-    graph_feasible_at, min_cycle_time, min_cycle_time_with, render_solution, sweep_cycle_time,
-    timing_report, verify, Backend, MlpOptions, SweepOptions, SweepParam, TimingModel,
+    min_cycle_time, render_solution, timing_report, Backend, MlpOptions, TimingModel,
 };
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -87,15 +71,15 @@ impl From<String> for CliError {
     }
 }
 
-impl From<std::fmt::Error> for CliError {
-    fn from(e: std::fmt::Error) -> Self {
-        CliError::Failed(e.to_string())
-    }
-}
-
 impl From<&str> for CliError {
     fn from(message: &str) -> Self {
         CliError::Usage(message.to_string())
+    }
+}
+
+impl From<std::fmt::Error> for CliError {
+    fn from(e: std::fmt::Error) -> Self {
+        CliError::Failed(e.to_string())
     }
 }
 
@@ -110,328 +94,354 @@ fn failed(e: impl std::fmt::Display) -> CliError {
 }
 
 const USAGE: &str = "usage:
-  smo solve    <netlist> [--backend auto|graph|lp] [--no-certify]
-               [--max-input-mb N] [--time-limit <secs>] [--json]
-                                                 minimum cycle time with every
-                                                 solver verdict independently
-                                                 checked: KKT certificates on
-                                                 the simplex path, a re-checked
-                                                 critical cycle on the graph
-                                                 fast path (exit 1 if any
-                                                 check cannot be satisfied;
-                                                 --no-certify skips the checks
-                                                 and reports certified: false);
-                                                 `auto` (default) solves
-                                                 difference-only models on the
-                                                 graph and runs the cold
-                                                 sparse-LU simplex otherwise;
-                                                 --max-input-mb N lifts the
-                                                 netlist input limits to N MiB
-                                                 (default 4; lines/elements
-                                                 scale with it) for generated
-                                                 100k-latch circuits
+  smo solve    <netlist> [--backend B] [--no-certify] [--time-limit SECS] [--json]
+                          certified minimum cycle time and optimal schedule:
+                          every solver verdict is checked independently (exit
+                          1 if a check fails; --no-certify skips them)
+  smo verify   <netlist> <Tc> <s,w> [<s,w> ...] [--backend B]
+                          check a concrete schedule, one start,width pair per
+                          phase; the graph also says whether ANY schedule
+                          exists at Tc (exit 2 if that contradicts the rows)
+  smo check    <netlist> [--cycle-time T] [--backend B] [--allow RULE]
+               [--deny RULE] [--json]
+                          lint + solve + short-path race analysis, each race
+                          with its witness and clock-separation fix; --allow
+                          suppresses a rule, --deny escalates it to error;
+                          exit 2 on any error finding
+  smo diagnose <netlist> [--cycle-time T] [--json]
+                          minimum cycle time, or a Farkas-certified
+                          explanation of why T is unachievable
+  smo sweep    <netlist> [--param tc|delay] [--runs N] [--edge E]
+               [--max-delay D] [--spread S] [--seed S] [--certify] [--jobs N]
+               [--json]
+                          cycle-time sweep: `tc` grids edge E's delay up to D
+                          (default twice it), exact breakpoints included;
+                          `delay` (default) jitters every delay by ±S; the
+                          output is the same for any --jobs
+  smo lint     <netlist> [--json]          structural checks (exit 1 on errors)
+  smo analyze  <netlist> [--json]          cycle-time bracket + certified
+                                           optimum (exit 2 if they disagree)
+  smo report   <netlist>                   full timing report
+  smo simulate <netlist> [waves]           behavioural simulation
+  smo montecarlo <netlist> <scale> [runs]  jittered-margin campaign at
+                                           scale × the optimal schedule
+  smo dot | lp | lump <netlist>            Graphviz, LP-format problem P2,
+                                           bus-lumped netlist
   smo gen      [--latches N | --stages S --width W] [--phases K] [--fanin F]
                [--delay-min A] [--delay-max B] [--seed S] [--out FILE]
-                                                 seeded pipelined-datapath
-                                                 generator: K-phase pipeline,
-                                                 byte-identical netlist for
-                                                 identical flags (stdout or
-                                                 FILE); lint-clean by
-                                                 construction, built for the
-                                                 1k-100k-latch scaling range
-  smo report   <netlist>                         full timing report
-  smo verify   <netlist> <Tc> <s,w> [<s,w> ...] [--backend auto|graph|lp]
-                                                 check a concrete schedule;
-                                                 with the graph backend also
-                                                 reports whether ANY schedule
-                                                 exists at Tc (exit 2 if that
-                                                 cross-check contradicts the
-                                                 row-by-row verdict)
-  smo simulate <netlist> [waves]                 behavioural simulation
-  smo dot      <netlist>                         Graphviz export
-  smo lp       <netlist>                         LP-format dump of problem P2
-  smo lump     <netlist>                         bus-lumped netlist (stdout)
-  smo lint     <netlist> [--json] [--max-input-mb N]
-                                                 structural sanity checks
-                                                 (exit 1 on error findings);
-                                                 --max-input-mb as for solve
-  smo check    <netlist> [--cycle-time T] [--backend auto|graph|lp] [--json]
-               [--allow RULE] [--deny RULE] [--max-input-mb N]
-                                                 one-shot static gate: every
-                                                 lint pass + the cycle-time
-                                                 solve (`auto` by default) +
-                                                 short-path race
-                                                 analysis; each double-clocking
-                                                 race carries a witness naming
-                                                 the short path and the
-                                                 clock-separation fix (error
-                                                 if the short path is a
-                                                 measured `mindelay`, warn
-                                                 under the max-delay
-                                                 assumption). --allow
-                                                 suppresses a rule, --deny
-                                                 escalates it to error; exit 2
-                                                 on any error-severity finding;
-                                                 --max-input-mb as for solve
-  smo analyze  <netlist> [--json]                combinatorial cycle-time
-                                                 bracket, the default solve's
-                                                 KKT-certified LP optimum and
-                                                 row classification; exit 2
-                                                 if the bracket misses the
-                                                 optimum or the certificate
-                                                 fails (an internal
-                                                 soundness bug)
-  smo diagnose <netlist> [--cycle-time T] [--json]
-                                                 minimum cycle time, or a
-                                                 Farkas-certified explanation
-                                                 of why T is unachievable
-  smo montecarlo <netlist> <scale> [runs]        jittered-margin campaign at
-                                                 scale × the optimal schedule
-  smo sweep    <netlist> [--param tc|delay] [--runs N] [--jobs N] [--json]
-               [--edge E] [--max-delay D] [--spread S] [--seed S] [--certify]
-               [--max-input-mb N]
-                                                 cycle-time sweep: `tc` grids
-                                                 one edge's delay (exact
-                                                 breakpoints included),
-                                                 `delay` jitters every delay
-                                                 by ±spread; difference
-                                                 models re-solve on the graph
-                                                 (0 pivots), others by a cold
-                                                 sparse-LU solve; output is
-                                                 identical for any --jobs
+                          seeded pipelined datapath (stdout or FILE), the
+                          same bytes for the same flags, lint-clean
   smo serve    [--addr A] [--workers N] [--queue N]
-                                                 long-lived timing daemon:
-                                                 line-delimited JSON over TCP
-                                                 with per-request deadlines,
-                                                 bounded queueing + load
-                                                 shedding, result caches and
-                                                 graceful degradation under
-                                                 load (see DESIGN.md)
-  smo call     <addr> <cmd> [netlist] [--id I] [--deadline-ms N]
-               [--backend auto|graph|lp] [--no-certify] [--cycle-time T]
-               [--phase s,w ...] [--param tc|delay] [--runs N] [--edge E]
-               [--spread S] [--seed S]
-                                                 send one request to a daemon
-                                                 (cmd: ping, stats, shutdown,
-                                                 solve, verify, check,
-                                                 diagnose, sweep) and print
-                                                 the response line; exit 1 on
-                                                 an error response
-  smo bench-serve [--quick] [--out FILE]         daemon load generator: three
-                                                 scenarios incl. forced
-                                                 overload; writes
-                                                 BENCH_serve.json";
+                          timing daemon: JSON lines over TCP (see DESIGN.md)
+  smo call     <addr> <cmd> [arguments of `smo <cmd>`] [--id I] [--deadline-ms N]
+                          send one request (ping, stats, shutdown, solve,
+                          verify, check, diagnose, sweep) to a daemon and
+                          print the reply; exit 1 on an error reply
+  smo bench-serve [--quick] [--out FILE]   daemon load test
 
-fn run(args: &[String], out: &mut String) -> Result<ExitCode, CliError> {
-    let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
-    match cmd.as_str() {
-        "solve" | "optimize" => {
-            let mut path = None;
-            let mut options = MlpOptions::default();
-            let mut json = false;
-            let mut max_mb = None;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--no-certify" => options.certify = false,
-                    "--backend" => options.backend = parse_backend(&mut it)?,
-                    "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
-                    "--time-limit" => {
-                        let secs: f64 = it
+every command that reads a netlist also takes
+  --max-input-mb N        raise the 4 MiB netlist input limit to N MiB (the
+                          line and element limits scale with it)
+--backend B is auto (default: the graph on difference models, the simplex
+otherwise), graph or lp. `smo call` sends the netlist inline and takes none
+of --json, --max-input-mb, --time-limit, --jobs, --allow, --deny.";
+
+/// How a flag's value is read.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// No value: the flag sets its field to this boolean.
+    Switch(bool),
+    /// A number (`f64`).
+    Number,
+    /// A non-negative integer.
+    Integer,
+    /// Text.
+    Text,
+}
+
+/// The commands the daemon also serves.
+const DAEMON_COMMANDS: &[&str] = &["solve", "verify", "check", "diagnose", "sweep"];
+#[rustfmt::skip]
+const NETLIST_COMMANDS: &[&str] = &[
+    "solve", "verify", "check", "diagnose", "sweep",
+    "lint", "analyze", "report", "simulate", "montecarlo", "dot", "lp", "lump",
+];
+const SWEEP: &[&str] = &["sweep"];
+
+/// A flag: its name, the request field it sets (empty for a setting of
+/// the CLI's own, which has no wire field), how its value is read, and
+/// the subcommands that take it.
+type Flag = (&'static str, &'static str, Kind, &'static [&'static str]);
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--backend", "backend", Kind::Text, &["solve", "verify", "check"]),
+    ("--no-certify", "certify", Kind::Switch(false), &["solve"]),
+    ("--cycle-time", "cycle_time", Kind::Number, &["check", "diagnose"]),
+    ("--param", "param", Kind::Text, SWEEP),
+    ("--runs", "runs", Kind::Integer, SWEEP),
+    ("--edge", "edge", Kind::Integer, SWEEP),
+    ("--max-delay", "max_delay", Kind::Number, SWEEP),
+    ("--spread", "spread", Kind::Number, SWEEP),
+    ("--seed", "seed", Kind::Integer, SWEEP),
+    ("--certify", "certify", Kind::Switch(true), SWEEP),
+    ("--id", "id", Kind::Text, &["call"]),
+    ("--deadline-ms", "deadline_ms", Kind::Integer, &["call"]),
+    ("--max-input-mb", "", Kind::Integer, NETLIST_COMMANDS),
+    ("--json", "", Kind::Switch(true), &["solve", "check", "diagnose", "sweep", "lint", "analyze"]),
+    ("--time-limit", "", Kind::Number, &["solve"]),
+    ("--jobs", "", Kind::Integer, SWEEP),
+    ("--allow", "", Kind::Text, &["check"]),
+    ("--deny", "", Kind::Text, &["check"]),
+    ("--latches", "", Kind::Integer, &["gen"]),
+    ("--stages", "", Kind::Integer, &["gen"]),
+    ("--width", "", Kind::Integer, &["gen"]),
+    ("--phases", "", Kind::Integer, &["gen"]),
+    ("--fanin", "", Kind::Integer, &["gen"]),
+    ("--delay-min", "", Kind::Number, &["gen"]),
+    ("--delay-max", "", Kind::Number, &["gen"]),
+    ("--seed", "", Kind::Integer, &["gen"]),
+    ("--out", "", Kind::Text, &["gen", "bench-serve"]),
+    ("--addr", "", Kind::Text, &["serve"]),
+    ("--workers", "", Kind::Integer, &["serve"]),
+    ("--queue", "", Kind::Integer, &["serve"]),
+    ("--quick", "", Kind::Switch(true), &["bench-serve"]),
+];
+
+/// A command line split by [`FLAGS`]: each flag given, with its value, in
+/// order, and the positional arguments.
+struct Args {
+    flags: Vec<(&'static Flag, String)>,
+    positional: std::collections::VecDeque<String>,
+}
+
+impl Args {
+    /// Splits `rest`, the arguments of subcommand `cmd`. Under `smo call`
+    /// (`call`), only the flags that set a request field are taken.
+    fn parse(cmd: &str, rest: &[String], call: bool) -> Result<Args, String> {
+        let mut args = Args {
+            flags: Vec::new(),
+            positional: Default::default(),
+        };
+        let mut it = rest.iter();
+        while let Some(arg) = it.next() {
+            let flag = FLAGS.iter().find(|(name, field, _, cmds)| {
+                name == arg
+                    && ((cmds.contains(&cmd) && !(call && field.is_empty()))
+                        || (call && *cmds == ["call"]))
+            });
+            match flag {
+                Some(flag @ (name, _, kind, _)) => {
+                    let value = match kind {
+                        Kind::Switch(_) => String::new(),
+                        _ => it
                             .next()
-                            .ok_or("--time-limit needs a value in seconds")?
-                            .parse()
-                            .map_err(|e| format!("bad time limit: {e}"))?;
-                        if !secs.is_finite() || secs <= 0.0 {
-                            return usage(format!(
-                                "time limit must be a positive number of seconds, got {secs}"
-                            ));
-                        }
-                        options.time_limit = Some(std::time::Duration::from_secs_f64(secs));
-                    }
-                    "--json" => json = true,
-                    other if path.is_none() && !other.starts_with('-') => {
-                        path = Some(other.to_string());
-                    }
-                    other => return usage(format!("unexpected argument `{other}`")),
+                            .ok_or_else(|| format!("{name} needs a value"))?
+                            .clone(),
+                    };
+                    args.flags.push((flag, value));
                 }
+                None if arg.starts_with('-') => return Err(format!("unexpected argument `{arg}`")),
+                None => args.positional.push_back(arg.clone()),
             }
-            let circuit = load_with(&path.ok_or("missing netlist path")?, &input_limits(max_mb)?)?;
-            let sol = min_cycle_time_with(&circuit, &options).map_err(failed)?;
-            if json {
-                writeln!(out, "{}", solve_json(&sol))?;
-            } else {
-                writeln!(out, "optimal cycle time: {:.6}", sol.cycle_time())?;
-                writeln!(
-                    out,
-                    "backend: {}",
-                    match sol.backend() {
-                        Backend::Graph => "graph (exact min-cycle-ratio)",
-                        _ => "lp (simplex)",
-                    }
-                )?;
-                writeln!(out, "certified: {}", sol.certified())?;
-                for (i, cert) in sol.certificates().iter().enumerate() {
-                    match sol.backend() {
-                        Backend::Graph => writeln!(out, "  graph: {cert}")?,
-                        _ => writeln!(out, "  lp {}: {cert}", i + 1)?,
-                    }
-                }
-                write!(out, "{}", render_solution(&circuit, &sol))?;
-            }
-            // `certify` on and a returned solution imply every solver
-            // verdict passed its independent KKT check (on the graph path
-            // with the critical cycle's duals); `certified()` is false
-            // after --no-certify, which skips it.
-            Ok(if options.certify && !sol.certified() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            })
         }
-        "gen" => {
-            let mut config = DatapathConfig::default();
-            let mut latches: Option<usize> = None;
-            let mut stages: Option<usize> = None;
-            let mut width: Option<usize> = None;
-            let mut seed: u64 = 0;
-            let mut out_file: Option<String> = None;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--latches" => latches = Some(parse_arg(&mut it, "--latches")?),
-                    "--stages" => stages = Some(parse_arg(&mut it, "--stages")?),
-                    "--width" => width = Some(parse_arg(&mut it, "--width")?),
-                    "--phases" => config.phases = parse_arg(&mut it, "--phases")?,
-                    "--fanin" => config.fanin = parse_arg(&mut it, "--fanin")?,
-                    "--delay-min" => config.delay_range.0 = parse_arg(&mut it, "--delay-min")?,
-                    "--delay-max" => config.delay_range.1 = parse_arg(&mut it, "--delay-max")?,
-                    "--seed" => seed = parse_arg(&mut it, "--seed")?,
-                    "--out" => out_file = Some(parse_arg(&mut it, "--out")?),
-                    other => return usage(format!("unexpected argument `{other}`")),
-                }
-            }
-            if let Some(n) = latches {
-                if stages.is_some() || width.is_some() {
-                    return usage("--latches is exclusive with --stages/--width");
-                }
-                let sized = DatapathConfig::with_latches(n);
-                config.stages = sized.stages;
-                config.width = sized.width;
-            }
-            if let Some(s) = stages {
-                config.stages = s;
-            }
-            if let Some(w) = width {
-                config.width = w;
-            }
-            // Validate up front so bad flags are CLI errors, not panics.
-            if !(2..=4).contains(&config.phases) {
-                return usage(format!("--phases must be 2..=4, got {}", config.phases));
-            }
-            if config.stages < config.phases {
-                return usage(format!(
-                    "need --stages >= --phases so every phase clocks a rank ({} < {})",
-                    config.stages, config.phases
-                ));
-            }
-            if config.width < 2 {
-                return usage("need --width >= 2");
-            }
-            if !(1..=config.width).contains(&config.fanin) {
-                return usage(format!(
-                    "--fanin must be in 1..={}, got {}",
-                    config.width, config.fanin
-                ));
-            }
-            if !(config.delay_range.0 > 0.0 && config.delay_range.0 <= config.delay_range.1) {
-                return usage(format!(
-                    "delay range must be positive and non-empty, got {:?}",
-                    config.delay_range
-                ));
-            }
-            let circuit = pipelined_datapath(&config, seed);
-            let text = netlist::write(&circuit);
-            eprintln!(
-                "generated {} latches ({} stages x {} wide), {} edges, {} phases, seed {seed}",
-                circuit.num_latches(),
-                config.stages,
-                config.width,
-                circuit.num_edges(),
-                circuit.num_phases()
-            );
-            match out_file {
-                Some(path) => std::fs::write(&path, text)
-                    .map_err(|e| failed(format!("cannot write {path}: {e}")))?,
-                None => out.push_str(&text),
-            }
-            Ok(ExitCode::SUCCESS)
+        Ok(args)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f.0 == name)
+    }
+
+    /// The value of the last `name` flag given, if any.
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.flags.iter().rev().find(|(f, _)| f.0 == name) {
+            Some((_, v)) => v
+                .parse()
+                .map(Some)
+                .map_err(|e| format!("bad {name} value: {e}")),
+            None => Ok(None),
         }
-        "report" => {
-            let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            let text = timing_report(&circuit, &MlpOptions::default()).map_err(failed)?;
-            write!(out, "{text}")?;
-            Ok(ExitCode::SUCCESS)
+    }
+
+    /// The next positional argument, or `missing` as a usage error.
+    fn next(&mut self, missing: &str) -> Result<String, String> {
+        self.positional.pop_front().ok_or_else(|| missing.into())
+    }
+
+    /// Fails on a positional argument nothing took.
+    fn done(&self) -> Result<(), String> {
+        match self.positional.front() {
+            Some(extra) => Err(format!("unexpected argument `{extra}`")),
+            None => Ok(()),
         }
-        "verify" => {
-            let mut backend = Backend::Auto;
-            let mut positional: Vec<&String> = Vec::new();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--backend" => backend = parse_backend(&mut it)?,
-                    _ => positional.push(arg),
-                }
+    }
+
+    /// The request fields the flags set, typed as on the wire; a repeated
+    /// flag counts once, with its last value.
+    fn fields(&self) -> Result<Vec<(String, Json)>, String> {
+        let mut fields: Vec<(String, Json)> = Vec::new();
+        for ((name, field, kind, _), v) in &self.flags {
+            if field.is_empty() {
+                continue;
             }
-            let mut it = positional.into_iter();
-            let circuit = load(it.next().ok_or("missing netlist path")?)?;
-            let tc: f64 = it
-                .next()
-                .ok_or("missing cycle time")?
+            let bad = |e: &dyn std::fmt::Display| format!("bad {name} value: {e}");
+            let value = match kind {
+                Kind::Switch(b) => Json::Bool(*b),
+                Kind::Number => Json::Num(v.parse().map_err(|e| bad(&e))?),
+                Kind::Integer => Json::Num(v.parse::<u64>().map_err(|e| bad(&e))? as f64),
+                Kind::Text => Json::Str(v.clone()),
+            };
+            fields.retain(|(k, _)| k != field);
+            fields.push((field.to_string(), value));
+        }
+        Ok(fields)
+    }
+
+    /// The request `smo <cmd>` makes of its arguments and the netlist text,
+    /// built by the daemon's own [`Request::from_json`]. `verify`'s
+    /// positional arguments are its cycle time and schedule.
+    fn request(&mut self, cmd: &str, netlist: Option<String>) -> Result<Request, String> {
+        let mut fields = vec![("cmd".to_string(), Json::Str(cmd.into()))];
+        fields.extend(self.fields()?);
+        if cmd == "verify" {
+            let tc: f64 = self
+                .next("missing cycle time")?
                 .parse()
                 .map_err(|e| format!("bad cycle time: {e}"))?;
-            let mut starts = Vec::new();
-            let mut widths = Vec::new();
-            for pair in it {
+            let mut phases = Vec::new();
+            while let Some(pair) = self.positional.pop_front() {
                 let (s, w) = pair
                     .split_once(',')
                     .ok_or_else(|| format!("expected start,width but got `{pair}`"))?;
-                starts.push(s.parse::<f64>().map_err(|e| format!("bad start: {e}"))?);
-                widths.push(w.parse::<f64>().map_err(|e| format!("bad width: {e}"))?);
+                let s: f64 = s.parse().map_err(|e| format!("bad start: {e}"))?;
+                let w: f64 = w.parse().map_err(|e| format!("bad width: {e}"))?;
+                phases.push(Json::Arr(vec![Json::Num(s), Json::Num(w)]));
             }
-            if starts.len() != circuit.num_phases() {
-                return usage(format!(
-                    "{} phase(s) given but the circuit has {}",
-                    starts.len(),
-                    circuit.num_phases()
-                ));
+            fields.push(("cycle_time".into(), Json::Num(tc)));
+            fields.push(("phases".into(), Json::Arr(phases)));
+        }
+        self.done()?;
+        fields.extend(netlist.map(|n| ("netlist".to_string(), Json::Str(n))));
+        Request::from_json(Json::Obj(fields)).map_err(|e| e.message)
+    }
+}
+
+fn run(args: &[String], out: &mut String) -> Result<ExitCode, CliError> {
+    let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
+    let cmd = if cmd == "optimize" { "solve" } else { cmd };
+    match cmd {
+        "gen" => return gen(&Args::parse(cmd, rest, false)?, out),
+        "serve" => return serve(&Args::parse(cmd, rest, false)?),
+        "bench-serve" => return bench_serve(&Args::parse(cmd, rest, false)?, out),
+        "call" => return call(rest, out),
+        _ if !NETLIST_COMMANDS.contains(&cmd) => {
+            return usage(format!("unknown subcommand `{cmd}`"))
+        }
+        _ => {}
+    }
+    let mut args = Args::parse(cmd, rest, false)?;
+    let path = args.next("missing netlist path")?;
+    let limits = input_limits(args.get("--max-input-mb")?)?;
+    let mut settings = Settings {
+        jobs: args.get("--jobs")?.unwrap_or(1),
+        ..Settings::default()
+    };
+    if let Some(secs) = args.get::<f64>("--time-limit")? {
+        if !secs.is_finite() || secs <= 0.0 {
+            return usage(format!(
+                "time limit must be a positive number of seconds, got {secs}"
+            ));
+        }
+        settings.time_limit = Some(std::time::Duration::from_secs_f64(secs));
+    }
+    for ((name, ..), rule) in &args.flags {
+        settings.lint = match *name {
+            "--allow" => settings.lint.allow(parse_rule(rule, name)?),
+            "--deny" => settings.lint.deny(parse_rule(rule, name)?),
+            _ => continue,
+        };
+    }
+    // The request is checked before the netlist is read. Its netlist text
+    // stays empty: the CLI parses the file itself and frees the text
+    // before the command runs.
+    let request = DAEMON_COMMANDS
+        .contains(&cmd)
+        .then(|| args.request(cmd, Some(String::new())))
+        .transpose()?;
+    let circuit = smo::api::parse_netlist(&read(&path)?, &limits)
+        .map_err(|e| failed(format!("{path}: {e}")))?;
+    let Some(request) = request else {
+        return local(cmd, &mut args, &circuit, out);
+    };
+    match ops::run(&circuit, &request.command, &settings) {
+        Ok(outcome) => print(
+            &circuit,
+            &request.command,
+            &outcome,
+            args.has("--json"),
+            out,
+        ),
+        Err(OpError::Request(message)) => usage(message),
+        Err(OpError::Timing(e)) => Err(failed(e)),
+        // A failed check means the race analysis never ran, not that the
+        // circuit is clean: report it without the usage banner.
+        Err(OpError::Check(e)) => {
+            eprintln!("check error: {e}");
+            Ok(ExitCode::FAILURE)
+        }
+    }
+}
+
+/// Prints a daemon command's outcome as text, or as its JSON under
+/// `--json`; returns the command's exit code.
+fn print(
+    circuit: &Circuit,
+    command: &Command,
+    outcome: &Outcome,
+    json: bool,
+    out: &mut String,
+) -> Result<ExitCode, CliError> {
+    if json {
+        writeln!(out, "{}", outcome.to_json())?;
+    }
+    let code = match outcome {
+        Outcome::Solve(sol) => {
+            if !json {
+                writeln!(out, "optimal cycle time: {:.6}", sol.cycle_time())?;
+                let graph = sol.backend() == Backend::Graph;
+                if graph {
+                    writeln!(out, "backend: graph (exact min-cycle-ratio)")?;
+                } else {
+                    writeln!(out, "backend: lp (simplex)")?;
+                }
+                writeln!(out, "certified: {}", sol.certified())?;
+                for (i, cert) in sol.certificates().iter().enumerate() {
+                    if graph {
+                        writeln!(out, "  graph: {cert}")?;
+                    } else {
+                        writeln!(out, "  lp {}: {cert}", i + 1)?;
+                    }
+                }
+                write!(out, "{}", render_solution(circuit, sol))?;
             }
-            if widths.len() != circuit.num_phases() {
-                return usage(format!(
-                    "{} width(s) given but the circuit has {} phase(s); \
-                     pass one start,width pair per phase",
-                    widths.len(),
-                    circuit.num_phases()
-                ));
-            }
-            let sched = ClockSchedule::new(tc, starts, widths).map_err(|e| e.to_string())?;
-            let report = verify(&circuit, &sched);
-            // Graph cross-check: Bellman–Ford on the difference graph
-            // decides whether ANY schedule exists at this cycle time. A
-            // feasible concrete schedule is itself a witness, so
-            // "row check feasible, graph says nothing exists" is an
-            // internal soundness bug worth a loud exit code.
-            let exists = if backend == Backend::Lp {
-                None
-            } else {
-                graph_feasible_at(&circuit, tc).map_err(failed)?
-            };
+            // With certification on, a returned solution whose verdicts
+            // did not all pass their independent checks is unproven.
+            let certify = matches!(command, Command::Solve { certify: true, .. });
+            u8::from(certify && !sol.certified())
+        }
+        Outcome::Verify {
+            cycle_time: tc,
+            report,
+            exists,
+        } => {
             if report.is_feasible() {
-                writeln!(
-                    out,
-                    "FEASIBLE (worst setup slack {:.4})",
-                    report.worst_slack()
-                )?;
+                let slack = report.worst_slack();
+                writeln!(out, "FEASIBLE (worst setup slack {slack:.4})")?;
+                // A feasible schedule is itself a witness that one exists:
+                // a graph that finds none is an internal soundness bug.
                 match exists {
                     Some(true) => writeln!(out, "graph: confirmed, Tc = {tc} is achievable")?,
                     Some(false) => {
@@ -443,7 +453,7 @@ fn run(args: &[String], out: &mut String) -> Result<ExitCode, CliError> {
                     }
                     None => {}
                 }
-                Ok(ExitCode::SUCCESS)
+                0
             } else {
                 for v in report.violations() {
                     writeln!(out, "VIOLATION: {v}")?;
@@ -458,320 +468,27 @@ fn run(args: &[String], out: &mut String) -> Result<ExitCode, CliError> {
                     Some(false) => writeln!(out, "graph: no schedule at all exists at Tc = {tc}")?,
                     None => {}
                 }
-                Ok(ExitCode::FAILURE)
+                1
             }
         }
-        "simulate" => {
-            let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            let waves: usize = match rest.get(1) {
-                Some(w) => w.parse().map_err(|e| format!("bad wave count: {e}"))?,
-                None => 64,
-            };
-            if waves == 0 {
-                return usage("wave count must be at least 1");
-            }
-            let sol = min_cycle_time(&circuit).map_err(failed)?;
-            let trace = simulate(
-                &circuit,
-                sol.schedule(),
-                &SimOptions {
-                    max_waves: waves,
-                    ..Default::default()
-                },
-            );
-            writeln!(
-                out,
-                "simulated {} wave(s) at Tc = {:.4}: converged at {:?}, {} violation(s)",
-                trace.waves(),
-                sol.cycle_time(),
-                trace.converged_at(),
-                trace.violations().len()
-            )?;
-            for (id, s) in circuit.syncs() {
-                writeln!(
-                    out,
-                    "  {:16} D = {:8.4}  (analysis: {:8.4})",
-                    s.name,
-                    trace.steady_departures()[id.index()],
-                    sol.departure(id)
-                )?;
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "dot" => {
-            let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            write!(out, "{}", to_dot(&circuit))?;
-            Ok(ExitCode::SUCCESS)
-        }
-        "lp" => {
-            let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            let model = TimingModel::build(&circuit).map_err(failed)?;
-            write!(out, "{}", smo::lp::write_lp(model.problem()))?;
-            Ok(ExitCode::SUCCESS)
-        }
-        "lump" => {
-            let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            let (reduced, _) = lump_equivalent_latches(&circuit);
-            eprintln!(
-                "lumped {} → {} synchronizers, {} → {} paths",
-                circuit.num_syncs(),
-                reduced.num_syncs(),
-                circuit.num_edges(),
-                reduced.num_edges()
-            );
-            write!(out, "{}", netlist::write(&reduced))?;
-            Ok(ExitCode::SUCCESS)
-        }
-        "lint" => {
-            let mut path = None;
-            let mut json = false;
-            let mut max_mb: Option<usize> = None;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--json" => json = true,
-                    "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
-                    other if path.is_none() && !other.starts_with('-') => {
-                        path = Some(other.to_string());
-                    }
-                    other => return usage(format!("unexpected argument `{other}`")),
-                }
-            }
-            let circuit = load_with(&path.ok_or("missing netlist path")?, &input_limits(max_mb)?)?;
-            let report = lint(&circuit);
-            if json {
-                writeln!(out, "{}", report.to_json())?;
-            } else {
+        Outcome::Check(report) => {
+            if !json {
                 writeln!(out, "{report}")?;
             }
-            Ok(if report.has_errors() {
-                ExitCode::FAILURE
+            if report.has_errors() {
+                2
             } else {
-                ExitCode::SUCCESS
-            })
-        }
-        "check" => {
-            let mut path = None;
-            let mut options = CheckOptions::default();
-            let mut config = PassConfig::new();
-            let mut json = false;
-            let mut max_mb: Option<usize> = None;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--cycle-time" => options.cycle_time = Some(parse_cycle_time(&mut it, false)?),
-                    "--backend" => options.backend = parse_backend(&mut it)?,
-                    "--allow" => config = config.allow(parse_rule(&mut it, "--allow")?),
-                    "--deny" => config = config.deny(parse_rule(&mut it, "--deny")?),
-                    "--json" => json = true,
-                    "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
-                    other if path.is_none() && !other.starts_with('-') => {
-                        path = Some(other.to_string());
-                    }
-                    other => return usage(format!("unexpected argument `{other}`")),
-                }
-            }
-            options.config = config;
-            let circuit = load_with(&path.ok_or("missing netlist path")?, &input_limits(max_mb)?)?;
-            match check(&circuit, &options) {
-                Ok(report) => {
-                    if json {
-                        writeln!(out, "{}", report.to_json())?;
-                    } else {
-                        writeln!(out, "{report}")?;
-                    }
-                    Ok(if report.has_errors() {
-                        ExitCode::from(2)
-                    } else {
-                        ExitCode::SUCCESS
-                    })
-                }
-                // A solve failure means the race analysis never ran, not
-                // that the circuit is clean: report it without the usage
-                // banner (the arguments were fine).
-                Err(e) => {
-                    eprintln!("check error: {e}");
-                    Ok(ExitCode::FAILURE)
-                }
+                0
             }
         }
-        "analyze" => {
-            let (path, json) = path_and_json(rest)?;
-            let circuit = load(&path)?;
-            match analyze(&circuit) {
-                Ok(report) => {
-                    if json {
-                        writeln!(out, "{}", report.to_json())?;
-                    } else {
-                        write!(out, "{report}")?;
-                    }
-                    // An optimum without a valid certificate is unproven:
-                    // the same exit code as a failed cross-check.
-                    Ok(
-                        if report.certificate.as_ref().is_some_and(|c| c.is_valid()) {
-                            ExitCode::SUCCESS
-                        } else {
-                            ExitCode::from(2)
-                        },
-                    )
-                }
-                // A failed cross-check is not a usage error: report it on
-                // stderr with a distinct exit code and no usage banner.
-                Err(e @ AnalyzeError::BoundsDisagree { .. }) => {
-                    eprintln!("analyze error: {e}");
-                    Ok(ExitCode::from(2))
-                }
-                Err(e) => Err(failed(e)),
-            }
-        }
-        "diagnose" => {
-            let mut path = None;
-            let mut cycle_time = None;
-            let mut json = false;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--cycle-time" => cycle_time = Some(parse_cycle_time(&mut it, true)?),
-                    "--json" => json = true,
-                    other if path.is_none() && !other.starts_with('-') => {
-                        path = Some(other.to_string());
-                    }
-                    other => return usage(format!("unexpected argument `{other}`")),
-                }
-            }
-            let circuit = load(&path.ok_or("missing netlist path")?)?;
-            let d = diagnose(&circuit, cycle_time).map_err(failed)?;
-            if json {
-                writeln!(out, "{}", d.to_json())?;
-            } else {
+        Outcome::Diagnose(d) => {
+            if !json {
                 writeln!(out, "{d}")?;
             }
-            Ok(if d.is_feasible() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            })
+            u8::from(!d.is_feasible())
         }
-        "montecarlo" => {
-            let circuit = load(rest.first().ok_or("missing netlist path")?)?;
-            let scale: f64 = rest
-                .get(1)
-                .ok_or("missing schedule scale (e.g. 0.95)")?
-                .parse()
-                .map_err(|e| format!("bad scale: {e}"))?;
-            if !scale.is_finite() || scale <= 0.0 {
-                return usage(format!(
-                    "scale must be a positive finite number, got {scale}"
-                ));
-            }
-            let runs: usize = match rest.get(2) {
-                Some(r) => r.parse().map_err(|e| format!("bad run count: {e}"))?,
-                None => 200,
-            };
-            if runs == 0 {
-                return usage("run count must be at least 1");
-            }
-            let sol = min_cycle_time(&circuit).map_err(failed)?;
-            let sched = sol.schedule().scaled(scale);
-            let report = monte_carlo(
-                &circuit,
-                &sched,
-                &MonteCarloOptions {
-                    runs,
-                    threads: std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1),
-                    ..Default::default()
-                },
-            );
-            writeln!(out,
-                "Tc = {:.4} ({}× optimum): {}/{} runs failed ({:.1}%), {} setup violations, worst shortfall {:.4}",
-                sched.cycle(),
-                scale,
-                report.failing_runs,
-                report.runs,
-                report.failure_rate() * 100.0,
-                report.setup_violations,
-                report.worst_shortfall
-            )?;
-            Ok(ExitCode::SUCCESS)
-        }
-        "sweep" => {
-            let mut path = None;
-            let mut param = None;
-            let mut runs = 16usize;
-            let mut jobs = 1usize;
-            let mut edge = 0usize;
-            let mut max_delay = None;
-            let mut spread = 0.1f64;
-            let mut seed = 0u64;
-            let mut certify = false;
-            let mut json = false;
-            let mut max_mb = None;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--param" => {
-                        param = Some(match it.next().map(String::as_str) {
-                            Some("tc") => "tc",
-                            Some("delay") => "delay",
-                            other => {
-                                return usage(format!(
-                                    "--param must be `tc` or `delay`, got {other:?}"
-                                ))
-                            }
-                        });
-                    }
-                    "--runs" => runs = parse_arg(&mut it, "--runs")?,
-                    "--jobs" => jobs = parse_arg(&mut it, "--jobs")?,
-                    "--edge" => edge = parse_arg(&mut it, "--edge")?,
-                    "--max-delay" => max_delay = Some(parse_arg(&mut it, "--max-delay")?),
-                    "--spread" => spread = parse_arg(&mut it, "--spread")?,
-                    "--seed" => seed = parse_arg(&mut it, "--seed")?,
-                    "--certify" => certify = true,
-                    "--json" => json = true,
-                    "--max-input-mb" => max_mb = Some(parse_arg(&mut it, "--max-input-mb")?),
-                    other if path.is_none() && !other.starts_with('-') => {
-                        path = Some(other.to_string());
-                    }
-                    other => return usage(format!("unexpected argument `{other}`")),
-                }
-            }
-            let circuit = load_with(&path.ok_or("missing netlist path")?, &input_limits(max_mb)?)?;
-            if runs == 0 {
-                return usage("run count must be at least 1");
-            }
-            let param = match param.unwrap_or("delay") {
-                "tc" => {
-                    if edge >= circuit.num_edges() {
-                        return usage(format!(
-                            "--edge {edge} out of range ({} edges)",
-                            circuit.num_edges()
-                        ));
-                    }
-                    // Default range: up to twice the edge's present delay.
-                    let max_delay =
-                        max_delay.unwrap_or(2.0 * circuit.edge(EdgeId::new(edge)).max_delay);
-                    SweepParam::Tc {
-                        edge: EdgeId::new(edge),
-                        max_delay,
-                    }
-                }
-                _ => SweepParam::Delay { spread },
-            };
-            let options = SweepOptions {
-                param,
-                runs,
-                seed,
-                jobs,
-                certify,
-            };
-            let reports =
-                sweep_cycle_time(std::slice::from_ref(&circuit), &options).map_err(failed)?;
-            let report = &reports[0];
-            if json {
-                writeln!(out, "{}", sweep_json(report, &options))?;
-            } else {
+        Outcome::Sweep(report, _) => {
+            if !json {
                 writeln!(
                     out,
                     "base: Tc = {:.6} ({} cold pivots)",
@@ -802,166 +519,299 @@ fn run(args: &[String], out: &mut String) -> Result<ExitCode, CliError> {
                     )?;
                 }
             }
-            Ok(ExitCode::SUCCESS)
+            0
         }
-        "serve" => {
-            let mut config = smo::api::ServerConfig::default();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--addr" => {
-                        config.addr = it.next().ok_or("--addr needs host:port")?.to_string();
-                    }
-                    "--workers" => {
-                        config.max_active = parse_arg(&mut it, "--workers")?;
-                        if config.max_active == 0 {
-                            return usage("--workers must be at least 1");
-                        }
-                    }
-                    "--queue" => config.max_queue = parse_arg(&mut it, "--queue")?,
-                    other => return usage(format!("unexpected argument `{other}`")),
-                }
-            }
-            let server = smo::api::serve(config).map_err(|e| failed(format!("serve: {e}")))?;
-            // The first line of output is machine-readable so scripts can
-            // scrape the bound port (`--addr 127.0.0.1:0` picks one).
-            let mut stdout = std::io::stdout();
-            let _ = writeln!(stdout, "listening on {}", server.addr());
-            let _ = stdout.flush();
-            server.wait();
-            let _ = writeln!(stdout, "drained, exiting");
-            Ok(ExitCode::SUCCESS)
+    };
+    Ok(ExitCode::from(code))
+}
+
+/// The commands only the CLI runs: reports, exports and simulations.
+fn local(
+    cmd: &str,
+    args: &mut Args,
+    circuit: &Circuit,
+    out: &mut String,
+) -> Result<ExitCode, CliError> {
+    // `simulate` and `montecarlo` take counts after the netlist.
+    let count = |args: &mut Args, what: &str, default: usize| -> Result<usize, CliError> {
+        let n = match args.positional.pop_front() {
+            Some(n) => n.parse().map_err(|e| format!("bad {what} count: {e}"))?,
+            None => default,
+        };
+        match n {
+            0 => usage(format!("{what} count must be at least 1")),
+            n => Ok(n),
         }
-        "call" => {
-            let mut it = rest.iter();
-            let addr = it.next().ok_or("missing daemon address (host:port)")?;
-            let cmd = it.next().ok_or(
-                "missing command (ping, stats, shutdown, solve, verify, check, diagnose, sweep)",
+    };
+    let json = args.has("--json");
+    let code = match cmd {
+        "report" => {
+            args.done()?;
+            let text = timing_report(circuit, &MlpOptions::default()).map_err(failed)?;
+            write!(out, "{text}")?;
+            ExitCode::SUCCESS
+        }
+        "simulate" => {
+            let waves = count(args, "wave", 64)?;
+            args.done()?;
+            let sol = min_cycle_time(circuit).map_err(failed)?;
+            let options = SimOptions {
+                max_waves: waves,
+                ..Default::default()
+            };
+            let trace = simulate(circuit, sol.schedule(), &options);
+            writeln!(
+                out,
+                "simulated {} wave(s) at Tc = {:.4}: converged at {:?}, {} violation(s)",
+                trace.waves(),
+                sol.cycle_time(),
+                trace.converged_at(),
+                trace.violations().len()
             )?;
-            let mut fields: Vec<(String, String)> = vec![("cmd".into(), json_str(cmd))];
-            let mut netlist_path = None;
-            let mut phases: Vec<String> = Vec::new();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--id" => fields.push((
-                        "id".into(),
-                        json_str(it.next().ok_or("--id needs a value")?),
-                    )),
-                    "--deadline-ms" => {
-                        let ms: u64 = parse_arg(&mut it, "--deadline-ms")?;
-                        fields.push(("deadline_ms".into(), ms.to_string()));
-                    }
-                    "--backend" => fields.push((
-                        "backend".into(),
-                        json_str(it.next().ok_or("--backend needs a value")?),
-                    )),
-                    "--no-certify" => fields.push(("certify".into(), "false".into())),
-                    "--certify" => fields.push(("certify".into(), "true".into())),
-                    "--cycle-time" => {
-                        let t: f64 = parse_arg(&mut it, "--cycle-time")?;
-                        fields.push(("cycle_time".into(), format!("{t}")));
-                    }
-                    "--phase" => {
-                        let pair = it.next().ok_or("--phase needs start,width")?;
-                        let (s, w) = pair
-                            .split_once(',')
-                            .ok_or_else(|| format!("expected start,width but got `{pair}`"))?;
-                        let s: f64 = s.parse().map_err(|e| format!("bad start: {e}"))?;
-                        let w: f64 = w.parse().map_err(|e| format!("bad width: {e}"))?;
-                        phases.push(format!("[{s},{w}]"));
-                    }
-                    "--param" => fields.push((
-                        "param".into(),
-                        json_str(it.next().ok_or("--param needs tc or delay")?),
-                    )),
-                    "--runs" => {
-                        let n: usize = parse_arg(&mut it, "--runs")?;
-                        fields.push(("runs".into(), n.to_string()));
-                    }
-                    "--edge" => {
-                        let n: usize = parse_arg(&mut it, "--edge")?;
-                        fields.push(("edge".into(), n.to_string()));
-                    }
-                    "--spread" => {
-                        let s: f64 = parse_arg(&mut it, "--spread")?;
-                        fields.push(("spread".into(), format!("{s}")));
-                    }
-                    "--seed" => {
-                        let s: u64 = parse_arg(&mut it, "--seed")?;
-                        fields.push(("seed".into(), s.to_string()));
-                    }
-                    other if netlist_path.is_none() && !other.starts_with('-') => {
-                        netlist_path = Some(other.to_string());
-                    }
-                    other => return usage(format!("unexpected argument `{other}`")),
-                }
+            for (id, s) in circuit.syncs() {
+                writeln!(
+                    out,
+                    "  {:16} D = {:8.4}  (analysis: {:8.4})",
+                    s.name,
+                    trace.steady_departures()[id.index()],
+                    sol.departure(id)
+                )?;
             }
-            if let Some(path) = &netlist_path {
-                // The netlist travels inline: the daemon never reads the
-                // caller's filesystem, and escaping happens here in code
-                // rather than in fragile shell quoting.
-                let src = std::fs::read_to_string(path)
-                    .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
-                fields.push(("netlist".into(), json_str(&src)));
+            ExitCode::SUCCESS
+        }
+        "montecarlo" => {
+            let scale: f64 = args
+                .next("missing schedule scale (e.g. 0.95)")?
+                .parse()
+                .map_err(|e| format!("bad scale: {e}"))?;
+            if !scale.is_finite() || scale <= 0.0 {
+                return usage(format!(
+                    "scale must be a positive finite number, got {scale}"
+                ));
             }
-            if !phases.is_empty() {
-                fields.push(("phases".into(), format!("[{}]", phases.join(","))));
-            }
-            let request = format!(
-                "{{{}}}",
-                fields
-                    .iter()
-                    .map(|(k, v)| format!("\"{k}\":{v}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
+            let runs = count(args, "run", 200)?;
+            args.done()?;
+            let sol = min_cycle_time(circuit).map_err(failed)?;
+            let sched = sol.schedule().scaled(scale);
+            let options = MonteCarloOptions {
+                runs,
+                threads: std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1),
+                ..Default::default()
+            };
+            let report = monte_carlo(circuit, &sched, &options);
+            writeln!(out,
+                "Tc = {:.4} ({}× optimum): {}/{} runs failed ({:.1}%), {} setup violations, worst shortfall {:.4}",
+                sched.cycle(),
+                scale,
+                report.failing_runs,
+                report.runs,
+                report.failure_rate() * 100.0,
+                report.setup_violations,
+                report.worst_shortfall
+            )?;
+            ExitCode::SUCCESS
+        }
+        "dot" => {
+            args.done()?;
+            write!(out, "{}", to_dot(circuit))?;
+            ExitCode::SUCCESS
+        }
+        "lp" => {
+            args.done()?;
+            let model = TimingModel::build(circuit).map_err(failed)?;
+            write!(out, "{}", smo::lp::write_lp(model.problem()))?;
+            ExitCode::SUCCESS
+        }
+        "lump" => {
+            args.done()?;
+            let (reduced, _) = lump_equivalent_latches(circuit);
+            eprintln!(
+                "lumped {} → {} synchronizers, {} → {} paths",
+                circuit.num_syncs(),
+                reduced.num_syncs(),
+                circuit.num_edges(),
+                reduced.num_edges()
             );
-            let mut client = smo::api::Client::connect(addr)
-                .map_err(|e| failed(format!("connect {addr}: {e}")))?;
-            let response = client
-                .call(&request)
-                .map_err(|e| failed(format!("call: {e}")))?;
-            writeln!(out, "{response}")?;
-            Ok(if response.contains("\"status\":\"ok\"") {
-                ExitCode::SUCCESS
+            write!(out, "{}", netlist::write(&reduced))?;
+            ExitCode::SUCCESS
+        }
+        "lint" => {
+            args.done()?;
+            let report = lint(circuit);
+            if json {
+                writeln!(out, "{}", report.to_json())?;
             } else {
-                ExitCode::FAILURE
-            })
-        }
-        "bench-serve" => {
-            let mut quick = false;
-            let mut out_path = "BENCH_serve.json".to_string();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--out" => {
-                        out_path = it.next().ok_or("--out needs a path")?.to_string();
-                    }
-                    other => return usage(format!("unexpected argument `{other}`")),
-                }
+                writeln!(out, "{report}")?;
             }
-            let json = smo::api::bench::run_bench(quick)
-                .map_err(|e| failed(format!("bench-serve: {e}")))?;
-            std::fs::write(&out_path, &json)
-                .map_err(|e| failed(format!("cannot write {out_path}: {e}")))?;
-            write!(out, "{json}")?;
-            eprintln!("wrote {out_path}");
-            Ok(ExitCode::SUCCESS)
+            ExitCode::from(u8::from(report.has_errors()))
         }
-        other => usage(format!("unknown subcommand `{other}`")),
+        // `analyze`
+        _ => {
+            args.done()?;
+            match analyze(circuit) {
+                Ok(report) => {
+                    if json {
+                        writeln!(out, "{}", report.to_json())?;
+                    } else {
+                        write!(out, "{report}")?;
+                    }
+                    // An optimum without a valid certificate is unproven:
+                    // the same exit code as a failed cross-check.
+                    if report.certificate.as_ref().is_some_and(|c| c.is_valid()) {
+                        ExitCode::SUCCESS
+                    } else {
+                        ExitCode::from(2)
+                    }
+                }
+                // A failed cross-check is not a usage error: report it on
+                // stderr with a distinct exit code and no usage banner.
+                Err(e @ AnalyzeError::BoundsDisagree { .. }) => {
+                    eprintln!("analyze error: {e}");
+                    ExitCode::from(2)
+                }
+                Err(e) => return Err(failed(e)),
+            }
+        }
+    };
+    Ok(code)
+}
+
+/// `smo gen`: a seeded pipelined datapath.
+fn gen(args: &Args, out: &mut String) -> Result<ExitCode, CliError> {
+    args.done()?;
+    let mut config = DatapathConfig::default();
+    let (stages, width) = (args.get("--stages")?, args.get("--width")?);
+    if let Some(n) = args.get("--latches")? {
+        if stages.is_some() || width.is_some() {
+            return usage("--latches is exclusive with --stages/--width");
+        }
+        let sized = DatapathConfig::with_latches(n);
+        config.stages = sized.stages;
+        config.width = sized.width;
     }
+    config.stages = stages.unwrap_or(config.stages);
+    config.width = width.unwrap_or(config.width);
+    config.phases = args.get("--phases")?.unwrap_or(config.phases);
+    config.fanin = args.get("--fanin")?.unwrap_or(config.fanin);
+    config.delay_range.0 = args.get("--delay-min")?.unwrap_or(config.delay_range.0);
+    config.delay_range.1 = args.get("--delay-max")?.unwrap_or(config.delay_range.1);
+    let seed: u64 = args.get("--seed")?.unwrap_or(0);
+    // Validate up front so bad flags are CLI errors, not panics.
+    if !(2..=4).contains(&config.phases) {
+        return usage(format!("--phases must be 2..=4, got {}", config.phases));
+    }
+    if config.stages < config.phases {
+        return usage(format!(
+            "need --stages >= --phases so every phase clocks a rank ({} < {})",
+            config.stages, config.phases
+        ));
+    }
+    if config.width < 2 {
+        return usage("need --width >= 2");
+    }
+    if !(1..=config.width).contains(&config.fanin) {
+        return usage(format!(
+            "--fanin must be in 1..={}, got {}",
+            config.width, config.fanin
+        ));
+    }
+    if !(config.delay_range.0 > 0.0 && config.delay_range.0 <= config.delay_range.1) {
+        return usage(format!(
+            "delay range must be positive and non-empty, got {:?}",
+            config.delay_range
+        ));
+    }
+    let circuit = pipelined_datapath(&config, seed);
+    let text = netlist::write(&circuit);
+    eprintln!(
+        "generated {} latches ({} stages x {} wide), {} edges, {} phases, seed {seed}",
+        circuit.num_latches(),
+        config.stages,
+        config.width,
+        circuit.num_edges(),
+        circuit.num_phases()
+    );
+    match args.get::<String>("--out")? {
+        Some(path) => {
+            std::fs::write(&path, text).map_err(|e| failed(format!("cannot write {path}: {e}")))?
+        }
+        None => out.push_str(&text),
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// JSON string literal for `smo call` request assembly.
-fn json_str(s: &str) -> String {
-    smo::api::json::escape(s)
+/// `smo serve`: the daemon, until a `shutdown` request drains it.
+fn serve(args: &Args) -> Result<ExitCode, CliError> {
+    args.done()?;
+    let mut config = smo::api::ServerConfig::default();
+    config.addr = args.get("--addr")?.unwrap_or(config.addr);
+    config.max_active = args.get("--workers")?.unwrap_or(config.max_active);
+    config.max_queue = args.get("--queue")?.unwrap_or(config.max_queue);
+    if config.max_active == 0 {
+        return usage("--workers must be at least 1");
+    }
+    let server = smo::api::serve(config).map_err(|e| failed(format!("serve: {e}")))?;
+    // The first line of output is machine-readable so scripts can
+    // scrape the bound port (`--addr 127.0.0.1:0` picks one).
+    let mut stdout = std::io::stdout();
+    let _ = writeln!(stdout, "listening on {}", server.addr());
+    let _ = stdout.flush();
+    server.wait();
+    let _ = writeln!(stdout, "drained, exiting");
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Parses the rule name following `--allow` / `--deny`.
-fn parse_rule(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<Rule, String> {
-    let name = it
-        .next()
-        .ok_or_else(|| format!("{flag} needs a rule name"))?;
+/// `smo call <addr> <cmd> …`: the request `smo <cmd> …` would run, sent
+/// to a daemon with the netlist inline. The netlist is not parsed here.
+fn call(rest: &[String], out: &mut String) -> Result<ExitCode, CliError> {
+    let (addr, rest) = rest
+        .split_first()
+        .ok_or("missing daemon address (host:port)")?;
+    let (cmd, rest) = rest
+        .split_first()
+        .ok_or("missing command (ping, stats, shutdown, solve, verify, check, diagnose, sweep)")?;
+    let cmd = if cmd == "optimize" { "solve" } else { cmd };
+    let control = matches!(cmd, "ping" | "stats" | "shutdown" | "debug-panic");
+    if !control && !DAEMON_COMMANDS.contains(&cmd) {
+        return usage(format!("`{cmd}` is not a daemon command"));
+    }
+    let mut args = Args::parse(cmd, rest, true)?;
+    let netlist = if control {
+        None
+    } else {
+        Some(read(&args.next("missing netlist path")?)?)
+    };
+    let request = args.request(cmd, netlist)?;
+    let mut client =
+        smo::api::Client::connect(addr).map_err(|e| failed(format!("connect {addr}: {e}")))?;
+    let response = client
+        .call(&request.to_json())
+        .map_err(|e| failed(format!("call: {e}")))?;
+    writeln!(out, "{response}")?;
+    Ok(ExitCode::from(u8::from(
+        !response.contains("\"status\":\"ok\""),
+    )))
+}
+
+/// `smo bench-serve`: the daemon load test.
+fn bench_serve(args: &Args, out: &mut String) -> Result<ExitCode, CliError> {
+    args.done()?;
+    let out_path = args
+        .get("--out")?
+        .unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let json = smo::api::bench::run_bench(args.has("--quick"))
+        .map_err(|e| failed(format!("bench-serve: {e}")))?;
+    std::fs::write(&out_path, &json)
+        .map_err(|e| failed(format!("cannot write {out_path}: {e}")))?;
+    write!(out, "{json}")?;
+    eprintln!("wrote {out_path}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Parses the rule name given to `--allow` / `--deny`.
+fn parse_rule(name: &str, flag: &str) -> Result<Rule, String> {
     Rule::from_name(name).ok_or_else(|| {
         let known: Vec<&str> = Rule::ALL.iter().map(|r| r.name()).collect();
         format!(
@@ -971,90 +821,7 @@ fn parse_rule(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<Rule,
     })
 }
 
-/// Parses the value following a flag, e.g. `--runs 32`.
-fn parse_arg<T: std::str::FromStr>(
-    it: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    it.next()
-        .ok_or_else(|| format!("{flag} needs a value"))?
-        .parse()
-        .map_err(|e| format!("bad {flag} value: {e}"))
-}
-
-/// Parses the value following `--backend`.
-fn parse_backend(it: &mut std::slice::Iter<'_, String>) -> Result<Backend, String> {
-    it.next()
-        .ok_or("--backend needs a value (auto, graph or lp)")?
-        .parse()
-}
-
-/// Parses the value following `--cycle-time`: finite, and positive (or,
-/// with `allow_zero`, non-negative).
-fn parse_cycle_time(
-    it: &mut std::slice::Iter<'_, String>,
-    allow_zero: bool,
-) -> Result<f64, String> {
-    let t: f64 = it
-        .next()
-        .ok_or("--cycle-time needs a value")?
-        .parse()
-        .map_err(|e| format!("bad cycle time: {e}"))?;
-    let sign = if allow_zero {
-        "non-negative"
-    } else {
-        "positive"
-    };
-    if !t.is_finite() || t < 0.0 || (t == 0.0 && !allow_zero) {
-        return Err(format!("cycle time must be finite and {sign}, got {t}"));
-    }
-    Ok(t)
-}
-
-/// Parses `<netlist> [--json]` argument lists (any order).
-fn path_and_json(rest: &[String]) -> Result<(String, bool), String> {
-    let mut path = None;
-    let mut json = false;
-    for arg in rest {
-        match arg.as_str() {
-            "--json" => json = true,
-            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    Ok((path.ok_or("missing netlist path")?, json))
-}
-
-/// Loads a netlist file, auto-detecting the gate-level dialect. Shares
-/// the daemon's parser (and its default input limits).
-fn load(path: &str) -> Result<Circuit, CliError> {
-    load_with(path, &ParseLimits::default())
-}
-
-/// [`load`] with explicit parse limits (see [`input_limits`]).
-fn load_with(path: &str, limits: &ParseLimits) -> Result<Circuit, CliError> {
-    let src =
-        std::fs::read_to_string(path).map_err(|e| failed(format!("cannot read {path}: {e}")))?;
-    smo::api::parse_netlist(&src, limits).map_err(|e| failed(format!("{path}: {e}")))
-}
-
-/// Parse limits for a `--max-input-mb` value: the daemon's strict defaults
-/// when absent; otherwise the byte/line/element caps scale together with
-/// the requested megabytes (the per-line caps stay put — bigger circuits
-/// mean more lines, not longer ones). The daemon itself always keeps the
-/// defaults: inline requests from untrusted clients do not get a knob.
-fn input_limits(max_mb: Option<usize>) -> Result<ParseLimits, String> {
-    match max_mb {
-        None => Ok(ParseLimits::default()),
-        Some(0) => Err("--max-input-mb must be at least 1".into()),
-        Some(mb) => Ok(ParseLimits {
-            max_bytes: mb.saturating_mul(1 << 20),
-            max_lines: mb.saturating_mul(50_000),
-            max_elements: mb.saturating_mul(25_000),
-            ..ParseLimits::default()
-        }),
-    }
+/// Reads a netlist file.
+fn read(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| failed(format!("cannot read {path}: {e}")))
 }

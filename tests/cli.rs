@@ -784,3 +784,242 @@ fn check_rejects_bad_arguments() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument"));
 }
+
+/// Stdout with the daemon's `cached` flag masked, and the exit code: what
+/// a run shows. A repeated `smo call` is answered from the daemon's cache,
+/// which is not a difference the flag under test made.
+fn shown(args: &[String]) -> (String, Option<i32>) {
+    let out = smo(&args.iter().map(String::as_str).collect::<Vec<_>>());
+    let text = stdout(&out).replace("\"cached\":true", "\"cached\":false");
+    (text, out.status.code())
+}
+
+fn strings(args: &[&str]) -> Vec<String> {
+    args.iter().map(|a| a.to_string()).collect()
+}
+
+/// A flag a subcommand takes: the arguments to run without it, and what
+/// adding it appends. No additions: taken, but not run here.
+struct Taken {
+    key: String,
+    flag: String,
+    without: Vec<String>,
+    add: Vec<String>,
+}
+
+/// The grammar, pinned from the outside: for every subcommand and every
+/// flag the usage banner names, the binary either honors the flag —
+/// stdout or the exit code changes when it is added — or exits 1 with the
+/// usage banner and `unexpected argument`. `smo call` runs against an
+/// in-process daemon.
+#[test]
+fn every_subcommand_honors_or_rejects_every_flag() {
+    let server = smo::api::serve(smo::api::ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..Default::default()
+    })
+    .expect("bind");
+    let addr = server.addr().to_string();
+    let padded = padded_example1("grammar-padded.ckt", (4 << 20) + 1);
+    let padded = padded.to_str().expect("utf-8");
+    let gen_out = tempdir().join("grammar-gen.ckt");
+    let gen_out = gen_out.to_str().expect("utf-8");
+    const EX1: &str = "circuits/example1.ckt";
+    const RACE: &str = "circuits/race_demo.ckt";
+    let verify = ["verify", EX1, "110", "0,60", "60,30"];
+
+    // Each subcommand's arguments without flags; `call X` is `smo call`
+    // to the daemon with command X.
+    let mut base: Vec<(String, Vec<String>)> = Vec::new();
+    for cmd in [
+        "solve", "diagnose", "lint", "analyze", "report", "simulate", "dot", "lp", "lump",
+    ] {
+        base.push((cmd.into(), strings(&[cmd, EX1])));
+    }
+    base.push(("verify".into(), strings(&verify)));
+    base.push(("check".into(), strings(&["check", RACE])));
+    base.push(("sweep".into(), strings(&["sweep", EX1, "--runs", "3"])));
+    base.push((
+        "montecarlo".into(),
+        strings(&["montecarlo", EX1, "0.97", "20"]),
+    ));
+    base.push((
+        "gen".into(),
+        strings(&["gen", "--stages", "4", "--width", "3"]),
+    ));
+    base.push(("serve".into(), strings(&["serve"])));
+    base.push(("bench-serve".into(), strings(&["bench-serve"])));
+    for (key, rest) in [
+        ("call solve", &["solve", EX1][..]),
+        ("call verify", &verify[..]),
+        ("call check", &["check", RACE][..]),
+        ("call diagnose", &["diagnose", EX1][..]),
+        ("call sweep", &["sweep", EX1, "--runs", "3"][..]),
+    ] {
+        base.push((key.into(), strings(&[&["call", &addr][..], rest].concat())));
+    }
+    let base_of = |key: &str| -> Vec<String> {
+        base.iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, args)| args.clone())
+            .expect("known subcommand")
+    };
+
+    let mut accepted: Vec<Taken> = Vec::new();
+    let mut take = |key: &str, without: Vec<String>, add: &[&str]| {
+        accepted.push(Taken {
+            key: key.into(),
+            flag: add
+                .iter()
+                .find(|a| a.starts_with("--"))
+                .map_or("", |f| f)
+                .into(),
+            without,
+            add: strings(add),
+        });
+    };
+    for cmd in [
+        "solve",
+        "verify",
+        "check",
+        "diagnose",
+        "sweep",
+        "lint",
+        "analyze",
+        "report",
+        "simulate",
+        "montecarlo",
+        "dot",
+        "lp",
+        "lump",
+    ] {
+        // Past the default 4 MiB limit the netlist is refused; the raised
+        // limit reads it.
+        let mut without = base_of(cmd);
+        without[1] = padded.to_string();
+        take(cmd, without, &["--max-input-mb", "8"]);
+    }
+    for cmd in ["solve", "check", "diagnose", "sweep", "lint", "analyze"] {
+        take(cmd, base_of(cmd), &["--json"]);
+    }
+    for key in ["solve", "call solve"] {
+        take(key, base_of(key), &["--backend", "lp"]);
+        take(key, base_of(key), &["--no-certify"]);
+    }
+    take("solve", base_of("solve"), &["--time-limit", "1e-9"]);
+    for key in ["verify", "call verify", "check", "call check"] {
+        take(key, base_of(key), &["--backend", "lp"]);
+    }
+    for key in ["check", "call check"] {
+        take(key, base_of(key), &["--cycle-time", "6"]);
+    }
+    take(
+        "check",
+        base_of("check"),
+        &["--allow", "double-clocking-race"],
+    );
+    take("check", base_of("check"), &["--deny", "hold-margin"]);
+    for key in ["diagnose", "call diagnose"] {
+        take(key, base_of(key), &["--cycle-time", "100"]);
+    }
+    for key in ["sweep", "call sweep"] {
+        let tc = [base_of(key), strings(&["--param", "tc"])].concat();
+        take(key, base_of(key), &["--param", "tc"]);
+        take(key, base_of(key), &["--runs", "4"]);
+        take(key, tc.clone(), &["--edge", "2"]);
+        take(key, tc, &["--max-delay", "140"]);
+        take(key, base_of(key), &["--spread", "0.3"]);
+        take(key, base_of(key), &["--seed", "5"]);
+    }
+    // Only the JSON says whether a sweep was certified.
+    take("sweep", strings(&["sweep", EX1, "--json"]), &["--certify"]);
+    take("call sweep", base_of("call sweep"), &["--certify"]);
+    // The report bytes are the same for any worker count, by contract.
+    take("sweep", base_of("sweep"), &["--jobs", "2"]);
+    for key in [
+        "call solve",
+        "call verify",
+        "call check",
+        "call diagnose",
+        "call sweep",
+    ] {
+        take(key, base_of(key), &["--id", "grammar"]);
+        take(key, base_of(key), &["--deadline-ms", "0"]);
+    }
+    take("gen", strings(&["gen"]), &["--latches", "20"]);
+    for add in [
+        ["--stages", "5"],
+        ["--width", "4"],
+        ["--phases", "3"],
+        ["--fanin", "1"],
+        ["--delay-min", "0.5"],
+        ["--delay-max", "9"],
+        ["--seed", "3"],
+        ["--out", gen_out],
+    ] {
+        take("gen", base_of("gen"), &add);
+    }
+    // These would start a daemon or a load test.
+    for (key, flag) in [
+        ("serve", "--addr"),
+        ("serve", "--workers"),
+        ("serve", "--queue"),
+        ("bench-serve", "--quick"),
+        ("bench-serve", "--out"),
+    ] {
+        accepted.push(Taken {
+            key: key.into(),
+            flag: flag.into(),
+            without: Vec::new(),
+            add: Vec::new(),
+        });
+    }
+
+    // Every flag the usage banner names.
+    let banner = String::from_utf8_lossy(&smo(&[]).stderr).into_owned();
+    let mut flags: Vec<&str> = banner
+        .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+        .filter(|t| t.len() > 2 && t.starts_with("--"))
+        .collect();
+    flags.sort_unstable();
+    flags.dedup();
+    for t in &accepted {
+        assert!(
+            flags.contains(&t.flag.as_str()),
+            "{}: the banner does not name {}",
+            t.key,
+            t.flag
+        );
+    }
+
+    for (key, _) in &base {
+        for &flag in &flags {
+            match accepted.iter().find(|t| &t.key == key && t.flag == flag) {
+                Some(t) if t.add.is_empty() => {}
+                Some(t) => {
+                    let with = [t.without.clone(), t.add.clone()].concat();
+                    let (before, after) = (shown(&t.without), shown(&with));
+                    if flag == "--jobs" {
+                        assert_eq!(before, after, "`smo {}` changed its output", with.join(" "));
+                    } else {
+                        assert_ne!(before, after, "`smo {}` ignores {flag}", with.join(" "));
+                    }
+                }
+                None => {
+                    let args = [base_of(key), strings(&[flag])].concat();
+                    let out = smo(&args.iter().map(String::as_str).collect::<Vec<_>>());
+                    let err = String::from_utf8_lossy(&out.stderr);
+                    let shown = format!("`smo {}`: {err}", args.join(" "));
+                    assert_eq!(out.status.code(), Some(1), "{shown}");
+                    assert!(
+                        err.contains(&format!("unexpected argument `{flag}`")),
+                        "{shown}"
+                    );
+                    assert!(err.contains("usage:"), "{shown}");
+                }
+            }
+        }
+    }
+    assert!(smo(&["call", &addr, "shutdown"]).status.success());
+    server.wait();
+}

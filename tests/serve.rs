@@ -116,6 +116,37 @@ fn golden_error_envelopes() {
     );
 }
 
+/// A `check` whose solve fails gets the kind a `solve` failure would,
+/// with the check's own message: an infeasible pinned cycle time is
+/// `infeasible`, not `internal`.
+#[test]
+fn check_solve_failures_are_classified_like_solve_failures() {
+    let e = Engine::new(EngineConfig::default());
+    let line = format!(
+        "{{\"id\":\"c\",\"cmd\":\"check\",\"cycle_time\":50,\"netlist\":{}}}",
+        js(&read_circuit("example1.ckt"))
+    );
+    let reply = e.handle_line(&line, Load::IDLE).line;
+    assert_eq!(
+        classify(&reply),
+        ("error".to_string(), "infeasible".to_string()),
+        "{reply}"
+    );
+    let message = Json::parse(&reply)
+        .unwrap()
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .map(str::to_string);
+    assert_eq!(
+        message.as_deref(),
+        Some(
+            "timing constraints are infeasible: no feasible schedule at cycle time 50: \
+             negative constraint cycle over 4 row(s) (minimum feasible cycle time 110.000000)"
+        )
+    );
+}
+
 #[test]
 fn golden_solve_result_bytes() {
     // Pins the full ok envelope for Example 2 of the paper — field order,
