@@ -15,6 +15,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
+echo "==> cargo doc (workspace, rustdoc warnings are errors)"
+# Broken intra-doc links (a moved module, a renamed item) fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> cargo clippy unwrap/expect audit (lp + core, warn-level)"
 # The numerical kernels must not panic on pathological inputs: surface
 # every unwrap/expect in non-test code for review. Warn-level (not -D):
@@ -249,7 +253,7 @@ echo "==> 16.7k-latch generated circuit (50k rows): exact Tc(Δ) curve of a crit
 curve_ckt=$(mktemp --suffix=.ckt)
 ./target/release/smo gen --latches 16700 --seed 7 --out "$curve_ckt"
 curve_out=$(timeout 30 ./target/release/smo sweep "$curve_ckt" --param tc --edge 10585 --runs 8 --json)
-printf '%s\n' "$curve_out" | grep '"breakpoints": \[[0-9]' > /dev/null
+printf '%s\n' "$curve_out" | grep '"breakpoints":\[[0-9]' > /dev/null
 rm -f "$curve_ckt"
 
 echo "==> 16.7k-latch generated circuit (50k rows): report, diagnose and analyze on the graph"
@@ -290,7 +294,7 @@ mindelay_ckt=$(mktemp --suffix=.ckt)
   { yes 'mindelay A B 1' || true; } | head -n 200000
 } > "$mindelay_ckt"
 timeout 20 ./target/release/smo solve "$mindelay_ckt" --max-input-mb 64 --json \
-  | grep '"certified": true' > /dev/null
+  | grep '"certified":true' > /dev/null
 rm -f "$mindelay_ckt"
 
 echo "CI OK"

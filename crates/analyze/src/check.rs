@@ -24,10 +24,9 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::lint::{
-    findings_json, lint_with, sort_findings, Finding, LintReport, PassConfig, Rule, Severity,
-};
+use crate::lint::{lint_with, sort_findings, Finding, LintReport, PassConfig, Rule, Severity};
 use crate::report::AnalyzeError;
+use smo_circuit::json::Json;
 use smo_circuit::Circuit;
 use smo_core::{race_analysis, Backend, RaceOptions, RaceReport};
 use std::fmt;
@@ -75,29 +74,25 @@ impl CheckReport {
         self.findings.has_errors()
     }
 
-    /// Renders the report as a JSON object: the solve context
-    /// (`cycle_time`, `worst_hold_slack`, `races`) wrapped around the
-    /// same counts + `"findings"` array `lint --json` emits.
+    /// The report as JSON: the solve context (`cycle_time`,
+    /// `worst_hold_slack`, `races`) wrapped around the same counts and
+    /// `"findings"` array `lint --json` emits.
+    pub fn json(&self) -> Json {
+        Json::obj(
+            [
+                ("clean", self.findings.is_clean().into()),
+                ("cycle_time", self.cycle_time().into()),
+                ("worst_hold_slack", self.race.worst_slack().into()),
+                ("races", self.race.races().len().into()),
+            ]
+            .into_iter()
+            .chain(self.findings.counted_findings()),
+        )
+    }
+
+    /// [`CheckReport::json`], spaced (see [`Json::render_spaced`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"clean\": {},\n", self.findings.is_clean()));
-        out.push_str(&format!("  \"cycle_time\": {},\n", self.cycle_time()));
-        let worst = self.race.worst_slack();
-        if worst.is_finite() {
-            out.push_str(&format!("  \"worst_hold_slack\": {worst},\n"));
-        } else {
-            out.push_str("  \"worst_hold_slack\": null,\n");
-        }
-        out.push_str(&format!("  \"races\": {},\n", self.race.races().len()));
-        out.push_str(&format!(
-            "  \"errors\": {},\n  \"warnings\": {},\n  \"infos\": {},\n",
-            self.findings.count(Severity::Error),
-            self.findings.count(Severity::Warn),
-            self.findings.count(Severity::Info)
-        ));
-        out.push_str(&findings_json(&self.findings.findings, "  "));
-        out.push_str("\n}");
-        out
+        self.json().render_spaced()
     }
 }
 

@@ -72,5 +72,5 @@ pub use check::{check, CheckOptions, CheckReport};
 pub use context::{AnalysisContext, PairDelays};
 pub use diagnose::diagnose;
 pub use lint::{lint, lint_with, Finding, LintReport, PassConfig, Rule, Severity};
-pub use report::{analyze, constraint_family, AnalyzeError, AnalyzeReport};
+pub use report::{analyze, certificate_json, constraint_family, AnalyzeError, AnalyzeReport};
 pub use smo_core::Diagnosis;

@@ -26,6 +26,7 @@
 
 use crate::context::AnalysisContext;
 use crate::passes::registry;
+use smo_circuit::json::Json;
 use smo_circuit::Circuit;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -254,59 +255,41 @@ impl LintReport {
             .count()
     }
 
-    /// Renders the report as a JSON object (hand-rolled, mirroring the
-    /// `Display` content): a `clean` flag, per-severity counts, and the
-    /// sorted findings with rule name, severity, location and message.
+    /// The report as JSON, mirroring the `Display` content: a `clean`
+    /// flag, per-severity counts, and the sorted findings with rule name,
+    /// severity, location and message.
+    pub fn json(&self) -> Json {
+        Json::obj(
+            [("clean", self.is_clean().into())]
+                .into_iter()
+                .chain(self.counted_findings()),
+        )
+    }
+
+    /// [`LintReport::json`], spaced (see [`Json::render_spaced`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        out.push_str(&format!(
-            "  \"errors\": {},\n  \"warnings\": {},\n  \"infos\": {},\n",
-            self.count(Severity::Error),
-            self.count(Severity::Warn),
-            self.count(Severity::Info)
-        ));
-        out.push_str(&findings_json(&self.findings, "  "));
-        out.push_str("\n}");
-        out
+        self.json().render_spaced()
     }
-}
 
-/// Renders the shared `"findings": [...]` JSON fragment (no trailing
-/// newline) at the given indent. Both `lint --json` and `check --json`
-/// embed this, so the per-finding schema cannot drift between them.
-pub(crate) fn findings_json(findings: &[Finding], indent: &str) -> String {
-    let mut out = format!("{indent}\"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "{indent}  {{\"rule\": \"{}\", \"severity\": \"{}\", \"location\": \"{}\", \
-             \"message\": \"{}\"}}{}\n",
-            f.rule,
-            f.severity,
-            json_escape(&f.location),
-            json_escape(&f.message),
-            if i + 1 < findings.len() { "," } else { "" },
-        ));
+    /// The per-severity counts and the findings: the fields `lint --json`
+    /// and `check --json` share, so the per-finding schema cannot drift
+    /// between them.
+    pub(crate) fn counted_findings(&self) -> [(&'static str, Json); 4] {
+        let finding = |f: &Finding| {
+            Json::obj([
+                ("rule", f.rule.name().into()),
+                ("severity", f.severity.to_string().into()),
+                ("location", f.location.as_str().into()),
+                ("message", f.message.as_str().into()),
+            ])
+        };
+        [
+            ("errors", self.count(Severity::Error).into()),
+            ("warnings", self.count(Severity::Warn).into()),
+            ("infos", self.count(Severity::Info).into()),
+            ("findings", self.findings.iter().map(finding).collect()),
+        ]
     }
-    out.push_str(&format!("{indent}]"));
-    out
-}
-
-/// Escapes a string for embedding in a JSON literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl fmt::Display for LintReport {
@@ -633,11 +616,11 @@ mod tests {
         b.add_latch("orphan", p(1), 1.0, 2.0);
         b.connect(l1, l2, 5.0);
         b.connect(l2, l1, 5.0);
-        let json = lint(&b.build().unwrap()).to_json();
-        assert!(json.contains("\"clean\": false"));
-        assert!(json.contains("\"warnings\": 1"));
-        assert!(json.contains("\"rule\": \"unconstrained-sync\""));
-        assert!(json.contains("\"location\": \"orphan\""));
+        let json = lint(&b.build().unwrap()).json().render_compact();
+        assert!(json.contains("\"clean\":false"));
+        assert!(json.contains("\"warnings\":1"));
+        assert!(json.contains("\"rule\":\"unconstrained-sync\""));
+        assert!(json.contains("\"location\":\"orphan\""));
         assert!(json.contains("orphan"));
     }
 
@@ -648,9 +631,9 @@ mod tests {
         let l2 = b.add_latch("L2", p(2), 1.0, 2.0);
         b.connect(l1, l2, 5.0);
         b.connect(l2, l1, 5.0);
-        let json = lint(&b.build().unwrap()).to_json();
-        assert!(json.contains("\"clean\": true"));
-        assert!(json.contains("\"errors\": 0"));
+        let json = lint(&b.build().unwrap()).json().render_compact();
+        assert!(json.contains("\"clean\":true"));
+        assert!(json.contains("\"errors\":0"));
     }
 
     #[test]

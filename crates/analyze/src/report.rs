@@ -23,6 +23,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use smo_circuit::json::Json;
 use smo_circuit::Circuit;
 use smo_core::{
     classify_model, cycle_time_bounds, min_cycle_time_with, Backend, ConstraintKind,
@@ -147,85 +148,90 @@ pub struct AnalyzeReport {
 }
 
 impl AnalyzeReport {
-    /// Renders the report as a JSON object (hand-rolled, schema mirroring
-    /// the `Display` output).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"synchronizers\": {},\n", self.num_syncs));
-        out.push_str(&format!("  \"paths\": {},\n", self.num_edges));
-        out.push_str(&format!("  \"phases\": {},\n", self.num_phases));
-        out.push_str(&format!(
-            "  \"bracket\": {{\"lower\": {}, \"upper\": {}, \"stage_bound\": {}, \"setup_floor\": {}}},\n",
-            self.bounds.lower, self.bounds.upper, self.bounds.stage_bound, self.bounds.setup_floor
-        ));
-        out.push_str("  \"critical_cycles\": [\n");
-        for (i, (c, names)) in self
-            .bounds
+    /// The report as JSON, its schema mirroring the `Display` output.
+    pub fn json(&self) -> Json {
+        let b = &self.bounds;
+        let critical = b
             .critical
             .iter()
             .zip(&self.critical_names)
-            .enumerate()
-        {
-            out.push_str(&format!(
-                "    {{\"cycle\": \"{}\", \"delay\": {}, \"wraps\": {}, \"ratio\": {}}}{}\n",
-                json_escape(names),
-                c.weight,
-                c.wraps,
-                c.ratio,
-                if i + 1 < self.bounds.critical.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"optimum\": {},\n", self.optimum));
-        match &self.certificate {
-            Some(cert) => {
-                out.push_str("  \"certificate\": {");
-                out.push_str(&format!(
-                    "\"valid\": {}, \"tolerance\": {:e}, \"worst_residual\": {:e}, \"residuals\": {{",
-                    cert.is_valid(),
-                    cert.tol(),
-                    cert.worst()
-                ));
-                for (j, (name, value)) in cert.residuals().iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("\"{}\": {:e}", json_escape(name), value));
-                }
-                out.push_str("}},\n");
-            }
-            None => out.push_str("  \"certificate\": null,\n"),
-        }
-        out.push_str(&format!("  \"lower_is_tight\": {},\n", self.lower_is_tight));
-        let total_rows: usize = self.classified_by_family.iter().map(|(_, r, _)| r).sum();
-        let diff_rows: usize = self.classified_by_family.iter().map(|(_, _, d)| d).sum();
-        out.push_str(&format!(
-            "  \"classification\": {{\"rows\": {total_rows}, \"difference\": {diff_rows}, \
-             \"general\": {}, \"by_family\": {{",
-            self.num_general_rows
-        ));
-        let mut first = true;
-        for (family, rows, diff) in &self.classified_by_family {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}\": {{\"rows\": {rows}, \"difference\": {diff}}}",
-                json_escape(family)
-            ));
-        }
-        out.push_str("}},\n");
-        match self.graph_optimum {
-            Some(g) => out.push_str(&format!("  \"graph_optimum\": {g}\n}}")),
-            None => out.push_str("  \"graph_optimum\": null\n}"),
-        }
-        out
+            .map(|(c, names)| {
+                Json::obj([
+                    ("cycle", names.as_str().into()),
+                    ("delay", c.weight.into()),
+                    ("wraps", c.wraps.into()),
+                    ("ratio", c.ratio.into()),
+                ])
+            });
+        let (rows, difference) = self
+            .classified_by_family
+            .iter()
+            .fold((0, 0), |(r, d), (_, rows, diff)| (r + rows, d + diff));
+        let by_family = self
+            .classified_by_family
+            .iter()
+            .map(|&(family, rows, diff)| {
+                (
+                    family,
+                    Json::obj([("rows", rows.into()), ("difference", diff.into())]),
+                )
+            });
+        Json::obj([
+            ("synchronizers", self.num_syncs.into()),
+            ("paths", self.num_edges.into()),
+            ("phases", self.num_phases.into()),
+            (
+                "bracket",
+                Json::obj([
+                    ("lower", b.lower.into()),
+                    ("upper", b.upper.into()),
+                    ("stage_bound", b.stage_bound.into()),
+                    ("setup_floor", b.setup_floor.into()),
+                ]),
+            ),
+            ("critical_cycles", critical.collect()),
+            ("optimum", self.optimum.into()),
+            (
+                "certificate",
+                self.certificate.as_ref().map(certificate_json).into(),
+            ),
+            ("lower_is_tight", self.lower_is_tight.into()),
+            (
+                "classification",
+                Json::obj([
+                    ("rows", rows.into()),
+                    ("difference", difference.into()),
+                    ("general", self.num_general_rows.into()),
+                    ("by_family", Json::obj(by_family)),
+                ]),
+            ),
+            ("graph_optimum", self.graph_optimum.into()),
+        ])
     }
+
+    /// [`AnalyzeReport::json`], spaced (see [`Json::render_spaced`]).
+    pub fn to_json(&self) -> String {
+        self.json().render_spaced()
+    }
+}
+
+/// A KKT certificate as JSON: its verdict, tolerance, worst residual and
+/// every named residual. `smo solve --json` and `smo analyze --json`
+/// share it.
+pub fn certificate_json(cert: &smo_lp::Certificate) -> Json {
+    Json::obj([
+        ("valid", cert.is_valid().into()),
+        ("tolerance", cert.tol().into()),
+        ("worst_residual", cert.worst().into()),
+        (
+            "residuals",
+            Json::obj(
+                cert.residuals()
+                    .into_iter()
+                    .map(|(name, r)| (name, r.into())),
+            ),
+        ),
+    ])
 }
 
 impl fmt::Display for AnalyzeReport {
@@ -392,23 +398,6 @@ pub fn constraint_family(kind: ConstraintKind) -> &'static str {
     FAMILIES[family_index(kind)]
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -450,12 +439,15 @@ mod tests {
     #[test]
     fn json_mirrors_the_display_content() {
         let r = analyze(&example1()).unwrap();
-        let json = r.to_json();
-        assert!(json.contains("\"optimum\": 110"));
-        assert!(json.contains("\"lower\": 110"));
-        assert!(json.contains("\"upper\": 180"));
-        assert!(json.contains("L1 → L2 → L3 → L4 → L1"));
-        assert!(!json.contains("presolve"));
+        let json = r.json();
+        assert_eq!(Json::parse(&r.to_json()), Ok(json.clone()));
+        assert_eq!(json.get("optimum"), Some(&Json::Num(110.0)));
+        let bracket = json.get("bracket").unwrap();
+        assert_eq!(bracket.get("lower"), Some(&Json::Num(110.0)));
+        assert_eq!(bracket.get("upper"), Some(&Json::Num(180.0)));
+        let text = json.render_compact();
+        assert!(text.contains("L1 → L2 → L3 → L4 → L1"));
+        assert!(!text.contains("presolve"));
     }
 
     #[test]
@@ -464,8 +456,8 @@ mod tests {
         let cert = r.certificate.as_ref().expect("cross-check is certified");
         assert!(cert.is_valid(), "{cert}");
         assert!(r.to_string().contains("certified optimal"));
-        let json = r.to_json();
-        assert!(json.contains("\"certificate\": {\"valid\": true"), "{json}");
+        let json = r.json().render_compact();
+        assert!(json.contains("\"certificate\":{\"valid\":true"), "{json}");
         assert!(json.contains("\"worst_residual\""), "{json}");
         assert!(json.contains("\"duality gap\""), "{json}");
     }
@@ -506,10 +498,10 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("difference fragment"), "{text}");
         assert!(text.contains("graph backend: Tc* = 110"), "{text}");
-        let json = r.to_json();
+        let json = r.json().render_compact();
         assert!(json.contains("\"classification\""), "{json}");
-        assert!(json.contains("\"graph_optimum\": 110"), "{json}");
-        assert!(json.contains("\"L1\": {\"rows\": "), "{json}");
+        assert!(json.contains("\"graph_optimum\":110"), "{json}");
+        assert!(json.contains("\"L1\":{\"rows\":"), "{json}");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! 1. **Parse** the JSON line → `bad-request` on anything malformed.
 //! 2. **Quarantine check** — inputs that previously panicked the engine
 //!    are refused without re-running the bug.
-//! 3. **Deadline** — `deadline_ms` becomes a [`SolveBudget`] fixed at
-//!    receipt; an already-expired deadline returns `budget` without
-//!    starting the solve.
+//! 3. **Deadline** — `deadline_ms` becomes a
+//!    [`SolveBudget`](smo_lp::SolveBudget) fixed at receipt; an
+//!    already-expired deadline returns `budget` without starting the
+//!    solve.
 //! 4. **Degradation** — the load factor picks a rung on the quality
 //!    ladder (certified LP → graph fast path → uncertified); the rung is
 //!    stamped into the response so clients know what they got.
@@ -27,7 +28,7 @@
 
 use crate::cache::{fingerprint, ApiCache, CacheConfig, Doorkeeper};
 use crate::error::{ApiError, ErrorKind};
-use crate::json::{escape, Json};
+use crate::json::escape;
 use crate::ops;
 use crate::request::{Command, Request};
 use smo_circuit::netlist::ParseLimits;
@@ -232,23 +233,11 @@ impl Engine {
             self.execute(&request.command, fp, degradation, time_limit)
         }));
         match outcome {
-            Ok(Ok(pretty)) => {
-                // Compact the op's pretty JSON into a single wire line.
-                let compact: Arc<str> = match Json::parse(&pretty) {
-                    Ok(v) => Arc::from(v.render_compact()),
-                    Err(e) => {
-                        // An op emitted invalid JSON: an internal bug, but
-                        // a structured one.
-                        let e = ApiError::new(
-                            ErrorKind::Internal,
-                            format!("result rendering failed: {e}"),
-                        );
-                        return self.error_reply(id.as_deref(), degradation, &e);
-                    }
-                };
+            Ok(Ok(result)) => {
+                let result: Arc<str> = Arc::from(result);
                 self.lock_cache()
-                    .store_result(fp, signature, Arc::clone(&compact));
-                self.ok_reply(id.as_deref(), degradation, &compact, false)
+                    .store_result(fp, signature, Arc::clone(&result));
+                self.ok_reply(id.as_deref(), degradation, &result, false)
             }
             Ok(Err(e)) => self.error_reply(id.as_deref(), degradation, &e),
             Err(panic) => {
@@ -385,7 +374,9 @@ impl Engine {
             degradation,
             ..Default::default()
         };
-        Ok(ops::run(&circuit, command, &settings)?.to_json())
+        Ok(ops::run(&circuit, command, &settings)?
+            .json()
+            .render_compact())
     }
 
     fn ok_reply(

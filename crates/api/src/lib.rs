@@ -4,13 +4,14 @@
 //! The 1990 SMO program was a batch tool: parse one netlist, solve one
 //! LP, print, exit. This crate is what turns that batch core into a
 //! *service* without forking the code path: the CLI and the daemon both
-//! call [`ops`], so a cycle time computed over a socket is byte-for-byte
-//! the JSON the CLI would have printed (compacted onto one line).
+//! call [`ops`], so the `result` of a daemon reply is, byte for byte,
+//! what `smo <cmd> --json` prints.
 //!
 //! Layering, bottom up:
 //!
-//! - [`json`] — a std-only JSON value with a hostile-input-safe parser
-//!   and a byte-deterministic compact renderer (the wire format);
+//! - [`json`] — re-exported from `smo_circuit`: the JSON value every
+//!   report is built as, with a hostile-input-safe parser and a
+//!   byte-deterministic compact renderer (the wire format);
 //! - [`error`] — the failure taxonomy: every error a request can hit
 //!   maps to a stable machine-readable kind slug;
 //! - [`request`] — the wire protocol: one JSON object per line, with
@@ -26,7 +27,7 @@
 //!   per-request panic isolation, and the response envelope;
 //! - [`server`] — the TCP front end: thread-per-connection, bounded
 //!   admission gate with explicit load-shedding, graceful drain;
-//! - [`bench`] — the `smo bench-serve` load generator.
+//! - [`bench`](mod@bench) — the `smo bench-serve` load generator.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
@@ -36,7 +37,6 @@ pub mod bench;
 pub mod cache;
 pub mod engine;
 pub mod error;
-pub mod json;
 pub mod ops;
 pub mod request;
 pub mod server;
@@ -48,3 +48,4 @@ pub use json::{Json, JsonError};
 pub use ops::{input_limits, parse_netlist, solve_json, sweep_json, ParseLimits};
 pub use request::{Command, Request};
 pub use server::{serve, Client, ServerConfig, ServerHandle};
+pub use smo_circuit::json;

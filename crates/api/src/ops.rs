@@ -2,14 +2,16 @@
 //!
 //! Both frontends run a work [`Command`] through one typed dispatch,
 //! [`run`], which returns what the command produced as an [`Outcome`].
-//! The daemon renders it with [`Outcome::to_json`] and compacts the JSON
-//! onto its reply line (see [`crate::json`]); the CLI prints the same
-//! pretty JSON under `--json`, or renders the outcome as text. Either
-//! way the structure and the numbers are the same, byte for byte.
+//! [`Outcome::json`] builds its one JSON value. The daemon renders it
+//! compactly into its reply's `result`, and the CLI prints the same
+//! compact bytes under `--json`, or renders the outcome as text.
 
 use crate::engine::Degradation;
-use crate::request::Command;
-use smo_analyze::{check, diagnose, AnalyzeError, CheckOptions, CheckReport, PassConfig};
+use crate::json::Json;
+use crate::request::{Command, Swept};
+use smo_analyze::{
+    certificate_json, check, diagnose, AnalyzeError, CheckOptions, CheckReport, PassConfig,
+};
 use smo_circuit::{netlist, Circuit, CircuitError, ClockSchedule, EdgeId};
 use smo_core::{
     graph_feasible_at_within, min_cycle_time_with, sweep_cycle_time, verify, AnalysisReport,
@@ -47,90 +49,86 @@ pub fn input_limits(max_mb: Option<usize>) -> Result<ParseLimits, String> {
     }
 }
 
-/// Renders a solve result as a JSON object (hand-rolled, matching the
-/// other subcommands' `to_json` style).
+/// A solve result as JSON: [`Outcome::json`] of a solve, rendered spaced
+/// like the reports' `to_json` strings (see
+/// [`Json::render_spaced`](crate::json::Json::render_spaced)).
 pub fn solve_json(sol: &TimingSolution) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"cycle_time\": {:.6},\n", sol.cycle_time()));
-    out.push_str(&format!("  \"certified\": {},\n", sol.certified()));
-    out.push_str(&format!("  \"backend\": \"{}\",\n", sol.backend()));
-    out.push_str(&format!(
-        "  \"lp_iterations\": {},\n  \"update_iterations\": {},\n  \"num_constraints\": {},\n",
-        sol.lp_iterations(),
-        sol.update_iterations(),
-        sol.num_constraints()
-    ));
-    out.push_str("  \"certificates\": [");
-    for (i, cert) in sol.certificates().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\n");
-        out.push_str(&format!("      \"valid\": {},\n", cert.is_valid()));
-        out.push_str(&format!("      \"tolerance\": {:e},\n", cert.tol()));
-        out.push_str(&format!("      \"worst_residual\": {:e},\n", cert.worst()));
-        out.push_str("      \"residuals\": {");
-        for (j, (name, value)) in cert.residuals().iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {value:e}"));
-        }
-        out.push_str("}\n    }");
-    }
-    if !sol.certificates().is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}");
-    out
+    solve_value(sol).render_spaced()
 }
 
-/// Renders a sweep report as JSON. Deliberately excludes anything
-/// wall-clock-dependent so the bytes are identical for any `--jobs` value.
+/// A sweep report as JSON: [`Outcome::json`] of a sweep, rendered spaced.
 pub fn sweep_json(report: &SweepReport, options: &SweepOptions) -> String {
-    let mut out = String::from("{\n");
-    match &options.param {
-        SweepParam::Tc { edge, max_delay } => {
-            out.push_str(&format!(
-                "  \"param\": \"tc\",\n  \"edge\": {},\n  \"max_delay\": {:.6},\n",
-                edge.index(),
-                max_delay
-            ));
-        }
-        SweepParam::Delay { spread } => {
-            out.push_str(&format!(
-                "  \"param\": \"delay\",\n  \"spread\": {spread:.6},\n  \"seed\": {},\n",
-                options.seed
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "  \"certified\": {},\n  \"base_cycle_time\": {:.6},\n  \"base_iterations\": {},\n",
-        options.certify, report.base_cycle_time, report.base_iterations
-    ));
-    out.push_str(&format!(
-        "  \"min_cycle_time\": {:.6},\n  \"max_cycle_time\": {:.6},\n  \"mean_cycle_time\": {:.6},\n  \"warm_iterations\": {},\n",
-        report.min_cycle_time, report.max_cycle_time, report.mean_cycle_time, report.warm_iterations
-    ));
-    out.push_str("  \"breakpoints\": [");
-    for (i, b) in report.breakpoints.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{b:.6}"));
-    }
-    out.push_str("],\n  \"runs\": [");
-    for (i, run) in report.runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"index\": {}, \"value\": {:.6}, \"cycle_time\": {:.6}, \"iterations\": {}}}",
-            run.index, run.value, run.cycle_time, run.iterations
-        ));
-    }
-    out.push_str("\n  ]\n}");
-    out
+    sweep_value(report, options).render_spaced()
+}
+
+fn solve_value(sol: &TimingSolution) -> Json {
+    Json::obj([
+        ("cycle_time", Json::six_decimals(sol.cycle_time())),
+        ("certified", sol.certified().into()),
+        ("backend", sol.backend().to_string().into()),
+        ("lp_iterations", sol.lp_iterations().into()),
+        ("update_iterations", sol.update_iterations().into()),
+        ("num_constraints", sol.num_constraints().into()),
+        (
+            "certificates",
+            sol.certificates().iter().map(certificate_json).collect(),
+        ),
+    ])
+}
+
+/// Excludes anything wall-clock-dependent, so the bytes are the same for
+/// any `--jobs` value.
+fn sweep_value(report: &SweepReport, options: &SweepOptions) -> Json {
+    let six = Json::six_decimals;
+    let mut fields: Vec<(&str, Json)> = match options.param {
+        SweepParam::Tc { edge, max_delay } => vec![
+            ("param", "tc".into()),
+            ("edge", edge.index().into()),
+            ("max_delay", six(max_delay)),
+        ],
+        SweepParam::Delay { spread } => vec![
+            ("param", "delay".into()),
+            ("spread", six(spread)),
+            ("seed", Json::Num(options.seed as f64)),
+        ],
+    };
+    let runs = report.runs.iter().map(|run| {
+        Json::obj([
+            ("index", run.index.into()),
+            ("value", six(run.value)),
+            ("cycle_time", six(run.cycle_time)),
+            ("iterations", run.iterations.into()),
+        ])
+    });
+    fields.extend([
+        ("certified", options.certify.into()),
+        ("base_cycle_time", six(report.base_cycle_time)),
+        ("base_iterations", report.base_iterations.into()),
+        ("min_cycle_time", six(report.min_cycle_time)),
+        ("max_cycle_time", six(report.max_cycle_time)),
+        ("mean_cycle_time", six(report.mean_cycle_time)),
+        ("warm_iterations", report.warm_iterations.into()),
+        (
+            "breakpoints",
+            report.breakpoints.iter().map(|&b| six(b)).collect(),
+        ),
+        ("runs", runs.collect()),
+    ]);
+    Json::obj(fields)
+}
+
+/// A verify verdict as JSON.
+fn verify_value(cycle_time: f64, report: &AnalysisReport, exists: Option<bool>) -> Json {
+    Json::obj([
+        ("cycle_time", Json::six_decimals(cycle_time)),
+        ("feasible", report.is_feasible().into()),
+        ("worst_slack", Json::six_decimals(report.worst_slack())),
+        (
+            "violations",
+            report.violations().iter().map(|v| v.to_string()).collect(),
+        ),
+        ("exists_at_tc", exists.into()),
+    ])
 }
 
 /// What a run takes beside its wire command. The CLI sets it from its own
@@ -174,19 +172,19 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    /// The pretty JSON the CLI prints under `--json` and the daemon
-    /// compacts onto its reply line.
-    pub fn to_json(&self) -> String {
+    /// The outcome as JSON: the daemon's `result`, and what the CLI
+    /// prints under `--json`, both rendered compactly.
+    pub fn json(&self) -> Json {
         match self {
-            Outcome::Solve(sol) => solve_json(sol),
+            Outcome::Solve(sol) => solve_value(sol),
             Outcome::Verify {
                 cycle_time,
                 report,
                 exists,
-            } => verify_json(*cycle_time, report, *exists),
-            Outcome::Check(report) => report.to_json(),
-            Outcome::Diagnose(d) => d.to_json(),
-            Outcome::Sweep(report, options) => sweep_json(report, options),
+            } => verify_value(*cycle_time, report, *exists),
+            Outcome::Check(report) => report.json(),
+            Outcome::Diagnose(d) => d.json(),
+            Outcome::Sweep(report, options) => sweep_value(report, options),
         }
     }
 }
@@ -271,31 +269,28 @@ pub fn run(circuit: &Circuit, command: &Command, settings: &Settings) -> Result<
         Command::Sweep {
             param,
             runs,
-            edge,
-            max_delay,
-            spread,
-            seed,
             certify,
             ..
         } => {
-            let param = if param == "tc" {
-                if *edge >= circuit.num_edges() {
-                    return Err(OpError::Request(format!(
-                        "`edge` {edge} out of range ({} edges)",
-                        circuit.num_edges()
-                    )));
+            let (param, seed) = match *param {
+                Swept::Tc { edge, max_delay } => {
+                    if edge >= circuit.num_edges() {
+                        return Err(OpError::Request(format!(
+                            "`edge` {edge} out of range ({} edges)",
+                            circuit.num_edges()
+                        )));
+                    }
+                    let edge = EdgeId::new(edge);
+                    // Default range: up to twice the edge's present delay.
+                    let max_delay = max_delay.unwrap_or(2.0 * circuit.edge(edge).max_delay);
+                    (SweepParam::Tc { edge, max_delay }, 0)
                 }
-                let edge = EdgeId::new(*edge);
-                // Default range: up to twice the edge's present delay.
-                let max_delay = max_delay.unwrap_or(2.0 * circuit.edge(edge).max_delay);
-                SweepParam::Tc { edge, max_delay }
-            } else {
-                SweepParam::Delay { spread: *spread }
+                Swept::Delay { spread, seed } => (SweepParam::Delay { spread }, seed),
             };
             let options = SweepOptions {
                 param,
                 runs: *runs,
-                seed: *seed,
+                seed,
                 jobs: settings.jobs,
                 certify: *certify && settings.degradation < Degradation::Uncertified,
             };
@@ -311,33 +306,6 @@ pub fn run(circuit: &Circuit, command: &Command, settings: &Settings) -> Result<
             )))
         }
     })
-}
-
-/// Renders a verify verdict as a JSON object.
-fn verify_json(cycle_time: f64, report: &AnalysisReport, exists: Option<bool>) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"cycle_time\": {cycle_time:.6},\n"));
-    out.push_str(&format!("  \"feasible\": {},\n", report.is_feasible()));
-    let worst = report.worst_slack();
-    if worst.is_finite() {
-        out.push_str(&format!("  \"worst_slack\": {worst:.6},\n"));
-    } else {
-        out.push_str("  \"worst_slack\": null,\n");
-    }
-    out.push_str("  \"violations\": [");
-    for (i, v) in report.violations().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&crate::json::escape(&v.to_string()));
-    }
-    out.push_str("],\n");
-    match exists {
-        Some(e) => out.push_str(&format!("  \"exists_at_tc\": {e}\n")),
-        None => out.push_str("  \"exists_at_tc\": null\n"),
-    }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
@@ -398,7 +366,8 @@ mod tests {
         let circuit = paper::example2();
         let outcome = run(&circuit, &solve(Backend::Auto), &Settings::default()).unwrap();
         let direct = smo_core::min_cycle_time_with(&circuit, &MlpOptions::default()).unwrap();
-        assert_eq!(outcome.to_json(), solve_json(&direct));
+        assert_eq!(outcome.json(), solve_value(&direct));
+        assert_eq!(solve_json(&direct), outcome.json().render_spaced());
     }
 
     #[test]
@@ -421,9 +390,9 @@ mod tests {
         let settings = Settings::default();
         let json = run(&circuit, &verify(sched.cycle(), phases), &settings)
             .unwrap()
-            .to_json();
-        assert!(json.contains("\"feasible\": true"));
-        assert!(json.contains("\"exists_at_tc\": true"));
+            .json();
+        assert_eq!(json.get("feasible"), Some(&Json::Bool(true)));
+        assert_eq!(json.get("exists_at_tc"), Some(&Json::Bool(true)));
         // Wrong phase count is a request error, not a panic.
         let e = run(&circuit, &verify(10.0, vec![]), &settings).unwrap_err();
         assert!(matches!(e, OpError::Request(_)), "{e:?}");
@@ -432,23 +401,26 @@ mod tests {
     #[test]
     fn sweep_rejects_out_of_range_edges() {
         let circuit = paper::example2();
-        let sweep = |param: &str, edge| Command::Sweep {
+        let sweep = |param| Command::Sweep {
             netlist: String::new(),
-            param: param.into(),
+            param,
             runs: 3,
-            edge,
-            max_delay: None,
-            spread: 0.05,
-            seed: 7,
             certify: false,
         };
         let settings = Settings::default();
-        let e = run(&circuit, &sweep("tc", 10_000), &settings).unwrap_err();
+        let tc = Swept::Tc {
+            edge: 10_000,
+            max_delay: None,
+        };
+        let e = run(&circuit, &sweep(tc), &settings).unwrap_err();
         assert!(matches!(e, OpError::Request(_)), "{e:?}");
-        let json = run(&circuit, &sweep("delay", 0), &settings)
-            .unwrap()
-            .to_json();
-        assert!(json.contains("\"param\": \"delay\""));
+        let delay = Swept::Delay {
+            spread: 0.05,
+            seed: 7,
+        };
+        let json = run(&circuit, &sweep(delay), &settings).unwrap().json();
+        assert_eq!(json.get("param"), Some(&Json::Str("delay".into())));
+        assert_eq!(json.get("seed"), Some(&Json::Num(7.0)));
     }
 
     #[test]

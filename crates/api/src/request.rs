@@ -91,22 +91,45 @@ pub enum Command {
     Sweep {
         /// Netlist text.
         netlist: String,
-        /// `"tc"` or `"delay"`.
-        param: String,
+        /// What is swept, with the fields that apply to it alone.
+        param: Swept,
         /// Number of sweep points.
         runs: usize,
-        /// Edge index (for `param = "tc"`).
-        edge: usize,
-        /// Upper end of the delay grid (for `param = "tc"`); default
-        /// `2 ×` the edge's present delay.
-        max_delay: Option<f64>,
-        /// Relative jitter (for `param = "delay"`).
-        spread: f64,
-        /// RNG seed (for `param = "delay"`).
-        seed: u64,
         /// Independently check every re-solve.
         certify: bool,
     },
+}
+
+/// What a sweep varies: its wire `param` and the fields only that
+/// parameter reads. A request that sets the other parameter's fields is
+/// refused.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Swept {
+    /// `"tc"`: the exact `Tc*(Δ)` curve of one edge's delay.
+    Tc {
+        /// Edge index.
+        edge: usize,
+        /// Upper end of the delay grid; default `2 ×` the edge's present
+        /// delay.
+        max_delay: Option<f64>,
+    },
+    /// `"delay"`: every delay jittered at random.
+    Delay {
+        /// Relative jitter.
+        spread: f64,
+        /// RNG seed.
+        seed: u64,
+    },
+}
+
+impl Swept {
+    /// The wire `param` of this sweep.
+    fn name(&self) -> &'static str {
+        match self {
+            Swept::Tc { .. } => "tc",
+            Swept::Delay { .. } => "delay",
+        }
+    }
 }
 
 impl Command {
@@ -148,7 +171,7 @@ impl Command {
 
     /// The checks a command needs no netlist for: a `check` cycle time is
     /// positive and a `diagnose` one non-negative, a `verify` schedule is
-    /// well formed, a sweep has a known `param` and at least one run.
+    /// well formed, a sweep has at least one run.
     /// [`Request::from_json`] makes them, so the daemon answers a failure
     /// `bad-request` and the CLI a usage error, in the same words.
     fn validate(&self) -> Result<(), String> {
@@ -177,9 +200,6 @@ impl Command {
                 ..
             } => sign(*t, *t >= 0.0, "non-negative"),
             Command::Sweep { runs: 0, .. } => Err("run count must be at least 1".into()),
-            Command::Sweep { param, .. } if param != "tc" && param != "delay" => Err(format!(
-                "`param` must be \"tc\" or \"delay\", got \"{param}\""
-            )),
             _ => Ok(()),
         }
     }
@@ -204,12 +224,10 @@ impl Command {
                 ("cycle_time", Json::Num(*cycle_time)),
                 (
                     "phases",
-                    Json::Arr(
-                        phases
-                            .iter()
-                            .map(|&(s, w)| Json::Arr(vec![Json::Num(s), Json::Num(w)]))
-                            .collect(),
-                    ),
+                    phases
+                        .iter()
+                        .map(|&(s, w)| Json::from_iter([s, w]))
+                        .collect(),
                 ),
                 backend(b),
             ],
@@ -222,24 +240,21 @@ impl Command {
             Command::Sweep {
                 param,
                 runs,
-                edge,
-                max_delay,
-                spread,
-                seed,
                 certify,
                 ..
             } => {
-                let mut f = vec![
-                    ("param", Json::Str(param.clone())),
-                    ("runs", Json::Num(*runs as f64)),
-                    ("edge", Json::Num(*edge as f64)),
-                ];
-                f.extend(max_delay.map(|d| ("max_delay", Json::Num(d))));
-                f.extend([
-                    ("spread", Json::Num(*spread)),
-                    ("seed", Json::Num(*seed as f64)),
-                    ("certify", Json::Bool(*certify)),
-                ]);
+                let mut f = vec![("param", param.name().into()), ("runs", (*runs).into())];
+                match param {
+                    Swept::Tc { edge, max_delay } => {
+                        f.push(("edge", (*edge).into()));
+                        f.extend(max_delay.map(|d| ("max_delay", d.into())));
+                    }
+                    Swept::Delay { spread, seed } => {
+                        f.push(("spread", (*spread).into()));
+                        f.push(("seed", Json::Num(*seed as f64)));
+                    }
+                }
+                f.push(("certify", (*certify).into()));
                 f
             }
             Command::Ping | Command::Stats | Command::Shutdown | Command::DebugPanic => Vec::new(),
@@ -250,7 +265,11 @@ impl Command {
     /// every field but the netlist (the result cache's key, beside the
     /// netlist's fingerprint).
     pub(crate) fn signature(&self) -> String {
-        format!("{}{}", self.name(), object(self.fields()).render_compact())
+        format!(
+            "{}{}",
+            self.name(),
+            Json::obj(self.fields()).render_compact()
+        )
     }
 }
 
@@ -265,8 +284,10 @@ impl Request {
 
     /// Builds a request from a JSON object: a parsed request line, or the
     /// fields the CLI read off its command line. Absent fields take their
-    /// defaults; fields the command does not use are ignored. All
-    /// failures, [`Command::validate`]'s included, are `bad-request`.
+    /// defaults; fields the command does not use are ignored, except that
+    /// a sweep refuses the fields of the `param` it does not run. All
+    /// failures, including the checks that need no netlist, are
+    /// `bad-request`.
     pub fn from_json(mut value: Json) -> Result<Request, ApiError> {
         if !matches!(value, Json::Obj(_)) {
             return Err(ApiError::bad_request("request must be a JSON object"));
@@ -303,12 +324,8 @@ impl Request {
                 netlist: req_netlist(&mut value)?,
             },
             "sweep" => Command::Sweep {
-                param: opt_str(&value, "param")?.unwrap_or_else(|| "delay".into()),
+                param: req_swept(&value)?,
                 runs: opt_u64(&value, "runs")?.map_or(16, |n| n as usize),
-                edge: opt_u64(&value, "edge")?.map_or(0, |n| n as usize),
-                max_delay: opt_finite(&value, "max_delay")?,
-                spread: opt_finite(&value, "spread")?.unwrap_or(0.1),
-                seed: opt_u64(&value, "seed")?.unwrap_or(0),
                 certify: opt_bool(&value, "certify")?.unwrap_or(false),
                 netlist: req_netlist(&mut value)?,
             },
@@ -341,12 +358,46 @@ impl Request {
         if let Some(netlist) = self.command.netlist() {
             fields.push(("netlist", Json::Str(netlist.into())));
         }
-        object(fields).render_compact()
+        Json::obj(fields).render_compact()
     }
 }
 
-fn object(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+/// A sweep's `param` (default `"delay"`) and the fields it reads. The
+/// other parameter's fields are refused: a sweep that ignored them would
+/// answer a question the client did not ask.
+fn req_swept(value: &Json) -> Result<Swept, ApiError> {
+    let param = opt_str(value, "param")?;
+    let (swept, foreign) = match param.as_deref().unwrap_or("delay") {
+        "tc" => (
+            Swept::Tc {
+                edge: opt_u64(value, "edge")?.map_or(0, |n| n as usize),
+                max_delay: opt_finite(value, "max_delay")?,
+            },
+            ["spread", "seed"],
+        ),
+        "delay" => (
+            Swept::Delay {
+                spread: opt_finite(value, "spread")?.unwrap_or(0.1),
+                seed: opt_u64(value, "seed")?.unwrap_or(0),
+            },
+            ["edge", "max_delay"],
+        ),
+        other => {
+            return Err(ApiError::bad_request(format!(
+                "`param` must be \"tc\" or \"delay\", got \"{other}\""
+            )))
+        }
+    };
+    match foreign
+        .into_iter()
+        .find(|f| !matches!(value.get(f), None | Some(Json::Null)))
+    {
+        Some(field) => Err(ApiError::bad_request(format!(
+            "`{field}` does not apply to a `param` \"{}\" sweep",
+            swept.name()
+        ))),
+        None => Ok(swept),
+    }
 }
 
 /// Moves the `netlist` string out of the request object: it is the bulk
@@ -541,6 +592,11 @@ mod tests {
             r#"{"cmd":"sweep","netlist":"x","param":"voltage"}"#,
             r#"{"cmd":"sweep","netlist":"x","param":7}"#,
             r#"{"cmd":"sweep","netlist":"x","seed":9007199254740993}"#,
+            // A sweep refuses the other `param`'s fields.
+            r#"{"cmd":"sweep","netlist":"x","edge":2}"#,
+            r#"{"cmd":"sweep","netlist":"x","param":"delay","max_delay":140}"#,
+            r#"{"cmd":"sweep","netlist":"x","param":"tc","spread":0.3}"#,
+            r#"{"cmd":"sweep","netlist":"x","param":"tc","edge":2,"seed":5}"#,
             r#"{"cmd":"verify","netlist":"x","cycle_time":-5,"phases":[[0,1]]}"#,
             r#"{"cmd":"verify","netlist":"x","cycle_time":10,"phases":[[5,1],[0,1]]}"#,
             r#"{"cmd":"verify","netlist":"x","cycle_time":10,"phases":[[0,11]]}"#,
@@ -554,6 +610,13 @@ mod tests {
         }
         // `diagnose` takes a zero cycle time; `check` needs a positive one.
         assert!(Request::parse(r#"{"cmd":"diagnose","netlist":"x","cycle_time":0}"#).is_ok());
+        // A `null` field is an absent one, whichever sweep reads it.
+        assert!(Request::parse(r#"{"cmd":"sweep","netlist":"x","edge":null}"#).is_ok());
+        let e = Request::parse(r#"{"cmd":"sweep","netlist":"x","edge":2}"#).unwrap_err();
+        assert_eq!(
+            e.message,
+            "`edge` does not apply to a `param` \"delay\" sweep"
+        );
     }
 
     #[test]
@@ -658,12 +721,15 @@ mod tests {
                             },
                             _ => Command::Sweep {
                                 netlist,
-                                param: if flag { "tc" } else { "delay" }.into(),
+                                param: if flag {
+                                    Swept::Tc {
+                                        edge,
+                                        max_delay: some.then_some(x),
+                                    }
+                                } else {
+                                    Swept::Delay { spread, seed }
+                                },
                                 runs,
-                                edge,
-                                max_delay: some.then_some(x),
-                                spread,
-                                seed,
                                 certify: !flag,
                             },
                         };

@@ -3,7 +3,7 @@
 //!
 //! ## Backpressure
 //!
-//! Work commands pass through an admission [`Gate`] before touching the
+//! Work commands pass through an admission gate before touching the
 //! engine: up to `max_active` run concurrently, up to `max_queue` more
 //! wait on a condvar, and anything beyond that is **shed immediately**
 //! with a structured `overload` error — the daemon never buffers unbounded

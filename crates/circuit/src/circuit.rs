@@ -5,7 +5,6 @@ use crate::graph::{Cycle, Digraph, Edge, EdgeId};
 use crate::ids::{LatchId, PhaseId};
 use crate::matrix::BoolMatrix;
 use crate::sync::{SyncKind, Synchronizer};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A validated latch-controlled synchronous circuit (§III, Fig. 1): a set of
@@ -16,7 +15,7 @@ use std::fmt;
 /// [`netlist::parse`](crate::netlist::parse). The structure is immutable
 /// after construction, so derived data (fan-in/fan-out adjacency) is computed
 /// once and shared.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
     clock: ClockSpec,
     syncs: Vec<Synchronizer>,
@@ -28,7 +27,7 @@ pub struct Circuit {
 /// Compressed sparse rows of edge ids per synchronizer: the edges of
 /// synchronizer `i` are `edges[offsets[i]..offsets[i + 1]]`, in edge-id
 /// order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Adjacency {
     offsets: Vec<usize>,
     edges: Vec<EdgeId>,
@@ -466,21 +465,5 @@ mod tests {
         let s = c.to_string();
         assert!(s.contains("2 phases"));
         assert!(s.contains("4 latches"));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = example1_like();
-        let json = serde_json_like(&c);
-        assert!(json.contains("L1"));
-    }
-
-    /// Tiny smoke check that Serialize is derivable without pulling in a
-    /// JSON crate: serialize into the debug formatter of the serde data
-    /// model via a no-op. (Full round-trip testing happens in integration
-    /// tests with the netlist format, which is our canonical file format.)
-    fn serde_json_like(c: &Circuit) -> String {
-        // The netlist writer is the practical serialization path.
-        crate::netlist::write(c)
     }
 }

@@ -4,7 +4,6 @@
 use crate::error::CircuitError;
 use crate::ids::PhaseId;
 use crate::matrix::BoolMatrix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Specification of an arbitrary k-phase clock (§III-A).
@@ -14,7 +13,7 @@ use std::fmt;
 /// `C`, eq. 1); the start times `s_i`, widths `T_i` and period are decision
 /// variables of the design problem and live in a [`ClockSchedule`] once
 /// chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClockSpec {
     phases: usize,
 }
@@ -64,7 +63,7 @@ impl ClockSpec {
 ///
 /// All phases are active high; phase `i` is enabled on
 /// `[s_i, s_i + T_i) mod T_c`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClockSchedule {
     cycle: f64,
     starts: Vec<f64>,

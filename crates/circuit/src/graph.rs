@@ -1,11 +1,10 @@
 //! Combinational delay edges and graph utilities (cycles, SCCs).
 
 use crate::ids::LatchId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Opaque handle to a combinational edge of a [`Circuit`](crate::Circuit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub(crate) usize);
 
 impl EdgeId {
@@ -30,7 +29,7 @@ impl EdgeId {
 /// just the conservative default — the race detector substitutes the max
 /// delay for unspecified mins via [`Edge::short_delay`], so circuits without
 /// short-path data are never flagged on the strength of the `0.0` filler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Source synchronizer `j` (the signal departs from its output).
     pub from: LatchId,
@@ -65,7 +64,7 @@ impl fmt::Display for Edge {
 
 /// A directed cycle through synchronizers, reported by
 /// [`Circuit::loop_witnesses`](crate::Circuit::loop_witnesses).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cycle {
     /// The synchronizers on the cycle, in traversal order; the last feeds
     /// back to the first.
@@ -147,13 +146,12 @@ impl Digraph {
         self.successors(v).contains(&v)
     }
 
-    /// Strongly connected components, in reverse topological order; see
-    /// [`strongly_connected_components`].
+    /// Strongly connected components, in reverse topological order.
     pub fn sccs(&self) -> Vec<Vec<usize>> {
         strongly_connected_components(self)
     }
 
-    /// One witness cycle per cyclic component; see [`loop_witnesses`].
+    /// One witness cycle per cyclic component.
     pub fn loop_witnesses(&self) -> Vec<Vec<usize>> {
         loop_witnesses(self)
     }

@@ -1,6 +1,5 @@
 //! Typed identifiers for clock phases and synchronizers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a clock phase `φ_i`.
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(p.index(), 2);
 /// assert_eq!(p.to_string(), "φ3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhaseId(usize);
 
 impl PhaseId {
@@ -56,7 +55,7 @@ impl fmt::Display for PhaseId {
 ///
 /// The paper calls all synchronizers "latches" and numbers them 1…l; we keep
 /// the name and the one-based display convention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LatchId(usize);
 
 impl LatchId {

@@ -1,16 +1,20 @@
-//! A minimal, std-only JSON value: parser and byte-deterministic
-//! compact renderer.
+//! A minimal, std-only JSON value: the one JSON writer and reader of the
+//! workspace.
 //!
-//! The daemon protocol is line-delimited JSON over untrusted sockets, and
-//! the build environment vendors no real `serde`, so this module carries
-//! the whole responsibility: parse hostile request bytes under hard depth
-//! and size limits (never panic, never allocate unboundedly), and render
-//! responses compactly with *stable bytes* — object insertion order is
-//! preserved, floats format exactly as Rust's shortest-roundtrip `{}`, so
-//! the same value always serializes to the same line. The CLI's existing
-//! pretty `to_json()` reports are re-parsed through [`Json::parse`] and
-//! re-rendered with [`Json::render_compact`] to become single-line daemon
-//! payloads, guaranteeing both frontends speak byte-identical structures.
+//! Every report the tools print as JSON (solve, verify, check, lint,
+//! diagnose, analyze, sweep) is built as one [`Json`] value and rendered
+//! here, and the `smo serve` daemon parses its hostile request lines here.
+//! The module lives in `smo_circuit`, the lowest crate every renderer
+//! depends on; `smo_api` re-exports it as `smo_api::json`.
+//!
+//! - [`Json::parse`] reads untrusted bytes under a hard depth limit: it
+//!   never panics and never allocates unboundedly.
+//! - [`Json::render_compact`] writes stable bytes: object insertion order
+//!   is kept, and numbers are written by [`fmt_num`], so the same value
+//!   always renders to the same line. It is the daemon's wire format and
+//!   what the CLI prints under `--json`.
+//! - [`Json::render_spaced`] writes the same value with a space after
+//!   each `,` and `:`: the spelling of the reports' `to_json` strings.
 
 use std::fmt;
 
@@ -86,7 +90,7 @@ impl Json {
     }
 
     /// Mutable object field lookup (first match); `None` on non-objects.
-    pub(crate) fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
         match self {
             Json::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -139,14 +143,37 @@ impl Json {
         }
     }
 
+    /// An object of `fields`, in order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// `x` as printed to six decimals (`{:.6}`): the value of that text.
+    /// Cycle times, slacks and sweep values are reported at this
+    /// precision; a non-finite `x` stays as it is and renders `null`.
+    pub fn six_decimals(x: f64) -> Json {
+        Json::Num(format!("{x:.6}").parse().unwrap_or(x))
+    }
+
     /// Renders compactly (no whitespace), preserving object key order.
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out, (",", ":"));
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Renders on one line like [`Json::render_compact`], with a space
+    /// after every `,` and `:`: the spelling of the reports' `to_json`
+    /// strings, whose readers match text such as `"certified": true`.
+    pub fn render_spaced(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, (", ", ": "));
+        out
+    }
+
+    /// Writes the value with `(comma, colon)` as separators.
+    fn write(&self, out: &mut String, separators: (&str, &str)) {
+        let (comma, colon) = separators;
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -156,9 +183,9 @@ impl Json {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
-                    item.write_compact(out);
+                    item.write(out, separators);
                 }
                 out.push(']');
             }
@@ -166,15 +193,57 @@ impl Json {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
                     write_escaped(k, out);
-                    out.push(':');
-                    v.write_compact(out);
+                    out.push_str(colon);
+                    v.write(out, separators);
                 }
                 out.push('}');
             }
         }
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.into())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -528,6 +597,94 @@ mod tests {
         ] {
             assert_eq!(Json::parse(&fmt_num(n)), Ok(Json::Num(n)), "{n:e}");
         }
+    }
+
+    /// What the daemon rendered when it read a report's `{:.6}` text back:
+    /// the number that text parses to, through `fmt_num`. The text of a
+    /// non-finite number is not JSON; the helper renders it `null`.
+    fn reparsed_six_decimals(x: f64) -> String {
+        match Json::parse(&format!("{x:.6}")) {
+            Ok(Json::Num(n)) => fmt_num(n),
+            _ => "null".into(),
+        }
+    }
+
+    #[test]
+    fn six_decimals_render_as_their_text_reparsed() {
+        for x in [
+            0.0,
+            -0.0,
+            1e-7,
+            -1e-7,
+            4.9e-7,
+            5e-7,
+            110.0,
+            5.050000000000001,
+            0.1 + 0.2,
+            1234.5678905,
+            -0.15000000000000036,
+            9_007_199_254_740_992.0,
+            9_007_199_254_740_994.0,
+            1e15 + 0.5,
+            1e21,
+            -1e21,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            let six = Json::six_decimals(x);
+            assert_eq!(six.render_compact(), reparsed_six_decimals(x), "{x:e}");
+        }
+        assert_eq!(Json::six_decimals(-0.0).render_compact(), "0");
+        assert_eq!(Json::six_decimals(1e-7).render_compact(), "0");
+        assert_eq!(
+            Json::six_decimals(5.050000000000001).render_compact(),
+            "5.05"
+        );
+    }
+
+    mod six_decimals {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn any_bits(bits in 0u64..u64::MAX) {
+                let x = f64::from_bits(bits);
+                prop_assert_eq!(Json::six_decimals(x).render_compact(), reparsed_six_decimals(x));
+            }
+
+            #[test]
+            fn decimal_scales(m in -10.0f64..10.0, e in -9i32..23) {
+                let x = m * 10f64.powi(e);
+                prop_assert_eq!(Json::six_decimals(x).render_compact(), reparsed_six_decimals(x));
+            }
+        }
+    }
+
+    #[test]
+    fn compact_and_spaced_render_one_value() {
+        let v = Json::obj([
+            ("a", Json::from(1.5)),
+            ("b", vec![true, false].into_iter().collect()),
+            ("c", Json::obj([])),
+            ("d", Json::from(None::<f64>)),
+        ]);
+        let compact = r#"{"a":1.5,"b":[true,false],"c":{},"d":null}"#;
+        let spaced = r#"{"a": 1.5, "b": [true, false], "c": {}, "d": null}"#;
+        assert_eq!(v.render_compact(), compact);
+        assert_eq!(v.render_spaced(), spaced);
+        assert_eq!(Json::parse(spaced), Ok(v));
+    }
+
+    #[test]
+    fn escapes_quotes_backslashes_and_controls_only() {
+        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escape("φ1 → φ2"), "\"φ1 → φ2\"");
+        assert_eq!(escape("\u{1}\t"), "\"\\u0001\\t\"");
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   delay edges `Δ_ji` between them, with structural validation and the
 //!   paper's `K` matrix of input/output phase pairs;
 //! * [`netlist`] — a small text format so circuits can live in files
-//!   (the paper's "simple parser").
+//!   (the paper's "simple parser");
+//! * [`json`] — the JSON value every report renders through, and the
+//!   hostile-input parser the daemon reads requests with.
 //!
 //! Timing quantities are plain `f64` in a consistent but unspecified unit
 //! (the paper uses nanoseconds).
@@ -53,6 +55,7 @@ mod error;
 pub mod gates;
 mod graph;
 mod ids;
+pub mod json;
 mod matrix;
 pub mod netlist;
 mod sync;

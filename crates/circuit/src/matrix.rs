@@ -1,6 +1,5 @@
 //! Small dense boolean matrix used for the paper's `C` and `K` matrices.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense `k × k` boolean matrix.
@@ -15,7 +14,7 @@ use std::fmt;
 /// m.set(0, 1, true);
 /// assert_eq!(m.to_string(), "[ 0 1 ]\n[ 0 0 ]\n");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BoolMatrix {
     dim: usize,
     data: Vec<bool>,

@@ -39,7 +39,7 @@
 //! optimistic raceless value (the max delay) instead of `0`, so netlists
 //! written before short-path data existed keep analysing cleanly.
 //!
-//! [`parse`] and [`write`] round-trip: `parse(&write(c)) == c` for every
+//! [`parse`] and [`write`](fn@write) round-trip: `parse(&write(c)) == c` for every
 //! valid circuit.
 
 use crate::builder::CircuitBuilder;

@@ -2,7 +2,6 @@
 //! flip-flops.
 
 use crate::ids::PhaseId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a synchronizing element.
@@ -12,7 +11,7 @@ use std::fmt;
 /// edge-triggered flip-flops, which the timing engine models as degenerate
 /// synchronizers: the departure time is pinned to the enabling edge and the
 /// setup requirement is referenced to that edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncKind {
     /// Transparent while its phase is active; closes at the trailing edge.
     Latch,
@@ -44,7 +43,7 @@ impl fmt::Display for SyncKind {
 ///
 /// The paper assumes `Δ_DQi ≥ Δ_DCi` for latches; the
 /// [`CircuitBuilder`](crate::CircuitBuilder) enforces it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Synchronizer {
     /// Human-readable instance name (unique within a circuit).
     pub name: String,

@@ -1,7 +1,7 @@
 //! Baseline cycle-time algorithms the paper compares against.
 //!
 //! The paper's evaluation pits Algorithm MLP against the NRIP heuristic of
-//! Dagenais & Rumin [3] (Figs. 7 and 9) and motivates the whole work against
+//! Dagenais & Rumin \[3\] (Figs. 7 and 9) and motivates the whole work against
 //! the classical edge-triggered approximation (§I). NRIP's internals are in
 //! the cited reference, not the paper, so this module provides three
 //! documented stand-ins (see DESIGN.md, substitution 1):

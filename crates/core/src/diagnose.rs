@@ -28,6 +28,7 @@
 use crate::error::TimingError;
 use crate::fastpath;
 use crate::model::{ConstraintInfo, ConstraintKind, TimingModel};
+use smo_circuit::json::Json;
 use smo_circuit::{Circuit, SyncKind};
 use smo_lp::{
     certifies_infeasibility, extract_graph_iis, extract_iis, ConstraintId, Iis, MinParamOutcome,
@@ -62,15 +63,21 @@ impl Diagnosis {
         }
     }
 
-    /// Renders the diagnosis as a JSON object (hand-rolled, matching
-    /// [`InfeasibilityReport::to_json`] in the infeasible case).
-    pub fn to_json(&self) -> String {
+    /// The diagnosis as JSON: the minimum cycle time when feasible,
+    /// otherwise [`InfeasibilityReport::json`].
+    pub fn json(&self) -> Json {
         match self {
-            Diagnosis::Feasible { min_cycle } => {
-                format!("{{\n  \"feasible\": true,\n  \"min_cycle\": {min_cycle:.6}\n}}")
-            }
-            Diagnosis::Infeasible(r) => r.to_json(),
+            Diagnosis::Feasible { min_cycle } => Json::obj([
+                ("feasible", true.into()),
+                ("min_cycle", Json::six_decimals(*min_cycle)),
+            ]),
+            Diagnosis::Infeasible(r) => r.json(),
         }
+    }
+
+    /// [`Diagnosis::json`], spaced (see [`Json::render_spaced`]).
+    pub fn to_json(&self) -> String {
+        self.json().render_spaced()
     }
 }
 
@@ -144,8 +151,7 @@ impl InfeasibilityReport {
         self.constraints.iter().any(|c| c.kind == kind)
     }
 
-    /// Renders the report as a JSON object (hand-rolled; no external
-    /// serialization dependency).
+    /// The report as JSON.
     ///
     /// Shape:
     ///
@@ -161,29 +167,28 @@ impl InfeasibilityReport {
     ///   ]
     /// }
     /// ```
+    pub fn json(&self) -> Json {
+        let iis = self.constraints.iter().map(|c| {
+            Json::obj([
+                ("row", c.row.index().into()),
+                ("kind", c.kind.to_string().into()),
+                ("label", c.label.as_str().into()),
+                ("detail", c.detail.as_str().into()),
+                ("relation", c.relation.as_str().into()),
+            ])
+        });
+        Json::obj([
+            ("feasible", false.into()),
+            ("certified", self.certified.into()),
+            ("cycle_limit", self.cycle_limit.into()),
+            ("total_rows", self.total_rows.into()),
+            ("iis", iis.collect()),
+        ])
+    }
+
+    /// [`InfeasibilityReport::json`], spaced (see [`Json::render_spaced`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"feasible\": false,\n");
-        out.push_str(&format!("  \"certified\": {},\n", self.certified));
-        match self.cycle_limit {
-            Some(t) => out.push_str(&format!("  \"cycle_limit\": {t},\n")),
-            None => out.push_str("  \"cycle_limit\": null,\n"),
-        }
-        out.push_str(&format!("  \"total_rows\": {},\n", self.total_rows));
-        out.push_str("  \"iis\": [\n");
-        for (i, c) in self.constraints.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"row\": {}, \"kind\": \"{}\", \"label\": \"{}\", \"detail\": \"{}\", \"relation\": \"{}\"}}{}\n",
-                c.row.index(),
-                json_escape(&c.kind.to_string()),
-                json_escape(&c.label),
-                json_escape(&c.detail),
-                json_escape(&c.relation),
-                if i + 1 < self.constraints.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}");
-        out
+        self.json().render_spaced()
     }
 }
 
@@ -212,23 +217,6 @@ impl fmt::Display for InfeasibilityReport {
             "relaxing any single constraint above makes the rest feasible"
         )
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders one LP row with its variable names: `"D2 - T2 <= -10"`.
@@ -531,20 +519,13 @@ mod tests {
         let model = TimingModel::build_with(&ckt, &opts).unwrap();
         let diagnosis = diagnose_model(&ckt, &model).unwrap();
         let report = diagnosis.report().unwrap();
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"feasible\": false"));
-        assert!(json.contains("\"cycle_limit\": 1,"));
-        assert!(json.contains("\"iis\": ["));
-        // Balanced braces/brackets (cheap well-formedness check).
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(json.matches(open).count(), json.matches(close).count());
-        }
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("φ1 → φ2"), "φ1 → φ2");
+        // The spaced text parses back to the value the daemon renders.
+        let json = Json::parse(&report.to_json()).unwrap();
+        assert_eq!(json, report.json());
+        assert_eq!(json.get("feasible"), Some(&Json::Bool(false)));
+        assert_eq!(json.get("cycle_limit"), Some(&Json::Num(1.0)));
+        let iis = json.get("iis").and_then(Json::as_arr).unwrap();
+        assert_eq!(iis.len(), report.constraints.len());
+        assert!(!iis.is_empty());
     }
 }

@@ -1,6 +1,5 @@
 //! Linear expressions over problem variables.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -8,7 +7,7 @@ use std::ops::{Add, Mul, Neg, Sub};
 ///
 /// Obtained from [`Problem::add_var`](crate::Problem::add_var) and friends;
 /// only meaningful for the problem that created it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub(crate) usize);
 
 impl VarId {
@@ -38,7 +37,7 @@ impl fmt::Display for VarId {
 /// assert_eq!(e.coeff(y), -1.0);
 /// assert_eq!(e.constant(), 3.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinExpr {
     /// Non-zero terms, sorted by variable, each variable at most once.
     terms: Vec<(VarId, f64)>,

@@ -4,12 +4,11 @@ use crate::error::LpError;
 use crate::expr::{LinExpr, VarId};
 use crate::simplex;
 use crate::solution::Solution;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 
 /// Direction of optimization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Objective {
     /// Minimize the objective expression.
     Minimize,
@@ -18,7 +17,7 @@ pub enum Objective {
 }
 
 /// Sense (direction) of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sense {
     /// `expr ≤ rhs`
     Le,
@@ -40,7 +39,7 @@ impl fmt::Display for Sense {
 
 /// Opaque handle to a constraint row of a [`Problem`]; indexes the dual
 /// vector of a [`Solution`](crate::Solution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConstraintId(pub(crate) usize);
 
 impl ConstraintId {
@@ -50,14 +49,14 @@ impl ConstraintId {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Variable {
     pub name: String,
     pub lower: f64,
     pub upper: f64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Row {
     pub name: Option<Cow<'static, str>>,
     pub expr: LinExpr,
@@ -73,7 +72,7 @@ pub(crate) struct Row {
 /// through [`Problem::add_var_bounded`] / [`Problem::add_free_var`].
 ///
 /// See the [crate docs](crate) for a worked example.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Problem {
     pub(crate) vars: Vec<Variable>,
     pub(crate) rows: Vec<Row>,

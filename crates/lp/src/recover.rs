@@ -49,7 +49,7 @@ pub(crate) const BUDGET_CHECK_EVERY: usize = 64;
 ///
 /// Both limits are optional; [`SolveBudget::UNLIMITED`] (the `Default`)
 /// imposes neither. The simplex pivot loops check the budget every
-/// [`BUDGET_CHECK_EVERY`] iterations and abort with [`LpError::Budget`]
+/// `BUDGET_CHECK_EVERY` iterations and abort with [`LpError::Budget`]
 /// when it is exhausted, so a pathological model degrades into a
 /// structured error instead of a hung process.
 #[derive(Debug, Clone, Copy, Default)]
@@ -278,8 +278,8 @@ type RungResult = Result<Solution, LpError>;
 
 impl Problem {
     /// Solves with every verdict machine-checked against this (original)
-    /// problem, walking the recovery ladder on failure. See the
-    /// [module docs](crate::recover) for the rungs and their rationale.
+    /// problem, walking the recovery ladder on failure. The docs of the
+    /// `recover` module give the rungs and their rationale.
     ///
     /// # Errors
     ///

@@ -3,11 +3,10 @@
 use crate::error::LpError;
 use crate::expr::VarId;
 use crate::problem::ConstraintId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Termination status of a simplex run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Status {
     /// An optimal solution was found.
     Optimal,
@@ -33,7 +32,7 @@ impl fmt::Display for Status {
 /// empty and [`Solution::objective`] is `None`; an
 /// [`Infeasible`](Status::Infeasible) solution instead carries a Farkas
 /// certificate (see [`Solution::farkas`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Solution {
     pub(crate) status: Status,
     pub(crate) objective: Option<f64>,
@@ -126,7 +125,7 @@ impl fmt::Display for Solution {
 
 /// A solution whose optimality is statically guaranteed, giving non-optional
 /// accessors to the primal point, duals, reduced costs and slacks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OptimalSolution(Solution);
 
 impl OptimalSolution {

@@ -162,8 +162,8 @@ impl Solution {
     /// `p` — the *original* problem, before any scaling.
     ///
     /// The check uses only the returned primal values, duals and reduced
-    /// costs; nothing is trusted from the solver's internal state. See the
-    /// [module docs](crate::verify) for the conditions and sign
+    /// costs; nothing is trusted from the solver's internal state. The
+    /// docs of the `verify` module give the conditions and sign
     /// conventions. Solutions with a non-`Optimal` status, or with vectors
     /// that do not match the problem's shape, yield an invalid
     /// certificate.

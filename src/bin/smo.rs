@@ -8,7 +8,8 @@
 //! `diagnose`, `sweep`) parse their arguments into the daemon's own
 //! [`Request`](smo::api::Request) and run through the same
 //! [`ops::run`](smo::api::ops::run) dispatch: same defaults, same checks,
-//! same JSON. `smo call` sends that request to a daemon instead.
+//! and under `--json` the bytes of the daemon's `result`. `smo call` sends
+//! that request to a daemon instead.
 //!
 //! Netlists use the `smo_circuit::netlist` text format; files containing
 //! `gate`/`wire` lines are parsed gate-level and extracted automatically.
@@ -111,13 +112,13 @@ const USAGE: &str = "usage:
   smo diagnose <netlist> [--cycle-time T] [--json]
                           minimum cycle time, or a Farkas-certified
                           explanation of why T is unachievable
-  smo sweep    <netlist> [--param tc|delay] [--runs N] [--edge E]
-               [--max-delay D] [--spread S] [--seed S] [--certify] [--jobs N]
-               [--json]
+  smo sweep    <netlist> [--param tc [--edge E] [--max-delay D] | --param delay
+               [--spread S] [--seed S]] [--runs N] [--certify] [--jobs N] [--json]
                           cycle-time sweep: `tc` grids edge E's delay up to D
                           (default twice it), exact breakpoints included;
-                          `delay` (default) jitters every delay by ±S; the
-                          output is the same for any --jobs
+                          `delay` (default) jitters every delay by ±S; each
+                          refuses the other's flags; the output is the same
+                          for any --jobs
   smo lint     <netlist> [--json]          structural checks (exit 1 on errors)
   smo analyze  <netlist> [--json]          cycle-time bracket + certified
                                            optimum (exit 2 if they disagree)
@@ -405,7 +406,7 @@ fn print(
     out: &mut String,
 ) -> Result<ExitCode, CliError> {
     if json {
-        writeln!(out, "{}", outcome.to_json())?;
+        writeln!(out, "{}", outcome.json().render_compact())?;
     }
     let code = match outcome {
         Outcome::Solve(sol) => {
@@ -641,7 +642,7 @@ fn local(
             args.done()?;
             let report = lint(circuit);
             if json {
-                writeln!(out, "{}", report.to_json())?;
+                writeln!(out, "{}", report.json().render_compact())?;
             } else {
                 writeln!(out, "{report}")?;
             }
@@ -653,7 +654,7 @@ fn local(
             match analyze(circuit) {
                 Ok(report) => {
                     if json {
-                        writeln!(out, "{}", report.to_json())?;
+                        writeln!(out, "{}", report.json().render_compact())?;
                     } else {
                         write!(out, "{report}")?;
                     }

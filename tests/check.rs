@@ -19,6 +19,7 @@ mod common;
 use common::{load_circuit, SHIPPED_NETLISTS};
 use proptest::prelude::*;
 use smo::analyze::{check, lint, CheckOptions};
+use smo::api::Json;
 use smo::circuit::{netlist, Circuit, CircuitBuilder, SyncKind};
 use smo::gen::random::{random_circuit, GenConfig};
 use smo::lp::Tol;
@@ -127,8 +128,8 @@ fn check_gates_race_demo_but_passes_every_other_shipped_netlist() {
 // ---------------------------------------------------------------------
 
 /// `lint --json` golden bytes on a fixed fixture. Any change to the key
-/// set, key order, indentation, or sort order of the findings array is a
-/// breaking change for machine consumers and must show up here.
+/// set, key order, number spelling, or sort order of the findings array
+/// is a breaking change for machine consumers and must show up here.
 #[test]
 fn lint_json_schema_is_byte_stable() {
     let src = "\
@@ -140,17 +141,14 @@ path L1 L2 delay=5
 path L2 L1 delay=5
 ";
     let report = lint(&netlist::parse(src).expect("fixture parses"));
-    let expected = r#"{
-  "clean": false,
-  "errors": 0,
-  "warnings": 2,
-  "infos": 0,
-  "findings": [
-    {"rule": "dead-phase", "severity": "warn", "location": "φ3", "message": "phase φ3 controls no synchronizer"},
-    {"rule": "unconstrained-sync", "severity": "warn", "location": "orphan", "message": "latch `orphan` has no fan-in and no fan-out; it constrains nothing"}
-  ]
-}"#;
-    assert_eq!(report.to_json(), expected);
+    let expected = concat!(
+        r#"{"clean":false,"errors":0,"warnings":2,"infos":0,"findings":["#,
+        r#"{"rule":"dead-phase","severity":"warn","location":"φ3","message":"phase φ3 controls no synchronizer"},"#,
+        r#"{"rule":"unconstrained-sync","severity":"warn","location":"orphan","message":"latch `orphan` has no fan-in and no fan-out; it constrains nothing"}"#,
+        "]}"
+    );
+    assert_eq!(report.json().render_compact(), expected);
+    assert_eq!(Json::parse(&report.to_json()), Ok(report.json()));
 }
 
 /// `check --json` golden bytes on the shipped racy demo at a pinned cycle
@@ -165,23 +163,21 @@ fn check_json_schema_is_byte_stable() {
         ..CheckOptions::default()
     };
     let report = check(&circuit, &options).expect("race_demo checks");
-    let expected = r#"{
-  "clean": false,
-  "cycle_time": 10,
-  "worst_hold_slack": -0.15000000000000036,
-  "races": 1,
-  "errors": 1,
-  "warnings": 1,
-  "infos": 0,
-  "findings": [
-    {"rule": "double-clocking-race", "severity": "error", "location": "result→status#3", "message": "double-clocking race result → status (edge #3): new data departs result at E + Δ_DQ = 0.0000 + 0.2500 after the φ1 rise, crosses the short path δ = 0.2000 with phase shift S_{1,1} = -10.0000, and reaches status at -9.5500 — 0.1500 before its hold deadline -9.4000 (previous active edge + hold); increasing the φ1→φ1 clock separation by 0.1500 retires the race"},
-    {"rule": "hold-margin", "severity": "warn", "location": "result→status#3", "message": "flip-flop `status` requires hold 0.6 but the same-phase path from `result` can arrive after only 0.2"}
-  ]
-}"#;
-    assert_eq!(report.to_json(), expected);
+    let expected = concat!(
+        r#"{"clean":false,"cycle_time":10,"worst_hold_slack":-0.15000000000000036,"races":1,"#,
+        r#""errors":1,"warnings":1,"infos":0,"findings":["#,
+        r#"{"rule":"double-clocking-race","severity":"error","location":"result→status#3","message":"double-clocking race result → status (edge #3): new data departs result at E + Δ_DQ = 0.0000 + 0.2500 after the φ1 rise, crosses the short path δ = 0.2000 with phase shift S_{1,1} = -10.0000, and reaches status at -9.5500 — 0.1500 before its hold deadline -9.4000 (previous active edge + hold); increasing the φ1→φ1 clock separation by 0.1500 retires the race"},"#,
+        r#"{"rule":"hold-margin","severity":"warn","location":"result→status#3","message":"flip-flop `status` requires hold 0.6 but the same-phase path from `result` can arrive after only 0.2"}"#,
+        "]}"
+    );
+    assert_eq!(report.json().render_compact(), expected);
+    assert_eq!(Json::parse(&report.to_json()), Ok(report.json()));
     // And the run is deterministic end to end.
     assert_eq!(
-        check(&circuit, &options).expect("re-check runs").to_json(),
+        check(&circuit, &options)
+            .expect("re-check runs")
+            .json()
+            .render_compact(),
         expected
     );
 }
@@ -196,30 +192,38 @@ fn every_findings_entry_matches_the_schema_shape() {
     for f in shipped {
         let report = check(&load_circuit(f), &CheckOptions::default())
             .unwrap_or_else(|e| panic!("{f}: {e}"));
-        let json = report.to_json();
-        for key in [
-            "\"clean\": ",
-            "\"cycle_time\": ",
-            "\"worst_hold_slack\": ",
-            "\"races\": ",
-            "\"errors\": ",
-            "\"warnings\": ",
-            "\"infos\": ",
-            "\"findings\": [",
-        ] {
-            assert!(json.contains(key), "{f}: missing {key} in\n{json}");
-        }
-        for line in json.lines().filter(|l| l.trim_start().starts_with("{\"")) {
-            let t = line.trim_start().trim_end_matches(&[',', '}'][..]);
-            assert!(t.starts_with("{\"rule\": \""), "{f}: bad entry {line}");
-            let rest = ["\"severity\": \"", "\"location\": \"", "\"message\": \""];
-            let mut pos = 0;
-            for key in rest {
-                let found = t[pos..]
-                    .find(key)
-                    .unwrap_or_else(|| panic!("{f}: {key} out of order in {line}"));
-                pos += found + key.len();
-            }
+        let json = report.json();
+        let keys = |v: &Json| match v {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
+            _ => Vec::new(),
+        };
+        assert_eq!(
+            keys(&json),
+            [
+                "clean",
+                "cycle_time",
+                "worst_hold_slack",
+                "races",
+                "errors",
+                "warnings",
+                "infos",
+                "findings",
+            ],
+            "{f}"
+        );
+        let findings = json.get("findings").and_then(Json::as_arr);
+        for entry in findings.expect("a findings array") {
+            assert_eq!(
+                keys(entry),
+                ["rule", "severity", "location", "message"],
+                "{f}: bad entry {entry:?}"
+            );
+            assert!(
+                ["rule", "severity", "location", "message"]
+                    .iter()
+                    .all(|k| entry.get(k).and_then(Json::as_str).is_some()),
+                "{f}: bad entry {entry:?}"
+            );
         }
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `smo` command-line tool against the shipped
 //! netlists in `circuits/`.
 
+use smo::api::Json;
 use std::path::Path;
 use std::process::{Command, Output, Stdio};
 
@@ -14,6 +15,26 @@ fn smo(args: &[&str]) -> Output {
 
 fn stdout(o: &Output) -> String {
     String::from_utf8_lossy(&o.stdout).into_owned()
+}
+
+/// The one compact JSON line `smo … --json` prints, parsed.
+fn json_out(o: &Output) -> Json {
+    let text = stdout(o);
+    assert!(
+        text.ends_with('\n') && text.lines().count() == 1,
+        "not one JSON line: {text}"
+    );
+    Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"))
+}
+
+/// The number at `key`, if `v` has one there.
+fn num(v: &Json, key: &str) -> Option<f64> {
+    v.get(key).and_then(Json::as_f64)
+}
+
+/// The items of the array at `key` (empty when there is none).
+fn items<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+    v.get(key).and_then(Json::as_arr).unwrap_or_default()
 }
 
 #[test]
@@ -198,13 +219,12 @@ fn analyze_succeeds_on_every_shipped_netlist() {
 fn analyze_json_is_well_formed() {
     let out = smo(&["analyze", "circuits/example1.ckt", "--json"]);
     assert!(out.status.success());
-    let text = stdout(&out);
-    assert!(text.trim_start().starts_with('{'), "{text}");
-    assert!(text.trim_end().ends_with('}'), "{text}");
-    assert!(text.contains("\"optimum\": 110"), "{text}");
-    assert!(text.contains("\"lower\": 110"), "{text}");
-    assert!(text.contains("\"upper\": 180"), "{text}");
-    assert!(text.contains("\"graph_optimum\": 110"), "{text}");
+    let v = json_out(&out);
+    assert_eq!(num(&v, "optimum"), Some(110.0), "{v:?}");
+    let bracket = v.get("bracket").expect("bracket");
+    assert_eq!(num(bracket, "lower"), Some(110.0), "{v:?}");
+    assert_eq!(num(bracket, "upper"), Some(180.0), "{v:?}");
+    assert_eq!(num(&v, "graph_optimum"), Some(110.0), "{v:?}");
 }
 
 #[test]
@@ -222,9 +242,9 @@ fn analyze_rejects_bad_arguments() {
 fn lint_supports_json_output() {
     let out = smo(&["lint", "circuits/example1.ckt", "--json"]);
     assert!(out.status.success());
-    let text = stdout(&out);
-    assert!(text.contains("\"clean\": true"), "{text}");
-    assert!(text.contains("\"errors\": 0"), "{text}");
+    let v = json_out(&out);
+    assert_eq!(v.get("clean"), Some(&Json::Bool(true)), "{v:?}");
+    assert_eq!(num(&v, "errors"), Some(0.0), "{v:?}");
 
     let dir = tempdir();
     let path = dir.join("bad-json.ckt");
@@ -236,9 +256,14 @@ fn lint_supports_json_output() {
     .expect("writable");
     let out = smo(&["lint", path.to_str().expect("utf-8"), "--json"]);
     assert!(!out.status.success(), "error findings must exit non-zero");
-    let text = stdout(&out);
-    assert!(text.contains("\"clean\": false"), "{text}");
-    assert!(text.contains("\"rule\": \"zero-delay-loop\""), "{text}");
+    let v = json_out(&out);
+    assert_eq!(v.get("clean"), Some(&Json::Bool(false)), "{v:?}");
+    assert!(
+        items(&v, "findings")
+            .iter()
+            .any(|f| f.get("rule").and_then(Json::as_str) == Some("zero-delay-loop")),
+        "{v:?}"
+    );
 }
 
 #[test]
@@ -262,10 +287,11 @@ fn diagnose_reports_optimum_when_uncapped() {
 #[test]
 fn diagnose_prints_its_optimum_like_solve() {
     // Six decimals in text and JSON, as `smo solve` prints the same
-    // optimum: race_demo's graph optimum is 5.050000000000001 in full.
-    for (f, tc) in [
-        ("circuits/race_demo.ckt", "5.050000"),
-        ("circuits/example2.ckt", "31.000000"),
+    // optimum: race_demo's graph optimum is 5.050000000000001 in full, and
+    // the JSON carries the value of its six-decimal text.
+    for (f, tc, json_tc) in [
+        ("circuits/race_demo.ckt", "5.050000", "5.05"),
+        ("circuits/example2.ckt", "31.000000", "31"),
     ] {
         let out = smo(&["diagnose", f]);
         assert!(out.status.success(), "{f}");
@@ -274,7 +300,7 @@ fn diagnose_prints_its_optimum_like_solve() {
         assert!(out.status.success(), "{f}");
         assert_eq!(
             stdout(&out),
-            format!("{{\n  \"feasible\": true,\n  \"min_cycle\": {tc}\n}}\n")
+            format!("{{\"feasible\":true,\"min_cycle\":{json_tc}}}\n")
         );
         let solve = stdout(&smo(&["solve", f]));
         assert!(
@@ -307,9 +333,9 @@ fn diagnose_names_the_conflict_at_an_impossible_cycle_time() {
         "100",
         "--json",
     ]);
-    let text = stdout(&json);
-    assert!(text.contains("\"feasible\": false"), "{text}");
-    assert!(text.contains("\"iis\": ["), "{text}");
+    let v = json_out(&json);
+    assert_eq!(v.get("feasible"), Some(&Json::Bool(false)), "{v:?}");
+    assert!(!items(&v, "iis").is_empty(), "{v:?}");
 }
 
 #[test]
@@ -401,15 +427,29 @@ fn solve_certifies_every_shipped_netlist() {
 fn solve_json_carries_certificates() {
     // Graph path (default): one KKT certificate, from the critical
     // cycle's duals.
+    let valid = |v: &Json| {
+        items(v, "certificates")
+            .iter()
+            .filter(|c| c.get("valid") == Some(&Json::Bool(true)))
+            .count()
+    };
+    let gap = |v: &Json| {
+        items(v, "certificates").iter().all(|c| {
+            c.get("residuals")
+                .and_then(|r| r.get("duality gap"))
+                .is_some()
+        })
+    };
     let out = smo(&["solve", "circuits/example1.ckt", "--json"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    assert!(text.contains("\"cycle_time\": 110.000000"), "{text}");
-    assert!(text.contains("\"certified\": true"), "{text}");
-    assert!(text.contains("\"backend\": \"graph\""), "{text}");
+    let v = json_out(&out);
+    assert!(text.starts_with("{\"cycle_time\":110,"), "{text}");
+    assert_eq!(v.get("certified"), Some(&Json::Bool(true)), "{text}");
+    assert_eq!(v.get("backend").and_then(Json::as_str), Some("graph"));
     assert!(!text.contains("graph_certificate"), "{text}");
-    assert!(text.contains("\"duality gap\""), "{text}");
-    assert_eq!(text.matches("\"valid\": true").count(), 1, "{text}");
+    assert!(gap(&v), "{text}");
+    assert_eq!(valid(&v), 1, "{text}");
 
     // LP path: the KKT certificates, one per LP.
     let out = smo(&[
@@ -421,13 +461,19 @@ fn solve_json_carries_certificates() {
     ]);
     assert!(out.status.success());
     let text = stdout(&out);
-    assert!(text.contains("\"cycle_time\": 110.000000"), "{text}");
-    assert!(text.contains("\"certified\": true"), "{text}");
-    assert!(text.contains("\"backend\": \"lp\""), "{text}");
-    assert!(text.contains("\"worst_residual\""), "{text}");
-    assert!(text.contains("\"duality gap\""), "{text}");
+    let v = json_out(&out);
+    assert_eq!(num(&v, "cycle_time"), Some(110.0), "{text}");
+    assert_eq!(v.get("certified"), Some(&Json::Bool(true)), "{text}");
+    assert_eq!(v.get("backend").and_then(Json::as_str), Some("lp"));
+    assert!(
+        items(&v, "certificates")
+            .iter()
+            .all(|c| num(c, "worst_residual").is_some()),
+        "{text}"
+    );
+    assert!(gap(&v), "{text}");
     assert_eq!(
-        text.matches("\"valid\": true").count(),
+        valid(&v),
         2,
         "one certificate per LP (cycle-time + canonicalization): {text}"
     );
@@ -460,8 +506,9 @@ fn solve_no_certify_skips_certificates() {
     let out = smo(&["solve", "circuits/example1.ckt", "--no-certify", "--json"]);
     assert!(out.status.success());
     let json = stdout(&out);
-    assert!(json.contains("\"certified\": false"), "{json}");
-    assert!(json.contains("\"backend\": \"graph\""), "{json}");
+    let v = json_out(&out);
+    assert_eq!(v.get("certified"), Some(&Json::Bool(false)), "{json}");
+    assert_eq!(v.get("backend").and_then(Json::as_str), Some("graph"));
     assert!(!json.contains("graph_certificate"), "{json}");
 }
 
@@ -513,20 +560,22 @@ fn check_passes_every_shipped_netlist_and_gates_the_racy_demo() {
 fn check_json_emits_the_findings_schema() {
     let out = smo(&["check", "circuits/race_demo.ckt", "--json"]);
     assert_eq!(out.status.code(), Some(2));
-    let text = stdout(&out);
-    assert!(text.contains("\"clean\": false"), "{text}");
-    assert!(text.contains("\"races\": 1"), "{text}");
-    assert!(
-        text.contains("\"rule\": \"double-clocking-race\""),
-        "{text}"
-    );
-    assert!(text.contains("\"severity\": \"error\""), "{text}");
+    let v = json_out(&out);
+    assert_eq!(v.get("clean"), Some(&Json::Bool(false)), "{v:?}");
+    assert_eq!(num(&v, "races"), Some(1.0), "{v:?}");
+    let has = |key: &str, value: &str| {
+        items(&v, "findings")
+            .iter()
+            .any(|f| f.get(key).and_then(Json::as_str) == Some(value))
+    };
+    assert!(has("rule", "double-clocking-race"), "{v:?}");
+    assert!(has("severity", "error"), "{v:?}");
 
     let out = smo(&["check", "circuits/example1.ckt", "--json"]);
     assert!(out.status.success());
-    let text = stdout(&out);
-    assert!(text.contains("\"clean\": true"), "{text}");
-    assert!(text.contains("\"races\": 0"), "{text}");
+    let v = json_out(&out);
+    assert_eq!(v.get("clean"), Some(&Json::Bool(true)), "{v:?}");
+    assert_eq!(num(&v, "races"), Some(0.0), "{v:?}");
 }
 
 #[test]
@@ -1020,6 +1069,97 @@ fn every_subcommand_honors_or_rejects_every_flag() {
             }
         }
     }
+
+    // A sweep refuses the flags of the parameter it does not sweep, on
+    // the command line and under `smo call`, in the daemon's words.
+    for key in ["sweep", "call sweep"] {
+        for (param, add, field) in [
+            (&[][..], ["--edge", "2"], "edge"),
+            (&[][..], ["--max-delay", "140"], "max_delay"),
+            (&["--param", "delay"][..], ["--edge", "2"], "edge"),
+            (&["--param", "tc"][..], ["--spread", "0.3"], "spread"),
+            (&["--param", "tc"][..], ["--seed", "5"], "seed"),
+        ] {
+            let args = [base_of(key), strings(param), strings(&add)].concat();
+            let out = smo(&args.iter().map(String::as_str).collect::<Vec<_>>());
+            let err = String::from_utf8_lossy(&out.stderr);
+            let shown = format!("`smo {}`: {err}", args.join(" "));
+            let swept = if param.is_empty() { "delay" } else { param[1] };
+            assert_eq!(out.status.code(), Some(1), "{shown}");
+            assert!(
+                err.contains(&format!(
+                    "`{field}` does not apply to a `param` \"{swept}\" sweep"
+                )),
+                "{shown}"
+            );
+            assert!(err.contains("usage:"), "{shown}");
+        }
+    }
     assert!(smo(&["call", &addr, "shutdown"]).status.success());
     server.wait();
+}
+
+/// `smo <cmd> … --json` prints the `result` bytes of the daemon's reply
+/// to the same request, plus a newline: for every command form the two
+/// share, on every shipped netlist.
+#[test]
+fn json_output_is_the_daemon_result_byte_for_byte() {
+    let engine = smo::api::Engine::new(smo::api::EngineConfig::default());
+    let forms: [(&[&str], &str); 6] = [
+        (&["solve"], r#""cmd":"solve""#),
+        (&["check"], r#""cmd":"check""#),
+        (&["diagnose"], r#""cmd":"diagnose""#),
+        (
+            &["diagnose", "--cycle-time", "50"],
+            r#""cmd":"diagnose","cycle_time":50"#,
+        ),
+        (&["sweep", "--runs", "4"], r#""cmd":"sweep","runs":4"#),
+        (
+            &[
+                "sweep",
+                "--param",
+                "tc",
+                "--edge",
+                "3",
+                "--max-delay",
+                "140",
+                "--runs",
+                "8",
+            ],
+            r#""cmd":"sweep","param":"tc","edge":3,"max_delay":140,"runs":8"#,
+        ),
+    ];
+    let mut compared = 0;
+    for entry in std::fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("circuits"))
+        .expect("circuits/ lists")
+    {
+        let path = entry.expect("entry").path();
+        let text = std::fs::read_to_string(&path).expect("netlist reads");
+        let path = path.to_str().expect("utf-8");
+        for (args, fields) in forms {
+            let line = format!("{{{fields},\"netlist\":{}}}", smo::api::json::escape(&text));
+            let reply = engine.handle_line(&line, smo::api::Load::IDLE).line;
+            let (cmd, flags) = args.split_first().expect("a command");
+            let out = smo(&[&[*cmd, path][..], flags, &["--json"]].concat());
+            let shown = format!("`smo {cmd} {path} {}`", flags.join(" "));
+            match reply.split_once(r#""status":"ok","degradation":"full","cached":false,"result":"#)
+            {
+                Some((_, result)) => {
+                    let result = result.strip_suffix('}').expect("envelope closes");
+                    assert_eq!(stdout(&out), format!("{result}\n"), "{shown}");
+                    compared += 1;
+                }
+                // Where the daemon refuses the request, the CLI does too.
+                None => {
+                    assert!(
+                        reply.contains(r#""kind":"bad-request""#),
+                        "{shown}: {reply}"
+                    );
+                    assert_eq!(out.status.code(), Some(1), "{shown}");
+                    assert_eq!(stdout(&out), "", "{shown}");
+                }
+            }
+        }
+    }
+    assert!(compared >= 6 * 5, "only {compared} forms compared");
 }

@@ -5,6 +5,7 @@
 
 mod common;
 
+use smo::api::Json;
 use smo::circuit::EdgeId;
 use smo::timing::{cycle_time_curve, TimingModel};
 
@@ -69,13 +70,16 @@ fn zero_spread_sweep_reproduces_the_paper_optimum() {
         "--json",
     ]);
     assert!(out.status.success());
-    let json = String::from_utf8_lossy(&out.stdout);
+    let json = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("JSON");
+    let runs = json.get("runs").and_then(Json::as_arr).expect("runs");
     assert_eq!(
-        json.matches("\"cycle_time\": 110.000000").count(),
+        runs.iter()
+            .filter(|r| r.get("cycle_time") == Some(&Json::Num(110.0)))
+            .count(),
         8,
-        "not every run hit Tc* = 110: {json}"
+        "not every run hit Tc* = 110: {json:?}"
     );
-    assert!(json.contains("\"base_cycle_time\": 110.000000"));
+    assert_eq!(json.get("base_cycle_time"), Some(&Json::Num(110.0)));
 }
 
 /// Parametric-sweep oracle: the `--param tc` breakpoints reported by the
@@ -102,9 +106,10 @@ fn tc_sweep_breakpoints_match_the_parametric_curve() {
         "--json",
     ]);
     assert!(out.status.success());
-    let json = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        json.contains("\"breakpoints\": [20.000000, 100.000000]"),
-        "CLI breakpoints disagree with the parametric curve: {json}"
+    let json = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("JSON");
+    assert_eq!(
+        json.get("breakpoints"),
+        Some(&Json::Arr(vec![Json::Num(20.0), Json::Num(100.0)])),
+        "CLI breakpoints disagree with the parametric curve: {json:?}"
     );
 }
