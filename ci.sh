@@ -282,6 +282,12 @@ analyze_out=$(timeout 30 ./target/release/smo analyze "$graph_ckt")
 printf '%s\n' "$analyze_out" | grep -q "certified optimal"
 rm -f "$graph_ckt"
 
+echo "==> shape-corpus scaling gate (wide, deep, fan-in 8, four phases; 25k vs 50k latches)"
+# Doubling the latches of any generated shape may at most scale a
+# command's best-of-3 wall time by 2.6 where it takes 0.2 s or more: no
+# superlinear cliff on a legal netlist. About a minute on a 2-core host.
+./shape_gate.sh ./target/release/smo
+
 echo "==> 200k mindelay lines over 200k parallel paths: parsed in one indexed pass"
 # Every `mindelay` line resolves against one (from, to) index of the
 # edges, so this 6 MB netlist parses in well under a second; matching

@@ -26,8 +26,8 @@
 use smo_circuit::json::Json;
 use smo_circuit::Circuit;
 use smo_core::{
-    classify_model, cycle_time_bounds, min_cycle_time_with, Backend, ConstraintKind,
-    CycleTimeBounds, MlpOptions, TimingError, TimingModel,
+    classify_model, cycle_time_bounds, solve_model_with, Backend, ConstraintKind, CycleTimeBounds,
+    MlpOptions, TimingError, TimingModel,
 };
 use std::fmt;
 
@@ -318,23 +318,10 @@ impl fmt::Display for AnalyzeReport {
 pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
     let model = TimingModel::build(circuit)?;
 
-    // Static classification: which rows the difference-constraint graph
-    // backend can represent, family by family.
-    let cls = classify_model(circuit, &model)?;
-    let mut class_rows = vec![0usize; FAMILIES.len()];
-    let mut class_diff = vec![0usize; FAMILIES.len()];
-    for info in model.constraints() {
-        let fam = family_index(info.kind);
-        class_rows[fam] += 1;
-        if cls.class(info.row).is_difference_fragment() {
-            class_diff[fam] += 1;
-        }
-    }
-
     // The default solve of `smo solve`: its optimum is KKT-checked against
     // the raw constraint data, on the graph path with the critical cycle's
     // duals.
-    let sol = min_cycle_time_with(circuit, &MlpOptions::default())?;
+    let sol = solve_model_with(circuit, &model, &MlpOptions::default())?;
     let optimum = sol.cycle_time();
     let certificate = sol
         .certificates()
@@ -342,6 +329,24 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
         .max_by(|a, b| a.worst().total_cmp(&b.worst()))
         .cloned();
     let graph_optimum = (sol.backend() == Backend::Graph).then_some(optimum);
+
+    // Static classification: which rows the difference-constraint graph
+    // backend can represent, family by family. The graph answers pure
+    // models only: after a graph solve every row is in the fragment.
+    let cls = match graph_optimum {
+        Some(_) => None,
+        None => Some(classify_model(circuit, &model)?),
+    };
+    let mut class_rows = vec![0usize; FAMILIES.len()];
+    let mut class_diff = vec![0usize; FAMILIES.len()];
+    for info in model.constraints() {
+        let fam = family_index(info.kind);
+        class_rows[fam] += 1;
+        class_diff[fam] += usize::from(
+            cls.as_ref()
+                .is_none_or(|c| c.class(info.row).is_difference_fragment()),
+        );
+    }
 
     // The combinatorial bracket must contain the optimum.
     let bounds = cycle_time_bounds(circuit);
@@ -385,7 +390,7 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
             .zip(class_rows.iter().copied().zip(class_diff.iter().copied()))
             .map(|(f, (r, d))| (f, r, d))
             .collect(),
-        num_general_rows: cls.num_general(),
+        num_general_rows: cls.map_or(0, |c| c.num_general()),
         graph_optimum,
         certificate,
     })

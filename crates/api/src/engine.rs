@@ -28,7 +28,7 @@
 
 use crate::cache::{fingerprint, ApiCache, CacheConfig, Doorkeeper};
 use crate::error::{ApiError, ErrorKind};
-use crate::json::escape;
+use crate::json::{escape, Json};
 use crate::ops;
 use crate::request::{Command, Request};
 use smo_circuit::netlist::ParseLimits;
@@ -296,24 +296,30 @@ impl Engine {
                 // `basis_hits` is a retired wire key: there is no basis
                 // cache, so it is always 0. It stays in the reply because
                 // existing `stats` readers still parse it as a number.
-                let payload = format!(
-                    "{{\"requests\":{},\"ok\":{},\"errors\":{},\"panics\":{},\"sheds\":{},\
-                     \"active\":{},\"queued\":{},\"max_active\":{},\"max_queue\":{},\
-                     \"cache\":{{\"circuits\":{circuits},\"results\":{results},\
-                     \"quarantined\":{quarantined},\"result_hits\":{},\"circuit_hits\":{},\
-                     \"basis_hits\":0}}}}",
-                    self.counters.requests.load(Ordering::Relaxed),
-                    self.counters.ok.load(Ordering::Relaxed),
-                    self.counters.errors.load(Ordering::Relaxed),
-                    self.counters.panics.load(Ordering::Relaxed),
-                    self.counters.sheds.load(Ordering::Relaxed),
-                    load.active,
-                    load.queued,
-                    load.max_active,
-                    load.max_queue,
-                    stats.result_hits,
-                    stats.circuit_hits,
-                );
+                let count = |c: &AtomicU64| Json::Num(c.load(Ordering::Relaxed) as f64);
+                let payload = Json::obj([
+                    ("requests", count(&self.counters.requests)),
+                    ("ok", count(&self.counters.ok)),
+                    ("errors", count(&self.counters.errors)),
+                    ("panics", count(&self.counters.panics)),
+                    ("sheds", count(&self.counters.sheds)),
+                    ("active", load.active.into()),
+                    ("queued", load.queued.into()),
+                    ("max_active", load.max_active.into()),
+                    ("max_queue", load.max_queue.into()),
+                    (
+                        "cache",
+                        Json::obj([
+                            ("circuits", circuits.into()),
+                            ("results", results.into()),
+                            ("quarantined", quarantined.into()),
+                            ("result_hits", Json::Num(stats.result_hits as f64)),
+                            ("circuit_hits", Json::Num(stats.circuit_hits as f64)),
+                            ("basis_hits", 0usize.into()),
+                        ]),
+                    ),
+                ])
+                .render_compact();
                 self.ok_reply(id, Degradation::Full, &payload, false)
             }
             Command::Shutdown => {

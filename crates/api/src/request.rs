@@ -22,7 +22,7 @@
 use crate::error::ApiError;
 use crate::json::Json;
 use smo_circuit::ClockSchedule;
-use smo_core::Backend;
+use smo_core::{Backend, MlpOptions, SweepOptions, SweepParam};
 
 /// A parsed request: envelope fields plus the typed command.
 #[derive(Debug, Clone, PartialEq)]
@@ -305,7 +305,7 @@ impl Request {
             "debug-panic" => Command::DebugPanic,
             "solve" => Command::Solve {
                 backend: opt_backend(&value)?,
-                certify: opt_bool(&value, "certify")?.unwrap_or(true),
+                certify: opt_bool(&value, "certify")?.unwrap_or(MlpOptions::default().certify),
                 netlist: req_netlist(&mut value)?,
             },
             "verify" => Command::Verify {
@@ -323,12 +323,15 @@ impl Request {
                 cycle_time: opt_finite(&value, "cycle_time")?,
                 netlist: req_netlist(&mut value)?,
             },
-            "sweep" => Command::Sweep {
-                param: req_swept(&value)?,
-                runs: opt_u64(&value, "runs")?.map_or(16, |n| n as usize),
-                certify: opt_bool(&value, "certify")?.unwrap_or(false),
-                netlist: req_netlist(&mut value)?,
-            },
+            "sweep" => {
+                let defaults = SweepOptions::default();
+                Command::Sweep {
+                    param: req_swept(&value, &defaults)?,
+                    runs: opt_u64(&value, "runs")?.map_or(defaults.runs, |n| n as usize),
+                    certify: opt_bool(&value, "certify")?.unwrap_or(defaults.certify),
+                    netlist: req_netlist(&mut value)?,
+                }
+            }
             other => {
                 return Err(ApiError::bad_request(format!(
                     "unknown command `{other}` (known: ping, stats, shutdown, \
@@ -362,10 +365,11 @@ impl Request {
     }
 }
 
-/// A sweep's `param` (default `"delay"`) and the fields it reads. The
-/// other parameter's fields are refused: a sweep that ignored them would
-/// answer a question the client did not ask.
-fn req_swept(value: &Json) -> Result<Swept, ApiError> {
+/// A sweep's `param` (default `"delay"`) and the fields it reads, absent
+/// ones taken from the library's `defaults`. The other parameter's fields
+/// are refused: a sweep that ignored them would answer a question the
+/// client did not ask.
+fn req_swept(value: &Json, defaults: &SweepOptions) -> Result<Swept, ApiError> {
     let param = opt_str(value, "param")?;
     let (swept, foreign) = match param.as_deref().unwrap_or("delay") {
         "tc" => (
@@ -377,8 +381,13 @@ fn req_swept(value: &Json) -> Result<Swept, ApiError> {
         ),
         "delay" => (
             Swept::Delay {
-                spread: opt_finite(value, "spread")?.unwrap_or(0.1),
-                seed: opt_u64(value, "seed")?.unwrap_or(0),
+                spread: match (opt_finite(value, "spread")?, defaults.param.clone()) {
+                    (Some(spread), _) | (None, SweepParam::Delay { spread }) => spread,
+                    (None, SweepParam::Tc { .. }) => {
+                        unreachable!("the default sweep jitters delays")
+                    }
+                },
+                seed: opt_u64(value, "seed")?.unwrap_or(defaults.seed),
             },
             ["edge", "max_delay"],
         ),
@@ -509,14 +518,33 @@ mod tests {
         let r = Request::parse(r#"{"cmd":"solve","netlist":""}"#).unwrap();
         assert_eq!(r.id, None);
         assert_eq!(r.deadline_ms, None);
-        assert!(matches!(
+        // The library, CLI and daemon share one default.
+        let mlp = MlpOptions::default();
+        assert_eq!(
             r.command,
             Command::Solve {
-                backend: Backend::Auto,
-                certify: true,
-                ..
+                netlist: String::new(),
+                backend: mlp.backend,
+                certify: mlp.certify,
             }
-        ));
+        );
+        let r = Request::parse(r#"{"cmd":"sweep","netlist":""}"#).unwrap();
+        let sweep = SweepOptions::default();
+        let SweepParam::Delay { spread } = sweep.param else {
+            panic!("the default sweep jitters delays: {:?}", sweep.param);
+        };
+        assert_eq!(
+            r.command,
+            Command::Sweep {
+                netlist: String::new(),
+                param: Swept::Delay {
+                    spread,
+                    seed: sweep.seed,
+                },
+                runs: sweep.runs,
+                certify: sweep.certify,
+            }
+        );
     }
 
     #[test]

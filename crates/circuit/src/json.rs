@@ -152,7 +152,13 @@ impl Json {
     /// Cycle times, slacks and sweep values are reported at this
     /// precision; a non-finite `x` stays as it is and renders `null`.
     pub fn six_decimals(x: f64) -> Json {
-        Json::Num(format!("{x:.6}").parse().unwrap_or(x))
+        Json::decimals(x, 6)
+    }
+
+    /// `x` as printed to `places` decimals: the value of that text, like
+    /// [`Json::six_decimals`]. Benchmark rates and latencies use it.
+    pub fn decimals(x: f64, places: usize) -> Json {
+        Json::Num(format!("{x:.places$}").parse().unwrap_or(x))
     }
 
     /// Renders compactly (no whitespace), preserving object key order.
@@ -169,6 +175,43 @@ impl Json {
         let mut out = String::new();
         self.write(&mut out, (", ", ": "));
         out
+    }
+
+    /// Renders one item per line, each level indented two more spaces,
+    /// down to `depth` levels of nesting; the values below that render on
+    /// their line as [`Json::render_spaced`] does. The layout of the
+    /// checked-in `BENCH_*.json` files.
+    pub fn render_lines(&self, depth: usize) -> String {
+        let mut out = String::new();
+        self.write_lines(&mut out, depth, 0);
+        out
+    }
+
+    fn write_lines(&self, out: &mut String, depth: usize, level: usize) {
+        let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Arr(items) if depth > 0 && !items.is_empty() => {
+                ('[', ']', items.iter().map(|v| (None, v)).collect())
+            }
+            Json::Obj(fields) if depth > 0 && !fields.is_empty() => (
+                '{',
+                '}',
+                fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+            _ => return self.write(out, (", ", ": ")),
+        };
+        out.push(open);
+        for (i, (key, value)) in items.into_iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str(&"  ".repeat(level + 1));
+            if let Some(key) = key {
+                write_escaped(key, out);
+                out.push_str(": ");
+            }
+            value.write_lines(out, depth - 1, level + 1);
+        }
+        out.push('\n');
+        out.push_str(&"  ".repeat(level));
+        out.push(close);
     }
 
     /// Writes the value with `(comma, colon)` as separators.
@@ -678,6 +721,30 @@ mod tests {
         assert_eq!(v.render_compact(), compact);
         assert_eq!(v.render_spaced(), spaced);
         assert_eq!(Json::parse(spaced), Ok(v));
+    }
+
+    #[test]
+    fn render_lines_breaks_the_outer_levels_only() {
+        let v = Json::obj([
+            ("a", Json::decimals(2.0 / 3.0, 2)),
+            (
+                "b",
+                vec![Json::obj([("c", Json::from(1.5))])]
+                    .into_iter()
+                    .collect(),
+            ),
+            ("d", Json::obj([])),
+        ]);
+        assert_eq!(
+            v.render_lines(2),
+            "{\n  \"a\": 0.67,\n  \"b\": [\n    {\"c\": 1.5}\n  ],\n  \"d\": {}\n}"
+        );
+        assert_eq!(
+            v.render_lines(1),
+            "{\n  \"a\": 0.67,\n  \"b\": [{\"c\": 1.5}],\n  \"d\": {}\n}"
+        );
+        assert_eq!(v.render_lines(0), v.render_spaced());
+        assert_eq!(Json::parse(&v.render_lines(2)), Ok(v));
     }
 
     #[test]

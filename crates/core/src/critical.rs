@@ -9,18 +9,21 @@
 //! This module reads exactly that off the solve that proves `T_c*` (the
 //! oracle behind [`delay_sensitivities`](crate::delay_sensitivities)): an
 //! edge (or setup requirement) is *critical* when its row moves `T_c*`,
-//! and the rate is its sensitivity `dT_c*/dΔ`. On a pure difference model
-//! those rows are the critical cycle that certifies the graph optimum, so
-//! the critical edges are that cycle's edges; where several loops tie,
-//! it names one of them. On a mixed model they are the rows with a
+//! and the rate is its sensitivity `dT_c*/dΔ`. When the graph answers,
+//! those rows are the critical cycle that certifies its optimum, so the
+//! critical edges are that cycle's edges; where several loops tie, it
+//! names one of them. A graph solve carries that cycle with it, so the
+//! report of [`render_report`](crate::render_report) reads the segments
+//! off the solve it already made. Otherwise they are the rows with a
 //! non-zero simplex dual (binding rows, by complementary slackness), and
 //! a tie can show up as several disjoint segments at once. Maximal chains
 //! of consecutive critical edges are grouped into segments.
 
 use crate::error::TimingError;
 use crate::model::{ConstraintKind, TimingModel};
-use crate::sensitivity::Support;
+use crate::sensitivity::{edge_slopes, Support};
 use smo_circuit::{Circuit, EdgeId, LatchId};
+use smo_lp::ConstraintId;
 use std::fmt;
 
 /// One critical combinational edge with its sensitivity.
@@ -96,9 +99,18 @@ pub fn critical_report(
     circuit: &Circuit,
     model: &TimingModel,
 ) -> Result<CriticalReport, TimingError> {
-    let support = Support::solve(circuit, model)?;
-    let mut edges: Vec<CriticalEdge> = support
-        .edge_slopes(model, circuit.num_edges())
+    let support = Support::solve(circuit, model, false)?;
+    Ok(critical_rows(circuit, model, &support.rows))
+}
+
+/// The critical edges, setup constraints and segments of `model`, read
+/// off the `(row, dT_c*/db)` pairs of the rows that move its `T_c*`.
+pub(crate) fn critical_rows(
+    circuit: &Circuit,
+    model: &TimingModel,
+    rows: &[(ConstraintId, f64)],
+) -> CriticalReport {
+    let mut edges: Vec<CriticalEdge> = edge_slopes(model, rows, circuit.num_edges())
         .into_iter()
         .enumerate()
         .filter(|&(_, sensitivity)| sensitivity != 0.0)
@@ -112,7 +124,7 @@ pub fn critical_report(
             .total_cmp(&a.sensitivity)
             .then(a.edge.cmp(&b.edge))
     });
-    let mut setup = support.rows.clone();
+    let mut setup = rows.to_vec();
     setup.sort_by_key(|&(row, _)| row);
     let setup_critical = setup
         .iter()
@@ -123,11 +135,11 @@ pub fn critical_report(
         .collect();
 
     let segments = chain_segments(circuit, &edges);
-    Ok(CriticalReport {
+    CriticalReport {
         edges,
         setup_critical,
         segments,
-    })
+    }
 }
 
 /// Groups critical edges into maximal head-to-tail chains.

@@ -26,13 +26,13 @@
 //! (`Display`) and as JSON ([`InfeasibilityReport::to_json`]).
 
 use crate::error::TimingError;
-use crate::fastpath;
+use crate::fastpath::{self, Graph, Route};
 use crate::model::{ConstraintInfo, ConstraintKind, TimingModel};
 use smo_circuit::json::Json;
 use smo_circuit::{Circuit, SyncKind};
 use smo_lp::{
-    certifies_infeasibility, extract_graph_iis, extract_iis, ConstraintId, Iis, MinParamOutcome,
-    Problem, Sense, SolveBudget, Status,
+    certifies_infeasibility, extract_graph_iis, extract_iis, ConstraintId, Iis, Problem, Sense,
+    Status,
 };
 use std::fmt;
 
@@ -363,7 +363,8 @@ pub(crate) fn describe(
 /// feasible clock schedule.
 ///
 /// A pure difference model takes one graph solve; any other model, or a
-/// graph answer that fails its checks, one simplex solve. Every IIS row
+/// graph answer that fails its checks, one simplex solve: the rule of the
+/// `auto` backend. Every IIS row
 /// is mapped back through the model's provenance records to the paper's
 /// constraint names.
 ///
@@ -377,19 +378,16 @@ pub(crate) fn describe(
 /// cycle-time objective is bounded below in every well-formed model).
 pub fn diagnose_model(circuit: &Circuit, model: &TimingModel) -> Result<Diagnosis, TimingError> {
     let p = model.problem();
-    // Numerical trouble on the graph leaves the verdict to the simplex.
-    let graph = fastpath::difference_system(circuit, model).ok().flatten();
-    match graph.and_then(|sys| sys.minimize_param(&SolveBudget::UNLIMITED).ok()) {
-        Some(MinParamOutcome::Optimal { lambda, .. }) => {
-            return Ok(Diagnosis::Feasible { min_cycle: lambda })
-        }
-        Some(MinParamOutcome::Infeasible(cert)) if cert.check(p) => {
+    let graph = fastpath::auto(circuit, model, &Route::auto(false), |o| Ok(o.tc))?;
+    match graph {
+        Graph::Optimal(min_cycle) => return Ok(Diagnosis::Feasible { min_cycle }),
+        Graph::Infeasible(cert) => {
             let images = fastpath::variable_images(circuit, model);
             if let Ok(Some(iis)) = extract_graph_iis(p, &images, &cert) {
                 return Ok(Diagnosis::Infeasible(report(circuit, model, &iis, true)));
             }
         }
-        _ => {}
+        Graph::Undecided => {}
     }
     let sol = p.solve()?;
     match sol.status() {

@@ -113,7 +113,8 @@ pub use fastpath::{
     classify_model, graph_feasible_at, graph_feasible_at_within, variable_images, Backend,
 };
 pub use mlp::{
-    min_cycle_time, min_cycle_time_with, solve_model, solve_model_canonical, MlpOptions,
+    min_cycle_time, min_cycle_time_with, solve_model, solve_model_canonical, solve_model_with,
+    MlpOptions,
 };
 pub use model::{
     shift_expr, ConstraintInfo, ConstraintKind, ConstraintOptions, DeparturePinning,

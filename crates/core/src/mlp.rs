@@ -17,11 +17,12 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::TimingError;
-use crate::fastpath::{self, Backend};
+use crate::fastpath::{self, Backend, Route};
 use crate::model::{ConstraintOptions, TimingModel};
 use crate::propagation::PropagationSystem;
 use crate::solution::TimingSolution;
 use smo_circuit::{Circuit, ClockSchedule};
+use smo_lp::SolveBudget;
 
 /// Options for [`min_cycle_time_with`].
 #[derive(Debug, Clone, PartialEq)]
@@ -72,20 +73,17 @@ impl Default for MlpOptions {
 }
 
 impl MlpOptions {
-    /// The budget shared by every solver stage of one solve: built once at
-    /// entry so the deadline is absolute across the graph fast path, the
-    /// cycle-time LP and the canonicalizing re-solve.
-    fn budget(&self) -> smo_lp::SolveBudget {
-        match self.time_limit {
-            Some(limit) => smo_lp::SolveBudget::with_time_limit(limit),
-            None => smo_lp::SolveBudget::UNLIMITED,
+    /// How the solve runs. Its budget is built once at entry, so the
+    /// deadline is absolute across the graph fast path, the cycle-time LP
+    /// and the canonicalizing re-solve.
+    fn solve_route(&self) -> Route {
+        Route {
+            backend: self.backend,
+            budget: self
+                .time_limit
+                .map_or(SolveBudget::UNLIMITED, SolveBudget::with_time_limit),
+            certify: self.certify,
         }
-    }
-
-    /// The [`smo_lp::RecoveryPolicy`] these options induce under `budget`,
-    /// or `None` when certification is off.
-    fn policy(&self, budget: smo_lp::SolveBudget) -> Option<smo_lp::RecoveryPolicy> {
-        self.certify.then_some(smo_lp::RecoveryPolicy { budget })
     }
 }
 
@@ -134,67 +132,34 @@ pub fn min_cycle_time_with(
     options: &MlpOptions,
 ) -> Result<TimingSolution, TimingError> {
     let model = TimingModel::build_with(circuit, &options.constraints)?;
-    solve_built(circuit, &model, options)
+    solve_model_with(circuit, &model, options)
 }
 
 /// [`min_cycle_time_with`] on an already built model (which may carry
-/// extra rows): one budget for every stage.
-pub(crate) fn solve_built(
+/// extra rows; `options.constraints` is not read again): one budget for
+/// every stage.
+///
+/// # Errors
+///
+/// See [`min_cycle_time`].
+pub fn solve_model_with(
     circuit: &Circuit,
     model: &TimingModel,
     options: &MlpOptions,
 ) -> Result<TimingSolution, TimingError> {
-    let budget = options.budget();
-    let policy = options.policy(budget);
     // Difference-constraint fast path: exact graph solve on pure models;
-    // mixed ones fall through to the cold simplex (see
-    // [`crate::fastpath`]).
-    if options.backend != Backend::Lp {
-        let outcome = fastpath::attempt(circuit, model, &budget, options.certify);
-        if let Some(answer) = fastpath::route(outcome, options.backend, options.certify) {
-            return answer;
-        }
+    // a miss falls through to the cold simplex (see [`fastpath::auto`]).
+    let route = options.solve_route();
+    let graph = fastpath::auto(circuit, model, &route, |optimum| {
+        fastpath::build_solution(circuit, model, optimum)
+    })?;
+    if let Some(solution) = graph.answer(circuit, model)? {
+        return Ok(solution);
     }
-    let lp = LpStage {
-        policy: policy.as_ref(),
-        budget,
-    };
     if options.canonicalize {
-        canonical_inner(circuit, model, &lp)
+        canonical_inner(circuit, model, &route)
     } else {
-        model_inner(circuit, model, &lp)
-    }
-}
-
-/// How the LP stages of one solve run: the certified policy (`None` =
-/// plain solves), and the budget of the plain solves.
-struct LpStage<'a> {
-    policy: Option<&'a smo_lp::RecoveryPolicy>,
-    budget: smo_lp::SolveBudget,
-}
-
-impl LpStage<'_> {
-    /// Plain, unbudgeted, uncertified solves.
-    fn plain() -> LpStage<'static> {
-        LpStage {
-            policy: None,
-            budget: smo_lp::SolveBudget::UNLIMITED,
-        }
-    }
-
-    /// Solves `model`'s LP cold, with the certificate when the stage
-    /// certifies.
-    fn solve(
-        &self,
-        model: &TimingModel,
-    ) -> Result<(smo_lp::OptimalSolution, Vec<smo_lp::Certificate>), TimingError> {
-        match self.policy {
-            Some(pol) => {
-                let (sol, cert) = model.solve_lp_certified(pol)?;
-                Ok((sol, vec![cert]))
-            }
-            None => Ok((model.solve_lp_budgeted(self.budget)?, Vec::new())),
-        }
+        model_inner(circuit, model, &route)
     }
 }
 
@@ -210,16 +175,16 @@ pub fn solve_model_canonical(
     circuit: &Circuit,
     model: &TimingModel,
 ) -> Result<TimingSolution, TimingError> {
-    canonical_inner(circuit, model, &LpStage::plain())
+    canonical_inner(circuit, model, &Route::PLAIN)
 }
 
 /// Canonicalizing pipeline shared by the certified and plain paths.
 fn canonical_inner(
     circuit: &Circuit,
     model: &TimingModel,
-    lp: &LpStage<'_>,
+    route: &Route,
 ) -> Result<TimingSolution, TimingError> {
-    let (first, mut certificates) = lp.solve(model)?;
+    let (first, mut certificates) = route.solve_lp(model)?;
     let tc_opt = first.objective();
 
     let mut refined = model.clone();
@@ -234,7 +199,7 @@ fn canonical_inner(
         }
         p.minimize(secondary);
     }
-    match model_inner(circuit, &refined, lp) {
+    match model_inner(circuit, &refined, route) {
         Ok(mut solution) => {
             solution.num_constraints = model.num_constraints();
             solution.lp_iterations += first.iterations();
@@ -252,7 +217,7 @@ fn canonical_inner(
         // infeasibility), so that exhaustion gets the same fallback.
         Err(TimingError::Infeasible { .. })
         | Err(TimingError::Lp(smo_lp::LpError::CertificationFailed { .. })) => {
-            model_inner(circuit, model, lp)
+            model_inner(circuit, model, route)
         }
         Err(e) => Err(e),
     }
@@ -266,7 +231,7 @@ fn canonical_inner(
 ///
 /// See [`min_cycle_time`].
 pub fn solve_model(circuit: &Circuit, model: &TimingModel) -> Result<TimingSolution, TimingError> {
-    model_inner(circuit, model, &LpStage::plain())
+    model_inner(circuit, model, &Route::PLAIN)
 }
 
 /// Step 2 of Algorithm MLP: slide the departures from `d0` to the
@@ -298,10 +263,10 @@ pub(crate) fn slide_departures(
 fn model_inner(
     circuit: &Circuit,
     model: &TimingModel,
-    lp: &LpStage<'_>,
+    route: &Route,
 ) -> Result<TimingSolution, TimingError> {
     // Step 1: LP.
-    let (sol, certificates) = lp.solve(model)?;
+    let (sol, certificates) = route.solve_lp(model)?;
     let schedule = model.extract_schedule(&sol)?;
     let d0 = model.extract_departures(&sol);
 
@@ -316,6 +281,7 @@ fn model_inner(
         num_constraints: model.num_constraints(),
         certificates,
         backend: Backend::Lp,
+        critical_duals: None,
     })
 }
 

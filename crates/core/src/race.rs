@@ -34,15 +34,18 @@
 //! *canonical* schedule for the solved cycle time — Bellman–Ford
 //! potentials of the difference-constraint graph at `λ = T_c` for pure
 //! models, the canonicalizing LP at a pinned cycle time for mixed ones —
-//! never at whatever schedule the solver happened to return. Graph and LP
-//! solves agree on `T_c*` to within [`Tol::TIGHT`], so they agree on the
-//! canonical schedule and hence on every hold slack to the same tolerance.
+//! never at whatever schedule the solver happened to return. A graph
+//! solve's own schedule is that canonical one, bit for bit: the search at
+//! `λ = T_c*` is the last round of its Lawler iteration, so the analysis
+//! reuses it rather than search again. Graph and LP solves agree on `T_c*`
+//! to within [`Tol::TIGHT`], so they agree on the canonical schedule and
+//! hence on every hold slack to the same tolerance.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::TimingError;
 use crate::fastpath::{self, Backend};
-use crate::mlp::{min_cycle_time_with, solve_model_canonical, MlpOptions};
+use crate::mlp::{solve_model_canonical, solve_model_with, MlpOptions};
 use crate::model::{ConstraintOptions, TimingModel};
 use crate::propagation::PropagationSystem;
 use smo_circuit::{Circuit, ClockSchedule, EdgeId, SyncKind};
@@ -254,25 +257,32 @@ impl fmt::Display for RaceReport {
 /// [`TimingError`] when the model cannot be built, the solve fails, or no
 /// feasible schedule exists at a requested `cycle_time`.
 pub fn race_analysis(circuit: &Circuit, options: &RaceOptions) -> Result<RaceReport, TimingError> {
+    if let Some(tc) = options
+        .cycle_time
+        .filter(|tc| !tc.is_finite() || *tc <= 0.0)
+    {
+        return Err(TimingError::InvalidOptions {
+            reason: format!("cycle time {tc} must be finite and positive"),
+        });
+    }
+    let model = TimingModel::build_with(circuit, &options.constraints)?;
     let tc = match options.cycle_time {
-        Some(tc) => {
-            if !tc.is_finite() || tc <= 0.0 {
-                return Err(TimingError::InvalidOptions {
-                    reason: format!("cycle time {tc} must be finite and positive"),
-                });
-            }
-            tc
-        }
+        Some(tc) => tc,
         None => {
             let mlp = MlpOptions {
                 constraints: options.constraints.clone(),
                 backend: options.backend,
                 ..MlpOptions::default()
             };
-            min_cycle_time_with(circuit, &mlp)?.cycle_time()
+            let solution = solve_model_with(circuit, &model, &mlp)?;
+            // A graph optimum already is the canonical schedule at `T_c*`:
+            // the fixed-`T_c` search would repeat Lawler's last round.
+            if solution.backend() == Backend::Graph {
+                return Ok(race_analysis_at(circuit, solution.schedule()));
+            }
+            solution.cycle_time()
         }
     };
-    let model = TimingModel::build_with(circuit, &options.constraints)?;
     // Race analysis has no time-limit knob of its own; the graph probe
     // runs unbudgeted like the rest of the pass.
     let schedule =
@@ -287,9 +297,7 @@ pub fn race_analysis(circuit: &Circuit, options: &RaceOptions) -> Result<RaceRep
                     ..options.constraints.clone()
                 };
                 let pinned_model = TimingModel::build_with(circuit, &pinned)?;
-                solve_model_canonical(circuit, &pinned_model)?
-                    .schedule()
-                    .clone()
+                solve_model_canonical(circuit, &pinned_model)?.schedule
             }
         };
     Ok(race_analysis_at(circuit, &schedule))
@@ -511,6 +519,39 @@ mod tests {
             for (g, l) in graph.edge_slacks().iter().zip(lp.edge_slacks()) {
                 assert!((g - l).abs() <= tol, "Δ41 = {d41}: {g} vs {l}");
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Where the graph answers, the race analysis checks the solve's own
+        /// schedule, and the fixed-`T_c` search at `T_c*` (what a pinned
+        /// `cycle_time` runs) rebuilds that schedule bit for bit.
+        #[test]
+        fn prop_graph_optimum_is_the_canonical_schedule(
+            seed in 0u64..10_000,
+            latches in 3usize..12,
+            ff in proptest::bool::ANY,
+        ) {
+            use smo_gen::random::{random_circuit, GenConfig};
+            let cfg = GenConfig {
+                latches,
+                edges: 2 * latches,
+                flip_flop_prob: if ff { 0.3 } else { 0.0 },
+                ..Default::default()
+            };
+            let c = random_circuit(&cfg, seed);
+            let solution = crate::min_cycle_time(&c).unwrap();
+            proptest::prop_assume!(solution.backend() == Backend::Graph);
+            let race = race_analysis(&c, &RaceOptions::default()).unwrap();
+            proptest::prop_assert_eq!(race.schedule(), solution.schedule());
+            let pinned = RaceOptions {
+                cycle_time: Some(solution.cycle_time()),
+                ..RaceOptions::default()
+            };
+            let pinned = race_analysis(&c, &pinned).unwrap();
+            proptest::prop_assert_eq!(pinned.schedule(), solution.schedule());
         }
     }
 

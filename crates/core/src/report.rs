@@ -4,10 +4,10 @@
 //! routines.
 
 use crate::analysis::{verify_with, AnalysisOptions};
-use crate::critical::critical_report;
+use crate::critical::{critical_report, critical_rows};
 use crate::diagram::render_solution;
 use crate::error::TimingError;
-use crate::mlp::{solve_built, MlpOptions};
+use crate::mlp::{solve_model_with, MlpOptions};
 use crate::model::TimingModel;
 use crate::solution::TimingSolution;
 use smo_circuit::Circuit;
@@ -41,7 +41,7 @@ use std::fmt::Write as _;
 /// ```
 pub fn timing_report(circuit: &Circuit, options: &MlpOptions) -> Result<String, TimingError> {
     let model = TimingModel::build_with(circuit, &options.constraints)?;
-    let solution = solve_built(circuit, &model, options)?;
+    let solution = solve_model_with(circuit, &model, options)?;
     render_report(circuit, &model, options, &solution)
 }
 
@@ -108,8 +108,12 @@ pub fn render_report(
         );
     }
 
-    // critical segments
-    let critical = critical_report(circuit, model)?;
+    // Critical segments: off the critical cycle that proves a graph
+    // optimum, else from the duals of a fresh solve.
+    let critical = match &solution.critical_duals {
+        Some(rows) => critical_rows(circuit, model, rows),
+        None => critical_report(circuit, model)?,
+    };
     let _ = writeln!(w, "\ncritical combinational segments:");
     if critical.segments.is_empty() {
         let _ = writeln!(

@@ -11,14 +11,14 @@
 //!   edge over a delay range (this is how `fig7_sweep` recovers the
 //!   breakpoints of Fig. 7 exactly).
 //!
-//! Both, and [`critical_report`](crate::critical_report), stand on one
-//! oracle: solve the model the way the `auto` backend
-//! does, and read off `T_c*` together with a supporting line per edge.
-//! On a pure difference model the line comes from the critical cycle
-//! that proves the graph optimum ([`smo_lp::ParamLowerWitness`]): `T_c*` is that
-//! cycle's ratio, so a witness row with multiplier `m` on a cycle of
-//! `Σ slope` moves `T_c*` by `m/Σ slope` per unit of its right-hand side.
-//! On a mixed model the line is the simplex dual of the edge's row.
+//! Both, [`critical_report`](crate::critical_report) and every sweep run
+//! stand on one oracle: solve the model by the `auto` backend's rule, and
+//! read off `T_c*` with a supporting line per edge. When the graph
+//! answers, the line comes from the critical cycle that proves its
+//! optimum ([`smo_lp::ParamLowerWitness`]): `T_c*` is that cycle's ratio,
+//! so a witness row with multiplier `m` on a cycle of `Σ slope` moves
+//! `T_c*` by `m/Σ slope` per unit of its right-hand side. Otherwise it is
+//! the simplex dual of the edge's row.
 //!
 //! `T_c*(Δ_e)` is the maximum of the critical-cycle lines in `Δ_e` (or, on
 //! a mixed model, an LP optimum as a function of one right-hand side), so
@@ -30,7 +30,7 @@
 //! `2k + 1` solves.
 
 use crate::error::TimingError;
-use crate::fastpath;
+use crate::fastpath::{self, Route};
 use crate::model::{ConstraintKind, TimingModel};
 use smo_circuit::{Circuit, EdgeId};
 use smo_lp::{ConstraintId, Tol, EPS};
@@ -40,44 +40,61 @@ use smo_lp::{ConstraintId, Tol, EPS};
 pub(crate) struct Support {
     pub(crate) tc: f64,
     pub(crate) rows: Vec<(ConstraintId, f64)>,
+    /// Simplex pivots: zero when the graph answered.
+    pub(crate) iterations: usize,
 }
 
 impl Support {
-    /// Solves `model` the way `auto` does: the graph min-ratio solve on a
-    /// pure difference model, the sparse-LU simplex otherwise.
-    pub(crate) fn solve(circuit: &Circuit, model: &TimingModel) -> Result<Support, TimingError> {
-        if let Some((tc, witness)) = fastpath::min_cycle_ratio(circuit, model, false)? {
-            let rows = fastpath::critical_duals(witness.as_ref());
-            return Ok(Support { tc, rows });
-        }
-        let sol = model.solve_lp()?;
-        let rows = model
-            .constraints()
-            .iter()
-            .map(|info| (info.row, sol.dual(info.row)))
-            .filter(|&(_, y)| y != 0.0)
-            .collect();
+    /// Solves `model` the way `auto` does ([`fastpath::auto`]): the graph
+    /// min-ratio solve, with the critical cycle's duals, else the sparse-LU
+    /// simplex and its duals. `certify` checks either optimum.
+    pub(crate) fn solve(
+        circuit: &Circuit,
+        model: &TimingModel,
+        certify: bool,
+    ) -> Result<Support, TimingError> {
+        let route = Route::auto(certify);
+        let graph = fastpath::auto(circuit, model, &route, |o| Ok((o.tc, o.duals, 0)))?;
+        let (tc, rows, iterations) = match graph.answer(circuit, model)? {
+            Some(answer) => answer,
+            None => {
+                let (sol, _) = route.solve_lp(model)?;
+                let rows = model
+                    .constraints()
+                    .iter()
+                    .map(|info| (info.row, sol.dual(info.row)))
+                    .filter(|&(_, y)| y != 0.0)
+                    .collect();
+                (sol.value(model.vars().tc()), rows, sol.iterations())
+            }
+        };
         Ok(Support {
-            tc: sol.value(model.vars().tc()),
+            tc,
             rows,
+            iterations,
         })
     }
+}
 
-    /// `dT_c*/dΔ` per edge, indexed by edge index (`num_edges` entries).
-    pub(crate) fn edge_slopes(&self, model: &TimingModel, num_edges: usize) -> Vec<f64> {
-        let mut out = vec![0.0; num_edges];
-        for &(row, v) in &self.rows {
-            let Some(info) = model.constraints().get(row.index()) else {
-                continue;
-            };
-            if let (Some(edge), ConstraintKind::Propagation | ConstraintKind::FlipFlopSetup) =
-                (info.edge, info.kind)
-            {
-                out[edge.index()] += model.delay_sign(row) * v;
-            }
+/// `dT_c*/dΔ` per edge of `model`, indexed by edge index (`num_edges`
+/// entries), from the `(row, dT_c*/db)` pairs of the rows that move it.
+pub(crate) fn edge_slopes(
+    model: &TimingModel,
+    rows: &[(ConstraintId, f64)],
+    num_edges: usize,
+) -> Vec<f64> {
+    let mut out = vec![0.0; num_edges];
+    for &(row, v) in rows {
+        let Some(info) = model.constraints().get(row.index()) else {
+            continue;
+        };
+        if let (Some(edge), ConstraintKind::Propagation | ConstraintKind::FlipFlopSetup) =
+            (info.edge, info.kind)
+        {
+            out[edge.index()] += model.delay_sign(row) * v;
         }
-        out
     }
+    out
 }
 
 /// `dT_c*/dΔ` per edge (indexed by edge index), from one solve.
@@ -119,7 +136,8 @@ pub fn delay_sensitivities(
     circuit: &Circuit,
     model: &TimingModel,
 ) -> Result<Vec<f64>, TimingError> {
-    Ok(Support::solve(circuit, model)?.edge_slopes(model, circuit.num_edges()))
+    let support = Support::solve(circuit, model, false)?;
+    Ok(edge_slopes(model, &support.rows, circuit.num_edges()))
 }
 
 /// One linear piece of a [`CycleTimeCurve`].
@@ -236,11 +254,11 @@ pub fn cycle_time_curve(
     let rhs0 = model.problem().constraint(row).2 - sign * circuit.edge(edge).max_delay;
     let mut probe = |delta: f64| -> Result<Line, TimingError> {
         model.problem_mut().set_rhs(row, rhs0 + sign * delta);
-        let support = Support::solve(circuit, &model)?;
+        let support = Support::solve(circuit, &model, false)?;
         Ok(Line {
             at: delta,
             tc: support.tc,
-            slope: support.edge_slopes(&model, circuit.num_edges())[edge.index()],
+            slope: edge_slopes(&model, &support.rows, circuit.num_edges())[edge.index()],
         })
     };
 

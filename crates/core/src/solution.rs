@@ -27,6 +27,10 @@ pub struct TimingSolution {
     /// The solver that produced this solution: [`Backend::Graph`] or
     /// [`Backend::Lp`].
     pub(crate) backend: Backend,
+    /// On the graph path, the critical cycle's duals that prove `T_c*`
+    /// (`dT_c*/db` per row): the report reads its critical segments off
+    /// them. `None` on the LP path.
+    pub(crate) critical_duals: Option<Vec<(smo_lp::ConstraintId, f64)>>,
 }
 
 impl TimingSolution {
@@ -157,6 +161,7 @@ mod tests {
             num_constraints: 15,
             certificates: Vec::new(),
             backend: Backend::Lp,
+            critical_duals: None,
         }
     }
 

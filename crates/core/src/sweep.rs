@@ -23,15 +23,15 @@
 //!
 //! ## How a run is solved
 //!
-//! Each run, and the unperturbed base, is solved the way the `auto`
-//! backend solves ([`Backend::Auto`](crate::Backend)). When every row of
-//! the model is a difference constraint — true of every default SMO
-//! model — the run is an exact min-cycle-ratio solve on the difference
-//! graph, and `certify` checks each optimum with its critical cycle's
-//! duals by [`smo_lp::certify_kkt`], the KKT check of the simplex path.
-//! Such runs report zero pivots. A run the graph cannot settle (a mixed model, numerical
-//! doubt, a failed certificate) gets a cold sparse-LU simplex solve,
-//! certified when `certify` is set.
+//! Each run, and the unperturbed base, is one solve of the oracle behind
+//! [`cycle_time_curve`]: the `auto` backend's rule
+//! ([`Backend::Auto`](crate::Backend)), without the departure slide. On
+//! a pure difference model — every default SMO model — that is an exact
+//! min-cycle-ratio solve on the graph, with zero pivots, and `certify`
+//! checks each optimum with its critical cycle's duals by
+//! [`smo_lp::certify_kkt`]. A run the graph cannot settle (a mixed model,
+//! numerical doubt, a failed certificate) gets a cold sparse-LU simplex
+//! solve, certified when `certify` is set.
 //!
 //! ## Determinism contract
 //!
@@ -47,12 +47,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::TimingError;
-use crate::fastpath;
 use crate::model::TimingModel;
-use crate::sensitivity::cycle_time_curve;
+use crate::sensitivity::{cycle_time_curve, Support};
 use smo_circuit::{Circuit, EdgeId};
 use smo_gen::random::perturbed_delays;
-use smo_lp::{ConstraintId, RecoveryPolicy};
+use smo_lp::ConstraintId;
 
 /// Which parameter a sweep varies.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,26 +149,6 @@ pub struct SweepReport {
     pub warm_iterations: usize,
 }
 
-/// The base solve of one circuit, shared read-only with the workers.
-struct BaseSolve {
-    model: TimingModel,
-    cycle_time: f64,
-    iterations: usize,
-}
-
-impl BaseSolve {
-    /// Builds `circuit`'s unperturbed model and solves it like any run.
-    fn new(circuit: &Circuit, options: &SweepOptions) -> Result<Self, TimingError> {
-        let model = TimingModel::build(circuit)?;
-        let (cycle_time, iterations) = solve_run(circuit, &model, options)?;
-        Ok(BaseSolve {
-            model,
-            cycle_time,
-            iterations,
-        })
-    }
-}
-
 /// Sweeps the optimal cycle time of every circuit in `circuits` over the
 /// configured parameter, returning one [`SweepReport`] per circuit (input
 /// order).
@@ -193,10 +172,15 @@ pub fn sweep_cycle_time(
         return Ok(Vec::new());
     }
 
-    // Base solves: one deterministic solve per circuit, on this thread.
-    let bases: Vec<BaseSolve> = circuits
+    // Base solves: one deterministic solve per circuit, on this thread,
+    // each model then shared read-only with the workers.
+    let bases: Vec<(TimingModel, Support)> = circuits
         .iter()
-        .map(|c| BaseSolve::new(c, options))
+        .map(|c| {
+            let model = TimingModel::build(c)?;
+            let base = Support::solve(c, &model, options.certify)?;
+            Ok((model, base))
+        })
         .collect::<Result<_, TimingError>>()?;
 
     let total = circuits.len() * options.runs;
@@ -225,7 +209,7 @@ pub fn sweep_cycle_time(
             }
             let c = w / options.runs;
             let i = w % options.runs;
-            let model = models.entry(c).or_insert_with(|| bases[c].model.clone());
+            let model = models.entry(c).or_insert_with(|| bases[c].0.clone());
             match run_one(&circuits[c], model, i, options) {
                 Ok(run) => out.push((w, run)),
                 Err(e) => return Err((w, e)),
@@ -233,19 +217,10 @@ pub fn sweep_cycle_time(
         }
     };
 
-    let mut results: Vec<Option<SweepRun>> = (0..total).map(|_| None).collect();
-    let mut first_error: Option<(usize, TimingError)> = None;
-    if jobs == 1 {
-        match work(0) {
-            Ok(pairs) => {
-                for (w, run) in pairs {
-                    results[w] = Some(run);
-                }
-            }
-            Err(e) => first_error = Some(e),
-        }
+    let outcomes: Vec<_> = if jobs == 1 {
+        vec![work(0)]
     } else {
-        let outcomes: Vec<_> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..jobs)
                 .map(|t| {
                     let work = &work;
@@ -256,31 +231,28 @@ pub fn sweep_cycle_time(
                 .into_iter()
                 .map(|h| h.join().expect("sweep worker panicked"))
                 .collect()
-        });
-        for outcome in outcomes {
-            match outcome {
-                Ok(pairs) => {
-                    for (w, run) in pairs {
-                        results[w] = Some(run);
-                    }
-                }
-                // Keep the lowest-indexed error so the verdict does not
-                // depend on which worker happened to hit it first.
-                Err((w, e)) => match &first_error {
-                    Some((prev, _)) if *prev <= w => {}
-                    _ => first_error = Some((w, e)),
-                },
-            }
+        })
+    };
+    let mut results: Vec<Option<SweepRun>> = (0..total).map(|_| None).collect();
+    let mut errors = Vec::new();
+    for outcome in outcomes {
+        match outcome {
+            Ok(pairs) => pairs
+                .into_iter()
+                .for_each(|(w, run)| results[w] = Some(run)),
+            Err(error) => errors.push(error),
         }
     }
-    if let Some((_, e)) = first_error {
+    // The lowest-indexed error, so the verdict does not depend on which
+    // worker happened to hit it first.
+    if let Some((_, e)) = errors.into_iter().min_by_key(|&(w, _)| w) {
         return Err(e);
     }
 
     // Ordered reduction: group the flat results back per circuit.
     let mut reports = Vec::with_capacity(circuits.len());
     let mut results = results.into_iter();
-    for (c, base) in bases.iter().enumerate() {
+    for (c, (model, base)) in bases.iter().enumerate() {
         let runs: Vec<SweepRun> = results
             .by_ref()
             .take(options.runs)
@@ -288,7 +260,7 @@ pub fn sweep_cycle_time(
             .collect();
         let breakpoints = match &options.param {
             SweepParam::Tc { edge, max_delay } => {
-                cycle_time_curve(&circuits[c], &base.model, *edge, *max_delay)?.breakpoints()
+                cycle_time_curve(&circuits[c], model, *edge, *max_delay)?.breakpoints()
             }
             SweepParam::Delay { .. } => Vec::new(),
         };
@@ -301,7 +273,7 @@ pub fn sweep_cycle_time(
         }
         reports.push(SweepReport {
             circuit: c,
-            base_cycle_time: base.cycle_time,
+            base_cycle_time: base.tc,
             base_iterations: base.iterations,
             breakpoints,
             min_cycle_time: min,
@@ -334,7 +306,7 @@ fn record_and_set(
 }
 
 /// One re-solve: perturb the worker's cached model in place (RHS edits
-/// only), solve it ([`solve_run`]), then restore the recorded right-hand
+/// only), solve it like any model ([`Support::solve`]), then restore the recorded right-hand
 /// sides so the model is pristine for the next run.
 fn run_one(
     circuit: &Circuit,
@@ -374,37 +346,19 @@ fn run_one(
             worst
         }
     };
-    let solved = solve_run(circuit, model, options);
+    let solved = Support::solve(circuit, model, options.certify);
     // Restore before propagating any error: the cached model must hold the
     // exact base RHS whenever run_one returns.
     for &(row, rhs) in touched.iter().rev() {
         model.problem_mut().set_rhs(row, rhs);
     }
-    let (cycle_time, iterations) = solved?;
+    let solved = solved?;
     Ok(SweepRun {
         index: i,
         value,
-        cycle_time,
-        iterations,
+        cycle_time: solved.tc,
+        iterations: solved.iterations,
     })
-}
-
-/// The cycle time and pivot count of one model: the graph min-ratio
-/// solve when it settles the model, else a cold sparse-LU solve.
-fn solve_run(
-    circuit: &Circuit,
-    model: &TimingModel,
-    options: &SweepOptions,
-) -> Result<(f64, usize), TimingError> {
-    if let Some((tc, _)) = fastpath::min_cycle_ratio(circuit, model, options.certify)? {
-        return Ok((tc, 0));
-    }
-    let sol = if options.certify {
-        model.solve_lp_certified(&RecoveryPolicy::default())?.0
-    } else {
-        model.solve_lp()?
-    };
-    Ok((sol.value(model.vars().tc()), sol.iterations()))
 }
 
 fn validate(circuits: &[Circuit], options: &SweepOptions) -> Result<(), TimingError> {
