@@ -50,6 +50,12 @@ echo "==> scale-differential suite (sparse-LU vs the dense oracle, release)"
 # so a solver regression fails fast instead of hanging CI.
 cargo test -q --release --test scale_differential -- --include-ignored
 
+echo "==> heap accounting (timing-model storage, default-solve peak; release)"
+# A counting global allocator checks that building P2 makes the same
+# handful of allocations at 1000 and 4000 latches, holds at most 128 B
+# per row, and that the default solve's heap peak stays under its bound.
+cargo test -q --release --test memory
+
 echo "==> sweep determinism + oracle suite"
 cargo test -q --test sweep
 

@@ -340,11 +340,11 @@ pub fn analyze(circuit: &Circuit) -> Result<AnalyzeReport, AnalyzeError> {
     let mut class_rows = vec![0usize; FAMILIES.len()];
     let mut class_diff = vec![0usize; FAMILIES.len()];
     for info in model.constraints() {
-        let fam = family_index(info.kind);
+        let fam = family_index(info.kind());
         class_rows[fam] += 1;
         class_diff[fam] += usize::from(
             cls.as_ref()
-                .is_none_or(|c| c.class(info.row).is_difference_fragment()),
+                .is_none_or(|c| c.class(info.row()).is_difference_fragment()),
         );
     }
 

@@ -46,7 +46,7 @@ fn main() {
         let n = model
             .constraints()
             .iter()
-            .filter(|c| c.kind == kind)
+            .filter(|c| c.kind() == kind)
             .count();
         println!("  {kind}: {n}");
     }

@@ -108,11 +108,11 @@ pub fn single_borrow(circuit: &Circuit) -> Result<Baseline, TimingError> {
     const TOL: f64 = 1e-7;
     let mut free = Vec::new();
     for info in model.constraints() {
-        if info.kind == ConstraintKind::Propagation
-            && lp.slack(info.row).abs() < TOL
-            && lp.dual(info.row).abs() > TOL
+        if info.kind() == ConstraintKind::Propagation
+            && lp.slack(info.row()).abs() < TOL
+            && lp.dual(info.row()).abs() > TOL
         {
-            if let Some(latch) = info.latch {
+            if let Some(latch) = info.latch() {
                 if circuit.sync(latch).kind == SyncKind::Latch && !free.contains(&latch) {
                     free.push(latch);
                 }

@@ -130,8 +130,8 @@ pub(crate) fn critical_rows(
         .iter()
         // Rows a caller added to the model carry no provenance.
         .filter_map(|&(row, v)| Some((model.constraints().get(row.index())?, v)))
-        .filter(|&(info, v)| v != 0.0 && info.kind == ConstraintKind::Setup)
-        .filter_map(|(info, _)| info.latch)
+        .filter(|&(info, v)| v != 0.0 && info.kind() == ConstraintKind::Setup)
+        .filter_map(|(info, _)| info.latch())
         .collect();
 
     let segments = chain_segments(circuit, &edges);

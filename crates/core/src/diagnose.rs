@@ -223,7 +223,7 @@ impl fmt::Display for InfeasibilityReport {
 fn render_row(p: &Problem, row: ConstraintId) -> String {
     let (expr, sense, rhs) = p.constraint(row);
     let mut s = String::new();
-    for (v, c) in expr.iter() {
+    for &(v, c) in expr {
         if s.is_empty() {
             if c < 0.0 {
                 s.push('-');
@@ -253,33 +253,37 @@ pub(crate) fn describe(
 ) -> DiagnosedConstraint {
     let p = model.problem();
     let name = |id| format!("`{}`", circuit.sync(id).name);
-    let (label, detail) = match info.kind {
+    let phase = |i| {
+        info.phase(i)
+            .expect("clock, latch and edge rows carry their phases")
+    };
+    let (label, detail) = match info.kind() {
         ConstraintKind::PeriodicityWidth => (
             "C1 (eq. 3)".to_string(),
-            format!("phase width of {} fits in the cycle", info.phases[0]),
+            format!("phase width of {} fits in the cycle", phase(0)),
         ),
         ConstraintKind::PeriodicityStart => (
             "C1 (eq. 4)".to_string(),
-            format!("phase start of {} fits in the cycle", info.phases[0]),
+            format!("phase start of {} fits in the cycle", phase(0)),
         ),
         ConstraintKind::PhaseOrder => (
             "C2 (eq. 5)".to_string(),
-            format!("{} starts no later than {}", info.phases[0], info.phases[1]),
+            format!("{} starts no later than {}", phase(0), phase(1)),
         ),
         ConstraintKind::PhaseNonoverlap => (
             "C3 (eq. 6)".to_string(),
-            format!("{} closes before {} opens", info.phases[1], info.phases[0]),
+            format!("{} closes before {} opens", phase(1), phase(0)),
         ),
         ConstraintKind::Setup => {
-            let id = info.latch.expect("setup rows carry a latch");
+            let id = info.latch().expect("setup rows carry a latch");
             (
                 "L1 (eq. 16)".to_string(),
-                format!("setup of latch {} ({}) on {}", name(id), id, info.phases[0]),
+                format!("setup of latch {} ({}) on {}", name(id), id, phase(0)),
             )
         }
         ConstraintKind::FlipFlopSetup => {
-            let id = info.latch.expect("ff-setup rows carry a latch");
-            let e = circuit.edge(info.edge.expect("ff-setup rows carry an edge"));
+            let id = info.latch().expect("ff-setup rows carry a latch");
+            let e = circuit.edge(info.edge().expect("ff-setup rows carry an edge"));
             (
                 "L1/FF".to_string(),
                 format!(
@@ -287,13 +291,13 @@ pub(crate) fn describe(
                     name(id),
                     name(e.from),
                     name(e.to),
-                    info.phases[0],
-                    info.phases[1],
+                    phase(0),
+                    phase(1),
                 ),
             )
         }
         ConstraintKind::Propagation => {
-            let e = circuit.edge(info.edge.expect("propagation rows carry an edge"));
+            let e = circuit.edge(info.edge().expect("propagation rows carry an edge"));
             (
                 "L2R (eq. 19)".to_string(),
                 format!(
@@ -301,31 +305,31 @@ pub(crate) fn describe(
                     name(e.from),
                     name(e.to),
                     e.max_delay,
-                    info.phases[0],
-                    info.phases[1],
+                    phase(0),
+                    phase(1),
                 ),
             )
         }
         ConstraintKind::FlipFlopDeparture => {
-            let id = info.latch.expect("ff-departure rows carry a latch");
+            let id = info.latch().expect("ff-departure rows carry a latch");
             (
                 "FF departure".to_string(),
                 format!(
                     "departure of flip-flop {} pinned to the {} edge",
                     name(id),
-                    info.phases[0]
+                    phase(0)
                 ),
             )
         }
         ConstraintKind::MinWidth => {
-            let (_, _, rhs) = p.constraint(info.row);
+            let (_, _, rhs) = p.constraint(info.row());
             (
                 "extra".to_string(),
-                format!("minimum width of {} (≥ {rhs})", info.phases[0]),
+                format!("minimum width of {} (≥ {rhs})", phase(0)),
             )
         }
         ConstraintKind::CycleBound => {
-            let (_, sense, rhs) = p.constraint(info.row);
+            let (_, sense, rhs) = p.constraint(info.row());
             let what = match sense {
                 Sense::Eq => format!("cycle time fixed at {rhs}"),
                 _ => format!("cycle time capped at {rhs}"),
@@ -334,10 +338,10 @@ pub(crate) fn describe(
         }
         ConstraintKind::SymmetricClock => (
             "extra".to_string(),
-            format!("symmetric-clock shape of {}", info.phases[0]),
+            format!("symmetric-clock shape of {}", phase(0)),
         ),
         ConstraintKind::PinnedDeparture => {
-            let id = info.latch.expect("pinned rows carry a latch");
+            let id = info.latch().expect("pinned rows carry a latch");
             let s = circuit.sync(id);
             let kind = if s.kind == SyncKind::Latch {
                 "latch"
@@ -351,11 +355,11 @@ pub(crate) fn describe(
         }
     };
     DiagnosedConstraint {
-        row: info.row,
-        kind: info.kind,
+        row: info.row(),
+        kind: info.kind(),
         label,
         detail,
-        relation: render_row(p, info.row),
+        relation: render_row(p, info.row()),
     }
 }
 
@@ -424,7 +428,7 @@ fn report(
         .iter()
         .map(|&row| {
             let info = &model.constraints()[row.index()];
-            debug_assert_eq!(info.row, row, "provenance registry is in row order");
+            debug_assert_eq!(info.row(), row, "provenance registry is in row order");
             describe(circuit, model, info)
         })
         .collect();

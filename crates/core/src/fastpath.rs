@@ -649,7 +649,7 @@ mod tests {
             let tc_var = model.vars().tc();
             let drop = duals
                 .iter()
-                .position(|&(c, _)| model.problem().constraint(c).0.coeff(tc_var) != 0.0)
+                .position(|&(c, _)| model.problem().constraint(c).0.iter().any(|&(v, _)| v == tc_var))
                 .expect("the critical cycle's Σ slope is positive");
             let mut fewer = duals.clone();
             fewer.remove(drop);

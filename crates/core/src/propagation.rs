@@ -46,10 +46,20 @@ pub struct Arc {
 }
 
 /// The max-plus propagation system of a circuit at a fixed clock schedule.
+///
+/// Fan-in arcs and fan-out destinations are stored in compressed sparse
+/// rows, one flat array each, in the circuit's fan-in and fan-out order.
 #[derive(Debug, Clone)]
 pub struct PropagationSystem {
-    incoming: Vec<Vec<Arc>>,
-    outgoing: Vec<Vec<usize>>, // dest indices, deduplicated
+    /// The fan-in arcs of synchronizer `i` are
+    /// `arcs[arcs_end[i - 1]..arcs_end[i]]` (from 0 for the first), in
+    /// edge-id order.
+    arcs: Vec<Arc>,
+    arcs_end: Vec<usize>,
+    /// The distinct fan-out destinations of synchronizer `j`, ascending,
+    /// are `outgoing[outgoing_end[j - 1]..outgoing_end[j]]`.
+    outgoing: Vec<usize>,
+    outgoing_end: Vec<usize>,
     is_ff: Vec<bool>,
 }
 
@@ -101,48 +111,80 @@ impl PropagationSystem {
             "schedule phase count must match the circuit"
         );
         let l = circuit.num_syncs();
-        let mut incoming = vec![Vec::new(); l];
-        let mut outgoing = vec![Vec::new(); l];
-        for e in circuit.edges() {
-            let src = circuit.sync(e.from);
-            let dst = circuit.sync(e.to);
-            let shift = schedule.shift(src.phase, dst.phase);
-            incoming[e.to.index()].push(Arc {
-                source: e.from.index(),
-                weight: src.dq + e.max_delay + shift,
-                weight_early: src.dq + early_delay(e) + shift,
-            });
-            outgoing[e.from.index()].push(e.to.index());
-        }
-        for out in &mut outgoing {
-            out.sort_unstable();
-            out.dedup();
+        let mut arcs = Vec::with_capacity(circuit.num_edges());
+        let mut arcs_end = Vec::with_capacity(l);
+        let mut outgoing = Vec::with_capacity(circuit.num_edges());
+        let mut outgoing_end = Vec::with_capacity(l);
+        for (id, dst) in circuit.syncs() {
+            for &eid in circuit.fanin(id) {
+                let e = circuit.edge(eid);
+                let src = circuit.sync(e.from);
+                let shift = schedule.shift(src.phase, dst.phase);
+                arcs.push(Arc {
+                    source: e.from.index(),
+                    weight: src.dq + e.max_delay + shift,
+                    weight_early: src.dq + early_delay(e) + shift,
+                });
+            }
+            arcs_end.push(arcs.len());
+            let start = outgoing.len();
+            outgoing.extend(
+                circuit
+                    .fanout(id)
+                    .iter()
+                    .map(|&e| circuit.edge(e).to.index()),
+            );
+            outgoing[start..].sort_unstable();
+            // Deduplicate this synchronizer's run in place.
+            let mut kept = start;
+            for k in start..outgoing.len() {
+                if kept == start || outgoing[kept - 1] != outgoing[k] {
+                    outgoing[kept] = outgoing[k];
+                    kept += 1;
+                }
+            }
+            outgoing.truncate(kept);
+            outgoing_end.push(kept);
         }
         let is_ff = circuit
             .syncs()
             .map(|(_, s)| s.kind == SyncKind::FlipFlop)
             .collect();
         PropagationSystem {
-            incoming,
+            arcs,
+            arcs_end,
             outgoing,
+            outgoing_end,
             is_ff,
         }
     }
 
     /// Number of synchronizers.
     pub fn len(&self) -> usize {
-        self.incoming.len()
+        self.arcs_end.len()
     }
 
     /// `true` when the system has no synchronizers.
     pub fn is_empty(&self) -> bool {
-        self.incoming.is_empty()
+        self.arcs_end.is_empty()
+    }
+
+    /// The fan-in arcs of synchronizer `i`, in edge-id order.
+    fn incoming(&self, i: usize) -> &[Arc] {
+        let start = if i == 0 { 0 } else { self.arcs_end[i - 1] };
+        &self.arcs[start..self.arcs_end[i]]
+    }
+
+    /// The distinct fan-out destinations of synchronizer `j`, ascending.
+    fn outgoing(&self, j: usize) -> &[usize] {
+        let start = if j == 0 { 0 } else { self.outgoing_end[j - 1] };
+        &self.outgoing[start..self.outgoing_end[j]]
     }
 
     /// The arrival time `A_i` (eq. 14) given departures `d`:
     /// `max_j (d_j + w_ji)`, or `−∞` for synchronizers with no fan-in.
     pub fn arrival(&self, d: &[f64], i: usize) -> f64 {
-        self.incoming[i]
+        self.incoming(i)
             .iter()
             .map(|a| d[a.source] + a.weight)
             .fold(f64::NEG_INFINITY, f64::max)
@@ -195,7 +237,7 @@ impl PropagationSystem {
     /// The *early-mode* arrival: `min_j (e_j + w^early_ji)`, or `+∞` for
     /// synchronizers with no fan-in (their data never changes).
     pub fn early_arrival(&self, e: &[f64], i: usize) -> f64 {
-        self.incoming[i]
+        self.incoming(i)
             .iter()
             .map(|a| e[a.source] + a.weight_early)
             .fold(f64::INFINITY, f64::min)
@@ -307,7 +349,7 @@ impl PropagationSystem {
                 if self.is_ff[i] {
                     0
                 } else {
-                    self.incoming[i].iter().filter(|a| tight(i, a)).count()
+                    self.incoming(i).iter().filter(|a| tight(i, a)).count()
                 }
             })
             .collect();
@@ -315,11 +357,12 @@ impl PropagationSystem {
         let mut floor = start.to_vec();
         while let Some(j) = queue.pop() {
             floor[j] = 0.0;
-            for &i in &self.outgoing[j] {
+            for &i in self.outgoing(j) {
                 if self.is_ff[i] || live[i] == 0 {
                     continue;
                 }
-                live[i] -= self.incoming[i]
+                live[i] -= self
+                    .incoming(i)
                     .iter()
                     .filter(|a| a.source == j && tight(i, a))
                     .count();
@@ -350,7 +393,7 @@ impl PropagationSystem {
                 }
                 let mut best = floor[i];
                 let mut best_pred = None;
-                for a in &self.incoming[i] {
+                for a in self.incoming(i) {
                     let v = d[a.source] + a.weight;
                     if v > best {
                         best = v;

@@ -62,7 +62,7 @@ impl Support {
                 let rows = model
                     .constraints()
                     .iter()
-                    .map(|info| (info.row, sol.dual(info.row)))
+                    .map(|info| (info.row(), sol.dual(info.row())))
                     .filter(|&(_, y)| y != 0.0)
                     .collect();
                 (sol.value(model.vars().tc()), rows, sol.iterations())
@@ -89,7 +89,7 @@ pub(crate) fn edge_slopes(
             continue;
         };
         if let (Some(edge), ConstraintKind::Propagation | ConstraintKind::FlipFlopSetup) =
-            (info.edge, info.kind)
+            (info.edge(), info.kind())
         {
             out[edge.index()] += model.delay_sign(row) * v;
         }

@@ -4,7 +4,7 @@
 //! archiving the exact LP a result came from. The dialect written here is
 //! the common subset understood by CPLEX, Gurobi, GLPK and SCIP.
 
-use crate::expr::LinExpr;
+use crate::expr::VarId;
 use crate::problem::{Objective, Problem, Sense};
 use std::fmt::Write as _;
 
@@ -34,11 +34,11 @@ pub fn write_lp(p: &Problem) -> String {
     match &p.objective {
         Some((Objective::Minimize, e)) => {
             let _ = writeln!(out, "Minimize");
-            let _ = writeln!(out, " obj: {}", expr_text(e, &names));
+            let _ = writeln!(out, " obj: {}", expr_text(e.terms(), &names));
         }
         Some((Objective::Maximize, e)) => {
             let _ = writeln!(out, "Maximize");
-            let _ = writeln!(out, " obj: {}", expr_text(e, &names));
+            let _ = writeln!(out, " obj: {}", expr_text(e.terms(), &names));
         }
         None => {
             let _ = writeln!(out, "Minimize");
@@ -48,13 +48,13 @@ pub fn write_lp(p: &Problem) -> String {
 
     let _ = writeln!(out, "Subject To");
     for i in 0..p.num_constraints() {
-        let (expr, sense, rhs) = p.constraint(crate::ConstraintId(i));
+        let (terms, sense, rhs) = p.constraint(crate::ConstraintId(i));
         let op = match sense {
             Sense::Le => "<=",
             Sense::Ge => ">=",
             Sense::Eq => "=",
         };
-        let _ = writeln!(out, " c{i}: {} {op} {rhs}", expr_text(expr, &names));
+        let _ = writeln!(out, " c{i}: {} {op} {rhs}", expr_text(terms, &names));
     }
 
     let _ = writeln!(out, "Bounds");
@@ -82,13 +82,13 @@ pub fn write_lp(p: &Problem) -> String {
     out
 }
 
-fn expr_text(e: &LinExpr, names: &[String]) -> String {
+fn expr_text(terms: &[(VarId, f64)], names: &[String]) -> String {
     let mut s = String::new();
-    for (v, c) in e.iter() {
+    for &(v, c) in terms {
         let sign = if c < 0.0 { '-' } else { '+' };
         let _ = write!(s, "{sign} {} {} ", c.abs(), names[v.index()]);
     }
-    if e.is_empty() {
+    if terms.is_empty() {
         let _ = write!(s, "0 {} ", names.first().map_or("x0", |n| n.as_str()));
     }
     s.trim_end().to_string()
@@ -110,7 +110,7 @@ fn sanitize(name: &str, index: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Problem, Sense};
+    use crate::{LinExpr, Problem, Sense};
 
     #[test]
     fn format_has_all_sections() {

@@ -230,10 +230,10 @@ pub fn classify(p: &Problem, images: &[VarImage]) -> Result<Classification, crat
     let mut nodes: Vec<(usize, f64)> = Vec::with_capacity(4);
     for r in 0..m {
         let row = ConstraintId(r);
-        let (expr, sense, rhs) = p.constraint(row);
+        let (terms, sense, rhs) = p.constraint(row);
         first.push(atoms.len());
         let mut push = |negate: bool, sign: f64| {
-            let class = classify_le(expr.iter(), rhs, images, negate, &mut nodes);
+            let class = classify_le(terms, rhs, images, negate, &mut nodes);
             atoms.push(Atom { row, class, sign });
         };
         match sense {
@@ -252,7 +252,7 @@ pub fn classify(p: &Problem, images: &[VarImage]) -> Result<Classification, crat
 /// when `negate` is set) by substituting variable images and collecting
 /// net node coefficients in the caller's scratch list `nodes`.
 fn classify_le(
-    terms: impl Iterator<Item = (VarId, f64)>,
+    terms: &[(VarId, f64)],
     rhs: f64,
     images: &[VarImage],
     negate: bool,
@@ -268,7 +268,7 @@ fn classify_le(
         }
     };
     let mut param = 0.0;
-    for (v, c) in terms {
+    for &(v, c) in terms {
         let c = c * flip;
         match images[v.index()] {
             VarImage::Node(i) => add(i, c),

@@ -71,38 +71,43 @@ impl Problem {
     /// Panics if any id in `keep` does not belong to this problem.
     pub fn restricted(&self, keep: &[ConstraintId]) -> Problem {
         let used = self.restricted_vars(keep);
-        let remap = |e: &LinExpr| {
-            let mut out = LinExpr::constant_expr(e.constant());
+        let image = |v: VarId| used.binary_search(&v).ok().map(VarId);
+        let mut out = Problem::new();
+        let name_bytes = used.iter().map(|&v| self.var_name(v).len()).sum();
+        let terms = keep.iter().map(|&c| self.constraint(c).0.len()).sum();
+        out.reserve(used.len(), name_bytes, keep.len(), terms);
+        for &v in &used {
+            let (lower, upper) = self.var_bounds(v);
+            out.add_var_bounded(self.var_name(v), lower, upper);
+        }
+        // `used` is sorted, so the images of a row's sorted terms stay
+        // sorted and distinct.
+        let mut row = Vec::new();
+        for &c in keep {
+            let (terms, sense, rhs) = self.constraint(c);
+            row.clear();
+            row.extend(terms.iter().filter_map(|&(v, a)| Some((image(v)?, a))));
+            out.constrain_terms(self.row_name(c), &row, sense, rhs);
+        }
+        out.objective = self.objective.as_ref().map(|(o, e)| {
+            let mut remapped = LinExpr::constant_expr(e.constant());
             for (v, a) in e.iter() {
-                if let Ok(i) = used.binary_search(&v) {
-                    out.add_term(VarId(i), a);
+                if let Some(v) = image(v) {
+                    remapped.add_term(v, a);
                 }
             }
-            out
-        };
-        Problem {
-            vars: used.iter().map(|v| self.vars[v.index()].clone()).collect(),
-            rows: keep
-                .iter()
-                .map(|c| {
-                    let row = &self.rows[c.index()];
-                    crate::problem::Row {
-                        expr: remap(&row.expr),
-                        ..row.clone()
-                    }
-                })
-                .collect(),
-            objective: self.objective.as_ref().map(|(o, e)| (*o, remap(e))),
-        }
+            (*o, remapped)
+        });
+        out
     }
 
     /// The variables of [`Problem::restricted`]`(keep)`, ascending: those
     /// the rows in `keep` or the objective use.
     pub(crate) fn restricted_vars(&self, keep: &[ConstraintId]) -> Vec<VarId> {
-        let rows = keep.iter().map(|c| &self.rows[c.index()].expr);
+        let rows = keep.iter().map(|&c| self.constraint(c).0);
         let mut used: Vec<VarId> = rows
-            .chain(self.objective.iter().map(|(_, e)| e))
-            .flat_map(|e| e.iter().map(|(v, _)| v))
+            .chain(self.objective.iter().map(|(_, e)| e.terms()))
+            .flat_map(|terms| terms.iter().map(|&(v, _)| v))
             .collect();
         used.sort_unstable();
         used.dedup();
@@ -293,8 +298,8 @@ pub fn certifies_infeasibility(p: &Problem, y: &[f64]) -> bool {
         if yr == 0.0 {
             continue;
         }
-        let (expr, _, b) = p.constraint(ConstraintId(c));
-        for (v, a) in expr.iter() {
+        let (terms, _, b) = p.constraint(ConstraintId(c));
+        for &(v, a) in terms {
             coeff[v.index()] += yr * a;
             scale[v.index()] += (yr * a).abs();
         }

@@ -93,7 +93,7 @@ mod verify;
 
 pub use error::{BudgetUnit, LpError};
 pub use export::write_lp;
-pub use expr::{LinExpr, VarId};
+pub use expr::{merge_terms, LinExpr, VarId};
 pub use graph::{
     classify, AffineBound, Classification, DifferenceSystem, FixedParamOutcome, GraphInfeasibility,
     MinParamOutcome, NegativeCycle, ParamArc, ParamGraph, ParamLowerWitness, RowClass,

@@ -209,7 +209,7 @@ impl CertifiedSolution {
 /// is `x* = x̂ + δ*/α`.
 fn refine(p: &Problem, candidate: &Solution, budget: SolveBudget) -> Result<Solution, LpError> {
     let xh = &candidate.values;
-    if xh.len() != p.vars.len() || xh.iter().any(|v| !v.is_finite()) {
+    if xh.len() != p.num_vars() || xh.iter().any(|v| !v.is_finite()) {
         return Err(LpError::Numerical {
             context: "iterative refinement: non-finite candidate point".into(),
         });
@@ -237,8 +237,8 @@ fn refine(p: &Problem, candidate: &Solution, budget: SolveBudget) -> Result<Solu
             v.upper
         };
     }
-    for r in shifted.rows.iter_mut() {
-        r.rhs = alpha * (r.rhs - r.expr.eval(xh));
+    for (i, b) in shifted.rhs_mut().iter_mut().enumerate() {
+        *b = alpha * (*b - p.activity(i, xh));
     }
 
     let delta = shifted.solve_with_budget(budget)?;
@@ -255,17 +255,7 @@ fn refine(p: &Problem, candidate: &Solution, budget: SolveBudget) -> Result<Solu
     }
     // duals and reduced costs carry over unchanged; recompute slacks and
     // the objective on original data.
-    out.slacks = p
-        .rows
-        .iter()
-        .map(|r| {
-            let lhs = r.expr.eval(&out.values);
-            match r.sense {
-                crate::problem::Sense::Le | crate::problem::Sense::Eq => r.rhs - lhs,
-                crate::problem::Sense::Ge => lhs - r.rhs,
-            }
-        })
-        .collect();
+    out.slacks = p.slacks(&out.values);
     if let Some((_, obj)) = p.objective.as_ref() {
         out.objective = Some(obj.eval(&out.values));
     }

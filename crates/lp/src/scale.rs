@@ -49,16 +49,16 @@ fn pow2(s: f64) -> f64 {
 /// Computes geometric-mean equilibration scales for `p` and returns the
 /// scaled problem together with the factors needed to undo it.
 pub(crate) fn equilibrate(p: &Problem) -> (Problem, Equilibration) {
-    let m = p.rows.len();
-    let n = p.vars.len();
+    let m = p.num_constraints();
+    let n = p.num_vars();
     let mut row = vec![1.0f64; m];
     let mut col = vec![1.0f64; n];
 
     for _ in 0..PASSES {
         // Row pass: geometric mean of |a_ij · col_j| per row.
-        for (i, r) in p.rows.iter().enumerate() {
+        for (i, (terms, _, _)) in p.rows().enumerate() {
             let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
-            for (v, a) in r.expr.iter() {
+            for &(v, a) in terms {
                 let mag = (a * row[i] * col[v.index()]).abs();
                 if mag > 0.0 {
                     lo = lo.min(mag);
@@ -71,8 +71,8 @@ pub(crate) fn equilibrate(p: &Problem) -> (Problem, Equilibration) {
         }
         // Column pass: geometric mean per column of the row-scaled matrix.
         let (mut lo, mut hi) = (vec![f64::INFINITY; n], vec![0.0f64; n]);
-        for (i, r) in p.rows.iter().enumerate() {
-            for (v, a) in r.expr.iter() {
+        for (i, (terms, _, _)) in p.rows().enumerate() {
+            for &(v, a) in terms {
                 let j = v.index();
                 let mag = (a * row[i] * col[j]).abs();
                 if mag > 0.0 {
@@ -92,13 +92,9 @@ pub(crate) fn equilibrate(p: &Problem) -> (Problem, Equilibration) {
     // (coefficients and rhs), variable j substituted x = col[j]·x′ (so
     // column j is multiplied by col[j], bounds divided).
     let mut scaled = p.clone();
-    for (i, r) in scaled.rows.iter_mut().enumerate() {
-        let mut expr = LinExpr::new();
-        for (v, a) in r.expr.iter() {
-            expr.add_term(v, a * row[i] * col[v.index()]);
-        }
-        r.expr = expr;
-        r.rhs *= row[i];
+    scaled.map_coefficients(|i, v, a| a * row[i] * col[v.index()]);
+    for (b, r) in scaled.rhs_mut().iter_mut().zip(&row) {
+        *b *= r;
     }
     for (j, v) in scaled.vars.iter_mut().enumerate() {
         // ±∞ / positive finite stays ±∞, as required.
@@ -140,18 +136,8 @@ impl Equilibration {
         // Slacks and objective are recomputed on the *original* data.
         // Non-optimal verdicts (infeasible/unbounded) carry no point, so
         // there is nothing to evaluate.
-        if out.values.len() == original.vars.len() {
-            out.slacks = original
-                .rows
-                .iter()
-                .map(|r| {
-                    let lhs = r.expr.eval(&out.values);
-                    match r.sense {
-                        crate::problem::Sense::Le | crate::problem::Sense::Eq => r.rhs - lhs,
-                        crate::problem::Sense::Ge => lhs - r.rhs,
-                    }
-                })
-                .collect();
+        if out.values.len() == original.num_vars() {
+            out.slacks = original.slacks(&out.values);
             if out.status == Status::Optimal {
                 if let Some((_, obj)) = original.objective.as_ref() {
                     out.objective = Some(obj.eval(&out.values));

@@ -22,7 +22,7 @@
 //! after a fixed number of iterations, which guarantees termination.
 
 use crate::error::LpError;
-use crate::problem::{Problem, Sense};
+use crate::problem::Problem;
 use crate::solution::{Solution, Status};
 use crate::EPS;
 
@@ -445,17 +445,7 @@ pub(crate) fn solve_dense(
 /// Packages an optimal tableau (reduced costs in `t.z`) as a [`Solution`].
 fn package_optimal(p: &Problem, t: &Tableau) -> Solution {
     let values = t.user_values();
-    let slacks = p
-        .rows
-        .iter()
-        .map(|r| {
-            let lhs = r.expr.eval(&values);
-            match r.sense {
-                Sense::Le | Sense::Eq => r.rhs - lhs,
-                Sense::Ge => lhs - r.rhs,
-            }
-        })
-        .collect();
+    let slacks = p.slacks(&values);
     Solution {
         status: Status::Optimal,
         objective: Some(t.user_objective(p)),

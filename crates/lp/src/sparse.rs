@@ -137,7 +137,7 @@ pub(crate) struct StdForm {
 /// zero-initialized slot) is exactly the dense builder's, so coefficients
 /// are bit-identical.
 fn expr_to_sparse(
-    expr: &crate::LinExpr,
+    terms: &[(crate::VarId, f64)],
     var_cols: &[VarCols],
     scratch: &mut [f64],
     mark: &mut [bool],
@@ -150,7 +150,7 @@ fn expr_to_sparse(
             touched.push(col);
         }
     };
-    for (v, c) in expr.iter() {
+    for &(v, c) in terms {
         match var_cols[v.index()] {
             VarCols::Shifted { col, shift } => {
                 touch(col, mark, touched);
@@ -223,14 +223,14 @@ impl StdForm {
         let mut scratch = vec![0.0; nstruct];
         let mut mark = vec![false; nstruct];
         let mut touched: Vec<usize> = Vec::new();
-        let mut raw: Vec<RawRow> = Vec::with_capacity(p.rows.len() + bound_rows.len());
-        for row in &p.rows {
+        let mut raw: Vec<RawRow> = Vec::with_capacity(p.num_constraints() + bound_rows.len());
+        for (terms, sense, rhs) in p.rows() {
             let (entries, shift_sum) =
-                expr_to_sparse(&row.expr, &var_cols, &mut scratch, &mut mark, &mut touched);
+                expr_to_sparse(terms, &var_cols, &mut scratch, &mut mark, &mut touched);
             raw.push(RawRow {
                 entries,
-                sense: row.sense,
-                rhs: row.rhs - shift_sum,
+                sense,
+                rhs: rhs - shift_sum,
             });
         }
         for &(var, upper) in &bound_rows {
@@ -323,8 +323,13 @@ impl StdForm {
 
         // --- phase-2 costs (minimize orientation) -------------------------
         let mut costs = vec![0.0; ncols];
-        let (obj_entries, _shift_sum) =
-            expr_to_sparse(obj_expr, &var_cols, &mut scratch, &mut mark, &mut touched);
+        let (obj_entries, _shift_sum) = expr_to_sparse(
+            obj_expr.terms(),
+            &var_cols,
+            &mut scratch,
+            &mut mark,
+            &mut touched,
+        );
         for (c, v) in obj_entries {
             costs[c] = sense_factor * v;
         }
@@ -338,7 +343,7 @@ impl StdForm {
             col_kinds,
             row_flip,
             dual_col,
-            user_rows: p.rows.len(),
+            user_rows: p.num_constraints(),
             sense_factor,
             initial_basis,
             var_cols,
@@ -1371,17 +1376,7 @@ fn package_optimal(p: &Problem, core: &SparseCore) -> Result<Solution, LpError> 
         return Err(LpError::MissingObjective);
     };
     let objective = obj_expr.eval(&values);
-    let slacks = p
-        .rows
-        .iter()
-        .map(|r| {
-            let lhs = r.expr.eval(&values);
-            match r.sense {
-                Sense::Le | Sense::Eq => r.rhs - lhs,
-                Sense::Ge => lhs - r.rhs,
-            }
-        })
-        .collect();
+    let slacks = p.slacks(&values);
     Ok(Solution {
         status: Status::Optimal,
         objective: Some(objective),

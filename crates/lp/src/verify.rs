@@ -195,8 +195,8 @@ pub fn certify_kkt(
     reduced_costs: Option<&[f64]>,
 ) -> Certificate {
     let tol = Tol::FEAS;
-    let n = p.vars.len();
-    let m = p.rows.len();
+    let n = p.num_vars();
+    let m = p.num_constraints();
     let Some((direction, obj)) = p.objective.as_ref() else {
         return Certificate::invalid();
     };
@@ -220,11 +220,11 @@ pub fn certify_kkt(
     // Dual objective: Σᵢ yᵢ bᵢ (normalized) plus bound terms below.
     let mut dual_obj = 0.0f64;
 
-    for (row, &y) in p.rows.iter().zip(duals) {
+    for ((terms, sense, rhs), &y) in p.rows().zip(duals) {
         // Row activity with its cancellation scale.
         let mut activity = 0.0;
-        let mut act_scale = row.rhs.abs();
-        for (var, coeff) in row.expr.iter() {
+        let mut act_scale = rhs.abs();
+        for &(var, coeff) in terms {
             let term = coeff * x[var.index()];
             activity += term;
             act_scale += term.abs();
@@ -232,16 +232,16 @@ pub fn certify_kkt(
             aty_scale[var.index()] += (coeff * y).abs();
         }
         // 1. Primal feasibility.
-        let viol = match row.sense {
-            Sense::Le => activity - row.rhs,
-            Sense::Ge => row.rhs - activity,
-            Sense::Eq => (activity - row.rhs).abs(),
+        let viol = match sense {
+            Sense::Le => activity - rhs,
+            Sense::Ge => rhs - activity,
+            Sense::Eq => (activity - rhs).abs(),
         };
         bump(&mut primal, tol.violation(viol, 0.0, act_scale));
 
         // 3. Dual sign per sense (normalized orientation).
         let yn = sigma * y;
-        let wrong = match row.sense {
+        let wrong = match sense {
             Sense::Le => yn.max(0.0),
             Sense::Ge => (-yn).max(0.0),
             Sense::Eq => 0.0,
@@ -250,10 +250,10 @@ pub fn certify_kkt(
 
         // 5. Complementary slackness on rows: either the dual or the
         // slack must vanish (relative to their own scales).
-        if !matches!(row.sense, Sense::Eq) {
-            let slack = match row.sense {
-                Sense::Le => row.rhs - activity,
-                Sense::Ge => activity - row.rhs,
+        if !matches!(sense, Sense::Eq) {
+            let slack = match sense {
+                Sense::Le => rhs - activity,
+                Sense::Ge => activity - rhs,
                 Sense::Eq => 0.0,
             };
             let rel_y = y.abs() / dual_scale;
@@ -261,7 +261,7 @@ pub fn certify_kkt(
             bump(&mut complementarity, rel_y.min(rel_slack));
         }
 
-        dual_obj += sigma * y * row.rhs;
+        dual_obj += sigma * y * rhs;
     }
 
     let mut bounds = 0.0f64;
@@ -579,21 +579,20 @@ mod tests {
             prop_assume!(sol.certify(&p).is_valid());
             // rows with genuine slack and a ~zero dual
             let loose: Vec<(usize, f64)> = p
-                .rows
-                .iter()
+                .rows()
                 .enumerate()
-                .filter_map(|(i, row)| {
-                    let activity = row.expr.eval(&sol.values);
-                    let slack = match row.sense {
-                        Sense::Le => row.rhs - activity,
-                        Sense::Ge => activity - row.rhs,
+                .filter_map(|(i, (_, sense, rhs))| {
+                    let activity = p.activity(i, &sol.values);
+                    let slack = match sense {
+                        Sense::Le => rhs - activity,
+                        Sense::Ge => activity - rhs,
                         Sense::Eq => return None,
                     };
-                    let sign = match row.sense {
+                    let sign = match sense {
                         Sense::Le => -1.0, // minimize: binding ≤ has y ≤ 0
                         _ => 1.0,
                     };
-                    (slack > 1e-2 * (1.0 + row.rhs.abs()) && sol.duals[i].abs() < 1e-9)
+                    (slack > 1e-2 * (1.0 + rhs.abs()) && sol.duals[i].abs() < 1e-9)
                         .then_some((i, sign))
                 })
                 .collect();

@@ -399,7 +399,7 @@ proptest! {
                 // Rows whose removal alone restores a schedule lie in
                 // every IIS; when they conflict by themselves, they are
                 // the only one.
-                let all: Vec<ConstraintId> = model.constraints().iter().map(|c| c.row).collect();
+                let all: Vec<ConstraintId> = model.constraints().iter().map(|c| c.row()).collect();
                 let necessary: Vec<ConstraintId> = all
                     .iter()
                     .copied()

@@ -1163,3 +1163,31 @@ fn json_output_is_the_daemon_result_byte_for_byte() {
     }
     assert!(compared >= 6 * 5, "only {compared} forms compared");
 }
+
+/// `smo lp` prints problem P2 of every shipped netlist exactly as the
+/// checked-in goldens (`tests/golden/lp/`) record it: rows, terms, their
+/// order and every number.
+#[test]
+fn lp_export_matches_goldens() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    for entry in std::fs::read_dir(root.join("circuits")).expect("circuits/ lists") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_none_or(|e| e != "ckt") {
+            continue;
+        }
+        let stem = path.file_stem().and_then(|s| s.to_str()).expect("name");
+        let golden = root.join("tests/golden/lp").join(format!("{stem}.lp"));
+        let expected = std::fs::read_to_string(&golden)
+            .unwrap_or_else(|e| panic!("{}: {e}", golden.display()));
+        let out = smo(&["lp", path.to_str().expect("utf-8 path")]);
+        assert!(out.status.success(), "smo lp {stem} failed");
+        assert_eq!(
+            stdout(&out),
+            expected,
+            "smo lp {stem} drifted from its golden"
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 6, "one golden per shipped netlist");
+}

@@ -48,8 +48,8 @@ fn isolate_rows(p: &Problem, rows: &[(smo::lp::ConstraintId, f64)]) -> (Problem,
         names.push((format!("x{i}"), f64::NEG_INFINITY, f64::INFINITY));
     }
     for &(row, _) in rows {
-        let (expr, _, _) = p.constraint(row);
-        for (v, _) in expr.iter() {
+        let (terms, _, _) = p.constraint(row);
+        for &(v, _) in terms {
             let (lo, up) = p.var_bounds(v);
             names[v.index()] = (p.var_name(v).to_string(), lo, up);
         }
@@ -71,9 +71,9 @@ fn isolate_rows(p: &Problem, rows: &[(smo::lp::ConstraintId, f64)]) -> (Problem,
     obj.add_term(ids[0], 0.0);
     let mut farkas = Vec::with_capacity(rows.len());
     for &(row, m) in rows {
-        let (expr, sense, rhs) = p.constraint(row);
+        let (terms, sense, rhs) = p.constraint(row);
         let mut e = LinExpr::new();
-        for (v, c) in expr.iter() {
+        for &(v, c) in terms {
             e.add_term(ids[v.index()], c);
         }
         q.constrain(e, sense, rhs);

@@ -122,9 +122,9 @@ fn lp_dual_sums(circuit: &Circuit, model: &TimingModel) -> Vec<f64> {
     let mut out = vec![0.0; circuit.num_edges()];
     for info in model.constraints() {
         if let (Some(edge), ConstraintKind::Propagation | ConstraintKind::FlipFlopSetup) =
-            (info.edge, info.kind)
+            (info.edge(), info.kind())
         {
-            out[edge.index()] += sol.dual(info.row).abs();
+            out[edge.index()] += sol.dual(info.row()).abs();
         }
     }
     out
