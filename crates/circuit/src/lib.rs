@@ -58,6 +58,7 @@ mod ids;
 pub mod json;
 mod matrix;
 pub mod netlist;
+mod scan;
 mod sync;
 mod transform;
 

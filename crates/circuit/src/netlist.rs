@@ -121,36 +121,12 @@ const TOKEN_BYTE: [bool; 256] = {
 
 /// The end of the token that starts at `i`: the first byte at or after
 /// `i` that is not a [`TOKEN_BYTE`].
-fn token_end(bytes: &[u8], mut i: usize) -> usize {
-    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
-    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
-    // Eight bytes at a time: flag each byte below `!`, equal to `#` or
-    // from 0x80 up. The lowest flag is always a true one (a borrow only
-    // spreads upward from a true one), and every byte before it continues
-    // the token.
-    while let Some(word) = bytes.get(i..i + 8) {
-        let mut w = [0; 8];
-        w.copy_from_slice(word);
-        let w = u64::from_le_bytes(w);
-        let below = w.wrapping_sub(ONES * 0x21) & !w;
-        let x = w ^ (ONES * u64::from(b'#'));
-        let hash = x.wrapping_sub(ONES) & !x;
-        let flags = (below | hash | w) & HIGH;
-        if flags == 0 {
-            i += 8;
-            continue;
-        }
-        i += (flags.trailing_zeros() / 8) as usize;
-        // Control bytes other than the separators continue a token.
-        if !TOKEN_BYTE[usize::from(bytes[i])] {
-            return i;
-        }
-        i += 1;
-    }
-    while i < bytes.len() && TOKEN_BYTE[usize::from(bytes[i])] {
-        i += 1;
-    }
-    i
+fn token_end(bytes: &[u8], i: usize) -> usize {
+    use crate::scan::{below, equal};
+    // Flag each byte below `!`, equal to `#` or from 0x80 up; the control
+    // bytes other than the separators among them continue a token.
+    let flags = |w| below(w, 0x21) | equal(w, b'#') | w;
+    crate::scan::run_end(bytes, i, flags, |b| TOKEN_BYTE[usize::from(b)])
 }
 
 /// The tokens of a statement after its keyword.
@@ -1686,36 +1662,11 @@ wire B A      # feedback wire, zero delay
 
     #[test]
     fn token_end_matches_the_byte_rule() {
-        let plain = |bytes: &[u8], mut i: usize| {
-            while i < bytes.len() && TOKEN_BYTE[usize::from(bytes[i])] {
-                i += 1;
-            }
-            i
-        };
-        // Every byte value, and every pair of edge-case bytes (a borrow
-        // out of the first must not hide the second), at every offset of
-        // the eight-byte words.
         let edges = [
             0x00, 0x01, 0x08, 0x09, 0x0a, 0x0b, 0x0d, 0x0e, 0x1f, 0x20, 0x21, 0x22, 0x23, 0x24,
             0x7f, 0x80, 0xc3, 0xff, b'a',
         ];
-        let pairs = edges
-            .iter()
-            .flat_map(|&a| edges.iter().map(move |&b| [a, b]));
-        let singles = (0..=255u8).map(|b| [b, b'a']);
-        for pair in singles.chain(pairs) {
-            for at in 0..19 {
-                let mut bytes = [b'x'; 20];
-                bytes[at..at + 2].copy_from_slice(&pair);
-                for start in 0..=at {
-                    assert_eq!(
-                        token_end(&bytes, start),
-                        plain(&bytes, start),
-                        "{pair:?} at {at} from {start}"
-                    );
-                }
-            }
-        }
+        crate::scan::assert_matches_byte_rule(token_end, |b| TOKEN_BYTE[usize::from(b)], &edges);
     }
 
     #[test]
