@@ -290,8 +290,8 @@ rm -f "$graph_ckt"
 
 echo "==> shape-corpus scaling gate (wide, deep, fan-in 8, four phases; 25k vs 50k latches)"
 # Doubling the latches of any generated shape may at most scale a
-# command's best-of-3 wall time by 2.6 where it takes 0.2 s or more: no
-# superlinear cliff on a legal netlist. About a minute on a 2-core host.
+# command's best-of-5 wall time by 2.6 where it takes 0.2 s or more: no
+# superlinear cliff on a legal netlist. The n and 2n runs alternate.
 ./shape_gate.sh ./target/release/smo
 
 echo "==> 200k mindelay lines over 200k parallel paths: parsed in one indexed pass"

@@ -381,7 +381,7 @@ impl Engine {
             ..Default::default()
         };
         Ok(ops::run(&circuit, command, &settings)?
-            .json()
+            .json(&circuit)
             .render_compact())
     }
 

@@ -117,15 +117,24 @@ fn sweep_value(report: &SweepReport, options: &SweepOptions) -> Json {
     Json::obj(fields)
 }
 
-/// A verify verdict as JSON.
-fn verify_value(cycle_time: f64, report: &AnalysisReport, exists: Option<bool>) -> Json {
+/// A verify verdict as JSON, naming synchronizers as `circuit` does.
+fn verify_value(
+    circuit: &Circuit,
+    cycle_time: f64,
+    report: &AnalysisReport,
+    exists: Option<bool>,
+) -> Json {
     Json::obj([
         ("cycle_time", Json::six_decimals(cycle_time)),
         ("feasible", report.is_feasible().into()),
         ("worst_slack", Json::six_decimals(report.worst_slack())),
         (
             "violations",
-            report.violations().iter().map(|v| v.to_string()).collect(),
+            report
+                .violations()
+                .iter()
+                .map(|v| v.describe(circuit))
+                .collect(),
         ),
         ("exists_at_tc", exists.into()),
     ])
@@ -173,15 +182,16 @@ pub enum Outcome {
 
 impl Outcome {
     /// The outcome as JSON: the daemon's `result`, and what the CLI
-    /// prints under `--json`, both rendered compactly.
-    pub fn json(&self) -> Json {
+    /// prints under `--json`, both rendered compactly. `circuit` is the
+    /// one the command ran on; verify names its synchronizers.
+    pub fn json(&self, circuit: &Circuit) -> Json {
         match self {
             Outcome::Solve(sol) => solve_value(sol),
             Outcome::Verify {
                 cycle_time,
                 report,
                 exists,
-            } => verify_value(*cycle_time, report, *exists),
+            } => verify_value(circuit, *cycle_time, report, *exists),
             Outcome::Check(report) => report.json(),
             Outcome::Diagnose(d) => d.json(),
             Outcome::Sweep(report, options) => sweep_value(report, options),
@@ -366,8 +376,8 @@ mod tests {
         let circuit = paper::example2();
         let outcome = run(&circuit, &solve(Backend::Auto), &Settings::default()).unwrap();
         let direct = smo_core::min_cycle_time_with(&circuit, &MlpOptions::default()).unwrap();
-        assert_eq!(outcome.json(), solve_value(&direct));
-        assert_eq!(solve_json(&direct), outcome.json().render_spaced());
+        assert_eq!(outcome.json(&circuit), solve_value(&direct));
+        assert_eq!(solve_json(&direct), outcome.json(&circuit).render_spaced());
     }
 
     #[test]
@@ -390,12 +400,22 @@ mod tests {
         let settings = Settings::default();
         let json = run(&circuit, &verify(sched.cycle(), phases), &settings)
             .unwrap()
-            .json();
+            .json(&circuit);
         assert_eq!(json.get("feasible"), Some(&Json::Bool(true)));
         assert_eq!(json.get("exists_at_tc"), Some(&Json::Bool(true)));
         // Wrong phase count is a request error, not a panic.
         let e = run(&circuit, &verify(10.0, vec![]), &settings).unwrap_err();
         assert!(matches!(e, OpError::Request(_)), "{e:?}");
+        // Violations name synchronizers as the netlist does.
+        let gaas = paper::gaas_mips();
+        let tight = verify(3.0, vec![(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)]);
+        let json = run(&gaas, &tight, &settings).unwrap().json(&gaas);
+        assert_eq!(
+            json.get("violations"),
+            Some(&Json::Arr(vec![Json::Str(
+                "cycle time too small for loop: imd_in imd_out".into()
+            )]))
+        );
     }
 
     #[test]
@@ -418,7 +438,9 @@ mod tests {
             spread: 0.05,
             seed: 7,
         };
-        let json = run(&circuit, &sweep(delay), &settings).unwrap().json();
+        let json = run(&circuit, &sweep(delay), &settings)
+            .unwrap()
+            .json(&circuit);
         assert_eq!(json.get("param"), Some(&Json::Str("delay".into())));
         assert_eq!(json.get("seed"), Some(&Json::Num(7.0)));
     }

@@ -13,14 +13,13 @@
 //! 2. the clock constraints C1–C3 hold for the circuit's `K` matrix, and
 //! 3. every setup constraint holds at the fixpoint.
 //!
-//! The optional short-path (hold) analysis — Unger's "early arrival"
-//! problem, which the paper cites but does not treat — is available through
-//! [`AnalysisOptions::check_hold`].
+//! Verification checks the long-path side only. The short-path (hold,
+//! double-clocking) hazard of §II has one static check,
+//! [`race_analysis_at`](crate::race_analysis_at), which `smo check` runs.
 
 use crate::model::NonoverlapScope;
 use crate::propagation::PropagationSystem;
-use smo_circuit::{Circuit, ClockSchedule, EdgeId, LatchId, SyncKind};
-use std::fmt;
+use smo_circuit::{Circuit, ClockSchedule, LatchId, SyncKind};
 
 /// Tolerance used when classifying violations.
 const TOL: f64 = 1e-9;
@@ -28,14 +27,6 @@ const TOL: f64 = 1e-9;
 /// Options for [`verify`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalysisOptions {
-    /// Also run the short-path (hold) checks using the edges' `min_delay`
-    /// and the synchronizers' `hold` parameters. Extension; off by default.
-    pub check_hold: bool,
-    /// Use the early-mode fixpoint (steady-state earliest change times)
-    /// instead of the conservative assumption that every source releases
-    /// new data right at its enabling edge. Never reports *more* violations
-    /// than the conservative check. Only meaningful with `check_hold`.
-    pub early_mode_hold: bool,
     /// Which edges require phase nonoverlap (must match the scope used when
     /// the schedule was designed).
     pub nonoverlap_scope: NonoverlapScope,
@@ -64,36 +55,27 @@ pub enum Violation {
         /// Negative slack (how late the data is).
         shortfall: f64,
     },
-    /// A short-path hold violation on an edge (extension).
-    Hold {
-        /// The violating edge.
-        edge: EdgeId,
-        /// Negative margin (how early the new data arrives).
-        shortfall: f64,
-    },
 }
 
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Violation {
+    /// The violation in words, naming synchronizers as `circuit` declares
+    /// them: the line `smo verify` prints and the daemon's `violations`
+    /// field carries.
+    pub fn describe(&self, circuit: &Circuit) -> String {
         match self {
-            Violation::Clock { reason } => write!(f, "clock constraint violated: {reason}"),
+            Violation::Clock { reason } => format!("clock constraint violated: {reason}"),
             Violation::PositiveLoop { latches } => {
-                write!(f, "cycle time too small for loop:")?;
-                for l in latches {
-                    write!(f, " {l}")?;
+                let mut text = "cycle time too small for loop:".to_string();
+                for &l in latches {
+                    text.push(' ');
+                    text.push_str(&circuit.sync(l).name);
                 }
-                Ok(())
+                text
             }
-            Violation::Setup { latch, shortfall } => {
-                write!(f, "setup violated at {latch} by {shortfall:.4}")
-            }
-            Violation::Hold { edge, shortfall } => {
-                write!(
-                    f,
-                    "hold violated on edge #{} by {shortfall:.4}",
-                    edge.index()
-                )
-            }
+            Violation::Setup { latch, shortfall } => format!(
+                "setup violated at {} by {shortfall:.4}",
+                circuit.sync(*latch).name
+            ),
         }
     }
 }
@@ -106,8 +88,6 @@ pub struct AnalysisReport {
     departures: Vec<f64>,
     arrivals: Vec<f64>,
     setup_slacks: Vec<f64>,
-    hold_margins: Vec<Option<f64>>,
-    early_departures: Option<Vec<f64>>,
     iterations: usize,
 }
 
@@ -147,20 +127,6 @@ impl AnalysisReport {
     /// Panics if `id` is out of range.
     pub fn setup_slack(&self, id: LatchId) -> f64 {
         self.setup_slacks[id.index()]
-    }
-
-    /// Hold margin per edge (`None` when hold checking was disabled).
-    /// Negative means violated.
-    pub fn hold_margins(&self) -> &[Option<f64>] {
-        &self.hold_margins
-    }
-
-    /// Steady-state earliest change times per synchronizer (relative to the
-    /// own phase start), computed only when
-    /// [`AnalysisOptions::early_mode_hold`] was set. `+∞` entries mean the
-    /// output never changes in steady state.
-    pub fn early_departures(&self) -> Option<&[f64]> {
-        self.early_departures.as_deref()
     }
 
     /// Value-iteration sweeps used to reach the fixpoint.
@@ -246,8 +212,6 @@ pub fn verify_with(
                 departures: vec![f64::INFINITY; l],
                 arrivals: vec![f64::INFINITY; l],
                 setup_slacks: vec![f64::NEG_INFINITY; l],
-                hold_margins: vec![None; circuit.num_edges()],
-                early_departures: None,
                 iterations: 0,
             };
         }
@@ -279,64 +243,11 @@ pub fn verify_with(
         setup_slacks.push(slack);
     }
 
-    // --- hold checks (extension) -------------------------------------------
-    let mut hold_margins = vec![None; circuit.num_edges()];
-    let mut early_departures = None;
-    if options.check_hold {
-        // Early-mode source release times: either the steady-state earliest
-        // change (early_mode_hold) or the conservative 0 (release at the
-        // enabling edge).
-        let early_dep: Vec<f64> = if options.early_mode_hold {
-            let fp = system.early_steady(4 * l + 16);
-            let values = if fp.converged {
-                fp.departures
-            } else {
-                // The early iteration did not settle. Divergence normally
-                // means the periodic data changes die out (each wave the
-                // earliest change drifts later), but rather than rely on
-                // that argument we fall back to the conservative model —
-                // every source releases at its enabling edge — which can
-                // only over-report violations, never miss one.
-                vec![0.0; l]
-            };
-            early_departures = Some(values.clone());
-            values
-        } else {
-            vec![0.0; l]
-        };
-        for (idx, e) in circuit.edges().iter().enumerate() {
-            let src = circuit.sync(e.from);
-            let dst = circuit.sync(e.to);
-            // earliest new-data arrival at the destination, referenced to the
-            // destination phase start of the *receiving* occurrence:
-            let early = early_dep[e.from.index()]
-                + src.dq
-                + e.min_delay
-                + schedule.shift(src.phase, dst.phase);
-            // the destination must not be disturbed before (previous closing
-            // edge) + hold:
-            let deadline = match dst.kind {
-                SyncKind::Latch => schedule.width(dst.phase) - schedule.cycle() + dst.hold,
-                SyncKind::FlipFlop => dst.hold - schedule.cycle(),
-            };
-            let margin = early - deadline;
-            if margin < -TOL {
-                violations.push(Violation::Hold {
-                    edge: EdgeId::new(idx),
-                    shortfall: -margin,
-                });
-            }
-            hold_margins[idx] = Some(margin);
-        }
-    }
-
     AnalysisReport {
         violations,
         departures,
         arrivals,
         setup_slacks,
-        hold_margins,
-        early_departures,
         iterations,
     }
 }
@@ -378,7 +289,7 @@ pub fn min_cycle_for_shape(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smo_circuit::{CircuitBuilder, PhaseId, Synchronizer};
+    use smo_circuit::{CircuitBuilder, PhaseId};
 
     fn p(n: usize) -> PhaseId {
         PhaseId::from_number(n)
@@ -477,135 +388,13 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        // described by the circuit's own name, not the id
+        assert_eq!(
+            report.violations()[0].describe(&c),
+            "setup violated at F2 by 1.0000"
+        );
         // F1 has no fan-in → infinite slack
         assert_eq!(report.setup_slack(LatchId::new(0)), f64::INFINITY);
-    }
-
-    #[test]
-    fn hold_check_flags_fast_paths() {
-        // Two latches on overlapping... rather: same-phase FFs with a path
-        // faster than the hold requirement.
-        let mut b = CircuitBuilder::new(1);
-        let f1 = b.add_sync(Synchronizer::flip_flop("F1", p(1), 1.0, 0.1));
-        let f2 = b.add_sync(Synchronizer::flip_flop("F2", p(1), 1.0, 0.2).with_hold(1.0));
-        b.connect_min_max(f1, f2, 0.3, 5.0);
-        let c = b.build().unwrap();
-        let sched = ClockSchedule::new(10.0, vec![0.0], vec![5.0]).unwrap();
-        let opts = AnalysisOptions {
-            check_hold: true,
-            ..Default::default()
-        };
-        let report = verify_with(&c, &sched, &opts);
-        // earliest arrival = dq 0.1 + min 0.3 = 0.4 after the edge; hold
-        // needs 1.0 → shortfall 0.6
-        let hold_violation = report
-            .violations()
-            .iter()
-            .find_map(|v| match v {
-                Violation::Hold { shortfall, .. } => Some(*shortfall),
-                _ => None,
-            })
-            .expect("hold violation expected");
-        assert!((hold_violation - 0.6).abs() < 1e-9);
-        // margins are reported for every edge
-        assert!(report.hold_margins().iter().all(Option::is_some));
-    }
-
-    #[test]
-    fn hold_check_passes_with_enough_contamination_delay() {
-        let mut b = CircuitBuilder::new(1);
-        let f1 = b.add_sync(Synchronizer::flip_flop("F1", p(1), 1.0, 0.1));
-        let f2 = b.add_sync(Synchronizer::flip_flop("F2", p(1), 1.0, 0.2).with_hold(1.0));
-        b.connect_min_max(f1, f2, 2.0, 5.0);
-        let c = b.build().unwrap();
-        let sched = ClockSchedule::new(10.0, vec![0.0], vec![5.0]).unwrap();
-        let opts = AnalysisOptions {
-            check_hold: true,
-            ..Default::default()
-        };
-        assert!(verify_with(&c, &sched, &opts).is_feasible());
-    }
-
-    #[test]
-    fn early_mode_hold_is_never_more_pessimistic() {
-        // latch chain with a slow upstream: the conservative check assumes
-        // the source releases at its edge, early mode knows it releases
-        // later — margins can only improve.
-        let mut b = CircuitBuilder::new(2);
-        let f = b.add_flip_flop("F", p(1), 0.5, 0.5);
-        let a = b.add_sync(Synchronizer::latch("A", p(2), 0.5, 0.5).with_hold(0.0));
-        let dst = b.add_sync(Synchronizer::latch("D", p(1), 0.5, 0.5).with_hold(4.0));
-        b.connect_min_max(f, a, 10.5, 11.0); // A's data arrives late → releases late
-        b.connect_min_max(a, dst, 0.5, 3.0);
-        let c = b.build().unwrap();
-        let sched = ClockSchedule::new(20.0, vec![0.0, 10.0], vec![9.0, 9.0]).unwrap();
-        let conservative = verify_with(
-            &c,
-            &sched,
-            &AnalysisOptions {
-                check_hold: true,
-                ..Default::default()
-            },
-        );
-        let early = verify_with(
-            &c,
-            &sched,
-            &AnalysisOptions {
-                check_hold: true,
-                early_mode_hold: true,
-                ..Default::default()
-            },
-        );
-        for (cm, em) in conservative.hold_margins().iter().zip(early.hold_margins()) {
-            let (cm, em) = (cm.expect("checked"), em.expect("checked"));
-            assert!(em >= cm - 1e-9, "early {em} vs conservative {cm}");
-        }
-        assert!(early.early_departures().is_some());
-        // A's earliest release is strictly after its edge
-        let e = early.early_departures().unwrap();
-        assert!(e[1] > 0.0, "early departures: {e:?}");
-    }
-
-    #[test]
-    fn early_mode_clears_a_false_conservative_hold_violation() {
-        // Destination D (φ1) has a big hold requirement; the path A→D is
-        // fast, BUT A cannot release early because its own data arrives
-        // late. Conservative analysis flags it; early mode clears it.
-        let mut b = CircuitBuilder::new(2);
-        let f = b.add_flip_flop("F", p(1), 0.5, 0.5);
-        let a = b.add_latch("A", p(2), 0.5, 0.5);
-        let dst = b.add_sync(Synchronizer::latch("D", p(1), 0.5, 0.5).with_hold(3.0));
-        b.connect_min_max(f, a, 8.0, 9.0);
-        b.connect_min_max(a, dst, 0.1, 3.0);
-        let c = b.build().unwrap();
-        let sched = ClockSchedule::new(20.0, vec![0.0, 6.0], vec![5.0, 12.0]).unwrap();
-        let conservative = verify_with(
-            &c,
-            &sched,
-            &AnalysisOptions {
-                check_hold: true,
-                ..Default::default()
-            },
-        );
-        let early = verify_with(
-            &c,
-            &sched,
-            &AnalysisOptions {
-                check_hold: true,
-                early_mode_hold: true,
-                ..Default::default()
-            },
-        );
-        let cons_hold = conservative
-            .violations()
-            .iter()
-            .any(|v| matches!(v, Violation::Hold { .. }));
-        let early_hold = early
-            .violations()
-            .iter()
-            .any(|v| matches!(v, Violation::Hold { .. }));
-        assert!(cons_hold, "{:?}", conservative.violations());
-        assert!(!early_hold, "{:?}", early.violations());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   the nonlinear fixpoint. By Theorem 1 the resulting cycle time is the
 //!   exact optimum of the nonlinear problem P1.
 //! * **The analysis problem** ([`verify`]) — check a concrete clock schedule
-//!   against the constraints, with per-latch slack, positive-loop diagnosis
-//!   and optional short-path (hold) checking.
+//!   against the long-path constraints, with per-latch slack and
+//!   positive-loop diagnosis.
 //! * **Baselines** ([`baseline`]) — edge-triggered, symmetric-clock
 //!   (NRIP-like) and single-borrow heuristics for the paper's comparisons.
 //! * **Critical segments** ([`critical_report`]) — which combinational

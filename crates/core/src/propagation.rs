@@ -23,6 +23,12 @@
 //!   proves a positive-gain loop. Schedule verification runs it, and the
 //!   MLP slide runs the same pass from a floor that a linear-time peel of
 //!   the tight chains at `D⁰` sets.
+//!
+//! Each arc carries one weight. [`PropagationSystem::new`] builds it from
+//! the max delays for the late (long-path) iterations above;
+//! [`PropagationSystem::with_short_delays`] builds it from the effective
+//! short-path delays for the early-mode iteration
+//! ([`PropagationSystem::early_steady`]) of the race analysis.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -37,12 +43,10 @@ pub const FIXPOINT_TOL: f64 = 1e-9;
 pub struct Arc {
     /// Index of the source synchronizer.
     pub source: usize,
-    /// `Δ_DQj + Δ_ji + S_{p_j p_i}` evaluated at the fixed schedule
-    /// (long-path / late mode).
+    /// `Δ_DQj + Δ_ji + S_{p_j p_i}` evaluated at the fixed schedule, with
+    /// the edge's max delay `Δ_ji` (late mode) or its effective short-path
+    /// delay `δ_ji` (early mode).
     pub weight: f64,
-    /// `Δ_DQj + δ_ji + S_{p_j p_i}` with the edge's contamination delay
-    /// (short-path / early mode).
-    pub weight_early: f64,
 }
 
 /// The max-plus propagation system of a circuit at a fixed clock schedule.
@@ -82,29 +86,25 @@ impl PropagationSystem {
     ///
     /// Panics if the schedule's phase count differs from the circuit's.
     pub fn new(circuit: &Circuit, schedule: &ClockSchedule) -> Self {
-        Self::build(circuit, schedule, |e| e.min_delay)
+        Self::build(circuit, schedule, false)
     }
 
-    /// Like [`PropagationSystem::new`] but the early-mode arc weights use
-    /// the *effective* short-path delays of
-    /// [`Edge::short_delay`](smo_circuit::Edge::short_delay): edges whose
-    /// contamination delay was never measured fall back to their max delay
-    /// instead of the conservative `0`. This is the weight choice of the
-    /// race detector ([`race_analysis`](crate::race_analysis)), where an
-    /// unspecified short path must not manufacture a violation.
+    /// Like [`PropagationSystem::new`] but each arc weight uses the
+    /// *effective* short-path delay of
+    /// [`Edge::short_delay`](smo_circuit::Edge::short_delay): the measured
+    /// contamination delay, or the max delay for an edge that has none.
+    /// This is the early-mode system of the race detector
+    /// ([`race_analysis`](crate::race_analysis)), where an unmeasured
+    /// short path must not manufacture a violation.
     ///
     /// # Panics
     ///
     /// Panics if the schedule's phase count differs from the circuit's.
     pub fn with_short_delays(circuit: &Circuit, schedule: &ClockSchedule) -> Self {
-        Self::build(circuit, schedule, |e| e.short_delay())
+        Self::build(circuit, schedule, true)
     }
 
-    fn build(
-        circuit: &Circuit,
-        schedule: &ClockSchedule,
-        early_delay: impl Fn(&smo_circuit::Edge) -> f64,
-    ) -> Self {
+    fn build(circuit: &Circuit, schedule: &ClockSchedule, short: bool) -> Self {
         assert_eq!(
             circuit.num_phases(),
             schedule.num_phases(),
@@ -120,10 +120,10 @@ impl PropagationSystem {
                 let e = circuit.edge(eid);
                 let src = circuit.sync(e.from);
                 let shift = schedule.shift(src.phase, dst.phase);
+                let delay = if short { e.short_delay() } else { e.max_delay };
                 arcs.push(Arc {
                     source: e.from.index(),
-                    weight: src.dq + e.max_delay + shift,
-                    weight_early: src.dq + early_delay(e) + shift,
+                    weight: src.dq + delay + shift,
                 });
             }
             arcs_end.push(arcs.len());
@@ -234,12 +234,14 @@ impl PropagationSystem {
         }
     }
 
-    /// The *early-mode* arrival: `min_j (e_j + w^early_ji)`, or `+∞` for
-    /// synchronizers with no fan-in (their data never changes).
+    /// The *early-mode* arrival: `min_j (e_j + w_ji)`, or `+∞` for
+    /// synchronizers with no fan-in (their data never changes). The early
+    /// methods read a system built by
+    /// [`with_short_delays`](Self::with_short_delays).
     pub fn early_arrival(&self, e: &[f64], i: usize) -> f64 {
         self.incoming(i)
             .iter()
-            .map(|a| e[a.source] + a.weight_early)
+            .map(|a| e[a.source] + a.weight)
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -582,7 +584,7 @@ mod tests {
         b.connect_min_max(l, f, 3.0, 5.0);
         let c = b.build().unwrap();
         let sched = ClockSchedule::symmetric(2, 40.0, 0.0).unwrap();
-        let sys = PropagationSystem::new(&c, &sched);
+        let sys = PropagationSystem::with_short_delays(&c, &sched);
         let fp = sys.early_steady(10);
         assert!(fp.converged);
         // F changes at its edge; L's earliest change = max(0, 0+2+3-20) = 0
@@ -603,7 +605,7 @@ mod tests {
         b.connect_min_max(c2, a, 30.0, 30.0);
         let c = b.build().unwrap();
         let sched = ClockSchedule::symmetric(2, 50.0, 0.0).unwrap();
-        let sys = PropagationSystem::new(&c, &sched);
+        let sys = PropagationSystem::with_short_delays(&c, &sched);
         let fp = sys.early_steady(sys.len() + 1);
         assert!(!fp.converged, "{fp:?}");
     }
@@ -614,12 +616,17 @@ mod tests {
         b.add_latch("solo", p(1), 0.0, 1.0);
         let c = b.build().unwrap();
         let sched = ClockSchedule::symmetric(1, 10.0, 0.0).unwrap();
-        let sys = PropagationSystem::new(&c, &sched);
+        let sys = PropagationSystem::with_short_delays(&c, &sched);
         assert_eq!(sys.early_arrival(&[0.0], 0), f64::INFINITY);
         assert_eq!(sys.early_update(&[0.0], 0), f64::INFINITY);
         let fp = sys.early_steady(5);
         assert!(fp.converged);
         assert_eq!(fp.departures[0], f64::INFINITY);
+    }
+
+    #[test]
+    fn an_arc_keeps_one_weight() {
+        assert_eq!(std::mem::size_of::<Arc>(), 16);
     }
 
     #[test]

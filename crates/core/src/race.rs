@@ -23,6 +23,8 @@
 //! `mindelay` in the netlist), otherwise the max delay — an edge whose
 //! delay spread is unknown is assumed raceless rather than instantaneous,
 //! so circuits without short-path data analyse exactly as before.
+//! This is the crate's one static hold check; the behavioural simulator's
+//! dynamic hold check reads the same effective short delays.
 //!
 //! The left-hand side minus the deadline is the edge's **hold slack**; a
 //! negative slack is a race, reported with a [`ShortPathWitness`] carrying
@@ -442,6 +444,31 @@ mod tests {
         let circuit = b.build().unwrap();
         let report = race_analysis(&circuit, &RaceOptions::default()).unwrap();
         assert!(report.is_race_free(), "{report}");
+    }
+
+    #[test]
+    fn fixed_schedule_flags_a_fast_path_and_clears_a_slow_one() {
+        // Same-phase flip-flops at Tc = 10: new data leaves F1 at dq 0.1
+        // after the edge; F2 holds for 1.0 after it.
+        let sched = ClockSchedule::new(10.0, vec![0.0], vec![5.0]).unwrap();
+        let report = |min: f64| {
+            let mut b = CircuitBuilder::new(1);
+            let f1 = b.add_flip_flop("F1", p(1), 1.0, 0.1);
+            let f2 = b.add_sync(
+                smo_circuit::Synchronizer::flip_flop("F2", p(1), 1.0, 0.2).with_hold(1.0),
+            );
+            b.connect_min_max(f1, f2, min, 5.0);
+            race_analysis_at(&b.build().unwrap(), &sched)
+        };
+        // 0.1 + 0.3 arrives 0.6 before the hold deadline
+        let fast = report(0.3);
+        assert_eq!(fast.races().len(), 1, "{fast}");
+        assert!((fast.races()[0].slack + 0.6).abs() < 1e-9, "{fast}");
+        assert!((fast.edge_slacks()[0] + 0.6).abs() < 1e-9);
+        // 0.1 + 2.0 clears it by 1.1
+        let slow = report(2.0);
+        assert!(slow.is_race_free(), "{slow}");
+        assert!((slow.edge_slacks()[0] - 1.1).abs() < 1e-9);
     }
 
     #[test]

@@ -77,7 +77,6 @@ pub fn render_report(
         &AnalysisOptions {
             nonoverlap_scope: options.constraints.nonoverlap_scope,
             setup_margin: options.constraints.setup_margin,
-            ..Default::default()
         },
     );
     let _ = writeln!(w, "\nper-synchronizer timing (relative to own phase):");

@@ -26,15 +26,18 @@ pub struct SimOptions {
     pub max_waves: usize,
     /// Convergence tolerance on per-wave departures.
     pub tolerance: f64,
-    /// Also perform dynamic hold (short-path) checking using edge
-    /// `min_delay` values.
+    /// Also perform dynamic hold (short-path) checking. Each edge's short
+    /// path is its effective short-path delay
+    /// ([`Edge::short_delay`](smo_circuit::Edge::short_delay)): the
+    /// measured min delay, or the max delay on an edge without one, the
+    /// rule of the static race analysis.
     pub check_hold: bool,
     /// Stop at the first wave whose departures match the previous wave's.
     pub stop_on_convergence: bool,
     /// Monte-Carlo mode: when `Some(seed)`, each edge's long-path delay is
     /// resampled uniformly from `[min_delay, max_delay]` in every wave
     /// (process/data-dependent variation). Deterministic per seed. Hold
-    /// checks keep using the worst case `min_delay`.
+    /// checks keep using the short-path delay.
     pub jitter_seed: Option<u64>,
 }
 
@@ -140,7 +143,7 @@ pub fn simulate(circuit: &Circuit, schedule: &ClockSchedule, options: &SimOption
                     } else {
                         ec_abs[e.from.index()]
                     } + src.dq;
-                    early_in = early_in.min(q + e.min_delay);
+                    early_in = early_in.min(q + e.short_delay());
                 }
             }
 
@@ -198,7 +201,7 @@ pub fn simulate(circuit: &Circuit, schedule: &ClockSchedule, options: &SimOption
                 } else {
                     ec_abs[e.from.index()]
                 };
-                let next_disturb = feed_ec + tc + src.dq + e.min_delay;
+                let next_disturb = feed_ec + tc + src.dq + e.short_delay();
                 let dst_open = schedule.start(dst.phase) + wave as f64 * tc;
                 let hold_deadline = match dst.kind {
                     SyncKind::Latch => dst_open + schedule.width(dst.phase) + dst.hold,

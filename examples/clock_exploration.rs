@@ -5,8 +5,8 @@
 
 use smo::circuit::{CircuitBuilder, PhaseId, Synchronizer};
 use smo::timing::{
-    min_cycle_time_with, verify_with, AnalysisOptions, ConstraintOptions, MlpOptions,
-    NonoverlapScope,
+    min_cycle_time_with, race_analysis_at, verify_with, AnalysisOptions, ConstraintOptions,
+    MlpOptions, NonoverlapScope,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,30 +64,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     b.connect_min_max(f1, f2, 0.8, 6.0);
     let circuit = b.build()?;
     let sol = min_cycle_time_with(&circuit, &MlpOptions::default())?;
-    let report = verify_with(
-        &circuit,
-        sol.schedule(),
-        &AnalysisOptions {
-            check_hold: true,
-            ..Default::default()
-        },
-    );
+    let report = race_analysis_at(&circuit, sol.schedule());
     println!(
-        "Tc = {:.2}, feasible for setup: {}",
+        "Tc = {:.2}, race-free: {}",
         sol.cycle_time(),
-        report.setup_slacks().iter().all(|s| *s >= 0.0)
+        report.is_race_free()
     );
-    for (i, m) in report.hold_margins().iter().enumerate() {
-        if let Some(m) = m {
-            println!(
-                "  edge #{i}: hold margin {m:+.2} {}",
-                if *m < 0.0 {
-                    "← VIOLATED (add delay or reduce hold)"
-                } else {
-                    ""
-                }
-            );
-        }
+    for (i, m) in report.edge_slacks().iter().enumerate() {
+        println!(
+            "  edge #{i}: hold slack {m:+.2} {}",
+            if *m < 0.0 {
+                "← VIOLATED (add delay or reduce hold)"
+            } else {
+                ""
+            }
+        );
     }
     Ok(())
 }

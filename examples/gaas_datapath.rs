@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = verify(&circuit, &squeezed);
     println!("\nat the 4-ns target (same schedule shape):");
     for v in report.violations().iter().take(5) {
-        println!("  {v}");
+        println!("  {}", v.describe(&circuit));
     }
     Ok(())
 }

@@ -5,7 +5,7 @@
 //! Run with `cargo run --example gate_level`.
 
 use smo::circuit::netlist;
-use smo::timing::{min_cycle_time, render_solution, verify_with, AnalysisOptions};
+use smo::timing::{min_cycle_time, race_analysis_at, render_solution, verify};
 
 const GATE_NETLIST: &str = "\
 # A tiny two-phase ALU bypass loop, gate by gate.
@@ -43,26 +43,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", render_solution(&circuit, &solution));
 
     // The bypass wire makes opnd→result fast (δ = 0.3 + mux min): check the
-    // hold requirement on `result` with the early-mode analysis.
-    let report = verify_with(
-        &circuit,
-        solution.schedule(),
-        &AnalysisOptions {
-            check_hold: true,
-            early_mode_hold: true,
-            ..Default::default()
-        },
-    );
+    // hold requirement on `result` with the early-mode race analysis.
+    let report = verify(&circuit, solution.schedule());
     println!("setup feasible: {}", report.is_feasible());
-    for (i, m) in report.hold_margins().iter().enumerate() {
-        if let Some(m) = m {
-            let e = circuit.edge(smo::circuit::EdgeId::new(i));
-            println!(
-                "hold margin {} → {}: {m:+.2}",
-                circuit.sync(e.from).name,
-                circuit.sync(e.to).name
-            );
-        }
+    let races = race_analysis_at(&circuit, solution.schedule());
+    for (e, m) in circuit.edges().iter().zip(races.edge_slacks()) {
+        println!(
+            "hold slack {} → {}: {m:+.2}",
+            circuit.sync(e.from).name,
+            circuit.sync(e.to).name
+        );
     }
     Ok(())
 }

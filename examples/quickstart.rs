@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = verify(&circuit, &too_fast);
     println!("\nat 95% of the optimum:");
     for v in report.violations() {
-        println!("  {v}");
+        println!("  {}", v.describe(&circuit));
     }
     Ok(())
 }

@@ -38,23 +38,28 @@ fn main() -> ExitCode {
     let result = run(&args, &mut out);
     if let Err(e) = std::io::stdout().write_all(out.as_bytes()) {
         if e.kind() != std::io::ErrorKind::BrokenPipe {
-            eprintln!("error: cannot write output: {e}");
+            to_stderr(format_args!("error: cannot write output: {e}"));
             return ExitCode::FAILURE;
         }
     }
     match result {
         Ok(code) => code,
         Err(CliError::Usage(message)) => {
-            eprintln!("error: {message}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            to_stderr(format_args!("error: {message}\n\n{USAGE}"));
             ExitCode::FAILURE
         }
         Err(CliError::Failed(message)) => {
-            eprintln!("error: {message}");
+            to_stderr(format_args!("error: {message}"));
             ExitCode::FAILURE
         }
     }
+}
+
+/// Writes one message line to stderr. A reader that closed stderr drops
+/// the message quietly, as `main` drops stdout, so the exit code still
+/// reports the command's verdict.
+fn to_stderr(message: std::fmt::Arguments) {
+    let _ = writeln!(std::io::stderr(), "{message}");
 }
 
 /// Why a command stopped. Only argument errors print the usage banner.
@@ -390,7 +395,7 @@ fn run(args: &[String], out: &mut String) -> Result<ExitCode, CliError> {
         // A failed check means the race analysis never ran, not that the
         // circuit is clean: report it without the usage banner.
         Err(OpError::Check(e)) => {
-            eprintln!("check error: {e}");
+            to_stderr(format_args!("check error: {e}"));
             Ok(ExitCode::FAILURE)
         }
     }
@@ -406,7 +411,7 @@ fn print(
     out: &mut String,
 ) -> Result<ExitCode, CliError> {
     if json {
-        writeln!(out, "{}", outcome.json().render_compact())?;
+        writeln!(out, "{}", outcome.json(circuit).render_compact())?;
     }
     let code = match outcome {
         Outcome::Solve(sol) => {
@@ -446,10 +451,10 @@ fn print(
                 match exists {
                     Some(true) => writeln!(out, "graph: confirmed, Tc = {tc} is achievable")?,
                     Some(false) => {
-                        eprintln!(
+                        to_stderr(format_args!(
                             "verify error: the schedule passes the row checks but the \
                              difference graph reports no feasible schedule at Tc = {tc}"
-                        );
+                        ));
                         return Ok(ExitCode::from(2));
                     }
                     None => {}
@@ -457,7 +462,7 @@ fn print(
                 0
             } else {
                 for v in report.violations() {
-                    writeln!(out, "VIOLATION: {v}")?;
+                    writeln!(out, "VIOLATION: {}", v.describe(circuit))?;
                 }
                 writeln!(out, "INFEASIBLE")?;
                 match exists {
@@ -628,13 +633,13 @@ fn local(
         "lump" => {
             args.done()?;
             let (reduced, _) = lump_equivalent_latches(circuit);
-            eprintln!(
+            to_stderr(format_args!(
                 "lumped {} → {} synchronizers, {} → {} paths",
                 circuit.num_syncs(),
                 reduced.num_syncs(),
                 circuit.num_edges(),
                 reduced.num_edges()
-            );
+            ));
             write!(out, "{}", netlist::write(&reduced))?;
             ExitCode::SUCCESS
         }
@@ -669,7 +674,7 @@ fn local(
                 // A failed cross-check is not a usage error: report it on
                 // stderr with a distinct exit code and no usage banner.
                 Err(e @ AnalyzeError::BoundsDisagree { .. }) => {
-                    eprintln!("analyze error: {e}");
+                    to_stderr(format_args!("analyze error: {e}"));
                     ExitCode::from(2)
                 }
                 Err(e) => return Err(failed(e)),
@@ -726,14 +731,14 @@ fn gen(args: &Args, out: &mut String) -> Result<ExitCode, CliError> {
     }
     let circuit = pipelined_datapath(&config, seed);
     let text = netlist::write(&circuit);
-    eprintln!(
+    to_stderr(format_args!(
         "generated {} latches ({} stages x {} wide), {} edges, {} phases, seed {seed}",
         circuit.num_latches(),
         config.stages,
         config.width,
         circuit.num_edges(),
         circuit.num_phases()
-    );
+    ));
     match args.get::<String>("--out")? {
         Some(path) => {
             std::fs::write(&path, text).map_err(|e| failed(format!("cannot write {path}: {e}")))?
@@ -807,7 +812,7 @@ fn bench_serve(args: &Args, out: &mut String) -> Result<ExitCode, CliError> {
     std::fs::write(&out_path, &json)
         .map_err(|e| failed(format!("cannot write {out_path}: {e}")))?;
     write!(out, "{json}")?;
-    eprintln!("wrote {out_path}");
+    to_stderr(format_args!("wrote {out_path}"));
     Ok(ExitCode::SUCCESS)
 }
 

@@ -77,6 +77,30 @@ fn verify_distinguishes_feasible_from_infeasible() {
 }
 
 #[test]
+fn verify_names_violations_by_netlist_name() {
+    // imd_in and imd_out are the 12th and 13th synchronizers declared.
+    let loop_out = smo(&["verify", "circuits/gaas_mips.ckt", "3", "0,1", "1,1", "2,1"]);
+    assert_eq!(loop_out.status.code(), Some(1));
+    assert!(
+        stdout(&loop_out).starts_with("VIOLATION: cycle time too small for loop: imd_in imd_out\n"),
+        "{}",
+        stdout(&loop_out)
+    );
+    let setup = smo(&["verify", "circuits/race_demo.ckt", "1", "0,0.5", "0.5,0.4"]);
+    assert_eq!(setup.status.code(), Some(1));
+    let text = stdout(&setup);
+    for (name, shortfall) in [
+        ("fetch", "0.4500"),
+        ("decode", "1.5500"),
+        ("result", "4.0500"),
+        ("status", "4.0500"),
+    ] {
+        let line = format!("VIOLATION: setup violated at {name} by {shortfall}\n");
+        assert!(text.contains(&line), "{text}");
+    }
+}
+
+#[test]
 fn report_names_the_critical_segment() {
     let out = smo(&["report", "circuits/example2.ckt"]);
     assert!(out.status.success());
@@ -774,6 +798,26 @@ fn closed_stdout_exits_quietly() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(!err.contains("panicked"), "{args:?}: {err}");
         assert!(out.status.success(), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn closed_stderr_keeps_the_exit_code() {
+    // A usage error and a failed verify write to stderr after its reader
+    // is gone; each must still exit 1, not panic with 101.
+    for args in [
+        &["solve", "x.ckt", "--bogus"][..],
+        &["verify", "circuits/example1.ckt", "110", "0,60"][..],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_smo"))
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .stderr(writer)
+            .output()
+            .expect("smo binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
     }
 }
 

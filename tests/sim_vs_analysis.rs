@@ -5,7 +5,7 @@ use smo::gen::paper;
 use smo::gen::random::{random_circuit, GenConfig};
 use smo::prelude::*;
 use smo::sim::{simulate, SimOptions, SimViolation};
-use smo::timing::{verify_with, AnalysisOptions, Violation};
+use smo::timing::{race_analysis_at, Violation};
 
 fn schedules_for(circuit: &smo::circuit::Circuit) -> Vec<ClockSchedule> {
     let opt = min_cycle_time(circuit).expect("solves");
@@ -136,14 +136,7 @@ fn hold_checks_agree_between_static_and_dynamic() {
         b.connect_min_max(f1, f2, min_delay, 6.0);
         let circuit = b.build().expect("builds");
         let sched = ClockSchedule::new(10.0, vec![0.0], vec![4.0]).expect("valid");
-        let opts = AnalysisOptions {
-            check_hold: true,
-            ..Default::default()
-        };
-        let static_ok = verify_with(&circuit, &sched, &opts)
-            .violations()
-            .iter()
-            .all(|v| !matches!(v, Violation::Hold { .. }));
+        let static_ok = race_analysis_at(&circuit, &sched).is_race_free();
         let trace = simulate(
             &circuit,
             &sched,
@@ -176,9 +169,36 @@ fn simulation_reaches_steady_state_quickly_on_feasible_schedules() {
 }
 
 #[test]
+fn unmeasured_short_path_is_raceless_in_both_checks() {
+    use smo::circuit::{CircuitBuilder, Synchronizer};
+    // `connect` declares no contamination delay: both checks take the max
+    // delay as the short path, so the same-phase FF→FF pair cannot race.
+    let p1 = PhaseId::from_number(1);
+    let mut b = CircuitBuilder::new(1);
+    let f1 = b.add_flip_flop("F1", p1, 1.0, 0.1);
+    let f2 = b.add_sync(Synchronizer::flip_flop("F2", p1, 1.0, 0.2).with_hold(1.0));
+    b.connect(f1, f2, 5.0);
+    let circuit = b.build().expect("builds");
+    let sched = ClockSchedule::new(10.0, vec![0.0], vec![5.0]).expect("valid");
+    assert!(race_analysis_at(&circuit, &sched).is_race_free());
+    let trace = simulate(
+        &circuit,
+        &sched,
+        &SimOptions {
+            check_hold: true,
+            ..Default::default()
+        },
+    );
+    assert!(
+        trace.hold_violations().is_empty(),
+        "{:?}",
+        trace.hold_violations()
+    );
+}
+
+#[test]
 fn early_mode_analysis_matches_simulated_early_changes() {
     use smo::circuit::{CircuitBuilder, Synchronizer};
-    use smo::timing::PropagationSystem;
     // Mixed FF/latch chain with real contamination delays.
     let p1 = PhaseId::from_number(1);
     let p2 = PhaseId::from_number(2);
@@ -195,9 +215,8 @@ fn early_mode_analysis_matches_simulated_early_changes() {
     let sched = sol.schedule().scaled(1.2);
 
     // analytical early changes
-    let system = PropagationSystem::new(&circuit, &sched);
-    let analytic = system.early_steady(circuit.num_syncs() + 1);
-    assert!(analytic.converged);
+    let report = race_analysis_at(&circuit, &sched);
+    assert!(report.early_converged());
 
     // simulated early changes (last wave)
     let trace = simulate(
@@ -210,7 +229,7 @@ fn early_mode_analysis_matches_simulated_early_changes() {
     );
     assert!(trace.converged());
     let last = trace.waves() - 1;
-    for (i, &e) in analytic.departures.iter().enumerate() {
+    for (i, &e) in report.early_changes().iter().enumerate() {
         let sim = trace.early_change(last, smo::circuit::LatchId::new(i));
         assert!(
             (sim - e).abs() < 1e-9 || (sim.is_infinite() && e.is_infinite()),
@@ -218,19 +237,6 @@ fn early_mode_analysis_matches_simulated_early_changes() {
         );
     }
 
-    // and the hold verdicts agree between early-mode static and dynamic
-    let report = verify_with(
-        &circuit,
-        &sched,
-        &AnalysisOptions {
-            check_hold: true,
-            early_mode_hold: true,
-            ..Default::default()
-        },
-    );
-    let static_ok = report
-        .violations()
-        .iter()
-        .all(|v| !matches!(v, Violation::Hold { .. }));
-    assert_eq!(static_ok, trace.hold_violations().is_empty());
+    // and the hold verdicts agree between the static and dynamic checks
+    assert_eq!(report.is_race_free(), trace.hold_violations().is_empty());
 }
