@@ -53,8 +53,10 @@ cargo test -q --release --test scale_differential -- --include-ignored
 echo "==> heap accounting (timing-model storage, default-solve peak; release)"
 # A counting global allocator checks that building P2 makes the same
 # handful of allocations at 1000 and 4000 latches, holds at most 128 B
-# per row, and that the default solve's heap peak stays under its bound.
-cargo test -q --release --test memory
+# per row, and that the default solve's heap peak stays under its bound
+# at 4000 and (the ignored test) 100k latches. The counters are global,
+# so the tests run one at a time.
+cargo test -q --release --test memory -- --include-ignored --test-threads=1
 
 echo "==> sweep determinism + oracle suite"
 cargo test -q --test sweep

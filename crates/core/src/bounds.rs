@@ -227,7 +227,7 @@ fn scc_critical_cycle(circuit: &Circuit, comp: &[LatchId]) -> Option<CriticalCyc
     }
     // Arc cost `λ·wraps − weight`: a negative cycle at λ has a ratio
     // above λ. The tag keeps the arc's delay and wrap count exact.
-    let graph = ParamGraph::build(comp.len(), |add| {
+    let graph = ParamGraph::build(comp.len(), dedup.len(), |add| {
         for (&(from, to), &(weight, wraps)) in &dedup {
             add(ParamArc {
                 from,

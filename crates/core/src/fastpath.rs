@@ -6,7 +6,13 @@
 //! default [`TimingModel`] generates — C1–C3, L1, L2R, FF setup and
 //! departure pinning, plus the optional extras — is a two-variable
 //! difference constraint `x_a − x_b ≤ base + slope·T_c` over the node set
-//! `{s_p} ∪ {E_p} ∪ {u_i}` ([`variable_images`]). Two searches of
+//! `{s_p} ∪ {E_p} ∪ {u_i}` ([`variable_images`]). Each solve builds the
+//! graph straight from P2's rows at solve time
+//! ([`DifferenceSystem::from_problem`]): every row is classified while its
+//! arc is listed, nothing per row is kept beyond the graph, and the graph
+//! is freed before the optimum is certified. Reading the rows then, not
+//! when the model was built, lets sweeps and sensitivity probes change a
+//! right-hand side in place. Two searches of
 //! [`smo_lp::DifferenceSystem`] serve every caller: Lawler's exact
 //! min-cycle-ratio `T_c*` (the solve, the sweep runs, the sensitivity
 //! probes and the diagnosis all take it through one rule, `auto`), and one
@@ -111,9 +117,10 @@ pub fn variable_images(circuit: &Circuit, model: &TimingModel) -> Vec<VarImage> 
     images
 }
 
-/// Classifies every row of the model under [`variable_images`] — the
-/// static-analysis pass behind the fast path, also surfaced per paper
-/// family by `smo analyze`.
+/// Classifies every row of the model under [`variable_images`] and keeps
+/// each row's class: the per-family breakdown of `smo analyze`. The fast
+/// path stores no such classification; its graph build classifies each
+/// row as it lists the arcs ([`DifferenceSystem::from_problem`]).
 ///
 /// # Errors
 ///
@@ -227,7 +234,8 @@ pub(crate) enum Graph<T> {
     /// no schedule exists.
     Infeasible(GraphInfeasibility),
     /// The graph cannot decide, and the simplex must: from [`graph`] a
-    /// mixed model (no graph was built), from [`auto`] any miss.
+    /// mixed model (its graph is dropped unsearched), from [`auto`] any
+    /// miss.
     Undecided,
 }
 
@@ -264,7 +272,11 @@ fn graph(
     let Some(sys) = difference_system(circuit, model)? else {
         return Ok(Graph::Undecided);
     };
-    match sys.minimize_param(budget)? {
+    let outcome = sys.minimize_param(budget)?;
+    // The point, its certificate and the departure slide need only the
+    // model: free the graph before they allocate.
+    drop(sys);
+    match outcome {
         MinParamOutcome::Infeasible(cert) if cert.check(model.problem()) => {
             Ok(Graph::Infeasible(cert))
         }
@@ -353,20 +365,19 @@ fn decide<T>(
     }
 }
 
-/// The model's difference system, or `None` when a row lies outside the
-/// difference fragment: a mixed model is the simplex's to solve, and a
-/// graph built from its difference rows would only bound `T_c`.
+/// The model's difference system, built straight from its rows, or
+/// `None` when a row lies outside the difference fragment: a mixed model
+/// is the simplex's to solve, and a graph built from its difference rows
+/// would only bound `T_c`. No option of [`TimingModel::build_with`] writes
+/// such a row, so only a caller that adds rows of its own pays for the
+/// graph that is dropped here.
 pub(crate) fn difference_system(
     circuit: &Circuit,
     model: &TimingModel,
 ) -> Result<Option<DifferenceSystem>, TimingError> {
-    let p = model.problem();
     let images = variable_images(circuit, model);
-    let cls = classify(p, &images)?;
-    if !cls.is_pure() {
-        return Ok(None);
-    }
-    Ok(Some(DifferenceSystem::build(p, &images, &cls)?))
+    let sys = DifferenceSystem::from_problem(model.problem(), &images)?;
+    Ok(sys.is_pure().then_some(sys))
 }
 
 /// The one fixed-`T_c` search: the canonical graph schedule at cycle time
@@ -399,7 +410,9 @@ pub(crate) fn schedule_at(
             ),
         });
     }
-    match sys.feasible_at(tc, budget)? {
+    let outcome = sys.feasible_at(tc, budget)?;
+    drop(sys);
+    match outcome {
         FixedParamOutcome::Feasible { potentials } => {
             let x = reconstruct_point(circuit, model, tc, &potentials);
             Ok(Some(schedule_of(model, tc, &x)?))
@@ -754,7 +767,7 @@ mod tests {
     fn mixed_model_goes_to_the_simplex_under_auto_and_is_refused_under_graph() {
         let (c, model) = mixed_example1(&ConstraintOptions::default());
         let unlimited = SolveBudget::UNLIMITED;
-        // The graph refuses to decide alone: no graph is built.
+        // The graph refuses to decide alone: no graph is searched.
         assert!(matches!(
             graph(&c, &model, &unlimited, true),
             Ok(Graph::Undecided)
@@ -884,6 +897,264 @@ mod tests {
         let sol = min_cycle_time_with(&c, &options).unwrap();
         assert_eq!(sol.cycle_time(), 150.0);
         assert!(sol.certified(), "{:?}", sol.certificates());
+    }
+
+    /// Every arc of a difference system as `(from, to, base bits, slope
+    /// bits, row and sign)` in CSR order, then its parameter interval (as
+    /// bits), the rows behind that interval, the constant conflict and the
+    /// pure-or-mixed verdict.
+    type Listing = (
+        Vec<(usize, usize, u64, u64, Option<(ConstraintId, f64)>)>,
+        (u64, u64),
+        [Option<(ConstraintId, f64)>; 2],
+        Option<(ConstraintId, f64)>,
+        bool,
+    );
+
+    fn streamed(sys: &DifferenceSystem) -> Listing {
+        let arcs = (0..sys.num_arcs())
+            .map(|k| sys.arc(k))
+            .map(|a| (a.from, a.to, a.base.to_bits(), a.slope.to_bits(), a.tag))
+            .collect();
+        let (lo, hi) = sys.param_range();
+        (
+            arcs,
+            (lo.to_bits(), hi.to_bits()),
+            sys.param_range_rows(),
+            sys.constant_conflict(),
+            sys.is_pure(),
+        )
+    }
+
+    /// Test oracle: the graph as the stored build made it, from the
+    /// per-row atoms of [`classify`]. Row arcs in row order (an `=` row's
+    /// `≤` direction first), then the variable-bound arcs, stably sorted by
+    /// source into CSR order; the parameter interval starts at the
+    /// parameter's box and tightens over the `ParamBound` atoms in order.
+    fn stored(model: &TimingModel, images: &[VarImage]) -> Listing {
+        use smo_lp::RowClass;
+        let p = model.problem();
+        let vars = model.vars();
+        let mut ids = vec![vars.tc()];
+        for ph in (0..vars.num_phases()).map(PhaseId::new) {
+            ids.extend([vars.start(ph), vars.width(ph)]);
+        }
+        ids.extend((0..vars.num_latches()).map(|i| vars.departure(LatchId::new(i))));
+        ids.sort_by_key(|v| v.index());
+        assert_eq!(ids.len(), p.num_vars());
+        let bounds = |v: usize| p.var_bounds(ids[v]);
+        let cls = classify(p, images).unwrap();
+        let origin = images
+            .iter()
+            .map(|im| match *im {
+                VarImage::Node(i) => i + 1,
+                VarImage::Diff(a, b) => a.max(b) + 1,
+                VarImage::Param => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        let param = |v: usize| images[v] == VarImage::Param;
+        let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+        for v in (0..images.len()).filter(|&v| param(v)) {
+            let (l, u) = bounds(v);
+            (lo, hi) = (lo.max(l), hi.min(u));
+        }
+        if lo == f64::NEG_INFINITY && !(0..images.len()).any(param) {
+            (lo, hi) = (0.0, 0.0);
+        }
+        let (mut rows, mut conflict) = ([None, None], None);
+        let mut arcs = Vec::new();
+        for c in (0..p.num_constraints()).map(ConstraintId::new) {
+            for (class, sign) in cls.directions(c) {
+                let (from, to, bound) = match class {
+                    RowClass::Difference { i, j, bound } => (j, i, bound),
+                    RowClass::SingleVar {
+                        i,
+                        negated: true,
+                        bound,
+                    } => (i, origin, bound),
+                    RowClass::SingleVar { i, bound, .. } => (origin, i, bound),
+                    RowClass::ParamBound { coef, rhs } => {
+                        let cand = rhs / coef;
+                        if coef > 1e-9 && cand < hi {
+                            (hi, rows[1]) = (cand, Some((c, sign)));
+                        } else if coef < -1e-9 && cand > lo {
+                            (lo, rows[0]) = (cand, Some((c, sign)));
+                        } else if coef.abs() <= 1e-9 && rhs < -1e-9 && conflict.is_none() {
+                            conflict = Some((c, sign));
+                        }
+                        continue;
+                    }
+                    RowClass::General => continue,
+                };
+                arcs.push((from, to, bound.base, bound.slope, Some((c, sign))));
+            }
+        }
+        for (v, im) in images.iter().enumerate() {
+            let (l, u) = bounds(v);
+            let (a, b) = match *im {
+                VarImage::Node(i) => (i, origin),
+                VarImage::Diff(i, j) => (i, j),
+                VarImage::Param => continue,
+            };
+            if l.is_finite() {
+                arcs.push((a, b, -l, 0.0, None));
+            }
+            if u.is_finite() {
+                arcs.push((b, a, u, 0.0, None));
+            }
+        }
+        arcs.sort_by_key(|a| a.0);
+        let arcs = arcs
+            .into_iter()
+            .map(|(f, t, base, slope, tag)| (f, t, base.to_bits(), slope.to_bits(), tag))
+            .collect();
+        (
+            arcs,
+            (lo.to_bits(), hi.to_bits()),
+            rows,
+            conflict,
+            cls.is_pure(),
+        )
+    }
+
+    /// Options combination `combo` (`0..1536`): eight on/off extras and
+    /// three departure pinnings; the ninth bit adds a row outside the
+    /// difference fragment (the sum of two widths).
+    fn combination(circuit: &Circuit, combo: u32) -> TimingModel {
+        use crate::model::{DeparturePinning, NonoverlapScope};
+        let bit = |b: u32| combo >> b & 1 == 1;
+        let constraints = ConstraintOptions {
+            min_phase_width: if bit(0) { 2.5 } else { 0.0 },
+            min_separation: if bit(1) { 1.5 } else { 0.0 },
+            nonoverlap_scope: if bit(2) {
+                NonoverlapScope::LatchDestinations
+            } else {
+                NonoverlapScope::AllPairs
+            },
+            fixed_cycle: bit(3).then_some(60.0),
+            max_cycle: bit(4).then_some(80.0),
+            symmetric_clock: bit(5),
+            setup_margin: if bit(6) { 0.5 } else { 0.0 },
+            pinning: match combo >> 9 {
+                0 => DeparturePinning::None,
+                1 => DeparturePinning::All,
+                _ => DeparturePinning::AllExcept(vec![LatchId::new(0)]),
+            },
+        };
+        let mut model = TimingModel::build_with(circuit, &constraints).unwrap();
+        if bit(7) {
+            let vars = model.vars();
+            let (w0, tc) = (vars.width(PhaseId::new(0)), vars.tc());
+            let w1 = vars.width(PhaseId::new(vars.num_phases() - 1));
+            let expr = smo_lp::LinExpr::from(w0) + w1 - tc - tc - tc;
+            model.problem_mut().constrain(expr, smo_lp::Sense::Le, 0.0);
+        }
+        if bit(8) {
+            // Two constant rows infeasible alone, and parameter rows whose
+            // bounds tie `max_cycle`'s upper bound and each other's lower
+            // one: the first row to reach a value keeps it.
+            use smo_lp::{LinExpr, Sense};
+            let tc = model.vars().tc();
+            let p = model.problem_mut();
+            p.constrain(LinExpr::from(tc) - tc, Sense::Ge, 1.0);
+            p.constrain(LinExpr::from(tc) - tc, Sense::Le, -2.0);
+            p.constrain(LinExpr::from(tc) * 2.0, Sense::Eq, 160.0);
+            p.constrain(tc.into(), Sense::Ge, 80.0);
+        }
+        model
+    }
+
+    /// The streaming build against the stored one on `model`, and
+    /// [`difference_system`]'s verdict.
+    fn check_streaming(circuit: &Circuit, model: &TimingModel) -> Result<(), TestCaseError> {
+        let images = variable_images(circuit, model);
+        let sys = DifferenceSystem::from_problem(model.problem(), &images).unwrap();
+        let listing = streamed(&sys);
+        prop_assert_eq!(&listing, &stored(model, &images));
+        let cls = classify(model.problem(), &images).unwrap();
+        let built = DifferenceSystem::build(model.problem(), &images, &cls).unwrap();
+        prop_assert_eq!(&streamed(&built), &listing);
+        let routed = difference_system(circuit, model).unwrap();
+        prop_assert_eq!(routed.is_some(), sys.is_pure());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random circuits, with and without flip-flops, under every
+        /// options combination drawn at random: the streaming build lists
+        /// the arcs the stored classification gave, in the same CSR order
+        /// with bit-identical weights and the same row tags, and finds the
+        /// same parameter interval and its rows, the same constant
+        /// conflict and the same pure-or-mixed verdict.
+        #[test]
+        fn prop_streaming_build_matches_the_stored_classification(
+            seed in 0u64..10_000,
+            phases in 1usize..4,
+            latches in 2usize..10,
+            ff in proptest::bool::ANY,
+            combo in 0u32..1536,
+        ) {
+            let cfg = GenConfig {
+                phases,
+                latches,
+                edges: 2 * latches,
+                flip_flop_prob: if ff { 0.4 } else { 0.0 },
+                ..Default::default()
+            };
+            let circuit = random_circuit(&cfg, seed);
+            check_streaming(&circuit, &combination(&circuit, combo))?;
+        }
+    }
+
+    #[test]
+    fn streaming_build_matches_the_stored_classification_under_every_combination() {
+        let cfg = GenConfig {
+            phases: 3,
+            latches: 6,
+            edges: 12,
+            flip_flop_prob: 0.3,
+            ..Default::default()
+        };
+        let circuit = random_circuit(&cfg, 7);
+        for combo in 0..1536 {
+            let model = combination(&circuit, combo);
+            if let Err(e) = check_streaming(&circuit, &model) {
+                panic!("combination {combo}: {e:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_graph_reads_a_row_changed_after_the_model_was_built() {
+        // Example 1 with Δ41 raised from 80 to 120 in place: the edge's
+        // arc gets the new right-hand side, and T_c* moves from 110 to 140.
+        let c = example1(80.0);
+        let mut model = TimingModel::build(&c).unwrap();
+        let edge = smo_circuit::EdgeId::new(3);
+        let row = model.edge_constraint(edge).unwrap();
+        let base_of = |model: &TimingModel| {
+            let sys = difference_system(&c, model).unwrap().unwrap();
+            let arcs: Vec<f64> = (0..sys.num_arcs())
+                .map(|k| sys.arc(k))
+                .filter(|a| a.tag.is_some_and(|(r, _)| r == row))
+                .map(|a| a.base)
+                .collect();
+            let [base] = arcs[..] else {
+                panic!("one arc for an inequality row: {arcs:?}");
+            };
+            base
+        };
+        let before = base_of(&model);
+        model.set_edge_delay(edge, 80.0, 120.0);
+        assert_eq!(base_of(&model), before - 40.0);
+        let Ok(Graph::Optimal(optimum)) = graph(&c, &model, &SolveBudget::UNLIMITED, true) else {
+            panic!("example 1 stays feasible");
+        };
+        assert!((optimum.tc - 140.0).abs() < 1e-9, "{}", optimum.tc);
+        assert!(optimum.certificate.is_some_and(|c| c.is_valid()));
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //!   for any thread count.
 //! * **Difference-constraint fast path** ([`Backend`], [`classify_model`])
 //!   — a static row classifier maps the SMO model onto a
-//!   difference-constraint graph; pure models solve by Bellman–Ford plus
+//!   difference-constraint graph as it builds the graph from the rows,
+//!   storing nothing per row; pure models solve by Bellman–Ford plus
 //!   Lawler's exact min-cycle-ratio iteration (no simplex at all) with the
 //!   same KKT [`Certificate`](smo_lp::Certificate) as the simplex path,
 //!   built from the critical cycle's duals, mixed models go to

@@ -85,6 +85,16 @@ pub enum BudgetUnit {
     BellmanFordPasses,
 }
 
+impl BudgetUnit {
+    /// One unit of the work, for a budget that ran out before any.
+    fn one(self) -> &'static str {
+        match self {
+            BudgetUnit::SimplexIterations => "simplex iteration",
+            BudgetUnit::BellmanFordPasses => "Bellman–Ford pass",
+        }
+    }
+}
+
 impl fmt::Display for BudgetUnit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -119,17 +129,26 @@ impl fmt::Display for LpError {
                 iterations,
                 timed_out,
                 unit,
-            } => {
-                let what = if *timed_out {
-                    "wall-clock deadline"
-                } else {
-                    "iteration allowance"
-                };
-                write!(
+            } => match (*iterations, *timed_out) {
+                (0, true) => write!(
                     f,
-                    "solve budget exhausted ({what}) after {iterations} {unit}"
-                )
-            }
+                    "solve budget exhausted: the wall-clock deadline passed before the first {}",
+                    unit.one()
+                ),
+                (0, false) => write!(
+                    f,
+                    "solve budget exhausted: the iteration allowance ran out before the first {}",
+                    unit.one()
+                ),
+                (_, true) => write!(
+                    f,
+                    "solve budget exhausted (wall-clock deadline) after {iterations} {unit}"
+                ),
+                (_, false) => write!(
+                    f,
+                    "solve budget exhausted (iteration allowance) after {iterations} {unit}"
+                ),
+            },
             LpError::CertificationFailed {
                 steps,
                 condition,
@@ -181,6 +200,30 @@ mod tests {
         assert_eq!(
             graph.to_string(),
             "solve budget exhausted (wall-clock deadline) after 12 Bellman–Ford passes"
+        );
+    }
+
+    #[test]
+    fn budget_errors_before_any_work_say_so() {
+        let budget = |timed_out, unit| LpError::Budget {
+            iterations: 0,
+            timed_out,
+            unit,
+        };
+        assert_eq!(
+            budget(true, BudgetUnit::BellmanFordPasses).to_string(),
+            "solve budget exhausted: the wall-clock deadline passed before the first \
+             Bellman–Ford pass"
+        );
+        assert_eq!(
+            budget(true, BudgetUnit::SimplexIterations).to_string(),
+            "solve budget exhausted: the wall-clock deadline passed before the first \
+             simplex iteration"
+        );
+        assert_eq!(
+            budget(false, BudgetUnit::SimplexIterations).to_string(),
+            "solve budget exhausted: the iteration allowance ran out before the first \
+             simplex iteration"
         );
     }
 

@@ -22,14 +22,17 @@
 //!   [`certifies_infeasibility`](crate::certifies_infeasibility) with no
 //!   reference to the graph solver.
 //!
-//! The entry points are [`classify`] (map every row of a [`Problem`] to a
-//! [`RowClass`] under a caller-provided [`VarImage`] substitution) and
-//! [`DifferenceSystem::build`] (assemble the classified difference subset
-//! into a graph). Rows that do not fit ([`RowClass::General`]) are simply
-//! absent from the graph; callers decide whether the system is exact
-//! ([`Classification::is_pure`]) or a relaxation that routes to the
-//! simplex fallback. [`ParamGraph`] is the search kernel underneath, shared
-//! with callers that build λ-affine graphs of their own.
+//! The entry point is [`DifferenceSystem::from_problem`]: one streaming
+//! build that classifies each row of a [`Problem`] under a caller-provided
+//! [`VarImage`] substitution while it lists the graph's arcs, so nothing
+//! per row outlives the graph. Rows that do not fit ([`RowClass::General`])
+//! are simply absent from the graph; callers decide whether the system is
+//! exact ([`DifferenceSystem::is_pure`]) or a relaxation that routes to the
+//! simplex fallback. [`classify`] keeps every row's [`RowClass`] in a
+//! [`Classification`], for per-row reports such as `smo analyze`'s family
+//! counts; [`DifferenceSystem::build`] takes one and builds the same graph
+//! by the same streaming pass. [`ParamGraph`] is the search kernel
+//! underneath, shared with callers that build λ-affine graphs of their own.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -127,7 +130,6 @@ impl RowClass {
 /// row).
 #[derive(Debug, Clone, Copy)]
 struct Atom {
-    row: ConstraintId,
     class: RowClass,
     sign: f64,
 }
@@ -161,6 +163,24 @@ impl Classification {
     /// `true` when the problem had no rows.
     pub fn is_empty(&self) -> bool {
         self.first.is_empty()
+    }
+
+    /// A row's normalized `≤`-form directions, each with the Farkas
+    /// multiplier one use of it contributes to the row: one for a `≤` or
+    /// `≥` row, two for an `=` row (its `≤` direction first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` does not belong to the classified problem.
+    pub fn directions(&self, c: ConstraintId) -> impl Iterator<Item = (RowClass, f64)> + '_ {
+        let end = self
+            .first
+            .get(c.index() + 1)
+            .copied()
+            .unwrap_or(self.atoms.len());
+        self.atoms[self.first[c.index()]..end]
+            .iter()
+            .map(|a| (a.class, a.sign))
     }
 
     /// `true` when every row lies in the difference fragment — the graph
@@ -232,20 +252,24 @@ pub fn classify(p: &Problem, images: &[VarImage]) -> Result<Classification, crat
         let row = ConstraintId(r);
         let (terms, sense, rhs) = p.constraint(row);
         first.push(atoms.len());
-        let mut push = |negate: bool, sign: f64| {
+        for &(negate, sign) in directions(sense) {
             let class = classify_le(terms, rhs, images, negate, &mut nodes);
-            atoms.push(Atom { row, class, sign });
-        };
-        match sense {
-            Sense::Le => push(false, -1.0),
-            Sense::Ge => push(true, 1.0),
-            Sense::Eq => {
-                push(false, -1.0);
-                push(true, 1.0);
-            }
+            atoms.push(Atom { class, sign });
         }
     }
     Ok(Classification { atoms, first })
+}
+
+/// The `≤`-form directions of a row of sense `sense`, as `(negate, sign)`:
+/// whether [`classify_le`] negates the row first, and the Farkas multiplier
+/// one use of that direction contributes (`−1` for the stated direction of
+/// a `≤`/`=` row, `+1` for the negated direction of a `≥`/`=` row).
+fn directions(sense: Sense) -> &'static [(bool, f64)] {
+    match sense {
+        Sense::Le => &[(false, -1.0)],
+        Sense::Ge => &[(true, 1.0)],
+        Sense::Eq => &[(false, -1.0), (true, 1.0)],
+    }
 }
 
 /// Classifies one `≤`-form inequality `Σ c_v·x_v ≤ rhs` (negated first
@@ -279,37 +303,75 @@ fn classify_le(
             VarImage::Param => param += c,
         }
     }
-    nodes.retain(|(_, c)| c.abs() > TOL);
     let rhs = rhs * flip;
     let bound = AffineBound {
         base: rhs,
         slope: -param,
     };
     let unit = |c: f64| (c - 1.0).abs() <= TOL || (c + 1.0).abs() <= TOL;
-    match nodes.as_slice() {
-        [] => RowClass::ParamBound { coef: param, rhs },
-        [(i, c)] if unit(*c) => RowClass::SingleVar {
-            i: *i,
-            negated: *c < 0.0,
+    let mut live = nodes.iter().filter(|(_, c)| c.abs() > TOL);
+    match (live.next(), live.next(), live.next()) {
+        (None, ..) => RowClass::ParamBound { coef: param, rhs },
+        (Some(&(i, c)), None, _) if unit(c) => RowClass::SingleVar {
+            i,
+            negated: c < 0.0,
             bound,
         },
-        [(a, ca), (b, cb)] if unit(*ca) && unit(*cb) && (ca * cb) < 0.0 => {
-            let (i, j) = if *ca > 0.0 { (*a, *b) } else { (*b, *a) };
+        (Some(&(a, ca)), Some(&(b, cb)), None) if unit(ca) && unit(cb) && (ca * cb) < 0.0 => {
+            let (i, j) = if ca > 0.0 { (a, b) } else { (b, a) };
             RowClass::Difference { i, j, bound }
         }
         _ => RowClass::General,
     }
 }
 
-/// Where an arc of the constraint graph came from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ArcSource {
-    /// A constraint row; `sign` is the Farkas multiplier one use of the
-    /// arc contributes to the row.
-    Row { c: ConstraintId, sign: f64 },
+/// Where an arc of the constraint graph came from, in four bytes: a row
+/// index with the Farkas sign of one use of the arc, or [`ArcTag::BOUND`].
+///
+/// A row arc stores `2·row + s`, with `s = 1` for multiplier `+1` and
+/// `s = 0` for `−1`, so the rows `0..ArcTag::MAX_ROWS` fill every value
+/// below `u32::MAX − 1` and none of them reaches `BOUND`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ArcTag(u32);
+
+impl ArcTag {
     /// A finite variable bound — absent from Farkas vectors (the
     /// certificate checker's supremum over the variable box absorbs it).
-    Bound,
+    const BOUND: ArcTag = ArcTag(u32::MAX);
+
+    /// The most rows a tagged graph may come from: `2³¹ − 1`. Two signs
+    /// per row for `2³¹` rows would take all `2³²` values, `BOUND`'s too.
+    const MAX_ROWS: usize = (u32::MAX / 2) as usize;
+
+    /// The arc of row `c` whose one use contributes multiplier `sign`
+    /// (`±1`); `c` must lie below [`MAX_ROWS`](Self::MAX_ROWS).
+    fn row(c: ConstraintId, sign: f64) -> ArcTag {
+        debug_assert!(c.index() < Self::MAX_ROWS, "row {} has no tag", c.index());
+        ArcTag((c.index() as u32) << 1 | u32::from(sign > 0.0))
+    }
+
+    /// The row and its Farkas multiplier, or `None` for a bound arc.
+    fn row_and_sign(self) -> Option<(ConstraintId, f64)> {
+        (self != Self::BOUND).then(|| {
+            let sign = if self.0 & 1 == 1 { 1.0 } else { -1.0 };
+            (ConstraintId((self.0 >> 1) as usize), sign)
+        })
+    }
+}
+
+/// The error for an input past the graph's `u32` indices.
+fn overflow(what: &str) -> crate::LpError {
+    crate::LpError::Numerical {
+        context: format!("parametric graph: {what}"),
+    }
+}
+
+/// Checks that a problem of `rows` rows fits [`ArcTag`].
+fn check_row_count(rows: usize) -> Result<(), crate::LpError> {
+    if rows > ArcTag::MAX_ROWS {
+        return Err(overflow("too many rows for 32-bit arc tags"));
+    }
+    Ok(())
 }
 
 /// One arc `from → to` of a [`ParamGraph`], weighing `base + slope·λ`,
@@ -364,9 +426,13 @@ pub enum SearchOutcome {
 impl<T: Copy> ParamGraph<T> {
     /// Stores the arcs that `each_arc` lists over nodes `0..num_nodes`.
     ///
-    /// `each_arc` is called twice, once to count out-degrees and once to
-    /// place the arcs, and must list the same arcs in the same order both
-    /// times; nothing else is allocated for them.
+    /// `each_arc` is called once. The arcs are stored in the order listed,
+    /// then permuted in place into CSR order: each arc's `from` slot is
+    /// overwritten with its CSR position, the arrays follow that
+    /// permutation cycle by cycle, and `from` is refilled from the
+    /// offsets. `capacity` is the number of arcs the listing gives, or an
+    /// upper bound on it; with an exact count nothing is allocated for the
+    /// arcs beyond the graph itself.
     ///
     /// # Errors
     ///
@@ -375,55 +441,62 @@ impl<T: Copy> ParamGraph<T> {
     /// fit the `u32` indices.
     pub fn build(
         num_nodes: usize,
-        each_arc: impl Fn(&mut dyn FnMut(ParamArc<T>)),
+        capacity: usize,
+        each_arc: impl FnOnce(&mut dyn FnMut(ParamArc<T>)),
     ) -> Result<Self, crate::LpError> {
-        let overflow = |what: &str| crate::LpError::Numerical {
-            context: format!("parametric graph: {what}"),
-        };
         if num_nodes >= NO_ARC as usize {
             return Err(overflow("too many nodes"));
         }
-        let mut degree = vec![0u32; num_nodes + 1];
-        let mut arcs = 0usize;
-        let mut some_tag = None;
+        let capacity = capacity.min(NO_ARC as usize);
+        let mut first = vec![0u32; num_nodes + 1];
+        let (mut from, mut to) = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+        let (mut base, mut slope) = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+        let mut tags = Vec::with_capacity(capacity);
+        let mut in_range = true;
         each_arc(&mut |a| {
-            if a.from < num_nodes && a.to < num_nodes {
-                degree[a.from + 1] = degree[a.from + 1].saturating_add(1);
-                arcs += 1;
-                some_tag.get_or_insert(a.tag);
+            if a.from < num_nodes && a.to < num_nodes && to.len() < NO_ARC as usize {
+                first[a.from + 1] += 1;
+                from.push(a.from as u32);
+                to.push(a.to as u32);
+                base.push(a.base);
+                slope.push(a.slope);
+                tags.push(a.tag);
             } else {
-                arcs = usize::MAX;
+                in_range = false;
             }
         });
-        if arcs >= NO_ARC as usize {
+        if !in_range || to.len() >= NO_ARC as usize {
             return Err(overflow("arc endpoint out of range, or too many arcs"));
         }
-        let mut first = degree;
         for u in 0..num_nodes {
             first[u + 1] += first[u];
         }
+        // Listed arc k goes to the next free slot of its source: `from[k]`
+        // becomes that position, so arcs of one source keep their order.
         let mut slot: Vec<u32> = first[..num_nodes].to_vec();
-        let (mut from, mut to) = (vec![0u32; arcs], vec![0u32; arcs]);
-        let (mut base, mut slope) = (vec![0.0; arcs], vec![0.0; arcs]);
-        let mut tags = some_tag.map_or_else(Vec::new, |t| vec![t; arcs]);
-        let mut placed = 0usize;
-        each_arc(&mut |a| {
-            let Some(k) = slot.get_mut(a.from) else {
-                return;
-            };
-            let i = *k as usize;
-            if i < first[a.from + 1] as usize && a.to < num_nodes {
-                *k += 1;
-                placed += 1;
-                from[i] = a.from as u32;
-                to[i] = a.to as u32;
-                base[i] = a.base;
-                slope[i] = a.slope;
-                tags[i] = a.tag;
+        for f in &mut from {
+            let next = &mut slot[*f as usize];
+            *f = *next;
+            *next += 1;
+        }
+        drop(slot);
+        let position = &mut from;
+        for k in 0..position.len() {
+            // Each swap puts the arc at `k` in its final place.
+            loop {
+                let d = position[k] as usize;
+                if d == k {
+                    break;
+                }
+                to.swap(k, d);
+                base.swap(k, d);
+                slope.swap(k, d);
+                tags.swap(k, d);
+                position.swap(k, d);
             }
-        });
-        if placed != arcs {
-            return Err(overflow("the arc listing changed between calls"));
+        }
+        for u in 0..num_nodes {
+            from[first[u] as usize..first[u + 1] as usize].fill(u as u32);
         }
         Ok(ParamGraph {
             first,
@@ -666,6 +739,13 @@ impl Search {
     }
 }
 
+/// The error for images or a classification that do not match the problem.
+fn dimension_mismatch() -> crate::LpError {
+    crate::LpError::Numerical {
+        context: "difference system: image or classification dimension mismatch".into(),
+    }
+}
+
 /// Provenance of one side of the parameter interval `λ ∈ [lower, upper]`.
 #[derive(Debug, Clone, Copy)]
 enum ParamBoundSrc {
@@ -684,8 +764,8 @@ enum ParamBoundSrc {
 /// The difference-constraint subset of a [`Problem`], as a weighted graph
 /// with arc weights affine in the parameter `λ`.
 ///
-/// Built by [`DifferenceSystem::build`]; solves the subset *exactly* when
-/// the classification [`is_pure`](Classification::is_pure), and a
+/// Built by [`DifferenceSystem::from_problem`]; solves the subset
+/// *exactly* when it [`is_pure`](DifferenceSystem::is_pure), and a
 /// relaxation (useful for early infeasibility detection — an infeasible
 /// subset proves the full problem infeasible) otherwise.
 #[derive(Debug, Clone)]
@@ -694,7 +774,9 @@ pub struct DifferenceSystem {
     num_nodes: usize,
     /// The arcs over the caller's nodes plus the origin, each tagged with
     /// its provenance.
-    graph: ParamGraph<ArcSource>,
+    graph: ParamGraph<ArcTag>,
+    /// Every listed row lies in the difference fragment.
+    pure: bool,
     lambda_lower: f64,
     lambda_lower_src: ParamBoundSrc,
     lambda_upper: f64,
@@ -837,38 +919,59 @@ pub enum MinParamOutcome {
 }
 
 impl DifferenceSystem {
-    /// Assembles the difference-fragment rows of `p` (under `cls`, from
-    /// [`classify`] with the same `images`) plus every finite variable
-    /// bound into a constraint graph. [`RowClass::General`] rows are
-    /// skipped — check [`Classification::is_pure`] to know whether the
-    /// system is exact.
+    /// Assembles the difference-fragment rows of `p` under `images`, plus
+    /// every finite variable bound, into a constraint graph.
+    ///
+    /// The one streaming build: each row is classified as the graph's one
+    /// listing pass reaches it, so no per-row classification is stored,
+    /// and the same pass finds the parameter interval that
+    /// [`RowClass::ParamBound`] rows declare, a constant row that is
+    /// infeasible alone, and whether every row lies in the difference
+    /// fragment ([`is_pure`](Self::is_pure)). [`RowClass::General`] rows
+    /// are skipped. The rows are read when this
+    /// runs, so a right-hand side changed since the problem was built is
+    /// the one the graph sees.
     ///
     /// # Errors
     ///
-    /// Returns [`LpError::Numerical`](crate::LpError) when `images` and
-    /// `cls` do not match `p`'s dimensions.
+    /// Returns [`LpError::Numerical`](crate::LpError) when `images` does not
+    /// cover every variable of `p`, or when `p` has `2³¹` rows or more, or
+    /// the graph outgrows its `u32` indices.
+    pub fn from_problem(p: &Problem, images: &[VarImage]) -> Result<Self, crate::LpError> {
+        Self::from_rows(p, images, None)
+    }
+
+    /// [`DifferenceSystem::from_problem`] for a caller that already holds
+    /// [`classify`]'s result for the same `p` and `images`: checks that
+    /// `cls` matches `p` and builds the same graph by the same pass.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_problem`](Self::from_problem), and when `cls` does not
+    /// match `p`'s row count.
     pub fn build(
         p: &Problem,
         images: &[VarImage],
         cls: &Classification,
     ) -> Result<Self, crate::LpError> {
-        Self::build_rows(p, images, cls, None)
+        if cls.len() != p.num_constraints() {
+            return Err(dimension_mismatch());
+        }
+        Self::from_rows(p, images, None)
     }
 
-    /// [`DifferenceSystem::build`] over the rows `r` with `keep[r]` only
-    /// (every row when `keep` is `None`); the variable box stays whole.
-    pub(crate) fn build_rows(
+    /// [`DifferenceSystem::from_problem`] over the rows `r` with `keep[r]`
+    /// only (every row when `keep` is `None`); the variable box stays
+    /// whole, and [`is_pure`](Self::is_pure) speaks of the kept rows.
+    pub(crate) fn from_rows(
         p: &Problem,
         images: &[VarImage],
-        cls: &Classification,
         keep: Option<&[bool]>,
     ) -> Result<Self, crate::LpError> {
-        let dropped = |c: ConstraintId| keep.is_some_and(|k| !k[c.index()]);
-        if images.len() != p.num_vars() || cls.len() != p.num_constraints() {
-            return Err(crate::LpError::Numerical {
-                context: "difference system: image or classification dimension mismatch".into(),
-            });
+        if images.len() != p.num_vars() {
+            return Err(dimension_mismatch());
         }
+        check_row_count(p.num_constraints())?;
         let num_nodes = images
             .iter()
             .map(|im| match *im {
@@ -884,6 +987,7 @@ impl DifferenceSystem {
         let mut lambda_upper = f64::INFINITY;
         let mut lambda_upper_src = ParamBoundSrc::VarBound;
         let mut constant_conflict = None;
+        let mut pure = true;
 
         // Parameter bounds from the parameter variable's own box (if any
         // variable maps to Param); tightened by ParamBound rows below.
@@ -901,54 +1005,71 @@ impl DifferenceSystem {
             lambda_lower = 0.0;
             lambda_upper = 0.0;
         }
-        for atom in cls.atoms.iter().filter(|a| !dropped(a.row)) {
-            let RowClass::ParamBound { coef, rhs } = atom.class else {
-                continue;
-            };
-            let src = ParamBoundSrc::Row {
-                c: atom.row,
-                sign: atom.sign,
-                coef,
-            };
-            if coef > TOL {
-                let cand = rhs / coef;
-                if cand < lambda_upper {
-                    lambda_upper = cand;
-                    lambda_upper_src = src;
-                }
-            } else if coef < -TOL {
-                let cand = rhs / coef;
-                if cand > lambda_lower {
-                    lambda_lower = cand;
-                    lambda_lower_src = src;
-                }
-            } else if rhs < -TOL && constant_conflict.is_none() {
-                // 0 ≤ rhs < 0: the row is infeasible alone.
-                constant_conflict = Some((atom.row, atom.sign));
-            }
-        }
 
-        let graph = ParamGraph::build(num_nodes + 1, |add| {
+        // Every direction of a kept row gives at most one arc, and every
+        // finite bound of a node variable one: the arrays are sized once,
+        // with room to spare only for the ParamBound and General directions.
+        let kept = |r: usize| keep.is_none_or(|k| k[r]);
+        let row_arcs: usize = (0..p.num_constraints())
+            .filter(|&r| kept(r))
+            .map(|r| directions(p.constraint(ConstraintId(r)).1).len())
+            .sum();
+        let bound_arcs: usize = (0..images.len())
+            .filter(|&v| images[v] != VarImage::Param)
+            .map(|v| {
+                let (lo, up) = p.var_bounds(VarId(v));
+                usize::from(lo.is_finite()) + usize::from(up.is_finite())
+            })
+            .sum();
+        let mut nodes = Vec::with_capacity(4);
+        let graph = ParamGraph::build(num_nodes + 1, row_arcs + bound_arcs, |add| {
             // Constraint-row arcs.
-            for atom in cls.atoms.iter().filter(|a| !dropped(a.row)) {
-                let tag = ArcSource::Row {
-                    c: atom.row,
-                    sign: atom.sign,
-                };
-                let (from, to, bound) = match atom.class {
-                    RowClass::Difference { i, j, bound } => (j, i, bound),
-                    // +x_i ≤ b: origin→i; −x_i ≤ b: i→origin.
-                    RowClass::SingleVar { i, negated, bound } if negated => (i, origin, bound),
-                    RowClass::SingleVar { i, bound, .. } => (origin, i, bound),
-                    RowClass::ParamBound { .. } | RowClass::General => continue,
-                };
-                add(ParamArc {
-                    from,
-                    to,
-                    base: bound.base,
-                    slope: bound.slope,
-                    tag,
-                });
+            for r in 0..p.num_constraints() {
+                if !kept(r) {
+                    continue;
+                }
+                let c = ConstraintId(r);
+                let (terms, sense, rhs) = p.constraint(c);
+                for &(negate, sign) in directions(sense) {
+                    let class = classify_le(terms, rhs, images, negate, &mut nodes);
+                    let (from, to, bound) = match class {
+                        RowClass::Difference { i, j, bound } => (j, i, bound),
+                        // +x_i ≤ b: origin→i; −x_i ≤ b: i→origin.
+                        RowClass::SingleVar { i, negated, bound } if negated => (i, origin, bound),
+                        RowClass::SingleVar { i, bound, .. } => (origin, i, bound),
+                        RowClass::ParamBound { coef, rhs } => {
+                            let src = ParamBoundSrc::Row { c, sign, coef };
+                            if coef > TOL {
+                                let cand = rhs / coef;
+                                if cand < lambda_upper {
+                                    lambda_upper = cand;
+                                    lambda_upper_src = src;
+                                }
+                            } else if coef < -TOL {
+                                let cand = rhs / coef;
+                                if cand > lambda_lower {
+                                    lambda_lower = cand;
+                                    lambda_lower_src = src;
+                                }
+                            } else if rhs < -TOL && constant_conflict.is_none() {
+                                // 0 ≤ rhs < 0: the row is infeasible alone.
+                                constant_conflict = Some((c, sign));
+                            }
+                            continue;
+                        }
+                        RowClass::General => {
+                            pure = false;
+                            continue;
+                        }
+                    };
+                    add(ParamArc {
+                        from,
+                        to,
+                        base: bound.base,
+                        slope: bound.slope,
+                        tag: ArcTag::row(c, sign),
+                    });
+                }
             }
             // Variable-bound arcs (the ambient box, structural in the SMO
             // models: non-negativity of widths, starts and departures).
@@ -965,7 +1086,7 @@ impl DifferenceSystem {
                     to,
                     base,
                     slope: 0.0,
-                    tag: ArcSource::Bound,
+                    tag: ArcTag::BOUND,
                 };
                 if lo.is_finite() {
                     add(bound_arc(a, b, -lo));
@@ -978,6 +1099,7 @@ impl DifferenceSystem {
         Ok(DifferenceSystem {
             num_nodes,
             graph,
+            pure,
             lambda_lower,
             lambda_lower_src,
             lambda_upper,
@@ -985,6 +1107,12 @@ impl DifferenceSystem {
             constant_conflict,
             num_rows: p.num_constraints(),
         })
+    }
+
+    /// `true` when every row of the problem lies in the difference
+    /// fragment: the graph is then *exact*, not a relaxation.
+    pub fn is_pure(&self) -> bool {
+        self.pure
     }
 
     /// Number of nodes in the caller's node space (the internal origin is
@@ -1002,6 +1130,41 @@ impl DifferenceSystem {
     /// parameter variable's box and the `ParamBound` rows.
     pub fn param_range(&self) -> (f64, f64) {
         (self.lambda_lower, self.lambda_upper)
+    }
+
+    /// The `ParamBound` rows, with their Farkas signs, that set the lower
+    /// and upper ends of [`param_range`](Self::param_range); `None` for an
+    /// end that the parameter variable's own box sets.
+    pub fn param_range_rows(&self) -> [Option<(ConstraintId, f64)>; 2] {
+        [self.lambda_lower_src, self.lambda_upper_src].map(|src| match src {
+            ParamBoundSrc::Row { c, sign, .. } => Some((c, sign)),
+            ParamBoundSrc::VarBound => None,
+        })
+    }
+
+    /// The first constant row that is infeasible on its own (`0 ≤ rhs < 0`
+    /// in `≤` form), with its Farkas sign.
+    pub fn constant_conflict(&self) -> Option<(ConstraintId, f64)> {
+        self.constant_conflict
+    }
+
+    /// Arc `k` in CSR order, over the caller's nodes plus the origin at
+    /// index [`num_nodes`](Self::num_nodes), tagged with its row and that
+    /// row's Farkas multiplier for one use of the arc (`None` for a
+    /// variable-bound arc).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    pub fn arc(&self, k: usize) -> ParamArc<Option<(ConstraintId, f64)>> {
+        let a = self.graph.arc(k);
+        ParamArc {
+            from: a.from,
+            to: a.to,
+            base: a.base,
+            slope: a.slope,
+            tag: a.tag.row_and_sign(),
+        }
     }
 
     /// Whether some `λ` in [`param_range`](Self::param_range) admits
@@ -1225,7 +1388,7 @@ impl DifferenceSystem {
             let a = self.graph.arc(idx);
             base += a.base;
             slope += a.slope;
-            if let ArcSource::Row { c, sign } = a.tag {
+            if let Some((c, sign)) = a.tag.row_and_sign() {
                 let i = c.index();
                 if i >= slot.len() {
                     slot.resize(i + 1, usize::MAX);
@@ -1342,7 +1505,7 @@ mod tests {
                 let a = self.graph.arc(idx);
                 base += a.base;
                 slope += a.slope;
-                if let ArcSource::Row { c, sign } = a.tag {
+                if let Some((c, sign)) = a.tag.row_and_sign() {
                     if let Some(e) = rows.iter_mut().find(|(rc, _)| *rc == c) {
                         e.1 += sign;
                     } else {
@@ -1385,8 +1548,7 @@ mod tests {
         p.minimize(tc.into());
         let mut images = vec![VarImage::Param];
         images.extend((0..nodes).map(VarImage::Node));
-        let cls = classify(&p, &images).unwrap();
-        DifferenceSystem::build(&p, &images, &cls).unwrap()
+        DifferenceSystem::from_problem(&p, &images).unwrap()
     }
 
     /// Compares the search with the textbook oracle at `λ`: the verdicts
@@ -1516,6 +1678,115 @@ mod tests {
         for (i, &d) in labels[..n].iter().enumerate() {
             assert_eq!(d, -(i as f64), "node {i}");
         }
+    }
+
+    /// A packed tag gives back its row and sign at the first and the last
+    /// row a tagged graph may have, for both signs. Tags grow with the row,
+    /// so the last row's `+1` tag is the largest, and it stays below
+    /// `BOUND`.
+    /// Arcs listed out of source order come back in CSR order, each
+    /// source's arcs in the order listed, with `from` matching the
+    /// offsets, whether `capacity` is exact or too small; an endpoint out
+    /// of range is refused.
+    #[test]
+    fn build_permutes_the_listing_into_stable_csr_order() {
+        let listing = [(2, 0), (0, 1), (2, 1), (1, 2), (0, 2), (2, 2), (0, 0)];
+        let list = |add: &mut dyn FnMut(ParamArc<usize>)| {
+            for (k, &(from, to)) in listing.iter().enumerate() {
+                let base = k as f64;
+                let (slope, tag) = (-base, k);
+                add(ParamArc {
+                    from,
+                    to,
+                    base,
+                    slope,
+                    tag,
+                });
+            }
+        };
+        for capacity in [listing.len(), 0] {
+            let g = ParamGraph::build(3, capacity, list).unwrap();
+            let tags: Vec<usize> = (0..g.num_arcs()).map(|k| g.arc(k).tag).collect();
+            assert_eq!(tags, [1, 4, 6, 3, 0, 2, 5]);
+            for k in 0..g.num_arcs() {
+                let a = g.arc(k);
+                assert_eq!((a.from, a.to), listing[a.tag]);
+                assert_eq!((a.base, a.slope), (a.tag as f64, -(a.tag as f64)));
+            }
+            assert_eq!(g.first, [0, 3, 4, 7]);
+        }
+        let stray = |add: &mut dyn FnMut(ParamArc<()>)| {
+            let (base, slope, tag) = (0.0, 0.0, ());
+            add(ParamArc {
+                from: 0,
+                to: 3,
+                base,
+                slope,
+                tag,
+            });
+        };
+        assert!(ParamGraph::build(3, 1, stray).is_err());
+    }
+
+    #[test]
+    fn arc_tags_round_trip_rows_and_signs() {
+        assert_eq!(ArcTag::MAX_ROWS, (1 << 31) - 1);
+        for c in [ConstraintId(0), ConstraintId(ArcTag::MAX_ROWS - 1)] {
+            for sign in [-1.0, 1.0] {
+                let tag = ArcTag::row(c, sign);
+                assert_eq!(tag.row_and_sign(), Some((c, sign)));
+                assert_ne!(tag, ArcTag::BOUND);
+            }
+        }
+        let largest = ArcTag::row(ConstraintId(ArcTag::MAX_ROWS - 1), 1.0);
+        assert_eq!(largest.0, u32::MAX - 2);
+        assert_eq!(ArcTag::BOUND.row_and_sign(), None);
+        assert_eq!(std::mem::size_of::<ArcTag>(), 4);
+    }
+
+    /// A problem of `2³¹` rows or more is refused before any arc is
+    /// listed; the check is a plain function of the row count.
+    #[test]
+    fn the_row_count_limit_is_two_to_the_thirty_one() {
+        assert!(check_row_count(0).is_ok());
+        assert!(check_row_count((1 << 31) - 1).is_ok());
+        for rows in [1 << 31, usize::MAX] {
+            let err = check_row_count(rows).unwrap_err();
+            assert!(
+                matches!(&err, crate::LpError::Numerical { context } if context.starts_with("parametric graph")),
+                "{err}"
+            );
+        }
+    }
+
+    /// The streaming build finds the pure-or-mixed verdict, the parameter
+    /// interval with the rows behind it, and a constant conflict, as
+    /// [`classify`] sees them.
+    #[test]
+    fn the_streaming_build_reports_what_it_classified() {
+        let (mut p, images) = ring();
+        let tc = VarId(0);
+        let sys = DifferenceSystem::from_problem(&p, &images).unwrap();
+        assert!(sys.is_pure());
+        assert_eq!(sys.param_range(), (0.0, f64::INFINITY));
+        assert_eq!(sys.param_range_rows(), [None, None]);
+        p.constrain(tc.into(), Sense::Ge, 10.0);
+        p.constrain(tc.into(), Sense::Le, 400.0);
+        p.constrain(LinExpr::from(tc) - tc, Sense::Ge, 1.0);
+        p.constrain(2.0 * VarId(1), Sense::Le, 3.0);
+        let sys = DifferenceSystem::from_problem(&p, &images).unwrap();
+        assert!(!sys.is_pure());
+        assert!(!classify(&p, &images).unwrap().is_pure());
+        assert_eq!(sys.param_range(), (10.0, 400.0));
+        assert_eq!(
+            sys.param_range_rows(),
+            [Some((ConstraintId(2), 1.0)), Some((ConstraintId(3), -1.0))]
+        );
+        assert_eq!(sys.constant_conflict(), Some((ConstraintId(4), 1.0)));
+        // The two ring rows' arcs in CSR order (row 0 leaves `a`, row 1
+        // leaves `b`), tagged with their `≤` multiplier.
+        let tags: Vec<_> = (0..sys.num_arcs()).filter_map(|k| sys.arc(k).tag).collect();
+        assert_eq!(tags, [(ConstraintId(0), -1.0), (ConstraintId(1), -1.0)]);
     }
 
     /// A 2-node ring with one λ-dependent arc: x_b − x_a ≤ −150 + λ and

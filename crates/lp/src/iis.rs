@@ -19,7 +19,7 @@
 
 use crate::error::LpError;
 use crate::expr::{LinExpr, VarId};
-use crate::graph::{classify, DifferenceSystem, GraphInfeasibility, VarImage};
+use crate::graph::{DifferenceSystem, GraphInfeasibility, VarImage};
 use crate::problem::{ConstraintId, Problem, Sense};
 use crate::recover::SolveBudget;
 use crate::solution::Status;
@@ -239,19 +239,18 @@ pub fn extract_graph_iis(
             VarImage::Param => VarImage::Param,
         })
         .collect();
-    let cls = classify(&q, &sub)?;
-    if !cls.is_pure() {
-        return Err(LpError::Numerical {
-            context: "graph IIS: a certificate row lies outside the difference fragment".into(),
-        });
-    }
     let mut keep = vec![false; q.num_constraints()];
     let mut infeasible = |rows: &[ConstraintId]| {
         keep.fill(false);
         for c in rows {
             keep[c.index()] = true;
         }
-        let sys = DifferenceSystem::build_rows(&q, &sub, &cls, Some(&keep))?;
+        let sys = DifferenceSystem::from_rows(&q, &sub, Some(&keep))?;
+        if !sys.is_pure() {
+            return Err(LpError::Numerical {
+                context: "graph IIS: a certificate row lies outside the difference fragment".into(),
+            });
+        }
         Ok(!sys.admits_param(&SolveBudget::UNLIMITED)?)
     };
     let all: Vec<ConstraintId> = (0..q.num_constraints()).map(ConstraintId).collect();

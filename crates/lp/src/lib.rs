@@ -31,12 +31,12 @@
 //!   *original* problem,
 //! * solve budgets ([`SolveBudget`]): wall-clock deadlines and iteration
 //!   allowances enforced inside the pivot loops,
-//! * a difference-constraint fast path ([`classify`], [`DifferenceSystem`]):
+//! * a difference-constraint fast path ([`DifferenceSystem::from_problem`]):
 //!   rows recognized as two-variable differences `x_i − x_j ≤ base + slope·λ`
-//!   solve by Bellman–Ford feasibility and Lawler's exact min-cycle-ratio
-//!   iteration instead of the simplex, with negative-cycle infeasibility
-//!   certificates that [`certifies_infeasibility`] checks exactly like an LP
-//!   Farkas vector.
+//!   as the graph is built from them solve by Bellman–Ford feasibility and
+//!   Lawler's exact min-cycle-ratio iteration instead of the simplex, with
+//!   negative-cycle infeasibility certificates that
+//!   [`certifies_infeasibility`] checks exactly like an LP Farkas vector.
 //!
 //! Every simplex solve is cold: it starts from the all-logical basis and
 //! runs both phases. The paper solves P2 once per design (§V), and every

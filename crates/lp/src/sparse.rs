@@ -3,9 +3,9 @@
 //!
 //! This is the crate's one production simplex: [`Problem::solve`],
 //! certified solves and IIS extraction all run here. Netlist models
-//! settle on the graph path ([`crate::classify`]), so the simplex serves
-//! `--backend lp`, mixed models and the test oracles. It keeps no dense
-//! `m×m` object:
+//! settle on the graph path ([`crate::DifferenceSystem`]), so the simplex
+//! serves `--backend lp`, mixed models and the test oracles. It keeps no
+//! dense `m×m` object:
 //!
 //! * **[`StdForm`]** — the standard-form constraint matrix assembled
 //!   directly in compressed sparse columns. It is the *single source of
